@@ -218,6 +218,72 @@ void BM_TriangularSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_TriangularSolve)->Arg(256)->Arg(1024);
 
+// The UoI_VAR x-update shape: 50 independent SPD systems of one dimension
+// (one per equation) on consecutive slices of one vector. The per-system
+// loop is what the x-update ran before CholeskyBatch; the batch solves the
+// same systems eight per SIMD lane group, bit for bit.
+constexpr std::size_t kEquationSystems = 50;
+
+std::vector<Matrix> equation_grams(std::size_t dim) {
+  std::vector<Matrix> grams;
+  for (std::size_t k = 0; k < kEquationSystems; ++k) {
+    const Matrix a = random_matrix(dim + 8, dim, 100 + k);
+    Matrix gram(dim, dim);
+    uoi::linalg::syrk_at_a(1.0, a, 0.0, gram);
+    grams.push_back(std::move(gram));
+  }
+  return grams;
+}
+
+void set_equation_solve_counters(benchmark::State& state, std::size_t dim) {
+  state.counters["GFLOPS"] = benchmark::Counter(
+      static_cast<double>(kEquationSystems * 2 *
+                          uoi::linalg::trsv_flops(dim)) *
+          1e-9,
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+
+void BM_CholeskyPerSystemSolve(benchmark::State& state) {
+  const auto dim = static_cast<std::size_t>(state.range(0));
+  std::vector<uoi::linalg::CholeskyFactor> factors;
+  for (const Matrix& gram : equation_grams(dim)) {
+    factors.emplace_back(gram, 1.0);
+  }
+  const Vector b = random_vector(kEquationSystems * dim, 30);
+  Vector x(b.size());
+  for (auto _ : state) {
+    for (std::size_t k = 0; k < kEquationSystems; ++k) {
+      factors[k].solve(std::span<const double>(b).subspan(k * dim, dim),
+                       std::span<double>(x).subspan(k * dim, dim));
+    }
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  set_equation_solve_counters(state, dim);
+}
+BENCHMARK(BM_CholeskyPerSystemSolve)
+    ->Arg(8)->Arg(16)->Arg(32)->Arg(50)->Arg(64)->Arg(128)->Arg(256);
+
+void BM_CholeskyBatchSolve(benchmark::State& state) {
+  const auto dim = static_cast<std::size_t>(state.range(0));
+  const std::vector<Matrix> grams = equation_grams(dim);
+  std::vector<uoi::linalg::CholeskyBatch::System> systems;
+  for (std::size_t k = 0; k < kEquationSystems; ++k) {
+    systems.push_back({&grams[k], k * dim});
+  }
+  const uoi::linalg::CholeskyBatch batch(systems, 1.0);
+  const Vector b = random_vector(kEquationSystems * dim, 30);
+  Vector x(b.size());
+  for (auto _ : state) {
+    batch.solve(b, x);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  set_equation_solve_counters(state, dim);
+}
+BENCHMARK(BM_CholeskyBatchSolve)
+    ->Arg(8)->Arg(16)->Arg(32)->Arg(50)->Arg(64)->Arg(128)->Arg(256);
+
 void BM_SparseGemv(benchmark::State& state) {
   // A block-diagonal I (x) X operator at the VAR sparsity 1 - 1/p.
   const auto p = static_cast<std::size_t>(state.range(0));

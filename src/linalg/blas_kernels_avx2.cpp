@@ -3,8 +3,10 @@
 // the tail is folded into lane 0 after the vector loop and the reduction
 // runs the same ((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7)) tree, all with
 // explicit mul-then-add (no FMA), so every result is bit-identical to the
-// scalar table. Compiled with -mavx2 -ffp-contract=off; when the
-// toolchain lacks AVX2 the table aliases the scalar kernels.
+// scalar table. The Cholesky lane kernel carries its eight systems the
+// same way, as a (lanes 0-3, lanes 4-7) register pair. Compiled with
+// -mavx2 -ffp-contract=off; when the toolchain lacks AVX2 the table
+// aliases the scalar kernels.
 
 #include "linalg/simd_scalar_kernels.hpp"
 #include "linalg/simd_tables.hpp"
@@ -100,11 +102,107 @@ void gather_avx2(const double* src, const std::size_t* idx, std::size_t n,
   for (; i < n; ++i) dst[i] = src[idx[i]];
 }
 
+/// Eight lanes as a (lanes 0-3, lanes 4-7) register pair.
+struct Lanes8 {
+  __m256d lo;
+  __m256d hi;
+};
+
+Lanes8 zero8() { return {_mm256_setzero_pd(), _mm256_setzero_pd()}; }
+Lanes8 load8(const double* p) {
+  return {_mm256_loadu_pd(p), _mm256_loadu_pd(p + 4)};
+}
+void store8(double* p, Lanes8 a) {
+  _mm256_storeu_pd(p, a.lo);
+  _mm256_storeu_pd(p + 4, a.hi);
+}
+Lanes8 add8(Lanes8 a, Lanes8 b) {
+  return {_mm256_add_pd(a.lo, b.lo), _mm256_add_pd(a.hi, b.hi)};
+}
+Lanes8 sub8(Lanes8 a, Lanes8 b) {
+  return {_mm256_sub_pd(a.lo, b.lo), _mm256_sub_pd(a.hi, b.hi)};
+}
+Lanes8 mul8(Lanes8 a, Lanes8 b) {
+  return {_mm256_mul_pd(a.lo, b.lo), _mm256_mul_pd(a.hi, b.hi)};
+}
+Lanes8 div8(Lanes8 a, Lanes8 b) {
+  return {_mm256_div_pd(a.lo, b.lo), _mm256_div_pd(a.hi, b.hi)};
+}
+
+/// Factor element at `p` for all eight lanes: one lane-packed vector, or a
+/// broadcast of the shared factor's scalar.
+template <bool kShared>
+Lanes8 load_factor(const double* p) {
+  if constexpr (kShared) {
+    const __m256d b = _mm256_set1_pd(*p);
+    return {b, b};
+  } else {
+    return load8(p);
+  }
+}
+
+/// Element i of all eight systems is one register pair, so each scalar
+/// step of cholesky_solve8_scalar becomes one pair of vector instructions.
+template <bool kShared>
+void cholesky_solve8_lanes(const double* l, std::size_t n, double* v) {
+  constexpr std::size_t ls = kShared ? 1 : 8;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* row = l + packed_row(i) * ls;
+    Lanes8 s0 = zero8(), s1 = zero8(), s2 = zero8(), s3 = zero8();
+    Lanes8 s4 = zero8(), s5 = zero8(), s6 = zero8(), s7 = zero8();
+    const auto term = [&](std::size_t j) {
+      return mul8(load_factor<kShared>(row + j * ls), load8(v + 8 * j));
+    };
+    std::size_t j = 0;
+    const std::size_t i8 = i & ~std::size_t{7};
+    for (; j < i8; j += 8) {
+      s0 = add8(s0, term(j));
+      s1 = add8(s1, term(j + 1));
+      s2 = add8(s2, term(j + 2));
+      s3 = add8(s3, term(j + 3));
+      s4 = add8(s4, term(j + 4));
+      s5 = add8(s5, term(j + 5));
+      s6 = add8(s6, term(j + 6));
+      s7 = add8(s7, term(j + 7));
+    }
+    for (; j < i; ++j) s0 = add8(s0, term(j));
+    const Lanes8 partial = add8(add8(add8(s0, s1), add8(s2, s3)),
+                                add8(add8(s4, s5), add8(s6, s7)));
+    store8(v + 8 * i, div8(sub8(load8(v + 8 * i), partial),
+                           load_factor<kShared>(row + i * ls)));
+  }
+  for (std::size_t ii = n; ii > 0; --ii) {
+    const std::size_t i = ii - 1;
+    Lanes8 sum = load8(v + 8 * i);
+    for (std::size_t k = i + 1; k < n; ++k) {
+      sum = sub8(sum, mul8(load_factor<kShared>(l + (packed_row(k) + i) * ls),
+                           load8(v + 8 * k)));
+    }
+    store8(v + 8 * i,
+           div8(sum, load_factor<kShared>(l + (packed_row(i) + i) * ls)));
+  }
+}
+
+/// One lane group at a time: a group already fills all sixteen ymm
+/// registers with accumulators.
+void cholesky_solve8_avx2(const double* l, std::size_t n, std::size_t groups,
+                          bool shared, double* v) {
+  const std::size_t lstride = shared ? 0 : 8 * packed_row(n);
+  for (std::size_t g = 0; g < groups; ++g) {
+    if (shared) {
+      cholesky_solve8_lanes<true>(l, n, v + g * 8 * n);
+    } else {
+      cholesky_solve8_lanes<false>(l + g * lstride, n, v + g * 8 * n);
+    }
+  }
+}
+
 }  // namespace
 
 const KernelTable kAvx2Table = {
     &dot_avx2, &axpy_avx2,   &dist2_squared_avx2,
     &nrm1_avx2, &gather_avx2, &scatter_scalar,
+    &cholesky_solve8_avx2,
 };
 const bool kAvx2Compiled = true;
 
@@ -117,6 +215,7 @@ namespace uoi::linalg::simd::detail {
 const KernelTable kAvx2Table = {
     &dot_scalar,  &axpy_scalar,   &dist2_squared_scalar,
     &nrm1_scalar, &gather_scalar, &scatter_scalar,
+    &cholesky_solve8_scalar,
 };
 const bool kAvx2Compiled = false;
 

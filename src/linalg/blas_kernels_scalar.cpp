@@ -10,6 +10,7 @@ namespace uoi::linalg::simd::detail {
 const KernelTable kScalarTable = {
     &dot_scalar,    &axpy_scalar,   &dist2_squared_scalar,
     &nrm1_scalar,   &gather_scalar, &scatter_scalar,
+    &cholesky_solve8_scalar,
 };
 
 }  // namespace uoi::linalg::simd::detail

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "linalg/blas.hpp"
@@ -162,8 +163,9 @@ void CholeskyFactor::solve_lower(std::span<const double> b,
                                  std::span<double> y) const {
   const std::size_t n = dim();
   UOI_CHECK_DIMS(b.size() == n && y.size() == n, "solve_lower size mismatch");
+  const auto& kernels = simd::active_kernels();
   for (std::size_t i = 0; i < n; ++i) {
-    const double partial = dot(l_.row(i).subspan(0, i), y.subspan(0, i));
+    const double partial = kernels.dot(l_.row(i).data(), y.data(), i);
     y[i] = (b[i] - partial) / l_(i, i);
   }
 }
@@ -172,9 +174,7 @@ void CholeskyFactor::solve_upper(std::span<const double> y,
                                  std::span<double> x) const {
   const std::size_t n = dim();
   UOI_CHECK_DIMS(y.size() == n && x.size() == n, "solve_upper size mismatch");
-  // L' x = y solved backwards; L is accessed down column i which is row i of
-  // the transpose — gather with a stride, n is small enough in practice
-  // (p per support) for this to be fine.
+  // L' x = y solved backwards, reading L down column i.
   for (std::size_t ii = n; ii > 0; --ii) {
     const std::size_t i = ii - 1;
     double sum = y[i];
@@ -198,6 +198,140 @@ void CholeskyFactor::solve_matrix(const Matrix& b, Matrix& x) const {
     for (std::size_t r = 0; r < b.rows(); ++r) col[r] = b(r, c);
     solve(col, sol);
     for (std::size_t r = 0; r < b.rows(); ++r) x(r, c) = sol[r];
+  }
+}
+
+namespace {
+
+using simd::packed_row;
+
+/// First element of `buffer` on a 64-byte cache-line boundary. Lane
+/// groups start there, so no eight-lane vector load straddles two lines;
+/// the buffer carries 7 spare doubles for the shift.
+std::size_t line_start(const std::vector<double>& buffer) {
+  const auto address = reinterpret_cast<std::uintptr_t>(buffer.data());
+  return (64 - address % 64) % 64 / sizeof(double);
+}
+
+}  // namespace
+
+CholeskyBatch::CholeskyBatch(std::span<const System> systems,
+                             double diagonal_shift) {
+  // Largest first, so each group of eight pads its lanes as little as
+  // possible; ties keep input order.
+  std::vector<std::size_t> order(systems.size());
+  for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return systems[a].gram->rows() > systems[b].gram->rows();
+                   });
+  // Lay the groups out first, so the packed factors take one allocation.
+  std::size_t total = 0;
+  for (std::size_t first = 0; first < order.size(); first += kGroupLanes) {
+    Group group;
+    group.n = systems[order[first]].gram->rows();
+    const std::size_t lanes = std::min(kGroupLanes, order.size() - first);
+    group.lane_groups = (lanes + kLanes - 1) / kLanes;
+    group.packed = total;
+    total += group.lane_groups * kLanes * packed_row(group.n);
+    groups_.push_back(group);
+  }
+  packed_.assign(total + kLanes - 1, 0.0);
+  const std::size_t start = line_start(packed_);
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    Group& group = groups_[g];
+    group.packed += start;
+    const std::size_t first = g * kGroupLanes;
+    const std::size_t lanes = std::min(kGroupLanes, order.size() - first);
+    const std::size_t block = kLanes * packed_row(group.n);
+    for (std::size_t lane = 0; lane < group.lane_groups * kLanes; ++lane) {
+      double* dst = packed_.data() + group.packed + lane_base(lane, block);
+      std::size_t dim = 0;
+      if (lane < lanes) {
+        const System& sys = systems[order[first + lane]];
+        const CholeskyFactor factor(*sys.gram, diagonal_shift);
+        const Matrix& l = factor.lower();
+        dim = l.rows();
+        for (std::size_t i = 0; i < dim; ++i) {
+          for (std::size_t j = 0; j <= i; ++j) {
+            dst[kLanes * (packed_row(i) + j)] = l(i, j);
+          }
+        }
+        factor_flops_ += cholesky_flops(dim);
+        add_lane_solve(group, lane, sys.offset, dim);
+      }
+      // Identity padding: zero off-diagonals, unit diagonal. A padded row
+      // solves to +0, so the backward sweep of a shorter lane only ever
+      // subtracts +0 * +0 past its own dimension, which changes no bits.
+      for (std::size_t i = dim; i < group.n; ++i) {
+        dst[kLanes * (packed_row(i) + i)] = 1.0;
+      }
+    }
+  }
+}
+
+CholeskyBatch::CholeskyBatch(const Matrix& gram, double diagonal_shift,
+                             std::size_t count)
+    : shared_(true) {
+  const CholeskyFactor factor(gram, diagonal_shift);
+  const Matrix& l = factor.lower();
+  const std::size_t dim = l.rows();
+  packed_.resize(packed_row(dim));
+  for (std::size_t i = 0; i < dim; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) packed_[packed_row(i) + j] = l(i, j);
+  }
+  factor_flops_ = cholesky_flops(dim);
+  // Unused lanes of the last lane group solve a zero right-hand side.
+  for (std::size_t first = 0; first < count; first += kGroupLanes) {
+    Group group;
+    group.n = dim;
+    const std::size_t lanes = std::min(kGroupLanes, count - first);
+    group.lane_groups = (lanes + kLanes - 1) / kLanes;
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      add_lane_solve(group, lane, (first + lane) * dim, dim);
+    }
+    groups_.push_back(group);
+  }
+}
+
+void CholeskyBatch::add_lane_solve(Group& group, std::size_t lane,
+                                   std::size_t offset, std::size_t dim) {
+  group.lanes[lane] = {offset, dim};
+  extent_ = std::max(extent_, offset + dim);
+  solve_flops_ += 2 * trsv_flops(dim);
+}
+
+void CholeskyBatch::solve(std::span<const double> b,
+                          std::span<double> x) const {
+  solve(b, x, simd::active_kernels());
+}
+
+void CholeskyBatch::solve(std::span<const double> b, std::span<double> x,
+                          const simd::KernelTable& kernels) const {
+  UOI_CHECK_DIMS(b.size() >= extent_ && x.size() >= extent_,
+                 "CholeskyBatch::solve: vector shorter than the systems");
+  for (const Group& group : groups_) {
+    const std::size_t n = group.n;
+    const std::size_t lanes = group.lane_groups * kLanes;
+    scratch_.resize(std::max(scratch_.size(), lanes * n + kLanes - 1));
+    double* v = scratch_.data() + line_start(scratch_);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      const Lane& ln = group.lanes[lane];
+      double* vl = v + lane_base(lane, kLanes * n);
+      for (std::size_t i = 0; i < ln.dim; ++i) {
+        vl[kLanes * i] = b[ln.offset + i];
+      }
+      for (std::size_t i = ln.dim; i < n; ++i) vl[kLanes * i] = 0.0;
+    }
+    kernels.cholesky_solve8(packed_.data() + group.packed, n,
+                            group.lane_groups, shared_, v);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      const Lane& ln = group.lanes[lane];
+      const double* vl = v + lane_base(lane, kLanes * n);
+      for (std::size_t i = 0; i < ln.dim; ++i) {
+        x[ln.offset + i] = vl[kLanes * i];
+      }
+    }
   }
 }
 

@@ -1,7 +1,8 @@
 #pragma once
 // Runtime-dispatched SIMD kernel layer for the level-1 hot loops in
 // blas.cpp (dot/axpy/dist2/nrm1 plus the gather/scatter-compact pair the
-// screening path uses to move between full-p and working-set vectors).
+// screening path uses to move between full-p and working-set vectors), and
+// the lane-packed triangular sweeps behind CholeskyBatch.
 //
 // Every ISA level implements the SAME arithmetic: eight independent
 // accumulator lanes (lane l sums elements i+l for i stepping by 8), a
@@ -24,6 +25,10 @@ namespace uoi::linalg::simd {
 
 enum class SimdLevel { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
+/// First element of row i of a packed lower triangle (so n rows take
+/// packed_row(n) elements): the factor layout of cholesky_solve8.
+constexpr std::size_t packed_row(std::size_t i) { return i * (i + 1) / 2; }
+
 /// Function-pointer table for one ISA level. Raw-pointer signatures keep
 /// the indirect call overhead to a single load + call in the wrappers.
 struct KernelTable {
@@ -37,6 +42,18 @@ struct KernelTable {
   /// dst[idx[i]] = src[i] — expand working-set data back to full p.
   void (*scatter)(const double* src, const std::size_t* idx, std::size_t n,
                   double* dst);
+  /// Both triangular sweeps of Cholesky solves in lane groups of eight,
+  /// one system per lane (the CholeskyBatch kernel). Group g's vector is
+  /// the n x 8 doubles at v + 8 n g, element i of lane k at [8 i + k]:
+  /// the right-hand sides in, the solutions out. Its factor is the packed
+  /// triangle at l + 8 g n(n+1)/2, element (i, j <= i) of lane k at
+  /// [8 (i(i+1)/2 + j) + k]; with `shared` set, l instead holds one packed
+  /// factor, element (i, j) at l[i(i+1)/2 + j], that every lane uses. Per
+  /// lane the arithmetic is CholeskyFactor::solve's: the forward sweep is
+  /// `dot` (accumulator lanes, tail into lane 0, fixed tree), the backward
+  /// sweep one ascending serial chain per row.
+  void (*cholesky_solve8)(const double* l, std::size_t n, std::size_t groups,
+                          bool shared, double* v);
 };
 
 /// Highest ISA level this CPU supports (queried once, cached).

@@ -8,6 +8,7 @@
 
 namespace uoi::solvers {
 
+using uoi::linalg::CholeskyBatch;
 using uoi::linalg::CholeskyFactor;
 using uoi::linalg::KroneckerIdentityOp;
 using uoi::linalg::Matrix;
@@ -45,14 +46,6 @@ std::size_t conjugate_gradient(const SparseMatrix& a, double rho,
   return iterations;
 }
 
-/// Copies `gram`, adds rho to the diagonal, and factors.
-std::unique_ptr<CholeskyFactor> factor_with_rho(const Matrix& gram,
-                                                double rho) {
-  Matrix shifted = gram;
-  for (std::size_t i = 0; i < shifted.rows(); ++i) shifted(i, i) += rho;
-  return std::make_unique<CholeskyFactor>(shifted);
-}
-
 }  // namespace
 
 SparseLassoAdmmSolver::SparseLassoAdmmSolver(const SparseMatrix& a,
@@ -70,7 +63,7 @@ SparseLassoAdmmSolver::SparseLassoAdmmSolver(const SparseMatrix& a,
 
   if (p <= dense_gram_max_cols) {
     gram_ = std::make_unique<Matrix>(a.gram());
-    factor_ = factor_with_rho(*gram_, options_.rho);
+    factor_ = std::make_unique<CholeskyFactor>(*gram_, options_.rho);
     setup_flops_ += uoi::linalg::cholesky_flops(p);
   }
   // else: matrix-free CG per x-update (factor_ stays null).
@@ -85,7 +78,8 @@ AdmmResult SparseLassoAdmmSolver::solve(double lambda,
       factor_ != nullptr ? 2 * uoi::linalg::trsv_flops(p) : 8 * a_.nnz();
   std::unique_ptr<CholeskyFactor> rebuilt;
   double current_rho = options_.rho;
-  return detail::run_admm_loop(
+  std::uint64_t refactor_flops = 0;
+  auto result = detail::run_admm_loop(
       p, lambda, options_, atb_,
       [&](std::span<const double> q, std::span<double> x, double rho) {
         if (factor_ == nullptr) {
@@ -95,12 +89,15 @@ AdmmResult SparseLassoAdmmSolver::solve(double lambda,
           return;
         }
         if (rho != current_rho) {
-          rebuilt = factor_with_rho(*gram_, rho);
+          rebuilt = std::make_unique<CholeskyFactor>(*gram_, rho);
+          refactor_flops += uoi::linalg::cholesky_flops(p);
           current_rho = rho;
         }
         (rebuilt ? *rebuilt : *factor_).solve(q, x);
       },
       setup_flops_, per_iteration_flops, warm_start);
+  result.flops += refactor_flops;
+  return result;
 }
 
 KronLassoAdmmSolver::KronLassoAdmmSolver(const KroneckerIdentityOp& op,
@@ -115,39 +112,36 @@ KronLassoAdmmSolver::KronLassoAdmmSolver(const KroneckerIdentityOp& op,
   // One small factorization serves every diagonal block:
   // (I (x) X)'(I (x) X) + rho I = I (x) (X'X + rho I).
   block_gram_ = std::make_unique<Matrix>(op.block_gram());
-  block_factor_ = factor_with_rho(*block_gram_, options_.rho);
+  block_factor_ = std::make_unique<CholeskyBatch>(*block_gram_, options_.rho,
+                                                  op.block_count());
   setup_flops_ +=
       uoi::linalg::gemm_flops(block_gram_->rows(), op.block().rows(),
                               block_gram_->rows()) /
           2 +
-      uoi::linalg::cholesky_flops(block_gram_->rows());
+      block_factor_->factor_flops();
 }
 
 KronLassoAdmmSolver::~KronLassoAdmmSolver() = default;
 
 AdmmResult KronLassoAdmmSolver::solve(double lambda,
                                       const AdmmResult* warm_start) const {
-  const std::size_t p = op_.cols();
-  const std::size_t m = op_.block().cols();  // block dimension (dp)
-  const std::size_t blocks = op_.block_count();
-  const std::uint64_t per_iteration_flops =
-      blocks * 2 * uoi::linalg::trsv_flops(m);
-  std::unique_ptr<CholeskyFactor> rebuilt;
+  std::unique_ptr<CholeskyBatch> rebuilt;
   double current_rho = options_.rho;
-  return detail::run_admm_loop(
-      p, lambda, options_, atb_,
+  std::uint64_t refactor_flops = 0;
+  auto result = detail::run_admm_loop(
+      op_.cols(), lambda, options_, atb_,
       [&](std::span<const double> q, std::span<double> x, double rho) {
         if (rho != current_rho) {
-          rebuilt = factor_with_rho(*block_gram_, rho);
+          rebuilt = std::make_unique<CholeskyBatch>(*block_gram_, rho,
+                                                    op_.block_count());
+          refactor_flops += rebuilt->factor_flops();
           current_rho = rho;
         }
-        const CholeskyFactor& factor =
-            rebuilt ? *rebuilt : *block_factor_;
-        for (std::size_t blk = 0; blk < blocks; ++blk) {
-          factor.solve(q.subspan(blk * m, m), x.subspan(blk * m, m));
-        }
+        (rebuilt ? *rebuilt : *block_factor_).solve(q, x);
       },
-      setup_flops_, per_iteration_flops, warm_start);
+      setup_flops_, block_factor_->solve_flops(), warm_start);
+  result.flops += refactor_flops;
+  return result;
 }
 
 }  // namespace uoi::solvers

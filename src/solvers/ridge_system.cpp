@@ -85,4 +85,58 @@ std::uint64_t RidgeSystemSolver::solve_flops() const noexcept {
              : 2 * uoi::linalg::trsv_flops(p);
 }
 
+BlockRidgeSolver::BlockRidgeSolver(std::span<const Block> blocks, double rho) {
+  UOI_CHECK(rho > 0.0, "rho must be positive");
+  for (const Block& block : blocks) {
+    auto gram = std::make_shared<const RidgeGram>(block.a);
+    setup_flops_ += gram->gram_flops();
+    if (gram->woodbury()) {
+      auto solver = std::make_unique<RidgeSystemSolver>(block.a, rho, gram);
+      setup_flops_ += solver->setup_flops();
+      wide_.push_back({block.a, block.offset, std::move(solver)});
+    } else {
+      tall_.push_back({std::move(gram), block.offset});
+    }
+  }
+  factor_tall(rho);
+}
+
+BlockRidgeSolver::BlockRidgeSolver(const BlockRidgeSolver& cached, double rho)
+    : tall_(cached.tall_) {
+  UOI_CHECK(rho > 0.0, "rho must be positive");
+  for (const WideBlock& block : cached.wide_) {
+    auto solver =
+        std::make_unique<RidgeSystemSolver>(block.a, rho, block.solver->gram());
+    setup_flops_ += solver->setup_flops();
+    wide_.push_back({block.a, block.offset, std::move(solver)});
+  }
+  factor_tall(rho);
+}
+
+void BlockRidgeSolver::factor_tall(double rho) {
+  std::vector<uoi::linalg::CholeskyBatch::System> systems;
+  systems.reserve(tall_.size());
+  for (const TallBlock& block : tall_) {
+    systems.push_back({&block.gram->gram(), block.offset});
+  }
+  batch_.emplace(systems, rho);
+  setup_flops_ += batch_->factor_flops();
+}
+
+void BlockRidgeSolver::solve(std::span<const double> q,
+                             std::span<double> x) const {
+  batch_->solve(q, x);
+  for (const WideBlock& block : wide_) {
+    const std::size_t width = block.a.cols();
+    block.solver->solve(q.subspan(block.offset, width),
+                        x.subspan(block.offset, width));
+  }
+}
+
+std::uint64_t BlockRidgeSolver::solve_flops() const noexcept {
+  std::uint64_t flops = batch_->solve_flops();
+  for (const WideBlock& block : wide_) flops += block.solver->solve_flops();
+  return flops;
+}
+
 }  // namespace uoi::solvers

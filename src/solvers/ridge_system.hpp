@@ -12,10 +12,14 @@
 //     recomputing the Gram at O(n p^2 + p^3/3).
 //
 // Shared by the serial and the distributed consensus LASSO-ADMM solvers.
+// BlockRidgeSolver composes the two stages for block-diagonal designs,
+// solving all tall blocks at once through a CholeskyBatch.
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
+#include <vector>
 
 #include "linalg/cholesky.hpp"
 #include "linalg/matrix.hpp"
@@ -103,6 +107,57 @@ class RidgeSystemSolver {
   mutable uoi::linalg::Vector aq_;
   mutable uoi::linalg::Vector t_;
   mutable uoi::linalg::Vector att_;
+};
+
+/// The x-update of a block-diagonal design such as UoI_VAR's I (x) X:
+/// independent systems (A_k'A_k + rho I) x_k = q_k on disjoint slices of
+/// one vector. Tall blocks (rows >= cols) are solved together by one
+/// lane-packed CholeskyBatch; wide blocks take the Woodbury path of a
+/// per-block RidgeSystemSolver. Every result is bit-identical to a
+/// per-block RidgeSystemSolver.
+class BlockRidgeSolver {
+ public:
+  struct Block {
+    uoi::linalg::ConstMatrixView a;
+    std::size_t offset;  ///< the block's slice is [offset, offset + a.cols())
+  };
+
+  /// Cold start: builds every block's Gram and factors at rho. Wide
+  /// blocks' views must outlive the solver.
+  BlockRidgeSolver(std::span<const Block> blocks, double rho);
+
+  /// Factor stage: `cached`'s blocks at a new rho, refactored from its
+  /// Grams (the adaptive-rho rebuild).
+  BlockRidgeSolver(const BlockRidgeSolver& cached, double rho);
+
+  /// Solves every block's system; coordinates outside the blocks are left
+  /// untouched. Not safe to call concurrently on one instance.
+  void solve(std::span<const double> q, std::span<double> x) const;
+
+  /// FLOPs this solver's construction spent: the factorizations, plus the
+  /// Grams on a cold start.
+  [[nodiscard]] std::uint64_t setup_flops() const noexcept {
+    return setup_flops_;
+  }
+  /// FLOPs of one solve() call.
+  [[nodiscard]] std::uint64_t solve_flops() const noexcept;
+
+ private:
+  struct TallBlock {
+    std::shared_ptr<const RidgeGram> gram;
+    std::size_t offset;
+  };
+  struct WideBlock {
+    uoi::linalg::ConstMatrixView a;
+    std::size_t offset;
+    std::unique_ptr<RidgeSystemSolver> solver;
+  };
+  void factor_tall(double rho);
+
+  std::vector<TallBlock> tall_;
+  std::vector<WideBlock> wide_;
+  std::optional<uoi::linalg::CholeskyBatch> batch_;  // set by factor_tall
+  std::uint64_t setup_flops_ = 0;
 };
 
 }  // namespace uoi::solvers

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <optional>
 
 #include "linalg/blas.hpp"
@@ -101,99 +100,84 @@ Vector var_correlation(const LagRegression& lag, std::span<const double> vec_y,
 
 /// Serial active-set solver over a sorted subset of the vectorized VAR
 /// coefficients: the joint ADMM runs in compacted working coordinates and
-/// the x-update factorizes per equation over the surviving columns (a
-/// view of the shared lag matrix when all dp survive, a gathered copy
-/// otherwise) — the serial mirror of the reduced DistributedVarAdmmSolver.
+/// the x-update solves one system per equation over the surviving columns
+/// (a view of the shared lag matrix when all dp survive, a gathered copy
+/// otherwise), all equations at once through a BlockRidgeSolver — the
+/// serial mirror of the reduced DistributedVarAdmmSolver.
 class VarWorkingSetSolver {
  public:
   VarWorkingSetSolver(const LagRegression& lag, std::span<const double> vec_y,
                       std::span<const std::size_t> working,
                       const uoi::solvers::AdmmOptions& options)
-      : lag_(&lag), options_(options), nw_(working.size()) {
+      : options_(options), nw_(working.size()),
+        system_(blocks(lag, vec_y, working), options.rho),
+        pending_setup_flops_(system_.setup_flops()) {}
+
+  [[nodiscard]] uoi::solvers::AdmmResult solve(
+      double lambda, const uoi::solvers::AdmmResult* warm_start) const {
+    double current_rho = options_.rho;
+    std::optional<uoi::solvers::BlockRidgeSolver> rebuilt;
+    std::uint64_t refactor_flops = 0;
+    const std::uint64_t charged = pending_setup_flops_;
+    pending_setup_flops_ = 0;
+    const auto solve_ls = [&](std::span<const double> q, std::span<double> x,
+                              double rho) {
+      if (rho != current_rho) {
+        rebuilt.emplace(system_, rho);
+        refactor_flops += rebuilt->setup_flops();
+        current_rho = rho;
+      }
+      (rebuilt ? *rebuilt : system_).solve(q, x);
+    };
+    auto result = uoi::solvers::detail::run_admm_loop(
+        nw_, lambda, options_, atb_, solve_ls, charged, system_.solve_flops(),
+        warm_start);
+    result.flops += refactor_flops;
+    return result;
+  }
+
+ private:
+  /// Gathers each equation's surviving columns (kept in cols_) and its
+  /// slice of A'b; returns the equations as blocks.
+  std::vector<uoi::solvers::BlockRidgeSolver::Block> blocks(
+      const LagRegression& lag, std::span<const double> vec_y,
+      std::span<const std::size_t> working) {
     const std::size_t rows = lag.x.rows();
     const std::size_t dp = lag.x.cols();
     const std::size_t p = lag.y.cols();
     atb_.assign(nw_, 0.0);
+    cols_.reserve(p);
+    std::vector<uoi::solvers::BlockRidgeSolver::Block> out;
     std::size_t w = 0;
     for (std::size_t e = 0; e < p && w < nw_; ++e) {
       const std::size_t lo = w;
       while (w < nw_ && working[w] < (e + 1) * dp) ++w;
       const std::size_t width = w - lo;
       if (width == 0) continue;
-      Equation eq;
-      eq.offset = lo;
-      eq.width = width;
+      ConstMatrixView v = lag.x;
       if (width < dp) {
         std::vector<std::size_t> cols(width);
         for (std::size_t i = 0; i < width; ++i) {
           cols[i] = working[lo + i] - e * dp;
         }
-        eq.cols = uoi::solvers::detail::gather_cols_view(lag.x, cols);
+        v = cols_.emplace_back(
+            uoi::solvers::detail::gather_cols_view(lag.x, cols));
       }
-      const ConstMatrixView v =
-          eq.cols.rows() > 0 ? ConstMatrixView(eq.cols)
-                             : ConstMatrixView(lag.x);
-      eq.solver =
-          std::make_unique<uoi::solvers::RidgeSystemSolver>(v, options.rho);
-      setup_flops_ += eq.solver->setup_flops();
-      Vector partial(width, 0.0);
-      uoi::linalg::gemv_transposed(1.0, v, vec_y.subspan(e * rows, rows),
-                                   0.0, partial);
-      std::copy(partial.begin(), partial.end(),
-                atb_.begin() + static_cast<std::ptrdiff_t>(lo));
-      equations_.push_back(std::move(eq));
+      uoi::linalg::gemv_transposed(
+          1.0, v, vec_y.subspan(e * rows, rows), 0.0,
+          std::span<double>(atb_).subspan(lo, width));
+      out.push_back({v, lo});
     }
-    pending_setup_flops_ = setup_flops_;
+    return out;
   }
 
-  [[nodiscard]] uoi::solvers::AdmmResult solve(
-      double lambda, const uoi::solvers::AdmmResult* warm_start) const {
-    std::uint64_t per_iter = 0;
-    for (const auto& eq : equations_) per_iter += eq.solver->solve_flops();
-    double current_rho = options_.rho;
-    std::vector<std::unique_ptr<uoi::solvers::RidgeSystemSolver>> rebuilt;
-    const std::uint64_t charged = pending_setup_flops_;
-    pending_setup_flops_ = 0;
-    const auto solve_ls = [&](std::span<const double> q, std::span<double> x,
-                              double rho) {
-      if (rho != current_rho) {
-        rebuilt.clear();
-        rebuilt.reserve(equations_.size());
-        for (const auto& eq : equations_) {
-          const ConstMatrixView v = eq.cols.rows() > 0
-                                        ? ConstMatrixView(eq.cols)
-                                        : ConstMatrixView(lag_->x);
-          rebuilt.push_back(
-              std::make_unique<uoi::solvers::RidgeSystemSolver>(
-                  v, rho, eq.solver->gram()));
-        }
-        current_rho = rho;
-      }
-      for (std::size_t k = 0; k < equations_.size(); ++k) {
-        const auto& eq = equations_[k];
-        const auto& s = rebuilt.empty() ? *eq.solver : *rebuilt[k];
-        s.solve(q.subspan(eq.offset, eq.width),
-                x.subspan(eq.offset, eq.width));
-      }
-    };
-    return uoi::solvers::detail::run_admm_loop(nw_, lambda, options_, atb_,
-                                               solve_ls, charged, per_iter,
-                                               warm_start);
-  }
-
- private:
-  struct Equation {
-    std::size_t offset = 0;  ///< first compacted coordinate
-    std::size_t width = 0;   ///< surviving columns of this equation
-    Matrix cols;             ///< gathered subset; empty when width == dp
-    std::unique_ptr<uoi::solvers::RidgeSystemSolver> solver;
-  };
-  const LagRegression* lag_;
   uoi::solvers::AdmmOptions options_;
   std::size_t nw_;
   Vector atb_;
-  std::vector<Equation> equations_;
-  std::uint64_t setup_flops_ = 0;
+  /// Gathered column subsets of the equations with width < dp; reserved
+  /// up front so the blocks' views stay valid.
+  std::vector<Matrix> cols_;
+  uoi::solvers::BlockRidgeSolver system_;
   mutable std::uint64_t pending_setup_flops_ = 0;
 };
 

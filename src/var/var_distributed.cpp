@@ -183,23 +183,6 @@ VarLocalBlock distributed_kron_vectorize(Comm& comm, const LagRegression& lag,
   return block;
 }
 
-struct DistributedVarAdmmSolver::EquationSystem {
-  std::size_t equation;
-  std::size_t row_begin;  // local row range [row_begin, row_end)
-  std::size_t row_end;
-  std::size_t offset;  // first solve-vector coordinate of this equation
-  std::size_t width;   // solve-vector coordinates (== dp unless reduced)
-  /// Gathered surviving columns; empty when all dp columns survive, in
-  /// which case the original row block is used directly.
-  uoi::linalg::Matrix cols;
-  std::unique_ptr<uoi::solvers::RidgeSystemSolver> solver;
-
-  [[nodiscard]] ConstMatrixView rows(const VarLocalBlock& block) const {
-    if (cols.rows() > 0) return cols;
-    return block.x_rows.row_block(row_begin, row_end - row_begin);
-  }
-};
-
 DistributedVarAdmmSolver::DistributedVarAdmmSolver(
     Comm& comm, const VarLocalBlock& block,
     const uoi::solvers::AdmmOptions& options)
@@ -223,6 +206,8 @@ void DistributedVarAdmmSolver::init(std::span<const std::size_t> working) {
 
   // Local rows arrive grouped by equation (global rows are contiguous), so
   // one pass finds the per-equation ranges.
+  std::vector<uoi::solvers::BlockRidgeSolver::Block> blocks;
+  if (reduced_) cols_.reserve(block.n_equations);
   std::size_t begin = 0;
   const std::size_t n_local = block.equation_of_row.size();
   while (begin < n_local) {
@@ -255,27 +240,24 @@ void DistributedVarAdmmSolver::init(std::span<const std::size_t> working) {
       }
     }
 
-    EquationSystem sys{e, begin, end, offset, width, {}, nullptr};
+    // The equation's local rows, restricted to its surviving columns.
+    ConstMatrixView rows_view = block.x_rows.row_block(begin, end - begin);
     if (!local_cols.empty()) {
-      sys.cols = uoi::solvers::detail::gather_cols_view(
-          block.x_rows.row_block(begin, end - begin), local_cols);
+      rows_view = cols_.emplace_back(
+          uoi::solvers::detail::gather_cols_view(rows_view, local_cols));
     }
-    const ConstMatrixView rows_view = sys.rows(block);
-    sys.solver = std::make_unique<uoi::solvers::RidgeSystemSolver>(
-        rows_view, options_.rho);
-    setup_flops_ += sys.solver->setup_flops();
+    blocks.push_back({rows_view, offset});
 
     // A'b restricted to this equation's surviving coordinates.
-    Vector partial(width, 0.0);
     uoi::linalg::gemv_transposed(
         1.0, rows_view,
         std::span<const double>(block.y).subspan(begin, end - begin), 0.0,
-        partial);
-    for (std::size_t c = 0; c < width; ++c) atb_[offset + c] = partial[c];
-
-    systems_.push_back(std::move(sys));
+        std::span<double>(atb_).subspan(offset, width));
     begin = end;
   }
+  system_ =
+      std::make_unique<uoi::solvers::BlockRidgeSolver>(blocks, options_.rho);
+  setup_flops_ = system_->setup_flops();
   pending_setup_flops_ = setup_flops_;
 }
 
@@ -286,11 +268,8 @@ uoi::solvers::DistributedAdmmResult DistributedVarAdmmSolver::solve(
     const uoi::solvers::DistributedAdmmResult* warm_start) const {
   const std::size_t n_coeffs = n_solve_coeffs_;
 
-  std::uint64_t per_iter_flops = 0;
-  for (const auto& sys : systems_) per_iter_flops += sys.solver->solve_flops();
-
-  Vector q(block_->dp);
-  std::vector<std::unique_ptr<uoi::solvers::RidgeSystemSolver>> rebuilt;
+  Vector q(n_coeffs);
+  std::optional<uoi::solvers::BlockRidgeSolver> rebuilt;
   double current_rho = options_.rho;
   std::uint64_t refactor_flops = 0;
   const std::uint64_t charged_setup = pending_setup_flops_;
@@ -302,30 +281,19 @@ uoi::solvers::DistributedAdmmResult DistributedVarAdmmSolver::solve(
           // Adaptive rho: refactor every equation's local system from its
           // cached rho-free Gram (diagonal-shift Cholesky only — the
           // O(rows * dp^2) Gram builds are not repeated).
-          rebuilt.clear();
-          rebuilt.reserve(systems_.size());
-          for (const auto& sys : systems_) {
-            rebuilt.push_back(std::make_unique<uoi::solvers::RidgeSystemSolver>(
-                sys.rows(*block_), rho, sys.solver->gram()));
-            refactor_flops += rebuilt.back()->setup_flops();
-          }
+          rebuilt.emplace(*system_, rho);
+          refactor_flops += rebuilt->setup_flops();
           current_rho = rho;
         }
-        // Coordinates with no local rows: x = z - u (prox-only minimizer).
-        for (std::size_t i = 0; i < n_coeffs; ++i) x[i] = z[i] - u[i];
-        // Per-equation dense solves on the local row ranges.
-        for (std::size_t k = 0; k < systems_.size(); ++k) {
-          const auto& sys = systems_[k];
-          const std::size_t off = sys.offset;
-          for (std::size_t c = 0; c < sys.width; ++c) {
-            q[c] = atb_[off + c] + rho * (z[off + c] - u[off + c]);
-          }
-          const auto& solver = rebuilt.empty() ? *sys.solver : *rebuilt[k];
-          solver.solve(std::span<const double>(q).first(sys.width),
-                       std::span<double>(x).subspan(off, sys.width));
+        // Coordinates with no local rows: x = z - u (prox-only minimizer);
+        // the equation solves below overwrite every other coordinate.
+        for (std::size_t i = 0; i < n_coeffs; ++i) {
+          x[i] = z[i] - u[i];
+          q[i] = atb_[i] + rho * (z[i] - u[i]);
         }
+        (rebuilt ? *rebuilt : *system_).solve(q, x);
       },
-      charged_setup, per_iter_flops, warm_start);
+      charged_setup, system_->solve_flops(), warm_start);
   result.local_flops += refactor_flops;
   return result;
 }

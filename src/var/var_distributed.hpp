@@ -15,7 +15,8 @@
 // offset e * dp, and its response is Y(t, e). Because columns from
 // different equations never co-occur in a row, each rank's local Gram
 // matrix is block diagonal, so the consensus-ADMM x-update factorizes into
-// at most ceil(rows-per-rank / (N-d)) + 1 small dp x dp systems.
+// at most ceil(rows-per-rank / (N-d)) + 1 small dp x dp systems, solved
+// eight at a time across SIMD lanes (solvers::BlockRidgeSolver).
 
 #include "core/uoi_lasso_distributed.hpp"  // UoiParallelLayout, breakdown
 #include "simcluster/comm.hpp"
@@ -23,6 +24,10 @@
 #include "solvers/distributed_admm.hpp"
 #include "var/lag_matrix.hpp"
 #include "var/uoi_var.hpp"
+
+namespace uoi::solvers {
+class BlockRidgeSolver;
+}  // namespace uoi::solvers
 
 namespace uoi::var {
 
@@ -92,7 +97,6 @@ class DistributedVarAdmmSolver {
   }
 
  private:
-  struct EquationSystem;
   void init(std::span<const std::size_t> working);
   uoi::sim::Comm* comm_;
   const VarLocalBlock* block_;
@@ -102,7 +106,11 @@ class DistributedVarAdmmSolver {
   /// |working| for the reduced one.
   std::size_t n_solve_coeffs_ = 0;
   uoi::linalg::Vector atb_;  // solve-coordinate A'b from local rows
-  std::vector<EquationSystem> systems_;
+  /// Gathered surviving columns of reduced equations narrower than dp;
+  /// system_'s wide blocks may view them.
+  std::vector<uoi::linalg::Matrix> cols_;
+  /// One block per equation with local rows: the x-update's systems.
+  std::unique_ptr<uoi::solvers::BlockRidgeSolver> system_;
   std::uint64_t setup_flops_ = 0;
   // Charged to the first solve() only, so a chain of lambdas (or a cached
   // solver reused across chains) pays setup once.

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
 
 #include "linalg/blas.hpp"
 #include "support/error.hpp"
@@ -247,6 +249,141 @@ TEST(Cholesky, RejectsNonSpd) {
   Matrix not_spd{{1.0, 2.0}, {2.0, 1.0}};  // eigenvalues 3, -1
   EXPECT_THROW(uoi::linalg::CholeskyFactor factor(not_spd),
                uoi::support::InvalidArgument);
+}
+
+// ---- CholeskyBatch: lane-packed solves against lone CholeskyFactors ----
+
+/// X'X of a random (n + 3) x n matrix: SPD, with a spread of magnitudes.
+Matrix random_gram(std::size_t n, std::uint64_t seed) {
+  const Matrix a = random_matrix(n + 3, n, seed);
+  Matrix gram(n, n);
+  uoi::linalg::syrk_at_a(1.0, a, 0.0, gram);
+  return gram;
+}
+
+bool same_bytes(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+constexpr uoi::linalg::simd::SimdLevel kAllLevels[] = {
+    uoi::linalg::simd::SimdLevel::kScalar, uoi::linalg::simd::SimdLevel::kAvx2,
+    uoi::linalg::simd::SimdLevel::kAvx512};
+
+/// Solves every system of `systems` on its own with CholeskyFactor, then
+/// checks the batch reproduces those bytes under every kernel level and
+/// leaves coordinates outside the slices alone.
+void expect_batch_matches_lone_factors(
+    std::span<const uoi::linalg::CholeskyBatch::System> systems,
+    std::size_t length, double shift, std::uint64_t seed) {
+  namespace simd = uoi::linalg::simd;
+  const Vector b = random_vector(length, seed);
+  const double untouched = -123.25;
+  Vector expected(length, untouched);
+  std::uint64_t factor_flops = 0;
+  for (const auto& sys : systems) {
+    const std::size_t n = sys.gram->rows();
+    const uoi::linalg::CholeskyFactor factor(*sys.gram, shift);
+    factor.solve(std::span<const double>(b).subspan(sys.offset, n),
+                 std::span<double>(expected).subspan(sys.offset, n));
+    factor_flops += uoi::linalg::cholesky_flops(n);
+  }
+  const uoi::linalg::CholeskyBatch batch(systems, shift);
+  EXPECT_EQ(batch.factor_flops(), factor_flops);
+  for (const simd::SimdLevel level : kAllLevels) {
+    Vector x(length, untouched);
+    batch.solve(b, x, simd::kernel_table(level));
+    EXPECT_TRUE(same_bytes(x, expected))
+        << simd::simd_level_name(level) << " systems=" << systems.size();
+    // b and x may alias.
+    Vector inplace = b;
+    for (std::size_t i = 0; i < length; ++i) {
+      if (expected[i] == untouched) inplace[i] = untouched;
+    }
+    batch.solve(inplace, inplace, simd::kernel_table(level));
+    EXPECT_TRUE(same_bytes(inplace, expected))
+        << simd::simd_level_name(level) << " in place";
+  }
+}
+
+TEST(CholeskyBatch, EqualWidthsMatchLoneFactorsBitwise) {
+  for (const std::size_t dim : {1, 7, 8, 9, 50, 64, 65}) {
+    for (const std::size_t count : {1, 7, 8, 9, 50}) {
+      std::vector<Matrix> grams;
+      for (std::size_t k = 0; k < count; ++k) {
+        grams.push_back(random_gram(dim, 100 * dim + k));
+      }
+      std::vector<uoi::linalg::CholeskyBatch::System> systems;
+      for (std::size_t k = 0; k < count; ++k) {
+        systems.push_back({&grams[k], k * dim});
+      }
+      SCOPED_TRACE("dim=" + std::to_string(dim) +
+                   " count=" + std::to_string(count));
+      expect_batch_matches_lone_factors(systems, count * dim, 0.7,
+                                        dim + count);
+    }
+  }
+}
+
+TEST(CholeskyBatch, MixedWidthsWithGapsMatchLoneFactorsBitwise) {
+  // Widths from 1 to 65 in scrambled order, so groups mix dimensions and
+  // every lane but the widest is padded; a gap after each slice checks
+  // that uncovered coordinates stay untouched.
+  for (const std::size_t count : {1, 7, 8, 9, 50}) {
+    uoi::support::Xoshiro256 rng(900 + count);
+    std::vector<Matrix> grams;
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::size_t dim = 1 + rng.uniform_below(65);
+      grams.push_back(random_gram(dim, 700 + k));
+    }
+    std::vector<uoi::linalg::CholeskyBatch::System> systems;
+    std::size_t length = 0;
+    for (const auto& gram : grams) {
+      systems.push_back({&gram, length});
+      length += gram.rows() + 2;
+    }
+    SCOPED_TRACE("count=" + std::to_string(count));
+    expect_batch_matches_lone_factors(systems, length, 1.3, count);
+  }
+}
+
+TEST(CholeskyBatch, SharedFactorMatchesLoneFactorBitwise) {
+  namespace simd = uoi::linalg::simd;
+  for (const std::size_t dim : {1, 9, 50, 65}) {
+    const Matrix gram = random_gram(dim, 40 + dim);
+    const uoi::linalg::CholeskyFactor factor(gram, 2.5);
+    for (const std::size_t count : {1, 7, 8, 9, 50}) {
+      const Vector b = random_vector(count * dim, 50 + count);
+      Vector expected(count * dim);
+      for (std::size_t k = 0; k < count; ++k) {
+        factor.solve(std::span<const double>(b).subspan(k * dim, dim),
+                     std::span<double>(expected).subspan(k * dim, dim));
+      }
+      const uoi::linalg::CholeskyBatch batch(gram, 2.5, count);
+      EXPECT_EQ(batch.factor_flops(), uoi::linalg::cholesky_flops(dim));
+      EXPECT_EQ(batch.solve_flops(),
+                count * 2 * uoi::linalg::trsv_flops(dim));
+      for (const simd::SimdLevel level : kAllLevels) {
+        Vector x(count * dim, 0.0);
+        batch.solve(b, x, simd::kernel_table(level));
+        EXPECT_TRUE(same_bytes(x, expected))
+            << simd::simd_level_name(level) << " dim=" << dim
+            << " count=" << count;
+      }
+    }
+  }
+}
+
+TEST(CholeskyBatch, EmptyBatchAndShortVectors) {
+  const uoi::linalg::CholeskyBatch empty(
+      std::span<const uoi::linalg::CholeskyBatch::System>{}, 1.0);
+  Vector none;
+  empty.solve(none, none);
+  EXPECT_EQ(empty.solve_flops(), 0u);
+  const Matrix gram = random_gram(4, 3);
+  const uoi::linalg::CholeskyBatch batch(gram, 1.0, 2);
+  Vector shorter(7), x(8);
+  EXPECT_THROW(batch.solve(shorter, x), uoi::support::DimensionMismatch);
 }
 
 TEST(Cholesky, SolveMatrixMultipleRhs) {

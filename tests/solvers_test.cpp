@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "data/synthetic_regression.hpp"
 #include "linalg/blas.hpp"
@@ -213,6 +215,120 @@ TEST(RidgeSystem, SolvesBothBranches) {
     for (std::size_t i = 0; i < p; ++i) atax[i] += rho * x[i];
     EXPECT_LT(uoi::linalg::max_abs_diff(atax, q), 1e-8);
   }
+}
+
+Matrix random_matrix(std::size_t rows, std::size_t cols,
+                     uoi::support::Xoshiro256& rng) {
+  Matrix a(rows, cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) a(r, c) = rng.normal();
+  }
+  return a;
+}
+
+TEST(BlockRidgeSolver, MatchesPerBlockRidgeSystemsBitwise) {
+  // Tall blocks of several widths share the lane-packed batch; the two
+  // wide ones (rows < cols) take the Woodbury path. Slices are listed out
+  // of order with a gap, which must stay untouched.
+  uoi::support::Xoshiro256 rng(41);
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes{
+      {30, 9}, {6, 11}, {40, 17}, {25, 1}, {3, 5}, {50, 8},
+      {33, 12}, {20, 20}, {60, 3}, {45, 16}};
+  std::vector<Matrix> data;
+  std::vector<uoi::solvers::BlockRidgeSolver::Block> blocks;
+  std::size_t length = 0;
+  for (const auto& [rows, cols] : shapes) {
+    data.push_back(random_matrix(rows, cols, rng));
+  }
+  for (std::size_t k = data.size(); k > 0; --k) {
+    blocks.push_back({data[k - 1], length});
+    length += data[k - 1].cols() + 1;
+  }
+  Vector q(length);
+  for (auto& v : q) v = rng.normal();
+
+  for (const double rho : {0.5, 8.0}) {
+    const uoi::solvers::BlockRidgeSolver cold(blocks, 1.0);
+    const uoi::solvers::BlockRidgeSolver refactored(cold, rho);
+    const uoi::solvers::BlockRidgeSolver direct(blocks, rho);
+    Vector expected(length, 7.0);
+    std::uint64_t solve_flops = 0;
+    std::uint64_t refactor_flops = 0;
+    for (const auto& block : blocks) {
+      const uoi::solvers::RidgeSystemSolver alone(block.a, rho);
+      const std::size_t w = block.a.cols();
+      alone.solve(std::span<const double>(q).subspan(block.offset, w),
+                  std::span<double>(expected).subspan(block.offset, w));
+      solve_flops += alone.solve_flops();
+      refactor_flops += uoi::linalg::cholesky_flops(
+          std::min(block.a.rows(), block.a.cols()));
+    }
+    for (const auto* solver : {&refactored, &direct}) {
+      Vector x(length, 7.0);
+      solver->solve(q, x);
+      EXPECT_EQ(0, std::memcmp(x.data(), expected.data(),
+                               length * sizeof(double)))
+          << "rho " << rho;
+      EXPECT_EQ(solver->solve_flops(), solve_flops);
+    }
+    // The factor stage charges one refactorization per block, nothing else.
+    EXPECT_EQ(refactored.setup_flops(), refactor_flops);
+    EXPECT_GT(direct.setup_flops(), refactor_flops);
+  }
+}
+
+// Adaptive rho refactors each factored system from its cached Gram, and
+// that work is charged: a solve's flops are its setup, one x-update per
+// iteration, and cholesky_flops(dim) per factored system per rho update.
+TEST(AdaptiveRho, RefactorFlopsAreChargedPerSystemPerUpdate) {
+  uoi::support::Xoshiro256 rng(43);
+  const Matrix x = random_matrix(30, 6, rng);
+  const std::size_t n_blocks = 4;
+  const uoi::linalg::KroneckerIdentityOp op(x, n_blocks);
+  Vector y(op.rows());
+  for (auto& v : y) v = rng.normal();
+  const auto csr = uoi::linalg::kron_identity_sparse(x, n_blocks);
+  const double lambda = 0.5;
+
+  uoi::solvers::AdmmOptions adaptive;
+  adaptive.rho = 500.0;  // far from balanced: residual balancing rescales
+  adaptive.rho_update_interval = 2;
+  auto fixed = adaptive;
+  fixed.adaptive_rho = false;
+
+  const auto expect_charged = [&](const auto& make, const char* name,
+                                  std::uint64_t per_iteration,
+                                  std::uint64_t per_update) {
+    const auto base = make(fixed).solve(lambda);
+    const std::uint64_t setup = base.flops - base.iterations * per_iteration;
+    const auto fit = make(adaptive).solve(lambda);
+    EXPECT_GT(fit.rho_updates, 0u) << name;
+    EXPECT_EQ(fit.flops, setup + fit.iterations * per_iteration +
+                             fit.rho_updates * per_update)
+        << name;
+  };
+  const std::size_t m = x.cols();
+  const std::size_t p = m * n_blocks;
+  // One dp x dp factor serves every block of the Kronecker design.
+  expect_charged(
+      [&](const uoi::solvers::AdmmOptions& o) {
+        return uoi::solvers::KronLassoAdmmSolver(op, y, o);
+      },
+      "kron", n_blocks * 2 * uoi::linalg::trsv_flops(m),
+      uoi::linalg::cholesky_flops(m));
+  expect_charged(
+      [&](const uoi::solvers::AdmmOptions& o) {
+        return uoi::solvers::SparseLassoAdmmSolver(csr, y, o);
+      },
+      "sparse", 2 * uoi::linalg::trsv_flops(p),
+      uoi::linalg::cholesky_flops(p));
+  const Matrix dense = csr.to_dense();
+  expect_charged(
+      [&](const uoi::solvers::AdmmOptions& o) {
+        return uoi::solvers::LassoAdmmSolver(dense, y, o);
+      },
+      "dense", 2 * uoi::linalg::trsv_flops(p),
+      uoi::linalg::cholesky_flops(p));
 }
 
 TEST(SparseAdmm, MatchesDenseOnSameProblem) {

@@ -348,6 +348,109 @@ TEST(UoiVar, ScreeningModesAreByteIdenticalEndToEnd) {
   }
 }
 
+/// FNV-1a over the bytes of a coefficient vector.
+std::uint64_t beta_bytes_hash(std::span<const double> beta) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(beta.data());
+  for (std::size_t i = 0; i < beta.size() * sizeof(double); ++i) {
+    h = (h ^ bytes[i]) * 1099511628211ULL;
+  }
+  return h;
+}
+
+// The VAR x-update solves its per-equation systems eight at a time across
+// SIMD lanes (CholeskyBatch), which must not change one bit. The hashes
+// below were recorded from the per-equation x-update it replaced, one
+// CholeskyFactor::solve per equation. 10 equations fill one group of
+// eight and part of a second; over 11 ranks, rank 9 holds only 9 of
+// equation 9's 100 rows, and that system takes the Woodbury path.
+Matrix pinned_var_series() {
+  uoi::data::VarSpec spec;
+  spec.n_nodes = 10;
+  spec.seed = 61;
+  const auto truth = uoi::data::make_sparse_var(spec);
+  uoi::var::SimulateOptions sim;
+  sim.n_samples = 101;
+  sim.seed = 62;
+  return uoi::var::simulate(truth, sim);
+}
+constexpr int kPinnedRanks = 11;
+
+TEST(UoiVarPins, FitsReproducePerEquationModelBytes) {
+  const Matrix series = pinned_var_series();
+  uoi::var::UoiVarOptions options;
+  options.n_selection_bootstraps = 3;
+  options.n_estimation_bootstraps = 2;
+  options.n_lambdas = 5;
+  options.seed = 63;
+  options.admm.consensus_interval = 1;  // immune to UOI_CONSENSUS_INTERVAL
+  // Estimation refits OLS on the selected supports, so every path that
+  // selects the same supports lands on these same bytes.
+  const std::uint64_t expected = 5330434975405816351ULL;
+  for (const auto mode :
+       {uoi::solvers::ScreenMode::kOff, uoi::solvers::ScreenMode::kStrong}) {
+    options.screen.mode = mode;
+    const char* name = uoi::solvers::screen_mode_name(mode);
+    options.backend = uoi::var::VarSolverBackend::kStructured;
+    EXPECT_EQ(beta_bytes_hash(uoi::var::UoiVar(options).fit(series).vec_beta),
+              expected)
+        << "serial structured, screen " << name;
+    options.backend = uoi::var::VarSolverBackend::kSparse;
+    EXPECT_EQ(beta_bytes_hash(uoi::var::UoiVar(options).fit(series).vec_beta),
+              expected)
+        << "serial sparse, screen " << name;
+    uoi::sim::Cluster::run(kPinnedRanks, [&](uoi::sim::Comm& comm) {
+      const auto fit =
+          uoi::var::uoi_var_distributed(comm, series, options, {1, 1}, 2);
+      if (comm.rank() == 0) {
+        EXPECT_EQ(beta_bytes_hash(fit.model.vec_beta), expected)
+            << "distributed, screen " << name;
+      }
+    });
+  }
+}
+
+// The ADMM solves under those fits, whose bytes every x-update bit
+// reaches: the structured full solve (one factor shared by all blocks),
+// and the distributed full and reduced (gathered-column) solves, all
+// with adaptive rho rebuilding the batch.
+TEST(UoiVarPins, AdmmSolvesReproducePerEquationBytes) {
+  const Matrix series = pinned_var_series();
+  const auto lag = uoi::var::build_lag_regression(series, 1);
+  const auto problem = uoi::var::vectorize(lag);
+  uoi::solvers::AdmmOptions options;
+  options.consensus_interval = 1;  // immune to UOI_CONSENSUS_INTERVAL
+  const auto grid = uoi::var::resolve_var_lambda_grid({}, lag.y, lag.x);
+  const double lambda = grid[grid.size() / 2];
+
+  const auto kron =
+      uoi::solvers::KronLassoAdmmSolver(problem.design, problem.vec_y, options)
+          .solve(lambda);
+  EXPECT_GT(kron.rho_updates, 0u);
+  EXPECT_EQ(beta_bytes_hash(kron.beta), 109274173788342030ULL)
+      << "structured";
+
+  std::vector<std::size_t> working;
+  for (std::size_t g = 0; g < problem.design.cols(); ++g) {
+    if (g % 3 != 1) working.push_back(g);
+  }
+  uoi::sim::Cluster::run(kPinnedRanks, [&](uoi::sim::Comm& comm) {
+    const auto block = uoi::var::distributed_kron_vectorize(comm, lag, 2);
+    const auto full =
+        uoi::var::DistributedVarAdmmSolver(comm, block, options).solve(lambda);
+    const auto reduced =
+        uoi::var::DistributedVarAdmmSolver(comm, block, working, options)
+            .solve(lambda);
+    if (comm.rank() == 0) {
+      EXPECT_GT(full.rho_updates, 0u);
+      EXPECT_EQ(beta_bytes_hash(full.beta), 4974014255550199888ULL)
+          << "distributed full";
+      EXPECT_EQ(beta_bytes_hash(reduced.beta), 2815238057521925999ULL)
+          << "distributed reduced";
+    }
+  });
+}
+
 TEST(UoiVar, EstimatedModelIsUsuallyStable) {
   uoi::data::VarSpec spec;
   spec.n_nodes = 8;
