@@ -1,12 +1,14 @@
 // Ablation — ADMM engineering choices DESIGN.md calls out:
 //   (1) residual-balancing adaptive rho vs a fixed penalty,
-//   (2) blocking vs pipelined (nonblocking) convergence checks — the
-//       paper's §IV-A4 future-work direction,
+//   (2) unfused vs fused residual reduction — the stopping test's three
+//       sums riding the consensus Allreduce (arXiv:1808.06992's
+//       reduced-communication direction),
 //   (3) warm starts along the lambda path vs cold starts.
 // Each is measured functionally (iteration/Allreduce counts on the
 // simulated cluster) and projected to paper scale through the collective
 // model (fewer blocking collectives x modeled Allreduce time).
 
+#include <algorithm>
 #include <cstdio>
 
 #include "data/synthetic_regression.hpp"
@@ -51,16 +53,18 @@ int main() {
   }
   std::printf("%s\n", rho_table.to_text().c_str());
 
-  // ---- (2) blocking vs pipelined convergence check ----
-  std::printf("-- (2) blocking vs pipelined stopping test (8 ranks) --\n\n");
-  uoi::support::Table pipe_table({"stopping test", "iterations",
+  // ---- (2) unfused vs fused residual reduction ----
+  std::printf("-- (2) unfused vs fused residual reduction (8 ranks) --\n\n");
+  uoi::support::Table fuse_table({"residual reduction", "iterations",
                                   "blocking collectives/iter",
                                   "modeled comm @ 34,816 cores"});
   const auto machine = uoi::perf::knl_profile();
-  for (const bool pipelined : {false, true}) {
+  for (const bool fused : {false, true}) {
     uoi::solvers::AdmmOptions options;
-    options.pipelined_convergence_check = pipelined;
+    options.fused_residual_reduction = fused;
+    options.consensus_interval = 1;
     std::size_t iterations = 0;
+    std::uint64_t calls = 0;
     uoi::sim::Cluster::run(8, [&](uoi::sim::Comm& comm) {
       const std::size_t n = data.x.rows();
       const std::size_t begin = n * comm.rank() / comm.size();
@@ -69,24 +73,31 @@ int main() {
           comm, data.x.row_block(begin, end - begin),
           std::span<const double>(data.y).subspan(begin, end - begin),
           0.05 * lambda_hi, options);
-      if (comm.rank() == 0) iterations = fit.iterations;
+      if (comm.rank() == 0) {
+        iterations = fit.iterations;
+        calls = fit.allreduce_calls;
+      }
     });
-    // Blocking collectives per iteration: consensus (always) + residual
-    // test (only when not pipelined).
+    // Unfused: a p-double consensus plus a 3-double residual reduction per
+    // iteration; fused: one (p+3)-double reduction carrying both.
+    const std::size_t p = spec.n_features;
     const double per_iter =
-        uoi::perf::allreduce_time(machine, 34816,
-                                  spec.n_features * sizeof(double)) +
-        (pipelined ? 0.0
-                   : uoi::perf::allreduce_time(machine, 34816,
-                                               3 * sizeof(double)));
-    pipe_table.add_row(
-        {pipelined ? "pipelined (1-iter stale)" : "blocking",
+        fused ? uoi::perf::allreduce_time(machine, 34816,
+                                          (p + 3) * sizeof(double))
+              : uoi::perf::allreduce_time(machine, 34816, p * sizeof(double)) +
+                    uoi::perf::allreduce_time(machine, 34816,
+                                              3 * sizeof(double));
+    fuse_table.add_row(
+        {fused ? "fused (p+3 payload)" : "unfused (p, then 3)",
          uoi::support::format_count(iterations),
-         pipelined ? "1" : "2",
+         uoi::support::format_fixed(
+             static_cast<double>(calls) /
+                 static_cast<double>(std::max<std::size_t>(1, iterations)),
+             2),
          uoi::support::format_seconds(per_iter *
                                       static_cast<double>(iterations))});
   }
-  std::printf("%s\n", pipe_table.to_text().c_str());
+  std::printf("%s\n", fuse_table.to_text().c_str());
 
   // ---- (3) warm vs cold starts along the lambda path ----
   std::printf("-- (3) warm vs cold starts along an 8-lambda path --\n\n");
@@ -109,7 +120,7 @@ int main() {
   }
   std::printf("%s\n", warm_table.to_text().c_str());
   std::printf(
-      "The production configuration (adaptive rho + warm starts, with the\n"
-      "pipelined check available for large-scale runs) is the default.\n");
+      "The production configuration (adaptive rho, fused residual\n"
+      "reduction and warm starts) is the default.\n");
   return 0;
 }

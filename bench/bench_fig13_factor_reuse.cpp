@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/distributed_common.hpp"
+#include "core/uoi_engine.hpp"
 #include "core/uoi_lasso_distributed.hpp"
 #include "data/synthetic_regression.hpp"
 #include "linalg/matrix.hpp"

@@ -1,91 +1,24 @@
 #include "core/uoi_elastic_net_distributed.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-#include <optional>
+#include <utility>
+#include <vector>
 
-#include "core/distributed_common.hpp"
 #include "sched/cost_model.hpp"
-#include "sched/scheduler.hpp"
-#include "sched/task_grid.hpp"
-#include "solvers/distributed_admm.hpp"
 #include "solvers/lambda_grid.hpp"
-#include "solvers/ols.hpp"
-#include "solvers/screening.hpp"
-#include "solvers/solver_cache.hpp"
 #include "support/error.hpp"
-#include "support/stopwatch.hpp"
-#include "support/trace.hpp"
 
 namespace uoi::core {
 
 using uoi::linalg::ConstMatrixView;
-using uoi::linalg::Matrix;
 using uoi::linalg::Vector;
 using uoi::sim::Comm;
-using uoi::sim::ReduceOp;
-
-namespace {
-
-using detail::block_slice;
-using detail::gather_local_block;
-
-UoiLassoOptions resample_options(const UoiElasticNetOptions& options) {
-  UoiLassoOptions out;
-  out.n_selection_bootstraps = options.n_selection_bootstraps;
-  out.n_estimation_bootstraps = options.n_estimation_bootstraps;
-  out.estimation_train_fraction = options.estimation_train_fraction;
-  out.seed = options.seed;
-  return out;
-}
-
-// Cached per-bootstrap state (see uoi_lasso_distributed.cpp): `bytes()`
-// must depend on the GLOBAL problem shape only, because a miss runs the
-// collective solver constructor and divergent hit/miss decisions across a
-// task group would deadlock it.
-struct EnetSelectionEntry {
-  Matrix x_local;
-  Vector y_local;
-  /// Replicated screening quantities shared by every chain of the
-  /// bootstrap (one collective build; see screening.hpp).
-  uoi::solvers::DistributedScreenInputs screen_inputs;
-  /// Full-p factorization; built only in off mode.
-  std::optional<uoi::solvers::DistributedLassoAdmmSolver> solver;
-  std::size_t bytes_estimate = 0;
-  [[nodiscard]] std::size_t bytes() const noexcept { return bytes_estimate; }
-};
-
-struct EnetEstimationEntry {
-  Matrix x_train, x_eval;
-  Vector y_train, y_eval;
-  std::size_t bytes_estimate = 0;
-  [[nodiscard]] std::size_t bytes() const noexcept { return bytes_estimate; }
-};
-
-}  // namespace
 
 UoiElasticNetDistributedResult uoi_elastic_net_distributed(
     Comm& comm, ConstMatrixView x, std::span<const double> y,
     const UoiElasticNetOptions& options, const UoiParallelLayout& layout) {
   UOI_CHECK_DIMS(x.rows() == y.size(), "UoI_ElasticNet: X rows != y size");
-  const int pb = layout.bootstrap_groups;
-  const int pl = layout.lambda_groups;
-  UOI_CHECK(pb >= 1 && pl >= 1, "layout group counts must be >= 1");
-  const int n_groups = pb * pl;
-  UOI_CHECK(comm.size() >= n_groups,
-            "communicator smaller than P_B * P_lambda task groups");
-  const auto task =
-      detail::make_task_layout(comm.rank(), comm.size(), pb, pl);
-  Comm task_comm = comm.split(task.task_group, comm.rank());
-  const sched::GroupInfo group_info{n_groups, task.task_group, task.task_rank,
-                                    pb, pl};
-  const int trace_rank = comm.global_rank();
-
   const std::size_t n = x.rows();
   const std::size_t p = x.cols();
-  const Matrix x_owned = Matrix::from_view(x);
-  const UoiLassoOptions resampling = resample_options(options);
 
   UoiElasticNetDistributedResult out;
   UoiElasticNetResult& model = out.model;
@@ -93,363 +26,67 @@ UoiElasticNetDistributedResult uoi_elastic_net_distributed(
   model.lambdas = uoi::solvers::lambda_grid_for(
       x, y, options.n_lambdas, options.lambda_min_ratio);
   const std::size_t q = model.lambdas.size();
-  const std::size_t n_ratios = model.l1_ratios.size();
-  const std::size_t n_cells = q * n_ratios;
-  const std::size_t b1 = options.n_selection_bootstraps;
-  const std::size_t b2 = options.n_estimation_bootstraps;
+  const std::size_t n_cells = q * model.l1_ratios.size();
 
-  // ---- Scheduler state over the flattened (ratio, lambda) grid ----
-  // A chain owns {cell : cell % n_chains == chain}; the per-cell penalty
-  // weight is keyed by the cell's lambda so LPT sees the real skew.
-  const sched::SchedulePolicy policy = sched::resolve_policy(options.schedule);
-  const std::size_t n_chains = std::max<std::size_t>(
-      1, std::min(static_cast<std::size_t>(pl), n_cells));
-  const sched::TaskGrid selection_grid(b1, n_cells, n_chains, options.seed);
-  const sched::TaskGrid estimation_grid(b2, n_cells, n_chains,
-                                        options.seed + 1);
-  // Live-telemetry progress denominator; one rank owns it so the
-  // cross-rank sum counts the grid once.
-  if (comm.rank() == 0) {
-    support::MetricsRegistry::instance().set(
-        trace_rank, "progress.cells_total",
-        static_cast<double>(selection_grid.n_cells() +
-                            estimation_grid.n_cells()));
-  }
-  std::vector<double> cell_lambdas(n_cells, 0.0);
-  for (std::size_t cell = 0; cell < n_cells; ++cell) {
-    cell_lambdas[cell] = model.lambdas[cell % q];
-  }
-  const double pass_seconds_seed = sched::lasso_pass_seconds_estimate(
-      n, p, b1, b2, n_cells, options.admm.max_iterations, comm.size());
-  const std::vector<double> selection_costs =
-      sched::seeded_costs(selection_grid, cell_lambdas, pass_seconds_seed);
-  std::vector<double> estimation_costs =
-      sched::seeded_costs(estimation_grid, cell_lambdas, pass_seconds_seed);
-  const auto widths = sched::group_widths(comm.size(), n_groups);
-  const uoi::sim::RetryOptions retry;
-  const std::size_t cache_budget =
-      uoi::solvers::resolve_solver_cache_bytes(options.solver_cache_mb);
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
-  std::uint64_t setup_flops_charged = 0;
-  std::uint64_t setup_flops_amortized = 0;
-  std::uint64_t admm_iterations = 0;
-  std::uint64_t admm_rho_updates = 0;
-  std::uint64_t admm_allreduce_calls = 0;
-  std::uint64_t admm_allreduce_bytes = 0;
-  std::uint64_t admm_consensus_rounds = 0;
-  std::uint64_t admm_lazy_iterations = 0;
-  // Resolved once: the cache entry's shape must match on every rank.
-  uoi::solvers::ScreenOptions screen_opts = options.screen;
-  screen_opts.mode = uoi::solvers::resolve_screen_mode(options.screen.mode);
-  const bool screening_on =
-      screen_opts.mode != uoi::solvers::ScreenMode::kOff;
-  uoi::solvers::ScreenStats screen_stats;
-
-  support::Stopwatch phase_watch;
-  const auto comm_seconds = [&] {
-    return comm.stats().collective_seconds() +
-           task_comm.stats().collective_seconds();
-  };
-  const double comm_before = comm_seconds();
-
-  // ---- selection ----
-  Matrix counts(n_cells, p, 0.0);
-  sched::PassStats selection_stats;
-  {
-    // Per-bootstrap gather + factorization cache: every cell of the same
-    // bootstrap reuses them — adjacent cells as before, but now also
-    // revisits after interleaved work-stolen cells of other bootstraps,
-    // which the old single-slot sentinel threw away.
-    uoi::solvers::BootstrapCache cache(cache_budget);
-    const auto execute = [&](const sched::TaskCell& cell) {
-      const std::size_t k = cell.bootstrap;
-      const std::uint64_t hits_before = cache.stats().hits;
-      const auto entry = cache.get_or_build<EnetSelectionEntry>(
-          uoi::solvers::kSelectionPass, k, [&] {
-            auto fresh = std::make_shared<EnetSelectionEntry>();
-            support::Stopwatch distr_watch;
-            const auto idx = selection_bootstrap_indices(resampling, n, k);
-            gather_local_block(
-                x, y, idx,
-                block_slice(idx.size(), task.c_ranks, task.task_rank),
-                fresh->x_local, fresh->y_local);
-            out.breakdown.distribution_seconds += distr_watch.seconds();
-            {
-              support::TraceScope gram_span("selection-gram",
-                                            support::TraceCategory::kGram,
-                                            trace_rank);
-              support::Stopwatch gram_watch;
-              fresh->screen_inputs = uoi::solvers::build_screen_inputs(
-                  task_comm, fresh->x_local, fresh->y_local);
-              if (!screening_on) {
-                // Cached full solvers must match the chain's refined
-                // stopping rules.
-                fresh->solver.emplace(
-                    task_comm, fresh->x_local, fresh->y_local,
-                    uoi::solvers::detail::refined_admm_options(
-                        options.admm, screen_opts));
-              }
-              out.breakdown.gram_seconds += gram_watch.seconds();
-            }
-            fresh->bytes_estimate =
-                (n * (p + 1) + (screening_on ? 0 : p * p) + 2 * p + 1) *
-                sizeof(double);
-            return fresh;
-          });
-      if (entry->solver.has_value()) {
-        if (cache.stats().hits > hits_before) {
-          setup_flops_amortized += entry->solver->setup_flops();
-        } else {
-          setup_flops_charged += entry->solver->setup_flops();
-        }
-      }
-      // One screened chain per scheduled cell: lambda1 descends within a
-      // ratio block and jumps up at ratio boundaries, which resets the
-      // chain's screening state (screening.hpp handles the reset).
-      uoi::solvers::DistributedScreenedLassoChain screened(
-          task_comm, entry->x_local, entry->y_local, entry->screen_inputs,
-          options.admm, screen_opts,
-          entry->solver.has_value() ? &*entry->solver : nullptr);
-      for (std::size_t c : selection_grid.chain_lambdas(cell.chain)) {
-        const double lambda = model.lambdas[c % q];
-        const double ratio = model.l1_ratios[c / q];
-        const auto fit =
-            screened.solve(lambda * ratio, lambda * (1.0 - ratio));
-        admm_iterations += fit.iterations;
-        admm_rho_updates += fit.rho_updates;
-        admm_allreduce_calls += fit.allreduce_calls;
-        admm_allreduce_bytes += fit.allreduce_bytes;
-        admm_consensus_rounds += fit.consensus_rounds;
-        admm_lazy_iterations += fit.lazy_iterations;
-        if (task.task_rank == 0) {
-          auto row = counts.row(c);
-          for (std::size_t i = 0; i < p; ++i) {
-            if (std::abs(fit.beta[i]) > options.support_tolerance) {
-              row[i] += 1.0;
-            }
-          }
-        }
-      }
-      screen_stats += screened.stats();
-    };
-    std::vector<std::size_t> cells(selection_grid.n_cells());
-    for (std::size_t i = 0; i < cells.size(); ++i) cells[i] = i;
-    const auto placement = sched::plan_placement(
-        policy, selection_grid, cells, selection_costs, group_info, widths);
-    selection_stats =
-        sched::run_pass(comm, task_comm, group_info, policy, selection_grid,
-                        placement, selection_costs, retry, execute);
-    sched::export_pass_metrics(trace_rank, group_info, policy,
-                               selection_stats);
-    cache_hits += cache.stats().hits;
-    cache_misses += cache.stats().misses;
-    cache_evictions += cache.stats().evictions;
-  }
-  comm.allreduce(std::span<double>(counts.data(), counts.size()),
-                 ReduceOp::kSum);
-  const double threshold = std::max(
-      1.0, std::ceil(options.intersection_fraction *
-                         static_cast<double>(options.n_selection_bootstraps) -
-                     1e-12));
-  model.candidate_supports.reserve(n_cells);
-  for (std::size_t cell = 0; cell < n_cells; ++cell) {
-    std::vector<std::size_t> selected;
-    const auto row = counts.row(cell);
-    for (std::size_t i = 0; i < p; ++i) {
-      if (row[i] >= threshold) selected.push_back(i);
-    }
-    model.candidate_supports.emplace_back(std::move(selected));
+  // The lasso family over the flattened (ratio, lambda) grid: cell
+  // c = r * q + j fits penalties (lambda_j * ratio_r, lambda_j *
+  // (1 - ratio_r)), and its scheduling cost is keyed by lambda_j.
+  UoiLassoOptions linear;
+  linear.n_selection_bootstraps = options.n_selection_bootstraps;
+  linear.n_estimation_bootstraps = options.n_estimation_bootstraps;
+  linear.estimation_train_fraction = options.estimation_train_fraction;
+  linear.seed = options.seed;
+  linear.support_tolerance = options.support_tolerance;
+  linear.criterion = options.criterion;
+  linear.admm = options.admm;
+  linear.screen = options.screen;
+  std::vector<double> cell_lambdas(n_cells);
+  std::vector<double> lambda1(n_cells);
+  std::vector<double> lambda2(n_cells);
+  for (std::size_t c = 0; c < n_cells; ++c) {
+    const double lambda = model.lambdas[c % q];
+    const double ratio = model.l1_ratios[c / q];
+    cell_lambdas[c] = lambda;
+    lambda1[c] = lambda * ratio;
+    lambda2[c] = lambda * (1.0 - ratio);
   }
 
-  // ---- estimation (distributed OLS, as in the LASSO driver) ----
-  Matrix losses(b2, n_cells, std::numeric_limits<double>::infinity());
-  std::vector<Vector> computed(b2 * n_cells);
-  {
-    // Refine placement from the measured selection pass (replicated so
-    // every rank plans the same queues).
-    if (policy != sched::SchedulePolicy::kStatic &&
-        selection_stats.cell_seconds.size() == selection_grid.n_cells()) {
-      comm.allreduce(std::span<double>(selection_stats.cell_seconds.data(),
-                                       selection_stats.cell_seconds.size()),
-                     ReduceOp::kMax);
-      const auto calibration = sched::calibrate(
-          selection_grid, selection_costs, selection_stats.cell_seconds);
-      sched::apply_calibration(estimation_grid, calibration,
-                               estimation_costs);
-      // Estimation solves OLS restricted to each cell's candidate
-      // support; reweight per-chain costs by the survivor counts of the
-      // screened selection pass (supports are replicated on every rank).
-      std::vector<double> survivors(n_cells, 0.0);
-      for (std::size_t cell = 0; cell < n_cells; ++cell) {
-        survivors[cell] = static_cast<double>(
-            model.candidate_supports[cell].indices().size());
-      }
-      sched::apply_survivor_weights(estimation_grid, survivors,
-                                    estimation_costs);
-      if (task.task_rank == 0) {
-        support::MetricsRegistry::instance().set(
-            trace_rank, "sched.placement_error",
-            calibration.mean_abs_rel_error);
-      }
-    }
+  UoiEngineSpec spec;
+  spec.name = "UoI_ElasticNet";
+  spec.computation_span = "uoi-elastic-net-computation";
+  spec.n_selection_bootstraps = options.n_selection_bootstraps;
+  spec.n_estimation_bootstraps = options.n_estimation_bootstraps;
+  spec.cell_lambdas = std::move(cell_lambdas);
+  spec.selection_width = p;
+  spec.winner_width = p;
+  spec.pass_seconds_seed = sched::lasso_pass_seconds_estimate(
+      n, p, spec.n_selection_bootstraps, spec.n_estimation_bootstraps,
+      n_cells, options.admm.max_iterations, comm.size());
+  spec.seed = options.seed;
+  spec.intersection_fraction = options.intersection_fraction;
+  spec.schedule = options.schedule;
+  spec.solver_cache_mb = options.solver_cache_mb;
+  spec.layout = layout;
+  spec.consensus_interval = options.admm.consensus_interval;
+  spec.screen_mode = uoi::solvers::resolve_screen_mode(options.screen.mode);
 
-    uoi::solvers::BootstrapCache cache(cache_budget);
-    const auto execute = [&](const sched::TaskCell& cell) {
-      const std::size_t k = cell.bootstrap;
-      const auto entry = cache.get_or_build<EnetEstimationEntry>(
-          uoi::solvers::kEstimationPass, k, [&] {
-            auto fresh = std::make_shared<EnetEstimationEntry>();
-            support::Stopwatch distr_watch;
-            const auto split = estimation_split(resampling, n, k);
-            gather_local_block(
-                x, y, split.train,
-                block_slice(split.train.size(), task.c_ranks, task.task_rank),
-                fresh->x_train, fresh->y_train);
-            gather_local_block(
-                x, y, split.eval,
-                block_slice(split.eval.size(), task.c_ranks, task.task_rank),
-                fresh->x_eval, fresh->y_eval);
-            out.breakdown.distribution_seconds += distr_watch.seconds();
-            fresh->bytes_estimate =
-                (split.train.size() + split.eval.size()) * (p + 1) *
-                sizeof(double);
-            return fresh;
-          });
-      const Matrix& x_train = entry->x_train;
-      const Matrix& x_eval = entry->x_eval;
-      const Vector& y_train = entry->y_train;
-      const Vector& y_eval = entry->y_eval;
-      for (std::size_t c : estimation_grid.chain_lambdas(cell.chain)) {
-        const auto& support = model.candidate_supports[c].indices();
-        Vector beta(p, 0.0);
-        if (!support.empty()) {
-          const Matrix x_train_s = x_train.gather_cols(support);
-          const auto fit = uoi::solvers::distributed_lasso_admm(
-              task_comm, x_train_s, y_train, /*lambda=*/0.0, options.admm);
-          admm_iterations += fit.iterations;
-          admm_rho_updates += fit.rho_updates;
-          admm_allreduce_calls += fit.allreduce_calls;
-          admm_allreduce_bytes += fit.allreduce_bytes;
-          admm_consensus_rounds += fit.consensus_rounds;
-          admm_lazy_iterations += fit.lazy_iterations;
-          for (std::size_t i = 0; i < support.size(); ++i) {
-            beta[support[i]] = fit.beta[i];
-          }
-        }
-        // Distributed MSE over the group, then the chosen criterion.
-        double acc[2] = {0.0, static_cast<double>(x_eval.rows())};
-        for (std::size_t r = 0; r < x_eval.rows(); ++r) {
-          double pred = 0.0;
-          const auto row = x_eval.row(r);
-          for (std::size_t i = 0; i < p; ++i) pred += row[i] * beta[i];
-          const double err = pred - y_eval[r];
-          acc[0] += err * err;
-        }
-        task_comm.allreduce(std::span<double>(acc, 2), ReduceOp::kSum);
-        const double mse = acc[1] > 0.0 ? acc[0] / acc[1] : 0.0;
-        losses(k, c) = estimation_score(options.criterion, mse, acc[1],
-                                        support.size());
-        computed[k * n_cells + c] = std::move(beta);
-      }
-    };
-    std::vector<std::size_t> cells(estimation_grid.n_cells());
-    for (std::size_t i = 0; i < cells.size(); ++i) cells[i] = i;
-    const auto placement = sched::plan_placement(
-        policy, estimation_grid, cells, estimation_costs, group_info, widths);
-    const auto pass =
-        sched::run_pass(comm, task_comm, group_info, policy, estimation_grid,
-                        placement, estimation_costs, retry, execute);
-    sched::export_pass_metrics(trace_rank, group_info, policy, pass);
-    cache_hits += cache.stats().hits;
-    cache_misses += cache.stats().misses;
-    cache_evictions += cache.stats().evictions;
-  }
-  comm.allreduce(std::span<double>(losses.data(), losses.size()),
-                 ReduceOp::kMin);
+  const auto hooks =
+      detail::linear_family_hooks(x, y, linear, lambda1, lambda2);
+  auto run = run_uoi_engine(comm, spec, hooks.select, hooks.estimate);
 
-  model.chosen_support_per_bootstrap.assign(b2, 0);
-  model.best_loss_per_bootstrap.assign(b2, 0.0);
-  Matrix winners(b2, p, 0.0);
-  for (std::size_t k = 0; k < b2; ++k) {
-    std::size_t best = 0;
-    double best_loss = losses(k, 0);
-    for (std::size_t cell = 1; cell < n_cells; ++cell) {
-      if (losses(k, cell) < best_loss) {
-        best_loss = losses(k, cell);
-        best = cell;
-      }
-    }
-    model.chosen_support_per_bootstrap[k] = best;
-    model.best_loss_per_bootstrap[k] = best_loss;
-    if (!computed[k * n_cells + best].empty() && task.task_rank == 0) {
-      const auto& beta = computed[k * n_cells + best];
-      std::copy(beta.begin(), beta.end(), winners.row(k).begin());
-    }
-  }
-  comm.allreduce(std::span<double>(winners.data(), winners.size()),
-                 ReduceOp::kSum);
-
+  model.candidate_supports = std::move(run.candidate_supports);
+  model.chosen_support_per_bootstrap =
+      std::move(run.chosen_support_per_bootstrap);
+  model.best_loss_per_bootstrap = std::move(run.best_loss_per_bootstrap);
   std::vector<Vector> winner_rows;
-  winner_rows.reserve(b2);
-  for (std::size_t k = 0; k < b2; ++k) {
-    const auto row = winners.row(k);
+  winner_rows.reserve(run.winners.rows());
+  for (std::size_t k = 0; k < run.winners.rows(); ++k) {
+    const auto row = run.winners.row(k);
     winner_rows.emplace_back(row.begin(), row.end());
   }
   model.beta = aggregate_estimates(winner_rows, options.aggregation);
-  model.support =
-      SupportSet::from_beta(model.beta, options.support_tolerance);
-
-  out.breakdown.communication_seconds = comm_seconds() - comm_before;
-  out.breakdown.computation_seconds = std::max(
-      0.0, phase_watch.seconds() - out.breakdown.communication_seconds -
-               out.breakdown.distribution_seconds -
-               out.breakdown.gram_seconds);
-  comm.mutable_stats() += task_comm.stats();
-
-  auto& metrics = support::MetricsRegistry::instance();
-  metrics.add(trace_rank, "admm.iterations",
-              static_cast<double>(admm_iterations));
-  metrics.add(trace_rank, "admm.rho_updates",
-              static_cast<double>(admm_rho_updates));
-  metrics.add(trace_rank, "admm.allreduce_calls",
-              static_cast<double>(admm_allreduce_calls));
-  metrics.add(trace_rank, "admm.allreduce_bytes",
-              static_cast<double>(admm_allreduce_bytes));
-  metrics.add(trace_rank, "admm.consensus_rounds",
-              static_cast<double>(admm_consensus_rounds));
-  metrics.add(trace_rank, "admm.lazy_iterations",
-              static_cast<double>(admm_lazy_iterations));
-  metrics.add(trace_rank, "admm.consensus_interval",
-              static_cast<double>(uoi::solvers::resolve_consensus_interval(
-                  options.admm.consensus_interval)));
-  metrics.set(trace_rank, "screen.mode",
-              static_cast<double>(static_cast<int>(screen_opts.mode)));
-  metrics.add(trace_rank, "screen.lambdas",
-              static_cast<double>(screen_stats.lambdas));
-  metrics.add(trace_rank, "screen.survivors",
-              static_cast<double>(screen_stats.survivors));
-  metrics.add(trace_rank, "screen.kkt_violations",
-              static_cast<double>(screen_stats.kkt_violations));
-  metrics.add(trace_rank, "screen.kkt_rounds",
-              static_cast<double>(screen_stats.kkt_rounds));
-  metrics.add(trace_rank, "screen.gram_cols_saved",
-              static_cast<double>(screen_stats.gram_cols_saved));
-  metrics.add(trace_rank, "screen.canonical_solves",
-              static_cast<double>(screen_stats.canonical_solves));
-  metrics.add(trace_rank, "screen.total_columns",
-              static_cast<double>(screen_stats.total_columns));
-  metrics.add(trace_rank, "solver_cache.hits",
-              static_cast<double>(cache_hits));
-  metrics.add(trace_rank, "solver_cache.misses",
-              static_cast<double>(cache_misses));
-  metrics.add(trace_rank, "solver_cache.evictions",
-              static_cast<double>(cache_evictions));
-  metrics.add(trace_rank, "solver.setup_flops_charged",
-              static_cast<double>(setup_flops_charged));
-  metrics.add(trace_rank, "solver.setup_flops_amortized",
-              static_cast<double>(setup_flops_amortized));
+  model.support = SupportSet::from_beta(model.beta, options.support_tolerance);
+  out.breakdown = run.breakdown;
   return out;
 }
 

@@ -1,12 +1,14 @@
 #pragma once
-// Distributed UoI_ElasticNet — the last member of the UoI family to get a
-// distributed twin. Identical structure to uoi_lasso_distributed with the
-// 2-D (lambda, l1_ratio) selection grid flattened into the task
-// assignment: cell c = r * q + j is handled by the lambda-group
-// c % P_lambda.
+// Distributed UoI_ElasticNet: the lasso family of the shared engine
+// (core/uoi_engine.hpp) over a 2-D grid. The (l1_ratio, lambda) grid is
+// flattened into cells c = r * q + j; the engine's scheduler places the
+// (bootstrap, chain) cells on task groups, and cell c fits penalties
+// (lambda_j * ratio_r, lambda_j * (1 - ratio_r)). Fault tolerance works
+// as for the lasso driver with default UoiRecoveryOptions: one
+// shrink-and-resume attempt, no checkpoint.
 
 #include "core/uoi_elastic_net.hpp"
-#include "core/uoi_lasso_distributed.hpp"  // UoiParallelLayout, breakdown
+#include "core/uoi_lasso_distributed.hpp"  // layout, breakdown, hooks
 #include "simcluster/comm.hpp"
 
 namespace uoi::core {

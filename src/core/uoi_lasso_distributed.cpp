@@ -2,22 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
 
-#include "core/checkpoint.hpp"
-#include "core/distributed_common.hpp"
 #include "sched/cost_model.hpp"
-#include "sched/scheduler.hpp"
-#include "sched/task_grid.hpp"
 #include "solvers/distributed_admm.hpp"
 #include "solvers/screening.hpp"
 #include "solvers/solver_cache.hpp"
 #include "support/error.hpp"
-#include "support/log.hpp"
-#include "support/stopwatch.hpp"
 #include "support/trace.hpp"
 
 namespace uoi::core {
@@ -26,16 +19,12 @@ using uoi::linalg::ConstMatrixView;
 using uoi::linalg::Matrix;
 using uoi::linalg::Vector;
 using uoi::sim::Comm;
-using uoi::sim::CommStats;
-using uoi::sim::RecoveryStats;
 using uoi::sim::ReduceOp;
 
 namespace {
 
 using detail::block_slice;
 using detail::gather_local_block;
-using detail::make_task_layout;
-using detail::TaskLayout;
 
 /// Distributed evaluation over a task group: each rank scores its own
 /// evaluation rows, (sq_err, count) is sum-reduced, and the MSE plus the
@@ -65,7 +54,7 @@ DistributedEvaluation distributed_mse(Comm& task_comm,
 // misses run collective code (the solver constructor Allreduces A'b), so a
 // hit/miss or eviction decision that diverged across a task group's ranks
 // would deadlock the group.
-struct LassoSelectionEntry {
+struct LinearSelectionEntry {
   Matrix x_local;
   Vector y_local;
   /// Replicated screening quantities (A'b, column norms, lambda_max);
@@ -78,7 +67,7 @@ struct LassoSelectionEntry {
   [[nodiscard]] std::size_t bytes() const noexcept { return bytes_estimate; }
 };
 
-struct LassoEstimationEntry {
+struct LinearEstimationEntry {
   Matrix x_train, x_eval;
   Vector y_train, y_eval;
   std::size_t bytes_estimate = 0;
@@ -87,16 +76,155 @@ struct LassoEstimationEntry {
 
 }  // namespace
 
+namespace detail {
+
+LinearFamilyHooks linear_family_hooks(ConstMatrixView x,
+                                      std::span<const double> y,
+                                      const UoiLassoOptions& options,
+                                      std::span<const double> lambda1,
+                                      std::span<const double> lambda2) {
+  const std::size_t n = x.rows();
+  const std::size_t p = x.cols();
+  // Screening mode is resolved once up front: the cache entry's shape
+  // (full solver or not) and bytes_estimate must be identical on every
+  // rank, and all ranks see the same environment in-process.
+  uoi::solvers::ScreenOptions screen_opts = options.screen;
+  screen_opts.mode = uoi::solvers::resolve_screen_mode(options.screen.mode);
+  const bool screening_on =
+      screen_opts.mode != uoi::solvers::ScreenMode::kOff;
+
+  LinearFamilyHooks hooks;
+  hooks.select = [=, &options](UoiSelectionTask& task) {
+    const int trace_rank = task.task_comm.global_rank();
+    const auto& tl = task.layout;
+    const std::size_t k = task.bootstrap;
+    // All chains of bootstrap k share one gather + one Gram/Cholesky
+    // setup: the factorization depends on (X_k, rho) only, not lambda.
+    const std::uint64_t hits_before = task.cache.stats().hits;
+    const auto entry = task.cache.get_or_build<LinearSelectionEntry>(
+        uoi::solvers::kSelectionPass, k, [&] {
+          auto fresh = std::make_shared<LinearSelectionEntry>();
+          {
+            support::TraceScope distr_span(
+                "selection-gather", support::TraceCategory::kDistribution,
+                trace_rank);
+            const auto idx = selection_bootstrap_indices(options, n, k);
+            gather_local_block(
+                x, y, idx, block_slice(idx.size(), tl.c_ranks, tl.task_rank),
+                fresh->x_local, fresh->y_local);
+          }
+          {
+            support::TraceScope gram_span("selection-gram",
+                                          support::TraceCategory::kGram,
+                                          trace_rank);
+            fresh->screen_inputs = uoi::solvers::build_screen_inputs(
+                task.task_comm, fresh->x_local, fresh->y_local);
+            if (!screening_on) {
+              // Only off mode pays the full-p Gram/Cholesky up front;
+              // screened chains factorize the survivors per lambda.
+              // Refined options: cached full solvers must match the
+              // chain's internal stopping rules.
+              fresh->solver.emplace(
+                  task.task_comm, fresh->x_local, fresh->y_local,
+                  uoi::solvers::detail::refined_admm_options(options.admm,
+                                                             screen_opts));
+            }
+          }
+          fresh->bytes_estimate =
+              (n * (p + 1) + (screening_on ? 0 : p * p) + 2 * p + 1) *
+              sizeof(double);
+          return fresh;
+        });
+    if (entry->solver.has_value()) {
+      if (task.cache.stats().hits > hits_before) {
+        task.counters.setup_flops_amortized += entry->solver->setup_flops();
+      } else {
+        task.counters.setup_flops_charged += entry->solver->setup_flops();
+      }
+    }
+    // The screened chain owns the warm start: every rank derives the
+    // identical working set from the replicated screen inputs, so the
+    // reduced consensus payload is (|W|+3) doubles instead of (p+3).
+    // lambda1 descends within a chain and jumps up at elastic-net ratio
+    // boundaries, which resets the chain's screening state.
+    uoi::solvers::DistributedScreenedLassoChain screened(
+        task.task_comm, entry->x_local, entry->y_local, entry->screen_inputs,
+        options.admm, screen_opts,
+        entry->solver.has_value() ? &*entry->solver : nullptr);
+    for (std::size_t m = 0; m < task.cells.size(); ++m) {
+      const std::size_t c = task.cells[m];
+      const auto fit = screened.solve(lambda1[c], lambda2[c]);
+      task.counters.add(fit);
+      if (tl.task_rank == 0) {
+        auto row = task.indicators.row(m);
+        for (std::size_t i = 0; i < p; ++i) {
+          if (std::abs(fit.beta[i]) > options.support_tolerance) {
+            row[i] = 1.0;
+          }
+        }
+      }
+    }
+    task.counters.screen += screened.stats();
+  };
+
+  hooks.estimate = [=, &options](UoiEstimationTask& task) {
+    const auto& tl = task.layout;
+    const std::size_t k = task.bootstrap;
+    // The gather is per bootstrap; the cache lets a group revisiting a
+    // resample — several chains, or interleaved work-stolen cells — gather
+    // once.
+    const auto entry = task.cache.get_or_build<LinearEstimationEntry>(
+        uoi::solvers::kEstimationPass, k, [&] {
+          auto fresh = std::make_shared<LinearEstimationEntry>();
+          support::TraceScope distr_span(
+              "estimation-gather", support::TraceCategory::kDistribution,
+              task.task_comm.global_rank());
+          const auto split = estimation_split(options, n, k);
+          gather_local_block(
+              x, y, split.train,
+              block_slice(split.train.size(), tl.c_ranks, tl.task_rank),
+              fresh->x_train, fresh->y_train);
+          gather_local_block(
+              x, y, split.eval,
+              block_slice(split.eval.size(), tl.c_ranks, tl.task_rank),
+              fresh->x_eval, fresh->y_eval);
+          fresh->bytes_estimate = (split.train.size() + split.eval.size()) *
+                                  (p + 1) * sizeof(double);
+          return fresh;
+        });
+    for (const std::size_t c : task.cells) {
+      const auto& support = task.supports[c].indices();
+      Vector beta(p, 0.0);
+      if (!support.empty()) {
+        // Distributed OLS: consensus ADMM with lambda = 0 on the support
+        // columns (paper §II-C), row-distributed over the task group.
+        const Matrix x_train_s = entry->x_train.gather_cols(support);
+        const auto fit = uoi::solvers::distributed_lasso_admm(
+            task.task_comm, x_train_s, entry->y_train, /*lambda=*/0.0,
+            options.admm);
+        task.counters.add(fit);
+        for (std::size_t i = 0; i < support.size(); ++i) {
+          beta[support[i]] = fit.beta[i];
+        }
+      }
+      const auto eval =
+          distributed_mse(task.task_comm, entry->x_eval, entry->y_eval, beta);
+      task.losses[c] = estimation_score(options.criterion, eval.mse,
+                                        eval.n_eval, support.size());
+      // The group's ranks hold the same beta; rank 0 deposits it.
+      if (tl.task_rank == 0) task.shares[c] = std::move(beta);
+    }
+  };
+  return hooks;
+}
+
+}  // namespace detail
+
 UoiLassoDistributedResult uoi_lasso_distributed(
     Comm& comm, ConstMatrixView x_view, std::span<const double> y_view,
     const UoiLassoOptions& options, const UoiParallelLayout& layout) {
   UOI_CHECK_DIMS(x_view.rows() == y_view.size(),
                  "UoI_LASSO: X rows != y size");
-  UOI_CHECK(layout.bootstrap_groups >= 1 && layout.lambda_groups >= 1,
-            "layout group counts must be >= 1");
-  UOI_CHECK(comm.size() >= layout.bootstrap_groups * layout.lambda_groups,
-            "communicator smaller than P_B * P_lambda task groups");
-
   const std::size_t n = x_view.rows();
   const std::size_t p = x_view.cols();
 
@@ -120,727 +248,62 @@ UoiLassoDistributedResult uoi_lasso_distributed(
       y_owned[r] -= y_mean;
     }
   }
-  const ConstMatrixView x = x_owned;
-  const std::span<const double> y = y_owned;
 
   UoiLassoDistributedResult out;
   UoiLassoResult& model = out.model;
-  model.lambdas = resolve_lambda_grid(options, x, y);
+  model.lambdas = resolve_lambda_grid(options, x_owned, y_owned);
   const std::size_t q = model.lambdas.size();
-  const std::size_t b1 = options.n_selection_bootstraps;
-  const std::size_t b2 = options.n_estimation_bootstraps;
 
-  const UoiRecoveryOptions& recovery = options.recovery;
-  const bool checkpointing = !recovery.checkpoint_path.empty();
-  const std::uint64_t fingerprint =
+  UoiEngineSpec spec;
+  spec.name = "UoI_LASSO";
+  spec.computation_span = "uoi-lasso-computation";
+  spec.n_selection_bootstraps = options.n_selection_bootstraps;
+  spec.n_estimation_bootstraps = options.n_estimation_bootstraps;
+  spec.cell_lambdas = model.lambdas;
+  spec.selection_width = p;
+  spec.winner_width = p;
+  spec.pass_seconds_seed = sched::lasso_pass_seconds_estimate(
+      n, p, spec.n_selection_bootstraps, spec.n_estimation_bootstraps, q,
+      options.admm.max_iterations, comm.size());
+  spec.seed = options.seed;
+  spec.intersection_fraction = options.intersection_fraction;
+  spec.schedule = options.schedule;
+  spec.solver_cache_mb = options.solver_cache_mb;
+  spec.layout = layout;
+  spec.recovery = options.recovery;
+  spec.fingerprint =
       UoiLasso(options).selection_fingerprint(n, p, model.lambdas);
+  spec.consensus_interval = options.admm.consensus_interval;
+  spec.screen_mode = uoi::solvers::resolve_screen_mode(options.screen.mode);
 
-  support::Stopwatch phase_watch;
-  // Bucket attribution is tracer-based: spans are keyed by this rank's
-  // *global* rank, so collectives on split/dup/shrunk communicators — the
-  // pipelined convergence check's duplicate comm in particular, which
-  // comm.stats() never saw — are all accounted.
-  auto& tracer = support::Tracer::instance();
-  const int trace_rank = comm.global_rank();
-  const double phase_start_seconds = tracer.now_seconds();
-  const support::TraceTotals trace_before = tracer.totals(trace_rank);
-  support::IntervalTimer distribution_timer;
-  std::uint64_t local_flops = 0;
-  std::uint64_t admm_iterations = 0;
-  std::uint64_t admm_rho_updates = 0;
-  std::uint64_t admm_allreduce_calls = 0;
-  std::uint64_t admm_allreduce_bytes = 0;
-  std::uint64_t admm_consensus_rounds = 0;
-  std::uint64_t admm_lazy_iterations = 0;
-  const std::size_t cache_budget =
-      uoi::solvers::resolve_solver_cache_bytes(options.solver_cache_mb);
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
-  std::uint64_t setup_flops_charged = 0;
-  std::uint64_t setup_flops_amortized = 0;
-  // Screening mode is resolved once up front: the cache entry's shape
-  // (full solver or not) and bytes_estimate must be identical on every
-  // rank, and all ranks see the same environment in-process.
-  uoi::solvers::ScreenOptions screen_opts = options.screen;
-  screen_opts.mode = uoi::solvers::resolve_screen_mode(options.screen.mode);
-  const bool screening_on =
-      screen_opts.mode != uoi::solvers::ScreenMode::kOff;
-  uoi::solvers::ScreenStats screen_stats;
+  const std::vector<double> no_l2(q, 0.0);
+  const auto hooks = detail::linear_family_hooks(x_owned, y_owned, options,
+                                                 model.lambdas, no_l2);
+  auto run = run_uoi_engine(comm, spec, hooks.select, hooks.estimate);
 
-  // Selection state. `*_merged` is replicated and globally consistent;
-  // `*_local` holds this rank's contributions not yet committed by a
-  // merge. A (bootstrap, lambda) cell's count and done flag live on the
-  // same rank (the owning group's task rank 0) until merged, so a rank
-  // death loses them together — `done` never claims counts that died with
-  // a failed rank.
-  Matrix counts_merged(q, p, 0.0);
-  Matrix done_merged(b1, q, 0.0);
-  Matrix counts_local(q, p, 0.0);
-  Matrix done_local(b1, q, 0.0);
-
-  if (checkpointing) {
-    // Every rank reads the same stable file (in-process cluster: one
-    // filesystem), so the restored state is replicated by construction.
-    if (auto restored =
-            try_load_checkpoint(recovery.checkpoint_path, fingerprint)) {
-      const bool shape_ok =
-          restored->lambdas == model.lambdas &&
-          restored->counts.rows() == q && restored->counts.cols() == p &&
-          (restored->done.rows() == 0 ||
-           (restored->done.rows() == b1 && restored->done.cols() == q)) &&
-          restored->completed_bootstraps <= b1;
-      if (shape_ok) {
-        counts_merged = std::move(restored->counts);
-        if (restored->done.rows() != 0) {
-          done_merged = std::move(restored->done);
-        } else {
-          for (std::size_t k = 0; k < restored->completed_bootstraps; ++k) {
-            for (std::size_t j = 0; j < q; ++j) done_merged(k, j) = 1.0;
-          }
-        }
-        ++comm.mutable_recovery_stats().checkpoint_resumes;
-        UOI_LOG_INFO.field("path", recovery.checkpoint_path)
-            << "resumed selection progress from checkpoint";
-      }
-    }
+  model.candidate_supports = std::move(run.candidate_supports);
+  model.chosen_support_per_bootstrap =
+      std::move(run.chosen_support_per_bootstrap);
+  model.best_loss_per_bootstrap = std::move(run.best_loss_per_bootstrap);
+  model.total_flops = run.total_flops;
+  std::vector<Vector> winner_rows;
+  winner_rows.reserve(run.winners.rows());
+  for (std::size_t k = 0; k < run.winners.rows(); ++k) {
+    const auto row = run.winners.row(k);
+    winner_rows.emplace_back(row.begin(), row.end());
   }
-
-  // ---- Scheduler state ----
-  // Chains are fixed at entry (n_chains = the entry layout's P_lambda,
-  // chain c owns {j : j % n_chains == c}) and survive every shrink, so a
-  // replayed cell rebuilds the exact warm-start trajectory of a fault-free
-  // run. The group count is what shrinks: survivors regroup into
-  // min(P_B * P_lambda, alive) groups of near-even width instead of the old
-  // largest-divisor fallback that collapsed prime sizes to one group.
-  const int pb = layout.bootstrap_groups;
-  const int pl = layout.lambda_groups;
-  int n_groups = pb * pl;
-  const sched::SchedulePolicy policy =
-      sched::resolve_policy(options.schedule);
-  const std::size_t n_chains = std::max<std::size_t>(
-      1, std::min(static_cast<std::size_t>(pl), q));
-  const sched::TaskGrid selection_grid(b1, q, n_chains, options.seed);
-  const sched::TaskGrid estimation_grid(b2, q, n_chains, options.seed + 1);
-  // Live-telemetry progress denominator (`uoi top` sums cells_done against
-  // this); one rank owns it so the cross-rank sum counts the grid once.
-  if (comm.rank() == 0) {
-    support::MetricsRegistry::instance().set(
-        trace_rank, "progress.cells_total",
-        static_cast<double>(selection_grid.n_cells() +
-                            estimation_grid.n_cells()));
+  model.beta = aggregate_estimates(winner_rows, options.aggregation);
+  model.support = SupportSet::from_beta(model.beta, options.support_tolerance);
+  if (options.fit_intercept) {
+    double dot = 0.0;
+    for (std::size_t i = 0; i < p; ++i) dot += x_means[i] * model.beta[i];
+    model.intercept = y_mean - dot;
   }
-  const double pass_seconds_seed = sched::lasso_pass_seconds_estimate(
-      n, p, b1, b2, q, options.admm.max_iterations, comm.size());
-  const std::vector<double> selection_costs =
-      sched::seeded_costs(selection_grid, model.lambdas, pass_seconds_seed);
-  std::vector<double> estimation_costs =
-      sched::seeded_costs(estimation_grid, model.lambdas, pass_seconds_seed);
-  sched::PassStats selection_stats;
-  bool estimation_costs_calibrated = false;
-
-  CommStats folded;
-  RecoveryStats folded_rec;
-  std::optional<Comm> owned;  // current shrunk communicator, if any
-  Comm* active = &comm;
-
-  const auto save = [&](Comm& c) {
-    if (!checkpointing || c.rank() != 0) return;
-    // A degraded run marks its lost cells done so the scheduler skips
-    // them; persisting that state would poison a later full-quorum resume
-    // into silently inheriting the losses.
-    if (out.degraded) return;
-    SelectionCheckpoint checkpoint;
-    checkpoint.fingerprint = fingerprint;
-    checkpoint.lambdas = model.lambdas;
-    checkpoint.counts = counts_merged;
-    checkpoint.done = done_merged;
-    checkpoint.completed_bootstraps = checkpoint.completed_prefix();
-    save_checkpoint(recovery.checkpoint_path, checkpoint);
-  };
-
-  // Commits every rank's unmerged contributions into the replicated merged
-  // state. Collective over `c`. Atomic with respect to rank failures: the
-  // fused allreduce either completes on every survivor or raises on every
-  // survivor before the commit, so locals are never half-applied.
-  const auto merge = [&](Comm& c) {
-    std::vector<double> buffer(counts_local.size() + done_local.size());
-    std::copy(counts_local.data(), counts_local.data() + counts_local.size(),
-              buffer.begin());
-    std::copy(done_local.data(), done_local.data() + done_local.size(),
-              buffer.begin() + static_cast<std::ptrdiff_t>(
-                                   counts_local.size()));
-    c.allreduce(std::span<double>(buffer), ReduceOp::kSum);
-    for (std::size_t i = 0; i < counts_merged.size(); ++i) {
-      counts_merged.data()[i] += buffer[i];
-    }
-    for (std::size_t i = 0; i < done_merged.size(); ++i) {
-      done_merged.data()[i] = std::min(
-          1.0, done_merged.data()[i] + buffer[counts_merged.size() + i]);
-    }
-    std::fill(counts_local.data(), counts_local.data() + counts_local.size(),
-              0.0);
-    std::fill(done_local.data(), done_local.data() + done_local.size(), 0.0);
-  };
-
-  const auto run_selection = [&](Comm& c) {
-    const TaskLayout tl = make_task_layout(c.rank(), c.size(), n_groups, 1);
-    Comm task_comm = c.split(tl.task_group, c.rank());
-    const sched::GroupInfo group_info{n_groups, tl.task_group, tl.task_rank,
-                                      pb, pl};
-    // One cache per pass attempt: entries hold views of this attempt's
-    // task_comm, so they must not outlive it. Declared (with the stats
-    // fold) before the try so the catch path accounts hits too.
-    uoi::solvers::BootstrapCache cache(cache_budget);
-    const auto fold_cache_stats = [&] {
-      cache_hits += cache.stats().hits;
-      cache_misses += cache.stats().misses;
-      cache_evictions += cache.stats().evictions;
-    };
-    try {
-      // One cell = (bootstrap k, lambda chain): the group fits the chain's
-      // still-missing lambdas warm-started in grid order, exactly as the
-      // historical per-group loop did.
-      const auto execute = [&](const sched::TaskCell& task) {
-        const std::size_t k = task.bootstrap;
-        std::vector<std::size_t> chain;
-        for (std::size_t j : selection_grid.chain_lambdas(task.chain)) {
-          if (done_merged(k, j) == 0.0) chain.push_back(j);
-        }
-        if (chain.empty()) return;
-        // All chains of bootstrap k share one gather + one Gram/Cholesky
-        // setup: the factorization depends on (X_k, rho) only, not lambda.
-        const std::uint64_t hits_before = cache.stats().hits;
-        const auto entry = cache.get_or_build<LassoSelectionEntry>(
-            uoi::solvers::kSelectionPass, k, [&] {
-              auto fresh = std::make_shared<LassoSelectionEntry>();
-              {
-                support::TraceScope distr_span(
-                    "selection-gather", support::TraceCategory::kDistribution,
-                    trace_rank, &distribution_timer);
-                const auto idx = selection_bootstrap_indices(options, n, k);
-                gather_local_block(x, y, idx,
-                                   block_slice(idx.size(), tl.c_ranks,
-                                               tl.task_rank),
-                                   fresh->x_local, fresh->y_local);
-              }
-              {
-                support::TraceScope gram_span(
-                    "selection-gram", support::TraceCategory::kGram,
-                    trace_rank);
-                fresh->screen_inputs = uoi::solvers::build_screen_inputs(
-                    task_comm, fresh->x_local, fresh->y_local);
-                if (!screening_on) {
-                  // Only off mode pays the full-p Gram/Cholesky up front;
-                  // screened chains factorize the survivors per lambda.
-                  // Refined options: cached full solvers must match the
-                  // chain's internal stopping rules.
-                  fresh->solver.emplace(
-                      task_comm, fresh->x_local, fresh->y_local,
-                      uoi::solvers::detail::refined_admm_options(
-                          options.admm, screen_opts));
-                }
-              }
-              fresh->bytes_estimate =
-                  (n * (p + 1) + (screening_on ? 0 : p * p) + 2 * p + 1) *
-                  sizeof(double);
-              return fresh;
-            });
-        if (entry->solver.has_value()) {
-          if (cache.stats().hits > hits_before) {
-            setup_flops_amortized += entry->solver->setup_flops();
-          } else {
-            setup_flops_charged += entry->solver->setup_flops();
-          }
-        }
-        // The screened chain owns the warm start: every rank derives the
-        // identical working set from the replicated screen inputs, so the
-        // reduced consensus payload is (|W|+3) doubles instead of (p+3).
-        uoi::solvers::DistributedScreenedLassoChain screened(
-            task_comm, entry->x_local, entry->y_local, entry->screen_inputs,
-            options.admm, screen_opts,
-            entry->solver.has_value() ? &*entry->solver : nullptr);
-        // Indicators are staged and committed only once the whole
-        // chain finished: a failure mid-chain must leave no partial
-        // contribution, so the chain reruns cold — replaying exactly
-        // the warm-start trajectory a fault-free run produces.
-        Matrix staged(chain.size(), p, 0.0);
-        for (std::size_t m = 0; m < chain.size(); ++m) {
-          auto fit = screened.solve(model.lambdas[chain[m]]);
-          local_flops += fit.local_flops;
-          admm_iterations += fit.iterations;
-          admm_rho_updates += fit.rho_updates;
-          admm_allreduce_calls += fit.allreduce_calls;
-          admm_allreduce_bytes += fit.allreduce_bytes;
-          admm_consensus_rounds += fit.consensus_rounds;
-          admm_lazy_iterations += fit.lazy_iterations;
-          if (tl.task_rank == 0) {
-            auto row = staged.row(m);
-            for (std::size_t i = 0; i < p; ++i) {
-              if (std::abs(fit.beta[i]) > options.support_tolerance) {
-                row[i] = 1.0;
-              }
-            }
-          }
-        }
-        screen_stats += screened.stats();
-        if (tl.task_rank == 0) {
-          for (std::size_t m = 0; m < chain.size(); ++m) {
-            auto dest = counts_local.row(chain[m]);
-            const auto src = staged.row(m);
-            for (std::size_t i = 0; i < p; ++i) dest[i] += src[i];
-            done_local(k, chain[m]) = 1.0;
-          }
-        }
-      };
-
-      // Checkpoint epochs: `interval` bootstraps per scheduled pass, with a
-      // merge + save between epochs (single epoch when not checkpointing).
-      // Placement is planned once over every pending cell of the pass and
-      // filtered per epoch: planning tiny epochs individually would let the
-      // LPT greedy put each one onto group 0 and starve the rest.
-      const std::size_t interval =
-          checkpointing
-              ? std::max<std::size_t>(1, recovery.checkpoint_interval)
-              : b1;
-      std::vector<std::size_t> pass_cells;
-      for (std::size_t k = 0; k < b1; ++k) {
-        for (std::size_t chain = 0; chain < n_chains; ++chain) {
-          bool pending = false;
-          for (std::size_t j : selection_grid.chain_lambdas(chain)) {
-            if (done_merged(k, j) == 0.0) {
-              pending = true;
-              break;
-            }
-          }
-          if (pending) pass_cells.push_back(selection_grid.cell_id(k, chain));
-        }
-      }
-      const auto placement = sched::plan_placement(
-          policy, selection_grid, pass_cells, selection_costs, group_info,
-          sched::group_widths(c.size(), n_groups));
-      sched::PassStats call_stats;
-      for (std::size_t k0 = 0; k0 < b1; k0 += interval) {
-        const std::size_t k1 = std::min(b1, k0 + interval);
-        auto epoch = placement;
-        std::size_t epoch_cells = 0;
-        for (auto& queue : epoch) {
-          std::erase_if(queue, [&](std::size_t id) {
-            const std::size_t k = selection_grid.cell(id).bootstrap;
-            return k < k0 || k >= k1;
-          });
-          epoch_cells += queue.size();
-        }
-        if (epoch_cells > 0) {
-          const auto pass = sched::run_pass(
-              c, task_comm, group_info, policy, selection_grid, epoch,
-              selection_costs, recovery.retry_options(), execute);
-          sched::accumulate_stats(call_stats, pass);
-        }
-        if (checkpointing && k1 < b1) {
-          merge(c);
-          save(c);
-        }
-      }
-      merge(c);  // the final commit doubles as eq. 3's Reduce
-      save(c);
-      sched::accumulate_stats(selection_stats, call_stats);
-      sched::export_pass_metrics(trace_rank, group_info, policy, call_stats);
-      fold_cache_stats();
-      folded += task_comm.stats();
-      folded_rec += task_comm.recovery_stats();
-    } catch (const uoi::sim::RankFailedError&) {
-      fold_cache_stats();
-      folded += task_comm.stats();
-      folded_rec += task_comm.recovery_stats();
-      throw;
-    }
-  };
-
-  const auto run_estimation = [&](Comm& c) {
-    const TaskLayout tl = make_task_layout(c.rank(), c.size(), n_groups, 1);
-    Comm task_comm = c.split(tl.task_group, c.rank());
-    const sched::GroupInfo group_info{n_groups, tl.task_group, tl.task_rank,
-                                      pb, pl};
-    uoi::solvers::BootstrapCache cache(cache_budget);
-    const auto fold_cache_stats = [&] {
-      cache_hits += cache.stats().hits;
-      cache_misses += cache.stats().misses;
-      cache_evictions += cache.stats().evictions;
-    };
-    try {
-      // Refine the estimation placement once from the measured selection
-      // pass: the Allreduce-max replicates every group's per-cell seconds,
-      // so all ranks derive the identical calibrated plan.
-      if (policy != sched::SchedulePolicy::kStatic &&
-          !estimation_costs_calibrated) {
-        if (selection_stats.cell_seconds.size() != selection_grid.n_cells()) {
-          selection_stats.cell_seconds.assign(selection_grid.n_cells(), 0.0);
-        }
-        c.allreduce(std::span<double>(selection_stats.cell_seconds),
-                    ReduceOp::kMax);
-        const auto calibration = sched::calibrate(
-            selection_grid, selection_costs, selection_stats.cell_seconds);
-        sched::apply_calibration(estimation_grid, calibration,
-                                 std::span<double>(estimation_costs));
-        // Estimation solves OLS restricted to each lambda's candidate
-        // support, so reweight the per-chain costs by the survivor counts
-        // the screened selection pass produced (replicated: the supports
-        // derive from the merged counts every rank holds).
-        std::vector<double> survivors(q, 0.0);
-        for (std::size_t j = 0; j < q; ++j) {
-          survivors[j] = static_cast<double>(
-              model.candidate_supports[j].indices().size());
-        }
-        sched::apply_survivor_weights(estimation_grid, survivors,
-                                      std::span<double>(estimation_costs));
-        if (tl.task_rank == 0) {
-          support::MetricsRegistry::instance().set(
-              trace_rank, "sched.placement_error",
-              calibration.mean_abs_rel_error);
-        }
-        estimation_costs_calibrated = true;
-      }
-
-      Matrix losses(b2, q, std::numeric_limits<double>::infinity());
-      // betas_by_task[k * q + j] exists only for tasks this group computed.
-      std::vector<Vector> computed_betas(b2 * q);
-
-      // The gather is per bootstrap; the cache generalizes the old
-      // last-bootstrap sentinel so a group revisiting a resample — several
-      // chains, or interleaved work-stolen cells — still gathers once.
-      const auto execute = [&](const sched::TaskCell& task) {
-        const std::size_t k = task.bootstrap;
-        const auto entry = cache.get_or_build<LassoEstimationEntry>(
-            uoi::solvers::kEstimationPass, k, [&] {
-              auto fresh = std::make_shared<LassoEstimationEntry>();
-              support::TraceScope distr_span(
-                  "estimation-gather", support::TraceCategory::kDistribution,
-                  trace_rank, &distribution_timer);
-              const auto split = estimation_split(options, n, k);
-              gather_local_block(
-                  x, y, split.train,
-                  block_slice(split.train.size(), tl.c_ranks, tl.task_rank),
-                  fresh->x_train, fresh->y_train);
-              gather_local_block(
-                  x, y, split.eval,
-                  block_slice(split.eval.size(), tl.c_ranks, tl.task_rank),
-                  fresh->x_eval, fresh->y_eval);
-              fresh->bytes_estimate =
-                  (split.train.size() + split.eval.size()) * (p + 1) *
-                  sizeof(double);
-              return fresh;
-            });
-        const Matrix& x_train = entry->x_train;
-        const Matrix& x_eval = entry->x_eval;
-        const Vector& y_train = entry->y_train;
-        const Vector& y_eval = entry->y_eval;
-
-        for (std::size_t j : estimation_grid.chain_lambdas(task.chain)) {
-          const auto& support = model.candidate_supports[j].indices();
-          Vector beta(p, 0.0);
-          if (!support.empty()) {
-            // Distributed OLS: consensus ADMM with lambda = 0 on the
-            // support columns (paper §II-C), row-distributed over the
-            // task group.
-            const Matrix x_train_s = x_train.gather_cols(support);
-            auto fit = uoi::solvers::distributed_lasso_admm(
-                task_comm, x_train_s, y_train, /*lambda=*/0.0, options.admm);
-            local_flops += fit.local_flops;
-            admm_iterations += fit.iterations;
-            admm_rho_updates += fit.rho_updates;
-            admm_allreduce_calls += fit.allreduce_calls;
-            admm_allreduce_bytes += fit.allreduce_bytes;
-            admm_consensus_rounds += fit.consensus_rounds;
-            admm_lazy_iterations += fit.lazy_iterations;
-            for (std::size_t i = 0; i < support.size(); ++i) {
-              beta[support[i]] = fit.beta[i];
-            }
-          }
-          const auto eval = distributed_mse(task_comm, x_eval, y_eval, beta);
-          losses(k, j) = estimation_score(options.criterion, eval.mse,
-                                          eval.n_eval, support.size());
-          computed_betas[k * q + j] = std::move(beta);
-        }
-      };
-
-      std::vector<std::size_t> cells(estimation_grid.n_cells());
-      for (std::size_t i = 0; i < cells.size(); ++i) cells[i] = i;
-      const auto placement = sched::plan_placement(
-          policy, estimation_grid, cells, estimation_costs, group_info,
-          sched::group_widths(c.size(), n_groups));
-      const auto pass = sched::run_pass(
-          c, task_comm, group_info, policy, estimation_grid, placement,
-          estimation_costs, recovery.retry_options(), execute);
-      sched::export_pass_metrics(trace_rank, group_info, policy, pass);
-
-      // Share all losses; every rank then knows each bootstrap's winner.
-      c.allreduce(std::span<double>(losses.data(), losses.size()),
-                  ReduceOp::kMin);
-
-      model.chosen_support_per_bootstrap.assign(b2, 0);
-      model.best_loss_per_bootstrap.assign(b2, 0.0);
-      // winners(k, :) is assembled globally: the owning group's rank 0
-      // deposits its estimate, then one sum-reduction replicates the
-      // matrix.
-      Matrix winners(b2, p, 0.0);
-      for (std::size_t k = 0; k < b2; ++k) {
-        std::size_t best_j = 0;
-        double best_loss = losses(k, 0);
-        for (std::size_t j = 1; j < q; ++j) {
-          if (losses(k, j) < best_loss) {
-            best_loss = losses(k, j);
-            best_j = j;
-          }
-        }
-        model.chosen_support_per_bootstrap[k] = best_j;
-        model.best_loss_per_bootstrap[k] = best_loss;
-        if (!computed_betas[k * q + best_j].empty() && tl.task_rank == 0) {
-          const auto& beta = computed_betas[k * q + best_j];
-          std::copy(beta.begin(), beta.end(), winners.row(k).begin());
-        }
-      }
-      c.allreduce(std::span<double>(winners.data(), winners.size()),
-                  ReduceOp::kSum);
-
-      std::vector<Vector> winner_rows;
-      winner_rows.reserve(b2);
-      for (std::size_t k = 0; k < b2; ++k) {
-        const auto row = winners.row(k);
-        winner_rows.emplace_back(row.begin(), row.end());
-      }
-      model.beta = aggregate_estimates(winner_rows, options.aggregation);
-      model.support =
-          SupportSet::from_beta(model.beta, options.support_tolerance);
-      if (options.fit_intercept) {
-        double dot = 0.0;
-        for (std::size_t i = 0; i < p; ++i) dot += x_means[i] * model.beta[i];
-        model.intercept = y_mean - dot;
-      }
-
-      std::uint64_t flops = local_flops;
-      c.allreduce(std::span<std::uint64_t>(&flops, 1), ReduceOp::kSum);
-      model.total_flops = flops;
-
-      fold_cache_stats();
-      folded += task_comm.stats();
-      folded_rec += task_comm.recovery_stats();
-    } catch (const uoi::sim::RankFailedError&) {
-      fold_cache_stats();
-      folded += task_comm.stats();
-      folded_rec += task_comm.recovery_stats();
-      throw;
-    }
-  };
-
-  // ---- Recovery attempt loop ----
-  // Each pass runs selection (skipping merged cells) and estimation on the
-  // current communicator. A RankFailedError triggers shrink + merge +
-  // layout fallback; the estimation phase is redone wholesale (its fits
-  // are cold, so a redo is deterministic), selection resumes cell-wise.
-  bool selection_complete = false;
-  int attempts_left = recovery.max_recovery_attempts;
-  // Per-lambda completed-bootstrap counts of a quorum-degraded run; the
-  // intersection thresholds renormalize to these instead of B1.
-  std::vector<double> degraded_achieved;
-  for (;;) {
-    try {
-      if (!selection_complete) {
-        run_selection(*active);
-        // Build the (possibly soft) intersection from the merged counts
-        // (eq. 3); identical on every rank. A degraded run thresholds each
-        // lambda against its achieved bootstrap count so a feature's bar
-        // is not inflated by bootstraps that were never computed.
-        const auto base_threshold =
-            static_cast<double>(intersection_count_threshold(options));
-        model.candidate_supports.clear();
-        model.candidate_supports.reserve(q);
-        for (std::size_t j = 0; j < q; ++j) {
-          const double threshold =
-              out.degraded
-                  ? std::max(1.0, std::ceil(options.intersection_fraction *
-                                                degraded_achieved[j] -
-                                            1e-12))
-                  : base_threshold;
-          std::vector<std::size_t> selected;
-          const auto row = counts_merged.row(j);
-          for (std::size_t i = 0; i < p; ++i) {
-            if (row[i] >= threshold) selected.push_back(i);
-          }
-          model.candidate_supports.emplace_back(std::move(selected));
-        }
-        selection_complete = true;
-      }
-      run_estimation(*active);
-      break;
-    } catch (const uoi::sim::RankFailedError&) {
-      const bool out_of_attempts = attempts_left-- <= 0;
-      // Quorum-degraded completion is a selection-phase escape hatch only:
-      // estimation fits are cold recomputes, so exhausting the budget
-      // there still rethrows.
-      const bool try_degraded = out_of_attempts && !selection_complete &&
-                                recovery.min_bootstrap_quorum < 1.0;
-      if (out_of_attempts && !try_degraded) {
-        // Give up symmetrically: uneven groups detect a death at different
-        // collectives, so a rank that exits here could leave a peer blocked
-        // in a comm-wide barrier forever. Revoking wakes it to follow.
-        active->revoke();
-        throw;
-      }
-      UOI_LOG_WARN.field("attempts_left", attempts_left)
-              .field("phase", selection_complete ? "estimation" : "selection")
-          << "rank failure in distributed UoI_LASSO; shrinking and resuming";
-      // Survivors converge here (any rank still blocked in a collective of
-      // the revoked communicator raises and follows); the shrink is
-      // collective over the alive ranks only.
-      Comm next = active->shrink();
-      if (owned.has_value()) {
-        folded += owned->stats();
-        folded_rec += owned->recovery_stats();
-      }
-      owned = std::move(next);
-      active = &*owned;
-      // Regroup the survivors: as many groups as the entry layout had, as
-      // long as each keeps at least one rank. Uneven widths are fine — the
-      // remainder-tolerant split spreads the extra ranks — and the chain
-      // structure is untouched, so replays stay bit-identical.
-      n_groups = std::min(n_groups, active->size());
-      // Commit what every survivor already finished, then account the
-      // cells that died with the failed rank and must be redistributed.
-      merge(*active);
-      if (try_degraded) {
-        // Decide from the replicated done matrix, so every survivor takes
-        // the same branch. The achieved counts are captured BEFORE the
-        // lost cells are marked done below.
-        degraded_achieved.assign(q, 0.0);
-        for (std::size_t k = 0; k < b1; ++k) {
-          for (std::size_t j = 0; j < q; ++j) {
-            degraded_achieved[j] += done_merged(k, j);
-          }
-        }
-        double min_fraction = 1.0;
-        for (std::size_t j = 0; j < q; ++j) {
-          min_fraction = std::min(
-              min_fraction, degraded_achieved[j] / static_cast<double>(b1));
-        }
-        if (min_fraction < recovery.min_bootstrap_quorum) {
-          active->revoke();
-          throw;
-        }
-        // Abandon the missing cells: record them, then mark them done so
-        // the resumed selection pass schedules nothing for them. The
-        // checkpoint save is skipped (see `save`), so the abandonment
-        // never leaks into a later full-quorum run.
-        for (std::size_t k = 0; k < b1; ++k) {
-          for (std::size_t j = 0; j < q; ++j) {
-            if (done_merged(k, j) == 0.0) {
-              out.lost_cells.emplace_back(k, j);
-              done_merged(k, j) = 1.0;
-            }
-          }
-        }
-        out.degraded = true;
-        out.achieved_quorum = min_fraction;
-        UOI_LOG_WARN.field("achieved_quorum", min_fraction)
-                .field("cells_lost",
-                       static_cast<std::uint64_t>(out.lost_cells.size()))
-            << "recovery budget exhausted; completing selection degraded "
-               "under bootstrap quorum";
-      } else {
-        if (!selection_complete) {
-          std::uint64_t missing = 0;
-          for (std::size_t i = 0; i < done_merged.size(); ++i) {
-            if (done_merged.data()[i] == 0.0) ++missing;
-          }
-          folded_rec.cells_recovered += missing;
-        }
-        save(*active);
-      }
-    }
-  }
-
-  out.selection_counts = counts_merged;
-
-  // Fold every child communicator's traffic into the caller's accounting
-  // so Cluster::run_collect_reports sees the consensus Allreduces and the
-  // recovery activity.
-  if (owned.has_value()) {
-    folded += owned->stats();
-    folded_rec += owned->recovery_stats();
-  }
-  comm.mutable_stats() += folded;
-  comm.mutable_recovery_stats() += folded_rec;
-
-  // Tracer-derived bucket totals over the phase. Computation is the
-  // remainder (clamped at zero against scheduler jitter), so the
-  // buckets sum to the phase wall time by construction.
-  support::TraceTotals delta = tracer.totals(trace_rank);
-  delta -= trace_before;
-  out.breakdown.communication_seconds =
-      delta.seconds(support::TraceCategory::kCommunication);
-  out.breakdown.distribution_seconds =
-      delta.seconds(support::TraceCategory::kDistribution);
-  out.breakdown.data_io_seconds =
-      delta.seconds(support::TraceCategory::kDataIo);
-  out.breakdown.gram_seconds = delta.seconds(support::TraceCategory::kGram);
-  out.breakdown.computation_seconds =
-      std::max(0.0, phase_watch.seconds() -
-                        out.breakdown.communication_seconds -
-                        out.breakdown.distribution_seconds -
-                        out.breakdown.data_io_seconds -
-                        out.breakdown.gram_seconds);
-  tracer.record("uoi-lasso-computation", support::TraceCategory::kComputation,
-                trace_rank, phase_start_seconds,
-                out.breakdown.computation_seconds);
-
-  auto& metrics = support::MetricsRegistry::instance();
-  metrics.add(trace_rank, "admm.iterations",
-              static_cast<double>(admm_iterations));
-  metrics.add(trace_rank, "admm.rho_updates",
-              static_cast<double>(admm_rho_updates));
-  metrics.add(trace_rank, "admm.allreduce_calls",
-              static_cast<double>(admm_allreduce_calls));
-  metrics.add(trace_rank, "admm.allreduce_bytes",
-              static_cast<double>(admm_allreduce_bytes));
-  metrics.add(trace_rank, "admm.consensus_rounds",
-              static_cast<double>(admm_consensus_rounds));
-  metrics.add(trace_rank, "admm.lazy_iterations",
-              static_cast<double>(admm_lazy_iterations));
-  metrics.add(trace_rank, "admm.consensus_interval",
-              static_cast<double>(uoi::solvers::resolve_consensus_interval(
-                  options.admm.consensus_interval)));
-  metrics.set(trace_rank, "screen.mode",
-              static_cast<double>(static_cast<int>(screen_opts.mode)));
-  metrics.add(trace_rank, "screen.lambdas",
-              static_cast<double>(screen_stats.lambdas));
-  metrics.add(trace_rank, "screen.survivors",
-              static_cast<double>(screen_stats.survivors));
-  metrics.add(trace_rank, "screen.kkt_violations",
-              static_cast<double>(screen_stats.kkt_violations));
-  metrics.add(trace_rank, "screen.kkt_rounds",
-              static_cast<double>(screen_stats.kkt_rounds));
-  metrics.add(trace_rank, "screen.gram_cols_saved",
-              static_cast<double>(screen_stats.gram_cols_saved));
-  metrics.add(trace_rank, "screen.canonical_solves",
-              static_cast<double>(screen_stats.canonical_solves));
-  metrics.add(trace_rank, "screen.total_columns",
-              static_cast<double>(screen_stats.total_columns));
-  metrics.add(trace_rank, "solver_cache.hits",
-              static_cast<double>(cache_hits));
-  metrics.add(trace_rank, "solver_cache.misses",
-              static_cast<double>(cache_misses));
-  metrics.add(trace_rank, "solver_cache.evictions",
-              static_cast<double>(cache_evictions));
-  metrics.add(trace_rank, "solver.setup_flops_charged",
-              static_cast<double>(setup_flops_charged));
-  metrics.add(trace_rank, "solver.setup_flops_amortized",
-              static_cast<double>(setup_flops_amortized));
-  if (out.degraded) {
-    metrics.add(trace_rank, "recovery.degraded", 1.0);
-    metrics.add(trace_rank, "recovery.achieved_quorum", out.achieved_quorum);
-    metrics.add(trace_rank, "recovery.cells_lost",
-                static_cast<double>(out.lost_cells.size()));
-  }
+  out.breakdown = run.breakdown;
+  out.selection_counts = std::move(run.selection_counts);
+  out.degraded = run.degraded;
+  out.achieved_quorum = run.achieved_quorum;
+  out.lost_cells = std::move(run.lost_cells);
   return out;
 }
 

@@ -4,17 +4,18 @@
 // Three-level parallelism, exactly the paper's decomposition:
 //
 //   P = P_B x P_lambda x C ranks
-//   - P_B     bootstrap groups   (selection bootstraps round-robin over them)
-//   - P_lambda lambda groups     (lambda indices round-robin over them)
+//   - P_B     bootstrap groups   (selection bootstraps spread over them)
+//   - P_lambda lambda groups     (one warm-start chain of lambdas each)
 //   - C       "ADMM cores" per task group: the bootstrap sample is
 //             row-block-distributed over them and solved by the distributed
 //             consensus LASSO-ADMM.
 //
-// Reductions (the paper's Reduce steps) map onto collectives:
-//   - selection intersection (eq. 3): supports are encoded as 0/1 indicator
-//     matrices and combined with an elementwise-min Allreduce over the
-//     global communicator (AND == min over {0,1}; ranks contribute the
-//     neutral element 1 for (k, j) pairs they did not compute);
+// The skeleton runs on the shared engine (core/uoi_engine.hpp), which maps
+// the paper's Reduce steps onto collectives:
+//   - selection intersection (eq. 3): each fit marks its support as a 0/1
+//     indicator row; the rows are Sum-reduced over the global communicator
+//     into per-lambda selection counts, and a feature survives where its
+//     count reaches ceil(intersection_fraction * B1);
 //   - estimation: per-(bootstrap, support) evaluation losses are min-reduced
 //     globally, every rank then knows each bootstrap's winner, and the
 //     winning OLS estimates are sum-reduced and averaged (eq. 4's union).
@@ -22,33 +23,15 @@
 // Given the same options/seed, the result matches the serial UoiLasso up to
 // solver tolerance (identical resamples by construction).
 
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "core/uoi_engine.hpp"  // UoiParallelLayout, breakdown
 #include "core/uoi_lasso.hpp"
 #include "simcluster/comm.hpp"
 
 namespace uoi::core {
-
-/// How the ranks of a communicator are arranged (paper Fig. 3's
-/// "P_B x P_lambda" configurations). C is derived: comm.size() / (pb * pl).
-struct UoiParallelLayout {
-  int bootstrap_groups = 1;  ///< P_B
-  int lambda_groups = 1;     ///< P_lambda
-};
-
-/// Per-rank timing breakdown, mirroring the paper's runtime buckets.
-/// Derived from the process-wide Tracer: communication / distribution /
-/// data-I/O / Gram-setup are the rank's span totals over the phase,
-/// computation is the wall-time remainder (clamped at zero), so the
-/// buckets sum to the phase wall time.
-struct UoiDistributedBreakdown {
-  double computation_seconds = 0.0;
-  double communication_seconds = 0.0;  ///< collectives (Allreduce-dominated)
-  double distribution_seconds = 0.0;   ///< data movement into task groups
-  double data_io_seconds = 0.0;        ///< dataset reads/writes (uoi::io)
-  double gram_seconds = 0.0;  ///< Gram + Cholesky setup (solver-cache misses)
-};
 
 struct UoiLassoDistributedResult {
   UoiLassoResult model;                 ///< same contents as the serial result
@@ -91,5 +74,25 @@ struct UoiLassoDistributedResult {
     uoi::sim::Comm& comm, uoi::linalg::ConstMatrixView x,
     std::span<const double> y, const UoiLassoOptions& options = {},
     const UoiParallelLayout& layout = {});
+
+namespace detail {
+
+/// The squared-loss family's hooks, shared by the lasso and elastic-net
+/// drivers. Selection fits one screened consensus chain per (bootstrap,
+/// chain), grid cell c at penalties (lambda1[c], lambda2[c]); estimation
+/// refits OLS on each candidate support by consensus ADMM at lambda 0 and
+/// scores it with `options.criterion`. Resamples, solver and screening
+/// options come from `options`. Every argument must outlive the engine
+/// run.
+struct LinearFamilyHooks {
+  UoiSelectHook select;
+  UoiEstimateHook estimate;
+};
+[[nodiscard]] LinearFamilyHooks linear_family_hooks(
+    uoi::linalg::ConstMatrixView x, std::span<const double> y,
+    const UoiLassoOptions& options, std::span<const double> lambda1,
+    std::span<const double> lambda2);
+
+}  // namespace detail
 
 }  // namespace uoi::core

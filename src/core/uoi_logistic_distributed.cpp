@@ -2,18 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <utility>
+#include <vector>
 
-#include "core/distributed_common.hpp"
 #include "sched/cost_model.hpp"
-#include "sched/scheduler.hpp"
-#include "sched/task_grid.hpp"
 #include "solvers/distributed_logistic.hpp"
 #include "solvers/lambda_grid.hpp"
 #include "solvers/logistic.hpp"
-#include "solvers/solver_cache.hpp"
 #include "support/error.hpp"
-#include "support/stopwatch.hpp"
 #include "support/trace.hpp"
 
 namespace uoi::core {
@@ -29,18 +25,8 @@ namespace {
 using detail::block_slice;
 using detail::gather_local_block;
 
-
-UoiLassoOptions resample_options(const UoiLogisticOptions& options) {
-  UoiLassoOptions out;
-  out.n_selection_bootstraps = options.n_selection_bootstraps;
-  out.n_estimation_bootstraps = options.n_estimation_bootstraps;
-  out.estimation_train_fraction = options.estimation_train_fraction;
-  out.seed = options.seed;
-  return out;
-}
-
 // Gather-only cache entries (IRLS has no reusable factorization). As in
-// the other drivers, `bytes()` depends only on the global shape so every
+// the other families, `bytes()` depends only on the global shape so every
 // group rank makes the same hit/miss/evict decisions.
 struct LogisticSelectionEntry {
   Matrix x_local;
@@ -62,23 +48,14 @@ UoiLogisticDistributedResult uoi_logistic_distributed(
     Comm& comm, ConstMatrixView x, std::span<const double> y,
     const UoiLogisticOptions& options, const UoiParallelLayout& layout) {
   UOI_CHECK_DIMS(x.rows() == y.size(), "UoI_Logistic: X rows != y size");
-  const int pb = layout.bootstrap_groups;
-  const int pl = layout.lambda_groups;
-  UOI_CHECK(pb >= 1 && pl >= 1, "layout group counts must be >= 1");
-  const int n_groups = pb * pl;
-  UOI_CHECK(comm.size() >= n_groups,
-            "communicator smaller than P_B * P_lambda task groups");
-  const auto task =
-      detail::make_task_layout(comm.rank(), comm.size(), pb, pl);
-  Comm task_comm = comm.split(task.task_group, comm.rank());
-  const sched::GroupInfo group_info{n_groups, task.task_group, task.task_rank,
-                                    pb, pl};
-  const int trace_rank = comm.global_rank();
-
   const std::size_t n = x.rows();
   const std::size_t p = x.cols();
   const Matrix x_owned = Matrix::from_view(x);
-  const UoiLassoOptions resampling = resample_options(options);
+  UoiLassoOptions resampling;
+  resampling.n_selection_bootstraps = options.n_selection_bootstraps;
+  resampling.n_estimation_bootstraps = options.n_estimation_bootstraps;
+  resampling.estimation_train_fraction = options.estimation_train_fraction;
+  resampling.seed = options.seed;
 
   UoiLogisticDistributedResult out;
   UoiLogisticResult& model = out.model;
@@ -87,49 +64,6 @@ UoiLogisticDistributedResult uoi_logistic_distributed(
   model.lambdas = uoi::solvers::log_spaced_lambdas(
       hi, options.lambda_min_ratio, options.n_lambdas);
   const std::size_t q = model.lambdas.size();
-  const std::size_t b1 = options.n_selection_bootstraps;
-  const std::size_t b2 = options.n_estimation_bootstraps;
-
-  // ---- Scheduler state (see the LASSO driver for the full contract) ----
-  const sched::SchedulePolicy policy = sched::resolve_policy(options.schedule);
-  const std::size_t n_chains =
-      std::max<std::size_t>(1, std::min(static_cast<std::size_t>(pl), q));
-  const sched::TaskGrid selection_grid(b1, q, n_chains, options.seed);
-  const sched::TaskGrid estimation_grid(b2, q, n_chains, options.seed + 1);
-  // Live-telemetry progress denominator; one rank owns it so the
-  // cross-rank sum counts the grid once.
-  if (comm.rank() == 0) {
-    support::MetricsRegistry::instance().set(
-        trace_rank, "progress.cells_total",
-        static_cast<double>(selection_grid.n_cells() +
-                            estimation_grid.n_cells()));
-  }
-  const double pass_seconds_seed = sched::lasso_pass_seconds_estimate(
-      n, p, b1, b2, q, /*admm_iterations=*/2000, comm.size());
-  const std::vector<double> selection_costs =
-      sched::seeded_costs(selection_grid, model.lambdas, pass_seconds_seed);
-  std::vector<double> estimation_costs =
-      sched::seeded_costs(estimation_grid, model.lambdas, pass_seconds_seed);
-  const auto widths = sched::group_widths(comm.size(), n_groups);
-  const uoi::sim::RetryOptions retry;
-  const std::size_t cache_budget =
-      uoi::solvers::resolve_solver_cache_bytes(options.solver_cache_mb);
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
-  std::uint64_t admm_iterations = 0;
-  std::uint64_t admm_rho_updates = 0;
-  std::uint64_t admm_allreduce_calls = 0;
-  std::uint64_t admm_allreduce_bytes = 0;
-  std::uint64_t admm_consensus_rounds = 0;
-  std::uint64_t admm_lazy_iterations = 0;
-
-  support::Stopwatch phase_watch;
-  const auto comm_seconds = [&] {
-    return comm.stats().collective_seconds() +
-           task_comm.stats().collective_seconds();
-  };
-  const double comm_before = comm_seconds();
 
   uoi::solvers::AdmmOptions admm;
   admm.eps_abs = 1e-7;
@@ -137,224 +71,123 @@ UoiLogisticDistributedResult uoi_logistic_distributed(
   admm.max_iterations = 2000;
   admm.consensus_interval = options.consensus_interval;
 
-  // ---- selection ----
-  Matrix counts(q, p, 0.0);
-  sched::PassStats selection_stats;
-  {
-    uoi::solvers::BootstrapCache cache(cache_budget);
-    const auto execute = [&](const sched::TaskCell& cell) {
-      const std::size_t k = cell.bootstrap;
-      const auto entry = cache.get_or_build<LogisticSelectionEntry>(
-          uoi::solvers::kSelectionPass, k, [&] {
-            auto fresh = std::make_shared<LogisticSelectionEntry>();
-            support::Stopwatch distr_watch;
-            const auto idx = selection_bootstrap_indices(resampling, n, k);
-            gather_local_block(
-                x, y, idx,
-                block_slice(idx.size(), task.c_ranks, task.task_rank),
-                fresh->x_local, fresh->y_local);
-            out.breakdown.distribution_seconds += distr_watch.seconds();
-            fresh->bytes_estimate = n * (p + 1) * sizeof(double);
-            return fresh;
-          });
-      for (std::size_t j : selection_grid.chain_lambdas(cell.chain)) {
-        const auto fit = uoi::solvers::distributed_logistic_lasso(
-            task_comm, entry->x_local, entry->y_local, model.lambdas[j], admm);
-        admm_iterations += fit.iterations;
-        admm_rho_updates += fit.rho_updates;
-        admm_allreduce_calls += fit.allreduce_calls;
-        admm_allreduce_bytes += fit.allreduce_bytes;
-        admm_consensus_rounds += fit.consensus_rounds;
-        admm_lazy_iterations += fit.lazy_iterations;
-        if (task.task_rank == 0) {
-          auto row = counts.row(j);
-          for (std::size_t i = 0; i < p; ++i) {
-            if (std::abs(fit.beta[i]) > options.support_tolerance) {
-              row[i] += 1.0;
-            }
-          }
+  UoiEngineSpec spec;
+  spec.name = "UoI_Logistic";
+  spec.computation_span = "uoi-logistic-computation";
+  spec.n_selection_bootstraps = options.n_selection_bootstraps;
+  spec.n_estimation_bootstraps = options.n_estimation_bootstraps;
+  spec.cell_lambdas = model.lambdas;
+  spec.selection_width = p;
+  spec.winner_width = p + 1;  // beta, then the intercept
+  spec.pass_seconds_seed = sched::lasso_pass_seconds_estimate(
+      n, p, spec.n_selection_bootstraps, spec.n_estimation_bootstraps, q,
+      admm.max_iterations, comm.size());
+  spec.seed = options.seed;
+  spec.intersection_fraction = options.intersection_fraction;
+  spec.schedule = options.schedule;
+  spec.solver_cache_mb = options.solver_cache_mb;
+  spec.layout = layout;
+  spec.consensus_interval = options.consensus_interval;
+
+  const auto select = [&](UoiSelectionTask& task) {
+    const auto& tl = task.layout;
+    const std::size_t k = task.bootstrap;
+    const auto entry = task.cache.get_or_build<LogisticSelectionEntry>(
+        uoi::solvers::kSelectionPass, k, [&] {
+          auto fresh = std::make_shared<LogisticSelectionEntry>();
+          support::TraceScope distr_span(
+              "selection-gather", support::TraceCategory::kDistribution,
+              task.task_comm.global_rank());
+          const auto idx = selection_bootstrap_indices(resampling, n, k);
+          gather_local_block(
+              x, y, idx, block_slice(idx.size(), tl.c_ranks, tl.task_rank),
+              fresh->x_local, fresh->y_local);
+          fresh->bytes_estimate = n * (p + 1) * sizeof(double);
+          return fresh;
+        });
+    for (std::size_t m = 0; m < task.cells.size(); ++m) {
+      const auto fit = uoi::solvers::distributed_logistic_lasso(
+          task.task_comm, entry->x_local, entry->y_local,
+          model.lambdas[task.cells[m]], admm);
+      task.counters.add(fit);
+      if (tl.task_rank == 0) {
+        auto row = task.indicators.row(m);
+        for (std::size_t i = 0; i < p; ++i) {
+          if (std::abs(fit.beta[i]) > options.support_tolerance) row[i] = 1.0;
         }
       }
-    };
-    std::vector<std::size_t> cells(selection_grid.n_cells());
-    for (std::size_t i = 0; i < cells.size(); ++i) cells[i] = i;
-    const auto placement = sched::plan_placement(
-        policy, selection_grid, cells, selection_costs, group_info, widths);
-    selection_stats =
-        sched::run_pass(comm, task_comm, group_info, policy, selection_grid,
-                        placement, selection_costs, retry, execute);
-    sched::export_pass_metrics(trace_rank, group_info, policy,
-                               selection_stats);
-    cache_hits += cache.stats().hits;
-    cache_misses += cache.stats().misses;
-    cache_evictions += cache.stats().evictions;
-  }
-  comm.allreduce(std::span<double>(counts.data(), counts.size()),
-                 ReduceOp::kSum);
-  const double threshold = std::max(
-      1.0, std::ceil(options.intersection_fraction *
-                         static_cast<double>(options.n_selection_bootstraps) -
-                     1e-12));
-  model.candidate_supports.reserve(q);
-  for (std::size_t j = 0; j < q; ++j) {
-    std::vector<std::size_t> selected;
-    const auto row = counts.row(j);
-    for (std::size_t i = 0; i < p; ++i) {
-      if (row[i] >= threshold) selected.push_back(i);
     }
-    model.candidate_supports.emplace_back(std::move(selected));
-  }
+  };
 
-  // ---- estimation ----
   // Each task group scores its (bootstrap, support) pairs with held-out
-  // log loss; losses and winners reduce globally as in the LASSO driver.
-  Matrix losses(b2, q, std::numeric_limits<double>::infinity());
-  std::vector<Vector> computed(b2 * q);       // beta + intercept appended
-  {
-    if (policy != sched::SchedulePolicy::kStatic &&
-        selection_stats.cell_seconds.size() == selection_grid.n_cells()) {
-      comm.allreduce(std::span<double>(selection_stats.cell_seconds.data(),
-                                       selection_stats.cell_seconds.size()),
-                     ReduceOp::kMax);
-      const auto calibration = sched::calibrate(
-          selection_grid, selection_costs, selection_stats.cell_seconds);
-      sched::apply_calibration(estimation_grid, calibration,
-                               estimation_costs);
-      if (task.task_rank == 0) {
-        support::MetricsRegistry::instance().set(
-            trace_rank, "sched.placement_error",
-            calibration.mean_abs_rel_error);
+  // log loss; IRLS refits run on the full training split (they are cheap:
+  // support columns only), evaluation rows are partitioned for the loss.
+  const auto estimate = [&](UoiEstimationTask& task) {
+    const auto& tl = task.layout;
+    const std::size_t k = task.bootstrap;
+    const auto entry = task.cache.get_or_build<LogisticEstimationEntry>(
+        uoi::solvers::kEstimationPass, k, [&] {
+          auto fresh = std::make_shared<LogisticEstimationEntry>();
+          support::TraceScope distr_span(
+              "estimation-gather", support::TraceCategory::kDistribution,
+              task.task_comm.global_rank());
+          const auto split = estimation_split(resampling, n, k);
+          fresh->x_train = x_owned.gather_rows(split.train);
+          fresh->y_train = Vector(split.train.size());
+          for (std::size_t i = 0; i < split.train.size(); ++i) {
+            fresh->y_train[i] = y[split.train[i]];
+          }
+          gather_local_block(
+              x, y, split.eval,
+              block_slice(split.eval.size(), tl.c_ranks, tl.task_rank),
+              fresh->x_eval_local, fresh->y_eval_local);
+          fresh->bytes_estimate = (split.train.size() + split.eval.size()) *
+                                  (p + 1) * sizeof(double);
+          return fresh;
+        });
+    const Matrix& x_eval_local = entry->x_eval_local;
+    for (const std::size_t j : task.cells) {
+      const auto fit = uoi::solvers::logistic_irls_on_support(
+          entry->x_train, entry->y_train, task.supports[j].indices(),
+          options.solver);
+      // Distributed held-out log loss: local sums reduced over the group.
+      double acc[2] = {0.0, static_cast<double>(x_eval_local.rows())};
+      if (x_eval_local.rows() > 0) {
+        acc[0] = uoi::solvers::logistic_log_loss(x_eval_local,
+                                                 entry->y_eval_local,
+                                                 fit.beta, fit.intercept) *
+                 static_cast<double>(x_eval_local.rows());
       }
-    }
-
-    uoi::solvers::BootstrapCache cache(cache_budget);
-    const auto execute = [&](const sched::TaskCell& cell) {
-      const std::size_t k = cell.bootstrap;
-      const auto entry = cache.get_or_build<LogisticEstimationEntry>(
-          uoi::solvers::kEstimationPass, k, [&] {
-            auto fresh = std::make_shared<LogisticEstimationEntry>();
-            support::Stopwatch distr_watch;
-            const auto split = estimation_split(resampling, n, k);
-            // IRLS refits run on the full training split (they are cheap:
-            // support columns only); evaluation rows are partitioned for
-            // the loss.
-            fresh->x_train = x_owned.gather_rows(split.train);
-            fresh->y_train = Vector(split.train.size());
-            for (std::size_t i = 0; i < split.train.size(); ++i) {
-              fresh->y_train[i] = y[split.train[i]];
-            }
-            gather_local_block(
-                x, y, split.eval,
-                block_slice(split.eval.size(), task.c_ranks, task.task_rank),
-                fresh->x_eval_local, fresh->y_eval_local);
-            out.breakdown.distribution_seconds += distr_watch.seconds();
-            fresh->bytes_estimate =
-                (split.train.size() + split.eval.size()) * (p + 1) *
-                sizeof(double);
-            return fresh;
-          });
-      const Matrix& x_train = entry->x_train;
-      const Matrix& x_eval_local = entry->x_eval_local;
-      const Vector& y_train = entry->y_train;
-      const Vector& y_eval_local = entry->y_eval_local;
-      for (std::size_t j : estimation_grid.chain_lambdas(cell.chain)) {
-        const auto& support = model.candidate_supports[j].indices();
-        const auto fit = uoi::solvers::logistic_irls_on_support(
-            x_train, y_train, support, options.solver);
-        // Distributed held-out log loss: local sums reduced over the group.
-        double acc[2] = {0.0, static_cast<double>(x_eval_local.rows())};
-        if (x_eval_local.rows() > 0) {
-          acc[0] = uoi::solvers::logistic_log_loss(x_eval_local,
-                                                   y_eval_local, fit.beta,
-                                                   fit.intercept) *
-                   static_cast<double>(x_eval_local.rows());
-        }
-        task_comm.allreduce(std::span<double>(acc, 2), ReduceOp::kSum);
-        losses(k, j) = acc[1] > 0.0 ? acc[0] / acc[1] : 0.0;
+      task.task_comm.allreduce(std::span<double>(acc, 2), ReduceOp::kSum);
+      task.losses[j] = acc[1] > 0.0 ? acc[0] / acc[1] : 0.0;
+      if (tl.task_rank == 0) {
         Vector packed(p + 1);
         std::copy(fit.beta.begin(), fit.beta.end(), packed.begin());
         packed[p] = fit.intercept;
-        computed[k * q + j] = std::move(packed);
-      }
-    };
-    std::vector<std::size_t> cells(estimation_grid.n_cells());
-    for (std::size_t i = 0; i < cells.size(); ++i) cells[i] = i;
-    const auto placement = sched::plan_placement(
-        policy, estimation_grid, cells, estimation_costs, group_info, widths);
-    const auto pass =
-        sched::run_pass(comm, task_comm, group_info, policy, estimation_grid,
-                        placement, estimation_costs, retry, execute);
-    sched::export_pass_metrics(trace_rank, group_info, policy, pass);
-    cache_hits += cache.stats().hits;
-    cache_misses += cache.stats().misses;
-    cache_evictions += cache.stats().evictions;
-  }
-  comm.allreduce(std::span<double>(losses.data(), losses.size()),
-                 ReduceOp::kMin);
-
-  model.chosen_support_per_bootstrap.assign(b2, 0);
-  model.best_loss_per_bootstrap.assign(b2, 0.0);
-  Matrix winners(b2, p + 1, 0.0);
-  for (std::size_t k = 0; k < b2; ++k) {
-    std::size_t best_j = 0;
-    double best_loss = losses(k, 0);
-    for (std::size_t j = 1; j < q; ++j) {
-      if (losses(k, j) < best_loss) {
-        best_loss = losses(k, j);
-        best_j = j;
+        task.shares[j] = std::move(packed);
       }
     }
-    model.chosen_support_per_bootstrap[k] = best_j;
-    model.best_loss_per_bootstrap[k] = best_loss;
-    if (!computed[k * q + best_j].empty() && task.task_rank == 0) {
-      const auto& packed = computed[k * q + best_j];
-      std::copy(packed.begin(), packed.end(), winners.row(k).begin());
-    }
-  }
-  comm.allreduce(std::span<double>(winners.data(), winners.size()),
-                 ReduceOp::kSum);
+  };
 
+  auto run = run_uoi_engine(comm, spec, select, estimate);
+
+  model.candidate_supports = std::move(run.candidate_supports);
+  model.chosen_support_per_bootstrap =
+      std::move(run.chosen_support_per_bootstrap);
+  model.best_loss_per_bootstrap = std::move(run.best_loss_per_bootstrap);
   std::vector<Vector> winner_betas;
-  winner_betas.reserve(b2);
+  winner_betas.reserve(run.winners.rows());
   double intercept_sum = 0.0;
-  for (std::size_t k = 0; k < b2; ++k) {
-    const auto row = winners.row(k);
+  for (std::size_t k = 0; k < run.winners.rows(); ++k) {
+    const auto row = run.winners.row(k);
     winner_betas.emplace_back(row.begin(), row.end() - 1);
     intercept_sum += row[p];
   }
   model.beta = aggregate_estimates(winner_betas, options.aggregation);
-  model.intercept = intercept_sum / static_cast<double>(b2);
-  model.support =
-      SupportSet::from_beta(model.beta, options.support_tolerance);
-
-  out.breakdown.communication_seconds = comm_seconds() - comm_before;
-  out.breakdown.computation_seconds = std::max(
-      0.0, phase_watch.seconds() - out.breakdown.communication_seconds -
-               out.breakdown.distribution_seconds);
-  comm.mutable_stats() += task_comm.stats();
-
-  auto& metrics = support::MetricsRegistry::instance();
-  metrics.add(trace_rank, "admm.iterations",
-              static_cast<double>(admm_iterations));
-  metrics.add(trace_rank, "admm.rho_updates",
-              static_cast<double>(admm_rho_updates));
-  metrics.add(trace_rank, "admm.allreduce_calls",
-              static_cast<double>(admm_allreduce_calls));
-  metrics.add(trace_rank, "admm.allreduce_bytes",
-              static_cast<double>(admm_allreduce_bytes));
-  metrics.add(trace_rank, "admm.consensus_rounds",
-              static_cast<double>(admm_consensus_rounds));
-  metrics.add(trace_rank, "admm.lazy_iterations",
-              static_cast<double>(admm_lazy_iterations));
-  metrics.add(trace_rank, "admm.consensus_interval",
-              static_cast<double>(uoi::solvers::resolve_consensus_interval(
-                  options.consensus_interval)));
-  metrics.add(trace_rank, "solver_cache.hits",
-              static_cast<double>(cache_hits));
-  metrics.add(trace_rank, "solver_cache.misses",
-              static_cast<double>(cache_misses));
-  metrics.add(trace_rank, "solver_cache.evictions",
-              static_cast<double>(cache_evictions));
+  model.intercept =
+      intercept_sum / static_cast<double>(options.n_estimation_bootstraps);
+  model.support = SupportSet::from_beta(model.beta, options.support_tolerance);
+  out.breakdown = run.breakdown;
   return out;
 }
 

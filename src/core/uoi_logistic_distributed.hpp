@@ -1,10 +1,10 @@
 #pragma once
-// Distributed UoI_Logistic on the uoi::sim runtime — the same
-// P_B x P_lambda x C decomposition as uoi_lasso_distributed, with the
-// consensus logistic solver in the Solve slots and held-out log loss as
-// the estimation criterion. Completes the "UoI family at scale" picture:
-// every estimator in this library runs under the paper's parallel
-// structure.
+// Distributed UoI_Logistic: a family of the shared engine
+// (core/uoi_engine.hpp) with the consensus l1-logistic solver in the
+// selection slots and IRLS refits scored by held-out log loss in the
+// estimation slots. Winner rows carry the intercept after beta. Fault
+// tolerance works as for the lasso driver with default
+// UoiRecoveryOptions: one shrink-and-resume attempt, no checkpoint.
 
 #include "core/uoi_lasso_distributed.hpp"  // UoiParallelLayout, breakdown
 #include "core/uoi_logistic.hpp"

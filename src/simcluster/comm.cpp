@@ -835,8 +835,6 @@ Comm Comm::split(int color, int key) {
   return child;
 }
 
-Comm Comm::dup() { return split(0, rank_); }
-
 void Comm::revoke() { context_->revoke(); }
 
 /// RAII span carrying a pre-allocated causal stamp; records even when the
@@ -986,10 +984,8 @@ void Comm::sync() {
     ++recovery_stats_.rank_failures_detected;
     support::Tracer::instance().instant(
         "rank-failure-detected", support::TraceCategory::kFault, global_rank());
-    if (!progress_handle_) {
-      auto& registry = *context_->registry();
-      registry.acknowledge(global_rank(), registry.fail_seq());
-    }
+    auto& registry = *context_->registry();
+    registry.acknowledge(global_rank(), registry.fail_seq());
     throw;
   }
   if (snapshot > acknowledged_fail_seq_) {
@@ -1068,11 +1064,9 @@ void Comm::raise_rank_failed(const char* what) {
       "rank-failure-detected", support::TraceCategory::kFault, global_rank());
   UOI_LOG_DEBUG.field("rank", global_rank()) << what;
   auto& registry = *context_->registry();
-  if (!progress_handle_) {
-    // Acknowledging certifies this rank will not touch pre-failure window
-    // memory again, which is what lets the dead rank's stack unwind.
-    registry.acknowledge(global_rank(), registry.fail_seq());
-  }
+  // Acknowledging certifies this rank will not touch pre-failure window
+  // memory again, which is what lets the dead rank's stack unwind.
+  registry.acknowledge(global_rank(), registry.fail_seq());
   std::string message(what);
   message += " (failed global ranks:";
   for (const int r : registry.failed_ranks()) {

@@ -158,7 +158,7 @@ class Comm {
   void allreduce(std::span<std::uint64_t> data, ReduceOp op);
 
   /// Selects the algorithm the double-payload allreduce() dispatches to.
-  /// Inherited across split()/dup()/shrink() like the latency injector;
+  /// Inherited across split()/shrink() like the latency injector;
   /// new handles start from $UOI_ALLREDUCE_ALGO.
   void set_allreduce_algo(AllreduceAlgo algo) { allreduce_algo_ = algo; }
   [[nodiscard]] AllreduceAlgo allreduce_algo() const noexcept {
@@ -228,12 +228,6 @@ class Comm {
   /// ordered by (key, old rank). Collective over this communicator.
   [[nodiscard]] Comm split(int color, int key);
 
-  /// Duplicates the communicator (MPI_Comm_dup): same ranks, independent
-  /// synchronization state. Collective. A dup is what makes nonblocking
-  /// collectives safe: the background progress thread synchronizes on the
-  /// duplicate, never interleaving with the caller's own collectives.
-  [[nodiscard]] Comm dup();
-
   /// ULFM-style recovery (MPI_Comm_shrink): collectively — over the
   /// surviving ranks only — builds a smaller communicator containing the
   /// alive ranks in old-rank order. Revokes this communicator first, so
@@ -261,7 +255,7 @@ class Comm {
   [[nodiscard]] bool shared_address_space() const noexcept;
 
   /// Globally unique id of the underlying communicator — identical on
-  /// every member rank, distinct across communicators (split/dup/shrink
+  /// every member rank, distinct across communicators (split/shrink
   /// children get fresh ids). This is the `comm` key of trace stamps, so
   /// merged per-rank traces group events of one communicator together.
   [[nodiscard]] std::int64_t comm_id() const;
@@ -294,7 +288,7 @@ class Comm {
   void probe_failures();
 
   /// Installs a shared fault plan (nullptr clears). Inherited across
-  /// split()/dup()/shrink() like the latency injector.
+  /// split()/shrink() like the latency injector.
   void set_fault_plan(std::shared_ptr<const FaultPlan> plan);
   [[nodiscard]] const std::shared_ptr<const FaultPlan>& fault_plan() const {
     return fault_plan_;
@@ -302,7 +296,7 @@ class Comm {
 
   /// Hang/stall watchdog for this handle's blocking waits. New handles
   /// start from $UOI_COMM_TIMEOUT_MS (disarmed when unset); the setting is
-  /// inherited across split()/dup()/shrink() like the latency injector.
+  /// inherited across split()/shrink() like the latency injector.
   void set_watchdog(WatchdogConfig config) { watchdog_ = config; }
   [[nodiscard]] const WatchdogConfig& watchdog() const noexcept {
     return watchdog_;
@@ -319,12 +313,6 @@ class Comm {
     return recovery_stats_;
   }
   RecoveryStats& mutable_recovery_stats() noexcept { return recovery_stats_; }
-
-  /// Marks this handle as owned by an internal progress thread (the
-  /// NonblockingContext dup): failures still raise through it, but it
-  /// never acknowledges them on the rank's behalf — only the main handle's
-  /// raise certifies that the rank has left its pre-failure epoch.
-  void set_progress_handle(bool value) { progress_handle_ = value; }
 
   /// Per-rank communication statistics since construction / last clear.
   [[nodiscard]] const CommStats& stats() const noexcept { return stats_; }
@@ -368,7 +356,7 @@ class Comm {
   OneSidedAction onesided_fault_point();
 
   /// Causal-stamp counters (see support::TraceStamp). Fresh handles start
-  /// at zero — split/dup/shrink children deliberately do NOT inherit them,
+  /// at zero — split/shrink children deliberately do NOT inherit them,
   /// so a child communicator's sequence restarts at 0 on every member and
   /// stays aligned across ranks regardless of the parent's history.
   struct StampCounters {
@@ -390,7 +378,6 @@ class Comm {
   AllreduceAlgo allreduce_algo_ = allreduce_algo_from_env();
   /// Failures with sequence <= this are already handled by this handle.
   std::uint64_t acknowledged_fail_seq_ = 0;
-  bool progress_handle_ = false;
 };
 
 }  // namespace uoi::sim

@@ -393,7 +393,7 @@ class Context {
   /// Thread contexts are shared objects (one per communicator, referenced
   /// by every member rank's Comm handle), so the id assigned at
   /// construction is identical on all member ranks and distinct across
-  /// communicators — including children produced by split/dup/shrink.
+  /// communicators — including children produced by split/shrink.
   /// Trace stamps use it as the `comm` key of the cross-rank event DAG.
   /// (The socket backend cannot share an allocator across processes and
   /// derives deterministic ids instead; see SocketContext.)

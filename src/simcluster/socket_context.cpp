@@ -260,7 +260,7 @@ std::optional<std::vector<std::uint8_t>> SocketContext::p2p_collect(
   return inboxes_[static_cast<std::size_t>(source)].collect(tag, abort);
 }
 
-// --- Children (split / dup) ------------------------------------------------
+// --- Children (split) ------------------------------------------------------
 
 std::shared_ptr<Context> SocketContext::make_child(
     int parent_rank, int /*group_leader*/, int group_index,

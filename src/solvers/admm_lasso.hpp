@@ -44,16 +44,6 @@ struct AdmmOptions {
   std::size_t rho_update_interval = 10;
   std::size_t max_rho_updates = 24;
 
-  /// Distributed solvers only: overlap the stopping-test reduction with
-  /// the next iteration (nonblocking allreduce on a duplicate
-  /// communicator). The convergence decision then acts on one-iteration-
-  /// stale residual norms — the paper's "non-blocking MPI and
-  /// asynchronous execution" future-work direction. Halves the number of
-  /// blocking collectives per iteration. Takes precedence over
-  /// fused_residual_reduction (the dup-comm machinery carries the
-  /// residual reduction instead of the fused payload).
-  bool pipelined_convergence_check = false;
-
   /// Distributed solvers only: fold the 3-scalar residual reduction into
   /// the p-length consensus Allreduce as one (p+3)-double payload,
   /// halving the reduction rounds per iteration (arXiv:1808.06992's

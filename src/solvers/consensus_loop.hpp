@@ -37,11 +37,9 @@
 // lock step.
 
 #include <cmath>
-#include <optional>
 
 #include "linalg/blas.hpp"
 #include "simcluster/comm.hpp"
-#include "simcluster/nonblocking.hpp"
 #include "solvers/admm_loop.hpp"  // rho_rescale_factor_strided
 #include "solvers/distributed_admm.hpp"
 #include "solvers/prox.hpp"
@@ -172,8 +170,7 @@ DistributedAdmmResult run_consensus_admm_loop(
     ++result.lazy_iterations;
   };
 
-  if (!options.pipelined_convergence_check &&
-      options.fused_residual_reduction) {
+  if (options.fused_residual_reduction) {
     // ---- Fused path (default): one (p+3)-double reduction per consensus
     // iteration carrying both the consensus sum and the previous
     // consensus iteration's residual sums.
@@ -246,94 +243,36 @@ DistributedAdmmResult run_consensus_admm_loop(
       }
     }
   } else {
-    // ---- Unfused paths: separate consensus and residual reductions,
-    // optionally with the residual reduction pipelined on a duplicate
-    // communicator (the stopping verdict is then one consensus iteration
-    // stale, like the fused path).
+    // ---- Unfused blocking path: separate consensus and residual
+    // reductions, the reference the fused path is pinned against.
     uoi::linalg::Vector xu_sum(p);
-    std::optional<uoi::sim::NonblockingContext> nonblocking;
-    if (options.pipelined_convergence_check) nonblocking.emplace(comm);
-    std::optional<uoi::sim::AllreduceRequest> pending;
-    double pending_sums[3] = {0.0, 0.0, 0.0};
-    double pending_s_norm = 0.0;
-    double pending_rho = rho;
-    std::size_t pending_iters = 0;
-
-    try {
-      for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-        // Harvest the previous consensus iteration's pipelined reduction
-        // first: its verdict arrives late but costs no blocking time here
-        // beyond the residual overlap.
-        if (pending.has_value()) {
-          pending->wait();
-          pending.reset();
-          result.iterations = pending_iters;
-          if (check_convergence(pending_sums, pending_s_norm, pending_rho)) {
-            result.converged = true;
-            break;
-          }
-          maybe_rescale(pending_iters - 1);
-        }
-
-        x_update(z, u, x, rho);
-        result.local_flops += per_iteration_flops;
-        if ((iter + 1) % interval != 0) {
-          lazy_dual_step();
-          continue;
-        }
-
-        // Consensus z-update: one p-length Allreduce of (x_i + u_i).
-        for (std::size_t i = 0; i < p; ++i) xu_sum[i] = x[i] + u[i];
-        comm.allreduce(xu_sum, uoi::sim::ReduceOp::kSum);
-        account(p);
-        ++result.consensus_rounds;
-
-        consensus_z_update(xu_sum.data());
-
-        double sums[3];
-        local_sums(sums);
-        const double s_norm = dual_s_norm();
-
-        result.iterations = iter + 1;
-        if (nonblocking.has_value()) {
-          pending_sums[0] = sums[0];
-          pending_sums[1] = sums[1];
-          pending_sums[2] = sums[2];
-          pending_s_norm = s_norm;
-          pending_rho = rho;
-          pending_iters = iter + 1;
-          pending.emplace(nonblocking->iallreduce(
-              std::span<double>(pending_sums, 3), uoi::sim::ReduceOp::kSum));
-          account(3);
-          continue;
-        }
-
-        comm.allreduce(std::span<double>(sums, 3), uoi::sim::ReduceOp::kSum);
-        account(3);
-        if (check_convergence(sums, s_norm, rho)) {
-          result.converged = true;
-          break;
-        }
-        maybe_rescale(iter);
+    for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
+      x_update(z, u, x, rho);
+      result.local_flops += per_iteration_flops;
+      if ((iter + 1) % interval != 0) {
+        lazy_dual_step();
+        continue;
       }
-      if (pending.has_value()) {
-        pending->wait();
-        pending.reset();
-        if (!result.converged) {
-          result.iterations = pending_iters;
-          if (check_convergence(pending_sums, pending_s_norm, pending_rho)) {
-            result.converged = true;
-          }
-        }
+
+      // Consensus z-update: one p-length Allreduce of (x_i + u_i).
+      for (std::size_t i = 0; i < p; ++i) xu_sum[i] = x[i] + u[i];
+      comm.allreduce(xu_sum, uoi::sim::ReduceOp::kSum);
+      account(p);
+      ++result.consensus_rounds;
+
+      consensus_z_update(xu_sum.data());
+
+      double sums[3];
+      local_sums(sums);
+      const double s_norm = dual_s_norm();
+      result.iterations = iter + 1;
+      comm.allreduce(std::span<double>(sums, 3), uoi::sim::ReduceOp::kSum);
+      account(3);
+      if (check_convergence(sums, s_norm, rho)) {
+        result.converged = true;
+        break;
       }
-    } catch (const uoi::sim::RankFailedError&) {
-      // A peer died mid-solve: abort this bootstrap cleanly. Dropping the
-      // request first drains any in-flight background reduction (its dup
-      // barrier releases once the failure is registered, so the wait is
-      // bounded); the driver's recovery loop re-runs the bootstrap on the
-      // shrunk communicator.
-      pending.reset();
-      throw;
+      maybe_rescale(iter);
     }
   }
 

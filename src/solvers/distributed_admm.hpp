@@ -29,17 +29,17 @@ struct DistributedAdmmResult {
   uoi::linalg::Vector beta;  ///< consensus z (identical on every rank)
   /// Completed ADMM iterations covered by the reported verdict (the
   /// residuals below refer to exactly this many iterations, in every
-  /// mode — blocking, fused, and pipelined report the same count for the
-  /// same trajectory; speculative work discarded at a stale harvest is
-  /// not counted).
+  /// mode — blocking and fused report the same count for the same
+  /// trajectory; speculative work discarded at a stale harvest is not
+  /// counted).
   std::size_t iterations = 0;
   bool converged = false;
   double primal_residual = 0.0;
   double dual_residual = 0.0;
   std::uint64_t local_flops = 0;  ///< this rank's compute
   /// Reduction rounds performed: consensus reductions plus every residual
-  /// reduction (the blocking 3-double reduction, the pipelined
-  /// iallreduce, and the fused-payload flush all count).
+  /// reduction (the blocking 3-double reduction and the fused-payload
+  /// flush both count).
   std::uint64_t allreduce_calls = 0;
   std::uint64_t allreduce_bytes = 0;   ///< bytes this rank contributed
   std::uint64_t consensus_rounds = 0;  ///< p(+3)-length consensus reductions

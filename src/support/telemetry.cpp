@@ -149,7 +149,7 @@ void TelemetryEmitter::emit_once() {
                        std::chrono::steady_clock::now() - start_time_)
                        .count();
   write_line(build_snapshot_line(seq_++, t, options_.interval_ms,
-                                 lines_dropped_, prev_totals_));
+                                 lines_dropped(), prev_totals_));
 }
 
 std::string TelemetryEmitter::build_snapshot_line(
@@ -214,14 +214,14 @@ void TelemetryEmitter::write_line(std::string line) {
     } else {
       break;
     }
-    ++lines_dropped_;
+    lines_dropped_.fetch_add(1, std::memory_order_relaxed);
   }
   while (!pending_.empty()) {
     const std::string& front = pending_.front();
     if (file_) {
       *file_ << front;
       file_->flush();
-      ++lines_written_;
+      lines_written_.fetch_add(1, std::memory_order_relaxed);
       pending_.pop_front();
       continue;
     }
@@ -241,7 +241,7 @@ void TelemetryEmitter::write_line(std::string line) {
         // buffer; resume from the offset until the record completes.
         socket_front_offset_ += static_cast<std::size_t>(n);
         if (socket_front_offset_ == front.size()) {
-          ++lines_written_;
+          lines_written_.fetch_add(1, std::memory_order_relaxed);
           pending_.pop_front();
           socket_front_offset_ = 0;
         }
@@ -253,7 +253,7 @@ void TelemetryEmitter::write_line(std::string line) {
       }
       // Hard error: the consumer is gone; drop the line rather than block
       // or stall the run.
-      ++lines_dropped_;
+      lines_dropped_.fetch_add(1, std::memory_order_relaxed);
       pending_.pop_front();
       socket_front_offset_ = 0;
       continue;

@@ -83,9 +83,13 @@ class TelemetryEmitter {
 
   [[nodiscard]] bool running() const { return running_; }
   /// Lines successfully written so far (approximate while running).
-  [[nodiscard]] std::uint64_t lines_written() const { return lines_written_; }
+  [[nodiscard]] std::uint64_t lines_written() const {
+    return lines_written_.load(std::memory_order_relaxed);
+  }
   /// Lines dropped to socket backpressure / buffer bound.
-  [[nodiscard]] std::uint64_t lines_dropped() const { return lines_dropped_; }
+  [[nodiscard]] std::uint64_t lines_dropped() const {
+    return lines_dropped_.load(std::memory_order_relaxed);
+  }
 
   /// Builds one snapshot line from the live Tracer + MetricsRegistry.
   /// Exposed for tests; `prev_totals` carries the per-rank totals of the
@@ -110,8 +114,9 @@ class TelemetryEmitter {
   std::mutex stop_mutex_;
   std::condition_variable stop_cv_;
   std::uint64_t seq_ = 0;
-  std::uint64_t lines_written_ = 0;
-  std::uint64_t lines_dropped_ = 0;
+  // Written on the emitter thread, read by callers while it runs.
+  std::atomic<std::uint64_t> lines_written_{0};
+  std::atomic<std::uint64_t> lines_dropped_{0};
   std::deque<std::string> pending_;
   /// Bytes of pending_.front() already on the socket: a line that started
   /// transmitting must finish (short writes resume here), or the consumer

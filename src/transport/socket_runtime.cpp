@@ -396,8 +396,16 @@ void SocketRuntime::flush_peer_output(int peer) {
       front = &p.outbound.front();
       offset = p.front_offset;
     }
-    const ssize_t n =
-        ::write(p.fd, front->data() + offset, front->size() - offset);
+    // send(MSG_NOSIGNAL), not write: a peer that died mid-job must
+    // surface as EPIPE and a reported death, not as SIGPIPE killing us.
+    const ssize_t n = ::send(p.fd, front->data() + offset,
+                             front->size() - offset,
+#ifdef MSG_NOSIGNAL
+                             MSG_NOSIGNAL
+#else
+                             0
+#endif
+    );
     if (n > 0) {
       std::lock_guard<std::mutex> lock(out_mutex_);
       p.front_offset += static_cast<std::size_t>(n);

@@ -2,26 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "core/checkpoint.hpp"
-#include "core/distributed_common.hpp"
+#include "core/uoi_engine.hpp"
 #include "io/h5lite.hpp"
 #include "linalg/blas.hpp"
 #include "sched/cost_model.hpp"
-#include "sched/scheduler.hpp"
-#include "sched/task_grid.hpp"
 #include "solvers/consensus_loop.hpp"
 #include "solvers/ols.hpp"
 #include "solvers/ridge_system.hpp"
 #include "solvers/screening.hpp"
-#include "solvers/solver_cache.hpp"
 #include "support/error.hpp"
-#include "support/log.hpp"
-#include "support/stopwatch.hpp"
 #include "support/trace.hpp"
 #include "var/lag_matrix.hpp"
 
@@ -586,11 +580,6 @@ struct VarEstimationEntry {
 UoiVarDistributedResult uoi_var_distributed(
     Comm& comm, ConstMatrixView series_view, const UoiVarOptions& options,
     const uoi::core::UoiParallelLayout& layout, int n_readers) {
-  UOI_CHECK(layout.bootstrap_groups >= 1 && layout.lambda_groups >= 1,
-            "layout group counts must be >= 1");
-  UOI_CHECK(comm.size() >= layout.bootstrap_groups * layout.lambda_groups,
-            "communicator smaller than P_B * P_lambda task groups");
-
   const std::size_t p = series_view.cols();
   const std::size_t d = options.order;
 
@@ -635,10 +624,33 @@ UoiVarDistributedResult uoi_var_distributed(
   const std::size_t q = model.lambdas.size();
   const std::size_t b1 = options.n_selection_bootstraps;
   const std::size_t b2 = options.n_estimation_bootstraps;
+  const uoi::sim::RetryOptions retry = options.recovery.retry_options();
 
-  const uoi::core::UoiRecoveryOptions& recovery = options.recovery;
-  const bool checkpointing = !recovery.checkpoint_path.empty();
-  const uoi::sim::RetryOptions retry = recovery.retry_options();
+  uoi::core::UoiEngineSpec spec;
+  spec.name = "UoI_VAR";
+  spec.computation_span = "uoi-var-computation";
+  spec.n_selection_bootstraps = b1;
+  spec.n_estimation_bootstraps = b2;
+  spec.cell_lambdas = model.lambdas;
+  spec.selection_width = n_coeffs;
+  spec.winner_width = n_coeffs;
+  spec.pass_seconds_seed = sched::var_pass_seconds_estimate(
+      p, series.rows(), d, b1, b2, q, options.admm.max_iterations,
+      comm.size());
+  spec.seed = options.seed;
+  spec.intersection_fraction = options.intersection_fraction;
+  spec.schedule = options.schedule;
+  spec.solver_cache_mb = options.solver_cache_mb;
+  spec.layout = layout;
+  spec.recovery = options.recovery;
+  spec.consensus_interval = options.admm.consensus_interval;
+  // Resolved once: the cache entry's shape (full solver or not) must be
+  // identical on every rank.
+  uoi::solvers::ScreenOptions screen_opts = options.screen;
+  screen_opts.mode = uoi::solvers::resolve_screen_mode(options.screen.mode);
+  const bool screening_on =
+      screen_opts.mode != uoi::solvers::ScreenMode::kOff;
+  spec.screen_mode = screen_opts.mode;
   uoi::core::FingerprintBuilder fp;
   // Tag keeps VAR checkpoints apart from LASSO ones.
   fp.add(static_cast<std::uint64_t>(0x766172ULL))
@@ -649,699 +661,182 @@ UoiVarDistributedResult uoi_var_distributed(
       .add(static_cast<std::uint64_t>(series.rows()))
       .add(static_cast<std::uint64_t>(p))
       .add(options.support_tolerance)
-      .add(static_cast<std::uint64_t>(
-          uoi::solvers::resolve_screen_mode(options.screen.mode)));
+      .add(static_cast<std::uint64_t>(screen_opts.mode));
   for (const double l : model.lambdas) fp.add(l);
-  const std::uint64_t fingerprint = fp.value();
+  spec.fingerprint = fp.value();
 
-  support::Stopwatch phase_watch;
-  // Tracer-based bucket attribution, keyed by this rank's global rank so
-  // collectives on split/dup/shrunk communicators (including the pipelined
-  // convergence check's duplicate comm) are all accounted. One-sided
-  // window traffic lands in the Distribution bucket via the same route.
-  auto& tracer = support::Tracer::instance();
-  const int trace_rank = comm.global_rank();
-  const double phase_start_seconds = tracer.now_seconds();
-  const support::TraceTotals trace_before = tracer.totals(trace_rank);
-  std::uint64_t local_flops = 0;
-  std::uint64_t admm_iterations = 0;
-  std::uint64_t admm_rho_updates = 0;
-  std::uint64_t admm_allreduce_calls = 0;
-  std::uint64_t admm_allreduce_bytes = 0;
-  std::uint64_t admm_consensus_rounds = 0;
-  std::uint64_t admm_lazy_iterations = 0;
-
-  // Solver/gather cache accounting (accumulated across passes/attempts;
-  // each pass attempt owns a fresh BootstrapCache so replayed cells can
-  // never observe pre-shrink entries).
-  const std::size_t cache_budget =
-      uoi::solvers::resolve_solver_cache_bytes(options.solver_cache_mb);
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
-  std::uint64_t setup_flops_charged = 0;
-  std::uint64_t setup_flops_amortized = 0;
-  // Resolved once: the cache entry's shape (full solver or not) must be
-  // identical on every rank.
-  uoi::solvers::ScreenOptions screen_opts = options.screen;
-  screen_opts.mode = uoi::solvers::resolve_screen_mode(options.screen.mode);
-  const bool screening_on =
-      screen_opts.mode != uoi::solvers::ScreenMode::kOff;
-  uoi::solvers::ScreenStats screen_stats;
-
-  // Selection state: merged (replicated, globally consistent) versus this
-  // rank's unmerged contributions. See uoi_lasso_distributed.cpp — the
-  // recovery protocol is identical; only the per-cell work differs.
-  Matrix counts_merged(q, n_coeffs, 0.0);
-  Matrix done_merged(b1, q, 0.0);
-  Matrix counts_local(q, n_coeffs, 0.0);
-  Matrix done_local(b1, q, 0.0);
-
-  if (checkpointing) {
-    if (auto restored = uoi::core::try_load_checkpoint(
-            recovery.checkpoint_path, fingerprint)) {
-      const bool shape_ok =
-          restored->lambdas == model.lambdas &&
-          restored->counts.rows() == q &&
-          restored->counts.cols() == n_coeffs &&
-          (restored->done.rows() == 0 ||
-           (restored->done.rows() == b1 && restored->done.cols() == q)) &&
-          restored->completed_bootstraps <= b1;
-      if (shape_ok) {
-        counts_merged = std::move(restored->counts);
-        if (restored->done.rows() != 0) {
-          done_merged = std::move(restored->done);
-        } else {
-          for (std::size_t k = 0; k < restored->completed_bootstraps; ++k) {
-            for (std::size_t j = 0; j < q; ++j) done_merged(k, j) = 1.0;
-          }
-        }
-        ++comm.mutable_recovery_stats().checkpoint_resumes;
-        UOI_LOG_INFO << "resumed VAR selection progress from checkpoint";
-      }
-    }
-  }
-
-  // ---- Scheduler state (same contract as uoi_lasso_distributed.cpp):
-  // chains are fixed at entry and survive shrinks; only the group count
-  // changes, into min(P_B * P_lambda, alive) near-even groups.
-  const int pb = layout.bootstrap_groups;
-  const int pl = layout.lambda_groups;
-  int n_groups = pb * pl;
-  const sched::SchedulePolicy policy =
-      sched::resolve_policy(options.schedule);
-  const std::size_t n_chains = std::max<std::size_t>(
-      1, std::min(static_cast<std::size_t>(pl), q));
-  const sched::TaskGrid selection_grid(b1, q, n_chains, options.seed);
-  const sched::TaskGrid estimation_grid(b2, q, n_chains, options.seed + 1);
-  // Live-telemetry progress denominator; one rank owns it so the
-  // cross-rank sum counts the grid once.
-  if (comm.rank() == 0) {
-    support::MetricsRegistry::instance().set(
-        trace_rank, "progress.cells_total",
-        static_cast<double>(selection_grid.n_cells() +
-                            estimation_grid.n_cells()));
-  }
-  const double pass_seconds_seed = sched::var_pass_seconds_estimate(
-      p, series.rows(), d, b1, b2, q, options.admm.max_iterations,
-      comm.size());
-  const std::vector<double> selection_costs =
-      sched::seeded_costs(selection_grid, model.lambdas, pass_seconds_seed);
-  std::vector<double> estimation_costs =
-      sched::seeded_costs(estimation_grid, model.lambdas, pass_seconds_seed);
-  sched::PassStats selection_stats;
-  bool estimation_costs_calibrated = false;
-
-  uoi::sim::CommStats folded;
-  uoi::sim::RecoveryStats folded_rec;
-  std::optional<Comm> owned;
-  Comm* active = &comm;
-
-  const auto save = [&](Comm& c) {
-    if (!checkpointing || c.rank() != 0) return;
-    // Degraded runs mark their lost cells done; persisting that would let
-    // a later full-quorum resume silently inherit the losses.
-    if (out.degraded) return;
-    uoi::core::SelectionCheckpoint checkpoint;
-    checkpoint.fingerprint = fingerprint;
-    checkpoint.lambdas = model.lambdas;
-    checkpoint.counts = counts_merged;
-    checkpoint.done = done_merged;
-    checkpoint.completed_bootstraps = checkpoint.completed_prefix();
-    uoi::core::save_checkpoint(recovery.checkpoint_path, checkpoint);
-  };
-
-  const auto merge = [&](Comm& c) {
-    std::vector<double> buffer(counts_local.size() + done_local.size());
-    std::copy(counts_local.data(), counts_local.data() + counts_local.size(),
-              buffer.begin());
-    std::copy(done_local.data(), done_local.data() + done_local.size(),
-              buffer.begin() +
-                  static_cast<std::ptrdiff_t>(counts_local.size()));
-    c.allreduce(std::span<double>(buffer), ReduceOp::kSum);
-    for (std::size_t i = 0; i < counts_merged.size(); ++i) {
-      counts_merged.data()[i] += buffer[i];
-    }
-    for (std::size_t i = 0; i < done_merged.size(); ++i) {
-      done_merged.data()[i] = std::min(
-          1.0, done_merged.data()[i] + buffer[counts_merged.size() + i]);
-    }
-    std::fill(counts_local.data(), counts_local.data() + counts_local.size(),
-              0.0);
-    std::fill(done_local.data(), done_local.data() + done_local.size(), 0.0);
-  };
-
-  const auto run_selection = [&](Comm& c) {
-    const auto tl =
-        uoi::core::detail::make_task_layout(c.rank(), c.size(), n_groups, 1);
-    Comm task_comm = c.split(tl.task_group, c.rank());
-    const sched::GroupInfo group_info{n_groups, tl.task_group, tl.task_rank,
-                                      pb, pl};
+  // Selection: readers construct the bootstrap sample's lag regression;
+  // compute ranks assemble their vectorized row blocks through the
+  // windows. The block and its factorizations are cached per bootstrap,
+  // so any chain of the same k — adjacent, interleaved, or stolen —
+  // reuses them.
+  const std::size_t vec_rows = (series.rows() - d) * p;
+  const auto select = [&](uoi::core::UoiSelectionTask& task) {
+    const auto& tl = task.layout;
+    const int trace_rank = task.task_comm.global_rank();
     const int group_readers = std::min(n_readers, tl.c_ranks);
-    // One cell = (bootstrap k, lambda chain). Readers construct the
-    // bootstrap sample's lag regression; compute ranks assemble their
-    // vectorized row blocks through the windows. The block and its
-    // factorizations are cached per bootstrap (LRU byte budget), so any
-    // chain of the same k — adjacent, interleaved, or stolen — reuses
-    // them. Keys depend only on (pass, bootstrap id), never on placement,
-    // which keeps every schedule policy bit-identical. The cache lives for
-    // exactly one pass attempt: a shrink tears it down with the attempt.
-    uoi::solvers::BootstrapCache cache(cache_budget);
-    const auto fold_cache_stats = [&] {
-      cache_hits += cache.stats().hits;
-      cache_misses += cache.stats().misses;
-      cache_evictions += cache.stats().evictions;
-    };
-    try {
-      const std::size_t vec_rows = (series.rows() - d) * p;
-      const auto execute = [&](const sched::TaskCell& task) {
-        const std::size_t k = task.bootstrap;
-        std::vector<std::size_t> chain;
-        for (std::size_t j : selection_grid.chain_lambdas(task.chain)) {
-          if (done_merged(k, j) == 0.0) chain.push_back(j);
-        }
-        if (chain.empty()) return;
-        const std::uint64_t hits_before = cache.stats().hits;
-        const auto entry = cache.get_or_build<VarSelectionEntry>(
-            uoi::solvers::kSelectionPass, k, [&] {
-              auto fresh = std::make_shared<VarSelectionEntry>();
-              LagRegression lag;
-              if (tl.task_rank < group_readers) {
-                const Matrix sample = block_bootstrap_sample(
-                    series, var_bootstrap_options(options, /*stage=*/0, k));
-                lag = build_lag_regression(sample, d);
-              }
-              fresh->block = distributed_kron_vectorize(
-                  task_comm, lag, group_readers, retry);
-              {
-                support::TraceScope gram_span(
-                    "var-selection-gram", support::TraceCategory::kGram,
-                    trace_rank);
-                fresh->screen_inputs =
-                    build_var_screen_inputs(task_comm, fresh->block);
-                if (!screening_on) {
-                  // Off-mode chains reuse this cached full solver; it must
-                  // run under the chain's refined stopping rules.
-                  fresh->solver.emplace(
-                      task_comm, fresh->block,
-                      uoi::solvers::detail::refined_admm_options(
-                          options.admm, screen_opts));
-                }
-              }
-              fresh->bytes_estimate =
-                  (vec_rows * (dp + 1) + (screening_on ? 0 : dp * dp) +
-                   2 * n_coeffs + 1) *
-                  sizeof(double);
-              return fresh;
-            });
-        if (entry->solver.has_value()) {
-          if (cache.stats().hits != hits_before) {
-            setup_flops_amortized += entry->solver->setup_flops();
-          } else {
-            setup_flops_charged += entry->solver->setup_flops();
+    const std::size_t k = task.bootstrap;
+    const std::uint64_t hits_before = task.cache.stats().hits;
+    const auto entry = task.cache.get_or_build<VarSelectionEntry>(
+        uoi::solvers::kSelectionPass, k, [&] {
+          auto fresh = std::make_shared<VarSelectionEntry>();
+          LagRegression lag;
+          if (tl.task_rank < group_readers) {
+            const Matrix sample = block_bootstrap_sample(
+                series, var_bootstrap_options(options, /*stage=*/0, k));
+            lag = build_lag_regression(sample, d);
           }
-        }
-        // The screened chain owns the warm start; reduced active-set
-        // solves shrink the consensus payload to (|W|+3) doubles.
-        ScreenedVarChain screened(
-            task_comm, entry->block, entry->screen_inputs, options.admm,
-            screen_opts,
-            entry->solver.has_value() ? &*entry->solver : nullptr);
-        // Committed atomically once the warm-start chain finished, so
-        // an interrupted chain reruns cold — replaying exactly the
-        // trajectory of a fault-free run.
-        Matrix staged(chain.size(), n_coeffs, 0.0);
-        for (std::size_t m = 0; m < chain.size(); ++m) {
-          auto fit = screened.solve(model.lambdas[chain[m]]);
-          local_flops += fit.local_flops;
-          admm_iterations += fit.iterations;
-          admm_rho_updates += fit.rho_updates;
-          admm_allreduce_calls += fit.allreduce_calls;
-          admm_allreduce_bytes += fit.allreduce_bytes;
-          admm_consensus_rounds += fit.consensus_rounds;
-          admm_lazy_iterations += fit.lazy_iterations;
-          if (tl.task_rank == 0) {
-            auto row = staged.row(m);
-            for (std::size_t i = 0; i < n_coeffs; ++i) {
-              if (std::abs(fit.beta[i]) > options.support_tolerance) {
-                row[i] = 1.0;
-              }
+          fresh->block = distributed_kron_vectorize(task.task_comm, lag,
+                                                    group_readers, retry);
+          {
+            support::TraceScope gram_span("var-selection-gram",
+                                          support::TraceCategory::kGram,
+                                          trace_rank);
+            fresh->screen_inputs =
+                build_var_screen_inputs(task.task_comm, fresh->block);
+            if (!screening_on) {
+              // Off-mode chains reuse this cached full solver; it must
+              // run under the chain's refined stopping rules.
+              fresh->solver.emplace(
+                  task.task_comm, fresh->block,
+                  uoi::solvers::detail::refined_admm_options(options.admm,
+                                                             screen_opts));
             }
           }
-        }
-        screen_stats += screened.stats();
-        if (tl.task_rank == 0) {
-          for (std::size_t m = 0; m < chain.size(); ++m) {
-            auto dest = counts_local.row(chain[m]);
-            const auto src = staged.row(m);
-            for (std::size_t i = 0; i < n_coeffs; ++i) dest[i] += src[i];
-            done_local(k, chain[m]) = 1.0;
-          }
-        }
-      };
-
-      // Checkpoint epochs, placement planned once over the full pending
-      // pass (see uoi_lasso_distributed.cpp).
-      const std::size_t interval =
-          checkpointing
-              ? std::max<std::size_t>(1, recovery.checkpoint_interval)
-              : b1;
-      std::vector<std::size_t> pass_cells;
-      for (std::size_t k = 0; k < b1; ++k) {
-        for (std::size_t chain = 0; chain < n_chains; ++chain) {
-          bool pending = false;
-          for (std::size_t j : selection_grid.chain_lambdas(chain)) {
-            if (done_merged(k, j) == 0.0) {
-              pending = true;
-              break;
-            }
-          }
-          if (pending) pass_cells.push_back(selection_grid.cell_id(k, chain));
-        }
-      }
-      const auto placement = sched::plan_placement(
-          policy, selection_grid, pass_cells, selection_costs, group_info,
-          sched::group_widths(c.size(), n_groups));
-      sched::PassStats call_stats;
-      for (std::size_t k0 = 0; k0 < b1; k0 += interval) {
-        const std::size_t k1 = std::min(b1, k0 + interval);
-        auto epoch = placement;
-        std::size_t epoch_cells = 0;
-        for (auto& queue : epoch) {
-          std::erase_if(queue, [&](std::size_t id) {
-            const std::size_t k = selection_grid.cell(id).bootstrap;
-            return k < k0 || k >= k1;
-          });
-          epoch_cells += queue.size();
-        }
-        if (epoch_cells > 0) {
-          const auto pass = sched::run_pass(
-              c, task_comm, group_info, policy, selection_grid, epoch,
-              selection_costs, retry, execute);
-          sched::accumulate_stats(call_stats, pass);
-        }
-        if (checkpointing && k1 < b1) {
-          merge(c);
-          save(c);
-        }
-      }
-      merge(c);  // the final commit doubles as the intersection's Reduce
-      save(c);
-      sched::accumulate_stats(selection_stats, call_stats);
-      sched::export_pass_metrics(trace_rank, group_info, policy, call_stats);
-      fold_cache_stats();
-      folded += task_comm.stats();
-      folded_rec += task_comm.recovery_stats();
-    } catch (const uoi::sim::RankFailedError&) {
-      fold_cache_stats();
-      folded += task_comm.stats();
-      folded_rec += task_comm.recovery_stats();
-      throw;
-    }
-  };
-
-  const auto run_estimation = [&](Comm& c) {
-    const auto tl =
-        uoi::core::detail::make_task_layout(c.rank(), c.size(), n_groups, 1);
-    Comm task_comm = c.split(tl.task_group, c.rank());
-    const sched::GroupInfo group_info{n_groups, tl.task_group, tl.task_rank,
-                                      pb, pl};
-    uoi::solvers::BootstrapCache cache(cache_budget);
-    const auto fold_cache_stats = [&] {
-      cache_hits += cache.stats().hits;
-      cache_misses += cache.stats().misses;
-      cache_evictions += cache.stats().evictions;
-    };
-    try {
-      // Refine the estimation placement once from the measured selection
-      // pass; the measurements are replicated (Allreduce-max) so every
-      // rank derives the identical calibrated plan.
-      if (!estimation_costs_calibrated &&
-          policy != sched::SchedulePolicy::kStatic) {
-        estimation_costs_calibrated = true;
-        if (selection_stats.cell_seconds.size() !=
-            selection_grid.n_cells()) {
-          selection_stats.cell_seconds.assign(selection_grid.n_cells(), 0.0);
-        }
-        c.allreduce(std::span<double>(selection_stats.cell_seconds.data(),
-                                      selection_stats.cell_seconds.size()),
-                    ReduceOp::kMax);
-        const auto calibration = sched::calibrate(
-            selection_grid, selection_costs, selection_stats.cell_seconds);
-        sched::apply_calibration(estimation_grid, calibration,
-                                 estimation_costs);
-        // Estimation solves per-equation OLS restricted to each lambda's
-        // candidate support; reweight per-chain costs by the survivor
-        // counts of the screened selection pass (supports are replicated
-        // on every rank).
-        std::vector<double> survivors(q, 0.0);
-        for (std::size_t j = 0; j < q; ++j) {
-          survivors[j] = static_cast<double>(
-              model.candidate_supports[j].indices().size());
-        }
-        sched::apply_survivor_weights(estimation_grid, survivors,
-                                      estimation_costs);
-        if (tl.task_rank == 0) {
-          support::MetricsRegistry::instance().set(
-              trace_rank, "sched.placement_error",
-              calibration.mean_abs_rel_error);
-        }
-      }
-
-      // Parallelism: (bootstrap, chain) cells over the task groups,
-      // equations over the C ranks of each group (the vectorized OLS
-      // decomposes exactly per equation).
-      Matrix losses(b2, q, std::numeric_limits<double>::infinity());
-      std::vector<Vector> computed_betas(b2 * q);  // this rank's equations
-
-      const auto execute = [&](const sched::TaskCell& cell) {
-        const std::size_t k = cell.bootstrap;
-        const auto entry = cache.get_or_build<VarEstimationEntry>(
-            uoi::solvers::kEstimationPass, k, [&] {
-              auto fresh = std::make_shared<VarEstimationEntry>();
-              const Matrix train_sample = block_bootstrap_sample(
-                  series, var_bootstrap_options(options, /*stage=*/1, k));
-              const Matrix eval_sample = block_bootstrap_sample(
-                  series, var_bootstrap_options(options, /*stage=*/2, k));
-              fresh->train = build_lag_regression(train_sample, d);
-              fresh->eval = build_lag_regression(eval_sample, d);
-              fresh->bytes_estimate =
-                  2 * (series.rows() - d) * (dp + p) * sizeof(double);
-              return fresh;
-            });
-        const LagRegression& train = entry->train;
-        const LagRegression& eval = entry->eval;
-        std::vector<std::size_t> eq_support;
-        for (std::size_t j : estimation_grid.chain_lambdas(cell.chain)) {
-          Vector beta_local(n_coeffs, 0.0);
-          double sse[2] = {0.0, 0.0};  // (sum of squared errors, row count)
-          for (std::size_t e = 0; e < p; ++e) {
-            if (!owns_equation(e, tl.c_ranks, tl.task_rank)) continue;
-            eq_support.clear();
-            for (const std::size_t cc :
-                 model.candidate_supports[j].indices()) {
-              if (cc >= e * dp && cc < (e + 1) * dp) {
-                eq_support.push_back(cc - e * dp);
-              }
-            }
-            Vector beta_e(dp, 0.0);
-            if (!eq_support.empty()) {
-              const Vector y_e = train.y.col(e);
-              beta_e = uoi::solvers::ols_direct_on_support(train.x, y_e,
-                                                           eq_support);
-            }
-            for (std::size_t cc = 0; cc < dp; ++cc) {
-              beta_local[e * dp + cc] = beta_e[cc];
-            }
-            for (std::size_t r = 0; r < eval.x.rows(); ++r) {
-              const double err =
-                  uoi::linalg::dot(eval.x.row(r), beta_e) - eval.y(r, e);
-              sse[0] += err * err;
-            }
-            sse[1] += static_cast<double>(eval.x.rows());
-          }
-          task_comm.allreduce(std::span<double>(sse, 2), ReduceOp::kSum);
-          const double mse = sse[1] > 0.0 ? sse[0] / sse[1] : 0.0;
-          losses(k, j) = uoi::core::estimation_score(
-              options.criterion, mse, sse[1],
-              model.candidate_supports[j].size());
-          computed_betas[k * q + j] = std::move(beta_local);
-        }
-      };
-
-      std::vector<std::size_t> cells(estimation_grid.n_cells());
-      for (std::size_t i = 0; i < cells.size(); ++i) cells[i] = i;
-      const auto placement = sched::plan_placement(
-          policy, estimation_grid, cells, estimation_costs, group_info,
-          sched::group_widths(c.size(), n_groups));
-      const auto pass = sched::run_pass(
-          c, task_comm, group_info, policy, estimation_grid, placement,
-          estimation_costs, retry, execute);
-      sched::export_pass_metrics(trace_rank, group_info, policy, pass);
-
-      c.allreduce(std::span<double>(losses.data(), losses.size()),
-                  ReduceOp::kMin);
-
-      model.chosen_support_per_bootstrap.assign(b2, 0);
-      model.best_loss_per_bootstrap.assign(b2, 0.0);
-      // winners(k, :) is assembled globally: each rank of the owning task
-      // group deposits its disjoint equations of the winner, and one
-      // sum-reduction replicates the matrix — every element has exactly
-      // one nonzero contributor, so the sum is exact and the later
-      // aggregation is placement-independent (fixed bootstrap order).
-      Matrix winners(b2, n_coeffs, 0.0);
-      for (std::size_t k = 0; k < b2; ++k) {
-        std::size_t best_j = 0;
-        double best_loss = losses(k, 0);
-        for (std::size_t j = 1; j < q; ++j) {
-          if (losses(k, j) < best_loss) {
-            best_loss = losses(k, j);
-            best_j = j;
-          }
-        }
-        model.chosen_support_per_bootstrap[k] = best_j;
-        model.best_loss_per_bootstrap[k] = best_loss;
-        if (!computed_betas[k * q + best_j].empty()) {
-          const auto& beta = computed_betas[k * q + best_j];
-          auto row = winners.row(k);
-          for (std::size_t i = 0; i < n_coeffs; ++i) row[i] = beta[i];
-        }
-      }
-      c.allreduce(std::span<double>(winners.data(), winners.size()),
-                  ReduceOp::kSum);
-
-      Vector beta_sum(n_coeffs, 0.0);
-      Vector freq_sum(n_coeffs, 0.0);
-      for (std::size_t k = 0; k < b2; ++k) {
-        const auto row = winners.row(k);
-        for (std::size_t i = 0; i < n_coeffs; ++i) {
-          beta_sum[i] += row[i];
-          if (std::abs(row[i]) > options.support_tolerance) {
-            freq_sum[i] += 1.0;
-          }
-        }
-      }
-      model.selection_frequency.assign(n_coeffs, 0.0);
-      for (std::size_t i = 0; i < n_coeffs; ++i) {
-        model.selection_frequency[i] = freq_sum[i] / static_cast<double>(b2);
-      }
-
-      for (std::size_t i = 0; i < n_coeffs; ++i) {
-        model.vec_beta[i] = beta_sum[i] / static_cast<double>(b2);
-      }
-      model.support =
-          SupportSet::from_beta(model.vec_beta, options.support_tolerance);
-
-      VarModel fitted = VarModel::from_vec_b(model.vec_beta, p, d);
-      Vector mu(p, 0.0);
-      if (options.center) {
-        mu = means;
-        for (std::size_t j = 0; j < d; ++j) {
-          const auto& a = fitted.coefficient(j);
-          for (std::size_t i = 0; i < p; ++i) {
-            mu[i] -= uoi::linalg::dot(a.row(i), means);
-          }
-        }
-      }
-      model.model = VarModel(fitted.coefficients(), std::move(mu));
-
-      std::uint64_t flops = local_flops;
-      c.allreduce(std::span<std::uint64_t>(&flops, 1), ReduceOp::kSum);
-      model.total_flops = flops;
-
-      fold_cache_stats();
-      folded += task_comm.stats();
-      folded_rec += task_comm.recovery_stats();
-    } catch (const uoi::sim::RankFailedError&) {
-      fold_cache_stats();
-      folded += task_comm.stats();
-      folded_rec += task_comm.recovery_stats();
-      throw;
-    }
-  };
-
-  // ---- Recovery attempt loop (see uoi_lasso_distributed.cpp) ----
-  bool selection_complete = false;
-  int attempts_left = recovery.max_recovery_attempts;
-  // Per-lambda completed-bootstrap counts of a quorum-degraded run; the
-  // intersection thresholds renormalize to these instead of B1.
-  std::vector<double> degraded_achieved;
-  for (;;) {
-    try {
-      if (!selection_complete) {
-        run_selection(*active);
-        const double base_threshold = std::max(
-            1.0, std::ceil(options.intersection_fraction *
-                               static_cast<double>(b1) -
-                           1e-12));
-        model.candidate_supports.clear();
-        model.candidate_supports.reserve(q);
-        for (std::size_t j = 0; j < q; ++j) {
-          const double count_threshold =
-              out.degraded
-                  ? std::max(1.0, std::ceil(options.intersection_fraction *
-                                                degraded_achieved[j] -
-                                            1e-12))
-                  : base_threshold;
-          std::vector<std::size_t> selected;
-          const auto row = counts_merged.row(j);
-          for (std::size_t i = 0; i < n_coeffs; ++i) {
-            if (row[i] >= count_threshold) selected.push_back(i);
-          }
-          model.candidate_supports.emplace_back(std::move(selected));
-        }
-        selection_complete = true;
-      }
-      run_estimation(*active);
-      break;
-    } catch (const uoi::sim::RankFailedError&) {
-      const bool out_of_attempts = attempts_left-- <= 0;
-      // Quorum-degraded completion is a selection-phase escape hatch only.
-      const bool try_degraded = out_of_attempts && !selection_complete &&
-                                recovery.min_bootstrap_quorum < 1.0;
-      if (out_of_attempts && !try_degraded) {
-        // Give up symmetrically: uneven groups detect a death at different
-        // collectives, so a rank that exits here could leave a peer blocked
-        // in a comm-wide barrier forever. Revoking wakes it to follow.
-        active->revoke();
-        throw;
-      }
-      UOI_LOG_WARN.field("attempts_left", attempts_left)
-          << "rank failure in distributed UoI_VAR; shrinking and resuming";
-      Comm next = active->shrink();
-      if (owned.has_value()) {
-        folded += owned->stats();
-        folded_rec += owned->recovery_stats();
-      }
-      owned = std::move(next);
-      active = &*owned;
-      n_groups = std::min(n_groups, active->size());
-      merge(*active);
-      if (try_degraded) {
-        // Decide from the replicated done matrix so every survivor takes
-        // the same branch; capture the achieved counts BEFORE the lost
-        // cells are marked done.
-        degraded_achieved.assign(q, 0.0);
-        for (std::size_t k = 0; k < b1; ++k) {
-          for (std::size_t j = 0; j < q; ++j) {
-            degraded_achieved[j] += done_merged(k, j);
-          }
-        }
-        double min_fraction = 1.0;
-        for (std::size_t j = 0; j < q; ++j) {
-          min_fraction = std::min(
-              min_fraction, degraded_achieved[j] / static_cast<double>(b1));
-        }
-        if (min_fraction < recovery.min_bootstrap_quorum) {
-          active->revoke();
-          throw;
-        }
-        for (std::size_t k = 0; k < b1; ++k) {
-          for (std::size_t j = 0; j < q; ++j) {
-            if (done_merged(k, j) == 0.0) {
-              out.lost_cells.emplace_back(k, j);
-              done_merged(k, j) = 1.0;
-            }
-          }
-        }
-        out.degraded = true;
-        out.achieved_quorum = min_fraction;
-        UOI_LOG_WARN.field("achieved_quorum", min_fraction)
-                .field("cells_lost",
-                       static_cast<std::uint64_t>(out.lost_cells.size()))
-            << "recovery budget exhausted; completing VAR selection "
-               "degraded under bootstrap quorum";
+          fresh->bytes_estimate =
+              (vec_rows * (dp + 1) + (screening_on ? 0 : dp * dp) +
+               2 * n_coeffs + 1) *
+              sizeof(double);
+          return fresh;
+        });
+    if (entry->solver.has_value()) {
+      if (task.cache.stats().hits != hits_before) {
+        task.counters.setup_flops_amortized += entry->solver->setup_flops();
       } else {
-        if (!selection_complete) {
-          std::uint64_t missing = 0;
-          for (std::size_t i = 0; i < done_merged.size(); ++i) {
-            if (done_merged.data()[i] == 0.0) ++missing;
+        task.counters.setup_flops_charged += entry->solver->setup_flops();
+      }
+    }
+    // The screened chain owns the warm start; reduced active-set solves
+    // shrink the consensus payload to (|W|+3) doubles.
+    ScreenedVarChain screened(
+        task.task_comm, entry->block, entry->screen_inputs, options.admm,
+        screen_opts, entry->solver.has_value() ? &*entry->solver : nullptr);
+    for (std::size_t m = 0; m < task.cells.size(); ++m) {
+      const auto fit = screened.solve(model.lambdas[task.cells[m]]);
+      task.counters.add(fit);
+      if (tl.task_rank == 0) {
+        auto row = task.indicators.row(m);
+        for (std::size_t i = 0; i < n_coeffs; ++i) {
+          if (std::abs(fit.beta[i]) > options.support_tolerance) {
+            row[i] = 1.0;
           }
-          folded_rec.cells_recovered += missing;
         }
-        save(*active);
+      }
+    }
+    task.counters.screen += screened.stats();
+  };
+
+  // Estimation: (bootstrap, chain) cells over the task groups, equations
+  // over the C ranks of each group (the vectorized OLS decomposes exactly
+  // per equation). Each rank's share of a winner row is its own
+  // equations, so the winners Sum-reduce has one contributor per entry
+  // and the aggregation is placement-independent.
+  const auto estimate = [&](uoi::core::UoiEstimationTask& task) {
+    const auto& tl = task.layout;
+    const std::size_t k = task.bootstrap;
+    const auto entry = task.cache.get_or_build<VarEstimationEntry>(
+        uoi::solvers::kEstimationPass, k, [&] {
+          auto fresh = std::make_shared<VarEstimationEntry>();
+          const Matrix train_sample = block_bootstrap_sample(
+              series, var_bootstrap_options(options, /*stage=*/1, k));
+          const Matrix eval_sample = block_bootstrap_sample(
+              series, var_bootstrap_options(options, /*stage=*/2, k));
+          fresh->train = build_lag_regression(train_sample, d);
+          fresh->eval = build_lag_regression(eval_sample, d);
+          fresh->bytes_estimate =
+              2 * (series.rows() - d) * (dp + p) * sizeof(double);
+          return fresh;
+        });
+    const LagRegression& train = entry->train;
+    const LagRegression& eval = entry->eval;
+    std::vector<std::size_t> eq_support;
+    for (const std::size_t j : task.cells) {
+      Vector beta_local(n_coeffs, 0.0);
+      double sse[2] = {0.0, 0.0};  // (sum of squared errors, row count)
+      for (std::size_t e = 0; e < p; ++e) {
+        if (!owns_equation(e, tl.c_ranks, tl.task_rank)) continue;
+        eq_support.clear();
+        for (const std::size_t cc : task.supports[j].indices()) {
+          if (cc >= e * dp && cc < (e + 1) * dp) {
+            eq_support.push_back(cc - e * dp);
+          }
+        }
+        Vector beta_e(dp, 0.0);
+        if (!eq_support.empty()) {
+          const Vector y_e = train.y.col(e);
+          beta_e =
+              uoi::solvers::ols_direct_on_support(train.x, y_e, eq_support);
+        }
+        for (std::size_t cc = 0; cc < dp; ++cc) {
+          beta_local[e * dp + cc] = beta_e[cc];
+        }
+        for (std::size_t r = 0; r < eval.x.rows(); ++r) {
+          const double err =
+              uoi::linalg::dot(eval.x.row(r), beta_e) - eval.y(r, e);
+          sse[0] += err * err;
+        }
+        sse[1] += static_cast<double>(eval.x.rows());
+      }
+      task.task_comm.allreduce(std::span<double>(sse, 2), ReduceOp::kSum);
+      const double mse = sse[1] > 0.0 ? sse[0] / sse[1] : 0.0;
+      task.losses[j] = uoi::core::estimation_score(
+          options.criterion, mse, sse[1], task.supports[j].size());
+      task.shares[j] = std::move(beta_local);
+    }
+  };
+
+  auto run = uoi::core::run_uoi_engine(comm, spec, select, estimate);
+
+  model.candidate_supports = std::move(run.candidate_supports);
+  model.chosen_support_per_bootstrap =
+      std::move(run.chosen_support_per_bootstrap);
+  model.best_loss_per_bootstrap = std::move(run.best_loss_per_bootstrap);
+  model.total_flops = run.total_flops;
+  Vector beta_sum(n_coeffs, 0.0);
+  Vector freq_sum(n_coeffs, 0.0);
+  for (std::size_t k = 0; k < b2; ++k) {
+    const auto row = run.winners.row(k);
+    for (std::size_t i = 0; i < n_coeffs; ++i) {
+      beta_sum[i] += row[i];
+      if (std::abs(row[i]) > options.support_tolerance) freq_sum[i] += 1.0;
+    }
+  }
+  model.selection_frequency.assign(n_coeffs, 0.0);
+  for (std::size_t i = 0; i < n_coeffs; ++i) {
+    model.selection_frequency[i] = freq_sum[i] / static_cast<double>(b2);
+    model.vec_beta[i] = beta_sum[i] / static_cast<double>(b2);
+  }
+  model.support =
+      SupportSet::from_beta(model.vec_beta, options.support_tolerance);
+
+  VarModel fitted = VarModel::from_vec_b(model.vec_beta, p, d);
+  Vector mu(p, 0.0);
+  if (options.center) {
+    mu = means;
+    for (std::size_t j = 0; j < d; ++j) {
+      const auto& a = fitted.coefficient(j);
+      for (std::size_t i = 0; i < p; ++i) {
+        mu[i] -= uoi::linalg::dot(a.row(i), means);
       }
     }
   }
+  model.model = VarModel(fitted.coefficients(), std::move(mu));
 
-  out.selection_counts = counts_merged;
-
-  if (owned.has_value()) {
-    folded += owned->stats();
-    folded_rec += owned->recovery_stats();
-  }
-  comm.mutable_stats() += folded;
-  comm.mutable_recovery_stats() += folded_rec;
-
-  // Tracer-derived bucket totals; computation is the wall-time remainder,
-  // clamped at zero against scheduler jitter.
-  support::TraceTotals delta = tracer.totals(trace_rank);
-  delta -= trace_before;
-  out.breakdown.communication_seconds =
-      delta.seconds(support::TraceCategory::kCommunication);
-  out.breakdown.distribution_seconds =
-      delta.seconds(support::TraceCategory::kDistribution);
-  out.breakdown.data_io_seconds =
-      delta.seconds(support::TraceCategory::kDataIo);
-  out.breakdown.gram_seconds = delta.seconds(support::TraceCategory::kGram);
-  out.breakdown.computation_seconds =
-      std::max(0.0, phase_watch.seconds() -
-                        out.breakdown.communication_seconds -
-                        out.breakdown.distribution_seconds -
-                        out.breakdown.data_io_seconds -
-                        out.breakdown.gram_seconds);
-  tracer.record("uoi-var-computation", support::TraceCategory::kComputation,
-                trace_rank, phase_start_seconds,
-                out.breakdown.computation_seconds);
-
-  auto& metrics = support::MetricsRegistry::instance();
-  metrics.add(trace_rank, "admm.iterations",
-              static_cast<double>(admm_iterations));
-  metrics.add(trace_rank, "admm.rho_updates",
-              static_cast<double>(admm_rho_updates));
-  metrics.add(trace_rank, "admm.allreduce_calls",
-              static_cast<double>(admm_allreduce_calls));
-  metrics.add(trace_rank, "admm.allreduce_bytes",
-              static_cast<double>(admm_allreduce_bytes));
-  metrics.add(trace_rank, "admm.consensus_rounds",
-              static_cast<double>(admm_consensus_rounds));
-  metrics.add(trace_rank, "admm.lazy_iterations",
-              static_cast<double>(admm_lazy_iterations));
-  metrics.add(trace_rank, "admm.consensus_interval",
-              static_cast<double>(uoi::solvers::resolve_consensus_interval(
-                  options.admm.consensus_interval)));
-  metrics.set(trace_rank, "screen.mode",
-              static_cast<double>(static_cast<int>(screen_opts.mode)));
-  metrics.add(trace_rank, "screen.lambdas",
-              static_cast<double>(screen_stats.lambdas));
-  metrics.add(trace_rank, "screen.survivors",
-              static_cast<double>(screen_stats.survivors));
-  metrics.add(trace_rank, "screen.kkt_violations",
-              static_cast<double>(screen_stats.kkt_violations));
-  metrics.add(trace_rank, "screen.kkt_rounds",
-              static_cast<double>(screen_stats.kkt_rounds));
-  metrics.add(trace_rank, "screen.gram_cols_saved",
-              static_cast<double>(screen_stats.gram_cols_saved));
-  metrics.add(trace_rank, "screen.canonical_solves",
-              static_cast<double>(screen_stats.canonical_solves));
-  metrics.add(trace_rank, "screen.total_columns",
-              static_cast<double>(screen_stats.total_columns));
-  metrics.add(trace_rank, "solver_cache.hits",
-              static_cast<double>(cache_hits));
-  metrics.add(trace_rank, "solver_cache.misses",
-              static_cast<double>(cache_misses));
-  metrics.add(trace_rank, "solver_cache.evictions",
-              static_cast<double>(cache_evictions));
-  metrics.add(trace_rank, "solver.setup_flops_charged",
-              static_cast<double>(setup_flops_charged));
-  metrics.add(trace_rank, "solver.setup_flops_amortized",
-              static_cast<double>(setup_flops_amortized));
-  if (out.degraded) {
-    metrics.add(trace_rank, "recovery.degraded", 1.0);
-    metrics.add(trace_rank, "recovery.achieved_quorum", out.achieved_quorum);
-    metrics.add(trace_rank, "recovery.cells_lost",
-                static_cast<double>(out.lost_cells.size()));
-  }
+  out.breakdown = run.breakdown;
+  out.selection_counts = std::move(run.selection_counts);
+  out.degraded = run.degraded;
+  out.achieved_quorum = run.achieved_quorum;
+  out.lost_cells = std::move(run.lost_cells);
   return out;
 }
 

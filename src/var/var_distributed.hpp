@@ -18,7 +18,7 @@
 // at most ceil(rows-per-rank / (N-d)) + 1 small dp x dp systems, solved
 // eight at a time across SIMD lanes (solvers::BlockRidgeSolver).
 
-#include "core/uoi_lasso_distributed.hpp"  // UoiParallelLayout, breakdown
+#include "core/uoi_engine.hpp"  // UoiParallelLayout, breakdown
 #include "simcluster/comm.hpp"
 #include "simcluster/window.hpp"
 #include "solvers/distributed_admm.hpp"
@@ -135,7 +135,9 @@ struct UoiVarDistributedResult {
 /// Distributed UoI_VAR driver. Collective over `comm`; the full series is
 /// replicated (reader ranks use it to stand in for the HDF5 file, compute
 /// ranks only touch it through windows and for the estimation resamples).
-/// Layout works as in uoi_lasso_distributed: P = P_B x P_lambda x C.
+/// A family of the shared engine (core/uoi_engine.hpp): layout,
+/// scheduling, checkpointing and shrink-and-resume (options.recovery) work
+/// as in uoi_lasso_distributed, with P = P_B x P_lambda x C.
 [[nodiscard]] UoiVarDistributedResult uoi_var_distributed(
     uoi::sim::Comm& comm, uoi::linalg::ConstMatrixView series,
     const UoiVarOptions& options = {},

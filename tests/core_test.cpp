@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <span>
 
 #include "core/metrics.hpp"
 #include "core/support_set.hpp"
@@ -13,6 +15,7 @@
 #include "data/synthetic_regression.hpp"
 #include "linalg/blas.hpp"
 #include "simcluster/cluster.hpp"
+#include "solvers/screening.hpp"
 
 namespace {
 
@@ -282,6 +285,56 @@ TEST_P(DistributedUoiParam, MatchesSerialResult) {
         uoi::linalg::max_abs_diff(distributed.model.beta, serial.beta),
         2e-3);
   });
+}
+
+/// FNV-1a over the bytes of a coefficient vector.
+std::uint64_t beta_bytes_hash(std::span<const double> beta) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(beta.data());
+  for (std::size_t i = 0; i < beta.size() * sizeof(double); ++i) {
+    h = (h ^ bytes[i]) * 1099511628211ULL;
+  }
+  return h;
+}
+
+// Byte pins of the distributed fit (intercept appended). Every layout
+// here splits its ranks into groups of equal width C, so a cell computes
+// the same bytes in any group and the bytes depend on C alone: the LPT
+// schedule and the screening mode must not move them.
+TEST_P(DistributedUoiParam, PinnedBetaBytes) {
+  const auto layout_case = GetParam();
+  uoi::data::RegressionSpec spec;
+  spec.n_samples = 120;
+  spec.n_features = 24;
+  spec.support_size = 5;
+  spec.noise_stddev = 0.3;
+  spec.seed = 55;
+  const auto data = uoi::data::make_regression(spec);
+
+  auto options = fast_options();
+  options.n_selection_bootstraps = 8;
+  options.n_estimation_bootstraps = 4;
+  options.n_lambdas = 8;
+  options.fit_intercept = true;
+  options.schedule = uoi::sched::SchedulePolicy::kCostLpt;
+  options.admm.consensus_interval = 1;  // immune to UOI_CONSENSUS_INTERVAL
+  const int width = layout_case.ranks / (layout_case.pb * layout_case.pl);
+  const std::uint64_t expected =
+      width == 1 ? 11812398940360723318ULL : 4082869373490001260ULL;
+  for (const auto mode :
+       {uoi::solvers::ScreenMode::kOff, uoi::solvers::ScreenMode::kStrong}) {
+    options.screen.mode = mode;
+    uoi::sim::Cluster::run(layout_case.ranks, [&](uoi::sim::Comm& comm) {
+      const auto fit = uoi::core::uoi_lasso_distributed(
+          comm, data.x, data.y, options, {layout_case.pb, layout_case.pl});
+      if (comm.rank() == 0) {
+        auto bytes = fit.model.beta;
+        bytes.push_back(fit.model.intercept);
+        EXPECT_EQ(beta_bytes_hash(bytes), expected)
+            << "screen " << uoi::solvers::screen_mode_name(mode);
+      }
+    });
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <span>
 
 #include "core/metrics.hpp"
 #include "core/uoi_elastic_net.hpp"
@@ -16,6 +18,7 @@
 #include "solvers/lambda_grid.hpp"
 #include "solvers/prox.hpp"
 #include "solvers/ridge.hpp"
+#include "solvers/screening.hpp"
 
 namespace {
 
@@ -277,6 +280,55 @@ TEST_P(UoiEnDistParam, MatchesSerialDriver) {
     EXPECT_LT(uoi::linalg::max_abs_diff(distributed.model.beta, serial.beta),
               2e-3);
   });
+}
+
+/// FNV-1a over the bytes of a coefficient vector.
+std::uint64_t beta_bytes_hash(std::span<const double> beta) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(beta.data());
+  for (std::size_t i = 0; i < beta.size() * sizeof(double); ++i) {
+    h = (h ^ bytes[i]) * 1099511628211ULL;
+  }
+  return h;
+}
+
+// Byte pins of the distributed fit. Every layout splits its ranks into
+// groups of equal width C, so a cell computes the same bytes in any group
+// and the bytes depend on C alone: the LPT schedule and the screening
+// mode must not move them.
+TEST_P(UoiEnDistParam, PinnedBetaBytes) {
+  const auto [ranks, pb, pl] = GetParam();
+  uoi::data::RegressionSpec spec;
+  spec.n_samples = 140;
+  spec.n_features = 16;
+  spec.support_size = 4;
+  spec.feature_correlation = 0.5;
+  spec.seed = 91;
+  const auto data = uoi::data::make_regression(spec);
+
+  uoi::core::UoiElasticNetOptions options;
+  options.n_selection_bootstraps = 6;
+  options.n_estimation_bootstraps = 4;
+  options.n_lambdas = 5;
+  options.l1_ratios = {1.0, 0.5};
+  options.seed = 92;
+  options.schedule = uoi::sched::SchedulePolicy::kCostLpt;
+  options.admm.consensus_interval = 1;  // immune to UOI_CONSENSUS_INTERVAL
+  const std::uint64_t expected = ranks / (pb * pl) == 1
+                                     ? 6963611606556859280ULL
+                                     : 851755522209205525ULL;
+  for (const auto mode :
+       {uoi::solvers::ScreenMode::kOff, uoi::solvers::ScreenMode::kStrong}) {
+    options.screen.mode = mode;
+    uoi::sim::Cluster::run(ranks, [&](uoi::sim::Comm& comm) {
+      const auto fit = uoi::core::uoi_elastic_net_distributed(
+          comm, data.x, data.y, options, {pb, pl});
+      if (comm.rank() == 0) {
+        EXPECT_EQ(beta_bytes_hash(fit.model.beta), expected)
+            << "screen " << uoi::solvers::screen_mode_name(mode);
+      }
+    });
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Layouts, UoiEnDistParam,

@@ -10,11 +10,16 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.hpp"
+#include "core/uoi_elastic_net_distributed.hpp"
 #include "core/uoi_lasso_distributed.hpp"
+#include "core/uoi_logistic_distributed.hpp"
 #include "data/synthetic_regression.hpp"
 #include "data/synthetic_var.hpp"
 #include "io/distribution.hpp"
@@ -616,6 +621,88 @@ TEST(FaultRecovery, LassoRankKilledMidSelectionIsBitIdentical) {
     recovered += report.recovery.cells_recovered;
   }
   EXPECT_GE(recovered, 1u);
+}
+
+/// Bytes of a coefficient vector, for byte-for-byte model comparisons.
+std::vector<unsigned char> value_bytes(std::span<const double> values) {
+  const auto* data = reinterpret_cast<const unsigned char*>(values.data());
+  return {data, data + values.size() * sizeof(double)};
+}
+
+/// Runs `fit` (a collective over Comm&) on `ranks` thread ranks and keeps
+/// every rank's result, index == rank.
+template <class Fit>
+auto run_driver(int ranks, std::shared_ptr<const FaultPlan> plan,
+                const Fit& fit) {
+  using Result = std::invoke_result_t<const Fit&, Comm&>;
+  std::vector<Result> results(static_cast<std::size_t>(ranks));
+  const auto reports = Cluster::run_collect_reports(ranks, [&](Comm& comm) {
+    if (plan != nullptr) comm.set_fault_plan(plan);
+    results[static_cast<std::size_t>(comm.rank())] = fit(comm);
+  });
+  return std::make_pair(std::move(results), reports);
+}
+
+/// The lasso kill-mid-selection contract for any driver whose result has
+/// `model.candidate_supports` and `model.beta`: kill rank 2 of 5 a quarter
+/// of the way through its clean collective schedule; every survivor
+/// shrinks and lands on the clean run's supports and beta, byte for byte.
+template <class Fit>
+void expect_kill_mid_selection_is_bit_identical(const Fit& fit) {
+  const auto [clean, clean_reports] = run_driver(5, nullptr, fit);
+  const auto kill_at = collective_calls(clean_reports[2].comm) / 4;
+  const auto [faulty, faulty_reports] =
+      run_driver(5, kill_plan(2, kill_at), fit);
+  const auto& expected = clean[0].model;
+  for (const int r : {0, 1, 3, 4}) {
+    const auto& actual = faulty[static_cast<std::size_t>(r)].model;
+    EXPECT_EQ(actual.candidate_supports, expected.candidate_supports)
+        << "rank " << r;
+    EXPECT_EQ(value_bytes(actual.beta), value_bytes(expected.beta))
+        << "rank " << r;
+    EXPECT_GE(faulty_reports[static_cast<std::size_t>(r)].recovery.shrinks, 1u)
+        << "rank " << r;
+  }
+}
+
+TEST(FaultRecovery, ElasticNetRankKilledMidSelectionIsBitIdentical) {
+  const auto data = lasso_data();
+  uoi::core::UoiElasticNetOptions options;
+  options.schedule = uoi::sched::SchedulePolicy::kCostLpt;
+  options.n_selection_bootstraps = 5;
+  options.n_estimation_bootstraps = 3;
+  options.n_lambdas = 4;
+  options.l1_ratios = {1.0, 0.5};
+  options.seed = 909;
+  options.admm.eps_abs = 1e-8;
+  options.admm.eps_rel = 1e-6;
+  options.admm.max_iterations = 5000;
+  expect_kill_mid_selection_is_bit_identical([&](Comm& comm) {
+    return uoi::core::uoi_elastic_net_distributed(comm, data.x, data.y,
+                                                  options, {5, 1});
+  });
+}
+
+TEST(FaultRecovery, LogisticRankKilledMidSelectionIsBitIdentical) {
+  uoi::data::ClassificationSpec spec;
+  spec.n_samples = 120;
+  spec.n_features = 10;
+  spec.support_size = 3;
+  spec.seed = 45;
+  const auto data = uoi::data::make_classification(spec);
+  uoi::core::UoiLogisticOptions options;
+  options.schedule = uoi::sched::SchedulePolicy::kCostLpt;
+  options.n_selection_bootstraps = 5;
+  options.n_estimation_bootstraps = 3;
+  options.n_lambdas = 4;
+  options.seed = 909;
+  expect_kill_mid_selection_is_bit_identical([&](Comm& comm) {
+    auto fit = uoi::core::uoi_logistic_distributed(comm, data.x, data.y,
+                                                   options, {5, 1});
+    // The intercept rides along in beta's bytes.
+    fit.model.beta.push_back(fit.model.intercept);
+    return fit;
+  });
 }
 
 TEST(FaultRecovery, KillMidChainReplayIsBitIdenticalWithScreening) {

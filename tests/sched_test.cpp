@@ -12,7 +12,7 @@
 #include <set>
 #include <vector>
 
-#include "core/distributed_common.hpp"
+#include "core/uoi_engine.hpp"
 #include "core/uoi_lasso_distributed.hpp"
 #include "data/synthetic_regression.hpp"
 #include "data/synthetic_var.hpp"

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <span>
 
 #include "core/standardize.hpp"
 #include "data/synthetic_regression.hpp"
@@ -203,6 +205,47 @@ TEST_P(UoiLogisticDistParam, AgreesWithSerialDriver) {
     const auto acc = uoi::core::selection_accuracy(dist_support, truth,
                                                    spec.n_features);
     EXPECT_EQ(acc.false_negatives, 0u);
+  });
+}
+
+/// FNV-1a over the bytes of a coefficient vector.
+std::uint64_t beta_bytes_hash(std::span<const double> beta) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(beta.data());
+  for (std::size_t i = 0; i < beta.size() * sizeof(double); ++i) {
+    h = (h ^ bytes[i]) * 1099511628211ULL;
+  }
+  return h;
+}
+
+// Byte pins of the distributed fit (intercept appended). Every layout
+// splits its ranks into groups of equal width, so a cell computes the
+// same bytes in any group and the LPT schedule must not move them; the
+// IRLS refits land every width here on the same bytes.
+TEST_P(UoiLogisticDistParam, PinnedBetaBytes) {
+  const auto [ranks, pb, pl] = GetParam();
+  uoi::data::ClassificationSpec spec;
+  spec.n_samples = 300;
+  spec.n_features = 12;
+  spec.support_size = 3;
+  spec.seed = 21;
+  const auto data = uoi::data::make_classification(spec);
+
+  uoi::core::UoiLogisticOptions options;
+  options.n_selection_bootstraps = 6;
+  options.n_estimation_bootstraps = 4;
+  options.n_lambdas = 6;
+  options.seed = 31;
+  options.schedule = uoi::sched::SchedulePolicy::kCostLpt;
+  options.consensus_interval = 1;  // immune to UOI_CONSENSUS_INTERVAL
+  uoi::sim::Cluster::run(ranks, [&](uoi::sim::Comm& comm) {
+    const auto fit = uoi::core::uoi_logistic_distributed(comm, data.x, data.y,
+                                                         options, {pb, pl});
+    if (comm.rank() == 0) {
+      auto bytes = fit.model.beta;
+      bytes.push_back(fit.model.intercept);
+      EXPECT_EQ(beta_bytes_hash(bytes), 3102928925143438307ULL);
+    }
   });
 }
 

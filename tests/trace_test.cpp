@@ -2,8 +2,8 @@
 // regression tests for the timing-attribution fixes that shipped with it:
 //   - Chrome-trace export is well-formed and per-rank deterministic;
 //   - driver breakdown buckets are tracer-derived and sum to the phase wall;
-//   - NonblockingContext folds its duplicate communicator's stats back into
-//     the parent (pipelined runs no longer report zero communication);
+//   - the unfused blocking consensus loop's reductions are attributed to
+//     the communication bucket;
 //   - IntervalTimer tolerates stop-without-start / double-stop;
 //   - Xoshiro256::uniform_below(0) throws instead of silently returning 0.
 
@@ -20,7 +20,6 @@
 #include "core/uoi_lasso_distributed.hpp"
 #include "data/synthetic_regression.hpp"
 #include "simcluster/cluster.hpp"
-#include "simcluster/nonblocking.hpp"
 #include "solvers/distributed_admm.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -213,36 +212,16 @@ TEST(Trace, BreakdownBucketsSumToPhaseWall) {
   });
 }
 
-// Regression (pipelined-convergence attribution): before the fix, the
-// pipelined check's allreduces ran on a duplicate communicator whose stats
-// were dropped on destruction, so pipelined runs reported zero
-// communication time. The duplicate's stats now fold into the parent.
-TEST(TraceRegression, NonblockingDupStatsFoldIntoParent) {
-  Cluster::run(2, [&](Comm& comm) {
-    const auto before = comm.stats().of(uoi::sim::CommCategory::kAllreduce);
-    {
-      uoi::sim::NonblockingContext nb(comm);
-      std::vector<double> value{1.0};
-      auto request = nb.iallreduce(value, uoi::sim::ReduceOp::kSum);
-      request.wait();
-      EXPECT_DOUBLE_EQ(value[0], 2.0);
-    }  // ~NonblockingContext folds the dup's accounting into `comm`.
-    const auto after = comm.stats().of(uoi::sim::CommCategory::kAllreduce);
-    EXPECT_GT(after.calls, before.calls);
-    EXPECT_GT(after.seconds, before.seconds);
-  });
-}
-
-TEST(TraceRegression, PipelinedDistributedRunReportsCommunication) {
+TEST(TraceRegression, UnfusedDistributedRunReportsCommunication) {
   const auto data = small_data();
   auto options = small_options();
-  options.admm.pipelined_convergence_check = true;
+  options.admm.fused_residual_reduction = false;
   Tracer::instance().clear();
   Cluster::run(2, [&](Comm& comm) {
     const auto result =
         uoi::core::uoi_lasso_distributed(comm, data.x, data.y, options);
     EXPECT_GT(result.breakdown.communication_seconds, 0.0);
-    // The dup's allreduce traffic is visible in the parent's stats too.
+    // The task groups' allreduce traffic is visible in the caller's stats.
     EXPECT_GT(comm.stats().of(uoi::sim::CommCategory::kAllreduce).calls, 0u);
   });
 }

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -22,7 +23,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "core/uoi_elastic_net_distributed.hpp"
 #include "core/uoi_lasso_distributed.hpp"
+#include "core/uoi_logistic_distributed.hpp"
 #include "data/synthetic_regression.hpp"
 #include "data/synthetic_var.hpp"
 #include "simcluster/cluster.hpp"
@@ -303,6 +306,88 @@ TEST(TransportE2e, SigkilledRankIsDetectedAndSurvivorsRecover) {
   ASSERT_TRUE(socket_bytes.has_value()) << "socket job failed";
   ASSERT_FALSE(thread_bytes.empty());
   EXPECT_EQ(*socket_bytes, thread_bytes);
+}
+
+/// Collectives rank `rank` entered in a clean thread run of `body`: a kill
+/// placed at a fraction of it lands at the same point on both backends.
+std::uint64_t clean_collective_calls(
+    int n, int rank,
+    const std::function<std::vector<std::uint8_t>(Comm&)>& body) {
+  const auto reports =
+      Cluster::run_collect_reports(n, [&](Comm& comm) { (void)body(comm); });
+  std::uint64_t total = 0;
+  for (int c = 0; c < static_cast<int>(uoi::sim::CommCategory::kPointToPoint);
+       ++c) {
+    total += reports[static_cast<std::size_t>(rank)]
+                 .comm.entries[static_cast<std::size_t>(c)]
+                 .calls;
+  }
+  return total;
+}
+
+/// Kills rank 2 of 5 a quarter of the way through its clean collective
+/// schedule (inside selection) on both backends: the survivors must shrink
+/// and land on the clean run's bytes, and the backends must agree.
+void expect_kill_mid_selection_identical_across_backends(
+    const std::function<std::vector<std::uint8_t>(Comm&)>& fit) {
+  const int kRanks = 5;
+  const auto kill_at = clean_collective_calls(kRanks, 2, fit) / 4;
+  const auto clean_bytes = run_thread_job(kRanks, fit);
+  const auto killed = [&](Comm& comm) {
+    auto plan = std::make_shared<uoi::sim::FaultPlan>();
+    plan->kills.push_back({2, kill_at});
+    comm.set_fault_plan(plan);
+    return fit(comm);
+  };
+  const auto thread_bytes = run_thread_job(kRanks, killed);
+  const auto socket_bytes = run_forked_job(kRanks, killed);
+  ASSERT_TRUE(socket_bytes.has_value()) << "socket job failed";
+  ASSERT_FALSE(thread_bytes.empty());
+  EXPECT_EQ(thread_bytes, clean_bytes);
+  EXPECT_EQ(*socket_bytes, thread_bytes);
+}
+
+TEST(TransportE2e, ElasticNetKilledMidSelectionRecoversAcrossBackends) {
+  expect_kill_mid_selection_identical_across_backends([](Comm& comm) {
+    uoi::data::RegressionSpec spec;
+    spec.n_samples = 80;
+    spec.n_features = 12;
+    spec.support_size = 3;
+    spec.seed = 99;
+    const auto data = uoi::data::make_regression(spec);
+    uoi::core::UoiElasticNetOptions options;
+    options.schedule = uoi::sched::SchedulePolicy::kCostLpt;
+    options.n_selection_bootstraps = 5;
+    options.n_estimation_bootstraps = 3;
+    options.n_lambdas = 4;
+    options.l1_ratios = {1.0, 0.5};
+    options.seed = 4242;
+    const auto fit = uoi::core::uoi_elastic_net_distributed(
+        comm, data.x, data.y, options, {5, 1});
+    return as_bytes(fit.model.beta);
+  });
+}
+
+TEST(TransportE2e, LogisticKilledMidSelectionRecoversAcrossBackends) {
+  expect_kill_mid_selection_identical_across_backends([](Comm& comm) {
+    uoi::data::ClassificationSpec spec;
+    spec.n_samples = 120;
+    spec.n_features = 10;
+    spec.support_size = 3;
+    spec.seed = 45;
+    const auto data = uoi::data::make_classification(spec);
+    uoi::core::UoiLogisticOptions options;
+    options.schedule = uoi::sched::SchedulePolicy::kCostLpt;
+    options.n_selection_bootstraps = 5;
+    options.n_estimation_bootstraps = 3;
+    options.n_lambdas = 4;
+    options.seed = 4242;
+    const auto fit = uoi::core::uoi_logistic_distributed(comm, data.x, data.y,
+                                                         options, {5, 1});
+    auto beta = fit.model.beta;
+    beta.push_back(fit.model.intercept);
+    return as_bytes(beta);
+  });
 }
 
 }  // namespace
