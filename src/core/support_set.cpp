@@ -100,6 +100,20 @@ SupportSet unite_all(std::span<const SupportSet> supports) {
   return acc;
 }
 
+double intersection_threshold(double fraction, double bootstraps) {
+  return std::max(1.0, std::ceil(fraction * bootstraps - 1e-12));
+}
+
+SupportSet intersect_counts(std::span<const double> counts, double fraction,
+                            double bootstraps) {
+  const double threshold = intersection_threshold(fraction, bootstraps);
+  std::vector<std::size_t> selected;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] >= threshold) selected.push_back(i);
+  }
+  return SupportSet(std::move(selected));
+}
+
 std::vector<SupportSet> dedupe_supports(std::vector<SupportSet> supports) {
   std::vector<SupportSet> out;
   for (auto& s : supports) {

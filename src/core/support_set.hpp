@@ -64,6 +64,19 @@ class SupportSet {
 /// Union over a family of supports (empty family -> empty support).
 [[nodiscard]] SupportSet unite_all(std::span<const SupportSet> supports);
 
+/// Selections a feature needs to enter a candidate support under the
+/// (soft) intersection over `bootstraps` resamples:
+/// max(1, ceil(fraction * bootstraps)); fraction 1 is eq. 3's strict
+/// intersection. The 1e-12 absorbs the rounding of fraction * bootstraps.
+[[nodiscard]] double intersection_threshold(double fraction,
+                                            double bootstraps);
+
+/// The candidate support of one row of selection counts: the features
+/// selected at least intersection_threshold(fraction, bootstraps) times.
+[[nodiscard]] SupportSet intersect_counts(std::span<const double> counts,
+                                          double fraction,
+                                          double bootstraps);
+
 /// Deduplicates a family of supports, preserving first-occurrence order.
 [[nodiscard]] std::vector<SupportSet> dedupe_supports(
     std::vector<SupportSet> supports);

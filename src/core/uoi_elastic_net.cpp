@@ -88,18 +88,11 @@ UoiElasticNetResult UoiElasticNet::fit(ConstMatrixView x,
       }
     }
   }
-  const double threshold = std::max(
-      1.0, std::ceil(options_.intersection_fraction *
-                         static_cast<double>(options_.n_selection_bootstraps) -
-                     1e-12));
   result.candidate_supports.reserve(n_cells);
   for (std::size_t cell = 0; cell < n_cells; ++cell) {
-    std::vector<std::size_t> selected;
-    const auto row = counts.row(cell);
-    for (std::size_t i = 0; i < p; ++i) {
-      if (row[i] >= threshold) selected.push_back(i);
-    }
-    result.candidate_supports.emplace_back(std::move(selected));
+    result.candidate_supports.push_back(intersect_counts(
+        counts.row(cell), options_.intersection_fraction,
+        static_cast<double>(options_.n_selection_bootstraps)));
   }
 
   // ---- estimation (identical to UoI_LASSO over the larger family) ----

@@ -26,10 +26,6 @@ using uoi::sim::ReduceOp;
 
 namespace {
 
-double count_threshold(double fraction, double bootstraps) {
-  return std::max(1.0, std::ceil(fraction * bootstraps - 1e-12));
-}
-
 void export_metrics(int trace_rank, const UoiEngineSpec& spec,
                     const UoiFitCounters& fits,
                     const uoi::solvers::BootstrapCache::Stats& cache,
@@ -75,6 +71,16 @@ void export_metrics(int trace_rank, const UoiEngineSpec& spec,
 }
 
 }  // namespace
+
+void UoiSelectionTask::mark_selected(std::size_t m,
+                                     std::span<const double> beta,
+                                     double tolerance) const {
+  if (layout.task_rank != 0) return;
+  auto row = indicators.row(m);
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    if (std::abs(beta[i]) > tolerance) row[i] = 1.0;
+  }
+}
 
 UoiEngineResult run_uoi_engine(Comm& comm, const UoiEngineSpec& spec,
                                const UoiSelectHook& select,
@@ -340,21 +346,12 @@ UoiEngineResult run_uoi_engine(Comm& comm, const UoiEngineSpec& spec,
   // inflated by bootstraps that were never computed.
   std::vector<double> degraded_achieved;
   const auto intersect = [&] {
-    const double base_threshold = count_threshold(
-        spec.intersection_fraction, static_cast<double>(b1));
     out.candidate_supports.clear();
     out.candidate_supports.reserve(q);
     for (std::size_t j = 0; j < q; ++j) {
-      const double threshold =
-          out.degraded ? count_threshold(spec.intersection_fraction,
-                                         degraded_achieved[j])
-                       : base_threshold;
-      std::vector<std::size_t> selected;
-      const auto row = counts_merged.row(j);
-      for (std::size_t i = 0; i < width; ++i) {
-        if (row[i] >= threshold) selected.push_back(i);
-      }
-      out.candidate_supports.emplace_back(std::move(selected));
+      out.candidate_supports.push_back(intersect_counts(
+          counts_merged.row(j), spec.intersection_fraction,
+          out.degraded ? degraded_achieved[j] : static_cast<double>(b1)));
     }
   };
 

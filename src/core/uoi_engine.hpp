@@ -154,6 +154,11 @@ struct UoiSelectionTask {
   /// the fit at cells[m] selects. Only group rank 0's rows are committed.
   uoi::linalg::Matrix& indicators;
   UoiFitCounters& counters;
+
+  /// Records the fit at cells[m]: 1.0 in indicator row m at every
+  /// coordinate with |beta_i| > tolerance (group rank 0 only).
+  void mark_selected(std::size_t m, std::span<const double> beta,
+                     double tolerance) const;
 };
 
 /// One scheduled estimation cell: bootstrap k over a chain of grid cells.

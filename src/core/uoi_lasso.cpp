@@ -76,10 +76,9 @@ double estimation_score(EstimationCriterion criterion, double mse,
 }
 
 std::size_t intersection_count_threshold(const UoiLassoOptions& options) {
-  const double b1 = static_cast<double>(options.n_selection_bootstraps);
-  const auto needed = static_cast<std::size_t>(
-      std::ceil(options.intersection_fraction * b1 - 1e-12));
-  return std::max<std::size_t>(1, needed);
+  return static_cast<std::size_t>(intersection_threshold(
+      options.intersection_fraction,
+      static_cast<double>(options.n_selection_bootstraps)));
 }
 
 Vector aggregate_estimates(const std::vector<Vector>& winners,
@@ -236,16 +235,11 @@ UoiLassoResult UoiLasso::fit_impl(ConstMatrixView x_view,
       save_checkpoint(*checkpoint_path, checkpoint);
     }
   }
-  const auto threshold =
-      static_cast<double>(intersection_count_threshold(options_));
   result.candidate_supports.reserve(q);
   for (std::size_t j = 0; j < q; ++j) {
-    std::vector<std::size_t> selected;
-    const auto row = counts.row(j);
-    for (std::size_t i = 0; i < p; ++i) {
-      if (row[i] >= threshold) selected.push_back(i);
-    }
-    result.candidate_supports.emplace_back(std::move(selected));
+    result.candidate_supports.push_back(intersect_counts(
+        counts.row(j), options_.intersection_fraction,
+        static_cast<double>(options_.n_selection_bootstraps)));
   }
 
   // ---- Model estimation (Algorithm 1, lines 12-24) ----
@@ -267,10 +261,7 @@ UoiLassoResult UoiLasso::fit_impl(ConstMatrixView x_view,
     for (std::size_t j = 0; j < q; ++j) {
       const auto& support = result.candidate_supports[j].indices();
       const Vector beta =
-          options_.ols_via_admm
-              ? uoi::solvers::ols_admm_on_support(x_train, y_train, support,
-                                                  options_.admm)
-              : uoi::solvers::ols_direct_on_support(x_train, y_train, support);
+          uoi::solvers::ols_direct_on_support(x_train, y_train, support);
       const double mse =
           uoi::solvers::mean_squared_error(x_eval, y_eval, beta);
       const double loss =

@@ -108,9 +108,6 @@ struct UoiLassoOptions {
   double intersection_fraction = 1.0;
   /// |beta_i| above this counts as selected.
   double support_tolerance = 1e-7;
-  /// Use ADMM with lambda=0 for OLS (paper §II-C) instead of the direct
-  /// normal-equations solve; both give the same estimates.
-  bool ols_via_admm = false;
   /// Estimate an intercept by centering X and y before fitting; the
   /// returned intercept is y_bar - x_bar' beta.
   bool fit_intercept = false;

@@ -1,7 +1,6 @@
 #include "core/uoi_lasso_distributed.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -59,7 +58,7 @@ struct LinearSelectionEntry {
   Vector y_local;
   /// Replicated screening quantities (A'b, column norms, lambda_max);
   /// built collectively once per bootstrap, shared by every chain.
-  uoi::solvers::DistributedScreenInputs screen_inputs;
+  uoi::solvers::ScreenInputs screen_inputs;
   /// Full-p factorization; built only in off mode (screened chains build
   /// reduced factorizations per lambda instead).
   std::optional<uoi::solvers::DistributedLassoAdmmSolver> solver;
@@ -155,14 +154,7 @@ LinearFamilyHooks linear_family_hooks(ConstMatrixView x,
       const std::size_t c = task.cells[m];
       const auto fit = screened.solve(lambda1[c], lambda2[c]);
       task.counters.add(fit);
-      if (tl.task_rank == 0) {
-        auto row = task.indicators.row(m);
-        for (std::size_t i = 0; i < p; ++i) {
-          if (std::abs(fit.beta[i]) > options.support_tolerance) {
-            row[i] = 1.0;
-          }
-        }
-      }
+      task.mark_selected(m, fit.beta, options.support_tolerance);
     }
     task.counters.screen += screened.stats();
   };

@@ -73,18 +73,11 @@ UoiLogisticResult UoiLogistic::fit(ConstMatrixView x,
       }
     }
   }
-  const double threshold = std::max(
-      1.0, std::ceil(options_.intersection_fraction *
-                         static_cast<double>(options_.n_selection_bootstraps) -
-                     1e-12));
   result.candidate_supports.reserve(q);
   for (std::size_t j = 0; j < q; ++j) {
-    std::vector<std::size_t> selected;
-    const auto row = counts.row(j);
-    for (std::size_t i = 0; i < p; ++i) {
-      if (row[i] >= threshold) selected.push_back(i);
-    }
-    result.candidate_supports.emplace_back(std::move(selected));
+    result.candidate_supports.push_back(intersect_counts(
+        counts.row(j), options_.intersection_fraction,
+        static_cast<double>(options_.n_selection_bootstraps)));
   }
 
   // ---- estimation ----

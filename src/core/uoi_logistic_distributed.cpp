@@ -1,7 +1,6 @@
 #include "core/uoi_logistic_distributed.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -110,12 +109,7 @@ UoiLogisticDistributedResult uoi_logistic_distributed(
           task.task_comm, entry->x_local, entry->y_local,
           model.lambdas[task.cells[m]], admm);
       task.counters.add(fit);
-      if (tl.task_rank == 0) {
-        auto row = task.indicators.row(m);
-        for (std::size_t i = 0; i < p; ++i) {
-          if (std::abs(fit.beta[i]) > options.support_tolerance) row[i] = 1.0;
-        }
-      }
+      task.mark_selected(m, fit.beta, options.support_tolerance);
     }
   };
 

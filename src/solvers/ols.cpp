@@ -73,19 +73,6 @@ Vector ols_direct_on_support(ConstMatrixView x, std::span<const double> y,
   return beta;
 }
 
-Vector ols_admm_on_support(ConstMatrixView x, std::span<const double> y,
-                           std::span<const std::size_t> support,
-                           const AdmmOptions& options) {
-  Vector beta(x.cols(), 0.0);
-  if (support.empty()) return beta;
-  const Matrix x_restricted = Matrix::from_view(x).gather_cols(support);
-  const AdmmResult result = lasso_admm(x_restricted, y, /*lambda=*/0.0, options);
-  for (std::size_t i = 0; i < support.size(); ++i) {
-    beta[support[i]] = result.beta[i];
-  }
-  return beta;
-}
-
 double mean_squared_error(ConstMatrixView x, std::span<const double> y,
                           std::span<const double> beta) {
   UOI_CHECK_DIMS(x.rows() == y.size() && x.cols() == beta.size(),

@@ -1,22 +1,19 @@
 #pragma once
 // Ordinary least squares, the model-estimation solver of UoI (Algorithm 1
-// line 18 / Algorithm 2 line 24). Two interchangeable implementations:
+// line 18 / Algorithm 2 line 24): normal equations + Cholesky, with a tiny
+// ridge jitter retry when the Gram matrix is singular (e.g. bootstrap
+// samples with duplicated rows). The paper's lambda = 0 LASSO-ADMM
+// formulation (§II-C) is the distributed estimation path
+// (core/uoi_lasso_distributed).
 //
-//  * ols_direct       — normal equations + Cholesky (with a tiny ridge
-//                       jitter retry when the Gram matrix is singular, e.g.
-//                       bootstrap samples with duplicated rows);
-//  * ols_admm         — LASSO-ADMM with lambda = 0, the formulation the
-//                       paper uses "to ensure good scalability" (§II-C).
-//
-// Both support restriction to a support set: the estimate is computed over
-// the selected columns and scattered back into a full-length, zero-padded
+// The support-restricted form computes the estimate over the selected
+// columns and scatters it back into a full-length, zero-padded
 // coefficient vector.
 
 #include <span>
 #include <vector>
 
 #include "linalg/matrix.hpp"
-#include "solvers/admm_lasso.hpp"
 
 namespace uoi::solvers {
 
@@ -29,11 +26,6 @@ namespace uoi::solvers {
 [[nodiscard]] uoi::linalg::Vector ols_direct_on_support(
     uoi::linalg::ConstMatrixView x, std::span<const double> y,
     std::span<const std::size_t> support);
-
-/// OLS via ADMM with lambda = 0 (paper §II-C); same restriction semantics.
-[[nodiscard]] uoi::linalg::Vector ols_admm_on_support(
-    uoi::linalg::ConstMatrixView x, std::span<const double> y,
-    std::span<const std::size_t> support, const AdmmOptions& options = {});
 
 /// Mean squared prediction error of `beta` on (x, y).
 [[nodiscard]] double mean_squared_error(uoi::linalg::ConstMatrixView x,

@@ -54,6 +54,48 @@ void ScreenStats::operator+=(const ScreenStats& other) {
   total_columns += other.total_columns;
 }
 
+// ---- Screening inputs ---------------------------------------------------
+
+namespace {
+
+/// The fused local pass [A'b | per-column ||.||^2 | b'b] of a row block.
+Vector screen_sums(ConstMatrixView a, std::span<const double> b) {
+  const std::size_t p = a.cols();
+  Vector buffer(2 * p + 1, 0.0);
+  uoi::linalg::gemv_transposed(1.0, a, b, 0.0,
+                               std::span<double>(buffer.data(), p));
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    const auto row = a.row(r);
+    for (std::size_t j = 0; j < p; ++j) buffer[p + j] += row[j] * row[j];
+  }
+  buffer[2 * p] = uoi::linalg::nrm2_squared(b);
+  return buffer;
+}
+
+}  // namespace
+
+ScreenInputs screen_inputs_from_sums(std::span<const double> buffer) {
+  const std::size_t p = (buffer.size() - 1) / 2;
+  ScreenInputs inputs;
+  inputs.atb.assign(buffer.begin(),
+                    buffer.begin() + static_cast<std::ptrdiff_t>(p));
+  inputs.col_sq_norms.assign(
+      buffer.begin() + static_cast<std::ptrdiff_t>(p),
+      buffer.begin() + static_cast<std::ptrdiff_t>(2 * p));
+  inputs.b_norm_sq = buffer[2 * p];
+  for (const double v : inputs.atb) {
+    inputs.lambda_max = std::max(inputs.lambda_max, std::abs(v));
+  }
+  return inputs;
+}
+
+ScreenInputs build_screen_inputs(uoi::sim::Comm& comm, ConstMatrixView local_a,
+                                 std::span<const double> local_b) {
+  Vector buffer = screen_sums(local_a, local_b);
+  comm.allreduce(std::span<double>(buffer), uoi::sim::ReduceOp::kSum);
+  return screen_inputs_from_sums(buffer);
+}
+
 namespace detail {
 
 void ChainScreenState::reset(std::size_t p) {
@@ -64,10 +106,10 @@ void ChainScreenState::reset(std::size_t p) {
   ever_active.assign(p, 0);
 }
 
-std::vector<std::size_t> screen_working_set(
-    ScreenMode mode, std::size_t p, double lambda1,
-    std::span<const double> atb, std::span<const double> col_sq_norms,
-    double b_norm_sq, double lambda_max, const ChainScreenState& state) {
+std::vector<std::size_t> screen_working_set(ScreenMode mode, double lambda1,
+                                            const ScreenInputs& in,
+                                            const ChainScreenState& state) {
+  const std::size_t p = in.atb.size();
   std::vector<std::size_t> working;
   if (mode == ScreenMode::kOff) {
     working.resize(p);
@@ -80,14 +122,14 @@ std::vector<std::size_t> screen_working_set(
     //   |a_j' b| < lambda - ||a_j|| ||b|| (lambda_max - lambda)/lambda_max.
     // A certificate, not a heuristic — discarded columns are provably
     // zero at lambda, so the KKT loop never re-admits them.
-    const double b_norm = std::sqrt(std::max(0.0, b_norm_sq));
+    const double b_norm = std::sqrt(std::max(0.0, in.b_norm_sq));
     const double shrink =
-        lambda_max > 0.0 ? (lambda_max - lambda1) / lambda_max : 0.0;
+        in.lambda_max > 0.0 ? (in.lambda_max - lambda1) / in.lambda_max : 0.0;
     for (std::size_t j = 0; j < p; ++j) {
       const double slack =
-          std::sqrt(std::max(0.0, col_sq_norms[j])) * b_norm * shrink;
+          std::sqrt(std::max(0.0, in.col_sq_norms[j])) * b_norm * shrink;
       if (state.ever_active[j] != 0 ||
-          std::abs(atb[j]) >= lambda1 - slack) {
+          std::abs(in.atb[j]) >= lambda1 - slack) {
         working.push_back(j);
       }
     }
@@ -99,10 +141,11 @@ std::vector<std::size_t> screen_working_set(
   // c = A'b and lambda_prev = lambda_max. Can discard active columns in
   // pathological designs — the KKT post-check re-admits them.
   const bool first = !state.has_prev;
-  const double prev = first ? lambda_max : state.lambda_prev;
+  const double prev = first ? in.lambda_max : state.lambda_prev;
   const double threshold = 2.0 * lambda1 - prev;
   const std::span<const double> corr =
-      first ? atb : std::span<const double>(state.c_prev);
+      first ? std::span<const double>(in.atb)
+            : std::span<const double>(state.c_prev);
   for (std::size_t j = 0; j < p; ++j) {
     if (state.ever_active[j] != 0 || std::abs(corr[j]) >= threshold) {
       working.push_back(j);
@@ -149,9 +192,6 @@ AdmmOptions refined_admm_options(AdmmOptions admm,
   return admm;
 }
 
-namespace {
-
-/// Sorted-union merge of KKT violators into the working set.
 void merge_violators(std::vector<std::size_t>& working,
                      std::vector<char>& in_working,
                      const std::vector<std::size_t>& violators) {
@@ -163,367 +203,142 @@ void merge_violators(std::vector<std::size_t>& working,
   working = std::move(merged);
 }
 
+Vector expand_vector(std::span<const double> src,
+                     std::span<const std::size_t> idx, std::size_t p) {
+  Vector full(p, 0.0);
+  if (!src.empty()) uoi::linalg::scatter_expand(src, idx, full);
+  return full;
+}
+
+void allreduce_correlation(uoi::sim::Comm& comm, Vector& c,
+                           DistributedAdmmResult& fit) {
+  comm.allreduce(std::span<double>(c), uoi::sim::ReduceOp::kSum);
+  fit.allreduce_calls += 1;
+  fit.allreduce_bytes += c.size() * sizeof(double);
+}
+
+namespace {
+
+/// b - A beta, subtracting the support's columns one at a time.
+Vector support_residual(ConstMatrixView a, std::span<const double> b,
+                        std::span<const double> beta,
+                        std::span<const std::size_t> support) {
+  Vector r(b.begin(), b.end());
+  for (const std::size_t j : support) {
+    const double bj = beta[j];
+    for (std::size_t row = 0; row < a.rows(); ++row) r[row] -= bj * a(row, j);
+  }
+  return r;
+}
+
 }  // namespace
 
-}  // namespace detail
+// ---- Serial lasso backend -----------------------------------------------
 
-// ---- Serial chain -------------------------------------------------------
+SerialLassoBackend::SerialLassoBackend(const AdmmOptions& admm,
+                                       ConstMatrixView a,
+                                       std::span<const double> b)
+    : a_(a), b_(b), admm_(admm),
+      inputs_(screen_inputs_from_sums(screen_sums(a, b))) {}
 
-ScreenedLassoChain::ScreenedLassoChain(ConstMatrixView a,
-                                       std::span<const double> b,
-                                       const AdmmOptions& admm,
-                                       const ScreenOptions& screen)
-    : a_(a), b_(b), admm_(detail::refined_admm_options(admm, screen)),
-      screen_(screen), mode_(resolve_screen_mode(screen.mode)) {
-  const std::size_t p = a_.cols();
-  atb_.assign(p, 0.0);
-  uoi::linalg::gemv_transposed(1.0, a_, b_, 0.0, atb_);
-  col_sq_norms_.assign(p, 0.0);
-  for (std::size_t r = 0; r < a_.rows(); ++r) {
-    const auto row = a_.row(r);
-    for (std::size_t j = 0; j < p; ++j) col_sq_norms_[j] += row[j] * row[j];
-  }
-  b_norm_sq_ = uoi::linalg::nrm2_squared(b_);
-  for (const double v : atb_) lambda_max_ = std::max(lambda_max_, std::abs(v));
-  state_.reset(p);
+AdmmResult SerialLassoBackend::full_solve(double lambda1, double lambda2,
+                                          const AdmmResult& warm) {
+  if (!full_solver_) full_solver_.emplace(a_, b_, admm_);
+  return full_solver_->solve_elastic_net(lambda1, lambda2, &warm);
 }
 
-AdmmResult ScreenedLassoChain::solve(double lambda1, double lambda2) {
-  const std::size_t p = a_.cols();
+AdmmResult SerialLassoBackend::subset_solve(std::span<const std::size_t> cols,
+                                            double lambda1, double lambda2,
+                                            const AdmmResult& warm) {
+  gathered_ = gather_cols_view(a_, cols);
+  const LassoAdmmSolver sub(gathered_, b_, admm_);
+  return sub.solve_elastic_net(lambda1, lambda2, &warm);
+}
+
+void SerialLassoBackend::kkt_correlation(std::span<const double> beta_w,
+                                         std::span<const std::size_t> working,
+                                         Vector& c, AdmmResult& spent) const {
   const std::size_t n = a_.rows();
-  if (state_.has_prev && lambda1 > state_.lambda_prev) state_.reset(p);
-  ++stats_.lambdas;
-  stats_.total_columns += p;
-
-  std::vector<std::size_t> working = detail::screen_working_set(
-      mode_, p, lambda1, atb_, col_sq_norms_, b_norm_sq_, lambda_max_,
-      state_);
-  std::vector<char> in_working(p, 0);
-  for (const std::size_t j : working) in_working[j] = 1;
-
-  AdmmResult work;
-  Matrix aw;                 // gathered working columns (screened modes)
-  Vector c(p, 0.0);          // residual correlations at the working z
-  bool have_c = false;
-  std::uint64_t total_flops = 0;
-  std::size_t total_iterations = 0;
-  std::size_t total_rho_updates = 0;
-
-  for (std::size_t round = 0;; ++round) {
-    if (mode_ == ScreenMode::kOff) {
-      if (!full_solver_) full_solver_.emplace(a_, b_, admm_);
-      AdmmResult ws;
-      ws.beta = state_.beta_prev;
-      work = full_solver_->solve_elastic_net(lambda1, lambda2, &ws);
-    } else if (working.empty()) {
-      work = AdmmResult{};
-      work.converged = true;
-    } else {
-      aw = detail::gather_cols_view(a_, working);
-      const LassoAdmmSolver sub(aw, b_, admm_);
-      AdmmResult ws;
-      ws.beta = detail::gather_vector(state_.beta_prev, working);
-      work = sub.solve_elastic_net(lambda1, lambda2, &ws);
-    }
-    total_flops += work.flops;
-    total_iterations += work.iterations;
-    total_rho_updates += work.rho_updates;
-    if (mode_ == ScreenMode::kOff) break;
-
-    // KKT check over the discarded columns: c = A'(b - A_W z_W).
-    Vector r(b_.begin(), b_.end());
-    if (!work.beta.empty()) {
-      uoi::linalg::gemv(-1.0, aw, work.beta, 1.0, r);
-      total_flops += uoi::linalg::gemv_flops(n, working.size());
-    }
-    uoi::linalg::gemv_transposed(1.0, a_, r, 0.0, c);
-    total_flops += uoi::linalg::gemv_flops(n, p);
-    have_c = true;
-    if (round >= screen_.max_kkt_rounds) break;
-    const auto violators =
-        detail::kkt_violators(c, in_working, lambda1, screen_);
-    if (violators.empty()) break;
-    stats_.kkt_violations += violators.size();
-    ++stats_.kkt_rounds;
-    detail::merge_violators(working, in_working, violators);
+  Vector r(b_.begin(), b_.end());
+  if (!beta_w.empty()) {
+    uoi::linalg::gemv(-1.0, gathered_, beta_w, 1.0, r);
+    spent.flops += uoi::linalg::gemv_flops(n, working.size());
   }
-  stats_.survivors += working.size();
-  stats_.gram_cols_saved += p - working.size();
-
-  // Final support, and the canonical polish when it differs from W (when
-  // S == W the working solve already IS the canonical solve bit-for-bit:
-  // same gathered matrix, same warm start).
-  std::vector<std::size_t> support;
-  if (mode_ == ScreenMode::kOff) {
-    for (std::size_t j = 0; j < p; ++j) {
-      if (work.beta[j] != 0.0) support.push_back(j);
-    }
-  } else {
-    for (std::size_t i = 0; i < working.size(); ++i) {
-      if (work.beta[i] != 0.0) support.push_back(working[i]);
-    }
-  }
-
-  AdmmResult final_result;
-  bool canonical_ran = false;
-  if (support.size() == working.size()) {
-    final_result = std::move(work);
-    if (mode_ != ScreenMode::kOff) {
-      Vector full(p, 0.0);
-      if (!final_result.beta.empty()) {
-        uoi::linalg::scatter_expand(final_result.beta, working, full);
-      }
-      final_result.beta = std::move(full);
-    }
-  } else {
-    ++stats_.canonical_solves;
-    canonical_ran = true;
-    if (support.empty()) {
-      final_result = AdmmResult{};
-      final_result.converged = true;
-      final_result.beta.assign(p, 0.0);
-    } else {
-      const Matrix as = detail::gather_cols_view(a_, support);
-      const LassoAdmmSolver sub(as, b_, admm_);
-      AdmmResult ws;
-      ws.beta = detail::gather_vector(state_.beta_prev, support);
-      final_result = sub.solve_elastic_net(lambda1, lambda2, &ws);
-      total_flops += final_result.flops;
-      total_iterations += final_result.iterations;
-      total_rho_updates += final_result.rho_updates;
-      Vector full(p, 0.0);
-      uoi::linalg::scatter_expand(final_result.beta, support, full);
-      final_result.beta = std::move(full);
-    }
-  }
-  final_result.flops = total_flops;
-  final_result.iterations = total_iterations;
-  final_result.rho_updates = total_rho_updates;
-
-  // Chain state for the next (smaller) lambda.
-  state_.has_prev = true;
-  state_.lambda_prev = lambda1;
-  state_.beta_prev = final_result.beta;
-  for (const std::size_t j : support) state_.ever_active[j] = 1;
-  if (mode_ == ScreenMode::kStrong) {
-    if (canonical_ran || !have_c) {
-      Vector r(b_.begin(), b_.end());
-      for (std::size_t j : support) {
-        // r -= beta_j * a_col_j, column-wise over the support only.
-        const double bj = final_result.beta[j];
-        for (std::size_t row = 0; row < n; ++row) r[row] -= bj * a_(row, j);
-      }
-      uoi::linalg::gemv_transposed(1.0, a_, r, 0.0, c);
-      final_result.flops += uoi::linalg::gemv_flops(n, p);
-    }
-    state_.c_prev = c;
-  }
-  return final_result;
+  uoi::linalg::gemv_transposed(1.0, a_, r, 0.0, c);
+  spent.flops += uoi::linalg::gemv_flops(n, a_.cols());
 }
 
-// ---- Distributed chain --------------------------------------------------
-
-DistributedScreenInputs build_screen_inputs(uoi::sim::Comm& comm,
-                                            ConstMatrixView local_a,
-                                            std::span<const double> local_b) {
-  const std::size_t p = local_a.cols();
-  // One fused (2p+1)-double allreduce: [A'b | per-column ||.||^2 | b'b].
-  Vector buffer(2 * p + 1, 0.0);
-  std::span<double> atb(buffer.data(), p);
-  uoi::linalg::gemv_transposed(1.0, local_a, local_b, 0.0, atb);
-  for (std::size_t r = 0; r < local_a.rows(); ++r) {
-    const auto row = local_a.row(r);
-    for (std::size_t j = 0; j < p; ++j) buffer[p + j] += row[j] * row[j];
-  }
-  buffer[2 * p] = uoi::linalg::nrm2_squared(local_b);
-  comm.allreduce(std::span<double>(buffer), uoi::sim::ReduceOp::kSum);
-
-  DistributedScreenInputs inputs;
-  inputs.atb.assign(buffer.begin(),
-                    buffer.begin() + static_cast<std::ptrdiff_t>(p));
-  inputs.col_sq_norms.assign(
-      buffer.begin() + static_cast<std::ptrdiff_t>(p),
-      buffer.begin() + static_cast<std::ptrdiff_t>(2 * p));
-  inputs.b_norm_sq = buffer[2 * p];
-  for (const double v : inputs.atb) {
-    inputs.lambda_max = std::max(inputs.lambda_max, std::abs(v));
-  }
-  return inputs;
+void SerialLassoBackend::refresh_correlation(
+    std::span<const double> beta, std::span<const std::size_t> support,
+    Vector& c, AdmmResult& result) const {
+  const Vector r = support_residual(a_, b_, beta, support);
+  uoi::linalg::gemv_transposed(1.0, a_, r, 0.0, c);
+  result.flops += uoi::linalg::gemv_flops(a_.rows(), a_.cols());
 }
 
-DistributedScreenedLassoChain::DistributedScreenedLassoChain(
-    uoi::sim::Comm& comm, ConstMatrixView local_a,
-    std::span<const double> local_b, const DistributedScreenInputs& shared,
-    const AdmmOptions& admm, const ScreenOptions& screen,
+// ---- Distributed lasso backend ------------------------------------------
+
+DistributedLassoBackend::DistributedLassoBackend(
+    const AdmmOptions& admm, uoi::sim::Comm& comm, ConstMatrixView local_a,
+    std::span<const double> local_b, const ScreenInputs& shared,
     const DistributedLassoAdmmSolver* full_solver)
-    : comm_(&comm), a_(local_a), b_(local_b), shared_(&shared),
-      admm_(detail::refined_admm_options(admm, screen)), screen_(screen),
-      mode_(resolve_screen_mode(screen.mode)), full_solver_(full_solver) {
+    : comm_(&comm), a_(local_a), b_(local_b), admm_(admm), shared_(&shared),
+      full_solver_(full_solver) {
   UOI_CHECK_DIMS(shared.atb.size() == local_a.cols(),
                  "screen inputs shape mismatch");
-  state_.reset(local_a.cols());
 }
 
-DistributedAdmmResult DistributedScreenedLassoChain::solve(double lambda1,
-                                                           double lambda2) {
-  const std::size_t p = a_.cols();
-  const std::size_t n_local = a_.rows();
-  if (state_.has_prev && lambda1 > state_.lambda_prev) state_.reset(p);
-  ++stats_.lambdas;
-  stats_.total_columns += p;
-
-  // The working set is a pure function of replicated inputs (allreduced
-  // correlations, the replicated consensus beta), so every rank derives
-  // the identical index map with no extra communication; the reduced
-  // consensus solves then exchange (|W|+3)-double payloads in lockstep.
-  std::vector<std::size_t> working = detail::screen_working_set(
-      mode_, p, lambda1, shared_->atb, shared_->col_sq_norms,
-      shared_->b_norm_sq, shared_->lambda_max, state_);
-  std::vector<char> in_working(p, 0);
-  for (const std::size_t j : working) in_working[j] = 1;
-
-  DistributedAdmmResult work;
-  Matrix aw;
-  Vector c(p, 0.0);
-  bool have_c = false;
-  DistributedAdmmResult totals;  // additive counters only
-
-  const auto accumulate = [&](const DistributedAdmmResult& fit) {
-    totals.iterations += fit.iterations;
-    totals.local_flops += fit.local_flops;
-    totals.allreduce_calls += fit.allreduce_calls;
-    totals.allreduce_bytes += fit.allreduce_bytes;
-    totals.consensus_rounds += fit.consensus_rounds;
-    totals.lazy_iterations += fit.lazy_iterations;
-    totals.rho_updates += fit.rho_updates;
-  };
-
-  for (std::size_t round = 0;; ++round) {
-    if (mode_ == ScreenMode::kOff) {
-      if (full_solver_ == nullptr && !owned_full_solver_) {
-        owned_full_solver_.emplace(*comm_, a_, b_, admm_);
-      }
-      const DistributedLassoAdmmSolver& solver =
-          full_solver_ != nullptr ? *full_solver_ : *owned_full_solver_;
-      DistributedAdmmResult ws;
-      ws.beta = state_.beta_prev;
-      work = solver.solve_elastic_net(lambda1, lambda2, &ws);
-    } else if (working.empty()) {
-      work = DistributedAdmmResult{};
-      work.converged = true;
-    } else {
-      aw = detail::gather_cols_view(a_, working);
-      // No collectives in this constructor, so building a fresh reduced
-      // solver per lambda stays collective-safe.
-      const DistributedLassoAdmmSolver sub(*comm_, aw, b_, admm_);
-      DistributedAdmmResult ws;
-      ws.beta = detail::gather_vector(state_.beta_prev, working);
-      work = sub.solve_elastic_net(lambda1, lambda2, &ws);
-    }
-    accumulate(work);
-    if (mode_ == ScreenMode::kOff) break;
-
-    // KKT check: c = sum_ranks A_i'(b_i - A_{i,W} z_W), one p-length
-    // allreduce per round.
-    Vector r(b_.begin(), b_.end());
-    if (!work.beta.empty() && n_local > 0) {
-      uoi::linalg::gemv(-1.0, aw, work.beta, 1.0, r);
-      totals.local_flops += uoi::linalg::gemv_flops(n_local, working.size());
-    }
-    c.assign(p, 0.0);
-    if (n_local > 0) {
-      uoi::linalg::gemv_transposed(1.0, a_, r, 0.0, c);
-      totals.local_flops += uoi::linalg::gemv_flops(n_local, p);
-    }
-    comm_->allreduce(std::span<double>(c), uoi::sim::ReduceOp::kSum);
-    totals.allreduce_calls += 1;
-    totals.allreduce_bytes += p * sizeof(double);
-    have_c = true;
-    if (round >= screen_.max_kkt_rounds) break;
-    const auto violators =
-        detail::kkt_violators(c, in_working, lambda1, screen_);
-    if (violators.empty()) break;
-    stats_.kkt_violations += violators.size();
-    ++stats_.kkt_rounds;
-    detail::merge_violators(working, in_working, violators);
+DistributedAdmmResult DistributedLassoBackend::full_solve(
+    double lambda1, double lambda2, const DistributedAdmmResult& warm) {
+  if (full_solver_ == nullptr && !owned_full_solver_) {
+    owned_full_solver_.emplace(*comm_, a_, b_, admm_);
   }
-  stats_.survivors += working.size();
-  stats_.gram_cols_saved += p - working.size();
-
-  std::vector<std::size_t> support;
-  if (mode_ == ScreenMode::kOff) {
-    for (std::size_t j = 0; j < p; ++j) {
-      if (work.beta[j] != 0.0) support.push_back(j);
-    }
-  } else {
-    for (std::size_t i = 0; i < working.size(); ++i) {
-      if (work.beta[i] != 0.0) support.push_back(working[i]);
-    }
-  }
-
-  DistributedAdmmResult final_result;
-  bool canonical_ran = false;
-  if (support.size() == working.size()) {
-    final_result = std::move(work);
-    if (mode_ != ScreenMode::kOff) {
-      Vector full(p, 0.0);
-      if (!final_result.beta.empty()) {
-        uoi::linalg::scatter_expand(final_result.beta, working, full);
-      }
-      final_result.beta = std::move(full);
-    }
-  } else {
-    ++stats_.canonical_solves;
-    canonical_ran = true;
-    if (support.empty()) {
-      final_result = DistributedAdmmResult{};
-      final_result.converged = true;
-      final_result.beta.assign(p, 0.0);
-    } else {
-      const Matrix as = detail::gather_cols_view(a_, support);
-      const DistributedLassoAdmmSolver sub(*comm_, as, b_, admm_);
-      DistributedAdmmResult ws;
-      ws.beta = detail::gather_vector(state_.beta_prev, support);
-      final_result = sub.solve_elastic_net(lambda1, lambda2, &ws);
-      accumulate(final_result);
-      Vector full(p, 0.0);
-      uoi::linalg::scatter_expand(final_result.beta, support, full);
-      final_result.beta = std::move(full);
-    }
-  }
-  final_result.iterations = totals.iterations;
-  final_result.local_flops = totals.local_flops;
-  final_result.allreduce_calls = totals.allreduce_calls;
-  final_result.allreduce_bytes = totals.allreduce_bytes;
-  final_result.consensus_rounds = totals.consensus_rounds;
-  final_result.lazy_iterations = totals.lazy_iterations;
-  final_result.rho_updates = totals.rho_updates;
-
-  state_.has_prev = true;
-  state_.lambda_prev = lambda1;
-  state_.beta_prev = final_result.beta;
-  for (const std::size_t j : support) state_.ever_active[j] = 1;
-  if (mode_ == ScreenMode::kStrong) {
-    if (canonical_ran || !have_c) {
-      Vector r(b_.begin(), b_.end());
-      for (std::size_t j : support) {
-        const double bj = final_result.beta[j];
-        for (std::size_t row = 0; row < n_local; ++row) {
-          r[row] -= bj * a_(row, j);
-        }
-      }
-      c.assign(p, 0.0);
-      if (n_local > 0) {
-        uoi::linalg::gemv_transposed(1.0, a_, r, 0.0, c);
-        final_result.local_flops += uoi::linalg::gemv_flops(n_local, p);
-      }
-      comm_->allreduce(std::span<double>(c), uoi::sim::ReduceOp::kSum);
-      final_result.allreduce_calls += 1;
-      final_result.allreduce_bytes += p * sizeof(double);
-    }
-    state_.c_prev = c;
-  }
-  return final_result;
+  const DistributedLassoAdmmSolver& solver =
+      full_solver_ != nullptr ? *full_solver_ : *owned_full_solver_;
+  return solver.solve_elastic_net(lambda1, lambda2, &warm);
 }
+
+DistributedAdmmResult DistributedLassoBackend::subset_solve(
+    std::span<const std::size_t> cols, double lambda1, double lambda2,
+    const DistributedAdmmResult& warm) {
+  gathered_ = gather_cols_view(a_, cols);
+  // No collectives in this constructor, so building a fresh reduced
+  // solver per lambda stays collective-safe.
+  const DistributedLassoAdmmSolver sub(*comm_, gathered_, b_, admm_);
+  return sub.solve_elastic_net(lambda1, lambda2, &warm);
+}
+
+void DistributedLassoBackend::kkt_correlation(
+    std::span<const double> beta_w, std::span<const std::size_t> working,
+    Vector& c, DistributedAdmmResult& spent) const {
+  // c = sum_ranks A_i'(b_i - A_{i,W} z_W).
+  Vector r(b_.begin(), b_.end());
+  if (!beta_w.empty() && a_.rows() > 0) {
+    uoi::linalg::gemv(-1.0, gathered_, beta_w, 1.0, r);
+    spent.local_flops += uoi::linalg::gemv_flops(a_.rows(), working.size());
+  }
+  correlate(r, c, spent);
+}
+
+void DistributedLassoBackend::refresh_correlation(
+    std::span<const double> beta, std::span<const std::size_t> support,
+    Vector& c, DistributedAdmmResult& result) const {
+  correlate(support_residual(a_, b_, beta, support), c, result);
+}
+
+void DistributedLassoBackend::correlate(std::span<const double> r, Vector& c,
+                                        DistributedAdmmResult& fit) const {
+  c.assign(a_.cols(), 0.0);
+  if (a_.rows() > 0) {
+    uoi::linalg::gemv_transposed(1.0, a_, r, 0.0, c);
+    fit.local_flops += uoi::linalg::gemv_flops(a_.rows(), a_.cols());
+  }
+  allreduce_correlation(*comm_, c, fit);
+}
+
+template class ScreenedChain<SerialLassoBackend>;
+template class ScreenedChain<DistributedLassoBackend>;
+
+}  // namespace detail
 
 }  // namespace uoi::solvers

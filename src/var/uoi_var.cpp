@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <optional>
 
@@ -31,34 +30,17 @@ constexpr std::size_t kSelectionStage = 0;
 constexpr std::size_t kEstimationTrainStage = 1;
 constexpr std::size_t kEstimationEvalStage = 2;
 
-/// Subtracts column means in place; returns the means.
-Vector center_columns(Matrix& series) {
-  Vector means(series.cols(), 0.0);
-  for (std::size_t r = 0; r < series.rows(); ++r) {
-    const auto row = series.row(r);
-    for (std::size_t c = 0; c < row.size(); ++c) means[c] += row[c];
-  }
-  for (auto& m : means) m /= static_cast<double>(series.rows());
-  for (std::size_t r = 0; r < series.rows(); ++r) {
-    auto row = series.row(r);
-    for (std::size_t c = 0; c < row.size(); ++c) row[c] -= means[c];
-  }
-  return means;
-}
-
 /// Replicable screening quantities of the vectorized VAR problem (the
 /// serial mirror of the distributed driver's fused allreduce): coefficient
 /// g = e*dp + c sees column c of the shared lag matrix in equation e's
 /// rows only, so the per-column norms tile p times.
-uoi::solvers::DistributedScreenInputs var_screen_inputs(
+uoi::solvers::ScreenInputs var_screen_inputs(
     const LagRegression& lag, std::span<const double> vec_y) {
   const std::size_t rows = lag.x.rows();
   const std::size_t dp = lag.x.cols();
   const std::size_t p = lag.y.cols();
   const std::size_t nc = dp * p;
-  uoi::solvers::DistributedScreenInputs in;
-  in.atb.assign(nc, 0.0);
-  in.col_sq_norms.assign(nc, 0.0);
+  Vector sums(2 * nc + 1, 0.0);  // [A'b | column norms^2 | b'b]
   Vector colsq(dp, 0.0);
   for (std::size_t r = 0; r < rows; ++r) {
     const auto row = lag.x.row(r);
@@ -67,15 +49,12 @@ uoi::solvers::DistributedScreenInputs var_screen_inputs(
   for (std::size_t e = 0; e < p; ++e) {
     uoi::linalg::gemv_transposed(
         1.0, lag.x, vec_y.subspan(e * rows, rows), 0.0,
-        std::span<double>(in.atb).subspan(e * dp, dp));
+        std::span<double>(sums).subspan(e * dp, dp));
     std::copy(colsq.begin(), colsq.end(),
-              in.col_sq_norms.begin() + static_cast<std::ptrdiff_t>(e * dp));
+              sums.begin() + static_cast<std::ptrdiff_t>(nc + e * dp));
   }
-  in.b_norm_sq = uoi::linalg::nrm2_squared(vec_y);
-  for (const double v : in.atb) {
-    in.lambda_max = std::max(in.lambda_max, std::abs(v));
-  }
-  return in;
+  sums[2 * nc] = uoi::linalg::nrm2_squared(vec_y);
+  return uoi::solvers::screen_inputs_from_sums(sums);
 }
 
 /// c = A'(b - A beta) of the vectorized problem for a full-length beta.
@@ -143,30 +122,13 @@ class VarWorkingSetSolver {
       const LagRegression& lag, std::span<const double> vec_y,
       std::span<const std::size_t> working) {
     const std::size_t rows = lag.x.rows();
-    const std::size_t dp = lag.x.cols();
     const std::size_t p = lag.y.cols();
     atb_.assign(nw_, 0.0);
     cols_.reserve(p);
     std::vector<uoi::solvers::BlockRidgeSolver::Block> out;
-    std::size_t w = 0;
-    for (std::size_t e = 0; e < p && w < nw_; ++e) {
-      const std::size_t lo = w;
-      while (w < nw_ && working[w] < (e + 1) * dp) ++w;
-      const std::size_t width = w - lo;
-      if (width == 0) continue;
-      ConstMatrixView v = lag.x;
-      if (width < dp) {
-        std::vector<std::size_t> cols(width);
-        for (std::size_t i = 0; i < width; ++i) {
-          cols[i] = working[lo + i] - e * dp;
-        }
-        v = cols_.emplace_back(
-            uoi::solvers::detail::gather_cols_view(lag.x, cols));
-      }
-      uoi::linalg::gemv_transposed(
-          1.0, v, vec_y.subspan(e * rows, rows), 0.0,
-          std::span<double>(atb_).subspan(lo, width));
-      out.push_back({v, lo});
+    for (std::size_t e = 0; e < p; ++e) {
+      detail::append_equation_block(lag.x, vec_y.subspan(e * rows, rows), e,
+                                    working, cols_, out, atb_);
     }
     return out;
   }
@@ -181,170 +143,73 @@ class VarWorkingSetSolver {
   mutable std::uint64_t pending_setup_flops_ = 0;
 };
 
-/// Serial screened lambda-chain driver for the vectorized VAR problem:
-/// the same canonical two-stage contract as solvers::ScreenedLassoChain
-/// (working solve over W, KKT re-admission, |S|-restricted canonical
-/// polish), shared by both serial backends — only the off-mode full solve
-/// is backend-specific, injected via `full_solve`.
-class SerialScreenedVarChain {
+/// Serial backend of the screened chain (solvers::detail::ScreenedChain)
+/// for the vectorized VAR problem: reduced solves go to the active-set
+/// VarWorkingSetSolver, correlations to var_correlation, and the off-mode
+/// full solve to the structured or sparse solver, built lazily so
+/// screened runs never pay for it.
+class SerialVarBackend {
  public:
-  using FullSolve = std::function<uoi::solvers::AdmmResult(
-      double, const uoi::solvers::AdmmResult*)>;
+  using Fit = uoi::solvers::AdmmResult;
 
-  SerialScreenedVarChain(const LagRegression& lag,
-                         std::span<const double> vec_y,
-                         const uoi::solvers::AdmmOptions& admm,
-                         const uoi::solvers::ScreenOptions& screen,
-                         FullSolve full_solve)
-      : lag_(&lag), vec_y_(vec_y),
-        admm_(uoi::solvers::detail::refined_admm_options(admm, screen)),
-        screen_(screen),
-        mode_(uoi::solvers::resolve_screen_mode(screen.mode)),
-        full_solve_(std::move(full_solve)),
-        inputs_(var_screen_inputs(lag, vec_y)) {
-    state_.reset(inputs_.atb.size());
+  SerialVarBackend(const uoi::solvers::AdmmOptions& admm,
+                   const LagRegression& lag, const VectorizedProblem& problem,
+                   VarSolverBackend kind)
+      : admm_(admm), lag_(&lag), problem_(&problem), kind_(kind),
+        inputs_(var_screen_inputs(lag, problem.vec_y)) {}
+
+  [[nodiscard]] const uoi::solvers::ScreenInputs& inputs() const noexcept {
+    return inputs_;
   }
 
-  [[nodiscard]] uoi::solvers::AdmmResult solve(double lambda);
+  [[nodiscard]] Fit full_solve(double lambda, double /*lambda2*/,
+                               const Fit& warm) {
+    if (kind_ == VarSolverBackend::kStructured) {
+      if (!kron_solver_) {
+        kron_solver_.emplace(problem_->design, problem_->vec_y, admm_);
+      }
+      return kron_solver_->solve(lambda, &warm);
+    }
+    if (!sparse_solver_) {
+      // The paper's sparse path: materialize I (x) X as CSR.
+      design_.emplace(uoi::linalg::SparseMatrix::block_diagonal(
+          lag_->x, lag_->y.cols()));
+      sparse_solver_.emplace(*design_, problem_->vec_y, admm_);
+    }
+    return sparse_solver_->solve(lambda, &warm);
+  }
 
-  [[nodiscard]] const uoi::solvers::ScreenStats& stats() const noexcept {
-    return stats_;
+  [[nodiscard]] Fit subset_solve(std::span<const std::size_t> cols,
+                                 double lambda, double /*lambda2*/,
+                                 const Fit& warm) const {
+    const VarWorkingSetSolver sub(*lag_, problem_->vec_y, cols, admm_);
+    return sub.solve(lambda, &warm);
+  }
+
+  void kkt_correlation(std::span<const double> beta_w,
+                       std::span<const std::size_t> working, Vector& c,
+                       Fit& spent) const {
+    const Vector beta_full = uoi::solvers::detail::expand_vector(
+        beta_w, working, inputs_.atb.size());
+    c = var_correlation(*lag_, problem_->vec_y, beta_full, spent.flops);
+  }
+
+  void refresh_correlation(std::span<const double> beta,
+                           std::span<const std::size_t> /*support*/,
+                           Vector& c, Fit& result) const {
+    c = var_correlation(*lag_, problem_->vec_y, beta, result.flops);
   }
 
  private:
-  const LagRegression* lag_;
-  std::span<const double> vec_y_;
   uoi::solvers::AdmmOptions admm_;
-  uoi::solvers::ScreenOptions screen_;
-  uoi::solvers::ScreenMode mode_;
-  FullSolve full_solve_;
-  uoi::solvers::DistributedScreenInputs inputs_;
-  uoi::solvers::detail::ChainScreenState state_;
-  uoi::solvers::ScreenStats stats_;
+  const LagRegression* lag_;
+  const VectorizedProblem* problem_;
+  VarSolverBackend kind_;
+  uoi::solvers::ScreenInputs inputs_;
+  std::optional<uoi::linalg::SparseMatrix> design_;
+  std::optional<uoi::solvers::KronLassoAdmmSolver> kron_solver_;
+  std::optional<uoi::solvers::SparseLassoAdmmSolver> sparse_solver_;
 };
-
-uoi::solvers::AdmmResult SerialScreenedVarChain::solve(double lambda) {
-  namespace sdetail = uoi::solvers::detail;
-  using uoi::solvers::AdmmResult;
-  using uoi::solvers::ScreenMode;
-  const std::size_t nc = inputs_.atb.size();
-  if (state_.has_prev && lambda > state_.lambda_prev) state_.reset(nc);
-  ++stats_.lambdas;
-  stats_.total_columns += nc;
-
-  std::vector<std::size_t> working = sdetail::screen_working_set(
-      mode_, nc, lambda, inputs_.atb, inputs_.col_sq_norms,
-      inputs_.b_norm_sq, inputs_.lambda_max, state_);
-  std::vector<char> in_working(nc, 0);
-  for (const std::size_t j : working) in_working[j] = 1;
-
-  AdmmResult work;
-  Vector c(nc, 0.0);
-  bool have_c = false;
-  std::uint64_t total_flops = 0;
-  std::uint64_t total_iterations = 0;
-  std::uint64_t total_rho_updates = 0;
-
-  const auto accumulate = [&](const AdmmResult& fit) {
-    total_flops += fit.flops;
-    total_iterations += fit.iterations;
-    total_rho_updates += fit.rho_updates;
-  };
-  const auto expand = [&](std::span<const double> reduced,
-                          std::span<const std::size_t> idx) {
-    Vector full(nc, 0.0);
-    if (!reduced.empty()) uoi::linalg::scatter_expand(reduced, idx, full);
-    return full;
-  };
-
-  for (std::size_t round = 0;; ++round) {
-    if (mode_ == ScreenMode::kOff) {
-      AdmmResult ws;
-      ws.beta = state_.beta_prev;
-      work = full_solve_(lambda, &ws);
-    } else if (working.empty()) {
-      work = AdmmResult{};
-      work.converged = true;
-    } else {
-      const VarWorkingSetSolver sub(*lag_, vec_y_, working, admm_);
-      AdmmResult ws;
-      ws.beta = sdetail::gather_vector(state_.beta_prev, working);
-      work = sub.solve(lambda, &ws);
-    }
-    accumulate(work);
-    if (mode_ == ScreenMode::kOff) break;
-
-    const Vector beta_full = expand(work.beta, working);
-    c = var_correlation(*lag_, vec_y_, beta_full, total_flops);
-    have_c = true;
-    if (round >= screen_.max_kkt_rounds) break;
-    const auto violators =
-        sdetail::kkt_violators(c, in_working, lambda, screen_);
-    if (violators.empty()) break;
-    stats_.kkt_violations += violators.size();
-    ++stats_.kkt_rounds;
-    for (const std::size_t j : violators) in_working[j] = 1;
-    std::vector<std::size_t> merged;
-    merged.reserve(working.size() + violators.size());
-    std::merge(working.begin(), working.end(), violators.begin(),
-               violators.end(), std::back_inserter(merged));
-    working = std::move(merged);
-  }
-  stats_.survivors += working.size();
-  stats_.gram_cols_saved += nc - working.size();
-
-  std::vector<std::size_t> support;
-  if (mode_ == ScreenMode::kOff) {
-    for (std::size_t j = 0; j < nc; ++j) {
-      if (work.beta[j] != 0.0) support.push_back(j);
-    }
-  } else {
-    for (std::size_t i = 0; i < working.size(); ++i) {
-      if (work.beta[i] != 0.0) support.push_back(working[i]);
-    }
-  }
-
-  AdmmResult final_result;
-  bool canonical_ran = false;
-  if (support.size() == working.size()) {
-    // The working solve IS the canonical solve, bit for bit.
-    final_result = std::move(work);
-    if (mode_ != ScreenMode::kOff) {
-      final_result.beta = expand(final_result.beta, working);
-    }
-  } else {
-    ++stats_.canonical_solves;
-    canonical_ran = true;
-    if (support.empty()) {
-      final_result = AdmmResult{};
-      final_result.converged = true;
-      final_result.beta.assign(nc, 0.0);
-    } else {
-      const VarWorkingSetSolver sub(*lag_, vec_y_, support, admm_);
-      AdmmResult ws;
-      ws.beta = sdetail::gather_vector(state_.beta_prev, support);
-      final_result = sub.solve(lambda, &ws);
-      accumulate(final_result);
-      final_result.beta = expand(final_result.beta, support);
-    }
-  }
-  final_result.flops = total_flops;
-  final_result.iterations = total_iterations;
-  final_result.rho_updates = total_rho_updates;
-
-  state_.has_prev = true;
-  state_.lambda_prev = lambda;
-  state_.beta_prev = final_result.beta;
-  for (const std::size_t j : support) state_.ever_active[j] = 1;
-  if (mode_ == ScreenMode::kStrong) {
-    if (canonical_ran || !have_c) {
-      c = var_correlation(*lag_, vec_y_, final_result.beta,
-                          final_result.flops);
-    }
-    state_.c_prev = c;
-  }
-  return final_result;
-}
 
 }  // namespace
 
@@ -446,23 +311,13 @@ UoiVarResult UoiVar::fit(ConstMatrixView series_view) const {
   UOI_CHECK(n > d + 2, "series too short for the requested order");
 
   Matrix series = Matrix::from_view(series_view);
-  Vector means(p, 0.0);
-  if (options_.center) means = center_columns(series);
+  const Vector means = detail::center_series(series, options_.center);
 
   const LagRegression full = build_lag_regression(series, d);
   const std::size_t dp = d * p;
   const std::size_t n_coeffs = dp * p;
 
-  UoiVarResult result{VarModel(std::vector<Matrix>(d, Matrix(p, p))),
-                      Vector(n_coeffs, 0.0),
-                      {},
-                      {},
-                      {},
-                      {},
-                      {},
-                      0,
-                      1.0 - 1.0 / static_cast<double>(p),
-                      {}};
+  UoiVarResult result = detail::empty_var_result(p, d);
   result.lambdas = resolve_var_lambda_grid(options_, full.y, full.x);
   const std::size_t q = result.lambdas.size();
 
@@ -476,60 +331,23 @@ UoiVarResult UoiVar::fit(ConstMatrixView series_view) const {
     const LagRegression lag = build_lag_regression(sample, d);
     const VectorizedProblem problem = vectorize(lag);
 
-    auto record = [&](std::size_t j, const uoi::solvers::AdmmResult& fit) {
+    // The screened chain owns the warm starts and the two-stage solve.
+    uoi::solvers::detail::ScreenedChain<SerialVarBackend> chain(
+        options_.admm, options_.screen, lag, problem, options_.backend);
+    for (std::size_t j = 0; j < q; ++j) {
+      const auto fit = chain.solve(result.lambdas[j]);
       result.total_flops += fit.flops;
       auto row = selection_counts.row(j);
       for (std::size_t i = 0; i < n_coeffs; ++i) {
         if (std::abs(fit.beta[i]) > options_.support_tolerance) row[i] += 1.0;
       }
-    };
-
-    // Both backends drive the canonical screened chain (warm starts and
-    // the two-stage solve live there); they differ only in how an off-mode
-    // full solve is produced. The full solver — and for the sparse path
-    // the materialized CSR I (x) X — is built lazily, so screened runs
-    // never pay for it.
-    std::optional<uoi::linalg::SparseMatrix> design;
-    std::optional<uoi::solvers::KronLassoAdmmSolver> kron_solver;
-    std::optional<uoi::solvers::SparseLassoAdmmSolver> sparse_solver;
-    // Off-mode full solvers serve chain working solves, so they must run
-    // under the chain's refined stopping rules.
-    const uoi::solvers::AdmmOptions chain_admm =
-        uoi::solvers::detail::refined_admm_options(options_.admm,
-                                                   options_.screen);
-    SerialScreenedVarChain chain(
-        lag, problem.vec_y, options_.admm, options_.screen,
-        [&](double lambda, const uoi::solvers::AdmmResult* warm) {
-          if (options_.backend == VarSolverBackend::kStructured) {
-            if (!kron_solver) {
-              kron_solver.emplace(problem.design, problem.vec_y, chain_admm);
-            }
-            return kron_solver->solve(lambda, warm);
-          }
-          if (!sparse_solver) {
-            // The paper's sparse path: materialize I (x) X as CSR.
-            design.emplace(
-                uoi::linalg::SparseMatrix::block_diagonal(lag.x, p));
-            sparse_solver.emplace(*design, problem.vec_y, chain_admm);
-          }
-          return sparse_solver->solve(lambda, warm);
-        });
-    for (std::size_t j = 0; j < q; ++j) {
-      record(j, chain.solve(result.lambdas[j]));
     }
   }
-  const double count_threshold = std::max(
-      1.0, std::ceil(options_.intersection_fraction *
-                         static_cast<double>(options_.n_selection_bootstraps) -
-                     1e-12));
   result.candidate_supports.reserve(q);
   for (std::size_t j = 0; j < q; ++j) {
-    std::vector<std::size_t> selected;
-    const auto row = selection_counts.row(j);
-    for (std::size_t i = 0; i < n_coeffs; ++i) {
-      if (row[i] >= count_threshold) selected.push_back(i);
-    }
-    result.candidate_supports.emplace_back(std::move(selected));
+    result.candidate_supports.push_back(uoi::core::intersect_counts(
+        selection_counts.row(j), options_.intersection_fraction,
+        static_cast<double>(options_.n_selection_bootstraps)));
   }
 
   // ---- Model estimation (Algorithm 2, lines 14-30) ----
@@ -537,8 +355,7 @@ UoiVarResult UoiVar::fit(ConstMatrixView series_view) const {
   result.chosen_support_per_bootstrap.assign(b2, 0);
   result.best_loss_per_bootstrap.assign(
       b2, std::numeric_limits<double>::infinity());
-  Vector beta_sum(n_coeffs, 0.0);
-  Vector selection_counts_est(n_coeffs, 0.0);
+  Matrix winners(b2, n_coeffs, 0.0);
 
   for (std::size_t k = 0; k < b2; ++k) {
     const Matrix train_sample = block_bootstrap_sample(
@@ -563,31 +380,96 @@ UoiVarResult UoiVar::fit(ConstMatrixView series_view) const {
         best_beta = beta;
       }
     }
+    std::copy(best_beta.begin(), best_beta.end(), winners.row(k).begin());
+  }
+
+  detail::finish_var_result(result, winners, means, options_);
+  return result;
+}
+
+namespace detail {
+
+Vector center_series(Matrix& series, bool center) {
+  Vector means(series.cols(), 0.0);
+  if (!center) return means;
+  for (std::size_t r = 0; r < series.rows(); ++r) {
+    const auto row = series.row(r);
+    for (std::size_t c = 0; c < row.size(); ++c) means[c] += row[c];
+  }
+  for (auto& m : means) m /= static_cast<double>(series.rows());
+  for (std::size_t r = 0; r < series.rows(); ++r) {
+    auto row = series.row(r);
+    for (std::size_t c = 0; c < row.size(); ++c) row[c] -= means[c];
+  }
+  return means;
+}
+
+UoiVarResult empty_var_result(std::size_t p, std::size_t d) {
+  return {VarModel(std::vector<Matrix>(d, Matrix(p, p))),
+          Vector(d * p * p, 0.0),
+          {},
+          {},
+          {},
+          {},
+          {},
+          0,
+          1.0 - 1.0 / static_cast<double>(p),
+          {}};
+}
+
+void append_equation_block(
+    ConstMatrixView rows, std::span<const double> y, std::size_t e,
+    std::span<const std::size_t> working, std::vector<Matrix>& gathered,
+    std::vector<uoi::solvers::BlockRidgeSolver::Block>& blocks,
+    std::span<double> atb) {
+  // Coefficients g = e*dp + c ascend with e, so a sorted working set keeps
+  // each equation's survivors contiguous.
+  const std::size_t dp = rows.cols();
+  const auto lo = std::lower_bound(working.begin(), working.end(), e * dp);
+  const auto hi = std::lower_bound(lo, working.end(), (e + 1) * dp);
+  const auto offset = static_cast<std::size_t>(lo - working.begin());
+  const auto width = static_cast<std::size_t>(hi - lo);
+  if (width == 0) return;
+  ConstMatrixView v = rows;
+  if (width < dp) {
+    std::vector<std::size_t> cols(width);
+    for (std::size_t i = 0; i < width; ++i) cols[i] = lo[i] - e * dp;
+    v = gathered.emplace_back(
+        uoi::solvers::detail::gather_cols_view(rows, cols));
+  }
+  uoi::linalg::gemv_transposed(1.0, v, y, 0.0, atb.subspan(offset, width));
+  blocks.push_back({v, offset});
+}
+
+void finish_var_result(UoiVarResult& result, const Matrix& winners,
+                       std::span<const double> means,
+                       const UoiVarOptions& options) {
+  const std::size_t b2 = winners.rows();
+  const std::size_t n_coeffs = winners.cols();
+  const std::size_t p = means.size();
+  const std::size_t d = options.order;
+  Vector beta_sum(n_coeffs, 0.0);
+  Vector freq_sum(n_coeffs, 0.0);
+  for (std::size_t k = 0; k < b2; ++k) {
+    const auto row = winners.row(k);
     for (std::size_t i = 0; i < n_coeffs; ++i) {
-      beta_sum[i] += best_beta[i];
-      if (std::abs(best_beta[i]) > options_.support_tolerance) {
-        selection_counts_est[i] += 1.0;
-      }
+      beta_sum[i] += row[i];
+      if (std::abs(row[i]) > options.support_tolerance) freq_sum[i] += 1.0;
     }
   }
-
-  for (std::size_t i = 0; i < n_coeffs; ++i) {
-    result.vec_beta[i] = beta_sum[i] / static_cast<double>(b2);
-  }
+  result.vec_beta.assign(n_coeffs, 0.0);
   result.selection_frequency.assign(n_coeffs, 0.0);
   for (std::size_t i = 0; i < n_coeffs; ++i) {
-    result.selection_frequency[i] =
-        selection_counts_est[i] / static_cast<double>(b2);
+    result.selection_frequency[i] = freq_sum[i] / static_cast<double>(b2);
+    result.vec_beta[i] = beta_sum[i] / static_cast<double>(b2);
   }
   result.support =
-      SupportSet::from_beta(result.vec_beta, options_.support_tolerance);
+      SupportSet::from_beta(result.vec_beta, options.support_tolerance);
 
-  // Rebuild (A_1..A_d) and mu (Algorithm 2, lines 31-32). With centered
-  // data, mu_hat = (I - sum_j A_j) x_bar.
-  VarModel fitted = VarModel::from_vec_b(result.vec_beta, p, d);
+  const VarModel fitted = VarModel::from_vec_b(result.vec_beta, p, d);
   Vector mu(p, 0.0);
-  if (options_.center) {
-    mu = means;
+  if (options.center) {
+    mu.assign(means.begin(), means.end());
     for (std::size_t j = 0; j < d; ++j) {
       const auto& a = fitted.coefficient(j);
       for (std::size_t i = 0; i < p; ++i) {
@@ -596,7 +478,8 @@ UoiVarResult UoiVar::fit(ConstMatrixView series_view) const {
     }
   }
   result.model = VarModel(fitted.coefficients(), std::move(mu));
-  return result;
 }
+
+}  // namespace detail
 
 }  // namespace uoi::var

@@ -24,6 +24,7 @@
 #include "core/support_set.hpp"
 #include "core/uoi_lasso.hpp"
 #include "solvers/admm_lasso.hpp"
+#include "solvers/ridge_system.hpp"
 #include "var/block_bootstrap.hpp"
 #include "var/granger.hpp"
 #include "var/var_model.hpp"
@@ -129,5 +130,44 @@ class UoiVar {
 [[nodiscard]] double var_mse(const uoi::linalg::Matrix& y,
                              const uoi::linalg::Matrix& x,
                              std::span<const double> vec_beta);
+
+namespace detail {
+
+/// The steps UoiVar::fit and uoi_var_distributed share, so both fit the
+/// same data and report the same estimate.
+
+/// Subtracts the column means in place when `center`; returns the means
+/// (zeros otherwise).
+[[nodiscard]] uoi::linalg::Vector center_series(uoi::linalg::Matrix& series,
+                                                bool center);
+
+/// A zero result for p series at order d.
+[[nodiscard]] UoiVarResult empty_var_result(std::size_t p, std::size_t d);
+
+/// Algorithm 2, lines 29-32, from the B2 estimation winners (one row
+/// each): vec_beta is their mean, selection_frequency the fraction that
+/// select each coefficient; then the support and the model (A_1..A_d,
+/// mu), where centered data gives mu = (I - sum_j A_j) x_bar.
+void finish_var_result(UoiVarResult& result,
+                       const uoi::linalg::Matrix& winners,
+                       std::span<const double> means,
+                       const UoiVarOptions& options);
+
+/// Appends equation e's x-update block to a solve over the sorted subset
+/// `working` of the vectorized coefficients (g = e*dp + c, dp =
+/// rows.cols()): the equation's `rows` restricted to its surviving
+/// columns — a view when all dp survive, else a copy appended to
+/// `gathered` (reserved by the caller so earlier views stay valid) — at
+/// its offset in working coordinates, whose slice of `atb` becomes
+/// rows' y. An equation with no surviving column adds nothing: its
+/// coordinates vanish from the reduced problem.
+void append_equation_block(
+    uoi::linalg::ConstMatrixView rows, std::span<const double> y,
+    std::size_t e, std::span<const std::size_t> working,
+    std::vector<uoi::linalg::Matrix>& gathered,
+    std::vector<uoi::solvers::BlockRidgeSolver::Block>& blocks,
+    std::span<double> atb);
+
+}  // namespace detail
 
 }  // namespace uoi::var

@@ -1,7 +1,7 @@
 #include "var/var_distributed.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <numeric>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -177,78 +177,50 @@ VarLocalBlock distributed_kron_vectorize(Comm& comm, const LagRegression& lag,
   return block;
 }
 
+namespace {
+
+/// Calls f(e, begin, end) for each equation's range [begin, end) of local
+/// rows: global rows are contiguous, so local rows arrive grouped by
+/// equation.
+template <class F>
+void for_each_equation(const VarLocalBlock& block, F&& f) {
+  const std::vector<std::size_t>& eq = block.equation_of_row;
+  for (std::size_t begin = 0, end = 0; begin < eq.size(); begin = end) {
+    while (end < eq.size() && eq[end] == eq[begin]) ++end;
+    f(eq[begin], begin, end);
+  }
+}
+
+/// The full solver's working set: every coefficient.
+std::vector<std::size_t> all_coefficients(const VarLocalBlock& block) {
+  std::vector<std::size_t> all(block.n_coefficients());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return all;
+}
+
+}  // namespace
+
 DistributedVarAdmmSolver::DistributedVarAdmmSolver(
     Comm& comm, const VarLocalBlock& block,
     const uoi::solvers::AdmmOptions& options)
-    : comm_(&comm), block_(&block), options_(options) {
-  init({});
-}
+    : DistributedVarAdmmSolver(comm, block, all_coefficients(block),
+                               options) {}
 
 DistributedVarAdmmSolver::DistributedVarAdmmSolver(
     Comm& comm, const VarLocalBlock& block,
     std::span<const std::size_t> working,
     const uoi::solvers::AdmmOptions& options)
-    : comm_(&comm), block_(&block), options_(options), reduced_(true) {
-  init(working);
-}
-
-void DistributedVarAdmmSolver::init(std::span<const std::size_t> working) {
-  const VarLocalBlock& block = *block_;
-  const std::size_t dp = block.dp;
-  n_solve_coeffs_ = reduced_ ? working.size() : block.n_coefficients();
-  atb_.assign(n_solve_coeffs_, 0.0);
-
-  // Local rows arrive grouped by equation (global rows are contiguous), so
-  // one pass finds the per-equation ranges.
+    : comm_(&comm), block_(&block), options_(options),
+      atb_(working.size(), 0.0) {
   std::vector<uoi::solvers::BlockRidgeSolver::Block> blocks;
-  if (reduced_) cols_.reserve(block.n_equations);
-  std::size_t begin = 0;
-  const std::size_t n_local = block.equation_of_row.size();
-  while (begin < n_local) {
-    std::size_t end = begin;
-    const std::size_t e = block.equation_of_row[begin];
-    while (end < n_local && block.equation_of_row[end] == e) ++end;
-
-    // Solve-vector slice of equation e. Global coefficients g = e*dp + c
-    // ascend with e, so a sorted working set keeps each equation's
-    // survivors contiguous — the reduced offset is a binary search away.
-    std::size_t offset = e * dp;
-    std::size_t width = dp;
-    std::vector<std::size_t> local_cols;
-    if (reduced_) {
-      const auto lo =
-          std::lower_bound(working.begin(), working.end(), e * dp);
-      const auto hi =
-          std::lower_bound(lo, working.end(), (e + 1) * dp);
-      offset = static_cast<std::size_t>(lo - working.begin());
-      width = static_cast<std::size_t>(hi - lo);
-      if (width == 0) {
-        // No surviving columns: the equation's rows vanish from the
-        // reduced problem (x = z - u covers every reduced coordinate).
-        begin = end;
-        continue;
-      }
-      if (width < dp) {
-        local_cols.resize(width);
-        for (std::size_t i = 0; i < width; ++i) local_cols[i] = lo[i] - e * dp;
-      }
-    }
-
-    // The equation's local rows, restricted to its surviving columns.
-    ConstMatrixView rows_view = block.x_rows.row_block(begin, end - begin);
-    if (!local_cols.empty()) {
-      rows_view = cols_.emplace_back(
-          uoi::solvers::detail::gather_cols_view(rows_view, local_cols));
-    }
-    blocks.push_back({rows_view, offset});
-
-    // A'b restricted to this equation's surviving coordinates.
-    uoi::linalg::gemv_transposed(
-        1.0, rows_view,
-        std::span<const double>(block.y).subspan(begin, end - begin), 0.0,
-        std::span<double>(atb_).subspan(offset, width));
-    begin = end;
-  }
+  cols_.reserve(block.n_equations);
+  for_each_equation(block, [&](std::size_t e, std::size_t begin,
+                               std::size_t end) {
+    detail::append_equation_block(
+        block.x_rows.row_block(begin, end - begin),
+        std::span<const double>(block.y).subspan(begin, end - begin), e,
+        working, cols_, blocks, atb_);
+  });
   system_ =
       std::make_unique<uoi::solvers::BlockRidgeSolver>(blocks, options_.rho);
   setup_flops_ = system_->setup_flops();
@@ -260,7 +232,7 @@ DistributedVarAdmmSolver::~DistributedVarAdmmSolver() = default;
 uoi::solvers::DistributedAdmmResult DistributedVarAdmmSolver::solve(
     double lambda,
     const uoi::solvers::DistributedAdmmResult* warm_start) const {
-  const std::size_t n_coeffs = n_solve_coeffs_;
+  const std::size_t n_coeffs = atb_.size();
 
   Vector q(n_coeffs);
   std::optional<uoi::solvers::BlockRidgeSolver> rebuilt;
@@ -302,17 +274,13 @@ bool owns_equation(std::size_t e, int c_ranks, int c_rank) {
 /// Replicated screening inputs for the vectorized VAR problem: one fused
 /// (2 dp p + 1)-double allreduce over [A'b | column ||.||^2 | b'b], where
 /// column g = e*dp + c lives only in equation e's rows.
-uoi::solvers::DistributedScreenInputs build_var_screen_inputs(
+uoi::solvers::ScreenInputs build_var_screen_inputs(
     Comm& comm, const VarLocalBlock& block) {
   const std::size_t nc = block.n_coefficients();
   const std::size_t dp = block.dp;
   Vector buffer(2 * nc + 1, 0.0);
-  std::size_t begin = 0;
-  const std::size_t n_local = block.equation_of_row.size();
-  while (begin < n_local) {
-    std::size_t end = begin;
-    const std::size_t e = block.equation_of_row[begin];
-    while (end < n_local && block.equation_of_row[end] == e) ++end;
+  for_each_equation(block, [&](std::size_t e, std::size_t begin,
+                               std::size_t end) {
     const ConstMatrixView rows = block.x_rows.row_block(begin, end - begin);
     uoi::linalg::gemv_transposed(
         1.0, rows, std::span<const double>(block.y).subspan(begin, end - begin),
@@ -323,22 +291,10 @@ uoi::solvers::DistributedScreenInputs build_var_screen_inputs(
         buffer[nc + e * dp + c] += row[c] * row[c];
       }
     }
-    begin = end;
-  }
+  });
   buffer[2 * nc] = uoi::linalg::nrm2_squared(block.y);
   comm.allreduce(std::span<double>(buffer), ReduceOp::kSum);
-
-  uoi::solvers::DistributedScreenInputs inputs;
-  inputs.atb.assign(buffer.begin(),
-                    buffer.begin() + static_cast<std::ptrdiff_t>(nc));
-  inputs.col_sq_norms.assign(
-      buffer.begin() + static_cast<std::ptrdiff_t>(nc),
-      buffer.begin() + static_cast<std::ptrdiff_t>(2 * nc));
-  inputs.b_norm_sq = buffer[2 * nc];
-  for (const double v : inputs.atb) {
-    inputs.lambda_max = std::max(inputs.lambda_max, std::abs(v));
-  }
-  return inputs;
+  return uoi::solvers::screen_inputs_from_sums(buffer);
 }
 
 /// Local contribution to c = A'(b - A beta) for a full-length beta,
@@ -349,12 +305,8 @@ Vector var_correlation_local(const VarLocalBlock& block,
                              std::uint64_t& flops) {
   const std::size_t dp = block.dp;
   Vector c(block.n_coefficients(), 0.0);
-  std::size_t begin = 0;
-  const std::size_t n_local = block.equation_of_row.size();
-  while (begin < n_local) {
-    std::size_t end = begin;
-    const std::size_t e = block.equation_of_row[begin];
-    while (end < n_local && block.equation_of_row[end] == e) ++end;
+  for_each_equation(block, [&](std::size_t e, std::size_t begin,
+                               std::size_t end) {
     const ConstMatrixView rows = block.x_rows.row_block(begin, end - begin);
     Vector r(block.y.begin() + static_cast<std::ptrdiff_t>(begin),
              block.y.begin() + static_cast<std::ptrdiff_t>(end));
@@ -362,195 +314,74 @@ Vector var_correlation_local(const VarLocalBlock& block,
     uoi::linalg::gemv_transposed(1.0, rows, r, 0.0,
                                  std::span<double>(c).subspan(e * dp, dp));
     flops += 2 * uoi::linalg::gemv_flops(end - begin, dp);
-    begin = end;
-  }
+  });
   return c;
 }
 
-/// Distributed screened lambda-chain driver over the block-structured VAR
-/// solver: the same canonical two-stage contract as solvers::
-/// DistributedScreenedLassoChain (working solve on W, KKT re-admission,
-/// |S|-restricted canonical polish), with reduced solves delegated to the
-/// active-set DistributedVarAdmmSolver so the fused consensus payload
-/// shrinks from (dp*p + 3) to (|W| + 3) doubles.
-class ScreenedVarChain {
+/// Distributed backend of the screened chain (solvers::detail::
+/// ScreenedChain) over the block-structured VAR solver: reduced solves go
+/// to the active-set DistributedVarAdmmSolver, so the fused consensus
+/// payload shrinks from (dp*p + 3) to (|W| + 3) doubles; each correlation
+/// is var_correlation_local plus one nc-length allreduce.
+class DistributedVarBackend {
  public:
-  ScreenedVarChain(Comm& comm, const VarLocalBlock& block,
-                   const uoi::solvers::DistributedScreenInputs& shared,
-                   const uoi::solvers::AdmmOptions& admm,
-                   const uoi::solvers::ScreenOptions& screen,
-                   const DistributedVarAdmmSolver* full_solver)
-      : comm_(&comm), block_(&block), shared_(&shared),
-        admm_(uoi::solvers::detail::refined_admm_options(admm, screen)),
-        screen_(screen), mode_(uoi::solvers::resolve_screen_mode(screen.mode)),
-        full_solver_(full_solver) {
-    state_.reset(block.n_coefficients());
+  using Fit = uoi::solvers::DistributedAdmmResult;
+
+  DistributedVarBackend(const uoi::solvers::AdmmOptions& admm, Comm& comm,
+                        const VarLocalBlock& block,
+                        const uoi::solvers::ScreenInputs& shared,
+                        const DistributedVarAdmmSolver* full_solver)
+      : admm_(admm), comm_(&comm), block_(&block), shared_(&shared),
+        full_solver_(full_solver) {}
+
+  [[nodiscard]] const uoi::solvers::ScreenInputs& inputs() const noexcept {
+    return *shared_;
   }
 
-  [[nodiscard]] uoi::solvers::DistributedAdmmResult solve(double lambda);
+  [[nodiscard]] Fit full_solve(double lambda, double /*lambda2*/,
+                               const Fit& warm) {
+    if (full_solver_ == nullptr && !owned_full_solver_) {
+      owned_full_solver_.emplace(*comm_, *block_, admm_);
+    }
+    const DistributedVarAdmmSolver& solver =
+        full_solver_ != nullptr ? *full_solver_ : *owned_full_solver_;
+    return solver.solve(lambda, &warm);
+  }
 
-  [[nodiscard]] const uoi::solvers::ScreenStats& stats() const noexcept {
-    return stats_;
+  [[nodiscard]] Fit subset_solve(std::span<const std::size_t> cols,
+                                 double lambda, double /*lambda2*/,
+                                 const Fit& warm) const {
+    // No collectives in the reduced constructor, so building a fresh
+    // active-set solver per lambda stays collective-safe; its setup FLOPs
+    // are charged to the first solve.
+    const DistributedVarAdmmSolver sub(*comm_, *block_, cols, admm_);
+    return sub.solve(lambda, &warm);
+  }
+
+  void kkt_correlation(std::span<const double> beta_w,
+                       std::span<const std::size_t> working, Vector& c,
+                       Fit& spent) const {
+    const Vector beta_full = uoi::solvers::detail::expand_vector(
+        beta_w, working, block_->n_coefficients());
+    c = var_correlation_local(*block_, beta_full, spent.local_flops);
+    uoi::solvers::detail::allreduce_correlation(*comm_, c, spent);
+  }
+
+  void refresh_correlation(std::span<const double> beta,
+                           std::span<const std::size_t> /*support*/,
+                           Vector& c, Fit& result) const {
+    c = var_correlation_local(*block_, beta, result.local_flops);
+    uoi::solvers::detail::allreduce_correlation(*comm_, c, result);
   }
 
  private:
+  uoi::solvers::AdmmOptions admm_;
   Comm* comm_;
   const VarLocalBlock* block_;
-  const uoi::solvers::DistributedScreenInputs* shared_;
-  uoi::solvers::AdmmOptions admm_;
-  uoi::solvers::ScreenOptions screen_;
-  uoi::solvers::ScreenMode mode_;
+  const uoi::solvers::ScreenInputs* shared_;
   const DistributedVarAdmmSolver* full_solver_;
   std::optional<DistributedVarAdmmSolver> owned_full_solver_;
-  uoi::solvers::detail::ChainScreenState state_;
-  uoi::solvers::ScreenStats stats_;
 };
-
-uoi::solvers::DistributedAdmmResult ScreenedVarChain::solve(double lambda) {
-  namespace sdetail = uoi::solvers::detail;
-  using uoi::solvers::DistributedAdmmResult;
-  using uoi::solvers::ScreenMode;
-  const std::size_t nc = block_->n_coefficients();
-  if (state_.has_prev && lambda > state_.lambda_prev) state_.reset(nc);
-  ++stats_.lambdas;
-  stats_.total_columns += nc;
-
-  std::vector<std::size_t> working = sdetail::screen_working_set(
-      mode_, nc, lambda, shared_->atb, shared_->col_sq_norms,
-      shared_->b_norm_sq, shared_->lambda_max, state_);
-  std::vector<char> in_working(nc, 0);
-  for (const std::size_t j : working) in_working[j] = 1;
-
-  DistributedAdmmResult work;
-  Vector c(nc, 0.0);
-  bool have_c = false;
-  DistributedAdmmResult totals;  // additive counters only
-
-  const auto accumulate = [&](const DistributedAdmmResult& fit) {
-    totals.iterations += fit.iterations;
-    totals.local_flops += fit.local_flops;
-    totals.allreduce_calls += fit.allreduce_calls;
-    totals.allreduce_bytes += fit.allreduce_bytes;
-    totals.consensus_rounds += fit.consensus_rounds;
-    totals.lazy_iterations += fit.lazy_iterations;
-    totals.rho_updates += fit.rho_updates;
-  };
-
-  // Expands a working solve's compacted beta to full length.
-  const auto expand = [&](std::span<const double> reduced,
-                          std::span<const std::size_t> idx) {
-    Vector full(nc, 0.0);
-    if (!reduced.empty()) uoi::linalg::scatter_expand(reduced, idx, full);
-    return full;
-  };
-
-  for (std::size_t round = 0;; ++round) {
-    if (mode_ == ScreenMode::kOff) {
-      if (full_solver_ == nullptr && !owned_full_solver_) {
-        owned_full_solver_.emplace(*comm_, *block_, admm_);
-      }
-      const DistributedVarAdmmSolver& solver =
-          full_solver_ != nullptr ? *full_solver_ : *owned_full_solver_;
-      DistributedAdmmResult ws;
-      ws.beta = state_.beta_prev;
-      work = solver.solve(lambda, &ws);
-    } else if (working.empty()) {
-      work = DistributedAdmmResult{};
-      work.converged = true;
-    } else {
-      // No collectives in the reduced constructor, so building a fresh
-      // active-set solver per lambda stays collective-safe; its setup
-      // FLOPs are charged to the first solve.
-      const DistributedVarAdmmSolver sub(*comm_, *block_, working, admm_);
-      DistributedAdmmResult ws;
-      ws.beta = sdetail::gather_vector(state_.beta_prev, working);
-      work = sub.solve(lambda, &ws);
-    }
-    accumulate(work);
-    if (mode_ == ScreenMode::kOff) break;
-
-    // KKT check over all coefficients: one nc-length allreduce per round.
-    const Vector beta_full = expand(work.beta, working);
-    c = var_correlation_local(*block_, beta_full, totals.local_flops);
-    comm_->allreduce(std::span<double>(c), ReduceOp::kSum);
-    totals.allreduce_calls += 1;
-    totals.allreduce_bytes += nc * sizeof(double);
-    have_c = true;
-    if (round >= screen_.max_kkt_rounds) break;
-    const auto violators =
-        sdetail::kkt_violators(c, in_working, lambda, screen_);
-    if (violators.empty()) break;
-    stats_.kkt_violations += violators.size();
-    ++stats_.kkt_rounds;
-    for (const std::size_t j : violators) in_working[j] = 1;
-    std::vector<std::size_t> merged;
-    merged.reserve(working.size() + violators.size());
-    std::merge(working.begin(), working.end(), violators.begin(),
-               violators.end(), std::back_inserter(merged));
-    working = std::move(merged);
-  }
-  stats_.survivors += working.size();
-  stats_.gram_cols_saved += nc - working.size();
-
-  std::vector<std::size_t> support;
-  if (mode_ == ScreenMode::kOff) {
-    for (std::size_t j = 0; j < nc; ++j) {
-      if (work.beta[j] != 0.0) support.push_back(j);
-    }
-  } else {
-    for (std::size_t i = 0; i < working.size(); ++i) {
-      if (work.beta[i] != 0.0) support.push_back(working[i]);
-    }
-  }
-
-  DistributedAdmmResult final_result;
-  bool canonical_ran = false;
-  if (support.size() == working.size()) {
-    // The working solve IS the canonical solve, bit for bit.
-    final_result = std::move(work);
-    if (mode_ != ScreenMode::kOff) {
-      final_result.beta = expand(final_result.beta, working);
-    }
-  } else {
-    ++stats_.canonical_solves;
-    canonical_ran = true;
-    if (support.empty()) {
-      final_result = DistributedAdmmResult{};
-      final_result.converged = true;
-      final_result.beta.assign(nc, 0.0);
-    } else {
-      const DistributedVarAdmmSolver sub(*comm_, *block_, support, admm_);
-      DistributedAdmmResult ws;
-      ws.beta = sdetail::gather_vector(state_.beta_prev, support);
-      final_result = sub.solve(lambda, &ws);
-      accumulate(final_result);
-      final_result.beta = expand(final_result.beta, support);
-    }
-  }
-  final_result.iterations = totals.iterations;
-  final_result.local_flops = totals.local_flops;
-  final_result.allreduce_calls = totals.allreduce_calls;
-  final_result.allreduce_bytes = totals.allreduce_bytes;
-  final_result.consensus_rounds = totals.consensus_rounds;
-  final_result.lazy_iterations = totals.lazy_iterations;
-  final_result.rho_updates = totals.rho_updates;
-
-  state_.has_prev = true;
-  state_.lambda_prev = lambda;
-  state_.beta_prev = final_result.beta;
-  for (const std::size_t j : support) state_.ever_active[j] = 1;
-  if (mode_ == ScreenMode::kStrong) {
-    if (canonical_ran || !have_c) {
-      c = var_correlation_local(*block_, final_result.beta,
-                                final_result.local_flops);
-      comm_->allreduce(std::span<double>(c), ReduceOp::kSum);
-      final_result.allreduce_calls += 1;
-      final_result.allreduce_bytes += nc * sizeof(double);
-    }
-    state_.c_prev = c;
-  }
-  return final_result;
-}
 
 // Per-bootstrap cache entries. bytes() returns an estimate computed from
 // the *global* problem shape, not the local row counts: the selection
@@ -560,7 +391,7 @@ uoi::solvers::DistributedAdmmResult ScreenedVarChain::solve(double lambda) {
 struct VarSelectionEntry {
   VarLocalBlock block;
   /// Replicated screening inputs shared by every chain of the bootstrap.
-  uoi::solvers::DistributedScreenInputs screen_inputs;
+  uoi::solvers::ScreenInputs screen_inputs;
   /// Full-coefficient solver; built only in off mode (screened chains
   /// build reduced active-set solvers per lambda instead).
   std::optional<DistributedVarAdmmSolver> solver;
@@ -585,38 +416,13 @@ UoiVarDistributedResult uoi_var_distributed(
 
   // Center the series exactly as the serial driver does.
   Matrix series = Matrix::from_view(series_view);
-  Vector means(p, 0.0);
-  if (options.center) {
-    for (std::size_t r = 0; r < series.rows(); ++r) {
-      const auto row = series.row(r);
-      for (std::size_t c = 0; c < p; ++c) means[c] += row[c];
-    }
-    for (auto& m : means) m /= static_cast<double>(series.rows());
-    for (std::size_t r = 0; r < series.rows(); ++r) {
-      auto row = series.row(r);
-      for (std::size_t c = 0; c < p; ++c) row[c] -= means[c];
-    }
-  }
+  const Vector means = detail::center_series(series, options.center);
 
   const std::size_t dp = d * p;
   const std::size_t n_coeffs = dp * p;
 
-  UoiVarDistributedResult out{
-      {VarModel(std::vector<Matrix>(d, Matrix(p, p))),
-       Vector(n_coeffs, 0.0),
-       {},
-       {},
-       {},
-       {},
-       {},
-       0,
-       1.0 - 1.0 / static_cast<double>(p),
-       {}},
-      {},
-      {},
-      false,
-      1.0,
-      {}};
+  UoiVarDistributedResult out{detail::empty_var_result(p, d), {}, {}, false,
+                              1.0, {}};
   UoiVarResult& model = out.model;
 
   const LagRegression full = build_lag_regression(series, d);
@@ -718,20 +524,14 @@ UoiVarDistributedResult uoi_var_distributed(
     }
     // The screened chain owns the warm start; reduced active-set solves
     // shrink the consensus payload to (|W|+3) doubles.
-    ScreenedVarChain screened(
-        task.task_comm, entry->block, entry->screen_inputs, options.admm,
-        screen_opts, entry->solver.has_value() ? &*entry->solver : nullptr);
+    uoi::solvers::detail::ScreenedChain<DistributedVarBackend> screened(
+        options.admm, screen_opts, task.task_comm, entry->block,
+        entry->screen_inputs,
+        entry->solver.has_value() ? &*entry->solver : nullptr);
     for (std::size_t m = 0; m < task.cells.size(); ++m) {
       const auto fit = screened.solve(model.lambdas[task.cells[m]]);
       task.counters.add(fit);
-      if (tl.task_rank == 0) {
-        auto row = task.indicators.row(m);
-        for (std::size_t i = 0; i < n_coeffs; ++i) {
-          if (std::abs(fit.beta[i]) > options.support_tolerance) {
-            row[i] = 1.0;
-          }
-        }
-      }
+      task.mark_selected(m, fit.beta, options.support_tolerance);
     }
     task.counters.screen += screened.stats();
   };
@@ -802,35 +602,7 @@ UoiVarDistributedResult uoi_var_distributed(
       std::move(run.chosen_support_per_bootstrap);
   model.best_loss_per_bootstrap = std::move(run.best_loss_per_bootstrap);
   model.total_flops = run.total_flops;
-  Vector beta_sum(n_coeffs, 0.0);
-  Vector freq_sum(n_coeffs, 0.0);
-  for (std::size_t k = 0; k < b2; ++k) {
-    const auto row = run.winners.row(k);
-    for (std::size_t i = 0; i < n_coeffs; ++i) {
-      beta_sum[i] += row[i];
-      if (std::abs(row[i]) > options.support_tolerance) freq_sum[i] += 1.0;
-    }
-  }
-  model.selection_frequency.assign(n_coeffs, 0.0);
-  for (std::size_t i = 0; i < n_coeffs; ++i) {
-    model.selection_frequency[i] = freq_sum[i] / static_cast<double>(b2);
-    model.vec_beta[i] = beta_sum[i] / static_cast<double>(b2);
-  }
-  model.support =
-      SupportSet::from_beta(model.vec_beta, options.support_tolerance);
-
-  VarModel fitted = VarModel::from_vec_b(model.vec_beta, p, d);
-  Vector mu(p, 0.0);
-  if (options.center) {
-    mu = means;
-    for (std::size_t j = 0; j < d; ++j) {
-      const auto& a = fitted.coefficient(j);
-      for (std::size_t i = 0; i < p; ++i) {
-        mu[i] -= uoi::linalg::dot(a.row(i), means);
-      }
-    }
-  }
-  model.model = VarModel(fitted.coefficients(), std::move(mu));
+  detail::finish_var_result(model, run.winners, means, options);
 
   out.breakdown = run.breakdown;
   out.selection_counts = std::move(run.selection_counts);

@@ -97,15 +97,13 @@ class DistributedVarAdmmSolver {
   }
 
  private:
-  void init(std::span<const std::size_t> working);
   uoi::sim::Comm* comm_;
   const VarLocalBlock* block_;
   uoi::solvers::AdmmOptions options_;
-  bool reduced_ = false;
-  /// Consensus-vector length: n_coefficients() for the full solver,
-  /// |working| for the reduced one.
-  std::size_t n_solve_coeffs_ = 0;
-  uoi::linalg::Vector atb_;  // solve-coordinate A'b from local rows
+  /// Solve-coordinate A'b from local rows; its length is the consensus
+  /// vector's: n_coefficients() for the full solver, |working| for the
+  /// reduced one.
+  uoi::linalg::Vector atb_;
   /// Gathered surviving columns of reduced equations narrower than dp;
   /// system_'s wide blocks may view them.
   std::vector<uoi::linalg::Matrix> cols_;

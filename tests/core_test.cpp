@@ -224,25 +224,6 @@ TEST(UoiLasso, ExplicitLambdaGridIsUsedDescending) {
   EXPECT_EQ(grid, (std::vector<double>{10.0, 1.0, 0.1}));
 }
 
-TEST(UoiLasso, OlsViaAdmmMatchesDirect) {
-  uoi::data::RegressionSpec spec;
-  spec.n_samples = 80;
-  spec.n_features = 16;
-  spec.support_size = 4;
-  spec.seed = 99;
-  const auto data = uoi::data::make_regression(spec);
-  auto options = fast_options();
-  options.n_selection_bootstraps = 5;
-  options.n_estimation_bootstraps = 3;
-  options.admm.eps_abs = 1e-10;
-  options.admm.eps_rel = 1e-8;
-  options.admm.max_iterations = 30000;
-  const auto direct = UoiLasso(options).fit(data.x, data.y);
-  options.ols_via_admm = true;
-  const auto via_admm = UoiLasso(options).fit(data.x, data.y);
-  EXPECT_LT(uoi::linalg::max_abs_diff(direct.beta, via_admm.beta), 1e-4);
-}
-
 struct LayoutCase {
   int ranks;
   int pb;

@@ -469,20 +469,6 @@ TEST(Ols, EmptySupportIsZeroModel) {
   for (const double b : beta) EXPECT_DOUBLE_EQ(b, 0.0);
 }
 
-TEST(Ols, AdmmVariantMatchesDirect) {
-  const auto data = small_problem(35);
-  const std::vector<std::size_t> support{0, 3, 9, 14};
-  uoi::solvers::AdmmOptions options;
-  options.eps_abs = 1e-11;
-  options.eps_rel = 1e-9;
-  options.max_iterations = 50000;
-  const Vector direct =
-      uoi::solvers::ols_direct_on_support(data.x, data.y, support);
-  const Vector admm =
-      uoi::solvers::ols_admm_on_support(data.x, data.y, support, options);
-  EXPECT_LT(uoi::linalg::max_abs_diff(direct, admm), 1e-5);
-}
-
 TEST(Ols, MseAndRSquared) {
   Matrix x{{1.0}, {2.0}, {3.0}};
   const Vector y{2.0, 4.0, 6.0};
