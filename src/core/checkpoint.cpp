@@ -48,17 +48,6 @@ std::size_t SelectionCheckpoint::completed_prefix() const {
   return done.rows();
 }
 
-bool SelectionCheckpoint::is_prefix_consistent() const {
-  if (done.rows() == 0) return true;
-  for (std::size_t k = 0; k < done.rows(); ++k) {
-    for (std::size_t j = 0; j < done.cols(); ++j) {
-      const bool expected = k < completed_bootstraps;
-      if ((done(k, j) != 0.0) != expected) return false;
-    }
-  }
-  return true;
-}
-
 std::string SelectionCheckpoint::to_text() const {
   std::ostringstream out;
   out.precision(17);

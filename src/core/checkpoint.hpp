@@ -24,10 +24,10 @@ struct SelectionCheckpoint {
   std::vector<double> lambdas;           ///< descending grid (q entries)
   uoi::linalg::Matrix counts;            ///< q x p selection counts
 
-  /// Optional cell-completion map (B1 x q of 0/1) written by the
-  /// fail-recoverable distributed driver: after a shrink, completed
-  /// (bootstrap, lambda) cells are scattered rather than a bootstrap
-  /// prefix, and `counts` holds exactly the done cells' contributions.
+  /// Optional cell-completion map (B1 x q of 0/1) written by the UoI
+  /// engine: after a shrink, completed (bootstrap, lambda) cells are
+  /// scattered rather than a bootstrap prefix, and `counts` holds exactly
+  /// the done cells' contributions.
   /// Empty means prefix semantics: the first `completed_bootstraps`
   /// bootstraps are fully counted. Files without this section parse with
   /// `done` empty, so v1 checkpoints stay readable.
@@ -35,15 +35,9 @@ struct SelectionCheckpoint {
 
   /// Longest run of leading bootstraps fully covered by this checkpoint:
   /// `completed_bootstraps` under prefix semantics, else the longest
-  /// all-done prefix of `done`'s rows (for consumers that cannot resume
-  /// from a scattered cell map).
+  /// all-done prefix of `done`'s rows. The engine writes this as
+  /// `completed_bootstraps` and rejects a file where the two disagree.
   [[nodiscard]] std::size_t completed_prefix() const;
-
-  /// True when the checkpoint's coverage is exactly the first
-  /// `completed_bootstraps` bootstraps (no scattered cells): the condition
-  /// under which a prefix-resuming consumer (the serial driver) may trust
-  /// `counts`. Trivially true when `done` is absent.
-  [[nodiscard]] bool is_prefix_consistent() const;
 
   /// Serializes to the versioned text format.
   [[nodiscard]] std::string to_text() const;

@@ -1,37 +1,94 @@
 #include "core/uoi_elastic_net.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
+#include <utility>
+#include <vector>
 
+#include "core/uoi_elastic_net_distributed.hpp"
+#include "sched/cost_model.hpp"
 #include "solvers/lambda_grid.hpp"
-#include "solvers/ols.hpp"
 #include "support/error.hpp"
-#include "support/rng.hpp"
 
 namespace uoi::core {
 
 using uoi::linalg::ConstMatrixView;
-using uoi::linalg::Matrix;
-using uoi::linalg::Vector;
+using uoi::sim::Comm;
 
 namespace {
 
-/// The elastic-net resampling reuses the UoI_LASSO streams so that, with
-/// matching seeds, l1_ratios = {1.0} reproduces UoI_LASSO's bootstraps.
-UoiLassoOptions as_lasso_options(const UoiElasticNetOptions& options) {
-  UoiLassoOptions out;
-  out.n_selection_bootstraps = options.n_selection_bootstraps;
-  out.n_estimation_bootstraps = options.n_estimation_bootstraps;
-  out.estimation_train_fraction = options.estimation_train_fraction;
-  out.intersection_fraction = options.intersection_fraction;
-  out.seed = options.seed;
-  return out;
-}
+/// The driver body behind both entry points: the lasso family over the
+/// flattened (ratio, lambda) grid. Cell c = r * q + j fits penalties
+/// (lambda_j * ratio_r, lambda_j * (1 - ratio_r)), and its scheduling
+/// cost is keyed by lambda_j. The resampling reuses the UoI_LASSO
+/// streams, so l1_ratios = {1.0} reproduces UoI_LASSO's bootstraps.
+UoiElasticNetDistributedResult fit_elastic_net(
+    Comm& comm, ConstMatrixView x, std::span<const double> y,
+    const UoiElasticNetOptions& options, const UoiParallelLayout& layout,
+    bool serial) {
+  UOI_CHECK_DIMS(x.rows() == y.size(), "UoI_ElasticNet: X rows != y size");
+  const std::size_t n = x.rows();
+  const std::size_t p = x.cols();
 
-Vector gather(std::span<const double> y, std::span<const std::size_t> idx) {
-  Vector out(idx.size());
-  for (std::size_t i = 0; i < idx.size(); ++i) out[i] = y[idx[i]];
+  UoiElasticNetDistributedResult out;
+  UoiElasticNetResult& model = out.model;
+  model.l1_ratios = options.l1_ratios;
+  model.lambdas = uoi::solvers::lambda_grid_for(
+      x, y, options.n_lambdas, options.lambda_min_ratio);
+  const std::size_t q = model.lambdas.size();
+  const std::size_t n_cells = q * model.l1_ratios.size();
+
+  UoiLassoOptions linear;
+  linear.n_selection_bootstraps = options.n_selection_bootstraps;
+  linear.n_estimation_bootstraps = options.n_estimation_bootstraps;
+  linear.estimation_train_fraction = options.estimation_train_fraction;
+  linear.seed = options.seed;
+  linear.support_tolerance = options.support_tolerance;
+  linear.criterion = options.criterion;
+  linear.admm = options.admm;
+  linear.screen = options.screen;
+  std::vector<double> cell_lambdas(n_cells);
+  std::vector<double> lambda1(n_cells);
+  std::vector<double> lambda2(n_cells);
+  for (std::size_t c = 0; c < n_cells; ++c) {
+    const double lambda = model.lambdas[c % q];
+    const double ratio = model.l1_ratios[c / q];
+    cell_lambdas[c] = lambda;
+    lambda1[c] = lambda * ratio;
+    lambda2[c] = lambda * (1.0 - ratio);
+  }
+
+  UoiEngineSpec spec;
+  spec.name = "UoI_ElasticNet";
+  spec.computation_span = "uoi-elastic-net-computation";
+  spec.n_selection_bootstraps = options.n_selection_bootstraps;
+  spec.n_estimation_bootstraps = options.n_estimation_bootstraps;
+  spec.cell_lambdas = std::move(cell_lambdas);
+  spec.selection_width = p;
+  spec.winner_width = p;
+  spec.pass_seconds_seed = sched::lasso_pass_seconds_estimate(
+      n, p, spec.n_selection_bootstraps, spec.n_estimation_bootstraps,
+      n_cells, options.admm.max_iterations, comm.size());
+  spec.seed = options.seed;
+  spec.intersection_fraction = options.intersection_fraction;
+  spec.schedule = options.schedule;
+  spec.solver_cache_mb = options.solver_cache_mb;
+  spec.layout = layout;
+  spec.consensus_interval = options.admm.consensus_interval;
+  spec.screen_mode = uoi::solvers::resolve_screen_mode(options.screen.mode);
+
+  // Serially, each ratio walks its own descending lambda1 path from a
+  // fresh chain.
+  const auto hooks =
+      serial ? detail::serial_linear_hooks(x, y, linear, lambda1, lambda2, q)
+             : detail::linear_family_hooks(x, y, linear, lambda1, lambda2);
+  auto run = run_uoi_engine(comm, spec, hooks.select, hooks.estimate);
+
+  model.candidate_supports = std::move(run.candidate_supports);
+  model.chosen_support_per_bootstrap =
+      std::move(run.chosen_support_per_bootstrap);
+  model.best_loss_per_bootstrap = std::move(run.best_loss_per_bootstrap);
+  model.beta = aggregate_estimates(run.winners, options.aggregation);
+  model.support = SupportSet::from_beta(model.beta, options.support_tolerance);
+  out.breakdown = run.breakdown;
   return out;
 }
 
@@ -49,90 +106,16 @@ UoiElasticNet::UoiElasticNet(UoiElasticNetOptions options)
 
 UoiElasticNetResult UoiElasticNet::fit(ConstMatrixView x,
                                        std::span<const double> y) const {
-  UOI_CHECK_DIMS(x.rows() == y.size(), "UoI_ElasticNet: X rows != y size");
-  const std::size_t n = x.rows();
-  const std::size_t p = x.cols();
-  const Matrix x_owned = Matrix::from_view(x);
-  const UoiLassoOptions lasso_options = as_lasso_options(options_);
+  return run_on_local_rank([&](Comm& comm) {
+           return fit_elastic_net(comm, x, y, options_, {}, /*serial=*/true);
+         })
+      .model;
+}
 
-  UoiElasticNetResult result;
-  result.l1_ratios = options_.l1_ratios;
-  result.lambdas = uoi::solvers::lambda_grid_for(
-      x, y, options_.n_lambdas, options_.lambda_min_ratio);
-  const std::size_t q = result.lambdas.size();
-  const std::size_t n_ratios = result.l1_ratios.size();
-  const std::size_t n_cells = q * n_ratios;
-
-  // ---- selection over the (l1_ratio, lambda) grid ----
-  Matrix counts(n_cells, p, 0.0);
-  for (std::size_t k = 0; k < options_.n_selection_bootstraps; ++k) {
-    const auto idx = selection_bootstrap_indices(lasso_options, n, k);
-    const Matrix x_boot = x_owned.gather_rows(idx);
-    const Vector y_boot = gather(y, idx);
-    for (std::size_t r = 0; r < n_ratios; ++r) {
-      const double ratio = result.l1_ratios[r];
-      // One screened chain per (bootstrap, ratio): each ratio traverses
-      // its own descending lambda1 path (screening.hpp).
-      uoi::solvers::ScreenedLassoChain chain(x_boot, y_boot, options_.admm,
-                                             options_.screen);
-      for (std::size_t j = 0; j < q; ++j) {
-        const double lambda1 = result.lambdas[j] * ratio;
-        const double lambda2 = result.lambdas[j] * (1.0 - ratio);
-        const auto fit = chain.solve(lambda1, lambda2);
-        auto row = counts.row(r * q + j);
-        for (std::size_t i = 0; i < p; ++i) {
-          if (std::abs(fit.beta[i]) > options_.support_tolerance) {
-            row[i] += 1.0;
-          }
-        }
-      }
-    }
-  }
-  result.candidate_supports.reserve(n_cells);
-  for (std::size_t cell = 0; cell < n_cells; ++cell) {
-    result.candidate_supports.push_back(intersect_counts(
-        counts.row(cell), options_.intersection_fraction,
-        static_cast<double>(options_.n_selection_bootstraps)));
-  }
-
-  // ---- estimation (identical to UoI_LASSO over the larger family) ----
-  const std::size_t b2 = options_.n_estimation_bootstraps;
-  result.chosen_support_per_bootstrap.assign(b2, 0);
-  result.best_loss_per_bootstrap.assign(
-      b2, std::numeric_limits<double>::infinity());
-  std::vector<Vector> winners;
-  winners.reserve(b2);
-
-  for (std::size_t k = 0; k < b2; ++k) {
-    const auto split = estimation_split(lasso_options, n, k);
-    const Matrix x_train = x_owned.gather_rows(split.train);
-    const Matrix x_eval = x_owned.gather_rows(split.eval);
-    const Vector y_train = gather(y, split.train);
-    const Vector y_eval = gather(y, split.eval);
-
-    Vector best_beta(p, 0.0);
-    for (std::size_t cell = 0; cell < n_cells; ++cell) {
-      const auto& support = result.candidate_supports[cell].indices();
-      const Vector beta =
-          uoi::solvers::ols_direct_on_support(x_train, y_train, support);
-      const double mse =
-          uoi::solvers::mean_squared_error(x_eval, y_eval, beta);
-      const double loss =
-          estimation_score(options_.criterion, mse,
-                           static_cast<double>(y_eval.size()), support.size());
-      if (loss < result.best_loss_per_bootstrap[k]) {
-        result.best_loss_per_bootstrap[k] = loss;
-        result.chosen_support_per_bootstrap[k] = cell;
-        best_beta = beta;
-      }
-    }
-    winners.push_back(std::move(best_beta));
-  }
-
-  result.beta = aggregate_estimates(winners, options_.aggregation);
-  result.support =
-      SupportSet::from_beta(result.beta, options_.support_tolerance);
-  return result;
+UoiElasticNetDistributedResult uoi_elastic_net_distributed(
+    Comm& comm, ConstMatrixView x, std::span<const double> y,
+    const UoiElasticNetOptions& options, const UoiParallelLayout& layout) {
+  return fit_elastic_net(comm, x, y, options, layout, /*serial=*/false);
 }
 
 }  // namespace uoi::core

@@ -76,9 +76,19 @@ void UoiSelectionTask::mark_selected(std::size_t m,
                                      std::span<const double> beta,
                                      double tolerance) const {
   if (layout.task_rank != 0) return;
-  auto row = indicators.row(m);
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    if (std::abs(beta[i]) > tolerance) row[i] = 1.0;
+  auto& list = selected[m];
+  for (std::size_t i = 0; i < beta.size(); ++i) {
+    if (std::abs(beta[i]) > tolerance) list.push_back(i);
+  }
+}
+
+void UoiEstimationTask::record(std::size_t c, double loss,
+                               Vector share) const {
+  losses[c] = loss;
+  if (loss < winner.loss) {
+    winner.cell = c;
+    winner.loss = loss;
+    winner.share = std::move(share);
   }
 }
 
@@ -113,15 +123,16 @@ UoiEngineResult run_uoi_engine(Comm& comm, const UoiEngineSpec& spec,
       uoi::solvers::resolve_solver_cache_bytes(spec.solver_cache_mb);
 
   // Selection state. `*_merged` is replicated and globally consistent;
-  // `*_local` holds this rank's contributions not yet committed by a
-  // merge. A (bootstrap, cell) count and its done flag live on the same
-  // rank (the owning group's task rank 0) until merged, so a rank death
-  // loses them together — `done` never claims counts that died with a
-  // failed rank.
+  // `local` holds this rank's contributions not yet committed by a merge:
+  // the q x width counts, then the b1 x q done flags, row-major in one
+  // buffer so the merge reduces it in place. A (bootstrap, cell) count
+  // and its done flag live on the same rank (the owning group's task rank
+  // 0) until merged, so a rank death loses them together — `done` never
+  // claims counts that died with a failed rank.
   Matrix counts_merged(q, width, 0.0);
   Matrix done_merged(b1, q, 0.0);
-  Matrix counts_local(q, width, 0.0);
-  Matrix done_local(b1, q, 0.0);
+  const std::size_t n_counts = q * width;
+  Vector local(n_counts + b1 * q, 0.0);
 
   if (checkpointing) {
     // Every rank reads the same stable file, so the restored state is
@@ -133,7 +144,10 @@ UoiEngineResult run_uoi_engine(Comm& comm, const UoiEngineSpec& spec,
           restored->counts.rows() == q && restored->counts.cols() == width &&
           (restored->done.rows() == 0 ||
            (restored->done.rows() == b1 && restored->done.cols() == q)) &&
-          restored->completed_bootstraps <= b1;
+          restored->completed_bootstraps <= b1 &&
+          // A file whose progress count disagrees with its done map was
+          // not written by a consistent run: restart from scratch.
+          restored->completed_prefix() == restored->completed_bootstraps;
       if (shape_ok) {
         counts_merged = std::move(restored->counts);
         if (restored->done.rows() != 0) {
@@ -203,23 +217,15 @@ UoiEngineResult run_uoi_engine(Comm& comm, const UoiEngineSpec& spec,
   // fused allreduce either completes on every survivor or raises on every
   // survivor before the commit, so locals are never half-applied.
   const auto merge = [&](Comm& c) {
-    std::vector<double> buffer(counts_local.size() + done_local.size());
-    std::copy(counts_local.data(), counts_local.data() + counts_local.size(),
-              buffer.begin());
-    std::copy(done_local.data(), done_local.data() + done_local.size(),
-              buffer.begin() +
-                  static_cast<std::ptrdiff_t>(counts_local.size()));
-    c.allreduce(std::span<double>(buffer), ReduceOp::kSum);
-    for (std::size_t i = 0; i < counts_merged.size(); ++i) {
-      counts_merged.data()[i] += buffer[i];
+    c.allreduce(std::span<double>(local), ReduceOp::kSum);
+    for (std::size_t i = 0; i < n_counts; ++i) {
+      counts_merged.data()[i] += local[i];
     }
     for (std::size_t i = 0; i < done_merged.size(); ++i) {
-      done_merged.data()[i] = std::min(
-          1.0, done_merged.data()[i] + buffer[counts_merged.size() + i]);
+      done_merged.data()[i] =
+          std::min(1.0, done_merged.data()[i] + local[n_counts + i]);
     }
-    std::fill(counts_local.data(), counts_local.data() + counts_local.size(),
-              0.0);
-    std::fill(done_local.data(), done_local.data() + done_local.size(), 0.0);
+    std::fill(local.begin(), local.end(), 0.0);
   };
 
   // Runs one pass attempt on `c`: splits it into task groups and owns the
@@ -266,20 +272,19 @@ UoiEngineResult run_uoi_engine(Comm& comm, const UoiEngineSpec& spec,
           if (done_merged(k, j) == 0.0) chain.push_back(j);
         }
         if (chain.empty()) return;
-        // Indicators are staged and committed only once the whole chain
+        // Selections are staged and committed only once the whole chain
         // finished: a failure mid-chain must leave no partial
         // contribution, so the chain reruns cold — replaying exactly the
         // warm-start trajectory a fault-free run produces.
-        Matrix staged(chain.size(), width, 0.0);
+        std::vector<std::vector<std::size_t>> staged(chain.size());
         UoiSelectionTask cell{task_comm, tl,     k,    chain,
                               cache,     staged, fits};
         select(cell);
         if (tl.task_rank == 0) {
           for (std::size_t m = 0; m < chain.size(); ++m) {
-            auto dest = counts_local.row(chain[m]);
-            const auto src = staged.row(m);
-            for (std::size_t i = 0; i < width; ++i) dest[i] += src[i];
-            done_local(k, chain[m]) = 1.0;
+            double* counts = local.data() + chain[m] * width;
+            for (const std::size_t i : staged[m]) counts[i] += 1.0;
+            local[n_counts + k * q + chain[m]] = 1.0;
           }
         }
       };
@@ -392,8 +397,9 @@ UoiEngineResult run_uoi_engine(Comm& comm, const UoiEngineSpec& spec,
       }
 
       Matrix losses(b2, q, std::numeric_limits<double>::infinity());
-      // shares[k * q + j] exists only for cells this group computed.
-      std::vector<Vector> shares(b2 * q);
+      // One running winner per (bootstrap, chain) cell, by cell id; only
+      // the cells this group computed ever hold a share.
+      std::vector<UoiChainWinner> chain_winners(estimation_grid.n_cells());
       const auto execute = [&](const sched::TaskCell& task) {
         const std::size_t k = task.bootstrap;
         const auto cells = estimation_grid.chain_lambdas(task.chain);
@@ -404,9 +410,9 @@ UoiEngineResult run_uoi_engine(Comm& comm, const UoiEngineSpec& spec,
             cells,
             cache,
             out.candidate_supports,
+            fits,
             losses.row(k),
-            std::span<Vector>(shares).subspan(k * q, q),
-            fits};
+            chain_winners[estimation_grid.cell_id(k, task.chain)]};
         estimate(cell);
       };
       std::vector<std::size_t> cells(estimation_grid.n_cells());
@@ -427,11 +433,13 @@ UoiEngineResult run_uoi_engine(Comm& comm, const UoiEngineSpec& spec,
       // winners(k, :) is assembled globally: the owning group's ranks
       // deposit their disjoint shares, then one sum-reduction replicates
       // the matrix (every element has at most one nonzero contributor).
+      // The global rule is record()'s, so the global winner is also the
+      // running winner of its chain on the group that computed it.
       Matrix winners(b2, spec.winner_width, 0.0);
       for (std::size_t k = 0; k < b2; ++k) {
         std::size_t best = 0;
-        double best_loss = losses(k, 0);
-        for (std::size_t j = 1; j < q; ++j) {
+        double best_loss = std::numeric_limits<double>::infinity();
+        for (std::size_t j = 0; j < q; ++j) {
           if (losses(k, j) < best_loss) {
             best_loss = losses(k, j);
             best = j;
@@ -439,8 +447,14 @@ UoiEngineResult run_uoi_engine(Comm& comm, const UoiEngineSpec& spec,
         }
         out.chosen_support_per_bootstrap[k] = best;
         out.best_loss_per_bootstrap[k] = best_loss;
-        const Vector& share = shares[k * q + best];
-        std::copy(share.begin(), share.end(), winners.row(k).begin());
+        const UoiChainWinner& local_best =
+            chain_winners[estimation_grid.cell_id(k, best % n_chains)];
+        if (local_best.loss < std::numeric_limits<double>::infinity()) {
+          UOI_CHECK(local_best.cell == best,
+                    "chain winner disagrees with the global winner");
+          std::copy(local_best.share.begin(), local_best.share.end(),
+                    winners.row(k).begin());
+        }
       }
       c.allreduce(std::span<double>(winners.data(), winners.size()),
                   ReduceOp::kSum);

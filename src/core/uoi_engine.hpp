@@ -1,10 +1,11 @@
 #pragma once
-// The distributed UoI engine (internal): the one skeleton every
-// distributed UoI estimator runs — bootstrap selection, intersection,
-// bootstrap estimation, union (arXiv:1705.07585; the paper's Algorithms
-// 1 and 2). The lasso, elastic-net, logistic and VAR drivers are thin
-// families on top of it: each supplies a selection hook, an estimation
-// hook, and turns the replicated winners matrix into its own model.
+// The UoI engine (internal): the one skeleton every UoI estimator runs —
+// bootstrap selection, intersection, bootstrap estimation, union
+// (arXiv:1705.07585; the paper's Algorithms 1 and 2). The lasso,
+// elastic-net, logistic, Poisson and VAR drivers are thin families on top
+// of it: each supplies a selection hook, an estimation hook, and turns the
+// replicated winners matrix into its own model. A serial fit is a run on
+// a one-rank communicator (run_on_local_rank) with serial hooks.
 //
 // Per pass attempt the engine splits the communicator into task groups
 // (P_B x P_lambda groups of C ranks), owns a fresh BootstrapCache, plans
@@ -16,9 +17,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -26,6 +29,7 @@
 #include "core/uoi_lasso.hpp"  // UoiRecoveryOptions
 #include "linalg/matrix.hpp"
 #include "sched/schedule_policy.hpp"
+#include "simcluster/cluster.hpp"
 #include "simcluster/comm.hpp"
 #include "solvers/screening.hpp"
 #include "solvers/solver_cache.hpp"
@@ -128,16 +132,23 @@ struct UoiFitCounters {
   std::uint64_t setup_flops_amortized = 0;
   uoi::solvers::ScreenStats screen;
 
-  /// Adds one consensus fit's counters (ADMM or l1-logistic results).
+  /// Adds one fit's counters: a consensus fit (ADMM or l1-logistic) or a
+  /// serial one, which reports `flops` and no collectives.
   template <class Fit>
   void add(const Fit& fit) {
-    if constexpr (requires { fit.local_flops; }) local_flops += fit.local_flops;
+    if constexpr (requires { fit.local_flops; }) {
+      local_flops += fit.local_flops;
+    } else if constexpr (requires { fit.flops; }) {
+      local_flops += fit.flops;
+    }
     iterations += fit.iterations;
-    rho_updates += fit.rho_updates;
-    allreduce_calls += fit.allreduce_calls;
-    allreduce_bytes += fit.allreduce_bytes;
-    consensus_rounds += fit.consensus_rounds;
-    lazy_iterations += fit.lazy_iterations;
+    if constexpr (requires { fit.rho_updates; }) rho_updates += fit.rho_updates;
+    if constexpr (requires { fit.allreduce_calls; }) {
+      allreduce_calls += fit.allreduce_calls;
+      allreduce_bytes += fit.allreduce_bytes;
+      consensus_rounds += fit.consensus_rounds;
+      lazy_iterations += fit.lazy_iterations;
+    }
   }
 };
 
@@ -150,15 +161,23 @@ struct UoiSelectionTask {
   std::span<const std::size_t> cells;
   /// This pass attempt's cache; entries hold views of `task_comm`.
   uoi::solvers::BootstrapCache& cache;
-  /// cells.size() x width, zeroed: row m receives 1.0 at every coordinate
-  /// the fit at cells[m] selects. Only group rank 0's rows are committed.
-  uoi::linalg::Matrix& indicators;
+  /// cells.size() lists, empty on entry: list m receives the coordinates
+  /// the fit at cells[m] selects. Only group rank 0's lists are committed.
+  std::vector<std::vector<std::size_t>>& selected;
   UoiFitCounters& counters;
 
-  /// Records the fit at cells[m]: 1.0 in indicator row m at every
-  /// coordinate with |beta_i| > tolerance (group rank 0 only).
+  /// Records the fit at cells[m], once per m: every coordinate with
+  /// |beta_i| > tolerance enters list m (group rank 0 only).
   void mark_selected(std::size_t m, std::span<const double> beta,
                      double tolerance) const;
+};
+
+/// This rank's running winner of one (bootstrap, chain) estimation cell:
+/// the engine keeps one share per such cell, not one per grid cell.
+struct UoiChainWinner {
+  std::size_t cell = 0;
+  double loss = std::numeric_limits<double>::infinity();
+  uoi::linalg::Vector share;
 };
 
 /// One scheduled estimation cell: bootstrap k over a chain of grid cells.
@@ -170,14 +189,19 @@ struct UoiEstimationTask {
   uoi::solvers::BootstrapCache& cache;
   /// Replicated candidate support of every grid cell.
   std::span<const SupportSet> supports;
-  /// Indexed by grid cell: for each c in `cells`, the hook stores the
-  /// group's (identical) loss in losses[c] and this rank's share of the
-  /// winner row in shares[c] — empty when the rank contributes nothing.
-  /// Shares of one cell must be disjoint across the group, so the
-  /// winners Sum-reduce is exact.
-  std::span<double> losses;
-  std::span<uoi::linalg::Vector> shares;
   UoiFitCounters& counters;
+  /// Engine-owned: losses indexed by grid cell, and the chain's winner.
+  std::span<double> losses;
+  UoiChainWinner& winner;
+
+  /// Records the fit at grid cell c; call once per entry of `cells`, in
+  /// order. `loss` is the group's (identical) loss, `share` this rank's
+  /// share of the winner row — empty when the rank contributes nothing.
+  /// Shares of one cell must be disjoint across the group, so the winners
+  /// Sum-reduce is exact. Only the chain's running winner is kept, under
+  /// the engine's rule: the lowest loss wins, a tie goes to the lower
+  /// cell, and NaN or +inf never wins.
+  void record(std::size_t c, double loss, uoi::linalg::Vector share) const;
 };
 
 /// What a family tells the engine about its problem.
@@ -209,9 +233,12 @@ struct UoiEngineSpec {
 
 struct UoiEngineResult {
   std::vector<SupportSet> candidate_supports;  ///< per grid cell
+  /// Per estimation bootstrap: the winning grid cell and its loss (cell 0
+  /// and +inf when no loss is finite).
   std::vector<std::size_t> chosen_support_per_bootstrap;
   std::vector<double> best_loss_per_bootstrap;
-  /// B2 x winner_width, replicated: row k is bootstrap k's winning fit.
+  /// B2 x winner_width, replicated: row k is bootstrap k's winning fit
+  /// (zeros when it has no winner).
   uoi::linalg::Matrix winners;
   /// Merged cells x selection_width counts, replicated.
   uoi::linalg::Matrix selection_counts;
@@ -225,12 +252,22 @@ struct UoiEngineResult {
 using UoiSelectHook = std::function<void(UoiSelectionTask&)>;
 using UoiEstimateHook = std::function<void(UoiEstimationTask&)>;
 
-/// Runs the distributed UoI skeleton. Collective over `comm`; every rank
-/// passes the same spec. Throws RankFailedError once the recovery budget
-/// is spent.
+/// Runs the UoI skeleton. Collective over `comm`; every rank passes the
+/// same spec. Throws RankFailedError once the recovery budget is spent.
 [[nodiscard]] UoiEngineResult run_uoi_engine(uoi::sim::Comm& comm,
                                              const UoiEngineSpec& spec,
                                              const UoiSelectHook& select,
                                              const UoiEstimateHook& estimate);
+
+/// Runs a family's driver body on a one-rank communicator built in the
+/// calling thread (sim::Cluster::run_local) and returns what it returns:
+/// the serial entry points.
+template <class Body>
+[[nodiscard]] auto run_on_local_rank(Body&& body) {
+  std::optional<std::invoke_result_t<Body&, uoi::sim::Comm&>> out;
+  uoi::sim::Cluster::run_local(
+      [&](uoi::sim::Comm& comm) { out.emplace(body(comm)); });
+  return std::move(*out);
+}
 
 }  // namespace uoi::core

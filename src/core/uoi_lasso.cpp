@@ -1,21 +1,17 @@
 #include "core/uoi_lasso.hpp"
 
-#include "core/checkpoint.hpp"
-
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
-#include "linalg/blas.hpp"
+#include "core/checkpoint.hpp"
+#include "core/uoi_lasso_distributed.hpp"
 #include "solvers/lambda_grid.hpp"
-#include "solvers/ols.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace uoi::core {
 
 using uoi::linalg::ConstMatrixView;
-using uoi::linalg::Matrix;
 using uoi::linalg::Vector;
 
 namespace {
@@ -24,12 +20,6 @@ namespace {
 // task coordinates so selection and estimation draws never collide.
 constexpr std::uint64_t kSelectionStream = 0x5e1ec7;
 constexpr std::uint64_t kEstimationStream = 0xe571a7e;
-
-Vector gather(std::span<const double> y, std::span<const std::size_t> idx) {
-  Vector out(idx.size());
-  for (std::size_t i = 0; i < idx.size(); ++i) out[i] = y[idx[i]];
-  return out;
-}
 
 }  // namespace
 
@@ -81,23 +71,24 @@ std::size_t intersection_count_threshold(const UoiLassoOptions& options) {
       static_cast<double>(options.n_selection_bootstraps)));
 }
 
-Vector aggregate_estimates(const std::vector<Vector>& winners,
+Vector aggregate_estimates(ConstMatrixView winners,
                            EstimationAggregation aggregation) {
-  UOI_CHECK(!winners.empty(), "no estimates to aggregate");
-  const std::size_t p = winners.front().size();
+  UOI_CHECK(winners.rows() > 0, "no estimates to aggregate");
+  const std::size_t p = winners.cols();
   Vector out(p, 0.0);
   if (aggregation == EstimationAggregation::kMean) {
-    for (const auto& w : winners) {
+    for (std::size_t k = 0; k < winners.rows(); ++k) {
+      const auto w = winners.row(k);
       for (std::size_t i = 0; i < p; ++i) out[i] += w[i];
     }
-    const double inv = 1.0 / static_cast<double>(winners.size());
+    const double inv = 1.0 / static_cast<double>(winners.rows());
     for (auto& v : out) v *= inv;
     return out;
   }
   // Elementwise median.
-  Vector column(winners.size());
+  Vector column(winners.rows());
   for (std::size_t i = 0; i < p; ++i) {
-    for (std::size_t k = 0; k < winners.size(); ++k) column[k] = winners[k][i];
+    for (std::size_t k = 0; k < winners.rows(); ++k) column[k] = winners(k, i);
     const auto mid = column.begin() +
                      static_cast<std::ptrdiff_t>(column.size() / 2);
     std::nth_element(column.begin(), mid, column.end());
@@ -126,15 +117,12 @@ UoiLasso::UoiLasso(UoiLassoOptions options) : options_(std::move(options)) {
             "intersection fraction must be in (0, 1]");
 }
 
-UoiLassoResult UoiLasso::fit(ConstMatrixView x_view,
-                             std::span<const double> y_view) const {
-  return fit_impl(x_view, y_view, nullptr);
-}
-
-UoiLassoResult UoiLasso::fit_with_checkpoint(
-    ConstMatrixView x_view, std::span<const double> y_view,
-    const std::string& checkpoint_path) const {
-  return fit_impl(x_view, y_view, &checkpoint_path);
+UoiLassoResult UoiLasso::fit(ConstMatrixView x,
+                             std::span<const double> y) const {
+  return run_on_local_rank([&](uoi::sim::Comm& comm) {
+           return detail::fit_lasso(comm, x, y, options_, {}, /*serial=*/true);
+         })
+      .model;
 }
 
 std::uint64_t UoiLasso::selection_fingerprint(
@@ -155,134 +143,6 @@ std::uint64_t UoiLasso::selection_fingerprint(
           uoi::solvers::resolve_screen_mode(options_.screen.mode)));
   for (const double l : lambdas) fp.add(l);
   return fp.value();
-}
-
-UoiLassoResult UoiLasso::fit_impl(ConstMatrixView x_view,
-                                  std::span<const double> y_view,
-                                  const std::string* checkpoint_path) const {
-  UOI_CHECK_DIMS(x_view.rows() == y_view.size(),
-                 "UoI_LASSO: X rows != y size");
-  const std::size_t n = x_view.rows();
-  const std::size_t p = x_view.cols();
-
-  // Optional intercept handling: center X's columns and y; refit the
-  // intercept from the means at the end.
-  Matrix x_owned = Matrix::from_view(x_view);
-  Vector y_owned(y_view.begin(), y_view.end());
-  Vector x_means(p, 0.0);
-  double y_mean = 0.0;
-  if (options_.fit_intercept) {
-    for (std::size_t r = 0; r < n; ++r) {
-      const auto row = x_owned.row(r);
-      for (std::size_t c = 0; c < p; ++c) x_means[c] += row[c];
-      y_mean += y_owned[r];
-    }
-    for (auto& m : x_means) m /= static_cast<double>(n);
-    y_mean /= static_cast<double>(n);
-    for (std::size_t r = 0; r < n; ++r) {
-      auto row = x_owned.row(r);
-      for (std::size_t c = 0; c < p; ++c) row[c] -= x_means[c];
-      y_owned[r] -= y_mean;
-    }
-  }
-  const ConstMatrixView x = x_owned;
-  const std::span<const double> y = y_owned;
-
-  UoiLassoResult result;
-  result.lambdas = resolve_lambda_grid(options_, x, y);
-  const std::size_t q = result.lambdas.size();
-
-  // ---- Model selection (Algorithm 1, lines 1-11) ----
-  // counts(j, i): how many bootstraps selected feature i at lambda_j.
-  Matrix counts(q, p, 0.0);
-  std::size_t k_begin = 0;
-  const std::uint64_t fingerprint =
-      selection_fingerprint(n, p, result.lambdas);
-  if (checkpoint_path != nullptr) {
-    if (auto restored = try_load_checkpoint(*checkpoint_path, fingerprint)) {
-      if (restored->lambdas == result.lambdas &&
-          restored->counts.rows() == q && restored->counts.cols() == p &&
-          restored->completed_bootstraps <=
-              options_.n_selection_bootstraps &&
-          restored->is_prefix_consistent()) {
-        counts = std::move(restored->counts);
-        k_begin = restored->completed_bootstraps;
-      }
-    }
-  }
-  for (std::size_t k = k_begin; k < options_.n_selection_bootstraps; ++k) {
-    const auto idx = selection_bootstrap_indices(options_, n, k);
-    const Matrix x_boot = x_owned.gather_rows(idx);
-    const Vector y_boot = gather(y, idx);
-    // Screened chain: warm starts down the descending lambda path and
-    // solves over the surviving columns only (screening.hpp).
-    uoi::solvers::ScreenedLassoChain chain(x_boot, y_boot, options_.admm,
-                                           options_.screen);
-    for (std::size_t j = 0; j < q; ++j) {
-      const auto fit = chain.solve(result.lambdas[j]);
-      result.total_flops += fit.flops;
-      auto row = counts.row(j);
-      for (std::size_t i = 0; i < p; ++i) {
-        if (std::abs(fit.beta[i]) > options_.support_tolerance) row[i] += 1.0;
-      }
-    }
-    if (checkpoint_path != nullptr) {
-      SelectionCheckpoint checkpoint;
-      checkpoint.fingerprint = fingerprint;
-      checkpoint.completed_bootstraps = k + 1;
-      checkpoint.lambdas = result.lambdas;
-      checkpoint.counts = counts;
-      save_checkpoint(*checkpoint_path, checkpoint);
-    }
-  }
-  result.candidate_supports.reserve(q);
-  for (std::size_t j = 0; j < q; ++j) {
-    result.candidate_supports.push_back(intersect_counts(
-        counts.row(j), options_.intersection_fraction,
-        static_cast<double>(options_.n_selection_bootstraps)));
-  }
-
-  // ---- Model estimation (Algorithm 1, lines 12-24) ----
-  const std::size_t b2 = options_.n_estimation_bootstraps;
-  result.chosen_support_per_bootstrap.assign(b2, 0);
-  result.best_loss_per_bootstrap.assign(
-      b2, std::numeric_limits<double>::infinity());
-  std::vector<Vector> winners;
-  winners.reserve(b2);
-
-  for (std::size_t k = 0; k < b2; ++k) {
-    const auto split = estimation_split(options_, n, k);
-    const Matrix x_train = x_owned.gather_rows(split.train);
-    const Matrix x_eval = x_owned.gather_rows(split.eval);
-    const Vector y_train = gather(y, split.train);
-    const Vector y_eval = gather(y, split.eval);
-
-    Vector best_beta(p, 0.0);
-    for (std::size_t j = 0; j < q; ++j) {
-      const auto& support = result.candidate_supports[j].indices();
-      const Vector beta =
-          uoi::solvers::ols_direct_on_support(x_train, y_train, support);
-      const double mse =
-          uoi::solvers::mean_squared_error(x_eval, y_eval, beta);
-      const double loss =
-          estimation_score(options_.criterion, mse,
-                           static_cast<double>(y_eval.size()), support.size());
-      if (loss < result.best_loss_per_bootstrap[k]) {
-        result.best_loss_per_bootstrap[k] = loss;
-        result.chosen_support_per_bootstrap[k] = j;
-        best_beta = beta;
-      }
-    }
-    winners.push_back(std::move(best_beta));
-  }
-
-  result.beta = aggregate_estimates(winners, options_.aggregation);
-  result.support =
-      SupportSet::from_beta(result.beta, options_.support_tolerance);
-  if (options_.fit_intercept) {
-    result.intercept = y_mean - uoi::linalg::dot(x_means, result.beta);
-  }
-  return result;
 }
 
 }  // namespace uoi::core

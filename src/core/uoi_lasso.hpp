@@ -10,8 +10,9 @@
 // best support per resample wins, and the winners' OLS estimates are
 // averaged (the union operation, eq. 4).
 //
-// The serial driver is the reference implementation the distributed driver
-// (uoi_lasso_distributed.hpp) must agree with.
+// The serial driver runs the distributed driver's body (see
+// uoi_lasso_distributed.hpp) on a one-rank communicator with serial hooks:
+// screened serial ADMM chains for selection, direct OLS for estimation.
 
 #include <cstdint>
 #include <string>
@@ -47,9 +48,10 @@ enum class EstimationCriterion {
                                       double mse, double n_eval,
                                       std::size_t support_size);
 
-/// Fault-tolerance knobs shared by the distributed drivers. Defaults are
-/// conservative: no checkpointing, one shrink-and-resume attempt, and a
-/// small bounded retry budget for transient one-sided failures.
+/// Fault-tolerance knobs of the UoI engine. Defaults are conservative: no
+/// checkpointing, one shrink-and-resume attempt, and a small bounded retry
+/// budget for transient one-sided failures. A serial fit (one rank) only
+/// uses the checkpoint fields.
 struct UoiRecoveryOptions {
   /// How many times a driver may shrink the communicator and resume after
   /// a rank failure before giving up and rethrowing RankFailedError.
@@ -119,12 +121,13 @@ struct UoiLassoOptions {
   /// kAuto resolves $UOI_SCREEN (default: strong); every mode produces
   /// byte-identical models (screening.hpp's canonical two-stage contract).
   uoi::solvers::ScreenOptions screen;
-  /// Fault tolerance (used by the distributed drivers; the serial driver
-  /// honors only `checkpoint_path` semantics via fit_with_checkpoint).
+  /// Fault tolerance: shrink-and-resume on rank failure and selection
+  /// checkpointing. Serial fits honor the checkpoint fields as well.
   UoiRecoveryOptions recovery;
-  /// Task placement for the distributed driver's (bootstrap x lambda-chain)
-  /// grid. kAuto resolves $UOI_SCHED_POLICY and defaults to cost_lpt; every
-  /// policy produces bit-identical models on identical seeds.
+  /// Task placement for the engine's (bootstrap x lambda-chain) grid.
+  /// kAuto resolves $UOI_SCHED_POLICY and defaults to cost_lpt; every
+  /// policy produces bit-identical models on identical seeds (a serial fit
+  /// has one task group, so the policy only orders its cells).
   uoi::sched::SchedulePolicy schedule = uoi::sched::SchedulePolicy::kAuto;
   /// Per-rank solver/gather cache budget in MB for the distributed driver.
   /// < 0 defers to UOI_SOLVER_CACHE_MB (default 256); 0 disables.
@@ -148,17 +151,13 @@ class UoiLasso {
  public:
   explicit UoiLasso(UoiLassoOptions options = {});
 
-  /// Fits y ~ X beta. X is n x p, y has n entries.
+  /// Fits y ~ X beta. X is n x p, y has n entries. With
+  /// `options.recovery.checkpoint_path` set, selection progress persists
+  /// there every `checkpoint_interval` bootstraps (atomic rewrite) and a
+  /// compatible checkpoint — same options, data shape, and lambda grid —
+  /// is resumed from; the result is identical to an uninterrupted fit.
   [[nodiscard]] UoiLassoResult fit(uoi::linalg::ConstMatrixView x,
                                    std::span<const double> y) const;
-
-  /// As fit(), but persists selection progress to `checkpoint_path` after
-  /// every bootstrap (atomic rewrite) and resumes from a compatible
-  /// checkpoint — same options, data shape, and lambda grid — when one
-  /// exists. The final result is identical to an uninterrupted fit().
-  [[nodiscard]] UoiLassoResult fit_with_checkpoint(
-      uoi::linalg::ConstMatrixView x, std::span<const double> y,
-      const std::string& checkpoint_path) const;
 
   /// Fingerprint of everything that influences the selection counts for
   /// this (options, data-shape) pair; exposed for checkpoint tooling.
@@ -171,10 +170,6 @@ class UoiLasso {
 
  private:
   UoiLassoOptions options_;
-
-  [[nodiscard]] UoiLassoResult fit_impl(
-      uoi::linalg::ConstMatrixView x, std::span<const double> y,
-      const std::string* checkpoint_path) const;
 };
 
 /// Deterministic per-task bootstrap index sets; shared with the distributed
@@ -201,10 +196,9 @@ struct EstimationSplit {
 [[nodiscard]] std::size_t intersection_count_threshold(
     const UoiLassoOptions& options);
 
-/// Combines the winning per-bootstrap estimates (mean or elementwise
-/// median). Shared by the serial and distributed drivers.
+/// Combines the winning per-bootstrap estimates, one per row (mean or
+/// elementwise median).
 [[nodiscard]] uoi::linalg::Vector aggregate_estimates(
-    const std::vector<uoi::linalg::Vector>& winners,
-    EstimationAggregation aggregation);
+    uoi::linalg::ConstMatrixView winners, EstimationAggregation aggregation);
 
 }  // namespace uoi::core

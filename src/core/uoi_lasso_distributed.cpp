@@ -1,12 +1,15 @@
 #include "core/uoi_lasso_distributed.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "linalg/blas.hpp"
 #include "sched/cost_model.hpp"
 #include "solvers/distributed_admm.hpp"
+#include "solvers/ols.hpp"
 #include "solvers/screening.hpp"
 #include "solvers/solver_cache.hpp"
 #include "support/error.hpp"
@@ -201,27 +204,83 @@ LinearFamilyHooks linear_family_hooks(ConstMatrixView x,
       }
       const auto eval =
           distributed_mse(task.task_comm, entry->x_eval, entry->y_eval, beta);
-      task.losses[c] = estimation_score(options.criterion, eval.mse,
-                                        eval.n_eval, support.size());
       // The group's ranks hold the same beta; rank 0 deposits it.
-      if (tl.task_rank == 0) task.shares[c] = std::move(beta);
+      task.record(c,
+                  estimation_score(options.criterion, eval.mse, eval.n_eval,
+                                   support.size()),
+                  tl.task_rank == 0 ? std::move(beta) : Vector{});
     }
   };
   return hooks;
 }
 
-}  // namespace detail
+LinearFamilyHooks serial_linear_hooks(ConstMatrixView x,
+                                      std::span<const double> y,
+                                      const UoiLassoOptions& options,
+                                      std::span<const double> lambda1,
+                                      std::span<const double> lambda2,
+                                      std::size_t chain_length) {
+  const std::size_t n = x.rows();
+  LinearFamilyHooks hooks;
+  hooks.select = [=, &options](UoiSelectionTask& task) {
+    const auto idx = selection_bootstrap_indices(options, n, task.bootstrap);
+    Matrix x_boot;
+    Vector y_boot;
+    gather_local_block(x, y, idx, {0, idx.size()}, x_boot, y_boot);
+    // Screened chains warm-start down each descending lambda path, one
+    // fresh chain per chain_length-cell segment of the grid.
+    std::optional<uoi::solvers::ScreenedLassoChain> chain;
+    const auto retire = [&] {
+      if (chain) task.counters.screen += chain->stats();
+    };
+    for (std::size_t m = 0; m < task.cells.size(); ++m) {
+      const std::size_t c = task.cells[m];
+      if (m == 0 || c % chain_length == 0) {
+        retire();
+        chain.emplace(x_boot, y_boot, options.admm, options.screen);
+      }
+      const auto fit = chain->solve(lambda1[c], lambda2[c]);
+      task.counters.add(fit);
+      task.mark_selected(m, fit.beta, options.support_tolerance);
+    }
+    retire();
+  };
+  hooks.estimate = [=, &options](UoiEstimationTask& task) {
+    const auto split = estimation_split(options, n, task.bootstrap);
+    Matrix x_train, x_eval;
+    Vector y_train, y_eval;
+    gather_local_block(x, y, split.train, {0, split.train.size()}, x_train,
+                       y_train);
+    gather_local_block(x, y, split.eval, {0, split.eval.size()}, x_eval,
+                       y_eval);
+    for (const std::size_t c : task.cells) {
+      const auto& support = task.supports[c].indices();
+      Vector beta =
+          uoi::solvers::ols_direct_on_support(x_train, y_train, support);
+      const double mse =
+          uoi::solvers::mean_squared_error(x_eval, y_eval, beta);
+      task.record(c,
+                  estimation_score(options.criterion, mse,
+                                   static_cast<double>(y_eval.size()),
+                                   support.size()),
+                  std::move(beta));
+    }
+  };
+  return hooks;
+}
 
-UoiLassoDistributedResult uoi_lasso_distributed(
-    Comm& comm, ConstMatrixView x_view, std::span<const double> y_view,
-    const UoiLassoOptions& options, const UoiParallelLayout& layout) {
+UoiLassoDistributedResult fit_lasso(Comm& comm, ConstMatrixView x_view,
+                                    std::span<const double> y_view,
+                                    const UoiLassoOptions& options,
+                                    const UoiParallelLayout& layout,
+                                    bool serial) {
   UOI_CHECK_DIMS(x_view.rows() == y_view.size(),
                  "UoI_LASSO: X rows != y size");
   const std::size_t n = x_view.rows();
   const std::size_t p = x_view.cols();
 
-  // Intercept handling mirrors the serial driver: deterministic centering
-  // replicated on every rank.
+  // Optional intercept: center X's columns and y (replicated on every
+  // rank); the intercept is refit from the means at the end.
   Matrix x_owned = Matrix::from_view(x_view);
   Vector y_owned(y_view.begin(), y_view.end());
   Vector x_means(p, 0.0);
@@ -269,8 +328,11 @@ UoiLassoDistributedResult uoi_lasso_distributed(
   spec.screen_mode = uoi::solvers::resolve_screen_mode(options.screen.mode);
 
   const std::vector<double> no_l2(q, 0.0);
-  const auto hooks = detail::linear_family_hooks(x_owned, y_owned, options,
-                                                 model.lambdas, no_l2);
+  const auto hooks =
+      serial ? serial_linear_hooks(x_owned, y_owned, options, model.lambdas,
+                                   no_l2, q)
+             : linear_family_hooks(x_owned, y_owned, options, model.lambdas,
+                                   no_l2);
   auto run = run_uoi_engine(comm, spec, hooks.select, hooks.estimate);
 
   model.candidate_supports = std::move(run.candidate_supports);
@@ -278,18 +340,15 @@ UoiLassoDistributedResult uoi_lasso_distributed(
       std::move(run.chosen_support_per_bootstrap);
   model.best_loss_per_bootstrap = std::move(run.best_loss_per_bootstrap);
   model.total_flops = run.total_flops;
-  std::vector<Vector> winner_rows;
-  winner_rows.reserve(run.winners.rows());
-  for (std::size_t k = 0; k < run.winners.rows(); ++k) {
-    const auto row = run.winners.row(k);
-    winner_rows.emplace_back(row.begin(), row.end());
-  }
-  model.beta = aggregate_estimates(winner_rows, options.aggregation);
+  model.beta = aggregate_estimates(run.winners, options.aggregation);
   model.support = SupportSet::from_beta(model.beta, options.support_tolerance);
   if (options.fit_intercept) {
-    double dot = 0.0;
-    for (std::size_t i = 0; i < p; ++i) dot += x_means[i] * model.beta[i];
-    model.intercept = y_mean - dot;
+    // Each entry point keeps its pinned bytes: the serial fit has always
+    // used the SIMD dot, the distributed fit a sequential sum.
+    model.intercept =
+        y_mean - (serial ? uoi::linalg::dot(x_means, model.beta)
+                         : std::inner_product(x_means.begin(), x_means.end(),
+                                              model.beta.begin(), 0.0));
   }
   out.breakdown = run.breakdown;
   out.selection_counts = std::move(run.selection_counts);
@@ -297,6 +356,14 @@ UoiLassoDistributedResult uoi_lasso_distributed(
   out.achieved_quorum = run.achieved_quorum;
   out.lost_cells = std::move(run.lost_cells);
   return out;
+}
+
+}  // namespace detail
+
+UoiLassoDistributedResult uoi_lasso_distributed(
+    Comm& comm, ConstMatrixView x, std::span<const double> y,
+    const UoiLassoOptions& options, const UoiParallelLayout& layout) {
+  return detail::fit_lasso(comm, x, y, options, layout, /*serial=*/false);
 }
 
 }  // namespace uoi::core

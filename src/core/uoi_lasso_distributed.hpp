@@ -21,7 +21,8 @@
 //     winning OLS estimates are sum-reduced and averaged (eq. 4's union).
 //
 // Given the same options/seed, the result matches the serial UoiLasso up to
-// solver tolerance (identical resamples by construction).
+// solver tolerance (identical resamples by construction). The serial
+// UoiLasso::fit runs the same driver body on one rank with serial hooks.
 
 #include <span>
 #include <utility>
@@ -92,6 +93,24 @@ struct LinearFamilyHooks {
     uoi::linalg::ConstMatrixView x, std::span<const double> y,
     const UoiLassoOptions& options, std::span<const double> lambda1,
     std::span<const double> lambda2);
+
+/// The same family's serial hooks, for a one-rank engine run: selection
+/// walks a fresh screened serial chain (solvers::ScreenedLassoChain) over
+/// each `chain_length`-cell segment of the grid — one segment per
+/// elastic-net ratio — and estimation refits by direct OLS
+/// (solvers::ols_direct_on_support) scored on the evaluation split.
+[[nodiscard]] LinearFamilyHooks serial_linear_hooks(
+    uoi::linalg::ConstMatrixView x, std::span<const double> y,
+    const UoiLassoOptions& options, std::span<const double> lambda1,
+    std::span<const double> lambda2, std::size_t chain_length);
+
+/// The lasso driver body behind UoiLasso::fit (one rank, serial hooks)
+/// and uoi_lasso_distributed: intercept centering, lambda grid, engine
+/// run and model assembly.
+[[nodiscard]] UoiLassoDistributedResult fit_lasso(
+    uoi::sim::Comm& comm, uoi::linalg::ConstMatrixView x,
+    std::span<const double> y, const UoiLassoOptions& options,
+    const UoiParallelLayout& layout, bool serial);
 
 }  // namespace detail
 

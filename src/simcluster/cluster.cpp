@@ -198,6 +198,17 @@ std::vector<CommStats> Cluster::run_collect_stats(
   return stats;
 }
 
+void Cluster::run_local(const std::function<void(Comm&)>& spmd) {
+  const int rank = support::Tracer::thread_rank();
+  // The registry covers job ranks 0..rank so the global rank indexes it.
+  Comm comm(std::make_shared<detail::ThreadContext>(
+                1, std::make_shared<detail::FailureRegistry>(rank + 1),
+                std::vector<int>{rank}),
+            0);
+  spmd(comm);
+  export_rank_metrics(comm);
+}
+
 void Cluster::run(int n_ranks, const std::function<void(Comm&)>& spmd) {
   (void)run_collect_stats(n_ranks, spmd);
 }

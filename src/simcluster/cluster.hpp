@@ -30,6 +30,13 @@ class Cluster {
   /// As run(), but returns each rank's CommStats + RecoveryStats.
   static std::vector<RankReport> run_collect_reports(
       int n_ranks, const std::function<void(Comm&)>& spmd);
+
+  /// Runs `spmd` on one rank in the calling thread: a size-1 thread
+  /// communicator whose global rank is the thread's tracer rank, so spans
+  /// and metrics land on the caller's row. It never reads the transport
+  /// or job environment, so it stays in-process under `uoi launch` too.
+  /// Publishes the rank's stats as run() does; exceptions propagate.
+  static void run_local(const std::function<void(Comm&)>& spmd);
 };
 
 }  // namespace uoi::sim

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <optional>
 
 #include "linalg/blas.hpp"
@@ -10,25 +9,23 @@
 #include "solvers/admm_lasso_sparse.hpp"
 #include "solvers/admm_loop.hpp"
 #include "solvers/lambda_grid.hpp"
-#include "solvers/ols.hpp"
 #include "solvers/ridge_system.hpp"
 #include "solvers/screening.hpp"
 #include "support/error.hpp"
 #include "var/lag_matrix.hpp"
+#include "var/var_distributed.hpp"
 
 namespace uoi::var {
 
-using uoi::core::SupportSet;
 using uoi::linalg::ConstMatrixView;
 using uoi::linalg::Matrix;
 using uoi::linalg::Vector;
 
 namespace {
 
-// Stage tags for the block-bootstrap streams.
+// Stage tag of the selection block-bootstrap stream (estimation draws
+// stages 1 and 2; see var_bootstrap_options).
 constexpr std::size_t kSelectionStage = 0;
-constexpr std::size_t kEstimationTrainStage = 1;
-constexpr std::size_t kEstimationEvalStage = 2;
 
 /// Replicable screening quantities of the vectorized VAR problem (the
 /// serial mirror of the distributed driver's fused allreduce): coefficient
@@ -244,44 +241,6 @@ std::vector<double> resolve_var_lambda_grid(const UoiVarOptions& options,
                                           options.n_lambdas);
 }
 
-Vector var_restricted_ols(const Matrix& y, const Matrix& x,
-                          const SupportSet& support) {
-  const std::size_t dp = x.cols();
-  const std::size_t p = y.cols();
-  Vector beta(dp * p, 0.0);
-  // The block-diagonal design decouples the OLS per equation: coordinates
-  // [e * dp, (e+1) * dp) only ever multiply X against y_e.
-  std::vector<std::size_t> eq_support;
-  for (std::size_t e = 0; e < p; ++e) {
-    eq_support.clear();
-    for (const std::size_t c : support.indices()) {
-      if (c >= e * dp && c < (e + 1) * dp) eq_support.push_back(c - e * dp);
-    }
-    if (eq_support.empty()) continue;
-    const Vector y_e = y.col(e);
-    const Vector sub =
-        uoi::solvers::ols_direct_on_support(x, y_e, eq_support);
-    for (std::size_t c = 0; c < dp; ++c) beta[e * dp + c] = sub[c];
-  }
-  return beta;
-}
-
-double var_mse(const Matrix& y, const Matrix& x,
-               std::span<const double> vec_beta) {
-  const std::size_t dp = x.cols();
-  const std::size_t p = y.cols();
-  UOI_CHECK_DIMS(vec_beta.size() == dp * p, "var_mse: vec_beta length");
-  double acc = 0.0;
-  for (std::size_t e = 0; e < p; ++e) {
-    const auto beta_e = vec_beta.subspan(e * dp, dp);
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-      const double err = uoi::linalg::dot(x.row(r), beta_e) - y(r, e);
-      acc += err * err;
-    }
-  }
-  return acc / (static_cast<double>(x.rows()) * static_cast<double>(p));
-}
-
 double UoiVarResult::edge_stability(std::size_t target,
                                     std::size_t source) const {
   const std::size_t p = model.dim();
@@ -304,117 +263,35 @@ UoiVar::UoiVar(UoiVarOptions options) : options_(std::move(options)) {
   UOI_CHECK(options_.n_estimation_bootstraps >= 1, "B2 must be >= 1");
 }
 
-UoiVarResult UoiVar::fit(ConstMatrixView series_view) const {
-  const std::size_t n = series_view.rows();
-  const std::size_t p = series_view.cols();
-  const std::size_t d = options_.order;
-  UOI_CHECK(n > d + 2, "series too short for the requested order");
-
-  Matrix series = Matrix::from_view(series_view);
-  const Vector means = detail::center_series(series, options_.center);
-
-  const LagRegression full = build_lag_regression(series, d);
-  const std::size_t dp = d * p;
-  const std::size_t n_coeffs = dp * p;
-
-  UoiVarResult result = detail::empty_var_result(p, d);
-  result.lambdas = resolve_var_lambda_grid(options_, full.y, full.x);
-  const std::size_t q = result.lambdas.size();
-
-  // ---- Model selection (Algorithm 2, lines 1-13) ----
-  // counts(j, i): how many block-bootstraps selected coefficient i at
-  // lambda_j (strict intersection = count reaching B1).
-  Matrix selection_counts(q, n_coeffs, 0.0);
-  for (std::size_t k = 0; k < options_.n_selection_bootstraps; ++k) {
-    const Matrix sample = block_bootstrap_sample(
-        series, var_bootstrap_options(options_, kSelectionStage, k));
-    const LagRegression lag = build_lag_regression(sample, d);
-    const VectorizedProblem problem = vectorize(lag);
-
-    // The screened chain owns the warm starts and the two-stage solve.
-    uoi::solvers::detail::ScreenedChain<SerialVarBackend> chain(
-        options_.admm, options_.screen, lag, problem, options_.backend);
-    for (std::size_t j = 0; j < q; ++j) {
-      const auto fit = chain.solve(result.lambdas[j]);
-      result.total_flops += fit.flops;
-      auto row = selection_counts.row(j);
-      for (std::size_t i = 0; i < n_coeffs; ++i) {
-        if (std::abs(fit.beta[i]) > options_.support_tolerance) row[i] += 1.0;
-      }
-    }
-  }
-  result.candidate_supports.reserve(q);
-  for (std::size_t j = 0; j < q; ++j) {
-    result.candidate_supports.push_back(uoi::core::intersect_counts(
-        selection_counts.row(j), options_.intersection_fraction,
-        static_cast<double>(options_.n_selection_bootstraps)));
-  }
-
-  // ---- Model estimation (Algorithm 2, lines 14-30) ----
-  const std::size_t b2 = options_.n_estimation_bootstraps;
-  result.chosen_support_per_bootstrap.assign(b2, 0);
-  result.best_loss_per_bootstrap.assign(
-      b2, std::numeric_limits<double>::infinity());
-  Matrix winners(b2, n_coeffs, 0.0);
-
-  for (std::size_t k = 0; k < b2; ++k) {
-    const Matrix train_sample = block_bootstrap_sample(
-        series, var_bootstrap_options(options_, kEstimationTrainStage, k));
-    const Matrix eval_sample = block_bootstrap_sample(
-        series, var_bootstrap_options(options_, kEstimationEvalStage, k));
-    const LagRegression train = build_lag_regression(train_sample, d);
-    const LagRegression eval = build_lag_regression(eval_sample, d);
-
-    Vector best_beta(n_coeffs, 0.0);
-    for (std::size_t j = 0; j < q; ++j) {
-      const Vector beta =
-          var_restricted_ols(train.y, train.x, result.candidate_supports[j]);
-      const double mse = var_mse(eval.y, eval.x, beta);
-      const double loss = uoi::core::estimation_score(
-          options_.criterion, mse,
-          static_cast<double>(eval.x.rows()) * static_cast<double>(p),
-          result.candidate_supports[j].size());
-      if (loss < result.best_loss_per_bootstrap[k]) {
-        result.best_loss_per_bootstrap[k] = loss;
-        result.chosen_support_per_bootstrap[k] = j;
-        best_beta = beta;
-      }
-    }
-    std::copy(best_beta.begin(), best_beta.end(), winners.row(k).begin());
-  }
-
-  detail::finish_var_result(result, winners, means, options_);
-  return result;
+UoiVarResult UoiVar::fit(ConstMatrixView series) const {
+  return uoi::core::run_on_local_rank([&](uoi::sim::Comm& comm) {
+           return detail::fit_var(comm, series, options_, {}, /*n_readers=*/1,
+                                  /*serial=*/true);
+         })
+      .model;
 }
 
 namespace detail {
 
-Vector center_series(Matrix& series, bool center) {
-  Vector means(series.cols(), 0.0);
-  if (!center) return means;
-  for (std::size_t r = 0; r < series.rows(); ++r) {
-    const auto row = series.row(r);
-    for (std::size_t c = 0; c < row.size(); ++c) means[c] += row[c];
-  }
-  for (auto& m : means) m /= static_cast<double>(series.rows());
-  for (std::size_t r = 0; r < series.rows(); ++r) {
-    auto row = series.row(r);
-    for (std::size_t c = 0; c < row.size(); ++c) row[c] -= means[c];
-  }
-  return means;
-}
-
-UoiVarResult empty_var_result(std::size_t p, std::size_t d) {
-  return {VarModel(std::vector<Matrix>(d, Matrix(p, p))),
-          Vector(d * p * p, 0.0),
-          {},
-          {},
-          {},
-          {},
-          {},
-          0,
-          1.0 - 1.0 / static_cast<double>(p),
-          {}};
+uoi::core::UoiSelectHook serial_var_select_hook(
+    const Matrix& series, const UoiVarOptions& options,
+    std::span<const double> lambdas) {
+  return [&series, &options, lambdas](uoi::core::UoiSelectionTask& task) {
+    const Matrix sample = block_bootstrap_sample(
+        series, var_bootstrap_options(options, kSelectionStage,
+                                      task.bootstrap));
+    const LagRegression lag = build_lag_regression(sample, options.order);
+    const VectorizedProblem problem = vectorize(lag);
+    // The screened chain owns the warm starts and the two-stage solve.
+    uoi::solvers::detail::ScreenedChain<SerialVarBackend> chain(
+        options.admm, options.screen, lag, problem, options.backend);
+    for (std::size_t m = 0; m < task.cells.size(); ++m) {
+      const auto fit = chain.solve(lambdas[task.cells[m]]);
+      task.counters.add(fit);
+      task.mark_selected(m, fit.beta, options.support_tolerance);
+    }
+    task.counters.screen += chain.stats();
+  };
 }
 
 void append_equation_block(
@@ -439,45 +316,6 @@ void append_equation_block(
   }
   uoi::linalg::gemv_transposed(1.0, v, y, 0.0, atb.subspan(offset, width));
   blocks.push_back({v, offset});
-}
-
-void finish_var_result(UoiVarResult& result, const Matrix& winners,
-                       std::span<const double> means,
-                       const UoiVarOptions& options) {
-  const std::size_t b2 = winners.rows();
-  const std::size_t n_coeffs = winners.cols();
-  const std::size_t p = means.size();
-  const std::size_t d = options.order;
-  Vector beta_sum(n_coeffs, 0.0);
-  Vector freq_sum(n_coeffs, 0.0);
-  for (std::size_t k = 0; k < b2; ++k) {
-    const auto row = winners.row(k);
-    for (std::size_t i = 0; i < n_coeffs; ++i) {
-      beta_sum[i] += row[i];
-      if (std::abs(row[i]) > options.support_tolerance) freq_sum[i] += 1.0;
-    }
-  }
-  result.vec_beta.assign(n_coeffs, 0.0);
-  result.selection_frequency.assign(n_coeffs, 0.0);
-  for (std::size_t i = 0; i < n_coeffs; ++i) {
-    result.selection_frequency[i] = freq_sum[i] / static_cast<double>(b2);
-    result.vec_beta[i] = beta_sum[i] / static_cast<double>(b2);
-  }
-  result.support =
-      SupportSet::from_beta(result.vec_beta, options.support_tolerance);
-
-  const VarModel fitted = VarModel::from_vec_b(result.vec_beta, p, d);
-  Vector mu(p, 0.0);
-  if (options.center) {
-    mu.assign(means.begin(), means.end());
-    for (std::size_t j = 0; j < d; ++j) {
-      const auto& a = fitted.coefficient(j);
-      for (std::size_t i = 0; i < p; ++i) {
-        mu[i] -= uoi::linalg::dot(a.row(i), means);
-      }
-    }
-  }
-  result.model = VarModel(fitted.coefficients(), std::move(mu));
 }
 
 }  // namespace detail

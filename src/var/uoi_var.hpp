@@ -1,6 +1,8 @@
 #pragma once
 // Serial UoI_VAR (paper Algorithm 2): UoI model selection + estimation on
-// the vectorized VAR regression vec Y = (I (x) X) vec B + vec E.
+// the vectorized VAR regression vec Y = (I (x) X) vec B + vec E. The fit
+// is the distributed driver's body (var_distributed.hpp) on one rank with
+// a serial selection hook; both share the estimation hook.
 //
 // Differences from UoI_LASSO, exactly as the paper lists them:
 //   * block bootstrap instead of iid row resampling (temporal dependence);
@@ -59,9 +61,9 @@ struct UoiVarOptions {
   /// and the distributed driver run the same canonical two-stage chain).
   /// Modes are byte-identical (see core::UoiLassoOptions::screen).
   uoi::solvers::ScreenOptions screen;
-  /// Fault tolerance for the distributed driver: shrink-and-resume on rank
-  /// failure, retry budget for transient one-sided faults, and optional
-  /// selection checkpointing (see core::UoiRecoveryOptions).
+  /// Fault tolerance: shrink-and-resume on rank failure, retry budget for
+  /// transient one-sided faults, and optional selection checkpointing,
+  /// which serial fits honor too (see core::UoiRecoveryOptions).
   uoi::core::UoiRecoveryOptions recovery;
   /// Distributed-driver task placement (see core::UoiLassoOptions::schedule).
   uoi::sched::SchedulePolicy schedule = uoi::sched::SchedulePolicy::kAuto;
@@ -120,38 +122,7 @@ class UoiVar {
     const UoiVarOptions& options, const uoi::linalg::Matrix& y,
     const uoi::linalg::Matrix& x);
 
-/// Support-restricted OLS of the vectorized problem, computed equation by
-/// equation. Returns the full-length (d p^2) coefficient vector.
-[[nodiscard]] uoi::linalg::Vector var_restricted_ols(
-    const uoi::linalg::Matrix& y, const uoi::linalg::Matrix& x,
-    const uoi::core::SupportSet& support);
-
-/// Mean squared prediction error of a vec-B estimate on a lag regression.
-[[nodiscard]] double var_mse(const uoi::linalg::Matrix& y,
-                             const uoi::linalg::Matrix& x,
-                             std::span<const double> vec_beta);
-
 namespace detail {
-
-/// The steps UoiVar::fit and uoi_var_distributed share, so both fit the
-/// same data and report the same estimate.
-
-/// Subtracts the column means in place when `center`; returns the means
-/// (zeros otherwise).
-[[nodiscard]] uoi::linalg::Vector center_series(uoi::linalg::Matrix& series,
-                                                bool center);
-
-/// A zero result for p series at order d.
-[[nodiscard]] UoiVarResult empty_var_result(std::size_t p, std::size_t d);
-
-/// Algorithm 2, lines 29-32, from the B2 estimation winners (one row
-/// each): vec_beta is their mean, selection_frequency the fraction that
-/// select each coefficient; then the support and the model (A_1..A_d,
-/// mu), where centered data gives mu = (I - sum_j A_j) x_bar.
-void finish_var_result(UoiVarResult& result,
-                       const uoi::linalg::Matrix& winners,
-                       std::span<const double> means,
-                       const UoiVarOptions& options);
 
 /// Appends equation e's x-update block to a solve over the sorted subset
 /// `working` of the vectorized coefficients (g = e*dp + c, dp =

@@ -406,23 +406,86 @@ struct VarEstimationEntry {
   [[nodiscard]] std::size_t bytes() const noexcept { return bytes_estimate; }
 };
 
+/// Subtracts the column means in place when `center`; returns the means
+/// (zeros otherwise).
+Vector center_series(Matrix& series, bool center) {
+  Vector means(series.cols(), 0.0);
+  if (!center) return means;
+  for (std::size_t r = 0; r < series.rows(); ++r) {
+    const auto row = series.row(r);
+    for (std::size_t c = 0; c < row.size(); ++c) means[c] += row[c];
+  }
+  for (auto& m : means) m /= static_cast<double>(series.rows());
+  for (std::size_t r = 0; r < series.rows(); ++r) {
+    auto row = series.row(r);
+    for (std::size_t c = 0; c < row.size(); ++c) row[c] -= means[c];
+  }
+  return means;
+}
+
+/// Algorithm 2, lines 29-32, from the B2 estimation winners (one row
+/// each): vec_beta is their mean, selection_frequency the fraction that
+/// select each coefficient; then the support and the model (A_1..A_d,
+/// mu), where centered data gives mu = (I - sum_j A_j) x_bar.
+void finish_var_result(UoiVarResult& result, const Matrix& winners,
+                       std::span<const double> means,
+                       const UoiVarOptions& options) {
+  const std::size_t b2 = winners.rows();
+  const std::size_t n_coeffs = winners.cols();
+  const std::size_t p = means.size();
+  const std::size_t d = options.order;
+  Vector beta_sum(n_coeffs, 0.0);
+  Vector freq_sum(n_coeffs, 0.0);
+  for (std::size_t k = 0; k < b2; ++k) {
+    const auto row = winners.row(k);
+    for (std::size_t i = 0; i < n_coeffs; ++i) {
+      beta_sum[i] += row[i];
+      if (std::abs(row[i]) > options.support_tolerance) freq_sum[i] += 1.0;
+    }
+  }
+  result.vec_beta.assign(n_coeffs, 0.0);
+  result.selection_frequency.assign(n_coeffs, 0.0);
+  for (std::size_t i = 0; i < n_coeffs; ++i) {
+    result.selection_frequency[i] = freq_sum[i] / static_cast<double>(b2);
+    result.vec_beta[i] = beta_sum[i] / static_cast<double>(b2);
+  }
+  result.support =
+      SupportSet::from_beta(result.vec_beta, options.support_tolerance);
+
+  const VarModel fitted = VarModel::from_vec_b(result.vec_beta, p, d);
+  Vector mu(p, 0.0);
+  if (options.center) {
+    mu.assign(means.begin(), means.end());
+    for (std::size_t j = 0; j < d; ++j) {
+      const auto& a = fitted.coefficient(j);
+      for (std::size_t i = 0; i < p; ++i) {
+        mu[i] -= uoi::linalg::dot(a.row(i), means);
+      }
+    }
+  }
+  result.model = VarModel(fitted.coefficients(), std::move(mu));
+}
+
 }  // namespace
 
-UoiVarDistributedResult uoi_var_distributed(
+UoiVarDistributedResult detail::fit_var(
     Comm& comm, ConstMatrixView series_view, const UoiVarOptions& options,
-    const uoi::core::UoiParallelLayout& layout, int n_readers) {
+    const uoi::core::UoiParallelLayout& layout, int n_readers, bool serial) {
   const std::size_t p = series_view.cols();
   const std::size_t d = options.order;
+  UOI_CHECK(series_view.rows() > d + 2,
+            "series too short for the requested order");
 
-  // Center the series exactly as the serial driver does.
   Matrix series = Matrix::from_view(series_view);
-  const Vector means = detail::center_series(series, options.center);
+  const Vector means = center_series(series, options.center);
 
   const std::size_t dp = d * p;
   const std::size_t n_coeffs = dp * p;
 
-  UoiVarDistributedResult out{detail::empty_var_result(p, d), {}, {}, false,
-                              1.0, {}};
+  UoiVarDistributedResult out{{VarModel(std::vector<Matrix>(d, Matrix(p, p))),
+                               {}, {}, {}, {}, {}, {}, 0,
+                               1.0 - 1.0 / static_cast<double>(p), {}},
+                              {}, {}, false, 1.0, {}};
   UoiVarResult& model = out.model;
 
   const LagRegression full = build_lag_regression(series, d);
@@ -446,7 +509,8 @@ UoiVarDistributedResult uoi_var_distributed(
   spec.seed = options.seed;
   spec.intersection_fraction = options.intersection_fraction;
   spec.schedule = options.schedule;
-  spec.solver_cache_mb = options.solver_cache_mb;
+  // One rank visits each bootstrap once per pass: nothing to cache.
+  spec.solver_cache_mb = serial ? 0 : options.solver_cache_mb;
   spec.layout = layout;
   spec.recovery = options.recovery;
   spec.consensus_interval = options.admm.consensus_interval;
@@ -477,7 +541,7 @@ UoiVarDistributedResult uoi_var_distributed(
   // so any chain of the same k — adjacent, interleaved, or stolen —
   // reuses them.
   const std::size_t vec_rows = (series.rows() - d) * p;
-  const auto select = [&](uoi::core::UoiSelectionTask& task) {
+  const auto distributed_select = [&](uoi::core::UoiSelectionTask& task) {
     const auto& tl = task.layout;
     const int trace_rank = task.task_comm.global_rank();
     const int group_readers = std::min(n_readers, tl.c_ranks);
@@ -536,11 +600,17 @@ UoiVarDistributedResult uoi_var_distributed(
     task.counters.screen += screened.stats();
   };
 
+  const uoi::core::UoiSelectHook select =
+      serial ? detail::serial_var_select_hook(series, options, model.lambdas)
+             : uoi::core::UoiSelectHook(distributed_select);
+
   // Estimation: (bootstrap, chain) cells over the task groups, equations
   // over the C ranks of each group (the vectorized OLS decomposes exactly
   // per equation). Each rank's share of a winner row is its own
   // equations, so the winners Sum-reduce has one contributor per entry
-  // and the aggregation is placement-independent.
+  // and the aggregation is placement-independent. On one rank this is the
+  // serial estimator: per-equation OLS on the training resample, scored
+  // by the MSE over every equation's evaluation rows.
   const auto estimate = [&](uoi::core::UoiEstimationTask& task) {
     const auto& tl = task.layout;
     const std::size_t k = task.bootstrap;
@@ -589,9 +659,10 @@ UoiVarDistributedResult uoi_var_distributed(
       }
       task.task_comm.allreduce(std::span<double>(sse, 2), ReduceOp::kSum);
       const double mse = sse[1] > 0.0 ? sse[0] / sse[1] : 0.0;
-      task.losses[j] = uoi::core::estimation_score(
-          options.criterion, mse, sse[1], task.supports[j].size());
-      task.shares[j] = std::move(beta_local);
+      task.record(j,
+                  uoi::core::estimation_score(options.criterion, mse, sse[1],
+                                              task.supports[j].size()),
+                  std::move(beta_local));
     }
   };
 
@@ -602,7 +673,7 @@ UoiVarDistributedResult uoi_var_distributed(
       std::move(run.chosen_support_per_bootstrap);
   model.best_loss_per_bootstrap = std::move(run.best_loss_per_bootstrap);
   model.total_flops = run.total_flops;
-  detail::finish_var_result(model, run.winners, means, options);
+  finish_var_result(model, run.winners, means, options);
 
   out.breakdown = run.breakdown;
   out.selection_counts = std::move(run.selection_counts);
@@ -610,6 +681,13 @@ UoiVarDistributedResult uoi_var_distributed(
   out.achieved_quorum = run.achieved_quorum;
   out.lost_cells = std::move(run.lost_cells);
   return out;
+}
+
+UoiVarDistributedResult uoi_var_distributed(
+    Comm& comm, ConstMatrixView series, const UoiVarOptions& options,
+    const uoi::core::UoiParallelLayout& layout, int n_readers) {
+  return detail::fit_var(comm, series, options, layout, n_readers,
+                         /*serial=*/false);
 }
 
 }  // namespace uoi::var

@@ -141,4 +141,24 @@ struct UoiVarDistributedResult {
     const UoiVarOptions& options = {},
     const uoi::core::UoiParallelLayout& layout = {}, int n_readers = 2);
 
+namespace detail {
+
+/// The VAR driver body behind UoiVar::fit (one rank, serial selection
+/// hook) and uoi_var_distributed: centering, lambda grid, engine run and
+/// model assembly. Both runs share the estimation hook.
+[[nodiscard]] UoiVarDistributedResult fit_var(
+    uoi::sim::Comm& comm, uoi::linalg::ConstMatrixView series,
+    const UoiVarOptions& options, const uoi::core::UoiParallelLayout& layout,
+    int n_readers, bool serial);
+
+/// The serial selection hook: per bootstrap, one screened chain
+/// (solvers::detail::ScreenedChain) over the vectorized block-bootstrap
+/// problem on the structured or sparse backend. `series` is the centered
+/// series; every argument must outlive the engine run.
+[[nodiscard]] uoi::core::UoiSelectHook serial_var_select_hook(
+    const uoi::linalg::Matrix& series, const UoiVarOptions& options,
+    std::span<const double> lambdas);
+
+}  // namespace detail
+
 }  // namespace uoi::var

@@ -19,6 +19,7 @@
 #include "solvers/prox.hpp"
 #include "solvers/ridge.hpp"
 #include "solvers/screening.hpp"
+#include "support/trace.hpp"
 
 namespace {
 
@@ -133,6 +134,58 @@ TEST(UoiElasticNet, RecoversOnCorrelatedDesign) {
       uoi::core::selection_accuracy(support, truth, spec.n_features);
   EXPECT_EQ(acc.false_negatives, 0u);
   EXPECT_LE(acc.false_positives, 2u);
+}
+
+TEST(UoiElasticNet, SerialFitExportsItsSelectionIterations) {
+  // A serial fit publishes the engine's admm.* metrics: the exported ADMM
+  // iterations equal those of one screened chain per (bootstrap, l1
+  // ratio). The grid includes a ratio boundary where lambda1 does not
+  // ascend (0.1 lambda_max with ratio 1.0, then 0.05 lambda_max with ratio
+  // 0.05).
+  uoi::data::RegressionSpec spec;
+  spec.n_samples = 90;
+  spec.n_features = 14;
+  spec.support_size = 4;
+  spec.feature_correlation = 0.5;
+  spec.seed = 31;
+  const auto data = uoi::data::make_regression(spec);
+  uoi::core::UoiElasticNetOptions options;
+  options.n_selection_bootstraps = 3;
+  options.n_estimation_bootstraps = 2;
+  options.n_lambdas = 5;
+  options.lambda_min_ratio = 0.1;
+  options.l1_ratios = {1.0, 0.05, 0.5};
+  options.seed = 19;
+  options.screen.mode = uoi::solvers::ScreenMode::kStrong;
+
+  auto& metrics = uoi::support::MetricsRegistry::instance();
+  metrics.clear();
+  (void)uoi::core::UoiElasticNet(options).fit(data.x, data.y);
+  const double exported = metrics.value(
+      uoi::support::Tracer::thread_rank(), "admm.iterations");
+
+  uoi::core::UoiLassoOptions resampling;
+  resampling.n_selection_bootstraps = options.n_selection_bootstraps;
+  resampling.seed = options.seed;
+  const auto lambdas = uoi::solvers::lambda_grid_for(
+      data.x, data.y, options.n_lambdas, options.lambda_min_ratio);
+  std::uint64_t iterations = 0;
+  for (std::size_t k = 0; k < options.n_selection_bootstraps; ++k) {
+    const auto idx = uoi::core::selection_bootstrap_indices(
+        resampling, data.x.rows(), k);
+    const Matrix x_boot = data.x.gather_rows(idx);
+    Vector y_boot(idx.size());
+    for (std::size_t i = 0; i < idx.size(); ++i) y_boot[i] = data.y[idx[i]];
+    for (const double ratio : options.l1_ratios) {
+      uoi::solvers::ScreenedLassoChain chain(x_boot, y_boot, options.admm,
+                                             options.screen);
+      for (const double lambda : lambdas) {
+        iterations +=
+            chain.solve(lambda * ratio, lambda * (1.0 - ratio)).iterations;
+      }
+    }
+  }
+  EXPECT_EQ(exported, static_cast<double>(iterations));
 }
 
 TEST(UoiElasticNet, PureL1MatchesUoiLassoSupports) {

@@ -152,7 +152,7 @@ TEST(SoftIntersection, DistributedMatchesSerial) {
 TEST(Aggregation, MedianMatchesHandComputed) {
   using uoi::core::aggregate_estimates;
   using uoi::core::EstimationAggregation;
-  const std::vector<Vector> winners{{1.0, 10.0}, {2.0, 20.0}, {9.0, 0.0}};
+  const Matrix winners{{1.0, 10.0}, {2.0, 20.0}, {9.0, 0.0}};
   const Vector mean =
       aggregate_estimates(winners, EstimationAggregation::kMean);
   EXPECT_DOUBLE_EQ(mean[0], 4.0);
@@ -166,7 +166,7 @@ TEST(Aggregation, MedianMatchesHandComputed) {
 TEST(Aggregation, EvenCountMedianAverages) {
   using uoi::core::aggregate_estimates;
   using uoi::core::EstimationAggregation;
-  const std::vector<Vector> winners{{1.0}, {3.0}, {100.0}, {2.0}};
+  const Matrix winners{{1.0}, {3.0}, {100.0}, {2.0}};
   const Vector median =
       aggregate_estimates(winners, EstimationAggregation::kMedian);
   EXPECT_DOUBLE_EQ(median[0], 2.5);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -14,6 +15,7 @@
 #include "core/uoi_logistic.hpp"
 #include "core/uoi_lasso_distributed.hpp"
 #include "data/synthetic_regression.hpp"
+#include "data/synthetic_var.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/sparse.hpp"
 #include "simcluster/cluster.hpp"
@@ -22,6 +24,9 @@
 #include "support/rng.hpp"
 #include "support/log.hpp"
 #include "support/table.hpp"
+#include "support/trace.hpp"
+#include "var/uoi_var.hpp"
+#include "var/var_model.hpp"
 
 namespace {
 
@@ -224,7 +229,9 @@ TEST(Checkpoint, ResumedFitMatchesUninterrupted) {
   // full checkpointed fit once (writes the file), truncate the recorded
   // progress back to 3, then resume — the resumed result must equal the
   // uninterrupted reference bit for bit (deterministic resampling).
-  (void)uoi.fit_with_checkpoint(data.x, data.y, path);
+  auto checkpointed = options;
+  checkpointed.recovery.checkpoint_path = path;
+  (void)uoi::core::UoiLasso(checkpointed).fit(data.x, data.y);
   {
     std::ifstream f(path);
     std::stringstream buffer;
@@ -233,14 +240,21 @@ TEST(Checkpoint, ResumedFitMatchesUninterrupted) {
         uoi::core::SelectionCheckpoint::from_text(buffer.str());
     // Recompute the counts as they stood after 3 bootstraps: subtract is
     // impossible without re-running, so instead truncate by re-running
-    // fit_with_checkpoint from scratch with a 3-bootstrap variant... keep
-    // it simple: zero the counts and set progress to 0 — resume must then
-    // redo everything and still match.
+    // a checkpointed fit from scratch with a 3-bootstrap variant... keep
+    // it simple: zero the counts, the done map and the progress — resume
+    // must then redo everything and still match.
     checkpoint.completed_bootstraps = 0;
     checkpoint.counts.fill(0.0);
+    checkpoint.done.fill(0.0);
     uoi::core::save_checkpoint(path, checkpoint);
   }
-  const auto resumed = uoi.fit_with_checkpoint(data.x, data.y, path);
+  auto& metrics = uoi::support::MetricsRegistry::instance();
+  metrics.clear();
+  const auto resumed = uoi::core::UoiLasso(checkpointed).fit(data.x, data.y);
+  // The rewound file was accepted, not discarded.
+  EXPECT_EQ(metrics.value(uoi::support::Tracer::thread_rank(),
+                          "recovery.checkpoint_resumes"),
+            1.0);
   EXPECT_EQ(uoi::linalg::max_abs_diff(resumed.beta, reference.beta), 0.0);
   for (std::size_t j = 0; j < reference.candidate_supports.size(); ++j) {
     EXPECT_EQ(resumed.candidate_supports[j], reference.candidate_supports[j]);
@@ -276,8 +290,8 @@ TEST(Checkpoint, PartialResumeProducesSameResult) {
       (std::filesystem::temp_directory_path() / "uoi_ckpt_partial.txt")
           .string();
   std::filesystem::remove(path);
-  (void)uoi::core::UoiLasso(partial_options)
-      .fit_with_checkpoint(data.x, data.y, path);
+  partial_options.recovery.checkpoint_path = path;
+  (void)uoi::core::UoiLasso(partial_options).fit(data.x, data.y);
   {
     std::ifstream f(path);
     std::stringstream buffer;
@@ -286,10 +300,90 @@ TEST(Checkpoint, PartialResumeProducesSameResult) {
         uoi::core::SelectionCheckpoint::from_text(buffer.str());
     checkpoint.fingerprint = full.selection_fingerprint(
         data.x.rows(), data.x.cols(), checkpoint.lambdas);
+    // The 5-bootstrap run's done map has 5 rows; the 8-bootstrap run
+    // expects 8, with bootstraps 5-7 still to do.
+    Matrix done(full_options.n_selection_bootstraps, checkpoint.done.cols(),
+                0.0);
+    std::copy(checkpoint.done.data(),
+              checkpoint.done.data() + checkpoint.done.size(), done.data());
+    checkpoint.done = std::move(done);
     uoi::core::save_checkpoint(path, checkpoint);
   }
-  const auto resumed = full.fit_with_checkpoint(data.x, data.y, path);
+  auto resume_options = full_options;
+  resume_options.recovery.checkpoint_path = path;
+  const auto resumed =
+      uoi::core::UoiLasso(resume_options).fit(data.x, data.y);
   EXPECT_EQ(uoi::linalg::max_abs_diff(resumed.beta, reference.beta), 0.0);
+  // A real resume: only bootstraps 5-7 ran their selection chains.
+  EXPECT_LT(resumed.total_flops, reference.total_flops);
+  std::filesystem::remove(path);
+}
+
+TEST(Checkpoint, SerialVarResumeMatchesUninterrupted) {
+  uoi::data::VarSpec spec;
+  spec.n_nodes = 6;
+  spec.seed = 61;
+  uoi::var::SimulateOptions sim;
+  sim.n_samples = 80;
+  sim.seed = 67;
+  const Matrix series =
+      uoi::var::simulate(uoi::data::make_sparse_var(spec), sim);
+  uoi::var::UoiVarOptions options;
+  options.n_selection_bootstraps = 4;
+  options.n_estimation_bootstraps = 3;
+  options.n_lambdas = 6;
+  options.lambda_min_ratio = 1e-2;
+  options.seed = 71;
+  const auto reference = uoi::var::UoiVar(options).fit(series);
+
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string full_path = (dir / "uoi_var_ckpt_full.txt").string();
+  const std::string path = (dir / "uoi_var_ckpt_resume.txt").string();
+  std::filesystem::remove(full_path);
+  std::filesystem::remove(path);
+  const auto read = [](const std::string& file) {
+    std::ifstream f(file);
+    std::stringstream buffer;
+    buffer << f.rdbuf();
+    return uoi::core::SelectionCheckpoint::from_text(buffer.str());
+  };
+  // The full checkpointed fit supplies the fingerprint; a 2-bootstrap fit
+  // supplies counts equal to the full run's first 2 bootstraps (same
+  // per-bootstrap streams), padded to the full run's 4-row done map.
+  auto full = options;
+  full.recovery.checkpoint_path = full_path;
+  const auto checkpointed = uoi::var::UoiVar(full).fit(series);
+  EXPECT_EQ(uoi::linalg::max_abs_diff(checkpointed.vec_beta,
+                                      reference.vec_beta),
+            0.0);
+  auto partial = options;
+  partial.n_selection_bootstraps = 2;
+  partial.recovery.checkpoint_path = path;
+  (void)uoi::var::UoiVar(partial).fit(series);
+  {
+    auto checkpoint = read(path);
+    checkpoint.fingerprint = read(full_path).fingerprint;
+    Matrix done(options.n_selection_bootstraps, checkpoint.done.cols(), 0.0);
+    std::copy(checkpoint.done.data(),
+              checkpoint.done.data() + checkpoint.done.size(), done.data());
+    checkpoint.done = std::move(done);
+    uoi::core::save_checkpoint(path, checkpoint);
+  }
+  auto resume = options;
+  resume.recovery.checkpoint_path = path;
+  const auto resumed = uoi::var::UoiVar(resume).fit(series);
+  EXPECT_EQ(uoi::linalg::max_abs_diff(resumed.vec_beta, reference.vec_beta),
+            0.0);
+  EXPECT_EQ(uoi::linalg::max_abs_diff(resumed.model.intercept(),
+                                      reference.model.intercept()),
+            0.0);
+  EXPECT_EQ(resumed.chosen_support_per_bootstrap,
+            reference.chosen_support_per_bootstrap);
+  EXPECT_EQ(resumed.best_loss_per_bootstrap,
+            reference.best_loss_per_bootstrap);
+  // A real resume: only bootstraps 2 and 3 ran their selection chains.
+  EXPECT_LT(resumed.total_flops, reference.total_flops);
+  std::filesystem::remove(full_path);
   std::filesystem::remove(path);
 }
 

@@ -272,7 +272,6 @@ TEST(FailureInjection, CheckpointDoneSectionRoundTrips) {
   ckpt.done(0, 1) = 1.0;
   ckpt.done(1, 0) = 1.0;
   EXPECT_EQ(ckpt.completed_prefix(), 1u);
-  EXPECT_FALSE(ckpt.is_prefix_consistent());
   ckpt.completed_bootstraps = ckpt.completed_prefix();
   uoi::core::save_checkpoint(path, ckpt);
 
@@ -282,7 +281,6 @@ TEST(FailureInjection, CheckpointDoneSectionRoundTrips) {
   EXPECT_EQ(restored->lambdas, ckpt.lambdas);
   EXPECT_EQ(uoi::linalg::max_abs_diff(restored->counts, ckpt.counts), 0.0);
   EXPECT_EQ(uoi::linalg::max_abs_diff(restored->done, ckpt.done), 0.0);
-  EXPECT_FALSE(restored->is_prefix_consistent());
   // A foreign fingerprint is ignored, not an error.
   EXPECT_FALSE(uoi::core::try_load_checkpoint(path, 43).has_value());
   std::filesystem::remove(path);
