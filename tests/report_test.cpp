@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/uoi_lasso.hpp"
 #include "core/uoi_lasso_distributed.hpp"
 #include "data/synthetic_regression.hpp"
 #include "report/run_report.hpp"
@@ -523,6 +524,42 @@ TEST(RunReport, DistributedRunBucketsSumToWall) {
     EXPECT_LE(l.p50_seconds, l.p95_seconds + 1e-12);
     EXPECT_LE(l.p95_seconds, l.p99_seconds + 1e-12);
   }
+}
+
+TEST(RunReport, SerialFitComputationBucketWithinWall) {
+  // A serial fit is a one-rank engine run: the engine records the fit's
+  // computation span on the caller's tracer rank, once, so the per-rank
+  // computation bucket never exceeds the wall around the fit.
+  uoi::data::RegressionSpec spec;
+  spec.n_samples = 80;
+  spec.n_features = 16;
+  spec.support_size = 4;
+  spec.seed = 31;
+  const auto data = uoi::data::make_regression(spec);
+  uoi::core::UoiLassoOptions options;
+  options.n_selection_bootstraps = 6;
+  options.n_estimation_bootstraps = 4;
+  options.n_lambdas = 6;
+  options.seed = 909;
+
+  auto& tracer = Tracer::instance();
+  tracer.clear();
+  tracer.set_capture_events(true);
+  uoi::support::Stopwatch watch;
+  (void)uoi::core::UoiLasso(options).fit(data.x, data.y);
+  const double wall = watch.seconds();
+  const auto inputs = uoi::report::collect_inputs(wall);
+  tracer.set_capture_events(false);
+  tracer.clear();
+
+  const RunReport report = build_run_report(inputs);
+  ASSERT_EQ(report.n_ranks, 1);
+  const auto& rank = report.per_rank.front();
+  EXPECT_GT(rank.computation, 0.0);
+  EXPECT_LE(rank.computation, wall + 1e-9);
+  EXPECT_LE(rank.computation + rank.communication + rank.distribution +
+                rank.data_io + rank.gram,
+            wall + 1e-9);
 }
 
 // -------------------------------------------------------------------- log
