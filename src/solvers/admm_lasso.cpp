@@ -29,7 +29,7 @@ std::size_t resolve_consensus_interval(std::size_t requested) {
 
 LassoAdmmSolver::LassoAdmmSolver(ConstMatrixView a, std::span<const double> b,
                                  const AdmmOptions& options)
-    : a_(a), b_(b), options_(options) {
+    : options_(options) {
   UOI_CHECK_DIMS(a.rows() == b.size(), "LASSO: X rows != y size");
   UOI_CHECK(a.rows() > 0 && a.cols() > 0, "LASSO: empty problem");
 
@@ -38,6 +38,18 @@ LassoAdmmSolver::LassoAdmmSolver(ConstMatrixView a, std::span<const double> b,
   system_ = std::make_unique<RidgeSystemSolver>(a, options_.rho);
   setup_flops_ = uoi::linalg::gemv_flops(a.rows(), a.cols()) +
                  system_->setup_flops();
+  pending_setup_flops_ = setup_flops_;
+}
+
+LassoAdmmSolver::LassoAdmmSolver(std::shared_ptr<const RidgeGram> gram,
+                                 uoi::linalg::Vector atb,
+                                 const AdmmOptions& options)
+    : options_(options), atb_(std::move(atb)) {
+  UOI_CHECK(gram != nullptr, "LASSO: null Gram");
+  UOI_CHECK_DIMS(gram->gram().rows() == atb_.size(),
+                 "LASSO: Gram and A'b sizes differ");
+  system_ = std::make_unique<RidgeSystemSolver>(options_.rho, std::move(gram));
+  setup_flops_ = system_->setup_flops();
   pending_setup_flops_ = setup_flops_;
 }
 
@@ -59,11 +71,10 @@ AdmmResult LassoAdmmSolver::solve_elastic_net(
   const std::uint64_t charged_setup = pending_setup_flops_;
   pending_setup_flops_ = 0;
   auto result = detail::run_admm_loop(
-      a_.cols(), lambda1, options_, atb_,
+      atb_.size(), lambda1, options_, atb_,
       [&](std::span<const double> q, std::span<double> x, double rho) {
         if (rho != current_rho) {
-          rebuilt =
-              std::make_unique<RidgeSystemSolver>(a_, rho, system_->gram());
+          rebuilt = system_->refactored(rho);
           refactor_flops += rebuilt->setup_flops();
           current_rho = rho;
         }

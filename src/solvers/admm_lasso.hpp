@@ -86,6 +86,8 @@ struct AdmmResult {
                                     std::span<const double> b, double lambda,
                                     const AdmmOptions& options = {});
 
+class RidgeGram;
+
 /// Factorization-caching solver for regularization paths: the expensive
 /// (A'A + rho I) factorization is shared across all lambda values on the
 /// same data (the inner loop of UoI model selection, Algorithm 1 lines 4-7).
@@ -93,6 +95,12 @@ class LassoAdmmSolver {
  public:
   LassoAdmmSolver(uoi::linalg::ConstMatrixView a, std::span<const double> b,
                   const AdmmOptions& options = {});
+
+  /// The same solver over a precomputed p x p Gram A'A and A'b: the lasso
+  /// depends on the data only through them. Charges the factorization,
+  /// not the Gram.
+  LassoAdmmSolver(std::shared_ptr<const RidgeGram> gram,
+                  uoi::linalg::Vector atb, const AdmmOptions& options = {});
   ~LassoAdmmSolver();
   LassoAdmmSolver(LassoAdmmSolver&&) = default;
   LassoAdmmSolver& operator=(LassoAdmmSolver&&) = default;
@@ -108,12 +116,7 @@ class LassoAdmmSolver {
       double lambda1, double lambda2,
       const AdmmResult* warm_start = nullptr) const;
 
-  [[nodiscard]] std::size_t n_samples() const noexcept { return a_.rows(); }
-  [[nodiscard]] std::size_t n_features() const noexcept { return a_.cols(); }
-
  private:
-  uoi::linalg::ConstMatrixView a_;
-  std::span<const double> b_;
   AdmmOptions options_;
   uoi::linalg::Vector atb_;  // A'b
   std::unique_ptr<class RidgeSystemSolver> system_;

@@ -62,8 +62,7 @@ DistributedAdmmResult DistributedLassoAdmmSolver::solve_elastic_net(
         if (rho != current_rho) {
           // Diagonal-shift refactorization of the cached rho-free Gram:
           // O(p^3/3), no O(n p^2) Gram rebuild.
-          rebuilt =
-              std::make_unique<RidgeSystemSolver>(a_, rho, system_->gram());
+          rebuilt = system_->refactored(rho);
           refactor_flops += rebuilt->setup_flops();
           current_rho = rho;
         }

@@ -32,6 +32,12 @@ RidgeGram::RidgeGram(uoi::linalg::ConstMatrixView a)
   }
 }
 
+RidgeGram::RidgeGram(Matrix gram)
+    : gram_(std::move(gram)), woodbury_(false) {
+  UOI_CHECK(gram_.rows() > 0 && gram_.rows() == gram_.cols(),
+            "a precomputed Gram must be square and non-empty");
+}
+
 RidgeSystemSolver::RidgeSystemSolver(uoi::linalg::ConstMatrixView a,
                                      double rho)
     : RidgeSystemSolver(a, rho, std::make_shared<const RidgeGram>(a)) {
@@ -51,9 +57,7 @@ RidgeSystemSolver::RidgeSystemSolver(uoi::linalg::ConstMatrixView a,
   const std::size_t dim = gram_->gram().rows();
   UOI_CHECK_DIMS(dim == (gram_->woodbury() ? a.rows() : a.cols()),
                  "RidgeGram does not match the data matrix");
-  factor_ = std::make_unique<CholeskyFactor>(gram_->gram(), rho_);
-  setup_flops_ = uoi::linalg::cholesky_flops(dim);
-  amortized_setup_flops_ = gram_->gram_flops();
+  factor();
   if (gram_->woodbury()) {
     aq_.assign(a.rows(), 0.0);
     t_.assign(a.rows(), 0.0);
@@ -61,14 +65,35 @@ RidgeSystemSolver::RidgeSystemSolver(uoi::linalg::ConstMatrixView a,
   }
 }
 
+RidgeSystemSolver::RidgeSystemSolver(double rho,
+                                     std::shared_ptr<const RidgeGram> gram)
+    : rho_(rho), gram_(std::move(gram)) {
+  UOI_CHECK(rho > 0.0, "rho must be positive");
+  UOI_CHECK(gram_ != nullptr && !gram_->woodbury(),
+            "a Gram-only system needs a p x p Gram");
+  factor();
+}
+
+void RidgeSystemSolver::factor() {
+  factor_ = std::make_unique<CholeskyFactor>(gram_->gram(), rho_);
+  setup_flops_ = uoi::linalg::cholesky_flops(gram_->gram().rows());
+  amortized_setup_flops_ = gram_->gram_flops();
+}
+
+std::unique_ptr<RidgeSystemSolver> RidgeSystemSolver::refactored(
+    double rho) const {
+  return a_.cols() > 0 ? std::make_unique<RidgeSystemSolver>(a_, rho, gram_)
+                       : std::make_unique<RidgeSystemSolver>(rho, gram_);
+}
+
 void RidgeSystemSolver::solve(std::span<const double> q,
                               std::span<double> x) const {
-  const std::size_t p = a_.cols();
-  UOI_CHECK_DIMS(q.size() == p && x.size() == p, "ridge system size mismatch");
   if (!gram_->woodbury()) {
     factor_->solve(q, x);
     return;
   }
+  const std::size_t p = a_.cols();
+  UOI_CHECK_DIMS(q.size() == p && x.size() == p, "ridge system size mismatch");
   // x = (q - A'((AA' + rho I)^{-1} (A q))) / rho
   uoi::linalg::gemv(1.0, a_, q, 0.0, aq_);
   factor_->solve(aq_, t_);
@@ -82,7 +107,7 @@ std::uint64_t RidgeSystemSolver::solve_flops() const noexcept {
   const std::size_t p = a_.cols();
   return gram_->woodbury()
              ? 2 * uoi::linalg::trsv_flops(n) + 2 * uoi::linalg::gemv_flops(n, p)
-             : 2 * uoi::linalg::trsv_flops(p);
+             : 2 * uoi::linalg::trsv_flops(gram_->gram().rows());
 }
 
 BlockRidgeSolver::BlockRidgeSolver(std::span<const Block> blocks, double rho) {

@@ -33,6 +33,10 @@ class RidgeGram {
  public:
   explicit RidgeGram(uoi::linalg::ConstMatrixView a);
 
+  /// A precomputed p x p Gram A'A (e.g. summed over the ranks of a task
+  /// group). Whoever computed it charges its FLOPs, so gram_flops() is 0.
+  explicit RidgeGram(uoi::linalg::Matrix gram);
+
   /// The Gram matrix: A'A (p x p) or, on the Woodbury path, A A' (n x n).
   [[nodiscard]] const uoi::linalg::Matrix& gram() const noexcept {
     return gram_;
@@ -67,6 +71,15 @@ class RidgeSystemSolver {
   RidgeSystemSolver(uoi::linalg::ConstMatrixView a, double rho,
                     std::shared_ptr<const RidgeGram> gram);
 
+  /// Factor stage over a p x p Gram alone (no data matrix, so never the
+  /// Woodbury path).
+  RidgeSystemSolver(double rho, std::shared_ptr<const RidgeGram> gram);
+
+  /// The same system refactored at a new rho from the shared Gram (the
+  /// adaptive-rho rebuild).
+  [[nodiscard]] std::unique_ptr<RidgeSystemSolver> refactored(
+      double rho) const;
+
   /// Solves (A'A + rho I) x = q. Uses solver-owned scratch on the
   /// Woodbury path, so concurrent solve() calls on one instance are not
   /// safe (each solver instance belongs to one rank).
@@ -96,7 +109,9 @@ class RidgeSystemSolver {
   }
 
  private:
-  uoi::linalg::ConstMatrixView a_;
+  void factor();
+
+  uoi::linalg::ConstMatrixView a_;  ///< empty for a Gram-only system
   double rho_;
   std::shared_ptr<const RidgeGram> gram_;
   std::unique_ptr<uoi::linalg::CholeskyFactor> factor_;

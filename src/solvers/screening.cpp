@@ -96,6 +96,44 @@ ScreenInputs build_screen_inputs(uoi::sim::Comm& comm, ConstMatrixView local_a,
   return screen_inputs_from_sums(buffer);
 }
 
+Vector gram_sums(ConstMatrixView a, std::span<const double> b) {
+  const std::size_t p = a.cols();
+  Vector sums(p * p + p + 1, 0.0);
+  Matrix gram(p, p);
+  uoi::linalg::syrk_at_a(1.0, a, 0.0, gram);
+  std::copy(gram.data(), gram.data() + p * p, sums.begin());
+  uoi::linalg::gemv_transposed(1.0, a, b, 0.0,
+                               std::span<double>(sums.data() + p * p, p));
+  sums[p * p + p] = uoi::linalg::nrm2_squared(b);
+  return sums;
+}
+
+std::uint64_t gram_sums_flops(std::size_t n, std::size_t p) {
+  return uoi::linalg::gemm_flops(p, n, p) / 2 + uoi::linalg::gemv_flops(n, p) +
+         2 * n;
+}
+
+GramProblem gram_problem_from_sums(std::span<const double> sums,
+                                   std::size_t p) {
+  UOI_CHECK_DIMS(sums.size() == p * p + p + 1, "Gram sums shape mismatch");
+  Matrix gram(p, p);
+  std::copy(sums.begin(), sums.begin() + static_cast<std::ptrdiff_t>(p * p),
+            gram.data());
+  GramProblem problem;
+  problem.inputs.atb.assign(
+      sums.begin() + static_cast<std::ptrdiff_t>(p * p),
+      sums.begin() + static_cast<std::ptrdiff_t>(p * p + p));
+  problem.inputs.col_sq_norms.resize(p);
+  for (std::size_t j = 0; j < p; ++j) problem.inputs.col_sq_norms[j] = gram(j, j);
+  problem.inputs.b_norm_sq = sums[p * p + p];
+  for (const double v : problem.inputs.atb) {
+    problem.inputs.lambda_max =
+        std::max(problem.inputs.lambda_max, std::abs(v));
+  }
+  problem.gram = std::make_shared<const RidgeGram>(std::move(gram));
+  return problem;
+}
+
 namespace detail {
 
 void ChainScreenState::reset(std::size_t p) {
@@ -180,6 +218,14 @@ Matrix gather_cols_view(ConstMatrixView a, std::span<const std::size_t> idx) {
   Matrix out(a.rows(), idx.size());
   for (std::size_t r = 0; r < a.rows(); ++r) {
     uoi::linalg::gather_compact(a.row(r), idx, out.row(r));
+  }
+  return out;
+}
+
+Matrix gather_submatrix(const Matrix& a, std::span<const std::size_t> idx) {
+  Matrix out(idx.size(), idx.size());
+  for (std::size_t i = 0; i < idx.size(); ++i) {
+    uoi::linalg::gather_compact(a.row(idx[i]), idx, out.row(i));
   }
   return out;
 }
@@ -336,8 +382,61 @@ void DistributedLassoBackend::correlate(std::span<const double> r, Vector& c,
   allreduce_correlation(*comm_, c, fit);
 }
 
+// ---- Gram lasso backend -------------------------------------------------
+
+GramLassoBackend::GramLassoBackend(const AdmmOptions& admm,
+                                   const GramProblem& problem)
+    : problem_(&problem), admm_(admm) {
+  UOI_CHECK(problem.gram != nullptr, "Gram problem without a Gram");
+  UOI_CHECK_DIMS(problem.gram->gram().rows() == problem.inputs.atb.size(),
+                 "Gram problem shape mismatch");
+}
+
+AdmmResult GramLassoBackend::full_solve(double lambda1, double lambda2,
+                                        const AdmmResult& warm) {
+  if (!full_solver_) {
+    full_solver_.emplace(problem_->gram, problem_->inputs.atb, admm_);
+  }
+  return full_solver_->solve_elastic_net(lambda1, lambda2, &warm);
+}
+
+AdmmResult GramLassoBackend::subset_solve(std::span<const std::size_t> cols,
+                                          double lambda1, double lambda2,
+                                          const AdmmResult& warm) {
+  const LassoAdmmSolver sub(
+      std::make_shared<const RidgeGram>(
+          gather_submatrix(problem_->gram->gram(), cols)),
+      gather_vector(problem_->inputs.atb, cols), admm_);
+  return sub.solve_elastic_net(lambda1, lambda2, &warm);
+}
+
+void GramLassoBackend::kkt_correlation(std::span<const double> beta_w,
+                                       std::span<const std::size_t> working,
+                                       Vector& c, AdmmResult& spent) const {
+  correlate(beta_w, working, c, spent);
+}
+
+void GramLassoBackend::refresh_correlation(
+    std::span<const double> beta, std::span<const std::size_t> support,
+    Vector& c, AdmmResult& result) const {
+  correlate(gather_vector(beta, support), support, c, result);
+}
+
+void GramLassoBackend::correlate(std::span<const double> coef,
+                                 std::span<const std::size_t> cols, Vector& c,
+                                 AdmmResult& fit) const {
+  const Matrix& gram = problem_->gram->gram();
+  c = problem_->inputs.atb;
+  // G is symmetric, so column j of G_{:,W} is row W_j: contiguous axpys.
+  for (std::size_t i = 0; i < cols.size(); ++i) {
+    uoi::linalg::axpy(-coef[i], gram.row(cols[i]), c);
+  }
+  fit.flops += 2ULL * gram.rows() * cols.size();
+}
+
 template class ScreenedChain<SerialLassoBackend>;
 template class ScreenedChain<DistributedLassoBackend>;
+template class ScreenedChain<GramLassoBackend>;
 
 }  // namespace detail
 

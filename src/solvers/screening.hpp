@@ -42,9 +42,10 @@
 //   refresh_correlation(beta, support, c, result)
 //       c = A'(b - A beta) at the step's final beta (strong rule only)
 // The correlations charge their cost (flops, allreduces) to the given fit.
-// There are four backends: SerialLassoBackend and DistributedLassoBackend
-// below (ScreenedLassoChain / DistributedScreenedLassoChain), and the
-// serial and distributed vectorized-VAR backends in var/.
+// There are five backends: SerialLassoBackend, DistributedLassoBackend and
+// GramLassoBackend below (ScreenedLassoChain,
+// DistributedScreenedLassoChain, GramLassoChain), and the serial and
+// distributed vectorized-VAR backends in var/.
 //
 // Distributed determinism: the working set is a pure function of
 // replicated data (the allreduced A'b / residual correlations and the
@@ -53,6 +54,7 @@
 // allreduce per round.
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -62,6 +64,7 @@
 #include "simcluster/comm.hpp"
 #include "solvers/admm_lasso.hpp"
 #include "solvers/distributed_admm.hpp"
+#include "solvers/ridge_system.hpp"
 
 namespace uoi::solvers {
 
@@ -134,6 +137,28 @@ struct ScreenInputs {
     uoi::sim::Comm& comm, uoi::linalg::ConstMatrixView local_a,
     std::span<const double> local_b);
 
+/// A least-squares problem compressed to its Gram: the lasso over (A, b)
+/// depends on the data only through G = A'A, A'b and b'b, so a task
+/// group that sums them once can run a whole lambda chain with no further
+/// communication.
+struct GramProblem {
+  std::shared_ptr<const RidgeGram> gram;  ///< G = A'A (p x p)
+  /// atb = A'b, col_sq_norms = diag(G), b_norm_sq = b'b.
+  ScreenInputs inputs;
+};
+
+/// This row block's share of [A'A | A'b | b'b] (p*p + p + 1 doubles);
+/// summing the shares of a sample's row blocks gives the sample's.
+[[nodiscard]] uoi::linalg::Vector gram_sums(uoi::linalg::ConstMatrixView a,
+                                            std::span<const double> b);
+
+/// FLOPs of gram_sums over an n x p block.
+[[nodiscard]] std::uint64_t gram_sums_flops(std::size_t n, std::size_t p);
+
+/// Unpacks summed gram_sums of a p-column problem.
+[[nodiscard]] GramProblem gram_problem_from_sums(std::span<const double> sums,
+                                                 std::size_t p);
+
 namespace detail {
 
 /// Per-chain screening state; reset whenever lambda stops descending
@@ -181,6 +206,10 @@ void merge_violators(std::vector<std::size_t>& working,
 /// gather-compact; works on views, unlike Matrix::gather_cols).
 [[nodiscard]] uoi::linalg::Matrix gather_cols_view(
     uoi::linalg::ConstMatrixView a, std::span<const std::size_t> idx);
+
+/// The |idx| x |idx| submatrix a[idx, idx] (a square matrix, idx sorted).
+[[nodiscard]] uoi::linalg::Matrix gather_submatrix(
+    const uoi::linalg::Matrix& a, std::span<const std::size_t> idx);
 
 /// The options every chain solve runs under: ScreenOptions refinement
 /// applied to the caller's AdmmOptions. Drivers that pre-build full-path
@@ -416,8 +445,48 @@ class DistributedLassoBackend {
   uoi::linalg::Matrix gathered_;
 };
 
+/// Lasso / elastic net over a GramProblem, with no data matrix and no
+/// communication: every rank of a task group that holds the same Gram
+/// walks the same chain. A subset solve factors G_WW + rho I; both
+/// correlations are c = A'b - G_{:,W} beta_W. G itself is never factored,
+/// so a singular Gram (duplicated bootstrap rows, fewer rows than
+/// columns) is fine.
+class GramLassoBackend {
+ public:
+  using Fit = AdmmResult;
+
+  GramLassoBackend(const AdmmOptions& admm, const GramProblem& problem);
+
+  [[nodiscard]] const ScreenInputs& inputs() const noexcept {
+    return problem_->inputs;
+  }
+  [[nodiscard]] Fit full_solve(double lambda1, double lambda2,
+                               const Fit& warm);
+  [[nodiscard]] Fit subset_solve(std::span<const std::size_t> cols,
+                                 double lambda1, double lambda2,
+                                 const Fit& warm);
+  void kkt_correlation(std::span<const double> beta_w,
+                       std::span<const std::size_t> working,
+                       uoi::linalg::Vector& c, Fit& spent) const;
+  void refresh_correlation(std::span<const double> beta,
+                           std::span<const std::size_t> support,
+                           uoi::linalg::Vector& c, Fit& result) const;
+
+ private:
+  /// c = A'b - sum_i coef[i] G.row(cols[i]).
+  void correlate(std::span<const double> coef,
+                 std::span<const std::size_t> cols, uoi::linalg::Vector& c,
+                 Fit& fit) const;
+
+  const GramProblem* problem_;
+  AdmmOptions admm_;
+  /// Off-mode working solver: one full-p factorization per chain.
+  std::optional<LassoAdmmSolver> full_solver_;
+};
+
 extern template class ScreenedChain<SerialLassoBackend>;
 extern template class ScreenedChain<DistributedLassoBackend>;
+extern template class ScreenedChain<GramLassoBackend>;
 
 }  // namespace detail
 
@@ -447,6 +516,16 @@ class DistributedScreenedLassoChain
       const DistributedLassoAdmmSolver* full_solver = nullptr)
       : ScreenedChain(admm, screen, comm, local_a, local_b, shared,
                       full_solver) {}
+};
+
+/// Screened lambda chain over a GramProblem (see detail::GramLassoBackend).
+/// Local: a task group's ranks each run it on their replicated Gram and
+/// reach identical bytes. `problem` must outlive the chain.
+class GramLassoChain : public detail::ScreenedChain<detail::GramLassoBackend> {
+ public:
+  GramLassoChain(const GramProblem& problem, const AdmmOptions& admm,
+                 const ScreenOptions& screen = {})
+      : ScreenedChain(admm, screen, problem) {}
 };
 
 }  // namespace uoi::solvers

@@ -368,8 +368,8 @@ TEST_P(UoiEnDistParam, PinnedBetaBytes) {
   options.schedule = uoi::sched::SchedulePolicy::kCostLpt;
   options.admm.consensus_interval = 1;  // immune to UOI_CONSENSUS_INTERVAL
   const std::uint64_t expected = ranks / (pb * pl) == 1
-                                     ? 6963611606556859280ULL
-                                     : 851755522209205525ULL;
+                                     ? 8507453976650170746ULL
+                                     : 10274560591685466658ULL;
   for (const auto mode :
        {uoi::solvers::ScreenMode::kOff, uoi::solvers::ScreenMode::kStrong}) {
     options.screen.mode = mode;
