@@ -3,8 +3,8 @@
 //
 // Setup: distributed UoI_LASSO at 8 and 16 ranks with a deterministic
 // (cost-LPT) schedule. For each scale the bench fits once fault-free,
-// then re-fits with one rank hung a third of the way through its clean
-// collective schedule and a 400 ms watchdog armed. Measured quantities:
+// then re-fits with one rank hung at its first selection collective and
+// a 400 ms watchdog armed. Measured quantities:
 //
 //   - time-to-detect: the worst per-rank watchdog confirmation latency
 //     (RecoveryStats::detect_seconds), which should sit near one timeout;
@@ -52,15 +52,6 @@ uoi::core::UoiLassoOptions bench_options() {
   options.admm.eps_rel = 1e-6;
   options.admm.max_iterations = 5000;
   return options;
-}
-
-std::uint64_t collective_calls(const uoi::sim::CommStats& stats) {
-  std::uint64_t total = 0;
-  for (int c = 0; c < static_cast<int>(uoi::sim::CommCategory::kPointToPoint);
-       ++c) {
-    total += stats.entries[static_cast<std::size_t>(c)].calls;
-  }
-  return total;
 }
 
 struct CaseResult {
@@ -121,11 +112,12 @@ ScaleMeasurement measure_scale(int ranks,
   const auto clean = run_case(ranks, data, layout, nullptr);
   m.clean_wall = clean.wall_seconds;
 
+  // Both scales run the Gram path (one Gram reduction per bootstrap), so
+  // a fraction of the clean schedule lands past selection. The victim's
+  // collective #0 is the task-group split and #1 its first selection Gram
+  // reduction: a hang there stalls selection before its cells commit.
   auto plan = std::make_shared<uoi::sim::FaultPlan>();
-  plan->hangs.push_back(
-      {victim,
-       collective_calls(clean.reports[static_cast<std::size_t>(victim)].comm) /
-           3});
+  plan->hangs.push_back({victim, /*at_collective=*/1});
   const auto faulty = run_case(ranks, data, layout, plan);
   m.faulty_wall = faulty.wall_seconds;
 
