@@ -214,8 +214,13 @@ void syrk_at_a(double alpha, ConstMatrixView a, double beta, Matrix& c) {
   // transposed column blocks so the micro-kernel runs on unit-stride data
   // (the old rank-1 row sweep walked all n^2/2 entries of C per row of A
   // and thrashed for large n). Upper block triangle only, mirrored below.
-  std::vector<double> pack_i(kSyrkIb * kSyrkKb);
-  std::vector<double> pack_j(kSyrkIb * kSyrkKb);
+  // Panels are sized to the problem, not the block caps: a small Gram
+  // (a bootstrap's p x p on the lasso Gram path) would otherwise zero
+  // 256 KB of packing space per call.
+  const std::size_t panel =
+      std::min(kSyrkIb, n) * std::min(kSyrkKb, a.rows());
+  std::vector<double> pack_i(panel);
+  std::vector<double> pack_j(n > kSyrkIb ? panel : 0);
   const std::size_t ldc = c.cols();
   for (std::size_t k0 = 0; k0 < a.rows(); k0 += kSyrkKb) {
     const std::size_t k1 = std::min(a.rows(), k0 + kSyrkKb);
