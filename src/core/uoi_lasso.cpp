@@ -27,9 +27,14 @@ std::vector<std::size_t> selection_bootstrap_indices(
     const UoiLassoOptions& options, std::size_t n, std::size_t k) {
   auto rng =
       uoi::support::Xoshiro256::for_task(options.seed, kSelectionStream, k);
-  const auto draw = static_cast<std::size_t>(std::max(
+  return uoi::support::bootstrap_indices(rng, n,
+                                         selection_bootstrap_size(options, n));
+}
+
+std::size_t selection_bootstrap_size(const UoiLassoOptions& options,
+                                     std::size_t n) {
+  return static_cast<std::size_t>(std::max(
       1.0, std::floor(options.selection_fraction * static_cast<double>(n))));
-  return uoi::support::bootstrap_indices(rng, n, draw);
 }
 
 EstimationSplit estimation_split(const UoiLassoOptions& options,

@@ -174,9 +174,15 @@ class UoiLasso {
 
 /// Deterministic per-task bootstrap index sets; shared with the distributed
 /// driver so both produce identical resamples from the same seed.
-/// Selection bootstrap k draws floor(n * fraction) indices with replacement.
+/// Selection bootstrap k draws selection_bootstrap_size(options, n)
+/// indices with replacement.
 [[nodiscard]] std::vector<std::size_t> selection_bootstrap_indices(
     const UoiLassoOptions& options, std::size_t n, std::size_t k);
+
+/// Rows of every selection bootstrap of an n-row dataset:
+/// max(1, floor(n * options.selection_fraction)).
+[[nodiscard]] std::size_t selection_bootstrap_size(
+    const UoiLassoOptions& options, std::size_t n);
 
 /// Estimation resample k: a disjoint train/evaluation split of [0, n).
 struct EstimationSplit {
