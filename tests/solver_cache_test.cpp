@@ -323,17 +323,6 @@ TEST(SolverCacheInvariance, VarCachedAndColdBitIdenticalAcrossPolicies) {
 
 // ---- fault replay with the cache enabled ----
 
-/// Collectives a rank entered, from its folded CommStats (same counting
-/// scheme as the FaultRecovery suite in robustness_test.cpp).
-std::uint64_t collective_calls(const uoi::sim::CommStats& stats) {
-  std::uint64_t total = 0;
-  for (int c = 0; c < static_cast<int>(uoi::sim::CommCategory::kPointToPoint);
-       ++c) {
-    total += stats.entries[static_cast<std::size_t>(c)].calls;
-  }
-  return total;
-}
-
 TEST(SolverCacheInvariance, KillMidChainWithCacheEnabledIsBitIdentical) {
   uoi::data::RegressionSpec spec;
   spec.n_samples = 80;
@@ -354,18 +343,19 @@ TEST(SolverCacheInvariance, KillMidChainWithCacheEnabledIsBitIdentical) {
   options.solver_cache_mb = 64;  // explicitly enabled
 
   std::vector<uoi::core::UoiLassoDistributedResult> clean(5);
-  const auto clean_reports =
-      uoi::sim::Cluster::run_collect_reports(5, [&](uoi::sim::Comm& comm) {
-        clean[static_cast<std::size_t>(comm.rank())] =
-            uoi::core::uoi_lasso_distributed(comm, data.x, data.y, options,
-                                             {5, 1});
-      });
+  uoi::sim::Cluster::run(5, [&](uoi::sim::Comm& comm) {
+    clean[static_cast<std::size_t>(comm.rank())] =
+        uoi::core::uoi_lasso_distributed(comm, data.x, data.y, options,
+                                         {5, 1});
+  });
 
-  // Kill rank 2 a third of the way through its collective schedule: inside
-  // the selection chain loop, after cached solvers exist. Recovery must
-  // discard the pass's caches and replay bit-identically.
+  // This shape runs the Gram path. Kill rank 2 at collective #1, its one
+  // selection Gram reduction (#0 is the task-group split): the survivors
+  // have cached their own bootstraps' Grams by the time they detect the
+  // failure at the selection merge. Recovery must discard the pass's
+  // caches and replay the lost bootstrap bit-identically.
   auto plan = std::make_shared<uoi::sim::FaultPlan>();
-  plan->kills.push_back({2, collective_calls(clean_reports[2].comm) / 3});
+  plan->kills.push_back({2, 1});
   std::vector<uoi::core::UoiLassoDistributedResult> faulty(5);
   const auto faulty_reports =
       uoi::sim::Cluster::run_collect_reports(5, [&](uoi::sim::Comm& comm) {
@@ -390,6 +380,11 @@ TEST(SolverCacheInvariance, KillMidChainWithCacheEnabledIsBitIdentical) {
               1u)
         << "rank " << r;
   }
+  std::uint64_t recovered = 0;
+  for (const auto& report : faulty_reports) {
+    recovered += report.recovery.cells_recovered;
+  }
+  EXPECT_GE(recovered, 1u);
 }
 
 }  // namespace

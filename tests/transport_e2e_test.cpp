@@ -325,21 +325,33 @@ std::uint64_t clean_collective_calls(
   return total;
 }
 
-/// Kills rank 2 of 5 a quarter of the way through its clean collective
-/// schedule (inside selection) on both backends: the survivors must shrink
-/// and land on the clean run's bytes, and the backends must agree.
+/// Kills rank 2 of 5 at `kill_at(clean collective count)`, a position
+/// inside selection, on both backends: the survivors must shrink, redo the
+/// lost selection cells and land on the clean run's bytes, and the
+/// backends must agree.
 void expect_kill_mid_selection_identical_across_backends(
-    const std::function<std::vector<std::uint8_t>(Comm&)>& fit) {
+    const std::function<std::vector<std::uint8_t>(Comm&)>& fit,
+    const std::function<std::uint64_t(std::uint64_t)>& kill_at) {
   const int kRanks = 5;
-  const auto kill_at = clean_collective_calls(kRanks, 2, fit) / 4;
+  const auto kill_position = kill_at(clean_collective_calls(kRanks, 2, fit));
   const auto clean_bytes = run_thread_job(kRanks, fit);
   const auto killed = [&](Comm& comm) {
     auto plan = std::make_shared<uoi::sim::FaultPlan>();
-    plan->kills.push_back({2, kill_at});
+    plan->kills.push_back({2, kill_position});
     comm.set_fault_plan(plan);
     return fit(comm);
   };
-  const auto thread_bytes = run_thread_job(kRanks, killed);
+  std::vector<std::uint8_t> thread_bytes;
+  const auto thread_reports =
+      Cluster::run_collect_reports(kRanks, [&](Comm& comm) {
+        auto bytes = killed(comm);
+        if (comm.rank() == 0) thread_bytes = std::move(bytes);
+      });
+  std::uint64_t recovered = 0;
+  for (const auto& report : thread_reports) {
+    recovered += report.recovery.cells_recovered;
+  }
+  EXPECT_GE(recovered, 1u);
   const auto socket_bytes = run_forked_job(kRanks, killed);
   ASSERT_TRUE(socket_bytes.has_value()) << "socket job failed";
   ASSERT_FALSE(thread_bytes.empty());
@@ -348,46 +360,54 @@ void expect_kill_mid_selection_identical_across_backends(
 }
 
 TEST(TransportE2e, ElasticNetKilledMidSelectionRecoversAcrossBackends) {
-  expect_kill_mid_selection_identical_across_backends([](Comm& comm) {
-    uoi::data::RegressionSpec spec;
-    spec.n_samples = 80;
-    spec.n_features = 12;
-    spec.support_size = 3;
-    spec.seed = 99;
-    const auto data = uoi::data::make_regression(spec);
-    uoi::core::UoiElasticNetOptions options;
-    options.schedule = uoi::sched::SchedulePolicy::kCostLpt;
-    options.n_selection_bootstraps = 5;
-    options.n_estimation_bootstraps = 3;
-    options.n_lambdas = 4;
-    options.l1_ratios = {1.0, 0.5};
-    options.seed = 4242;
-    const auto fit = uoi::core::uoi_elastic_net_distributed(
-        comm, data.x, data.y, options, {5, 1});
-    return as_bytes(fit.model.beta);
-  });
+  // 80 rows, 12 features on one-rank groups: the Gram path. Collective #0
+  // is the task-group split, #1 the victim's one selection Gram reduction.
+  expect_kill_mid_selection_identical_across_backends(
+      [](Comm& comm) {
+        uoi::data::RegressionSpec spec;
+        spec.n_samples = 80;
+        spec.n_features = 12;
+        spec.support_size = 3;
+        spec.seed = 99;
+        const auto data = uoi::data::make_regression(spec);
+        uoi::core::UoiElasticNetOptions options;
+        options.schedule = uoi::sched::SchedulePolicy::kCostLpt;
+        options.n_selection_bootstraps = 5;
+        options.n_estimation_bootstraps = 3;
+        options.n_lambdas = 4;
+        options.l1_ratios = {1.0, 0.5};
+        options.seed = 4242;
+        const auto fit = uoi::core::uoi_elastic_net_distributed(
+            comm, data.x, data.y, options, {5, 1});
+        return as_bytes(fit.model.beta);
+      },
+      [](std::uint64_t) { return std::uint64_t{1}; });
 }
 
 TEST(TransportE2e, LogisticKilledMidSelectionRecoversAcrossBackends) {
-  expect_kill_mid_selection_identical_across_backends([](Comm& comm) {
-    uoi::data::ClassificationSpec spec;
-    spec.n_samples = 120;
-    spec.n_features = 10;
-    spec.support_size = 3;
-    spec.seed = 45;
-    const auto data = uoi::data::make_classification(spec);
-    uoi::core::UoiLogisticOptions options;
-    options.schedule = uoi::sched::SchedulePolicy::kCostLpt;
-    options.n_selection_bootstraps = 5;
-    options.n_estimation_bootstraps = 3;
-    options.n_lambdas = 4;
-    options.seed = 4242;
-    const auto fit = uoi::core::uoi_logistic_distributed(comm, data.x, data.y,
-                                                         options, {5, 1});
-    auto beta = fit.model.beta;
-    beta.push_back(fit.model.intercept);
-    return as_bytes(beta);
-  });
+  // Logistic selection runs consensus ADMM, one allreduce per iteration:
+  // a quarter of the clean schedule is mid-selection.
+  expect_kill_mid_selection_identical_across_backends(
+      [](Comm& comm) {
+        uoi::data::ClassificationSpec spec;
+        spec.n_samples = 120;
+        spec.n_features = 10;
+        spec.support_size = 3;
+        spec.seed = 45;
+        const auto data = uoi::data::make_classification(spec);
+        uoi::core::UoiLogisticOptions options;
+        options.schedule = uoi::sched::SchedulePolicy::kCostLpt;
+        options.n_selection_bootstraps = 5;
+        options.n_estimation_bootstraps = 3;
+        options.n_lambdas = 4;
+        options.seed = 4242;
+        const auto fit = uoi::core::uoi_logistic_distributed(
+            comm, data.x, data.y, options, {5, 1});
+        auto beta = fit.model.beta;
+        beta.push_back(fit.model.intercept);
+        return as_bytes(beta);
+      },
+      [](std::uint64_t clean_calls) { return clean_calls / 4; });
 }
 
 }  // namespace
