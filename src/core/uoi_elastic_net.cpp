@@ -22,8 +22,7 @@ namespace {
 /// streams, so l1_ratios = {1.0} reproduces UoI_LASSO's bootstraps.
 UoiElasticNetDistributedResult fit_elastic_net(
     Comm& comm, ConstMatrixView x, std::span<const double> y,
-    const UoiElasticNetOptions& options, const UoiParallelLayout& layout,
-    bool serial) {
+    const UoiElasticNetOptions& options, const UoiParallelLayout& layout) {
   UOI_CHECK_DIMS(x.rows() == y.size(), "UoI_ElasticNet: X rows != y size");
   const std::size_t n = x.rows();
   const std::size_t p = x.cols();
@@ -75,13 +74,10 @@ UoiElasticNetDistributedResult fit_elastic_net(
   spec.consensus_interval = options.admm.consensus_interval;
   spec.screen_mode = uoi::solvers::resolve_screen_mode(options.screen.mode);
 
-  // Serially, each ratio walks its own descending lambda1 path from a
-  // fresh chain.
-  const auto hooks =
-      serial ? detail::serial_linear_hooks(x, y, linear, lambda1, lambda2, q)
-             : detail::linear_family_hooks(
-                   x, y, linear, lambda1, lambda2,
-                   detail::linear_family_path(comm, x, linear, layout));
+  // Each ratio walks its own descending lambda1 path from a fresh chain.
+  const auto hooks = detail::linear_family_hooks(
+      x, y, linear, lambda1, lambda2, q,
+      detail::linear_family_path(comm, x, linear, layout));
   auto run = run_uoi_engine(comm, spec, hooks.select, hooks.estimate);
 
   model.candidate_supports = std::move(run.candidate_supports);
@@ -109,7 +105,7 @@ UoiElasticNet::UoiElasticNet(UoiElasticNetOptions options)
 UoiElasticNetResult UoiElasticNet::fit(ConstMatrixView x,
                                        std::span<const double> y) const {
   return run_on_local_rank([&](Comm& comm) {
-           return fit_elastic_net(comm, x, y, options_, {}, /*serial=*/true);
+           return fit_elastic_net(comm, x, y, options_, {});
          })
       .model;
 }
@@ -117,7 +113,7 @@ UoiElasticNetResult UoiElasticNet::fit(ConstMatrixView x,
 UoiElasticNetDistributedResult uoi_elastic_net_distributed(
     Comm& comm, ConstMatrixView x, std::span<const double> y,
     const UoiElasticNetOptions& options, const UoiParallelLayout& layout) {
-  return fit_elastic_net(comm, x, y, options, layout, /*serial=*/false);
+  return fit_elastic_net(comm, x, y, options, layout);
 }
 
 }  // namespace uoi::core

@@ -21,7 +21,8 @@ struct UoiElasticNetDistributedResult {
 /// Collective over `comm`; data replicated as in the other drivers.
 /// Matches the serial UoiElasticNet's candidate supports given the same
 /// options (identical resamples; same consensus-vs-serial tolerance
-/// caveats as UoI_LASSO).
+/// caveats as UoI_LASSO); a layout of one-rank groups reproduces the
+/// serial fit byte for byte.
 [[nodiscard]] UoiElasticNetDistributedResult uoi_elastic_net_distributed(
     uoi::sim::Comm& comm, uoi::linalg::ConstMatrixView x,
     std::span<const double> y, const UoiElasticNetOptions& options = {},

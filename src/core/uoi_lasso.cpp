@@ -125,7 +125,7 @@ UoiLasso::UoiLasso(UoiLassoOptions options) : options_(std::move(options)) {
 UoiLassoResult UoiLasso::fit(ConstMatrixView x,
                              std::span<const double> y) const {
   return run_on_local_rank([&](uoi::sim::Comm& comm) {
-           return detail::fit_lasso(comm, x, y, options_, {}, /*serial=*/true);
+           return detail::fit_lasso(comm, x, y, options_, {});
          })
       .model;
 }

@@ -10,9 +10,12 @@
 // best support per resample wins, and the winners' OLS estimates are
 // averaged (the union operation, eq. 4).
 //
-// The serial driver runs the distributed driver's body (see
-// uoi_lasso_distributed.hpp) on a one-rank communicator with serial hooks:
-// screened serial ADMM chains for selection, direct OLS for estimation.
+// The serial driver is the distributed driver (see
+// uoi_lasso_distributed.hpp) on a one-rank communicator, with its one
+// hook set: while p fits a bootstrap's rows, the Gram path (a local
+// screened Gram chain for selection, OLS from the training Gram for
+// estimation); otherwise the screened serial ADMM chain over the rows and
+// direct OLS on each support.
 
 #include <cstdint>
 #include <string>

@@ -32,7 +32,8 @@ using detail::gather_local_block;
 /// scores its own evaluation rows, and one allreduce sums every beta's
 /// (sq_err, count) pair, so the MSEs plus the global evaluation count come
 /// back identical on every group rank. Each pair sums in rank order, as
-/// one allreduce per beta would.
+/// one allreduce per beta would, and each prediction is the linalg::dot
+/// of solvers::mean_squared_error, so a one-rank group scores as it does.
 struct DistributedEvaluation {
   double mse;
   double n_eval;
@@ -44,10 +45,8 @@ std::vector<DistributedEvaluation> distributed_mse(
   for (std::size_t b = 0; b < betas.size(); ++b) {
     acc[2 * b + 1] = static_cast<double>(x_local.rows());
     for (std::size_t r = 0; r < x_local.rows(); ++r) {
-      double pred = 0.0;
-      const auto row = x_local.row(r);
-      for (std::size_t c = 0; c < row.size(); ++c) pred += row[c] * betas[b][c];
-      const double err = pred - y_local[r];
+      const double err =
+          uoi::linalg::dot(x_local.row(r), betas[b]) - y_local[r];
       acc[2 * b] += err * err;
     }
   }
@@ -88,7 +87,8 @@ uoi::solvers::GramProblem reduce_gram(Comm& task_comm, ConstMatrixView x_local,
 // constructor's A'b allreduce), so a hit/miss or eviction decision that
 // diverged across a task group's ranks would deadlock the group.
 struct LinearSelectionEntry {
-  /// Consensus path: this rank's rows of the bootstrap.
+  /// Consensus side: this rank's rows of the bootstrap (all of them in a
+  /// one-rank group, which needs nothing else).
   Matrix x_local;
   Vector y_local;
   /// Replicated screening quantities (A'b, column norms, lambda_max);
@@ -104,7 +104,7 @@ struct LinearSelectionEntry {
 };
 
 struct LinearEstimationEntry {
-  /// Consensus path: this rank's training rows. Gram path: their Gram.
+  /// Consensus side: this rank's training rows. Gram path: their Gram.
   Matrix x_train;
   Vector y_train;
   uoi::solvers::GramProblem train_gram;
@@ -124,6 +124,7 @@ LinearFamilyHooks linear_family_hooks(ConstMatrixView x,
                                       const UoiLassoOptions& options,
                                       std::span<const double> lambda1,
                                       std::span<const double> lambda2,
+                                      std::size_t chain_length,
                                       sched::LinearPath path) {
   const std::size_t n = x.rows();
   const std::size_t p = x.cols();
@@ -144,10 +145,13 @@ LinearFamilyHooks linear_family_hooks(ConstMatrixView x,
     const int trace_rank = task.task_comm.global_rank();
     const auto& tl = task.layout;
     const std::size_t k = task.bootstrap;
+    // A lone rank on the consensus side holds the whole bootstrap: the
+    // serial chain needs no consensus with itself.
+    const bool local_chain = !gram_path && tl.c_ranks == 1;
     // All chains of bootstrap k share one gather and one Gram setup: on
     // the Gram path one reduction of the group's Gram, on the consensus
-    // path the screening inputs (and in off mode the full factorization,
-    // which depends on (X_k, rho) only, not lambda).
+    // side of a wider group the screening inputs (and in off mode the full
+    // factorization, which depends on (X_k, rho) only, not lambda).
     const std::uint64_t hits_before = task.cache.stats().hits;
     const auto entry = task.cache.get_or_build<LinearSelectionEntry>(
         uoi::solvers::kSelectionPass, k, [&] {
@@ -170,6 +174,8 @@ LinearFamilyHooks linear_family_hooks(ConstMatrixView x,
             fresh->bytes_estimate = gram_bytes;
             return fresh;
           }
+          fresh->bytes_estimate = n * (p + 1) * sizeof(double);
+          if (local_chain) return fresh;
           support::TraceScope gram_span(
               "selection-gram", support::TraceCategory::kGram, trace_rank);
           fresh->screen_inputs = uoi::solvers::build_screen_inputs(
@@ -184,9 +190,8 @@ LinearFamilyHooks linear_family_hooks(ConstMatrixView x,
                 uoi::solvers::detail::refined_admm_options(options.admm,
                                                            screen_opts));
           }
-          fresh->bytes_estimate =
-              (n * (p + 1) + (screening_on ? 0 : p * p) + 2 * p + 1) *
-              sizeof(double);
+          fresh->bytes_estimate +=
+              ((screening_on ? 0 : p * p) + 2 * p + 1) * sizeof(double);
           return fresh;
         });
     if (entry->solver.has_value()) {
@@ -196,34 +201,45 @@ LinearFamilyHooks linear_family_hooks(ConstMatrixView x,
         task.counters.setup_flops_charged += entry->solver->setup_flops();
       }
     }
-    // Both chains own the warm start along descending lambda1, which jumps
-    // up at elastic-net ratio boundaries and resets the chain's screening
-    // state.
-    const auto walk = [&](auto& chain) {
-      for (std::size_t m = 0; m < task.cells.size(); ++m) {
-        const std::size_t c = task.cells[m];
-        const auto fit = chain.solve(lambda1[c], lambda2[c]);
-        task.counters.add(fit);
-        task.mark_selected(m, fit.beta, options.support_tolerance);
+    // A chain warm-starts down a descending lambda1 path; each
+    // chain_length-cell segment of the grid (one per elastic-net ratio)
+    // starts a fresh chain from `make_chain`.
+    const auto walk = [&](const auto& make_chain) {
+      for (std::size_t m = 0; m < task.cells.size();) {
+        auto chain = make_chain();
+        do {
+          const std::size_t c = task.cells[m];
+          const auto fit = chain.solve(lambda1[c], lambda2[c]);
+          task.counters.add(fit);
+          task.mark_selected(m, fit.beta, options.support_tolerance);
+        } while (++m < task.cells.size() &&
+                 task.cells[m] % chain_length != 0);
+        task.counters.screen += chain.stats();
       }
-      task.counters.screen += chain.stats();
     };
     if (gram_path) {
       // Every group rank walks the same chain on the same Gram: no
       // collectives until the next bootstrap.
-      uoi::solvers::GramLassoChain chain(entry->gram, options.admm,
-                                         screen_opts);
-      walk(chain);
-      return;
+      walk([&] {
+        return uoi::solvers::GramLassoChain(entry->gram, options.admm,
+                                            screen_opts);
+      });
+    } else if (local_chain) {
+      walk([&] {
+        return uoi::solvers::ScreenedLassoChain(
+            entry->x_local, entry->y_local, options.admm, screen_opts);
+      });
+    } else {
+      // Every rank derives the identical working set from the replicated
+      // screen inputs, so the reduced consensus payload is (|W|+3) doubles
+      // instead of (p+3).
+      walk([&] {
+        return uoi::solvers::DistributedScreenedLassoChain(
+            task.task_comm, entry->x_local, entry->y_local,
+            entry->screen_inputs, options.admm, screen_opts,
+            entry->solver.has_value() ? &*entry->solver : nullptr);
+      });
     }
-    // Every rank derives the identical working set from the replicated
-    // screen inputs, so the reduced consensus payload is (|W|+3) doubles
-    // instead of (p+3).
-    uoi::solvers::DistributedScreenedLassoChain chain(
-        task.task_comm, entry->x_local, entry->y_local, entry->screen_inputs,
-        options.admm, screen_opts,
-        entry->solver.has_value() ? &*entry->solver : nullptr);
-    walk(chain);
   };
 
   hooks.estimate = [=, &options](UoiEstimationTask& task) {
@@ -271,6 +287,12 @@ LinearFamilyHooks linear_family_hooks(ConstMatrixView x,
       const auto& support = task.supports[c].indices();
       Vector& beta = betas.emplace_back(p, 0.0);
       if (support.empty()) continue;
+      if (!gram_path && tl.c_ranks == 1) {
+        // A lone rank holds every training row: direct OLS.
+        beta = uoi::solvers::ols_direct_on_support(entry->x_train,
+                                                   entry->y_train, support);
+        continue;
+      }
       Vector sub;
       if (gram_path) {
         // Direct OLS on the support's Gram block, replicated on every
@@ -312,61 +334,6 @@ LinearFamilyHooks linear_family_hooks(ConstMatrixView x,
   return hooks;
 }
 
-LinearFamilyHooks serial_linear_hooks(ConstMatrixView x,
-                                      std::span<const double> y,
-                                      const UoiLassoOptions& options,
-                                      std::span<const double> lambda1,
-                                      std::span<const double> lambda2,
-                                      std::size_t chain_length) {
-  const std::size_t n = x.rows();
-  LinearFamilyHooks hooks;
-  hooks.select = [=, &options](UoiSelectionTask& task) {
-    const auto idx = selection_bootstrap_indices(options, n, task.bootstrap);
-    Matrix x_boot;
-    Vector y_boot;
-    gather_local_block(x, y, idx, {0, idx.size()}, x_boot, y_boot);
-    // Screened chains warm-start down each descending lambda path, one
-    // fresh chain per chain_length-cell segment of the grid.
-    std::optional<uoi::solvers::ScreenedLassoChain> chain;
-    const auto retire = [&] {
-      if (chain) task.counters.screen += chain->stats();
-    };
-    for (std::size_t m = 0; m < task.cells.size(); ++m) {
-      const std::size_t c = task.cells[m];
-      if (m == 0 || c % chain_length == 0) {
-        retire();
-        chain.emplace(x_boot, y_boot, options.admm, options.screen);
-      }
-      const auto fit = chain->solve(lambda1[c], lambda2[c]);
-      task.counters.add(fit);
-      task.mark_selected(m, fit.beta, options.support_tolerance);
-    }
-    retire();
-  };
-  hooks.estimate = [=, &options](UoiEstimationTask& task) {
-    const auto split = estimation_split(options, n, task.bootstrap);
-    Matrix x_train, x_eval;
-    Vector y_train, y_eval;
-    gather_local_block(x, y, split.train, {0, split.train.size()}, x_train,
-                       y_train);
-    gather_local_block(x, y, split.eval, {0, split.eval.size()}, x_eval,
-                       y_eval);
-    for (const std::size_t c : task.cells) {
-      const auto& support = task.supports[c].indices();
-      Vector beta =
-          uoi::solvers::ols_direct_on_support(x_train, y_train, support);
-      const double mse =
-          uoi::solvers::mean_squared_error(x_eval, y_eval, beta);
-      task.record(c,
-                  estimation_score(options.criterion, mse,
-                                   static_cast<double>(y_eval.size()),
-                                   support.size()),
-                  std::move(beta));
-    }
-  };
-  return hooks;
-}
-
 sched::LinearPath linear_family_path(const Comm& comm, ConstMatrixView x,
                                      const UoiLassoOptions& options,
                                      const UoiParallelLayout& layout) {
@@ -380,8 +347,7 @@ sched::LinearPath linear_family_path(const Comm& comm, ConstMatrixView x,
 UoiLassoDistributedResult fit_lasso(Comm& comm, ConstMatrixView x_view,
                                     std::span<const double> y_view,
                                     const UoiLassoOptions& options,
-                                    const UoiParallelLayout& layout,
-                                    bool serial) {
+                                    const UoiParallelLayout& layout) {
   UOI_CHECK_DIMS(x_view.rows() == y_view.size(),
                  "UoI_LASSO: X rows != y size");
   const std::size_t n = x_view.rows();
@@ -437,9 +403,13 @@ UoiLassoDistributedResult fit_lasso(Comm& comm, ConstMatrixView x_view,
 
   const sched::LinearPath path =
       linear_family_path(comm, x_owned, options, layout);
-  if (!serial && path == sched::LinearPath::kGram) {
-    // A checkpoint written by the consensus path restarts instead of
-    // mixing paths.
+  if (comm.size() > std::max(1, layout.bootstrap_groups *
+                                      layout.lambda_groups)) {
+    // One-rank groups run the serial fit's solvers on either path, so they
+    // share its checkpoints (and UoiLasso::selection_fingerprint). Groups
+    // that split a bootstrap's rows sum a Gram across ranks or run
+    // consensus ADMM: their checkpoints name the path and restart instead
+    // of mixing solvers.
     spec.fingerprint = FingerprintBuilder()
                            .add(spec.fingerprint)
                            .add(static_cast<std::uint64_t>(path))
@@ -447,11 +417,8 @@ UoiLassoDistributedResult fit_lasso(Comm& comm, ConstMatrixView x_view,
   }
 
   const std::vector<double> no_l2(q, 0.0);
-  const auto hooks =
-      serial ? serial_linear_hooks(x_owned, y_owned, options, model.lambdas,
-                                   no_l2, q)
-             : linear_family_hooks(x_owned, y_owned, options, model.lambdas,
-                                   no_l2, path);
+  const auto hooks = linear_family_hooks(x_owned, y_owned, options,
+                                         model.lambdas, no_l2, q, path);
   auto run = run_uoi_engine(comm, spec, hooks.select, hooks.estimate);
 
   model.candidate_supports = std::move(run.candidate_supports);
@@ -477,7 +444,7 @@ UoiLassoDistributedResult fit_lasso(Comm& comm, ConstMatrixView x_view,
 UoiLassoDistributedResult uoi_lasso_distributed(
     Comm& comm, ConstMatrixView x, std::span<const double> y,
     const UoiLassoOptions& options, const UoiParallelLayout& layout) {
-  return detail::fit_lasso(comm, x, y, options, layout, /*serial=*/false);
+  return detail::fit_lasso(comm, x, y, options, layout);
 }
 
 }  // namespace uoi::core

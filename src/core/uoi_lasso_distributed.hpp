@@ -31,7 +31,8 @@
 //
 // Given the same options/seed, the result matches the serial UoiLasso up to
 // solver tolerance (identical resamples by construction). The serial
-// UoiLasso::fit runs the same driver body on one rank with serial hooks.
+// UoiLasso::fit is this driver on one rank, so a layout of one-rank groups
+// reproduces it byte for byte.
 
 #include <span>
 #include <utility>
@@ -88,19 +89,28 @@ struct UoiLassoDistributedResult {
 
 namespace detail {
 
-/// The squared-loss family's hooks, shared by the lasso and elastic-net
-/// drivers. Selection fits one screened chain per (bootstrap, chain),
-/// grid cell c at penalties (lambda1[c], lambda2[c]); estimation refits
-/// OLS on each candidate support and scores it with `options.criterion`,
-/// summing every cell's evaluation error in one allreduce per task.
-/// `path` picks the solvers:
-///   kGram       one allreduce of the group's [X'X | X'y | y'y] per
-///               selection bootstrap, then a local solvers::GramLassoChain
-///               on every group rank; one allreduce of [X'X | X'y | y'y]
-///               of the training rows per estimation bootstrap, then a
-///               local solvers::ols_from_gram per support;
-///   kConsensus  a solvers::DistributedScreenedLassoChain, and consensus
-///               ADMM at lambda 0 per support (paper §II-C).
+/// The squared-loss family's hooks, behind every lasso and elastic-net
+/// fit, serial or distributed. Selection walks one screened chain per
+/// `chain_length`-cell segment of a (bootstrap, chain) task's cells — one
+/// segment per elastic-net ratio — grid cell c at penalties
+/// (lambda1[c], lambda2[c]); estimation refits OLS on each candidate
+/// support and scores it with `options.criterion`, summing every cell's
+/// evaluation error in one allreduce per task. `path` and the task
+/// group's width C pick the solvers:
+///   kGram               one allreduce of the group's [X'X | X'y | y'y]
+///                       per selection bootstrap, then a local
+///                       solvers::GramLassoChain on every group rank; one
+///                       allreduce of the training rows' [X'X | X'y | y'y]
+///                       per estimation bootstrap, then a local
+///                       solvers::ols_from_gram per support;
+///   kConsensus, C >= 2  a solvers::DistributedScreenedLassoChain, and
+///                       consensus ADMM at lambda 0 per support (paper
+///                       §II-C);
+///   kConsensus, C = 1   the serial solvers::ScreenedLassoChain over the
+///                       bootstrap rows, and solvers::ols_direct_on_support
+///                       per support: no collective until the evaluation.
+/// A serial fit is a one-rank run, so it lands on the Gram path while p
+/// fits its bootstrap rows and on the one-rank consensus case otherwise.
 /// Each Gram reduction is charged to the fit's admm.allreduce_* counters.
 /// Resamples, solver and screening options come from `options`. Every
 /// argument must outlive the engine run.
@@ -111,7 +121,8 @@ struct LinearFamilyHooks {
 [[nodiscard]] LinearFamilyHooks linear_family_hooks(
     uoi::linalg::ConstMatrixView x, std::span<const double> y,
     const UoiLassoOptions& options, std::span<const double> lambda1,
-    std::span<const double> lambda2, sched::LinearPath path);
+    std::span<const double> lambda2, std::size_t chain_length,
+    sched::LinearPath path);
 
 /// The family's path for a fit on `comm` under `layout`: the
 /// sched::choose_linear_path rule at the global shape (selection
@@ -121,23 +132,13 @@ struct LinearFamilyHooks {
     const uoi::sim::Comm& comm, uoi::linalg::ConstMatrixView x,
     const UoiLassoOptions& options, const UoiParallelLayout& layout);
 
-/// The same family's serial hooks, for a one-rank engine run: selection
-/// walks a fresh screened serial chain (solvers::ScreenedLassoChain) over
-/// each `chain_length`-cell segment of the grid — one segment per
-/// elastic-net ratio — and estimation refits by direct OLS
-/// (solvers::ols_direct_on_support) scored on the evaluation split.
-[[nodiscard]] LinearFamilyHooks serial_linear_hooks(
-    uoi::linalg::ConstMatrixView x, std::span<const double> y,
-    const UoiLassoOptions& options, std::span<const double> lambda1,
-    std::span<const double> lambda2, std::size_t chain_length);
-
-/// The lasso driver body behind UoiLasso::fit (one rank, serial hooks)
-/// and uoi_lasso_distributed: intercept centering, lambda grid, engine
-/// run and model assembly.
+/// The lasso driver body behind UoiLasso::fit (one rank) and
+/// uoi_lasso_distributed: intercept centering, lambda grid, engine run
+/// and model assembly, all on linear_family_hooks.
 [[nodiscard]] UoiLassoDistributedResult fit_lasso(
     uoi::sim::Comm& comm, uoi::linalg::ConstMatrixView x,
     std::span<const double> y, const UoiLassoOptions& options,
-    const UoiParallelLayout& layout, bool serial);
+    const UoiParallelLayout& layout);
 
 }  // namespace detail
 
