@@ -326,11 +326,12 @@ INSTANTIATE_TEST_SUITE_P(
                       LayoutCase{8, 2, 2}, LayoutCase{8, 4, 1},
                       LayoutCase{6, 3, 2}));
 
-// Byte pins of a fit the path rule sends to consensus ADMM (24 rows
-// against 32 features), recorded before the Gram path existed: the
-// consensus path, its per-task batched evaluation allreduce included,
-// must keep its bytes. Layout {5, 1} runs one-rank groups, {1, 1} one
-// group of five.
+// Byte pins of a fit the path rule sends to the consensus side (24 rows
+// against 32 features). Layout {1, 1} runs one group of five on consensus
+// ADMM, recorded before the Gram path existed: it must keep its bytes,
+// its per-task batched evaluation allreduce included. Layout {5, 1} runs
+// one-rank groups, which walk the serial chain: its pin is the serial
+// fit's bytes at this shape.
 TEST(DistributedUoi, ConsensusPathPinnedBetaBytes) {
   uoi::data::RegressionSpec spec;
   spec.n_samples = 24;
@@ -351,7 +352,7 @@ TEST(DistributedUoi, ConsensusPathPinnedBetaBytes) {
   options.admm.max_iterations = 5000;
   options.admm.consensus_interval = 1;  // immune to UOI_CONSENSUS_INTERVAL
   const std::pair<uoi::core::UoiParallelLayout, std::uint64_t> cases[] = {
-      {{5, 1}, 4738848393876623551ULL}, {{1, 1}, 10864911876871551795ULL}};
+      {{5, 1}, 1988844621794226602ULL}, {{1, 1}, 10864911876871551795ULL}};
   for (const auto& [layout, expected] : cases) {
     for (const auto mode :
          {uoi::solvers::ScreenMode::kOff, uoi::solvers::ScreenMode::kStrong}) {

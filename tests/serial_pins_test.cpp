@@ -113,11 +113,11 @@ TEST(SerialUoiPins, LassoWithIntercept) {
       "beta=13087802966495352614 "
       "supports=;3,4,5,12;3,5,12,13;3,5,12,13;1,2,3,5,8,9,12,13;"
       "0,1,2,3,4,5,6,7,8,9,10,12,13 chosen=2,4,5 "
-      "loss=13849077573193691763 flops=2012255",
+      "loss=13849077573193691763 flops=1916960",
       "beta=13087802966495352614 "
       "supports=;3,4,5,12;3,5,12,13;3,5,12,13;1,2,3,5,8,9,12,13;"
       "0,1,2,3,4,5,6,7,8,9,10,12,13 chosen=2,4,5 "
-      "loss=13849077573193691763 flops=2328855",
+      "loss=13849077573193691763 flops=1765496",
   };
   auto options = lasso_options();
   options.fit_intercept = true;
@@ -134,12 +134,12 @@ TEST(SerialUoiPins, LassoMedianAggregation) {
       "supports=;3,4,5,12;2,3,5,8,11,12,13;2,3,5,6,7,9,10,11,12,13;"
       "0,1,2,3,4,5,6,7,8,9,10,11,12,13;"
       "0,1,2,3,4,5,6,7,8,9,10,11,12,13 chosen=2,3,2 "
-      "loss=9504051129375383828 flops=1922780",
+      "loss=9504051129375383828 flops=1826564",
       "beta=8613621432291012940 "
       "supports=;3,4,5,12;2,3,5,8,11,12,13;2,3,5,6,7,9,10,11,12,13;"
       "0,1,2,3,4,5,6,7,8,9,10,11,12,13;"
       "0,1,2,3,4,5,6,7,8,9,10,11,12,13 chosen=2,3,2 "
-      "loss=9504051129375383828 flops=2234324",
+      "loss=9504051129375383828 flops=1675056",
   };
   auto options = lasso_options();
   options.aggregation = uoi::core::EstimationAggregation::kMedian;
