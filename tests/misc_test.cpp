@@ -319,6 +319,53 @@ TEST(Checkpoint, PartialResumeProducesSameResult) {
   std::filesystem::remove(path);
 }
 
+// Checkpoint tooling (PartialResumeProducesSameResult above) patches files
+// with UoiLasso::selection_fingerprint, so a serial fit must write exactly
+// that on both sides of the path rule: 100 x 12 takes the Gram path, 24 x
+// 32 the consensus side.
+TEST(Checkpoint, SerialFitWritesTheSelectionFingerprint) {
+  const std::pair<std::size_t, std::size_t> shapes[] = {{100, 12}, {24, 32}};
+  const uoi::sched::LinearPath paths[] = {uoi::sched::LinearPath::kGram,
+                                          uoi::sched::LinearPath::kConsensus};
+  for (std::size_t s = 0; s < std::size(shapes); ++s) {
+    const auto [n, p] = shapes[s];
+    uoi::data::RegressionSpec spec;
+    spec.n_samples = n;
+    spec.n_features = p;
+    spec.support_size = 3;
+    spec.seed = 7;
+    const auto data = uoi::data::make_regression(spec);
+
+    uoi::core::UoiLassoOptions options;
+    options.n_selection_bootstraps = 3;
+    options.n_estimation_bootstraps = 2;
+    options.n_lambdas = 4;
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "uoi_ckpt_fingerprint.txt")
+            .string();
+    std::filesystem::remove(path);
+    options.recovery.checkpoint_path = path;
+    uoi::sim::Cluster::run(1, [&](uoi::sim::Comm& comm) {
+      EXPECT_EQ(
+          uoi::core::detail::linear_family_path(comm, data.x, options, {}),
+          paths[s]);
+    });
+    const uoi::core::UoiLasso lasso(options);
+    const auto fit = lasso.fit(data.x, data.y);
+
+    std::ifstream f(path);
+    std::stringstream buffer;
+    buffer << f.rdbuf();
+    const auto checkpoint =
+        uoi::core::SelectionCheckpoint::from_text(buffer.str());
+    EXPECT_EQ(checkpoint.lambdas, fit.lambdas) << n << " x " << p;
+    EXPECT_EQ(checkpoint.fingerprint,
+              lasso.selection_fingerprint(n, p, fit.lambdas))
+        << n << " x " << p;
+    std::filesystem::remove(path);
+  }
+}
+
 TEST(Checkpoint, SerialVarResumeMatchesUninterrupted) {
   uoi::data::VarSpec spec;
   spec.n_nodes = 6;

@@ -622,15 +622,14 @@ uoi::sched::LinearPath lasso_path(int ranks,
 /// A kill at #1 lands inside selection, before the rank's cells commit.
 constexpr std::uint64_t kFirstSelectionGramReduction = 1;
 
-/// Kills rank 2 of 5 (layout {5, 1}, C = 1) at `kill_at`, a position in
-/// its clean collective schedule, and checks that every survivor shrinks,
-/// redoes the lost selection cells and lands on the clean model.
+/// Kills rank 2 of 5 under `layout` at `kill_at`, a position in its clean
+/// collective schedule, and checks that every survivor shrinks, redoes the
+/// lost selection cells and lands on the clean model.
 template <class KillAt>
 void expect_lasso_kill_mid_selection_is_bit_identical(
     const uoi::data::RegressionDataset& data, uoi::sched::LinearPath path,
-    const KillAt& kill_at) {
+    const uoi::core::UoiParallelLayout& layout, const KillAt& kill_at) {
   const auto options = lasso_options();
-  const uoi::core::UoiParallelLayout layout{5, 1};  // C = 1 throughout
   ASSERT_EQ(lasso_path(5, data, options, layout), path);
 
   const auto clean = run_lasso(5, data, options, layout, nullptr);
@@ -654,13 +653,13 @@ void expect_lasso_kill_mid_selection_is_bit_identical(
 
 TEST(FaultRecovery, LassoRankKilledMidSelectionIsBitIdentical) {
   expect_lasso_kill_mid_selection_is_bit_identical(
-      lasso_data(), uoi::sched::LinearPath::kGram,
+      lasso_data(), uoi::sched::LinearPath::kGram, {5, 1},
       [](std::uint64_t) { return kFirstSelectionGramReduction; });
 }
 
-/// Fewer bootstrap rows than features on one-rank groups: the path rule
-/// picks consensus ADMM, whose selection makes one allreduce per
-/// iteration, so a quarter of the clean schedule is mid-selection.
+/// Fewer bootstrap rows than features: the path rule picks the consensus
+/// side. One-rank groups walk the serial chain there; a wider group runs
+/// consensus ADMM, one allreduce per iteration.
 uoi::data::RegressionDataset consensus_lasso_data() {
   uoi::data::RegressionSpec spec;
   spec.n_samples = 24;
@@ -671,10 +670,20 @@ uoi::data::RegressionDataset consensus_lasso_data() {
   return uoi::data::make_regression(spec);
 }
 
+/// One group of five ranks (C = 5) on consensus_lasso_data(): the group
+/// walks every selection bootstrap in turn, and selection makes nearly all
+/// of the victim's collectives, the first bootstrap's chain alone about a
+/// third. A quarter of the clean schedule lands inside that chain's
+/// consensus ADMM iterations.
+constexpr uoi::core::UoiParallelLayout kOneConsensusGroup{1, 1};
+std::uint64_t inside_first_consensus_chain(std::uint64_t clean_calls) {
+  return clean_calls / 4;
+}
+
 TEST(FaultRecovery, LassoConsensusPathRankKilledMidSelectionIsBitIdentical) {
   expect_lasso_kill_mid_selection_is_bit_identical(
       consensus_lasso_data(), uoi::sched::LinearPath::kConsensus,
-      [](std::uint64_t clean_calls) { return clean_calls / 4; });
+      kOneConsensusGroup, inside_first_consensus_chain);
 }
 
 /// Bytes of a coefficient vector, for byte-for-byte model comparisons.
@@ -779,8 +788,7 @@ TEST(FaultRecovery, LogisticRankKilledMidSelectionIsBitIdentical) {
 template <class KillAt>
 void expect_screened_replay_is_bit_identical(
     const uoi::data::RegressionDataset& data, uoi::sched::LinearPath path,
-    const KillAt& kill_at) {
-  const uoi::core::UoiParallelLayout layout{5, 1};
+    const uoi::core::UoiParallelLayout& layout, const KillAt& kill_at) {
   auto options = lasso_options();
   ASSERT_EQ(lasso_path(5, data, options, layout), path);
 
@@ -811,12 +819,12 @@ TEST(FaultRecovery, KillMidChainReplayIsBitIdenticalWithScreening) {
   // Gram path: the victim dies at its selection Gram reduction, before its
   // local chain runs; the survivors replay that chain.
   expect_screened_replay_is_bit_identical(
-      lasso_data(), uoi::sched::LinearPath::kGram,
+      lasso_data(), uoi::sched::LinearPath::kGram, {5, 1},
       [](std::uint64_t) { return kFirstSelectionGramReduction; });
-  // Consensus path: the victim dies inside a chain's ADMM iterations.
+  // Consensus side: the victim dies inside a chain's ADMM iterations.
   expect_screened_replay_is_bit_identical(
       consensus_lasso_data(), uoi::sched::LinearPath::kConsensus,
-      [](std::uint64_t clean_calls) { return clean_calls / 4; });
+      kOneConsensusGroup, inside_first_consensus_chain);
 }
 
 TEST(FaultRecovery, LassoRecoversAcrossConsensusGroups) {
@@ -929,8 +937,9 @@ TEST(FaultRecovery, CheckpointCrashRestartResumesAndMatches) {
 
 TEST(FaultRecovery, CheckpointFromTheOtherPathRestarts) {
   // 40 rows, 32 features: two-rank groups take consensus ADMM (20 rows
-  // per rank < p), a one-rank group takes the Gram path. The path is part
-  // of the checkpoint fingerprint, so neither resumes the other's file.
+  // per rank < p), a one-rank group takes the Gram path. A fit whose
+  // groups split the rows folds its path into the checkpoint fingerprint,
+  // so neither resumes the other's file.
   uoi::data::RegressionSpec spec;
   spec.n_samples = 40;
   spec.n_features = 32;

@@ -17,7 +17,9 @@
 #include <vector>
 
 #include "core/uoi_elastic_net.hpp"
+#include "core/uoi_elastic_net_distributed.hpp"
 #include "core/uoi_lasso.hpp"
+#include "core/uoi_lasso_distributed.hpp"
 #include "core/uoi_logistic.hpp"
 #include "core/uoi_poisson.hpp"
 #include "data/synthetic_regression.hpp"
@@ -74,6 +76,18 @@ std::string pin(std::span<const double> beta, double intercept,
 }
 
 constexpr ScreenMode kModes[] = {ScreenMode::kOff, ScreenMode::kStrong};
+
+/// Fewer rows than features: the path rule keeps every fit of it, serial
+/// or distributed, on the consensus side.
+uoi::data::RegressionDataset wide_regression_data() {
+  uoi::data::RegressionSpec spec;
+  spec.n_samples = 24;
+  spec.n_features = 32;
+  spec.support_size = 4;
+  spec.noise_stddev = 0.3;
+  spec.seed = 44;
+  return uoi::data::make_regression(spec);
+}
 
 uoi::data::RegressionDataset regression_data() {
   uoi::data::RegressionSpec spec;
@@ -151,6 +165,20 @@ TEST(SerialUoiPins, LassoMedianAggregation) {
   }
 }
 
+uoi::core::UoiElasticNetOptions elastic_net_options() {
+  uoi::core::UoiElasticNetOptions options;
+  options.n_selection_bootstraps = 4;
+  options.n_estimation_bootstraps = 3;
+  options.n_lambdas = 5;
+  options.lambda_min_ratio = 0.1;
+  options.l1_ratios = {1.0, 0.05, 0.5};
+  options.seed = 19;
+  options.schedule = uoi::sched::SchedulePolicy::kStatic;
+  options.solver_cache_mb = 256;
+  options.admm.consensus_interval = 1;
+  return options;
+}
+
 TEST(SerialUoiPins, ElasticNet) {
   // lambda_min_ratio 0.1 against ratios 1.0 then 0.05: the second ratio's
   // first lambda1 (0.05 lambda_max) lies below the first ratio's last
@@ -171,16 +199,7 @@ TEST(SerialUoiPins, ElasticNet) {
       "chosen=3,3,3 loss=8407931445265741531 flops=0",
   };
   const auto data = regression_data();
-  uoi::core::UoiElasticNetOptions options;
-  options.n_selection_bootstraps = 4;
-  options.n_estimation_bootstraps = 3;
-  options.n_lambdas = 5;
-  options.lambda_min_ratio = 0.1;
-  options.l1_ratios = {1.0, 0.05, 0.5};
-  options.seed = 19;
-  options.schedule = uoi::sched::SchedulePolicy::kStatic;
-  options.solver_cache_mb = 256;
-  options.admm.consensus_interval = 1;
+  auto options = elastic_net_options();
   for (std::size_t m = 0; m < std::size(kModes); ++m) {
     options.screen.mode = kModes[m];
     const auto fit = uoi::core::UoiElasticNet(options).fit(data.x, data.y);
@@ -239,6 +258,67 @@ TEST(SerialUoiPins, Poisson) {
             "beta=980896001432240812 "
             "supports=;0,3,5;0,3,5;0,1,3,5,6;0,1,2,3,5,6,7 chosen=1,1,1 "
             "loss=11257230648276829529 flops=0");
+}
+
+// A serial fit is the distributed driver on one rank, so a layout of
+// one-rank groups lands on its bytes: on the Gram path (90 x 14) and on
+// the consensus side (24 x 32), where each group walks the serial chain.
+TEST(SerialUoiPins, OneRankGroupsMatchTheSerialFit) {
+  constexpr int kRanks = 3;
+  const uoi::core::UoiParallelLayout layout{kRanks, 1};
+  const std::pair<uoi::data::RegressionDataset, uoi::sched::LinearPath>
+      cases[] = {{regression_data(), uoi::sched::LinearPath::kGram},
+                 {wide_regression_data(),
+                  uoi::sched::LinearPath::kConsensus}};
+  auto lasso = lasso_options();
+  lasso.fit_intercept = true;
+  auto elastic_net = elastic_net_options();
+  for (const auto& [data, path] : cases) {
+    for (const ScreenMode mode : kModes) {
+      lasso.screen.mode = mode;
+      elastic_net.screen.mode = mode;
+      const auto lasso_fit = uoi::core::UoiLasso(lasso).fit(data.x, data.y);
+      const auto en_fit =
+          uoi::core::UoiElasticNet(elastic_net).fit(data.x, data.y);
+      const std::string lasso_ref =
+          pin(lasso_fit.beta, lasso_fit.intercept,
+              lasso_fit.candidate_supports,
+              lasso_fit.chosen_support_per_bootstrap,
+              lasso_fit.best_loss_per_bootstrap, 0);
+      const std::string en_ref =
+          pin(en_fit.beta, 0.0, en_fit.candidate_supports,
+              en_fit.chosen_support_per_bootstrap,
+              en_fit.best_loss_per_bootstrap, 0);
+      std::vector<std::string> lasso_pins(kRanks);
+      std::vector<std::string> en_pins(kRanks);
+      std::vector<uoi::sched::LinearPath> paths(kRanks);
+      uoi::sim::Cluster::run(kRanks, [&](uoi::sim::Comm& comm) {
+        const auto r = static_cast<std::size_t>(comm.rank());
+        paths[r] = uoi::core::detail::linear_family_path(comm, data.x, lasso,
+                                                         layout);
+        const auto l = uoi::core::uoi_lasso_distributed(comm, data.x, data.y,
+                                                        lasso, layout);
+        lasso_pins[r] = pin(l.model.beta, l.model.intercept,
+                            l.model.candidate_supports,
+                            l.model.chosen_support_per_bootstrap,
+                            l.model.best_loss_per_bootstrap, 0);
+        const auto e = uoi::core::uoi_elastic_net_distributed(
+            comm, data.x, data.y, elastic_net, layout);
+        en_pins[r] = pin(e.model.beta, 0.0, e.model.candidate_supports,
+                         e.model.chosen_support_per_bootstrap,
+                         e.model.best_loss_per_bootstrap, 0);
+      });
+      for (std::size_t r = 0; r < kRanks; ++r) {
+        const auto label = std::string(uoi::solvers::screen_mode_name(mode)) +
+                           ", " + std::to_string(data.x.rows()) + " x " +
+                           std::to_string(data.x.cols()) + ", rank " +
+                           std::to_string(r);
+        EXPECT_EQ(paths[r], path) << label;
+        EXPECT_EQ(lasso_pins[r], lasso_ref) << label;
+        EXPECT_EQ(en_pins[r], en_ref) << label;
+      }
+    }
+  }
 }
 
 Matrix var_series() {
