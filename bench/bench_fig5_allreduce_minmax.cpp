@@ -83,7 +83,8 @@ int main() {
     const double flat = uoi::perf::allreduce_best_time(m, point.cores, bytes);
     const double two_level =
         uoi::perf::allreduce_hierarchical_time(m, point.cores, bytes);
-    const auto g = uoi::perf::hierarchical_group_size(point.cores);
+    const int g =
+        uoi::sim::hierarchical_group_size(static_cast<int>(point.cores));
     largest_speedup = flat / two_level;
     hier.add_row({uoi::support::format_count(point.cores),
                   uoi::support::format_seconds(flat),
@@ -104,12 +105,10 @@ int main() {
   for (const int ranks : {8, 16}) {
     double staged_min = 1e300, hier_min = 1e300;
     double staged_sum = 0.0, hier_sum = 0.0;
-    for (const auto algo : {uoi::sim::AllreduceAlgo::kStaged,
-                            uoi::sim::AllreduceAlgo::kHierarchical}) {
+    for (const bool hierarchical : {false, true}) {
       double local_min = 1e300;
       double checksum = 0.0;
       uoi::sim::Cluster::run(ranks, [&](uoi::sim::Comm& comm) {
-        comm.set_allreduce_algo(algo);
         std::vector<double> payload(20101);
         for (int i = 0; i < 20; ++i) {
           for (std::size_t j = 0; j < payload.size(); ++j) {
@@ -117,7 +116,11 @@ int main() {
                          static_cast<double>(j % 7);
           }
           uoi::support::Stopwatch watch;
-          comm.allreduce(payload, uoi::sim::ReduceOp::kSum);
+          if (hierarchical) {
+            comm.allreduce_hierarchical(payload, uoi::sim::ReduceOp::kSum);
+          } else {
+            comm.allreduce(payload, uoi::sim::ReduceOp::kSum);
+          }
           const double t = watch.seconds();
           if (comm.rank() == 0) {
             local_min = std::min(local_min, t);
@@ -127,12 +130,12 @@ int main() {
           }
         }
       });
-      if (algo == uoi::sim::AllreduceAlgo::kStaged) {
-        staged_min = local_min;
-        staged_sum = checksum;
-      } else {
+      if (hierarchical) {
         hier_min = local_min;
         hier_sum = checksum;
+      } else {
+        staged_min = local_min;
+        staged_sum = checksum;
       }
     }
     if (staged_sum != hier_sum) algos_agree = false;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "simcluster/comm.hpp"
+
 namespace uoi::perf {
 
 namespace {
@@ -52,29 +54,25 @@ double allreduce_best_time(const MachineProfile& m, std::uint64_t p,
                   allreduce_ring_time(m, p, bytes));
 }
 
-std::uint64_t hierarchical_group_size(std::uint64_t p) {
-  if (p <= 3) return p;
-  const auto g = static_cast<std::uint64_t>(
-      std::llround(std::sqrt(static_cast<double>(p))));
-  return std::max<std::uint64_t>(2, std::min(g, p));
-}
-
 double allreduce_hierarchical_time(const MachineProfile& m, std::uint64_t p,
                                    std::uint64_t bytes,
                                    std::uint64_t group_size) {
   if (p <= 1) return 0.0;
-  std::uint64_t g =
-      group_size > 0 ? std::min(group_size, p) : hierarchical_group_size(p);
+  const std::uint64_t g =
+      group_size > 0 ? std::min(group_size, p)
+                     : static_cast<std::uint64_t>(
+                           uoi::sim::hierarchical_group_size(
+                               static_cast<int>(p)));
   if (g <= 1) return allreduce_time(m, p, bytes);
   const std::uint64_t n_leaders = (p + g - 1) / g;
-  double t = 0.0;
   // Intra-group ring allreduce (bandwidth term within the group).
-  if (g > 1) t += allreduce_ring_time(m, g, bytes);
-  // Leaders recursive-double among themselves: the only long-haul level,
-  // with its straggler term shrunk from P^1.5 to (P/g)^1.5.
-  if (n_leaders > 1) t += allreduce_time(m, n_leaders, bytes);
-  // Leader-to-member fan-out of the global result (linear, intra-group).
-  if (g > 1) {
+  double t = allreduce_ring_time(m, g, bytes);
+  if (n_leaders > 1) {
+    // Leaders recursive-double among themselves: the only long-haul
+    // level, with its straggler term shrunk from P^1.5 to (P/g)^1.5.
+    t += allreduce_time(m, n_leaders, bytes);
+    // Leader-to-member fan-out of the global result (linear,
+    // intra-group); a single group's ring already left it everywhere.
     t += static_cast<double>(g - 1) *
          (m.allreduce_alpha +
           static_cast<double>(bytes) / m.network_bandwidth);

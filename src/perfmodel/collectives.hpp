@@ -35,17 +35,14 @@ struct MinMaxTime {
                                          std::uint64_t p,
                                          std::uint64_t bytes);
 
-/// Group size the hierarchical allreduce picks when none is given
-/// (~sqrt(P), matching uoi::sim::hierarchical_group_size).
-[[nodiscard]] std::uint64_t hierarchical_group_size(std::uint64_t p);
-
 /// Two-level hierarchical allreduce (uoi::sim::Comm::allreduce_
 /// hierarchical): an intra-group ring over g ranks, recursive doubling
 /// among the P/g group leaders, and a linear leader-to-member fan-out.
 /// Splitting the flat algorithms' P-wide dependency chain into a g-wide
 /// and a (P/g)-wide level also splits the straggler penalty
 /// (g^1.5 + (P/g)^1.5 << P^1.5), which is where the crossover at paper
-/// scale comes from. `group_size` 0 = auto.
+/// scale comes from. `group_size` 0 = auto
+/// (uoi::sim::hierarchical_group_size).
 [[nodiscard]] double allreduce_hierarchical_time(const MachineProfile& m,
                                                  std::uint64_t p,
                                                  std::uint64_t bytes,

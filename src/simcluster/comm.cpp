@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -49,10 +48,10 @@ std::span<const T> stage_view(const std::vector<std::uint8_t>& slot) {
   return {reinterpret_cast<const T*>(slot.data()), slot.size() / sizeof(T)};
 }
 
-/// Emits one communication span per top-level collective. The software
-/// allreduce algorithms (ring, recursive doubling) are built on send/recv,
-/// so a thread-local depth counter suppresses the nested spans — the trace
-/// shows "allreduce", not thirty point-to-point fragments, and bucket
+/// Emits one communication span per top-level collective. The
+/// hierarchical allreduce is built on send/recv, so a thread-local depth
+/// counter suppresses the nested spans — the trace shows "allreduce",
+/// not thirty point-to-point fragments, and bucket
 /// totals count each collective's wall time exactly once. The active
 /// (depth-0) span also carries the handle's causal stamp, allocated at
 /// entry so stamp order equals program order; suppressed nested spans bump
@@ -116,54 +115,6 @@ const char* to_string(CommCategory category) {
     default:
       return "?";
   }
-}
-
-const char* to_string(AllreduceAlgo algo) {
-  switch (algo) {
-    case AllreduceAlgo::kStaged:
-      return "staged";
-    case AllreduceAlgo::kRing:
-      return "ring";
-    case AllreduceAlgo::kRecursiveDoubling:
-      return "recursive_doubling";
-    case AllreduceAlgo::kHierarchical:
-      return "hierarchical";
-    case AllreduceAlgo::kAuto:
-      return "auto";
-    default:
-      return "?";
-  }
-}
-
-bool allreduce_algo_from_string(const char* name, AllreduceAlgo& out) {
-  if (name == nullptr) return false;
-  const std::string s(name);
-  if (s == "staged") {
-    out = AllreduceAlgo::kStaged;
-  } else if (s == "ring") {
-    out = AllreduceAlgo::kRing;
-  } else if (s == "recursive_doubling" || s == "rd") {
-    out = AllreduceAlgo::kRecursiveDoubling;
-  } else if (s == "hierarchical" || s == "hier") {
-    out = AllreduceAlgo::kHierarchical;
-  } else if (s == "auto") {
-    out = AllreduceAlgo::kAuto;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-AllreduceAlgo allreduce_algo_from_env() {
-  const char* env = std::getenv("UOI_ALLREDUCE_ALGO");
-  if (env == nullptr || env[0] == '\0') return AllreduceAlgo::kStaged;
-  AllreduceAlgo algo = AllreduceAlgo::kStaged;
-  if (!allreduce_algo_from_string(env, algo)) {
-    UOI_LOG_WARN.field("UOI_ALLREDUCE_ALGO", env)
-        << "unknown allreduce algorithm; using staged";
-    return AllreduceAlgo::kStaged;
-  }
-  return algo;
 }
 
 int hierarchical_group_size(int comm_size) {
@@ -303,26 +254,7 @@ void Comm::allreduce_impl(std::span<T> data, ReduceOp op) {
 }
 
 void Comm::allreduce(std::span<double> data, ReduceOp op) {
-  AllreduceAlgo algo = allreduce_algo_;
-  if (algo == AllreduceAlgo::kAuto) {
-    // Latency-bound cases (small payloads, narrow communicators) stay on
-    // the staged algorithm; wide communicators moving real payloads take
-    // the two-level tree, mirroring how MPI implementations switch
-    // between latency- and bandwidth-optimal algorithms.
-    algo = (size() >= 8 && data.size_bytes() >= 8192)
-               ? AllreduceAlgo::kHierarchical
-               : AllreduceAlgo::kStaged;
-  }
-  switch (algo) {
-    case AllreduceAlgo::kRing:
-      return allreduce_ring(data, op);
-    case AllreduceAlgo::kRecursiveDoubling:
-      return allreduce_recursive_doubling(data, op);
-    case AllreduceAlgo::kHierarchical:
-      return allreduce_hierarchical(data, op);
-    default:
-      return allreduce_impl(data, op);
-  }
+  allreduce_impl(data, op);
 }
 void Comm::allreduce(std::span<std::uint64_t> data, ReduceOp op) {
   allreduce_impl(data, op);
@@ -421,121 +353,6 @@ void Comm::sendrecv(int destination, std::span<const double> send_data,
   recv(source, recv_data, tag);
 }
 
-void Comm::allreduce_ring(std::span<double> data, ReduceOp op) {
-  maybe_kill();
-  const int p = size();
-  if (p == 1) {
-    auto& entry = stats_.of(CommCategory::kAllreduce);
-    ++entry.calls;
-    entry.bytes += data.size_bytes();
-    return;
-  }
-  CommTraceScope span(*this, CommCategory::kAllreduce);
-  support::Stopwatch watch;
-  const std::size_t n = data.size();
-
-  // Chunk boundaries: chunk c covers [bounds[c], bounds[c+1]).
-  std::vector<std::size_t> bounds(static_cast<std::size_t>(p) + 1);
-  for (int c = 0; c <= p; ++c) {
-    bounds[static_cast<std::size_t>(c)] =
-        n * static_cast<std::size_t>(c) / static_cast<std::size_t>(p);
-  }
-  auto chunk = [&](int c) -> std::span<double> {
-    const int cc = ((c % p) + p) % p;
-    return data.subspan(bounds[static_cast<std::size_t>(cc)],
-                        bounds[static_cast<std::size_t>(cc) + 1] -
-                            bounds[static_cast<std::size_t>(cc)]);
-  };
-
-  const int next = (rank_ + 1) % p;
-  const int prev = (rank_ - 1 + p) % p;
-  std::vector<double> incoming(bounds[1] - bounds[0] + n / p + 2);
-
-  // Reduce-scatter: after step s, rank r holds the partial reduction of
-  // chunk (r - s) over ranks r-s..r.
-  for (int step = 0; step < p - 1; ++step) {
-    const auto out = chunk(rank_ - step);
-    const auto in = chunk(rank_ - step - 1);
-    send(next, out, /*tag=*/1000 + step);
-    incoming.resize(in.size());
-    recv(prev, std::span<double>(incoming.data(), in.size()),
-         /*tag=*/1000 + step);
-    apply_reduce<double>(op, in,
-                         std::span<const double>(incoming.data(), in.size()));
-  }
-  // Allgather: circulate the finished chunks around the ring.
-  for (int step = 0; step < p - 1; ++step) {
-    const auto out = chunk(rank_ + 1 - step);
-    const auto in = chunk(rank_ - step);
-    send(next, out, /*tag=*/2000 + step);
-    incoming.resize(in.size());
-    recv(prev, std::span<double>(incoming.data(), in.size()),
-         /*tag=*/2000 + step);
-    std::copy(incoming.begin(), incoming.begin() + static_cast<std::ptrdiff_t>(in.size()),
-              in.begin());
-  }
-
-  auto& entry = stats_.of(CommCategory::kAllreduce);
-  ++entry.calls;
-  entry.bytes += data.size_bytes();
-  entry.seconds += watch.seconds();
-  entry.seconds += inject_latency(CommCategory::kAllreduce, data.size_bytes());
-}
-
-void Comm::allreduce_recursive_doubling(std::span<double> data,
-                                        ReduceOp op) {
-  maybe_kill();
-  const int p = size();
-  if (p == 1) {
-    auto& entry = stats_.of(CommCategory::kAllreduce);
-    ++entry.calls;
-    entry.bytes += data.size_bytes();
-    return;
-  }
-  CommTraceScope span(*this, CommCategory::kAllreduce);
-  support::Stopwatch watch;
-  // Largest power of two <= p.
-  int pow2 = 1;
-  while (pow2 * 2 <= p) pow2 *= 2;
-  const int excess = p - pow2;
-  std::vector<double> incoming(data.size());
-  const auto reduce_in = [&] {
-    apply_reduce<double>(op, data,
-                         std::span<const double>(incoming.data(),
-                                                 incoming.size()));
-  };
-
-  // Fold-in: ranks [pow2, p) send their data to [0, excess) and sit out.
-  constexpr int kFoldTag = 3000;
-  if (rank_ >= pow2) {
-    send(rank_ - pow2, data, kFoldTag);
-  } else if (rank_ < excess) {
-    recv(rank_ + pow2, incoming, kFoldTag);
-    reduce_in();
-  }
-
-  if (rank_ < pow2) {
-    for (int mask = 1; mask < pow2; mask <<= 1) {
-      const int partner = rank_ ^ mask;
-      sendrecv(partner, data, partner, incoming, kFoldTag + mask);
-      reduce_in();
-    }
-  }
-
-  // Fold-out: the excess ranks receive the finished result.
-  if (rank_ < excess) {
-    send(rank_ + pow2, data, kFoldTag + pow2);
-  } else if (rank_ >= pow2) {
-    recv(rank_ - pow2, data, kFoldTag + pow2);
-  }
-
-  auto& entry = stats_.of(CommCategory::kAllreduce);
-  ++entry.calls;
-  entry.bytes += data.size_bytes();
-  entry.seconds += watch.seconds();
-  entry.seconds += inject_latency(CommCategory::kAllreduce, data.size_bytes());
-}
-
 void Comm::allreduce_hierarchical(std::span<double> data, ReduceOp op,
                                   int group_size) {
   maybe_kill();
@@ -546,12 +363,8 @@ void Comm::allreduce_hierarchical(std::span<double> data, ReduceOp op,
     entry.bytes += data.size_bytes();
     return;
   }
-  int g = group_size > 0 ? std::min(group_size, p) : hierarchical_group_size(p);
-  if (g <= 1) {
-    // Every rank is its own leader: degenerates to the flat leader
-    // exchange, which recursive doubling already implements.
-    return allreduce_recursive_doubling(data, op);
-  }
+  const int g =
+      group_size > 0 ? std::min(group_size, p) : hierarchical_group_size(p);
   CommTraceScope span(*this, CommCategory::kAllreduce);
   support::Stopwatch watch;
 
@@ -603,8 +416,10 @@ void Comm::allreduce_hierarchical(std::span<double> data, ReduceOp op,
   }
 
   // Phase 2: the group leaders (ranks 0, g, 2g, ...) recursive-double
-  // among themselves; non-power-of-two leader counts fold the excess
-  // leaders in and out exactly like the flat algorithm.
+  // among themselves; with a non-power-of-two leader count the excess
+  // leaders first fold their sums into a partner and sit out the
+  // exchange, then receive the finished result. At g = 1 every rank is a
+  // leader and this phase is the whole (flat) algorithm.
   const int n_leaders = (p + g - 1) / g;
   if (rank_ == leader && n_leaders > 1) {
     const int li = rank_ / g;
@@ -638,7 +453,8 @@ void Comm::allreduce_hierarchical(std::span<double> data, ReduceOp op,
   }
 
   // Phase 3: each leader fans the global result back out to its members.
-  if (members > 1) {
+  // A single group (g = P) is done: its ring left the sum on every rank.
+  if (members > 1 && n_leaders > 1) {
     constexpr int kBcastTag = 4999;
     if (rank_ == leader) {
       for (int m = leader + 1; m < group_end; ++m) send(m, data, kBcastTag);
@@ -830,7 +646,6 @@ Comm Comm::split(int color, int key) {
   child.latency_injector_ = latency_injector_;
   child.fault_plan_ = fault_plan_;
   child.watchdog_ = watchdog_;
-  child.allreduce_algo_ = allreduce_algo_;
   child.acknowledged_fail_seq_ = acknowledged_fail_seq_;
   return child;
 }
@@ -893,7 +708,6 @@ Comm Comm::shrink() {
   child.latency_injector_ = latency_injector_;
   child.fault_plan_ = fault_plan_;
   child.watchdog_ = watchdog_;
-  child.allreduce_algo_ = allreduce_algo_;
   // Every failure up to now is part of the epoch this shrink recovers
   // from; only *new* deaths raise through the shrunk communicator.
   child.acknowledged_fail_seq_ = registry->fail_seq();

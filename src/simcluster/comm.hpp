@@ -34,30 +34,6 @@ namespace uoi::sim {
 /// Reduction operators supported by reduce/allreduce.
 enum class ReduceOp { kSum, kMin, kMax };
 
-/// Algorithm used by the double-payload allreduce(). kStaged (the default)
-/// reduces elementwise in rank order through the staging area — the
-/// deterministic reference every bit-identity test is pinned to. The
-/// point-to-point algorithms are each deterministic too, but accumulate
-/// partial sums in a different order, so switching algorithms may change
-/// floating-point rounding.
-enum class AllreduceAlgo {
-  kStaged = 0,
-  kRing,
-  kRecursiveDoubling,
-  kHierarchical,
-  /// Pick by payload size and rank count: large payloads on wide
-  /// communicators go hierarchical, everything else stays staged.
-  kAuto,
-};
-
-[[nodiscard]] const char* to_string(AllreduceAlgo algo);
-/// Parses "staged", "ring", "recursive_doubling" (or "rd"),
-/// "hierarchical" (or "hier"), "auto". Returns false on unknown names.
-[[nodiscard]] bool allreduce_algo_from_string(const char* name,
-                                              AllreduceAlgo& out);
-/// $UOI_ALLREDUCE_ALGO; kStaged when unset or unparseable.
-[[nodiscard]] AllreduceAlgo allreduce_algo_from_env();
-
 /// Group size the hierarchical allreduce picks when none is given:
 /// ~sqrt(P) balances the intra-group ring against the leader exchange.
 [[nodiscard]] int hierarchical_group_size(int comm_size);
@@ -150,43 +126,22 @@ class Comm {
 
   /// Element-wise reduction visible on all ranks (in place). This is the
   /// MPI_Allreduce the paper identifies as >= 99% of UoI communication.
-  /// The double overload dispatches to the algorithm selected by
-  /// set_allreduce_algo() / $UOI_ALLREDUCE_ALGO (default: staged); the
-  /// uint64 overload carries small control-plane flags and always uses
-  /// the staged algorithm.
+  /// Reduces elementwise in rank order through the staging area: the
+  /// deterministic reference every bit-identity test is pinned to.
   void allreduce(std::span<double> data, ReduceOp op);
   void allreduce(std::span<std::uint64_t> data, ReduceOp op);
 
-  /// Selects the algorithm the double-payload allreduce() dispatches to.
-  /// Inherited across split()/shrink() like the latency injector;
-  /// new handles start from $UOI_ALLREDUCE_ALGO.
-  void set_allreduce_algo(AllreduceAlgo algo) { allreduce_algo_ = algo; }
-  [[nodiscard]] AllreduceAlgo allreduce_algo() const noexcept {
-    return allreduce_algo_;
-  }
-
-  /// Ring allreduce (reduce-scatter + allgather over point-to-point
-  /// messages): the bandwidth-optimal algorithm large MPI implementations
-  /// switch to for big payloads. Bitwise-identical semantics on every
-  /// rank; unlike the staged allreduce, partial sums accumulate in ring
-  /// order, so floating-point rounding may differ slightly.
-  void allreduce_ring(std::span<double> data, ReduceOp op);
-
-  /// Recursive-doubling allreduce over point-to-point messages: the
-  /// latency-optimal log2(P) algorithm small messages use. Non-power-of-
-  /// two rank counts are handled with the standard fold-in/fold-out of
-  /// the excess ranks. Rounding may differ from the staged allreduce.
-  void allreduce_recursive_doubling(std::span<double> data, ReduceOp op);
-
-  /// Hierarchical (two-level) allreduce: ranks form contiguous groups of
-  /// `group_size` (0 = auto, ~sqrt(P)); each group ring-allreduces
-  /// internally, the group leaders (ranks 0, g, 2g, ...) recursive-double
-  /// among themselves, then each leader fans the global result back out
-  /// to its members. Splits the flat algorithms' P-wide dependency chains
-  /// into a g-wide and a (P/g)-wide level — the topology large MPI
-  /// implementations use to keep long-haul (inter-node) traffic to one
-  /// message per node. Deterministic; rounding differs from the staged
-  /// allreduce.
+  /// Hierarchical (two-level) allreduce over point-to-point messages:
+  /// ranks form contiguous groups of `group_size` (0 = auto, ~sqrt(P));
+  /// each group ring-allreduces internally, the group leaders (ranks 0,
+  /// g, 2g, ...) recursive-double among themselves, then each leader fans
+  /// the global result back out to its members. Splits the flat
+  /// algorithms' P-wide dependency chains into a g-wide and a (P/g)-wide
+  /// level — the topology large MPI implementations use to keep long-haul
+  /// (inter-node) traffic to one message per node. The two ends are the
+  /// flat algorithms: group_size = 1 is recursive doubling over every
+  /// rank, group_size = P one ring with no fan-out. Deterministic;
+  /// rounding differs from the staged allreduce.
   void allreduce_hierarchical(std::span<double> data, ReduceOp op,
                               int group_size = 0);
 
@@ -375,7 +330,6 @@ class Comm {
   LatencyInjector latency_injector_;
   std::shared_ptr<const FaultPlan> fault_plan_;
   WatchdogConfig watchdog_ = WatchdogConfig::from_env();
-  AllreduceAlgo allreduce_algo_ = allreduce_algo_from_env();
   /// Failures with sequence <= this are already handled by this handle.
   std::uint64_t acknowledged_fail_seq_ = 0;
 };

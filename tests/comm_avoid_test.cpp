@@ -412,44 +412,3 @@ TEST(HierarchicalAllreduce, DeterministicAcrossRuns) {
     });
   }
 }
-
-TEST(AllreduceAlgo, ParsesNamesAndInheritsAcrossSplit) {
-  uoi::sim::AllreduceAlgo algo;
-  EXPECT_TRUE(uoi::sim::allreduce_algo_from_string("staged", algo));
-  EXPECT_EQ(algo, uoi::sim::AllreduceAlgo::kStaged);
-  EXPECT_TRUE(uoi::sim::allreduce_algo_from_string("hier", algo));
-  EXPECT_EQ(algo, uoi::sim::AllreduceAlgo::kHierarchical);
-  EXPECT_TRUE(uoi::sim::allreduce_algo_from_string("hierarchical", algo));
-  EXPECT_EQ(algo, uoi::sim::AllreduceAlgo::kHierarchical);
-  EXPECT_TRUE(uoi::sim::allreduce_algo_from_string("rd", algo));
-  EXPECT_EQ(algo, uoi::sim::AllreduceAlgo::kRecursiveDoubling);
-  EXPECT_TRUE(uoi::sim::allreduce_algo_from_string("ring", algo));
-  EXPECT_EQ(algo, uoi::sim::AllreduceAlgo::kRing);
-  EXPECT_TRUE(uoi::sim::allreduce_algo_from_string("auto", algo));
-  EXPECT_EQ(algo, uoi::sim::AllreduceAlgo::kAuto);
-  EXPECT_FALSE(uoi::sim::allreduce_algo_from_string("bogus", algo));
-
-  Cluster::run(4, [&](Comm& comm) {
-    comm.set_allreduce_algo(uoi::sim::AllreduceAlgo::kHierarchical);
-    auto split = comm.split(comm.rank() % 2, comm.rank());
-    EXPECT_EQ(split.allreduce_algo(),
-              uoi::sim::AllreduceAlgo::kHierarchical);
-  });
-}
-
-TEST(AllreduceAlgo, HierarchicalSelectedDeliversSameSums) {
-  // Routing the solver's consensus reductions through the hierarchical
-  // tree must leave integer-exact sums unchanged.
-  Cluster::run(8, [&](Comm& comm) {
-    std::vector<double> staged(64), hier(64);
-    for (std::size_t i = 0; i < staged.size(); ++i) {
-      staged[i] = static_cast<double>(comm.rank() + 2);
-      hier[i] = staged[i];
-    }
-    comm.set_allreduce_algo(uoi::sim::AllreduceAlgo::kStaged);
-    comm.allreduce(staged, uoi::sim::ReduceOp::kSum);
-    comm.set_allreduce_algo(uoi::sim::AllreduceAlgo::kHierarchical);
-    comm.allreduce(hier, uoi::sim::ReduceOp::kSum);
-    EXPECT_EQ(staged, hier);
-  });
-}

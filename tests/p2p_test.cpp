@@ -1,4 +1,6 @@
-// Tests for point-to-point messaging and the ring allreduce.
+// Tests for point-to-point messaging and the two flat ends of the
+// hierarchical allreduce: one group of P ranks is a ring allreduce,
+// groups of one rank are recursive doubling over every rank.
 
 #include <gtest/gtest.h>
 
@@ -120,7 +122,7 @@ TEST_P(RingAllreduceParam, MatchesStagedAllreduce) {
       ring[i] = staged[i];
     }
     comm.allreduce(staged, ReduceOp::kSum);
-    comm.allreduce_ring(ring, ReduceOp::kSum);
+    comm.allreduce_hierarchical(ring, ReduceOp::kSum, comm.size());
     for (std::size_t i = 0; i < length; ++i) {
       EXPECT_NEAR(ring[i], staged[i], 1e-11 * (std::abs(staged[i]) + 1.0));
     }
@@ -137,11 +139,11 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(RingAllreduce, MinAndMaxOps) {
   Cluster::run(4, [&](Comm& comm) {
     std::vector<double> lo{static_cast<double>(comm.rank()), 5.0};
-    comm.allreduce_ring(lo, ReduceOp::kMin);
+    comm.allreduce_hierarchical(lo, ReduceOp::kMin, comm.size());
     EXPECT_DOUBLE_EQ(lo[0], 0.0);
     EXPECT_DOUBLE_EQ(lo[1], 5.0);
     std::vector<double> hi{static_cast<double>(comm.rank())};
-    comm.allreduce_ring(hi, ReduceOp::kMax);
+    comm.allreduce_hierarchical(hi, ReduceOp::kMax, comm.size());
     EXPECT_DOUBLE_EQ(hi[0], 3.0);
   });
 }
@@ -150,7 +152,7 @@ TEST(RingAllreduce, ShortVectorWithManyRanks) {
   // length < ranks: some chunks are empty; must still be correct.
   Cluster::run(8, [&](Comm& comm) {
     std::vector<double> v{1.0, 2.0};
-    comm.allreduce_ring(v, ReduceOp::kSum);
+    comm.allreduce_hierarchical(v, ReduceOp::kSum, comm.size());
     EXPECT_DOUBLE_EQ(v[0], 8.0);
     EXPECT_DOUBLE_EQ(v[1], 16.0);
   });
@@ -160,11 +162,28 @@ TEST(RingAllreduce, BackToBackCallsDoNotCrossTalk) {
   Cluster::run(4, [&](Comm& comm) {
     for (int round = 0; round < 10; ++round) {
       std::vector<double> v(17, static_cast<double>(round + comm.rank()));
-      comm.allreduce_ring(v, ReduceOp::kSum);
+      comm.allreduce_hierarchical(v, ReduceOp::kSum, comm.size());
       const double expect = 4.0 * round + (0 + 1 + 2 + 3);
       for (const double x : v) EXPECT_DOUBLE_EQ(x, expect);
     }
   });
+}
+
+TEST(RingAllreduce, OneGroupSendsNoFanOut) {
+  // The ring leaves the sum on every rank: each rank sends and receives
+  // P-1 chunks in each of its two sweeps, and the leader sends nothing
+  // more.
+  for (const int p : {2, 3, 5, 8}) {
+    const auto stats = Cluster::run_collect_stats(p, [&](Comm& comm) {
+      std::vector<double> v(13, 1.0 + comm.rank());
+      comm.allreduce_hierarchical(v, ReduceOp::kSum, comm.size());
+    });
+    for (const auto& s : stats) {
+      EXPECT_EQ(s.of(uoi::sim::CommCategory::kPointToPoint).calls,
+                4u * static_cast<std::uint64_t>(p - 1))
+          << "P = " << p;
+    }
+  }
 }
 
 }  // namespace
@@ -188,7 +207,7 @@ TEST_P(RecursiveDoublingParam, MatchesStagedAllreduce) {
       rd[i] = staged[i];
     }
     comm.allreduce(staged, ReduceOp::kSum);
-    comm.allreduce_recursive_doubling(rd, ReduceOp::kSum);
+    comm.allreduce_hierarchical(rd, ReduceOp::kSum, 1);
     for (std::size_t i = 0; i < length; ++i) {
       EXPECT_NEAR(rd[i], staged[i], 1e-11 * (std::abs(staged[i]) + 1.0));
     }
@@ -204,7 +223,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(RecursiveDoubling, IdenticalResultOnEveryRank) {
   Cluster::run(6, [&](Comm& comm) {
     std::vector<double> v{static_cast<double>(comm.rank()) * 1.7, -2.0};
-    comm.allreduce_recursive_doubling(v, ReduceOp::kMax);
+    comm.allreduce_hierarchical(v, ReduceOp::kMax, 1);
     EXPECT_DOUBLE_EQ(v[0], 5.0 * 1.7);
     EXPECT_DOUBLE_EQ(v[1], -2.0);
   });
@@ -214,7 +233,7 @@ TEST(RecursiveDoubling, BackToBackNoCrossTalk) {
   Cluster::run(5, [&](Comm& comm) {
     for (int round = 0; round < 8; ++round) {
       std::vector<double> v(11, 1.0 + round);
-      comm.allreduce_recursive_doubling(v, ReduceOp::kSum);
+      comm.allreduce_hierarchical(v, ReduceOp::kSum, 1);
       for (const double x : v) EXPECT_DOUBLE_EQ(x, 5.0 * (1.0 + round));
     }
   });

@@ -180,6 +180,17 @@ std::vector<std::uint8_t> comm_exercise(Comm& comm) {
   comm.sendrecv(next, token, prev, incoming, /*tag=*/3);
   out.push_back(incoming[0]);
 
+  // The point-to-point allreduce at groups of one rank, the automatic
+  // group size and one group of every rank, on sums that round.
+  for (const int group_size : {1, 0, size}) {
+    std::vector<double> v(7);
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      v[i] = 1.0 / (static_cast<double>(rank) + 3.0 + static_cast<double>(i));
+    }
+    comm.allreduce_hierarchical(v, ReduceOp::kSum, group_size);
+    out.insert(out.end(), v.begin(), v.end());
+  }
+
   // One-sided, in fenced phases so every value is deterministic: reads
   // see only pre-phase state, writers touch disjoint slots, and each
   // rank's fetch_add targets its own offset on rank 0.
@@ -385,8 +396,10 @@ TEST(TransportE2e, ElasticNetKilledMidSelectionRecoversAcrossBackends) {
 }
 
 TEST(TransportE2e, LogisticKilledMidSelectionRecoversAcrossBackends) {
-  // Logistic selection runs consensus ADMM, one allreduce per iteration:
-  // a quarter of the clean schedule is mid-selection.
+  // One group of five ranks: every selection solve is consensus ADMM, one
+  // allreduce per iteration, and the solves make over 99% of the victim's
+  // collectives. A quarter of the clean schedule lands inside the last
+  // (longest) solve of the first bootstrap's chain.
   expect_kill_mid_selection_identical_across_backends(
       [](Comm& comm) {
         uoi::data::ClassificationSpec spec;
@@ -402,7 +415,7 @@ TEST(TransportE2e, LogisticKilledMidSelectionRecoversAcrossBackends) {
         options.n_lambdas = 4;
         options.seed = 4242;
         const auto fit = uoi::core::uoi_logistic_distributed(
-            comm, data.x, data.y, options, {5, 1});
+            comm, data.x, data.y, options, {1, 1});
         auto beta = fit.model.beta;
         beta.push_back(fit.model.intercept);
         return as_bytes(beta);
