@@ -55,14 +55,15 @@ struct LogisticEstimationEntry {
   [[nodiscard]] std::size_t bytes() const noexcept { return bytes_estimate; }
 };
 
-/// Consensus l1-logistic selection over the task group's row blocks; IRLS
-/// refits on the full training split (cheap: support columns only) scored
-/// by held-out log loss over the group's evaluation row blocks.
-LogisticHooks distributed_hooks(ConstMatrixView x, std::span<const double> y,
-                                const UoiLogisticOptions& options,
-                                const UoiLassoOptions& resampling,
-                                std::span<const double> lambdas,
-                                const uoi::solvers::AdmmOptions& admm) {
+/// l1-logistic selection over the task group's row blocks — serial FISTA
+/// on a one-rank group, consensus ADMM on a wider one; IRLS refits on the
+/// full training split (cheap: support columns only) scored by held-out
+/// log loss over the group's evaluation row blocks.
+LogisticHooks logistic_hooks(ConstMatrixView x, std::span<const double> y,
+                             const UoiLogisticOptions& options,
+                             const UoiLassoOptions& resampling,
+                             std::span<const double> lambdas,
+                             const uoi::solvers::AdmmOptions& admm) {
   const std::size_t n = x.rows();
   const std::size_t p = x.cols();
 
@@ -83,12 +84,21 @@ LogisticHooks distributed_hooks(ConstMatrixView x, std::span<const double> y,
           fresh->bytes_estimate = n * (p + 1) * sizeof(double);
           return fresh;
         });
-    for (std::size_t m = 0; m < task.cells.size(); ++m) {
-      const auto fit = uoi::solvers::distributed_logistic_lasso(
-          task.task_comm, entry->x_local, entry->y_local,
-          lambdas[task.cells[m]], admm);
+    const auto mark = [&](std::size_t m, const auto& fit) {
       task.counters.add(fit);
       task.mark_selected(m, fit.beta, options.support_tolerance);
+    };
+    for (std::size_t m = 0; m < task.cells.size(); ++m) {
+      const double lambda = lambdas[task.cells[m]];
+      if (tl.c_ranks == 1) {
+        // A lone rank holds the whole bootstrap: no consensus with itself.
+        mark(m, uoi::solvers::logistic_lasso(entry->x_local, entry->y_local,
+                                             lambda, options.solver));
+      } else {
+        mark(m, uoi::solvers::distributed_logistic_lasso(
+                    task.task_comm, entry->x_local, entry->y_local, lambda,
+                    admm));
+      }
     }
   };
   hooks.estimate = [=, &options, &resampling](UoiEstimationTask& task) {
@@ -116,6 +126,15 @@ LogisticHooks distributed_hooks(ConstMatrixView x, std::span<const double> y,
       const auto fit = uoi::solvers::logistic_irls_on_support(
           entry->x_train, entry->y_train, task.supports[j].indices(),
           options.solver);
+      if (tl.c_ranks == 1) {
+        // A lone rank holds every evaluation row: its mean is the loss.
+        task.record(j,
+                    uoi::solvers::logistic_log_loss(x_eval_local,
+                                                    entry->y_eval_local,
+                                                    fit.beta, fit.intercept),
+                    pack(fit));
+        continue;
+      }
       // Distributed held-out log loss: local sums reduced over the group.
       double acc[2] = {0.0, static_cast<double>(x_eval_local.rows())};
       if (x_eval_local.rows() > 0) {
@@ -132,52 +151,11 @@ LogisticHooks distributed_hooks(ConstMatrixView x, std::span<const double> y,
   return hooks;
 }
 
-/// Serial l1-logistic selection fits and IRLS refits scored by held-out
-/// log loss, for a one-rank engine run.
-LogisticHooks serial_hooks(ConstMatrixView x, std::span<const double> y,
-                           const UoiLogisticOptions& options,
-                           const UoiLassoOptions& resampling,
-                           std::span<const double> lambdas) {
-  const std::size_t n = x.rows();
-  LogisticHooks hooks;
-  hooks.select = [=, &options, &resampling](UoiSelectionTask& task) {
-    const auto idx = selection_bootstrap_indices(resampling, n, task.bootstrap);
-    Matrix x_boot;
-    Vector y_boot;
-    gather_local_block(x, y, idx, {0, idx.size()}, x_boot, y_boot);
-    for (std::size_t m = 0; m < task.cells.size(); ++m) {
-      const auto fit = uoi::solvers::logistic_lasso(
-          x_boot, y_boot, lambdas[task.cells[m]], options.solver);
-      task.counters.add(fit);
-      task.mark_selected(m, fit.beta, options.support_tolerance);
-    }
-  };
-  hooks.estimate = [=, &options, &resampling](UoiEstimationTask& task) {
-    const auto split = estimation_split(resampling, n, task.bootstrap);
-    Matrix x_train, x_eval;
-    Vector y_train, y_eval;
-    gather_local_block(x, y, split.train, {0, split.train.size()}, x_train,
-                       y_train);
-    gather_local_block(x, y, split.eval, {0, split.eval.size()}, x_eval,
-                       y_eval);
-    for (const std::size_t j : task.cells) {
-      const auto fit = uoi::solvers::logistic_irls_on_support(
-          x_train, y_train, task.supports[j].indices(), options.solver);
-      task.record(j,
-                  uoi::solvers::logistic_log_loss(x_eval, y_eval, fit.beta,
-                                                  fit.intercept),
-                  pack(fit));
-    }
-  };
-  return hooks;
-}
-
 /// The driver body behind both entry points.
 UoiLogisticDistributedResult fit_logistic(Comm& comm, ConstMatrixView x,
                                           std::span<const double> y,
                                           const UoiLogisticOptions& options,
-                                          const UoiParallelLayout& layout,
-                                          bool serial) {
+                                          const UoiParallelLayout& layout) {
   UOI_CHECK_DIMS(x.rows() == y.size(), "UoI_Logistic: X rows != y size");
   for (const double v : y) {
     UOI_CHECK(v == 0.0 || v == 1.0, "labels must be 0 or 1");
@@ -223,9 +201,7 @@ UoiLogisticDistributedResult fit_logistic(Comm& comm, ConstMatrixView x,
   spec.consensus_interval = options.consensus_interval;
 
   const auto hooks =
-      serial ? serial_hooks(x, y, options, resampling, model.lambdas)
-             : distributed_hooks(x, y, options, resampling, model.lambdas,
-                                 admm);
+      logistic_hooks(x, y, options, resampling, model.lambdas, admm);
   auto run = run_uoi_engine(comm, spec, hooks.select, hooks.estimate);
 
   model.candidate_supports = std::move(run.candidate_supports);
@@ -253,7 +229,7 @@ UoiLogistic::UoiLogistic(UoiLogisticOptions options)
 UoiLogisticResult UoiLogistic::fit(ConstMatrixView x,
                                    std::span<const double> y) const {
   return run_on_local_rank([&](Comm& comm) {
-           return fit_logistic(comm, x, y, options_, {}, /*serial=*/true);
+           return fit_logistic(comm, x, y, options_, {});
          })
       .model;
 }
@@ -261,7 +237,7 @@ UoiLogisticResult UoiLogistic::fit(ConstMatrixView x,
 UoiLogisticDistributedResult uoi_logistic_distributed(
     Comm& comm, ConstMatrixView x, std::span<const double> y,
     const UoiLogisticOptions& options, const UoiParallelLayout& layout) {
-  return fit_logistic(comm, x, y, options, layout, /*serial=*/false);
+  return fit_logistic(comm, x, y, options, layout);
 }
 
 }  // namespace uoi::core

@@ -766,12 +766,15 @@ TEST(FaultRecovery, LogisticRankKilledMidSelectionIsBitIdentical) {
   options.n_estimation_bootstraps = 3;
   options.n_lambdas = 4;
   options.seed = 909;
-  // Logistic selection runs consensus ADMM, one allreduce per iteration:
-  // a quarter of the clean schedule is mid-selection.
+  // One group of five ranks: every selection solve is consensus ADMM, one
+  // allreduce per iteration, and the solves make over 99% of the victim's
+  // collectives. A quarter of the clean schedule lands inside the last
+  // (longest) solve of the second bootstrap's chain.
   expect_kill_mid_selection_is_bit_identical(
       [&](Comm& comm) {
         auto fit = uoi::core::uoi_logistic_distributed(comm, data.x, data.y,
-                                                       options, {5, 1});
+                                                       options,
+                                                       kOneConsensusGroup);
         // The intercept rides along in beta's bytes.
         fit.model.beta.push_back(fit.model.intercept);
         return fit;

@@ -21,6 +21,7 @@
 #include "core/uoi_lasso.hpp"
 #include "core/uoi_lasso_distributed.hpp"
 #include "core/uoi_logistic.hpp"
+#include "core/uoi_logistic_distributed.hpp"
 #include "core/uoi_poisson.hpp"
 #include "data/synthetic_regression.hpp"
 #include "data/synthetic_var.hpp"
@@ -211,13 +212,16 @@ TEST(SerialUoiPins, ElasticNet) {
   }
 }
 
-TEST(SerialUoiPins, Logistic) {
+uoi::data::ClassificationDataset classification_data() {
   uoi::data::ClassificationSpec spec;
   spec.n_samples = 120;
   spec.n_features = 8;
   spec.support_size = 3;
   spec.seed = 23;
-  const auto data = uoi::data::make_classification(spec);
+  return uoi::data::make_classification(spec);
+}
+
+uoi::core::UoiLogisticOptions logistic_options() {
   uoi::core::UoiLogisticOptions options;
   options.n_selection_bootstraps = 3;
   options.n_estimation_bootstraps = 3;
@@ -227,8 +231,14 @@ TEST(SerialUoiPins, Logistic) {
   options.schedule = uoi::sched::SchedulePolicy::kStatic;
   options.solver_cache_mb = 256;
   options.consensus_interval = 1;
+  return options;
+}
+
+TEST(SerialUoiPins, Logistic) {
+  const auto data = classification_data();
   // The logistic family has no screening; one pin covers every mode.
-  const auto fit = uoi::core::UoiLogistic(options).fit(data.x, data.y);
+  const auto fit =
+      uoi::core::UoiLogistic(logistic_options()).fit(data.x, data.y);
   EXPECT_EQ(pin(fit.beta, fit.intercept, fit.candidate_supports,
                 fit.chosen_support_per_bootstrap,
                 fit.best_loss_per_bootstrap, 0),
@@ -261,8 +271,9 @@ TEST(SerialUoiPins, Poisson) {
 }
 
 // A serial fit is the distributed driver on one rank, so a layout of
-// one-rank groups lands on its bytes: on the Gram path (90 x 14) and on
-// the consensus side (24 x 32), where each group walks the serial chain.
+// one-rank groups lands on its bytes: the lasso family on the Gram path
+// (90 x 14) and on the consensus side (24 x 32), where each group walks
+// the serial chain, and logistic, where each group runs serial FISTA.
 TEST(SerialUoiPins, OneRankGroupsMatchTheSerialFit) {
   constexpr int kRanks = 3;
   const uoi::core::UoiParallelLayout layout{kRanks, 1};
@@ -318,6 +329,25 @@ TEST(SerialUoiPins, OneRankGroupsMatchTheSerialFit) {
         EXPECT_EQ(en_pins[r], en_ref) << label;
       }
     }
+  }
+
+  const auto data = classification_data();
+  const auto options = logistic_options();
+  const auto fit = uoi::core::UoiLogistic(options).fit(data.x, data.y);
+  const std::string logistic_ref =
+      pin(fit.beta, fit.intercept, fit.candidate_supports,
+          fit.chosen_support_per_bootstrap, fit.best_loss_per_bootstrap, 0);
+  std::vector<std::string> logistic_pins(kRanks);
+  uoi::sim::Cluster::run(kRanks, [&](uoi::sim::Comm& comm) {
+    const auto d = uoi::core::uoi_logistic_distributed(comm, data.x, data.y,
+                                                       options, layout);
+    logistic_pins[static_cast<std::size_t>(comm.rank())] =
+        pin(d.model.beta, d.model.intercept, d.model.candidate_supports,
+            d.model.chosen_support_per_bootstrap,
+            d.model.best_loss_per_bootstrap, 0);
+  });
+  for (std::size_t r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(logistic_pins[r], logistic_ref) << "logistic, rank " << r;
   }
 }
 

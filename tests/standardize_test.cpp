@@ -189,9 +189,11 @@ TEST_P(UoiLogisticDistParam, AgreesWithSerialDriver) {
   uoi::sim::Cluster::run(ranks, [&](uoi::sim::Comm& comm) {
     const auto distributed = uoi::core::uoi_logistic_distributed(
         comm, data.x, data.y, options, {pb, pl});
-    // The selection solvers differ (FISTA serial vs consensus ADMM
-    // distributed), so assert statistical agreement rather than identical
-    // iterates: same strong features, close coefficients.
+    // One-rank groups run the serial FISTA and land on the serial bytes
+    // (SerialUoiPins.OneRankGroupsMatchTheSerialFit); wider groups run
+    // consensus ADMM, so every layout asserts statistical agreement
+    // rather than identical iterates: same strong features, close
+    // coefficients.
     const auto serial_support =
         uoi::core::SupportSet::from_beta(serial.beta, 0.15);
     const auto dist_support =
