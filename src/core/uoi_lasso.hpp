@@ -66,10 +66,6 @@ struct UoiRecoveryOptions {
   double onesided_base_backoff_seconds = 50e-6;
   double onesided_backoff_multiplier = 2.0;
   double onesided_backoff_budget_seconds = 0.25;
-  /// Decorrelated jitter on the one-sided retry backoff (seeded,
-  /// deterministic; off by default so the backoff schedule is unchanged).
-  bool onesided_jitter = false;
-  std::uint64_t onesided_jitter_seed = 0x6a177e5ULL;
   /// When non-empty, selection progress is persisted here (atomic, fsync'd
   /// rewrite) every `checkpoint_interval` bootstraps and on recovery, and a
   /// compatible checkpoint is resumed from at startup.
@@ -90,8 +86,6 @@ struct UoiRecoveryOptions {
     retry.base_backoff_seconds = onesided_base_backoff_seconds;
     retry.backoff_multiplier = onesided_backoff_multiplier;
     retry.backoff_budget_seconds = onesided_backoff_budget_seconds;
-    retry.jitter = onesided_jitter;
-    retry.jitter_seed = onesided_jitter_seed;
     return retry;
   }
 };
