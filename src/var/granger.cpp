@@ -57,7 +57,9 @@ double GrangerNetwork::density() const {
 namespace {
 std::string node_name(std::size_t i, const std::vector<std::string>& labels) {
   if (i < labels.size()) return labels[i];
-  return "n" + std::to_string(i);
+  std::string name = "n";
+  name += std::to_string(i);
+  return name;
 }
 }  // namespace
 

@@ -1,8 +1,8 @@
 #pragma once
 // Serial UoI_VAR (paper Algorithm 2): UoI model selection + estimation on
 // the vectorized VAR regression vec Y = (I (x) X) vec B + vec E. The fit
-// is the distributed driver's body (var_distributed.hpp) on one rank with
-// a serial selection hook; both share the estimation hook.
+// is the distributed driver (var_distributed.hpp) on a one-rank
+// communicator, whose lone task group walks the serial screened chain.
 //
 // Differences from UoI_LASSO, exactly as the paper lists them:
 //   * block bootstrap instead of iid row resampling (temporal dependence);
@@ -26,7 +26,6 @@
 #include "core/support_set.hpp"
 #include "core/uoi_lasso.hpp"
 #include "solvers/admm_lasso.hpp"
-#include "solvers/ridge_system.hpp"
 #include "var/block_bootstrap.hpp"
 #include "var/granger.hpp"
 #include "var/var_model.hpp"
@@ -68,7 +67,8 @@ struct UoiVarOptions {
   /// Distributed-driver task placement (see core::UoiLassoOptions::schedule).
   uoi::sched::SchedulePolicy schedule = uoi::sched::SchedulePolicy::kAuto;
   /// Per-rank solver/gather cache budget in MB for the distributed driver.
-  /// < 0 defers to UOI_SOLVER_CACHE_MB (default 256); 0 disables.
+  /// < 0 defers to UOI_SOLVER_CACHE_MB (default 256); 0 disables. A fit on
+  /// one rank visits each bootstrap once per pass and caches nothing.
   long solver_cache_mb = -1;
 };
 
@@ -110,35 +110,22 @@ class UoiVar {
   UoiVarOptions options_;
 };
 
-/// Deterministic per-task block-bootstrap options shared with the
-/// distributed driver (stage 0 = selection, 1 = estimation-train,
-/// 2 = estimation-eval).
+/// The block-bootstrap streams of a fit: one draw per (stage, bootstrap).
+enum class VarBootstrapStage : std::size_t {
+  kSelection = 0,
+  kEstimationTrain = 1,
+  kEstimationEval = 2,
+};
+
+/// Deterministic per-task block-bootstrap options of bootstrap k's draw in
+/// `stage`.
 [[nodiscard]] BlockBootstrapOptions var_bootstrap_options(
-    const UoiVarOptions& options, std::size_t stage, std::size_t k);
+    const UoiVarOptions& options, VarBootstrapStage stage, std::size_t k);
 
 /// Data-driven lambda grid for the vectorized problem:
 /// lambda_max = max_e ||X' y_e||_inf without materializing I (x) X.
 [[nodiscard]] std::vector<double> resolve_var_lambda_grid(
     const UoiVarOptions& options, const uoi::linalg::Matrix& y,
     const uoi::linalg::Matrix& x);
-
-namespace detail {
-
-/// Appends equation e's x-update block to a solve over the sorted subset
-/// `working` of the vectorized coefficients (g = e*dp + c, dp =
-/// rows.cols()): the equation's `rows` restricted to its surviving
-/// columns — a view when all dp survive, else a copy appended to
-/// `gathered` (reserved by the caller so earlier views stay valid) — at
-/// its offset in working coordinates, whose slice of `atb` becomes
-/// rows' y. An equation with no surviving column adds nothing: its
-/// coordinates vanish from the reduced problem.
-void append_equation_block(
-    uoi::linalg::ConstMatrixView rows, std::span<const double> y,
-    std::size_t e, std::span<const std::size_t> working,
-    std::vector<uoi::linalg::Matrix>& gathered,
-    std::vector<uoi::solvers::BlockRidgeSolver::Block>& blocks,
-    std::span<double> atb);
-
-}  // namespace detail
 
 }  // namespace uoi::var

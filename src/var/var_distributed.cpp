@@ -10,7 +10,10 @@
 #include "core/uoi_engine.hpp"
 #include "io/h5lite.hpp"
 #include "linalg/blas.hpp"
+#include "linalg/sparse.hpp"
 #include "sched/cost_model.hpp"
+#include "solvers/admm_lasso_sparse.hpp"
+#include "solvers/admm_loop.hpp"
 #include "solvers/consensus_loop.hpp"
 #include "solvers/ols.hpp"
 #include "solvers/ridge_system.hpp"
@@ -191,6 +194,38 @@ void for_each_equation(const VarLocalBlock& block, F&& f) {
   }
 }
 
+/// Appends equation e's x-update block to a solve over the sorted subset
+/// `working` of the vectorized coefficients (g = e*dp + c, dp =
+/// rows.cols()): the equation's `rows` restricted to its surviving
+/// columns — a view when all dp survive, else a copy appended to
+/// `gathered` (reserved by the caller so earlier views stay valid) — at
+/// its offset in working coordinates, whose slice of `atb` becomes
+/// rows' y. An equation with no surviving column adds nothing: its
+/// coordinates vanish from the reduced problem.
+void append_equation_block(
+    ConstMatrixView rows, std::span<const double> y, std::size_t e,
+    std::span<const std::size_t> working, std::vector<Matrix>& gathered,
+    std::vector<uoi::solvers::BlockRidgeSolver::Block>& blocks,
+    std::span<double> atb) {
+  // Coefficients g = e*dp + c ascend with e, so a sorted working set keeps
+  // each equation's survivors contiguous.
+  const std::size_t dp = rows.cols();
+  const auto lo = std::lower_bound(working.begin(), working.end(), e * dp);
+  const auto hi = std::lower_bound(lo, working.end(), (e + 1) * dp);
+  const auto offset = static_cast<std::size_t>(lo - working.begin());
+  const auto width = static_cast<std::size_t>(hi - lo);
+  if (width == 0) return;
+  ConstMatrixView v = rows;
+  if (width < dp) {
+    std::vector<std::size_t> cols(width);
+    for (std::size_t i = 0; i < width; ++i) cols[i] = lo[i] - e * dp;
+    v = gathered.emplace_back(
+        uoi::solvers::detail::gather_cols_view(rows, cols));
+  }
+  uoi::linalg::gemv_transposed(1.0, v, y, 0.0, atb.subspan(offset, width));
+  blocks.push_back({v, offset});
+}
+
 /// The full solver's working set: every coefficient.
 std::vector<std::size_t> all_coefficients(const VarLocalBlock& block) {
   std::vector<std::size_t> all(block.n_coefficients());
@@ -216,7 +251,7 @@ DistributedVarAdmmSolver::DistributedVarAdmmSolver(
   cols_.reserve(block.n_equations);
   for_each_equation(block, [&](std::size_t e, std::size_t begin,
                                std::size_t end) {
-    detail::append_equation_block(
+    append_equation_block(
         block.x_rows.row_block(begin, end - begin),
         std::span<const double>(block.y).subspan(begin, end - begin), e,
         working, cols_, blocks, atb_);
@@ -322,7 +357,9 @@ Vector var_correlation_local(const VarLocalBlock& block,
 /// ScreenedChain) over the block-structured VAR solver: reduced solves go
 /// to the active-set DistributedVarAdmmSolver, so the fused consensus
 /// payload shrinks from (dp*p + 3) to (|W| + 3) doubles; each correlation
-/// is var_correlation_local plus one nc-length allreduce.
+/// is var_correlation_local plus one nc-length allreduce. Off-mode full
+/// solves go to the bootstrap's cached full solver, which off-mode cache
+/// entries always hold (screened chains never call full_solve).
 class DistributedVarBackend {
  public:
   using Fit = uoi::solvers::DistributedAdmmResult;
@@ -339,13 +376,8 @@ class DistributedVarBackend {
   }
 
   [[nodiscard]] Fit full_solve(double lambda, double /*lambda2*/,
-                               const Fit& warm) {
-    if (full_solver_ == nullptr && !owned_full_solver_) {
-      owned_full_solver_.emplace(*comm_, *block_, admm_);
-    }
-    const DistributedVarAdmmSolver& solver =
-        full_solver_ != nullptr ? *full_solver_ : *owned_full_solver_;
-    return solver.solve(lambda, &warm);
+                               const Fit& warm) const {
+    return full_solver_->solve(lambda, &warm);
   }
 
   [[nodiscard]] Fit subset_solve(std::span<const std::size_t> cols,
@@ -380,7 +412,187 @@ class DistributedVarBackend {
   const VarLocalBlock* block_;
   const uoi::solvers::ScreenInputs* shared_;
   const DistributedVarAdmmSolver* full_solver_;
-  std::optional<DistributedVarAdmmSolver> owned_full_solver_;
+};
+
+/// Replicable screening quantities of the vectorized VAR problem (the
+/// serial mirror of build_var_screen_inputs): coefficient g = e*dp + c
+/// sees column c of the shared lag matrix in equation e's rows only, so
+/// the per-column norms tile p times.
+uoi::solvers::ScreenInputs var_screen_inputs(
+    const LagRegression& lag, std::span<const double> vec_y) {
+  const std::size_t rows = lag.x.rows();
+  const std::size_t dp = lag.x.cols();
+  const std::size_t p = lag.y.cols();
+  const std::size_t nc = dp * p;
+  Vector sums(2 * nc + 1, 0.0);  // [A'b | column norms^2 | b'b]
+  Vector colsq(dp, 0.0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const auto row = lag.x.row(r);
+    for (std::size_t c = 0; c < dp; ++c) colsq[c] += row[c] * row[c];
+  }
+  for (std::size_t e = 0; e < p; ++e) {
+    uoi::linalg::gemv_transposed(
+        1.0, lag.x, vec_y.subspan(e * rows, rows), 0.0,
+        std::span<double>(sums).subspan(e * dp, dp));
+    std::copy(colsq.begin(), colsq.end(),
+              sums.begin() + static_cast<std::ptrdiff_t>(nc + e * dp));
+  }
+  sums[2 * nc] = uoi::linalg::nrm2_squared(vec_y);
+  return uoi::solvers::screen_inputs_from_sums(sums);
+}
+
+/// c = A'(b - A beta) of the vectorized problem for a full-length beta.
+Vector var_correlation(const LagRegression& lag, std::span<const double> vec_y,
+                       std::span<const double> beta_full,
+                       std::uint64_t& flops) {
+  const std::size_t rows = lag.x.rows();
+  const std::size_t dp = lag.x.cols();
+  const std::size_t p = lag.y.cols();
+  Vector c(dp * p, 0.0);
+  Vector r(rows);
+  for (std::size_t e = 0; e < p; ++e) {
+    const auto y_e = vec_y.subspan(e * rows, rows);
+    std::copy(y_e.begin(), y_e.end(), r.begin());
+    uoi::linalg::gemv(-1.0, lag.x, beta_full.subspan(e * dp, dp), 1.0, r);
+    uoi::linalg::gemv_transposed(1.0, lag.x, r, 0.0,
+                                 std::span<double>(c).subspan(e * dp, dp));
+    flops += 2 * uoi::linalg::gemv_flops(rows, dp);
+  }
+  return c;
+}
+
+/// Serial active-set solver over a sorted subset of the vectorized VAR
+/// coefficients: the joint ADMM runs in compacted working coordinates and
+/// the x-update solves one system per equation over the surviving columns
+/// (a view of the shared lag matrix when all dp survive, a gathered copy
+/// otherwise), all equations at once through a BlockRidgeSolver — the
+/// serial mirror of the reduced DistributedVarAdmmSolver.
+class VarWorkingSetSolver {
+ public:
+  VarWorkingSetSolver(const LagRegression& lag, std::span<const double> vec_y,
+                      std::span<const std::size_t> working,
+                      const uoi::solvers::AdmmOptions& options)
+      : options_(options), nw_(working.size()),
+        system_(blocks(lag, vec_y, working), options.rho),
+        pending_setup_flops_(system_.setup_flops()) {}
+
+  [[nodiscard]] uoi::solvers::AdmmResult solve(
+      double lambda, const uoi::solvers::AdmmResult* warm_start) const {
+    double current_rho = options_.rho;
+    std::optional<uoi::solvers::BlockRidgeSolver> rebuilt;
+    std::uint64_t refactor_flops = 0;
+    const std::uint64_t charged = pending_setup_flops_;
+    pending_setup_flops_ = 0;
+    const auto solve_ls = [&](std::span<const double> q, std::span<double> x,
+                              double rho) {
+      if (rho != current_rho) {
+        rebuilt.emplace(system_, rho);
+        refactor_flops += rebuilt->setup_flops();
+        current_rho = rho;
+      }
+      (rebuilt ? *rebuilt : system_).solve(q, x);
+    };
+    auto result = uoi::solvers::detail::run_admm_loop(
+        nw_, lambda, options_, atb_, solve_ls, charged, system_.solve_flops(),
+        warm_start);
+    result.flops += refactor_flops;
+    return result;
+  }
+
+ private:
+  /// Gathers each equation's surviving columns (kept in cols_) and its
+  /// slice of A'b; returns the equations as blocks.
+  std::vector<uoi::solvers::BlockRidgeSolver::Block> blocks(
+      const LagRegression& lag, std::span<const double> vec_y,
+      std::span<const std::size_t> working) {
+    const std::size_t rows = lag.x.rows();
+    const std::size_t p = lag.y.cols();
+    atb_.assign(nw_, 0.0);
+    cols_.reserve(p);
+    std::vector<uoi::solvers::BlockRidgeSolver::Block> out;
+    for (std::size_t e = 0; e < p; ++e) {
+      append_equation_block(lag.x, vec_y.subspan(e * rows, rows), e, working,
+                            cols_, out, atb_);
+    }
+    return out;
+  }
+
+  uoi::solvers::AdmmOptions options_;
+  std::size_t nw_;
+  Vector atb_;
+  /// Gathered column subsets of the equations with width < dp; reserved
+  /// up front so the blocks' views stay valid.
+  std::vector<Matrix> cols_;
+  uoi::solvers::BlockRidgeSolver system_;
+  mutable std::uint64_t pending_setup_flops_ = 0;
+};
+
+/// Serial backend of the screened chain, for a task group of one rank that
+/// holds the whole vectorized problem: reduced solves go to the active-set
+/// VarWorkingSetSolver, correlations to var_correlation, and the off-mode
+/// full solve to the structured or sparse solver, built lazily so
+/// screened runs never pay for it. No collectives.
+class SerialVarBackend {
+ public:
+  using Fit = uoi::solvers::AdmmResult;
+
+  SerialVarBackend(const uoi::solvers::AdmmOptions& admm,
+                   const LagRegression& lag, const VectorizedProblem& problem,
+                   VarSolverBackend kind)
+      : admm_(admm), lag_(&lag), problem_(&problem), kind_(kind),
+        inputs_(var_screen_inputs(lag, problem.vec_y)) {}
+
+  [[nodiscard]] const uoi::solvers::ScreenInputs& inputs() const noexcept {
+    return inputs_;
+  }
+
+  [[nodiscard]] Fit full_solve(double lambda, double /*lambda2*/,
+                               const Fit& warm) {
+    if (kind_ == VarSolverBackend::kStructured) {
+      if (!kron_solver_) {
+        kron_solver_.emplace(problem_->design, problem_->vec_y, admm_);
+      }
+      return kron_solver_->solve(lambda, &warm);
+    }
+    if (!sparse_solver_) {
+      // The paper's sparse path: materialize I (x) X as CSR.
+      design_.emplace(uoi::linalg::SparseMatrix::block_diagonal(
+          lag_->x, lag_->y.cols()));
+      sparse_solver_.emplace(*design_, problem_->vec_y, admm_);
+    }
+    return sparse_solver_->solve(lambda, &warm);
+  }
+
+  [[nodiscard]] Fit subset_solve(std::span<const std::size_t> cols,
+                                 double lambda, double /*lambda2*/,
+                                 const Fit& warm) const {
+    const VarWorkingSetSolver sub(*lag_, problem_->vec_y, cols, admm_);
+    return sub.solve(lambda, &warm);
+  }
+
+  void kkt_correlation(std::span<const double> beta_w,
+                       std::span<const std::size_t> working, Vector& c,
+                       Fit& spent) const {
+    const Vector beta_full = uoi::solvers::detail::expand_vector(
+        beta_w, working, inputs_.atb.size());
+    c = var_correlation(*lag_, problem_->vec_y, beta_full, spent.flops);
+  }
+
+  void refresh_correlation(std::span<const double> beta,
+                           std::span<const std::size_t> /*support*/,
+                           Vector& c, Fit& result) const {
+    c = var_correlation(*lag_, problem_->vec_y, beta, result.flops);
+  }
+
+ private:
+  uoi::solvers::AdmmOptions admm_;
+  const LagRegression* lag_;
+  const VectorizedProblem* problem_;
+  VarSolverBackend kind_;
+  uoi::solvers::ScreenInputs inputs_;
+  std::optional<uoi::linalg::SparseMatrix> design_;
+  std::optional<uoi::solvers::KronLassoAdmmSolver> kron_solver_;
+  std::optional<uoi::solvers::SparseLassoAdmmSolver> sparse_solver_;
 };
 
 // Per-bootstrap cache entries. bytes() returns an estimate computed from
@@ -389,6 +601,11 @@ class DistributedVarBackend {
 // identical LRU keep/evict decision or a hit/miss divergence would leave
 // part of the group waiting in a collective forever.
 struct VarSelectionEntry {
+  /// One-rank group: the bootstrap's lag regression and its vectorized
+  /// problem (which borrows lag.x), built locally.
+  LagRegression lag;
+  std::optional<VectorizedProblem> problem;
+  /// Wider group: this rank's assembled row block of the vectorized problem.
   VarLocalBlock block;
   /// Replicated screening inputs shared by every chain of the bootstrap.
   uoi::solvers::ScreenInputs screen_inputs;
@@ -468,9 +685,9 @@ void finish_var_result(UoiVarResult& result, const Matrix& winners,
 
 }  // namespace
 
-UoiVarDistributedResult detail::fit_var(
+UoiVarDistributedResult uoi_var_distributed(
     Comm& comm, ConstMatrixView series_view, const UoiVarOptions& options,
-    const uoi::core::UoiParallelLayout& layout, int n_readers, bool serial) {
+    const uoi::core::UoiParallelLayout& layout, int n_readers) {
   const std::size_t p = series_view.cols();
   const std::size_t d = options.order;
   UOI_CHECK(series_view.rows() > d + 2,
@@ -510,7 +727,7 @@ UoiVarDistributedResult detail::fit_var(
   spec.intersection_fraction = options.intersection_fraction;
   spec.schedule = options.schedule;
   // One rank visits each bootstrap once per pass: nothing to cache.
-  spec.solver_cache_mb = serial ? 0 : options.solver_cache_mb;
+  spec.solver_cache_mb = comm.size() == 1 ? 0 : options.solver_cache_mb;
   spec.layout = layout;
   spec.recovery = options.recovery;
   spec.consensus_interval = options.admm.consensus_interval;
@@ -533,18 +750,28 @@ UoiVarDistributedResult detail::fit_var(
       .add(options.support_tolerance)
       .add(static_cast<std::uint64_t>(screen_opts.mode));
   for (const double l : model.lambdas) fp.add(l);
+  if (comm.size() >
+      std::max(1, layout.bootstrap_groups * layout.lambda_groups)) {
+    // One-rank groups walk the serial fit's chain, so they share its
+    // checkpoints. Groups that split a bootstrap's rows run the Kron+vec
+    // consensus solver: their checkpoints name it and restart instead of
+    // mixing solvers.
+    fp.add(static_cast<std::uint64_t>(0x6b726f6eULL));  // "kron"
+  }
   spec.fingerprint = fp.value();
 
   // Selection: readers construct the bootstrap sample's lag regression;
   // compute ranks assemble their vectorized row blocks through the
-  // windows. The block and its factorizations are cached per bootstrap,
-  // so any chain of the same k — adjacent, interleaved, or stolen —
-  // reuses them.
-  const std::size_t vec_rows = (series.rows() - d) * p;
-  const auto distributed_select = [&](uoi::core::UoiSelectionTask& task) {
+  // windows. A one-rank group holds the whole bootstrap and builds its
+  // vectorized problem locally: no window, no collective. The entry (and
+  // a wider group's factorizations) is cached per bootstrap, so any chain
+  // of the same k — adjacent, interleaved, or stolen — reuses it.
+  const std::size_t lag_rows = series.rows() - d;
+  const auto select = [&](uoi::core::UoiSelectionTask& task) {
     const auto& tl = task.layout;
     const int trace_rank = task.task_comm.global_rank();
     const int group_readers = std::min(n_readers, tl.c_ranks);
+    const bool local_chain = tl.c_ranks == 1;
     const std::size_t k = task.bootstrap;
     const std::uint64_t hits_before = task.cache.stats().hits;
     const auto entry = task.cache.get_or_build<VarSelectionEntry>(
@@ -553,8 +780,16 @@ UoiVarDistributedResult detail::fit_var(
           LagRegression lag;
           if (tl.task_rank < group_readers) {
             const Matrix sample = block_bootstrap_sample(
-                series, var_bootstrap_options(options, /*stage=*/0, k));
+                series,
+                var_bootstrap_options(options, VarBootstrapStage::kSelection,
+                                      k));
             lag = build_lag_regression(sample, d);
+          }
+          if (local_chain) {
+            fresh->lag = std::move(lag);
+            fresh->problem.emplace(vectorize(fresh->lag));
+            fresh->bytes_estimate = lag_rows * (dp + 2 * p) * sizeof(double);
+            return fresh;
           }
           fresh->block = distributed_kron_vectorize(task.task_comm, lag,
                                                     group_readers, retry);
@@ -574,7 +809,7 @@ UoiVarDistributedResult detail::fit_var(
             }
           }
           fresh->bytes_estimate =
-              (vec_rows * (dp + 1) + (screening_on ? 0 : dp * dp) +
+              (lag_rows * p * (dp + 1) + (screening_on ? 0 : dp * dp) +
                2 * n_coeffs + 1) *
               sizeof(double);
           return fresh;
@@ -586,23 +821,28 @@ UoiVarDistributedResult detail::fit_var(
         task.counters.setup_flops_charged += entry->solver->setup_flops();
       }
     }
-    // The screened chain owns the warm start; reduced active-set solves
-    // shrink the consensus payload to (|W|+3) doubles.
-    uoi::solvers::detail::ScreenedChain<DistributedVarBackend> screened(
-        options.admm, screen_opts, task.task_comm, entry->block,
-        entry->screen_inputs,
-        entry->solver.has_value() ? &*entry->solver : nullptr);
-    for (std::size_t m = 0; m < task.cells.size(); ++m) {
-      const auto fit = screened.solve(model.lambdas[task.cells[m]]);
-      task.counters.add(fit);
-      task.mark_selected(m, fit.beta, options.support_tolerance);
+    // The screened chain owns the warm starts and the two-stage solve.
+    const auto walk = [&](auto&& chain) {
+      for (std::size_t m = 0; m < task.cells.size(); ++m) {
+        const auto fit = chain.solve(model.lambdas[task.cells[m]]);
+        task.counters.add(fit);
+        task.mark_selected(m, fit.beta, options.support_tolerance);
+      }
+      task.counters.screen += chain.stats();
+    };
+    if (local_chain) {
+      walk(uoi::solvers::detail::ScreenedChain<SerialVarBackend>(
+          options.admm, screen_opts, entry->lag, *entry->problem,
+          options.backend));
+    } else {
+      // Reduced active-set solves shrink the consensus payload to (|W|+3)
+      // doubles.
+      walk(uoi::solvers::detail::ScreenedChain<DistributedVarBackend>(
+          options.admm, screen_opts, task.task_comm, entry->block,
+          entry->screen_inputs,
+          entry->solver.has_value() ? &*entry->solver : nullptr));
     }
-    task.counters.screen += screened.stats();
   };
-
-  const uoi::core::UoiSelectHook select =
-      serial ? detail::serial_var_select_hook(series, options, model.lambdas)
-             : uoi::core::UoiSelectHook(distributed_select);
 
   // Estimation: (bootstrap, chain) cells over the task groups, equations
   // over the C ranks of each group (the vectorized OLS decomposes exactly
@@ -618,13 +858,15 @@ UoiVarDistributedResult detail::fit_var(
         uoi::solvers::kEstimationPass, k, [&] {
           auto fresh = std::make_shared<VarEstimationEntry>();
           const Matrix train_sample = block_bootstrap_sample(
-              series, var_bootstrap_options(options, /*stage=*/1, k));
+              series, var_bootstrap_options(
+                          options, VarBootstrapStage::kEstimationTrain, k));
           const Matrix eval_sample = block_bootstrap_sample(
-              series, var_bootstrap_options(options, /*stage=*/2, k));
+              series, var_bootstrap_options(
+                          options, VarBootstrapStage::kEstimationEval, k));
           fresh->train = build_lag_regression(train_sample, d);
           fresh->eval = build_lag_regression(eval_sample, d);
           fresh->bytes_estimate =
-              2 * (series.rows() - d) * (dp + p) * sizeof(double);
+              2 * lag_rows * (dp + p) * sizeof(double);
           return fresh;
         });
     const LagRegression& train = entry->train;
@@ -681,13 +923,6 @@ UoiVarDistributedResult detail::fit_var(
   out.achieved_quorum = run.achieved_quorum;
   out.lost_cells = std::move(run.lost_cells);
   return out;
-}
-
-UoiVarDistributedResult uoi_var_distributed(
-    Comm& comm, ConstMatrixView series, const UoiVarOptions& options,
-    const uoi::core::UoiParallelLayout& layout, int n_readers) {
-  return detail::fit_var(comm, series, options, layout, n_readers,
-                         /*serial=*/false);
 }
 
 }  // namespace uoi::var

@@ -135,30 +135,15 @@ struct UoiVarDistributedResult {
 /// ranks only touch it through windows and for the estimation resamples).
 /// A family of the shared engine (core/uoi_engine.hpp): layout,
 /// scheduling, checkpointing and shrink-and-resume (options.recovery) work
-/// as in uoi_lasso_distributed, with P = P_B x P_lambda x C.
+/// as in uoi_lasso_distributed, with P = P_B x P_lambda x C. A task group
+/// of C = 1 holds the whole bootstrap and walks the serial screened chain
+/// (structured or sparse, per options.backend) with no window or
+/// collective, so one-rank groups reproduce UoiVar::fit, which is this
+/// driver on a one-rank communicator. Wider groups run the Kron+vec windows
+/// and DistributedVarAdmmSolver. Both share the estimation hook.
 [[nodiscard]] UoiVarDistributedResult uoi_var_distributed(
     uoi::sim::Comm& comm, uoi::linalg::ConstMatrixView series,
     const UoiVarOptions& options = {},
     const uoi::core::UoiParallelLayout& layout = {}, int n_readers = 2);
-
-namespace detail {
-
-/// The VAR driver body behind UoiVar::fit (one rank, serial selection
-/// hook) and uoi_var_distributed: centering, lambda grid, engine run and
-/// model assembly. Both runs share the estimation hook.
-[[nodiscard]] UoiVarDistributedResult fit_var(
-    uoi::sim::Comm& comm, uoi::linalg::ConstMatrixView series,
-    const UoiVarOptions& options, const uoi::core::UoiParallelLayout& layout,
-    int n_readers, bool serial);
-
-/// The serial selection hook: per bootstrap, one screened chain
-/// (solvers::detail::ScreenedChain) over the vectorized block-bootstrap
-/// problem on the structured or sparse backend. `series` is the centered
-/// series; every argument must outlive the engine run.
-[[nodiscard]] uoi::core::UoiSelectHook serial_var_select_hook(
-    const uoi::linalg::Matrix& series, const UoiVarOptions& options,
-    std::span<const double> lambdas);
-
-}  // namespace detail
 
 }  // namespace uoi::var

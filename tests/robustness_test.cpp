@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -971,6 +972,77 @@ TEST(FaultRecovery, CheckpointFromTheOtherPathRestarts) {
   EXPECT_EQ(gram.reports[0].recovery.checkpoint_resumes, 0u);
   expect_same_model(gram.results[0], fresh_gram.results[0],
                     /*bit_identical_counts=*/true);
+  std::filesystem::remove(path);
+}
+
+TEST(FaultRecovery, VarCheckpointFromTheOtherSolverRestarts) {
+  // A two-rank group runs the Kron+vec consensus solver, a one-rank group
+  // the serial chain. A fit whose groups split the rows folds its solver
+  // into the checkpoint fingerprint, so neither resumes the other's file.
+  uoi::data::VarSpec spec;
+  spec.n_nodes = 4;
+  spec.edges_per_node = 1.0;
+  spec.seed = 64;
+  uoi::var::SimulateOptions sim;
+  sim.n_samples = 80;
+  sim.seed = 65;
+  const Matrix series =
+      uoi::var::simulate(uoi::data::make_sparse_var(spec), sim);
+  uoi::var::UoiVarOptions options;
+  options.n_selection_bootstraps = 4;
+  options.n_estimation_bootstraps = 2;
+  options.n_lambdas = 4;
+  options.seed = 66;
+  struct VarRun {
+    std::vector<uoi::var::UoiVarDistributedResult> results;  // index == rank
+    std::vector<uoi::sim::RankReport> reports;
+  };
+  const auto run_var = [&](int ranks, const uoi::var::UoiVarOptions& o) {
+    VarRun run;
+    std::vector<std::optional<uoi::var::UoiVarDistributedResult>> results(
+        static_cast<std::size_t>(ranks));
+    run.reports = Cluster::run_collect_reports(ranks, [&](Comm& comm) {
+      results[static_cast<std::size_t>(comm.rank())] =
+          uoi::var::uoi_var_distributed(comm, series, o);
+    });
+    for (auto& r : results) run.results.push_back(std::move(*r));
+    return run;
+  };
+  const auto bytes_equal = [](std::span<const double> a,
+                              std::span<const double> b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  const auto path =
+      (std::filesystem::temp_directory_path() / "uoi_var_solver_ckpt.txt")
+          .string();
+  std::filesystem::remove(path);
+
+  const auto fresh_serial = run_var(1, options);
+  auto ckpt_options = options;
+  ckpt_options.recovery.checkpoint_path = path;
+  (void)run_var(2, ckpt_options);
+  ASSERT_TRUE(std::filesystem::exists(path));
+  // The consensus solver resumes its own checkpoint...
+  const auto consensus = run_var(2, ckpt_options);
+  EXPECT_GE(consensus.reports[0].recovery.checkpoint_resumes, 1u);
+  // ...the serial chain restarts from it and matches a fresh serial fit.
+  const auto serial = run_var(1, ckpt_options);
+  EXPECT_EQ(serial.reports[0].recovery.checkpoint_resumes, 0u);
+  const auto& got = serial.results[0];
+  const auto& want = fresh_serial.results[0];
+  EXPECT_TRUE(bytes_equal(
+      {got.selection_counts.data(), got.selection_counts.size()},
+      {want.selection_counts.data(), want.selection_counts.size()}));
+  EXPECT_TRUE(bytes_equal(got.model.vec_beta, want.model.vec_beta));
+  EXPECT_TRUE(bytes_equal(got.model.model.intercept(),
+                          want.model.model.intercept()));
+  EXPECT_TRUE(bytes_equal(got.model.best_loss_per_bootstrap,
+                          want.model.best_loss_per_bootstrap));
+  EXPECT_EQ(got.model.candidate_supports, want.model.candidate_supports);
+  EXPECT_EQ(got.model.chosen_support_per_bootstrap,
+            want.model.chosen_support_per_bootstrap);
+  EXPECT_EQ(got.model.total_flops, want.model.total_flops);
   std::filesystem::remove(path);
 }
 

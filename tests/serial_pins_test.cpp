@@ -29,6 +29,7 @@
 #include "simcluster/cluster.hpp"
 #include "solvers/screening.hpp"
 #include "var/uoi_var.hpp"
+#include "var/var_distributed.hpp"
 #include "var/var_model.hpp"
 
 namespace {
@@ -270,10 +271,43 @@ TEST(SerialUoiPins, Poisson) {
             "loss=11257230648276829529 flops=0");
 }
 
+Matrix var_series() {
+  uoi::data::VarSpec spec;
+  spec.n_nodes = 6;
+  spec.seed = 43;
+  const auto truth = uoi::data::make_sparse_var(spec);
+  uoi::var::SimulateOptions sim;
+  sim.n_samples = 80;
+  sim.seed = 47;
+  return uoi::var::simulate(truth, sim);
+}
+
+uoi::var::UoiVarOptions var_options() {
+  uoi::var::UoiVarOptions options;
+  options.n_selection_bootstraps = 3;
+  options.n_estimation_bootstraps = 3;
+  options.n_lambdas = 6;
+  options.lambda_min_ratio = 1e-2;
+  options.seed = 53;
+  options.admm.consensus_interval = 1;
+  options.schedule = uoi::sched::SchedulePolicy::kStatic;
+  options.solver_cache_mb = 256;
+  return options;
+}
+
+std::string var_pin(const uoi::var::UoiVarResult& fit) {
+  return pin(fit.vec_beta, 0.0, fit.candidate_supports,
+             fit.chosen_support_per_bootstrap, fit.best_loss_per_bootstrap,
+             fit.total_flops) +
+         " mu=" + std::to_string(hash_doubles(fit.model.intercept()));
+}
+
 // A serial fit is the distributed driver on one rank, so a layout of
 // one-rank groups lands on its bytes: the lasso family on the Gram path
 // (90 x 14) and on the consensus side (24 x 32), where each group walks
-// the serial chain, and logistic, where each group runs serial FISTA.
+// the serial chain, logistic, where each group runs serial FISTA, and
+// VAR, where each group walks the serial screened chain and spends the
+// serial fit's FLOPs.
 TEST(SerialUoiPins, OneRankGroupsMatchTheSerialFit) {
   constexpr int kRanks = 3;
   const uoi::core::UoiParallelLayout layout{kRanks, 1};
@@ -349,37 +383,24 @@ TEST(SerialUoiPins, OneRankGroupsMatchTheSerialFit) {
   for (std::size_t r = 0; r < kRanks; ++r) {
     EXPECT_EQ(logistic_pins[r], logistic_ref) << "logistic, rank " << r;
   }
-}
 
-Matrix var_series() {
-  uoi::data::VarSpec spec;
-  spec.n_nodes = 6;
-  spec.seed = 43;
-  const auto truth = uoi::data::make_sparse_var(spec);
-  uoi::var::SimulateOptions sim;
-  sim.n_samples = 80;
-  sim.seed = 47;
-  return uoi::var::simulate(truth, sim);
-}
-
-uoi::var::UoiVarOptions var_options() {
-  uoi::var::UoiVarOptions options;
-  options.n_selection_bootstraps = 3;
-  options.n_estimation_bootstraps = 3;
-  options.n_lambdas = 6;
-  options.lambda_min_ratio = 1e-2;
-  options.seed = 53;
-  options.admm.consensus_interval = 1;
-  options.schedule = uoi::sched::SchedulePolicy::kStatic;
-  options.solver_cache_mb = 256;
-  return options;
-}
-
-std::string var_pin(const uoi::var::UoiVarResult& fit) {
-  return pin(fit.vec_beta, 0.0, fit.candidate_supports,
-             fit.chosen_support_per_bootstrap, fit.best_loss_per_bootstrap,
-             fit.total_flops) +
-         " mu=" + std::to_string(hash_doubles(fit.model.intercept()));
+  const Matrix series = var_series();
+  auto var = var_options();
+  for (const ScreenMode mode :
+       {ScreenMode::kOff, ScreenMode::kSafe, ScreenMode::kStrong}) {
+    var.screen.mode = mode;
+    const std::string var_ref = var_pin(uoi::var::UoiVar(var).fit(series));
+    std::vector<std::string> var_pins(kRanks);
+    uoi::sim::Cluster::run(kRanks, [&](uoi::sim::Comm& comm) {
+      var_pins[static_cast<std::size_t>(comm.rank())] = var_pin(
+          uoi::var::uoi_var_distributed(comm, series, var, layout).model);
+    });
+    for (std::size_t r = 0; r < kRanks; ++r) {
+      EXPECT_EQ(var_pins[r], var_ref)
+          << "VAR, " << uoi::solvers::screen_mode_name(mode) << ", rank "
+          << r;
+    }
+  }
 }
 
 TEST(SerialUoiPins, Var) {
