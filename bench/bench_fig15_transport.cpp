@@ -246,7 +246,9 @@ int main() {
     // Informational telemetry: socket numbers vary with kernel/socket
     // buffers and machine load, so they ride along in config (which the
     // regression gate reports but never compares numerically).
-    const std::string prefix = "p" + std::to_string(ranks) + "_";
+    std::string prefix = "p";
+    prefix += std::to_string(ranks);
+    prefix += '_';
     telemetry.config(prefix + "thread_allreduce_small_s", thread_metrics[0])
         .config(prefix + "thread_allreduce_large_s", thread_metrics[1])
         .config(prefix + "thread_window_get_s", thread_metrics[2])

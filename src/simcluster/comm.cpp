@@ -884,7 +884,8 @@ void Comm::raise_rank_failed(const char* what) {
   std::string message(what);
   message += " (failed global ranks:";
   for (const int r : registry.failed_ranks()) {
-    message += " " + std::to_string(r);
+    message += ' ';
+    message += std::to_string(r);
   }
   message += ")";
   throw RankFailedError(message);

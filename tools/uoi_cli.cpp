@@ -477,8 +477,10 @@ int run_granger(const Args& args) {
   const double alpha = 0.05 / static_cast<double>(tests.size());
   for (const auto& t : tests) {
     const auto name = [&](std::size_t i) {
-      return i < csv.column_labels.size() ? csv.column_labels[i]
-                                          : "x" + std::to_string(i);
+      if (i < csv.column_labels.size()) return csv.column_labels[i];
+      std::string label = "x";
+      label += std::to_string(i);
+      return label;
     };
     table.add_row({name(t.source), name(t.target),
                    uoi::support::format_fixed(t.f_statistic, 3),
