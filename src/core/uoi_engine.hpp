@@ -5,8 +5,8 @@
 // elastic-net, logistic, Poisson and VAR drivers are thin families on top
 // of it: each supplies a selection hook, an estimation hook, and turns the
 // replicated winners matrix into its own model. A serial fit is a run on
-// a one-rank communicator (run_on_local_rank): the lasso and elastic net
-// run their distributed hooks there, the other families serial ones.
+// a one-rank communicator (run_on_local_rank): every family but Poisson
+// runs its distributed hooks there, Poisson its serial ones.
 //
 // Per pass attempt the engine splits the communicator into task groups
 // (P_B x P_lambda groups of C ranks), owns a fresh BootstrapCache, plans
