@@ -72,6 +72,28 @@ void export_metrics(int trace_rank, const UoiEngineSpec& spec,
 
 }  // namespace
 
+namespace detail {
+
+std::vector<uoi::solvers::GramProblem> reduce_gram(
+    Comm& task_comm, uoi::linalg::ConstMatrixView a,
+    uoi::linalg::ConstMatrixView b, const char* span,
+    UoiFitCounters& counters) {
+  Vector sums;
+  {
+    support::TraceScope gram_span(span, support::TraceCategory::kGram,
+                                  task_comm.global_rank());
+    sums = uoi::solvers::gram_sums(a, b);
+  }
+  task_comm.allreduce(std::span<double>(sums), ReduceOp::kSum);
+  counters.local_flops +=
+      uoi::solvers::gram_sums_flops(a.rows(), a.cols(), b.cols());
+  counters.allreduce_calls += 1;
+  counters.allreduce_bytes += sums.size() * sizeof(double);
+  return uoi::solvers::gram_problems_from_sums(sums, a.cols(), b.cols());
+}
+
+}  // namespace detail
+
 void UoiSelectionTask::mark_selected(std::size_t m,
                                      std::span<const double> beta,
                                      double tolerance) const {

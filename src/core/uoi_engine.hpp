@@ -153,6 +153,22 @@ struct UoiFitCounters {
   }
 };
 
+namespace detail {
+
+/// Collective over the task group: sums the group's row blocks of
+/// [A'A | A'B | per-column B'B] (solvers::gram_sums) with one allreduce
+/// into B.cols() GramProblems that share one Gram, charged to `counters`
+/// (flops and one allreduce). A rank without rows passes zero-row blocks
+/// of the right widths. The local pass is traced as `span` (Gram bucket),
+/// the allreduce by the communicator (communication bucket), so the two
+/// never overlap.
+[[nodiscard]] std::vector<uoi::solvers::GramProblem> reduce_gram(
+    uoi::sim::Comm& task_comm, uoi::linalg::ConstMatrixView a,
+    uoi::linalg::ConstMatrixView b, const char* span,
+    UoiFitCounters& counters);
+
+}  // namespace detail
+
 /// One scheduled selection cell: bootstrap k and the chain's still-pending
 /// grid cells, in warm-start order.
 struct UoiSelectionTask {

@@ -27,6 +27,7 @@ namespace {
 
 using detail::block_slice;
 using detail::gather_local_block;
+using detail::reduce_gram;
 
 /// Distributed evaluation of a task's betas over its group: each rank
 /// scores its own evaluation rows, and one allreduce sums every beta's
@@ -59,26 +60,9 @@ std::vector<DistributedEvaluation> distributed_mse(
   return out;
 }
 
-/// Collective over the task group: sums the group's row blocks into one
-/// GramProblem with a single allreduce, charged to `counters`. The local
-/// pass is traced as `span` (Gram bucket), the allreduce by the
-/// communicator (communication bucket), so the two never overlap.
-uoi::solvers::GramProblem reduce_gram(Comm& task_comm, ConstMatrixView x_local,
-                                      std::span<const double> y_local,
-                                      const char* span,
-                                      UoiFitCounters& counters) {
-  Vector sums;
-  {
-    support::TraceScope gram_span(span, support::TraceCategory::kGram,
-                                  task_comm.global_rank());
-    sums = uoi::solvers::gram_sums(x_local, y_local);
-  }
-  task_comm.allreduce(std::span<double>(sums), ReduceOp::kSum);
-  counters.local_flops +=
-      uoi::solvers::gram_sums_flops(x_local.rows(), x_local.cols());
-  counters.allreduce_calls += 1;
-  counters.allreduce_bytes += sums.size() * sizeof(double);
-  return uoi::solvers::gram_problem_from_sums(sums, x_local.cols());
+/// One right-hand side as an n x 1 matrix view.
+ConstMatrixView column_view(const Vector& y) {
+  return {y.data(), y.size(), 1, 1};
 }
 
 // Cached per-bootstrap state. `bytes()` must be a deterministic function of
@@ -166,9 +150,10 @@ LinearFamilyHooks linear_family_hooks(ConstMatrixView x,
                 fresh->x_local, fresh->y_local);
           }
           if (gram_path) {
-            fresh->gram =
-                reduce_gram(task.task_comm, fresh->x_local, fresh->y_local,
-                            "selection-gram", task.counters);
+            fresh->gram = reduce_gram(task.task_comm, fresh->x_local,
+                                      column_view(fresh->y_local),
+                                      "selection-gram", task.counters)
+                              .front();
             fresh->x_local = Matrix();
             fresh->y_local = Vector();
             fresh->bytes_estimate = gram_bytes;
@@ -269,9 +254,10 @@ LinearFamilyHooks linear_family_hooks(ConstMatrixView x,
           const std::size_t eval_bytes =
               split.eval.size() * (p + 1) * sizeof(double);
           if (gram_path) {
-            fresh->train_gram =
-                reduce_gram(task.task_comm, fresh->x_train, fresh->y_train,
-                            "estimation-gram", task.counters);
+            fresh->train_gram = reduce_gram(task.task_comm, fresh->x_train,
+                                            column_view(fresh->y_train),
+                                            "estimation-gram", task.counters)
+                                    .front();
             fresh->x_train = Matrix();
             fresh->y_train = Vector();
             fresh->bytes_estimate = gram_bytes + eval_bytes;

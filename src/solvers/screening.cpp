@@ -96,42 +96,53 @@ ScreenInputs build_screen_inputs(uoi::sim::Comm& comm, ConstMatrixView local_a,
   return screen_inputs_from_sums(buffer);
 }
 
-Vector gram_sums(ConstMatrixView a, std::span<const double> b) {
+Vector gram_sums(ConstMatrixView a, ConstMatrixView b) {
+  UOI_CHECK_DIMS(a.rows() == b.rows(), "Gram sums: A and B rows differ");
   const std::size_t p = a.cols();
-  Vector sums(p * p + p + 1, 0.0);
+  const std::size_t m = b.cols();
+  Vector sums(p * p + m * p + m, 0.0);
   Matrix gram(p, p);
   uoi::linalg::syrk_at_a(1.0, a, 0.0, gram);
   std::copy(gram.data(), gram.data() + p * p, sums.begin());
-  uoi::linalg::gemv_transposed(1.0, a, b, 0.0,
-                               std::span<double>(sums.data() + p * p, p));
-  sums[p * p + p] = uoi::linalg::nrm2_squared(b);
+  Vector column(b.rows());
+  for (std::size_t j = 0; j < m; ++j) {
+    for (std::size_t r = 0; r < b.rows(); ++r) column[r] = b(r, j);
+    uoi::linalg::gemv_transposed(
+        1.0, a, column, 0.0, std::span<double>(sums).subspan(p * p + j * p, p));
+    sums[p * p + m * p + j] = uoi::linalg::nrm2_squared(column);
+  }
   return sums;
 }
 
-std::uint64_t gram_sums_flops(std::size_t n, std::size_t p) {
-  return uoi::linalg::gemm_flops(p, n, p) / 2 + uoi::linalg::gemv_flops(n, p) +
-         2 * n;
+std::uint64_t gram_sums_flops(std::size_t n, std::size_t p, std::size_t m) {
+  return uoi::linalg::gemm_flops(p, n, p) / 2 +
+         m * (uoi::linalg::gemv_flops(n, p) + 2 * n);
 }
 
-GramProblem gram_problem_from_sums(std::span<const double> sums,
-                                   std::size_t p) {
-  UOI_CHECK_DIMS(sums.size() == p * p + p + 1, "Gram sums shape mismatch");
+std::vector<GramProblem> gram_problems_from_sums(std::span<const double> sums,
+                                                 std::size_t p,
+                                                 std::size_t m) {
+  UOI_CHECK_DIMS(sums.size() == p * p + m * p + m, "Gram sums shape mismatch");
   Matrix gram(p, p);
   std::copy(sums.begin(), sums.begin() + static_cast<std::ptrdiff_t>(p * p),
             gram.data());
-  GramProblem problem;
-  problem.inputs.atb.assign(
-      sums.begin() + static_cast<std::ptrdiff_t>(p * p),
-      sums.begin() + static_cast<std::ptrdiff_t>(p * p + p));
-  problem.inputs.col_sq_norms.resize(p);
-  for (std::size_t j = 0; j < p; ++j) problem.inputs.col_sq_norms[j] = gram(j, j);
-  problem.inputs.b_norm_sq = sums[p * p + p];
-  for (const double v : problem.inputs.atb) {
-    problem.inputs.lambda_max =
-        std::max(problem.inputs.lambda_max, std::abs(v));
+  Vector diag(p);
+  for (std::size_t j = 0; j < p; ++j) diag[j] = gram(j, j);
+  const auto shared = std::make_shared<const RidgeGram>(std::move(gram));
+  std::vector<GramProblem> problems(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    GramProblem& problem = problems[j];
+    const auto atb = sums.subspan(p * p + j * p, p);
+    problem.gram = shared;
+    problem.inputs.atb.assign(atb.begin(), atb.end());
+    problem.inputs.col_sq_norms = diag;
+    problem.inputs.b_norm_sq = sums[p * p + m * p + j];
+    for (const double v : atb) {
+      problem.inputs.lambda_max =
+          std::max(problem.inputs.lambda_max, std::abs(v));
+    }
   }
-  problem.gram = std::make_shared<const RidgeGram>(std::move(gram));
-  return problem;
+  return problems;
 }
 
 namespace detail {

@@ -147,17 +147,22 @@ struct GramProblem {
   ScreenInputs inputs;
 };
 
-/// This row block's share of [A'A | A'b | b'b] (p*p + p + 1 doubles);
-/// summing the shares of a sample's row blocks gives the sample's.
+/// This row block's share of [A'A | A'B | per-column B'B] for the m
+/// right-hand sides in B's columns: p*p + m*p + m doubles, column j of
+/// A'B at offset p*p + j*p and ||b_j||^2 at p*p + m*p + j (one column is
+/// [A'A | A'b | b'b]). Summing the shares of a sample's row blocks gives
+/// the sample's.
 [[nodiscard]] uoi::linalg::Vector gram_sums(uoi::linalg::ConstMatrixView a,
-                                            std::span<const double> b);
+                                            uoi::linalg::ConstMatrixView b);
 
-/// FLOPs of gram_sums over an n x p block.
-[[nodiscard]] std::uint64_t gram_sums_flops(std::size_t n, std::size_t p);
+/// FLOPs of gram_sums over an n x p block with m right-hand sides.
+[[nodiscard]] std::uint64_t gram_sums_flops(std::size_t n, std::size_t p,
+                                            std::size_t m = 1);
 
-/// Unpacks summed gram_sums of a p-column problem.
-[[nodiscard]] GramProblem gram_problem_from_sums(std::span<const double> sums,
-                                                 std::size_t p);
+/// Unpacks summed gram_sums of a p-column problem with m right-hand
+/// sides into m GramProblems that share one RidgeGram.
+[[nodiscard]] std::vector<GramProblem> gram_problems_from_sums(
+    std::span<const double> sums, std::size_t p, std::size_t m = 1);
 
 namespace detail {
 

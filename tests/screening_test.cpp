@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -316,8 +318,10 @@ TEST(ScreeningDistributed, SharedInputsMatchSerialQuantities) {
 /// (x, y) compressed to its Gram in one pass.
 uoi::solvers::GramProblem gram_of(ConstMatrixView x,
                                   std::span<const double> y) {
-  return uoi::solvers::gram_problem_from_sums(uoi::solvers::gram_sums(x, y),
-                                              x.cols());
+  const ConstMatrixView b(y.data(), y.size(), 1, 1);
+  return uoi::solvers::gram_problems_from_sums(uoi::solvers::gram_sums(x, b),
+                                               x.cols())
+      .front();
 }
 
 std::vector<std::size_t> nonzeros(std::span<const double> beta) {
@@ -376,6 +380,47 @@ TEST(ScreeningGram, SingularGramSolvesInEveryModeWithIdenticalBytes) {
   for (std::size_t m = 1; m < paths.size(); ++m) {
     for (std::size_t i = 0; i < lambdas.size(); ++i) {
       EXPECT_EQ(paths[m][i], paths[0][i]) << "mode " << m << " lambda " << i;
+    }
+  }
+}
+
+TEST(ScreeningGram, ManyRightHandSidesStackTheOneColumnSums) {
+  // [A'A | A'B | per-column B'B] for m columns holds, byte for byte, the
+  // one-column sums of each column of B (here strided views), and unpacks
+  // into m problems over one shared Gram.
+  uoi::support::Xoshiro256 rng(12);
+  constexpr std::size_t n = 37, p = 5, m = 3;
+  Matrix a(n, p);
+  Matrix b(n, m);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < p; ++c) a(r, c) = rng.normal();
+    for (std::size_t j = 0; j < m; ++j) b(r, j) = rng.normal();
+  }
+  const Vector sums = uoi::solvers::gram_sums(a, b);
+  ASSERT_EQ(sums.size(), p * p + m * p + m);
+  const auto problems = uoi::solvers::gram_problems_from_sums(sums, p, m);
+  ASSERT_EQ(problems.size(), m);
+  const auto same_bytes = [](std::span<const double> x,
+                             std::span<const double> y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+  };
+  const std::span<const double> all(sums);
+  for (std::size_t j = 0; j < m; ++j) {
+    const ConstMatrixView column(b.data() + j, n, 1, m);
+    const Vector one = uoi::solvers::gram_sums(a, column);
+    const std::span<const double> single(one);
+    EXPECT_TRUE(same_bytes(all.first(p * p), single.first(p * p)));
+    EXPECT_TRUE(same_bytes(all.subspan(p * p + j * p, p),
+                           single.subspan(p * p, p)));
+    EXPECT_TRUE(same_bytes(all.subspan(p * p + m * p + j, 1),
+                           single.subspan(p * p + p, 1)));
+    const auto& in = problems[j].inputs;
+    EXPECT_EQ(problems[j].gram, problems[0].gram);
+    EXPECT_TRUE(same_bytes(in.atb, single.subspan(p * p, p)));
+    EXPECT_EQ(in.b_norm_sq, one[p * p + p]);
+    for (std::size_t c = 0; c < p; ++c) {
+      EXPECT_EQ(in.col_sq_norms[c], problems[j].gram->gram()(c, c));
     }
   }
 }
