@@ -605,9 +605,13 @@ struct VarSelectionEntry {
   /// problem (which borrows lag.x), built locally.
   LagRegression lag;
   std::optional<VectorizedProblem> problem;
-  /// Wider group: this rank's assembled row block of the vectorized problem.
+  /// Wider group, Gram path: one problem per equation, sharing the
+  /// group's summed X'X.
+  std::vector<uoi::solvers::GramProblem> grams;
+  /// Wider group, Kron+vec path: this rank's assembled row block of the
+  /// vectorized problem and the replicated screening inputs shared by
+  /// every chain of the bootstrap.
   VarLocalBlock block;
-  /// Replicated screening inputs shared by every chain of the bootstrap.
   uoi::solvers::ScreenInputs screen_inputs;
   /// Full-coefficient solver; built only in off mode (screened chains
   /// build reduced active-set solvers per lambda instead).
@@ -750,22 +754,28 @@ UoiVarDistributedResult uoi_var_distributed(
       .add(options.support_tolerance)
       .add(static_cast<std::uint64_t>(screen_opts.mode));
   for (const double l : model.lambdas) fp.add(l);
+  const sched::LinearPath path =
+      detail::var_linear_path(comm, series_view, options, layout);
+  const bool gram_path = path == sched::LinearPath::kGram;
   if (comm.size() >
       std::max(1, layout.bootstrap_groups * layout.lambda_groups)) {
     // One-rank groups walk the serial fit's chain, so they share its
-    // checkpoints. Groups that split a bootstrap's rows run the Kron+vec
-    // consensus solver: their checkpoints name it and restart instead of
-    // mixing solvers.
-    fp.add(static_cast<std::uint64_t>(0x6b726f6eULL));  // "kron"
+    // checkpoints. Groups that split a bootstrap's rows sum a Gram or run
+    // the Kron+vec consensus solver: their checkpoints name the path and
+    // restart instead of mixing solvers.
+    fp.add(static_cast<std::uint64_t>(path));
   }
   spec.fingerprint = fp.value();
 
-  // Selection: readers construct the bootstrap sample's lag regression;
-  // compute ranks assemble their vectorized row blocks through the
-  // windows. A one-rank group holds the whole bootstrap and builds its
-  // vectorized problem locally: no window, no collective. The entry (and
-  // a wider group's factorizations) is cached per bootstrap, so any chain
-  // of the same k — adjacent, interleaved, or stolen — reuses it.
+  // Selection: readers construct the bootstrap sample's lag regression. A
+  // one-rank group holds the whole bootstrap and builds its vectorized
+  // problem locally: no window, no collective. On the Gram path the
+  // readers sum the Gram of their share of the lag rows, and one
+  // allreduce replicates it over the group; on the Kron+vec path compute
+  // ranks assemble their vectorized row blocks through the windows. The
+  // entry (and a Kron group's factorizations) is cached per bootstrap, so
+  // any chain of the same k — adjacent, interleaved, or stolen — reuses
+  // it.
   const std::size_t lag_rows = series.rows() - d;
   const auto select = [&](uoi::core::UoiSelectionTask& task) {
     const auto& tl = task.layout;
@@ -789,6 +799,25 @@ UoiVarDistributedResult uoi_var_distributed(
             fresh->lag = std::move(lag);
             fresh->problem.emplace(vectorize(fresh->lag));
             fresh->bytes_estimate = lag_rows * (dp + 2 * p) * sizeof(double);
+            return fresh;
+          }
+          if (gram_path) {
+            // Readers sum their share of the lag rows; the other ranks
+            // contribute zero-row blocks.
+            const bool reader = tl.task_rank < group_readers;
+            const Range mine =
+                reader ? even_slice(lag_rows, group_readers, tl.task_rank)
+                       : Range{0, 0};
+            fresh->grams = uoi::core::detail::reduce_gram(
+                task.task_comm,
+                reader ? lag.x.row_block(mine.begin, mine.size())
+                       : ConstMatrixView(nullptr, 0, dp, dp),
+                reader ? lag.y.row_block(mine.begin, mine.size())
+                       : ConstMatrixView(nullptr, 0, p, p),
+                "var-selection-gram", task.counters);
+            // X'X, then per equation X'y_e, diag(X'X) and y_e'y_e.
+            fresh->bytes_estimate =
+                (dp * dp + p * (2 * dp + 1)) * sizeof(double);
             return fresh;
           }
           fresh->block = distributed_kron_vectorize(task.task_comm, lag,
@@ -821,26 +850,55 @@ UoiVarDistributedResult uoi_var_distributed(
         task.counters.setup_flops_charged += entry->solver->setup_flops();
       }
     }
-    // The screened chain owns the warm starts and the two-stage solve.
-    const auto walk = [&](auto&& chain) {
+    // The screened chain owns the warm starts and the two-stage solve;
+    // `take(m, beta)` receives the fit at cells[m].
+    const auto walk = [&](auto&& chain, const auto& take) {
       for (std::size_t m = 0; m < task.cells.size(); ++m) {
         const auto fit = chain.solve(model.lambdas[task.cells[m]]);
         task.counters.add(fit);
-        task.mark_selected(m, fit.beta, options.support_tolerance);
+        take(m, fit.beta);
       }
       task.counters.screen += chain.stats();
     };
+    const auto mark = [&](std::size_t m, std::span<const double> beta) {
+      task.mark_selected(m, beta, options.support_tolerance);
+    };
     if (local_chain) {
       walk(uoi::solvers::detail::ScreenedChain<SerialVarBackend>(
-          options.admm, screen_opts, entry->lag, *entry->problem,
-          options.backend));
+               options.admm, screen_opts, entry->lag, *entry->problem,
+               options.backend),
+           mark);
+    } else if (gram_path) {
+      // The vectorized lasso separates by equation: each rank walks the
+      // chains of its own equations on the replicated Gram, with no
+      // collective, into its blocks of the cells' betas. One Sum
+      // allreduce then assembles them; each entry has one contributor, so
+      // the sum is exact.
+      Vector betas(task.cells.size() * n_coeffs, 0.0);
+      for (std::size_t e = 0; e < p; ++e) {
+        if (!owns_equation(e, tl.c_ranks, tl.task_rank)) continue;
+        walk(uoi::solvers::GramLassoChain(entry->grams[e], options.admm,
+                                          screen_opts),
+             [&](std::size_t m, std::span<const double> beta_e) {
+               std::copy(beta_e.begin(), beta_e.end(),
+                         betas.begin() +
+                             static_cast<std::ptrdiff_t>(m * n_coeffs +
+                                                         e * dp));
+             });
+      }
+      task.task_comm.allreduce(std::span<double>(betas), ReduceOp::kSum);
+      for (std::size_t m = 0; m < task.cells.size(); ++m) {
+        mark(m, std::span<const double>(betas).subspan(m * n_coeffs,
+                                                       n_coeffs));
+      }
     } else {
       // Reduced active-set solves shrink the consensus payload to (|W|+3)
       // doubles.
       walk(uoi::solvers::detail::ScreenedChain<DistributedVarBackend>(
-          options.admm, screen_opts, task.task_comm, entry->block,
-          entry->screen_inputs,
-          entry->solver.has_value() ? &*entry->solver : nullptr));
+               options.admm, screen_opts, task.task_comm, entry->block,
+               entry->screen_inputs,
+               entry->solver.has_value() ? &*entry->solver : nullptr),
+           mark);
     }
   };
 
@@ -924,5 +982,20 @@ UoiVarDistributedResult uoi_var_distributed(
   out.lost_cells = std::move(run.lost_cells);
   return out;
 }
+
+namespace detail {
+
+sched::LinearPath var_linear_path(const Comm& comm, ConstMatrixView series,
+                                  const UoiVarOptions& options,
+                                  const uoi::core::UoiParallelLayout& layout) {
+  const int groups =
+      std::max(1, layout.bootstrap_groups * layout.lambda_groups);
+  const int widest = (comm.size() + groups - 1) / groups;
+  const std::size_t d = options.order;
+  return sched::choose_linear_path(series.rows() - d, d * series.cols(),
+                                   static_cast<std::size_t>(widest));
+}
+
+}  // namespace detail
 
 }  // namespace uoi::var

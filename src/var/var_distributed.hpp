@@ -17,8 +17,16 @@
 // matrix is block diagonal, so the consensus-ADMM x-update factorizes into
 // at most ceil(rows-per-rank / (N-d)) + 1 small dp x dp systems, solved
 // eight at a time across SIMD lanes (solvers::BlockRidgeSolver).
+//
+// The same structure gives (I (x) X)'(I (x) X) = I (x) X'X: the p
+// equations share one d p x d p Gram and differ only in X'y_e. While that
+// Gram is no larger than a rank's share of the lag rows (small p, long
+// series), a task group skips the windows and the consensus: one
+// allreduce of [X'X | X'Y | y'y] per bootstrap, then every rank solves
+// its own equations locally (see uoi_var_distributed).
 
 #include "core/uoi_engine.hpp"  // UoiParallelLayout, breakdown
+#include "sched/cost_model.hpp"   // LinearPath
 #include "simcluster/comm.hpp"
 #include "simcluster/window.hpp"
 #include "solvers/distributed_admm.hpp"
@@ -135,15 +143,38 @@ struct UoiVarDistributedResult {
 /// ranks only touch it through windows and for the estimation resamples).
 /// A family of the shared engine (core/uoi_engine.hpp): layout,
 /// scheduling, checkpointing and shrink-and-resume (options.recovery) work
-/// as in uoi_lasso_distributed, with P = P_B x P_lambda x C. A task group
-/// of C = 1 holds the whole bootstrap and walks the serial screened chain
-/// (structured or sparse, per options.backend) with no window or
-/// collective, so one-rank groups reproduce UoiVar::fit, which is this
-/// driver on a one-rank communicator. Wider groups run the Kron+vec windows
-/// and DistributedVarAdmmSolver. Both share the estimation hook.
+/// as in uoi_lasso_distributed, with P = P_B x P_lambda x C. Selection
+/// takes one of three solvers per task group:
+///   C = 1                one rank holds the whole bootstrap and walks the
+///                        serial screened chain (structured or sparse, per
+///                        options.backend) with no window or collective, so
+///                        one-rank groups reproduce UoiVar::fit, which is
+///                        this driver on a one-rank communicator;
+///   C >= 2, kGram        the readers sum [X'X | X'Y | per-column y'y] of
+///                        their lag rows in one allreduce per bootstrap
+///                        ((I (x) X)'(I (x) X) = I (x) X'X), each rank walks
+///                        a solvers::GramLassoChain per equation it owns,
+///                        and one allreduce assembles the cells' betas;
+///   C >= 2, kConsensus   the Kron+vec windows and DistributedVarAdmmSolver,
+///                        one allreduce per ADMM iteration (paper scale).
+/// The path is detail::var_linear_path. Every group shares the estimation
+/// hook.
 [[nodiscard]] UoiVarDistributedResult uoi_var_distributed(
     uoi::sim::Comm& comm, uoi::linalg::ConstMatrixView series,
     const UoiVarOptions& options = {},
     const uoi::core::UoiParallelLayout& layout = {}, int n_readers = 2);
+
+namespace detail {
+
+/// The selection path of task groups wider than one rank for a fit of
+/// `series` on `comm` under `layout`: the sched::choose_linear_path rule at
+/// the lag regression's shape (N - d rows, d p columns, the widest task
+/// group's width), as core::detail::linear_family_path applies it to the
+/// lasso. The same on every rank.
+[[nodiscard]] uoi::sched::LinearPath var_linear_path(
+    const uoi::sim::Comm& comm, uoi::linalg::ConstMatrixView series,
+    const UoiVarOptions& options, const uoi::core::UoiParallelLayout& layout);
+
+}  // namespace detail
 
 }  // namespace uoi::var

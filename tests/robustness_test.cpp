@@ -976,9 +976,10 @@ TEST(FaultRecovery, CheckpointFromTheOtherPathRestarts) {
 }
 
 TEST(FaultRecovery, VarCheckpointFromTheOtherSolverRestarts) {
-  // A two-rank group runs the Kron+vec consensus solver, a one-rank group
-  // the serial chain. A fit whose groups split the rows folds its solver
-  // into the checkpoint fingerprint, so neither resumes the other's file.
+  // A two-rank group sums a Gram and walks per-equation Gram chains, a
+  // one-rank group the serial chain. A fit whose groups split the rows
+  // folds its path into the checkpoint fingerprint, so neither resumes
+  // the other's file.
   uoi::data::VarSpec spec;
   spec.n_nodes = 4;
   spec.edges_per_node = 1.0;
@@ -1023,9 +1024,9 @@ TEST(FaultRecovery, VarCheckpointFromTheOtherSolverRestarts) {
   ckpt_options.recovery.checkpoint_path = path;
   (void)run_var(2, ckpt_options);
   ASSERT_TRUE(std::filesystem::exists(path));
-  // The consensus solver resumes its own checkpoint...
-  const auto consensus = run_var(2, ckpt_options);
-  EXPECT_GE(consensus.reports[0].recovery.checkpoint_resumes, 1u);
+  // The Gram path resumes its own checkpoint...
+  const auto gram = run_var(2, ckpt_options);
+  EXPECT_GE(gram.reports[0].recovery.checkpoint_resumes, 1u);
   // ...the serial chain restarts from it and matches a fresh serial fit.
   const auto serial = run_var(1, ckpt_options);
   EXPECT_EQ(serial.reports[0].recovery.checkpoint_resumes, 0u);
@@ -1046,45 +1047,43 @@ TEST(FaultRecovery, VarCheckpointFromTheOtherSolverRestarts) {
   std::filesystem::remove(path);
 }
 
-TEST(FaultRecovery, VarRankKilledMidSelectionMatchesFaultFree) {
-  uoi::data::VarSpec spec;
-  spec.n_nodes = 4;
-  spec.edges_per_node = 1.0;
-  spec.seed = 61;
-  const auto truth = uoi::data::make_sparse_var(spec);
-  uoi::var::SimulateOptions sim;
-  sim.n_samples = 100;
-  sim.seed = 62;
-  const Matrix series = uoi::var::simulate(truth, sim);
-
-  uoi::var::UoiVarOptions options;
+/// Kills rank 3 of 4 under layout {2, 1} (two groups of C = 2) at
+/// `kill_at`, a position in its clean collective schedule, and checks
+/// that every survivor shrinks, redoes the lost selection cells and lands
+/// on the clean fit's selection counts and supports.
+template <class KillAt>
+void expect_var_kill_mid_selection_matches_fault_free(
+    const Matrix& series, uoi::var::UoiVarOptions options,
+    uoi::sched::LinearPath path, const KillAt& kill_at) {
+  constexpr int kRanks = 4;
+  constexpr uoi::core::UoiParallelLayout kLayout{2, 1};
   // Deterministic schedule for the same reason as lasso_options(): the
-  // kill point below counts a clean run's collectives.
+  // kill point counts a clean run's collectives.
   options.schedule = uoi::sched::SchedulePolicy::kCostLpt;
-  options.n_selection_bootstraps = 4;
-  options.n_estimation_bootstraps = 2;
-  options.n_lambdas = 4;
-  options.seed = 63;
-  options.admm.eps_abs = 1e-8;
-  options.admm.eps_rel = 1e-6;
-  options.admm.max_iterations = 5000;
+  Cluster::run(kRanks, [&](Comm& comm) {
+    EXPECT_EQ(uoi::var::detail::var_linear_path(comm, series, options,
+                                                kLayout),
+              path);
+  });
 
   std::vector<std::optional<uoi::var::UoiVarDistributedResult>> clean_results(
-      4);
-  const auto clean_reports = Cluster::run_collect_reports(4, [&](Comm& comm) {
-    clean_results[static_cast<std::size_t>(comm.rank())] =
-        uoi::var::uoi_var_distributed(comm, series, options, {2, 1}, 2);
-  });
+      kRanks);
+  const auto clean_reports =
+      Cluster::run_collect_reports(kRanks, [&](Comm& comm) {
+        clean_results[static_cast<std::size_t>(comm.rank())] =
+            uoi::var::uoi_var_distributed(comm, series, options, kLayout, 2);
+      });
 
-  const auto kill_at = collective_calls(clean_reports[3].comm) / 3;
-  const auto plan = kill_plan(3, kill_at);
+  const auto plan = kill_plan(3, kill_at(collective_calls(
+                                     clean_reports[3].comm)));
   std::vector<std::optional<uoi::var::UoiVarDistributedResult>> faulty_results(
-      4);
-  const auto faulty_reports = Cluster::run_collect_reports(4, [&](Comm& comm) {
-    comm.set_fault_plan(plan);
-    faulty_results[static_cast<std::size_t>(comm.rank())] =
-        uoi::var::uoi_var_distributed(comm, series, options, {2, 1}, 2);
-  });
+      kRanks);
+  const auto faulty_reports =
+      Cluster::run_collect_reports(kRanks, [&](Comm& comm) {
+        comm.set_fault_plan(plan);
+        faulty_results[static_cast<std::size_t>(comm.rank())] =
+            uoi::var::uoi_var_distributed(comm, series, options, kLayout, 2);
+      });
 
   for (const int r : {0, 1, 2}) {
     ASSERT_TRUE(faulty_results[static_cast<std::size_t>(r)].has_value());
@@ -1105,6 +1104,61 @@ TEST(FaultRecovery, VarRankKilledMidSelectionMatchesFaultFree) {
     EXPECT_GE(faulty_reports[static_cast<std::size_t>(r)].recovery.shrinks, 1u)
         << "rank " << r;
   }
+  // The kill fell inside selection: survivors redid the victim's cells.
+  EXPECT_GE(cells_recovered(faulty_reports), 1u);
+}
+
+uoi::var::UoiVarOptions var_fault_options() {
+  uoi::var::UoiVarOptions options;
+  options.n_selection_bootstraps = 4;
+  options.n_estimation_bootstraps = 2;
+  options.n_lambdas = 4;
+  options.seed = 63;
+  options.admm.eps_abs = 1e-8;
+  options.admm.eps_rel = 1e-6;
+  options.admm.max_iterations = 5000;
+  return options;
+}
+
+/// 4 nodes, 99 lag rows: d p = 4 fits a rank's 49 rows, so groups of two
+/// sum a Gram. As on the lasso Gram path, #0 is the task-group split and
+/// #1 the victim's first selection Gram reduction.
+TEST(FaultRecovery, VarRankKilledMidSelectionMatchesFaultFree) {
+  uoi::data::VarSpec spec;
+  spec.n_nodes = 4;
+  spec.edges_per_node = 1.0;
+  spec.seed = 61;
+  uoi::var::SimulateOptions sim;
+  sim.n_samples = 100;
+  sim.seed = 62;
+  const Matrix series =
+      uoi::var::simulate(uoi::data::make_sparse_var(spec), sim);
+  expect_var_kill_mid_selection_matches_fault_free(
+      series, var_fault_options(), uoi::sched::LinearPath::kGram,
+      [](std::uint64_t) { return kFirstSelectionGramReduction; });
+}
+
+/// 12 nodes at order 2, 38 lag rows: d p = 24 exceeds a rank's 19 rows,
+/// so groups of two run the Kron+vec consensus solver, and selection's
+/// per-iteration allreduces make nearly all of the victim's collectives.
+/// A quarter of the clean schedule lands inside its first bootstrap's
+/// chain.
+TEST(FaultRecovery, VarKronPathRankKilledMidSelectionMatchesFaultFree) {
+  uoi::data::VarSpec spec;
+  spec.n_nodes = 12;
+  spec.order = 2;
+  spec.edges_per_node = 1.0;
+  spec.seed = 67;
+  uoi::var::SimulateOptions sim;
+  sim.n_samples = 40;
+  sim.seed = 68;
+  const Matrix series =
+      uoi::var::simulate(uoi::data::make_sparse_var(spec), sim);
+  auto options = var_fault_options();
+  options.order = 2;
+  expect_var_kill_mid_selection_matches_fault_free(
+      series, options, uoi::sched::LinearPath::kConsensus,
+      [](std::uint64_t clean_calls) { return clean_calls / 4; });
 }
 
 }  // namespace fault_recovery_tests

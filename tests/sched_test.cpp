@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <numeric>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "data/synthetic_var.hpp"
 #include "linalg/matrix.hpp"
 #include "perfmodel/lasso_cost.hpp"
+#include "perfmodel/var_cost.hpp"
 #include "sched/cost_model.hpp"
 #include "sched/schedule_policy.hpp"
 #include "sched/scheduler.hpp"
@@ -378,6 +380,69 @@ TEST(LinearPath, IdenticalOnEveryRank) {
     for (const auto path : paths) {
       EXPECT_EQ(path, expected) << "P_B " << layout.bootstrap_groups;
     }
+  }
+}
+
+// ---- UoI_VAR's path rule: the same rule at the lag regression's shape ----
+
+TEST(LinearPath, VarDistShapeTakesGram) {
+  // perfbench var_dist: 48 nodes, 600 samples at order 1 (599 lag rows,
+  // d p = 48) on 4 ranks in layout 1 x 2: groups of C = 2, 299 rows per
+  // rank. One group of all four still fits (149 rows per rank).
+  const uoi::linalg::Matrix series(600, 48);
+  uoi::var::UoiVarOptions options;
+  for (const auto& layout : {uoi::core::UoiParallelLayout{1, 2},
+                             uoi::core::UoiParallelLayout{1, 1}}) {
+    uoi::sim::Cluster::run(4, [&](uoi::sim::Comm& comm) {
+      EXPECT_EQ(uoi::var::detail::var_linear_path(comm, series, options,
+                                                  layout),
+                uoi::sched::LinearPath::kGram);
+    });
+  }
+}
+
+TEST(LinearPath, VarRuleCountsLagRowsAndEveryLag) {
+  // 12 nodes at order 2 over groups of two: d p = 24 columns against
+  // floor((N - 2) / 2) rows per rank, so N = 50 is Gram and N = 49 (23
+  // rows) consensus; at order 1 (d p = 12) N = 40 is Gram.
+  uoi::var::UoiVarOptions second;
+  second.order = 2;
+  uoi::var::UoiVarOptions first;
+  const std::tuple<std::size_t, uoi::var::UoiVarOptions,
+                   uoi::sched::LinearPath>
+      cases[] = {{50, second, uoi::sched::LinearPath::kGram},
+                 {49, second, uoi::sched::LinearPath::kConsensus},
+                 {40, first, uoi::sched::LinearPath::kGram}};
+  for (const auto& [samples, options, expected] : cases) {
+    const uoi::linalg::Matrix series(samples, 12);
+    uoi::sim::Cluster::run(4, [&](uoi::sim::Comm& comm) {
+      EXPECT_EQ(uoi::var::detail::var_linear_path(comm, series, options,
+                                                  {2, 1}),
+                expected)
+          << samples << " samples at order " << options.order;
+    });
+  }
+}
+
+TEST(LinearPath, PaperVarShapesStayOnConsensus) {
+  // Figs 9 and 10 at paper scale: d p = p columns against fewer than p
+  // lag rows per core (N = 2p), one task group over all cores.
+  for (const auto& point : uoi::perf::table1_var_weak_scaling()) {
+    const auto w = uoi::perf::UoiVarWorkload::from_problem_gb(
+        static_cast<double>(point.data_gb));
+    EXPECT_EQ(uoi::sched::choose_linear_path(w.lag_rows(),
+                                             w.order * w.n_features,
+                                             point.cores),
+              uoi::sched::LinearPath::kConsensus)
+        << point.data_gb << " GB on " << point.cores << " cores";
+  }
+  const auto strong = uoi::perf::UoiVarWorkload::from_problem_gb(1024);
+  for (const auto& point : uoi::perf::table1_var_strong_scaling()) {
+    EXPECT_EQ(uoi::sched::choose_linear_path(strong.lag_rows(),
+                                             strong.order * strong.n_features,
+                                             point.cores),
+              uoi::sched::LinearPath::kConsensus)
+        << point.cores << " cores";
   }
 }
 

@@ -810,30 +810,16 @@ TEST(ScreenedChainPins, SerialVarFit) {
   EXPECT_EQ(sparse.total_flops, 74463959u);
 }
 
-TEST(ScreenedChainPins, DistributedVarFit) {
-  const Matrix series = pin_var_series();
-  auto options = pin_var_options();
-  const std::uint64_t expected_beta = 1495920722954990147ULL;
-  const std::uint64_t expected_flops[] = {13448173, 14340863, 14769929};
-  // Sums over the ranks of the exported screen.* and admm.* metrics.
-  const std::string expected_metrics[] = {
-      "admm.iterations=28792 admm.rho_updates=450 admm.allreduce_calls=29334 "
-      "admm.allreduce_bytes=13990688 admm.consensus_rounds=29334 "
-      "admm.lazy_iterations=0 screen.lambdas=48 screen.survivors=3072 "
-      "screen.kkt_violations=0 screen.kkt_rounds=0 screen.gram_cols_saved=0 "
-      "screen.canonical_solves=48 screen.total_columns=3072 ",
-      "admm.iterations=28210 admm.rho_updates=412 admm.allreduce_calls=28758 "
-      "admm.allreduce_bytes=13545888 admm.consensus_rounds=28710 "
-      "admm.lazy_iterations=0 screen.lambdas=48 screen.survivors=2692 "
-      "screen.kkt_violations=0 screen.kkt_rounds=0 "
-      "screen.gram_cols_saved=380 screen.canonical_solves=44 "
-      "screen.total_columns=3072 ",
-      "admm.iterations=28434 admm.rho_updates=404 admm.allreduce_calls=29022 "
-      "admm.allreduce_bytes=13607424 admm.consensus_rounds=28928 "
-      "admm.lazy_iterations=0 screen.lambdas=48 screen.survivors=2634 "
-      "screen.kkt_violations=4 screen.kkt_rounds=4 "
-      "screen.gram_cols_saved=438 screen.canonical_solves=42 "
-      "screen.total_columns=3072 "};
+/// Pins a four-rank distributed VAR fit on layout {2, 1} (two groups of
+/// C = 2) in every screening mode: the beta bytes, the FLOPs and the sums
+/// over the ranks of the exported screen.* and admm.* metrics. Asserts
+/// the path first, so a pin can never silently move to the other path.
+void expect_distributed_var_pins(const Matrix& series,
+                                 uoi::var::UoiVarOptions options,
+                                 uoi::sched::LinearPath path,
+                                 std::uint64_t expected_beta,
+                                 const std::uint64_t (&expected_flops)[3],
+                                 const std::string (&expected_metrics)[3]) {
   const char* const metric_names[] = {
       "admm.iterations",       "admm.rho_updates",
       "admm.allreduce_calls",  "admm.allreduce_bytes",
@@ -843,6 +829,12 @@ TEST(ScreenedChainPins, DistributedVarFit) {
       "screen.gram_cols_saved", "screen.canonical_solves",
       "screen.total_columns"};
   constexpr int kRanks = 4;
+  constexpr uoi::core::UoiParallelLayout kLayout{2, 1};
+  uoi::sim::Cluster::run(kRanks, [&](uoi::sim::Comm& comm) {
+    EXPECT_EQ(uoi::var::detail::var_linear_path(comm, series, options,
+                                                kLayout),
+              path);
+  });
   auto& metrics = uoi::support::MetricsRegistry::instance();
   for (std::size_t m = 0; m < std::size(kPinModes); ++m) {
     options.screen.mode = kPinModes[m];
@@ -851,7 +843,7 @@ TEST(ScreenedChainPins, DistributedVarFit) {
     std::uint64_t flops = 0;
     uoi::sim::Cluster::run(kRanks, [&](uoi::sim::Comm& comm) {
       const auto fit =
-          uoi::var::uoi_var_distributed(comm, series, options, {2, 1}, 2);
+          uoi::var::uoi_var_distributed(comm, series, options, kLayout, 2);
       if (comm.rank() == 0) {
         hash = beta_bytes_hash(fit.model.vec_beta);
         flops = fit.model.total_flops;
@@ -868,6 +860,85 @@ TEST(ScreenedChainPins, DistributedVarFit) {
     EXPECT_EQ(flops, expected_flops[m]) << name;
     EXPECT_EQ(pin.str(), expected_metrics[m]) << name;
   }
+}
+
+/// pin_var_series() has 89 lag rows of 8 nodes: groups of two sum a Gram
+/// and walk one Gram chain per equation, so admm.allreduce_* counts the
+/// Gram reductions alone. The beta bytes are the serial fit's.
+TEST(ScreenedChainPins, DistributedVarFit) {
+  expect_distributed_var_pins(
+      pin_var_series(), pin_var_options(), uoi::sched::LinearPath::kGram,
+      1495920722954990147ULL, {5996141, 5247552, 5423729},
+      {"admm.iterations=51323 admm.rho_updates=1415 admm.allreduce_calls=6 "
+       "admm.allreduce_bytes=6528 admm.consensus_rounds=0 "
+       "admm.lazy_iterations=0 screen.lambdas=192 screen.survivors=1536 "
+       "screen.kkt_violations=0 screen.kkt_rounds=0 screen.gram_cols_saved=0 "
+       "screen.canonical_solves=167 screen.total_columns=1536 ",
+       "admm.iterations=47311 admm.rho_updates=1084 admm.allreduce_calls=6 "
+       "admm.allreduce_bytes=6528 admm.consensus_rounds=0 "
+       "admm.lazy_iterations=0 screen.lambdas=192 screen.survivors=1197 "
+       "screen.kkt_violations=0 screen.kkt_rounds=0 "
+       "screen.gram_cols_saved=339 screen.canonical_solves=131 "
+       "screen.total_columns=1536 ",
+       "admm.iterations=48343 admm.rho_updates=1189 admm.allreduce_calls=6 "
+       "admm.allreduce_bytes=6528 admm.consensus_rounds=0 "
+       "admm.lazy_iterations=0 screen.lambdas=192 screen.survivors=1317 "
+       "screen.kkt_violations=2 screen.kkt_rounds=2 "
+       "screen.gram_cols_saved=219 screen.canonical_solves=141 "
+       "screen.total_columns=1536 "});
+}
+
+/// 38 lag rows of 12 nodes at order 2: d p = 24 exceeds a rank's 19 rows,
+/// so groups of two run the Kron+vec windows and consensus ADMM, one
+/// allreduce per iteration. The pins were recorded from the parent of the
+/// change that added the Gram path, so any later move of the Kron+vec
+/// path's arithmetic or collectives shows here.
+TEST(ScreenedChainPins, DistributedVarKronFit) {
+  uoi::data::VarSpec spec;
+  spec.n_nodes = 12;
+  spec.order = 2;
+  spec.seed = 75;
+  uoi::var::SimulateOptions sim;
+  sim.n_samples = 40;
+  sim.seed = 76;
+  const Matrix series =
+      uoi::var::simulate(uoi::data::make_sparse_var(spec), sim);
+  auto options = pin_var_options();
+  options.order = 2;
+  expect_distributed_var_pins(series, options,
+                              uoi::sched::LinearPath::kConsensus,
+                              17758787126879363714ULL,
+                              {111030887, 112482407, 122388409},
+                              {"admm.iterations=17922 admm.rho_updates=198 "
+                               "admm.allreduce_calls=18210 "
+                               "admm.allreduce_bytes=36705504 "
+                               "admm.consensus_rounds=18210 "
+                               "admm.lazy_iterations=0 screen.lambdas=48 "
+                               "screen.survivors=13824 "
+                               "screen.kkt_violations=0 screen.kkt_rounds=0 "
+                               "screen.gram_cols_saved=0 "
+                               "screen.canonical_solves=48 "
+                               "screen.total_columns=13824 ",
+                               "admm.iterations=17398 admm.rho_updates=150 "
+                               "admm.allreduce_calls=17680 "
+                               "admm.allreduce_bytes=35470512 "
+                               "admm.consensus_rounds=17632 "
+                               "admm.lazy_iterations=0 screen.lambdas=48 "
+                               "screen.survivors=12096 "
+                               "screen.kkt_violations=0 screen.kkt_rounds=0 "
+                               "screen.gram_cols_saved=1728 "
+                               "screen.canonical_solves=42 "
+                               "screen.total_columns=13824 ",
+                               "admm.iterations=19542 admm.rho_updates=160 "
+                               "admm.allreduce_calls=19892 "
+                               "admm.allreduce_bytes=39421728 "
+                               "admm.consensus_rounds=19794 "
+                               "admm.lazy_iterations=0 screen.lambdas=48 "
+                               "screen.survivors=11666 "
+                               "screen.kkt_violations=10 screen.kkt_rounds=8 "
+                               "screen.gram_cols_saved=2158 "
+                               "screen.canonical_solves=42 "
+                               "screen.total_columns=13824 "});
 }
 
 }  // namespace

@@ -255,33 +255,62 @@ TEST(TransportE2e, LassoDriverBitIdenticalAcrossBackends) {
   EXPECT_EQ(*socket_bytes, thread_bytes);
 }
 
-std::vector<std::uint8_t> var_driver_body(Comm& comm) {
+/// A UoI_VAR fit on one task group of every rank ({1, 1}) over a
+/// simulated series of `nodes` nodes, `samples` samples and order `order`.
+struct VarDriverShape {
+  std::size_t nodes;
+  std::size_t samples;
+  std::size_t order;
+};
+
+std::vector<std::uint8_t> var_driver_bytes(Comm& comm, VarDriverShape shape,
+                                           uoi::sched::LinearPath path) {
   uoi::data::VarSpec spec;
-  spec.n_nodes = 4;
+  spec.n_nodes = shape.nodes;
+  spec.order = shape.order;
   spec.seed = 7;
   const auto truth = uoi::data::make_sparse_var(spec);
   uoi::var::SimulateOptions sim;
-  sim.n_samples = 90;
+  sim.n_samples = shape.samples;
   sim.seed = 8;
   const auto series = uoi::var::simulate(truth, sim);
 
   uoi::var::UoiVarOptions options;
-  options.order = 1;
+  options.order = shape.order;
   options.n_selection_bootstraps = 4;
   options.n_estimation_bootstraps = 2;
   options.n_lambdas = 4;
   options.seed = 4321;
+  if (uoi::var::detail::var_linear_path(comm, series, options, {1, 1}) !=
+      path) {
+    return {};  // the wrong path: an empty result fails the comparison
+  }
   const auto fit =
       uoi::var::uoi_var_distributed(comm, series, options, {1, 1});
   return as_bytes(fit.model.vec_beta);
 }
 
+/// 89 lag rows of 4 nodes: a group of two sums a Gram.
+std::vector<std::uint8_t> var_driver_body(Comm& comm) {
+  return var_driver_bytes(comm, {4, 90, 1}, uoi::sched::LinearPath::kGram);
+}
+
+/// 38 lag rows of 12 nodes at order 2: d p = 24 exceeds a rank's 19 rows,
+/// so a group of two runs the Kron+vec windows and consensus ADMM.
+std::vector<std::uint8_t> var_kron_driver_body(Comm& comm) {
+  return var_driver_bytes(comm, {12, 40, 2},
+                          uoi::sched::LinearPath::kConsensus);
+}
+
 TEST(TransportE2e, VarDriverBitIdenticalAcrossBackends) {
   const int kRanks = 2;
-  const auto thread_bytes = run_thread_job(kRanks, var_driver_body);
-  const auto socket_bytes = run_forked_job(kRanks, var_driver_body);
-  ASSERT_TRUE(socket_bytes.has_value()) << "socket job failed";
-  EXPECT_EQ(*socket_bytes, thread_bytes);
+  for (const auto body : {var_driver_body, var_kron_driver_body}) {
+    const auto thread_bytes = run_thread_job(kRanks, body);
+    const auto socket_bytes = run_forked_job(kRanks, body);
+    ASSERT_FALSE(thread_bytes.empty()) << "the fit took the wrong path";
+    ASSERT_TRUE(socket_bytes.has_value()) << "socket job failed";
+    EXPECT_EQ(*socket_bytes, thread_bytes);
+  }
 }
 
 std::vector<std::uint8_t> lasso_with_kill_body(Comm& comm) {

@@ -577,18 +577,19 @@ struct VarLayoutCase {
   int readers;
 };
 
-class DistributedUoiVarParam
-    : public ::testing::TestWithParam<VarLayoutCase> {};
-
-TEST_P(DistributedUoiVarParam, MatchesSerialDriver) {
-  const auto layout = GetParam();
+/// Fits a 6-node series of `n_samples` samples under `layout`, checks the
+/// path of its groups wider than one rank (one-rank groups always walk
+/// the serial chain) and compares the fit with the serial driver's.
+void expect_layout_matches_serial_driver(const VarLayoutCase& layout,
+                                         std::size_t n_samples,
+                                         uoi::sched::LinearPath path) {
   uoi::data::VarSpec spec;
   spec.n_nodes = 6;
   spec.edges_per_node = 1.5;
   spec.seed = 35;
   const auto truth = uoi::data::make_sparse_var(spec);
   uoi::var::SimulateOptions sim;
-  sim.n_samples = 150;
+  sim.n_samples = n_samples;
   sim.seed = 36;
   const Matrix series = uoi::var::simulate(truth, sim);
 
@@ -599,6 +600,9 @@ TEST_P(DistributedUoiVarParam, MatchesSerialDriver) {
   const auto serial = uoi::var::UoiVar(options).fit(series);
 
   uoi::sim::Cluster::run(layout.ranks, [&](uoi::sim::Comm& comm) {
+    EXPECT_EQ(uoi::var::detail::var_linear_path(comm, series, options,
+                                                {layout.pb, layout.pl}),
+              path);
     const auto distributed = uoi::var::uoi_var_distributed(
         comm, series, options, {layout.pb, layout.pl}, layout.readers);
     ASSERT_EQ(distributed.model.candidate_supports.size(),
@@ -621,11 +625,27 @@ TEST_P(DistributedUoiVarParam, MatchesSerialDriver) {
   });
 }
 
+class DistributedUoiVarParam
+    : public ::testing::TestWithParam<VarLayoutCase> {};
+
+/// 149 lag rows: every group wider than one rank sums a Gram.
+TEST_P(DistributedUoiVarParam, MatchesSerialDriver) {
+  expect_layout_matches_serial_driver(GetParam(), 150,
+                                      uoi::sched::LinearPath::kGram);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Layouts, DistributedUoiVarParam,
     ::testing::Values(VarLayoutCase{1, 1, 1, 1}, VarLayoutCase{2, 1, 1, 1},
                       VarLayoutCase{4, 2, 1, 2}, VarLayoutCase{4, 1, 2, 1},
                       VarLayoutCase{8, 2, 2, 2}, VarLayoutCase{6, 1, 1, 3}));
+
+/// 23 lag rows over one group of four: d p = 6 exceeds a rank's 5 rows,
+/// so the group runs the Kron+vec windows and consensus ADMM.
+TEST(DistributedUoiVar, KronPathMatchesSerialDriver) {
+  expect_layout_matches_serial_driver({4, 1, 1, 2}, 24,
+                                      uoi::sched::LinearPath::kConsensus);
+}
 
 }  // namespace
 

@@ -627,10 +627,13 @@ TEST(DriverWatchdog, VarHungRankRecoversBitIdentical) {
   });
 
   std::uint64_t hangs = 0;
+  std::uint64_t recovered = 0;
   for (const auto& report : faulty_reports) {
     hangs += report.recovery.hangs_detected;
+    recovered += report.recovery.cells_recovered;
   }
   EXPECT_GE(hangs, 1u);
+  EXPECT_GE(recovered, 1u);
   for (const int r : {0, 1, 2}) {
     ASSERT_TRUE(faulty_results[static_cast<std::size_t>(r)].has_value());
     const auto& result = *faulty_results[static_cast<std::size_t>(r)];
