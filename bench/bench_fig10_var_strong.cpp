@@ -64,21 +64,30 @@ int main() {
   options.n_estimation_bootstraps = 3;
   options.n_lambdas = 5;
 
-  uoi::support::Table func({"ranks", "compute (rank 0)", "comm (rank 0)",
-                            "distribution (rank 0)"});
+  uoi::support::Table func({"ranks", "path", "compute (rank 0)",
+                            "comm (rank 0)", "distribution (rank 0)"});
+  std::string functional_paths;
   for (const int ranks : {2, 4, 8}) {
     uoi::core::UoiDistributedBreakdown breakdown;
+    auto path = uoi::sched::LinearPath::kConsensus;
     uoi::sim::Cluster::run(ranks, [&](uoi::sim::Comm& comm) {
       const auto result =
           uoi::var::uoi_var_distributed(comm, series, options, {}, 2);
-      if (comm.rank() == 0) breakdown = result.breakdown;
+      if (comm.rank() == 0) {
+        breakdown = result.breakdown;
+        path = uoi::var::detail::var_linear_path(comm, series, options, {});
+      }
     });
+    functional_paths += std::string(functional_paths.empty() ? "" : ",") +
+                        uoi::sched::linear_path_name(path);
     func.add_row(
-        {std::to_string(ranks),
+        {std::to_string(ranks), uoi::sched::linear_path_name(path),
          uoi::support::format_seconds(breakdown.computation_seconds),
          uoi::support::format_seconds(breakdown.communication_seconds),
          uoi::support::format_seconds(breakdown.distribution_seconds)});
   }
   std::printf("%s", func.to_text().c_str());
+  std::printf("path per rank count: %s\n", functional_paths.c_str());
+  telemetry.config("var_path", functional_paths);
   return 0;
 }

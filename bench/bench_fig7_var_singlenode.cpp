@@ -43,8 +43,10 @@ int main() {
       "distribution; sparsity = 1 - 1/p = %.4f\n",
       w.design_sparsity());
 
-  uoi::bench::banner(
-      "functional (8 sim ranks, p=12 series, distributed Kron+vec)");
+  // At this shape d p = 12 fits a rank's 37 lag rows, so the functional
+  // run takes the Gram path (one [X'X | X'Y] allreduce per bootstrap, no
+  // Kron+vec); the modeled paper scale above is Kron+vec and consensus.
+  uoi::bench::banner("functional (8 sim ranks, p=12 series)");
   uoi::data::VarSpec spec;
   spec.n_nodes = 12;
   spec.seed = 5;
@@ -60,11 +62,16 @@ int main() {
   options.n_lambdas = 8;
 
   uoi::core::UoiDistributedBreakdown measured;
+  auto path = uoi::sched::LinearPath::kConsensus;
   auto stats = uoi::sim::Cluster::run_collect_stats(8, [&](uoi::sim::Comm& comm) {
     const auto result =
         uoi::var::uoi_var_distributed(comm, series, options, {}, 2);
-    if (comm.rank() == 0) measured = result.breakdown;
+    if (comm.rank() == 0) {
+      measured = result.breakdown;
+      path = uoi::var::detail::var_linear_path(comm, series, options, {});
+    }
   });
+  telemetry.config("var_path", uoi::sched::linear_path_name(path));
   double onesided_bytes = 0.0;
   for (const auto& s : stats) {
     onesided_bytes +=
@@ -74,9 +81,11 @@ int main() {
                        measured.communication_seconds +
                        measured.distribution_seconds;
   std::printf(
+      "path: %s\n"
       "rank-0 buckets: computation %s (%.1f%%), communication %s, "
       "distribution (Kron+vec one-sided) %s\n"
       "one-sided traffic across ranks: %s\n",
+      uoi::sched::linear_path_name(path),
       uoi::support::format_seconds(measured.computation_seconds).c_str(),
       total > 0 ? 100.0 * measured.computation_seconds / total : 0.0,
       uoi::support::format_seconds(measured.communication_seconds).c_str(),

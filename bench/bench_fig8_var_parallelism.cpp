@@ -51,7 +51,7 @@ int main() {
       "P_B grows\n(16x2 cheapest distribution, 2x16 dearest) while "
       "computation falls with P_lambda.\n");
 
-  uoi::bench::banner("functional (8 sim ranks, p=10, layouts over Kron+vec)");
+  uoi::bench::banner("functional (8 sim ranks, p=10, layouts)");
   uoi::data::VarSpec spec;
   spec.n_nodes = 10;
   spec.seed = 7;
@@ -65,17 +65,25 @@ int main() {
   options.n_estimation_bootstraps = 4;
   options.n_lambdas = 8;
 
-  uoi::support::Table func({"PB x PL x C", "compute (rank 0)",
+  uoi::support::Table func({"PB x PL x C", "path", "compute (rank 0)",
                             "distribution (rank 0)", "one-sided bytes"});
+  std::string functional_paths;
   for (const auto& [pb, pl] :
        {std::pair<int, int>{4, 1}, {2, 2}, {1, 4}, {1, 1}}) {
     uoi::core::UoiDistributedBreakdown breakdown;
+    auto path = uoi::sched::LinearPath::kConsensus;
     auto stats =
         uoi::sim::Cluster::run_collect_stats(8, [&](uoi::sim::Comm& comm) {
           const auto result = uoi::var::uoi_var_distributed(
               comm, series, options, {pb, pl}, 2);
-          if (comm.rank() == 0) breakdown = result.breakdown;
+          if (comm.rank() == 0) {
+            breakdown = result.breakdown;
+            path = uoi::var::detail::var_linear_path(comm, series, options,
+                                                     {pb, pl});
+          }
         });
+    functional_paths += std::string(functional_paths.empty() ? "" : ",") +
+                        uoi::sched::linear_path_name(path);
     std::uint64_t bytes = 0;
     for (const auto& s : stats) {
       bytes += s.of(uoi::sim::CommCategory::kOneSided).bytes;
@@ -83,13 +91,15 @@ int main() {
     func.add_row(
         {std::to_string(pb) + " x " + std::to_string(pl) + " x " +
              std::to_string(8 / (pb * pl)),
+         uoi::sched::linear_path_name(path),
          uoi::support::format_seconds(breakdown.computation_seconds),
          uoi::support::format_seconds(breakdown.distribution_seconds),
          uoi::support::format_bytes(bytes)});
   }
   std::printf("%s", func.to_text().c_str());
   std::printf(
-      "\n(one-sided bytes shrink as P_B grows: fewer bootstraps assembled "
-      "per task group)\n");
+      "\n(on the Kron+vec path one-sided bytes shrink as P_B grows: fewer "
+      "bootstraps assembled per task group; the Gram path moves none)\n");
+  telemetry.config("var_path", functional_paths);
   return 0;
 }

@@ -47,8 +47,9 @@ int main() {
 
   uoi::bench::banner(
       "functional weak scaling (series length grows with ranks)");
-  uoi::support::Table func({"ranks", "samples", "compute (rank 0)",
+  uoi::support::Table func({"ranks", "samples", "path", "compute (rank 0)",
                             "comm (rank 0)", "distribution (rank 0)"});
+  std::string functional_paths;
   uoi::var::UoiVarOptions options;
   options.n_selection_bootstraps = 4;
   options.n_estimation_bootstraps = 3;
@@ -63,12 +64,19 @@ int main() {
     sim.seed = 10;
     const auto series = uoi::var::simulate(truth, sim);
     uoi::core::UoiDistributedBreakdown breakdown;
+    auto path = uoi::sched::LinearPath::kConsensus;
     uoi::sim::Cluster::run(ranks, [&](uoi::sim::Comm& comm) {
       const auto result =
           uoi::var::uoi_var_distributed(comm, series, options, {}, 2);
-      if (comm.rank() == 0) breakdown = result.breakdown;
+      if (comm.rank() == 0) {
+        breakdown = result.breakdown;
+        path = uoi::var::detail::var_linear_path(comm, series, options, {});
+      }
     });
+    functional_paths += std::string(functional_paths.empty() ? "" : ",") +
+                        uoi::sched::linear_path_name(path);
     func.add_row({std::to_string(ranks), std::to_string(sim.n_samples),
+                  uoi::sched::linear_path_name(path),
                   uoi::support::format_seconds(breakdown.computation_seconds),
                   uoi::support::format_seconds(
                       breakdown.communication_seconds),
@@ -76,5 +84,7 @@ int main() {
                       breakdown.distribution_seconds)});
   }
   std::printf("%s", func.to_text().c_str());
+  std::printf("path per rank count: %s\n", functional_paths.c_str());
+  telemetry.config("var_path", functional_paths);
   return 0;
 }
