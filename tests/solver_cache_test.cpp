@@ -285,39 +285,56 @@ TEST(SolverCacheInvariance, LassoCachedAndColdBitIdenticalAcrossPolicies) {
 }
 
 TEST(SolverCacheInvariance, VarCachedAndColdBitIdenticalAcrossPolicies) {
-  uoi::data::VarSpec spec;
-  spec.n_nodes = 5;
-  spec.seed = 11;
-  const auto truth = uoi::data::make_sparse_var(spec);
-  uoi::var::SimulateOptions sim;
-  sim.n_samples = 60;
-  sim.seed = 12;
-  const auto series = uoi::var::simulate(truth, sim);
+  // Groups of two on both wide-group paths: 5 nodes over 59 lag rows sum
+  // a Gram; 8 nodes at order 2 over 28 lag rows (d p = 16 against 14 rows
+  // per rank) run Kron+vec and consensus ADMM.
+  struct Shape {
+    std::size_t nodes, order, samples;
+    uoi::sched::LinearPath path;
+  };
+  for (const Shape shape :
+       {Shape{5, 1, 60, uoi::sched::LinearPath::kGram},
+        Shape{8, 2, 30, uoi::sched::LinearPath::kConsensus}}) {
+    uoi::data::VarSpec spec;
+    spec.n_nodes = shape.nodes;
+    spec.order = shape.order;
+    spec.seed = 11;
+    const auto truth = uoi::data::make_sparse_var(spec);
+    uoi::var::SimulateOptions sim;
+    sim.n_samples = shape.samples;
+    sim.seed = 12;
+    const auto series = uoi::var::simulate(truth, sim);
 
-  uoi::var::UoiVarOptions options;
-  options.n_selection_bootstraps = 5;
-  options.n_estimation_bootstraps = 3;
-  options.n_lambdas = 6;
-  options.seed = 77;
+    uoi::var::UoiVarOptions options;
+    options.order = shape.order;
+    options.n_selection_bootstraps = 5;
+    options.n_estimation_bootstraps = 3;
+    options.n_lambdas = 6;
+    options.seed = 77;
 
-  std::vector<Vector> betas;
-  for (const SchedulePolicy policy :
-       {SchedulePolicy::kStatic, SchedulePolicy::kCostLpt,
-        SchedulePolicy::kWorkSteal}) {
-    for (const long cache_mb : {64L, 0L}) {
-      options.schedule = policy;
-      options.solver_cache_mb = cache_mb;
-      uoi::sim::Cluster::run(8, [&](uoi::sim::Comm& comm) {
-        const auto result =
-            uoi::var::uoi_var_distributed(comm, series, options, {2, 2}, 2);
-        if (comm.rank() == 0) betas.push_back(result.model.vec_beta);
-      });
+    std::vector<Vector> betas;
+    for (const SchedulePolicy policy :
+         {SchedulePolicy::kStatic, SchedulePolicy::kCostLpt,
+          SchedulePolicy::kWorkSteal}) {
+      for (const long cache_mb : {64L, 0L}) {
+        options.schedule = policy;
+        options.solver_cache_mb = cache_mb;
+        uoi::sim::Cluster::run(8, [&](uoi::sim::Comm& comm) {
+          EXPECT_EQ(uoi::var::detail::var_linear_path(comm, series, options,
+                                                      {2, 2}),
+                    shape.path);
+          const auto result = uoi::var::uoi_var_distributed(
+              comm, series, options, {2, 2}, 2);
+          if (comm.rank() == 0) betas.push_back(result.model.vec_beta);
+        });
+      }
     }
-  }
-  ASSERT_EQ(betas.size(), 6u);
-  for (std::size_t i = 1; i < betas.size(); ++i) {
-    EXPECT_EQ(uoi::linalg::max_abs_diff(betas[0], betas[i]), 0.0)
-        << "variant " << i;
+    ASSERT_EQ(betas.size(), 6u);
+    for (std::size_t i = 1; i < betas.size(); ++i) {
+      EXPECT_EQ(uoi::linalg::max_abs_diff(betas[0], betas[i]), 0.0)
+          << "path " << uoi::sched::linear_path_name(shape.path)
+          << ", variant " << i;
+    }
   }
 }
 
