@@ -16,6 +16,7 @@
 // collectives and exports the fit metrics once for every family. See
 // docs/ARCHITECTURE.md §4 for the hook contract and collective schedule.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -115,6 +116,16 @@ inline TaskLayout make_task_layout(int rank, int comm_size, int pb, int pl) {
     out.task_rank = (rank - wide_span) % base;
   }
   return out;
+}
+
+/// The width of the widest group in make_task_layout's split of `comm`
+/// under `layout`: the C that the distributed drivers' path rules
+/// (sched::choose_linear_path) take, the same on every rank.
+inline std::size_t widest_task_group(const uoi::sim::Comm& comm,
+                                     const UoiParallelLayout& layout) {
+  const int groups =
+      std::max(1, layout.bootstrap_groups * layout.lambda_groups);
+  return static_cast<std::size_t>((comm.size() + groups - 1) / groups);
 }
 
 }  // namespace detail

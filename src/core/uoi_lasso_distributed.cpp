@@ -323,11 +323,9 @@ LinearFamilyHooks linear_family_hooks(ConstMatrixView x,
 sched::LinearPath linear_family_path(const Comm& comm, ConstMatrixView x,
                                      const UoiLassoOptions& options,
                                      const UoiParallelLayout& layout) {
-  const int groups =
-      std::max(1, layout.bootstrap_groups * layout.lambda_groups);
-  const int widest = (comm.size() + groups - 1) / groups;
   return sched::choose_linear_path(selection_bootstrap_size(options, x.rows()),
-                                   x.cols(), static_cast<std::size_t>(widest));
+                                   x.cols(),
+                                   widest_task_group(comm, layout));
 }
 
 UoiLassoDistributedResult fit_lasso(Comm& comm, ConstMatrixView x_view,

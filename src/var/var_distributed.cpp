@@ -988,12 +988,12 @@ namespace detail {
 sched::LinearPath var_linear_path(const Comm& comm, ConstMatrixView series,
                                   const UoiVarOptions& options,
                                   const uoi::core::UoiParallelLayout& layout) {
-  const int groups =
-      std::max(1, layout.bootstrap_groups * layout.lambda_groups);
-  const int widest = (comm.size() + groups - 1) / groups;
+  // The vectorized design I (x) X: p (N - d) rows, each d p nonzeros wide.
   const std::size_t d = options.order;
-  return sched::choose_linear_path(series.rows() - d, d * series.cols(),
-                                   static_cast<std::size_t>(widest));
+  const std::size_t p = series.cols();
+  return sched::choose_linear_path((series.rows() - d) * p, d * p,
+                                   uoi::core::detail::widest_task_group(
+                                       comm, layout));
 }
 
 }  // namespace detail

@@ -20,8 +20,8 @@
 //
 // The same structure gives (I (x) X)'(I (x) X) = I (x) X'X: the p
 // equations share one d p x d p Gram and differ only in X'y_e. While that
-// Gram is no larger than a rank's share of the lag rows (small p, long
-// series), a task group skips the windows and the consensus: one
+// Gram is no larger than a rank's row block of I (x) X (d at most the lag
+// rows per rank), a task group skips the windows and the consensus: one
 // allreduce of [X'X | X'Y | y'y] per bootstrap, then every rank solves
 // its own equations locally (see uoi_var_distributed).
 
@@ -156,7 +156,8 @@ struct UoiVarDistributedResult {
 ///                        a solvers::GramLassoChain per equation it owns,
 ///                        and one allreduce assembles the cells' betas;
 ///   C >= 2, kConsensus   the Kron+vec windows and DistributedVarAdmmSolver,
-///                        one allreduce per ADMM iteration (paper scale).
+///                        one allreduce per ADMM iteration (paper scale,
+///                        short high-order series).
 /// The path is detail::var_linear_path. Every group shares the estimation
 /// hook.
 [[nodiscard]] UoiVarDistributedResult uoi_var_distributed(
@@ -168,9 +169,10 @@ namespace detail {
 
 /// The selection path of task groups wider than one rank for a fit of
 /// `series` on `comm` under `layout`: the sched::choose_linear_path rule at
-/// the lag regression's shape (N - d rows, d p columns, the widest task
-/// group's width), as core::detail::linear_family_path applies it to the
-/// lasso. The same on every rank.
+/// the vectorized design's shape (I (x) X: p (N - d) rows, each d p
+/// nonzeros wide) and the widest task group's width C. The d p x d p Gram
+/// is then no larger than a rank's row block of I (x) X, so the path is
+/// Gram while d <= floor((N - d) / C). The same on every rank.
 [[nodiscard]] uoi::sched::LinearPath var_linear_path(
     const uoi::sim::Comm& comm, uoi::linalg::ConstMatrixView series,
     const UoiVarOptions& options, const uoi::core::UoiParallelLayout& layout);

@@ -1120,7 +1120,7 @@ uoi::var::UoiVarOptions var_fault_options() {
   return options;
 }
 
-/// 4 nodes, 99 lag rows: d p = 4 fits a rank's 49 rows, so groups of two
+/// 4 nodes, 99 lag rows: d = 1 fits a rank's 49 rows, so groups of two
 /// sum a Gram. As on the lasso Gram path, #0 is the task-group split and
 /// #1 the victim's first selection Gram reduction.
 TEST(FaultRecovery, VarRankKilledMidSelectionMatchesFaultFree) {
@@ -1138,24 +1138,23 @@ TEST(FaultRecovery, VarRankKilledMidSelectionMatchesFaultFree) {
       [](std::uint64_t) { return kFirstSelectionGramReduction; });
 }
 
-/// 12 nodes at order 2, 38 lag rows: d p = 24 exceeds a rank's 19 rows,
-/// so groups of two run the Kron+vec consensus solver, and selection's
-/// per-iteration allreduces make nearly all of the victim's collectives.
-/// A quarter of the clean schedule lands inside its first bootstrap's
-/// chain.
+/// 6 nodes at order 4, 7 lag rows: d = 4 exceeds a rank's 3 rows, so
+/// groups of two run the Kron+vec consensus solver, and selection's
+/// per-iteration allreduces make nearly all of the victim's collectives:
+/// a quarter of the clean schedule lands inside selection.
 TEST(FaultRecovery, VarKronPathRankKilledMidSelectionMatchesFaultFree) {
   uoi::data::VarSpec spec;
-  spec.n_nodes = 12;
-  spec.order = 2;
+  spec.n_nodes = 6;
+  spec.order = 4;
   spec.edges_per_node = 1.0;
   spec.seed = 67;
   uoi::var::SimulateOptions sim;
-  sim.n_samples = 40;
+  sim.n_samples = 11;
   sim.seed = 68;
   const Matrix series =
       uoi::var::simulate(uoi::data::make_sparse_var(spec), sim);
   auto options = var_fault_options();
-  options.order = 2;
+  options.order = 4;
   expect_var_kill_mid_selection_matches_fault_free(
       series, options, uoi::sched::LinearPath::kConsensus,
       [](std::uint64_t clean_calls) { return clean_calls / 4; });

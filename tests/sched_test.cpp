@@ -386,9 +386,9 @@ TEST(LinearPath, IdenticalOnEveryRank) {
 // ---- UoI_VAR's path rule: the same rule at the lag regression's shape ----
 
 TEST(LinearPath, VarDistShapeTakesGram) {
-  // perfbench var_dist: 48 nodes, 600 samples at order 1 (599 lag rows,
-  // d p = 48) on 4 ranks in layout 1 x 2: groups of C = 2, 299 rows per
-  // rank. One group of all four still fits (149 rows per rank).
+  // perfbench var_dist: 48 nodes, 600 samples at order 1 (599 lag rows)
+  // on 4 ranks in layout 1 x 2: groups of C = 2, 299 lag rows per rank
+  // against d = 1. One group of all four still fits (149 rows per rank).
   const uoi::linalg::Matrix series(600, 48);
   uoi::var::UoiVarOptions options;
   for (const auto& layout : {uoi::core::UoiParallelLayout{1, 2},
@@ -402,61 +402,70 @@ TEST(LinearPath, VarDistShapeTakesGram) {
 }
 
 TEST(LinearPath, VarRuleCountsLagRowsAndEveryLag) {
-  // 12 nodes at order 2 over groups of two: d p = 24 columns against
-  // floor((N - 2) / 2) rows per rank, so N = 50 is Gram and N = 49 (23
-  // rows) consensus; at order 1 (d p = 12) N = 40 is Gram.
-  uoi::var::UoiVarOptions second;
-  second.order = 2;
-  uoi::var::UoiVarOptions first;
-  const std::tuple<std::size_t, uoi::var::UoiVarOptions,
-                   uoi::sched::LinearPath>
-      cases[] = {{50, second, uoi::sched::LinearPath::kGram},
-                 {49, second, uoi::sched::LinearPath::kConsensus},
-                 {40, first, uoi::sched::LinearPath::kGram}};
-  for (const auto& [samples, options, expected] : cases) {
-    const uoi::linalg::Matrix series(samples, 12);
-    uoi::sim::Cluster::run(4, [&](uoi::sim::Comm& comm) {
-      EXPECT_EQ(uoi::var::detail::var_linear_path(comm, series, options,
-                                                  {2, 1}),
-                expected)
-          << samples << " samples at order " << options.order;
-    });
+  // Groups of two: the d p x d p Gram is no larger than a rank's row
+  // block of I (x) X (floor((N - d) / 2) lag rows, d p nonzeros each)
+  // while d <= floor((N - d) / 2). At order 2, N = 6 is Gram and N = 5
+  // consensus; at order 4, N = 12 is Gram and N = 11 consensus; at order
+  // 1, N = 3 is Gram. The node count does not enter: 12 nodes at order 2
+  // over 40 samples (d p = 24 columns, 19 rows per rank) is Gram.
+  const auto order = [](std::size_t d) {
+    uoi::var::UoiVarOptions options;
+    options.order = d;
+    return options;
+  };
+  const std::tuple<std::size_t, std::size_t, uoi::sched::LinearPath>
+      cases[] = {{6, 2, uoi::sched::LinearPath::kGram},
+                 {5, 2, uoi::sched::LinearPath::kConsensus},
+                 {12, 4, uoi::sched::LinearPath::kGram},
+                 {11, 4, uoi::sched::LinearPath::kConsensus},
+                 {3, 1, uoi::sched::LinearPath::kGram},
+                 {40, 2, uoi::sched::LinearPath::kGram}};
+  for (const auto& [samples, d, expected] : cases) {
+    for (const std::size_t nodes : {std::size_t{3}, std::size_t{12}}) {
+      const uoi::linalg::Matrix series(samples, nodes);
+      uoi::sim::Cluster::run(4, [&](uoi::sim::Comm& comm) {
+        EXPECT_EQ(uoi::var::detail::var_linear_path(comm, series, order(d),
+                                                    {2, 1}),
+                  expected)
+            << samples << " samples of " << nodes << " nodes at order " << d;
+      });
+    }
   }
 }
 
 TEST(LinearPath, PaperVarShapesStayOnConsensus) {
-  // Figs 9 and 10 at paper scale: d p = p columns against fewer than p
-  // lag rows per core (N = 2p), one task group over all cores.
+  // Figs 9 and 10 at paper scale, the rule applied by hand at I (x) X's
+  // shape (p (N - d) rows, d p nonzeros each): at order 1, one task group
+  // over all cores has fewer lag rows (p of them in the paper's
+  // accounting) than ranks.
+  const auto path = [](const uoi::perf::UoiVarWorkload& w, std::size_t c) {
+    return uoi::sched::choose_linear_path(w.lag_rows() * w.n_features,
+                                          w.order * w.n_features, c);
+  };
   for (const auto& point : uoi::perf::table1_var_weak_scaling()) {
     const auto w = uoi::perf::UoiVarWorkload::from_problem_gb(
         static_cast<double>(point.data_gb));
-    EXPECT_EQ(uoi::sched::choose_linear_path(w.lag_rows(),
-                                             w.order * w.n_features,
-                                             point.cores),
-              uoi::sched::LinearPath::kConsensus)
+    EXPECT_EQ(path(w, point.cores), uoi::sched::LinearPath::kConsensus)
         << point.data_gb << " GB on " << point.cores << " cores";
   }
   const auto strong = uoi::perf::UoiVarWorkload::from_problem_gb(1024);
   for (const auto& point : uoi::perf::table1_var_strong_scaling()) {
-    EXPECT_EQ(uoi::sched::choose_linear_path(strong.lag_rows(),
-                                             strong.order * strong.n_features,
-                                             point.cores),
-              uoi::sched::LinearPath::kConsensus)
+    EXPECT_EQ(path(strong, point.cores), uoi::sched::LinearPath::kConsensus)
         << point.cores << " cores";
   }
 }
 
 TEST(ScheduleInvariance, VarModelBitIdenticalAcrossPolicies) {
   // Groups of two on both wide-group paths: 5 nodes over 59 lag rows sum
-  // a Gram; 8 nodes at order 2 over 28 lag rows (d p = 16 against 14 rows
-  // per rank) run Kron+vec and consensus ADMM.
+  // a Gram; 8 nodes at order 4 over 7 lag rows (d = 4 against 3 rows per
+  // rank) run Kron+vec and consensus ADMM.
   struct Shape {
     std::size_t nodes, order, samples;
     uoi::sched::LinearPath path;
   };
   for (const Shape shape :
        {Shape{5, 1, 60, uoi::sched::LinearPath::kGram},
-        Shape{8, 2, 30, uoi::sched::LinearPath::kConsensus}}) {
+        Shape{8, 4, 11, uoi::sched::LinearPath::kConsensus}}) {
     uoi::data::VarSpec spec;
     spec.n_nodes = shape.nodes;
     spec.order = shape.order;

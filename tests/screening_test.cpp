@@ -888,57 +888,58 @@ TEST(ScreenedChainPins, DistributedVarFit) {
        "screen.total_columns=1536 "});
 }
 
-/// 38 lag rows of 12 nodes at order 2: d p = 24 exceeds a rank's 19 rows,
-/// so groups of two run the Kron+vec windows and consensus ADMM, one
+/// 7 lag rows of 6 nodes at order 4: d = 4 exceeds a rank's 3 rows, so
+/// groups of two run the Kron+vec windows and consensus ADMM, one
 /// allreduce per iteration. The pins were recorded from the parent of the
-/// change that added the Gram path, so any later move of the Kron+vec
-/// path's arithmetic or collectives shows here.
+/// change that added the Gram path, where every group wider than one rank
+/// ran Kron+vec, so any later move of the Kron+vec path's arithmetic or
+/// collectives shows here.
 TEST(ScreenedChainPins, DistributedVarKronFit) {
   uoi::data::VarSpec spec;
-  spec.n_nodes = 12;
-  spec.order = 2;
+  spec.n_nodes = 6;
+  spec.order = 4;
   spec.seed = 75;
   uoi::var::SimulateOptions sim;
-  sim.n_samples = 40;
+  sim.n_samples = 11;
   sim.seed = 76;
   const Matrix series =
       uoi::var::simulate(uoi::data::make_sparse_var(spec), sim);
   auto options = pin_var_options();
-  options.order = 2;
+  options.order = 4;
   expect_distributed_var_pins(series, options,
                               uoi::sched::LinearPath::kConsensus,
-                              17758787126879363714ULL,
-                              {111030887, 112482407, 122388409},
-                              {"admm.iterations=17922 admm.rho_updates=198 "
-                               "admm.allreduce_calls=18210 "
-                               "admm.allreduce_bytes=36705504 "
-                               "admm.consensus_rounds=18210 "
+                              15939194839043441018ULL,
+                              {80178431, 78070354, 83804445},
+                              {"admm.iterations=38062 admm.rho_updates=230 "
+                               "admm.allreduce_calls=38384 "
+                               "admm.allreduce_bytes=41449696 "
+                               "admm.consensus_rounds=38384 "
                                "admm.lazy_iterations=0 screen.lambdas=48 "
-                               "screen.survivors=13824 "
+                               "screen.survivors=6912 "
                                "screen.kkt_violations=0 screen.kkt_rounds=0 "
                                "screen.gram_cols_saved=0 "
                                "screen.canonical_solves=48 "
-                               "screen.total_columns=13824 ",
-                               "admm.iterations=17398 admm.rho_updates=150 "
-                               "admm.allreduce_calls=17680 "
-                               "admm.allreduce_bytes=35470512 "
-                               "admm.consensus_rounds=17632 "
+                               "screen.total_columns=6912 ",
+                               "admm.iterations=37412 admm.rho_updates=206 "
+                               "admm.allreduce_calls=37754 "
+                               "admm.allreduce_bytes=40309168 "
+                               "admm.consensus_rounds=37706 "
                                "admm.lazy_iterations=0 screen.lambdas=48 "
-                               "screen.survivors=12096 "
+                               "screen.survivors=5938 "
                                "screen.kkt_violations=0 screen.kkt_rounds=0 "
-                               "screen.gram_cols_saved=1728 "
-                               "screen.canonical_solves=42 "
-                               "screen.total_columns=13824 ",
-                               "admm.iterations=19542 admm.rho_updates=160 "
-                               "admm.allreduce_calls=19892 "
-                               "admm.allreduce_bytes=39421728 "
-                               "admm.consensus_rounds=19794 "
+                               "screen.gram_cols_saved=974 "
+                               "screen.canonical_solves=44 "
+                               "screen.total_columns=6912 ",
+                               "admm.iterations=41032 admm.rho_updates=200 "
+                               "admm.allreduce_calls=41412 "
+                               "admm.allreduce_bytes=43068928 "
+                               "admm.consensus_rounds=41320 "
                                "admm.lazy_iterations=0 screen.lambdas=48 "
-                               "screen.survivors=11666 "
-                               "screen.kkt_violations=10 screen.kkt_rounds=8 "
-                               "screen.gram_cols_saved=2158 "
-                               "screen.canonical_solves=42 "
-                               "screen.total_columns=13824 "});
+                               "screen.survivors=5768 "
+                               "screen.kkt_violations=0 screen.kkt_rounds=0 "
+                               "screen.gram_cols_saved=1144 "
+                               "screen.canonical_solves=44 "
+                               "screen.total_columns=6912 "});
 }
 
 }  // namespace

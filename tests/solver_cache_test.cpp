@@ -286,15 +286,15 @@ TEST(SolverCacheInvariance, LassoCachedAndColdBitIdenticalAcrossPolicies) {
 
 TEST(SolverCacheInvariance, VarCachedAndColdBitIdenticalAcrossPolicies) {
   // Groups of two on both wide-group paths: 5 nodes over 59 lag rows sum
-  // a Gram; 8 nodes at order 2 over 28 lag rows (d p = 16 against 14 rows
-  // per rank) run Kron+vec and consensus ADMM.
+  // a Gram; 8 nodes at order 4 over 7 lag rows (d = 4 against 3 rows per
+  // rank) run Kron+vec and consensus ADMM.
   struct Shape {
     std::size_t nodes, order, samples;
     uoi::sched::LinearPath path;
   };
   for (const Shape shape :
        {Shape{5, 1, 60, uoi::sched::LinearPath::kGram},
-        Shape{8, 2, 30, uoi::sched::LinearPath::kConsensus}}) {
+        Shape{8, 4, 11, uoi::sched::LinearPath::kConsensus}}) {
     uoi::data::VarSpec spec;
     spec.n_nodes = shape.nodes;
     spec.order = shape.order;

@@ -295,10 +295,10 @@ std::vector<std::uint8_t> var_driver_body(Comm& comm) {
   return var_driver_bytes(comm, {4, 90, 1}, uoi::sched::LinearPath::kGram);
 }
 
-/// 38 lag rows of 12 nodes at order 2: d p = 24 exceeds a rank's 19 rows,
-/// so a group of two runs the Kron+vec windows and consensus ADMM.
+/// 7 lag rows of 6 nodes at order 4: d = 4 exceeds a rank's 3 rows, so a
+/// group of two runs the Kron+vec windows and consensus ADMM.
 std::vector<std::uint8_t> var_kron_driver_body(Comm& comm) {
-  return var_driver_bytes(comm, {12, 40, 2},
+  return var_driver_bytes(comm, {6, 11, 4},
                           uoi::sched::LinearPath::kConsensus);
 }
 

@@ -577,14 +577,17 @@ struct VarLayoutCase {
   int readers;
 };
 
-/// Fits a 6-node series of `n_samples` samples under `layout`, checks the
-/// path of its groups wider than one rank (one-rank groups always walk
-/// the serial chain) and compares the fit with the serial driver's.
+/// Fits a 6-node series of `n_samples` samples at order `order` under
+/// `layout`, checks the path of its groups wider than one rank (one-rank
+/// groups always walk the serial chain) and compares the fit with the
+/// serial driver's.
 void expect_layout_matches_serial_driver(const VarLayoutCase& layout,
                                          std::size_t n_samples,
-                                         uoi::sched::LinearPath path) {
+                                         uoi::sched::LinearPath path,
+                                         std::size_t order = 1) {
   uoi::data::VarSpec spec;
   spec.n_nodes = 6;
+  spec.order = order;
   spec.edges_per_node = 1.5;
   spec.seed = 35;
   const auto truth = uoi::data::make_sparse_var(spec);
@@ -594,6 +597,7 @@ void expect_layout_matches_serial_driver(const VarLayoutCase& layout,
   const Matrix series = uoi::var::simulate(truth, sim);
 
   auto options = fast_var_options();
+  options.order = order;
   options.n_selection_bootstraps = 4;
   options.n_estimation_bootstraps = 3;
   options.n_lambdas = 6;
@@ -640,11 +644,11 @@ INSTANTIATE_TEST_SUITE_P(
                       VarLayoutCase{4, 2, 1, 2}, VarLayoutCase{4, 1, 2, 1},
                       VarLayoutCase{8, 2, 2, 2}, VarLayoutCase{6, 1, 1, 3}));
 
-/// 23 lag rows over one group of four: d p = 6 exceeds a rank's 5 rows,
-/// so the group runs the Kron+vec windows and consensus ADMM.
+/// 15 lag rows at order 4 over one group of four: d = 4 exceeds a rank's
+/// 3 rows, so the group runs the Kron+vec windows and consensus ADMM.
 TEST(DistributedUoiVar, KronPathMatchesSerialDriver) {
-  expect_layout_matches_serial_driver({4, 1, 1, 2}, 24,
-                                      uoi::sched::LinearPath::kConsensus);
+  expect_layout_matches_serial_driver({4, 1, 1, 2}, 19,
+                                      uoi::sched::LinearPath::kConsensus, 4);
 }
 
 }  // namespace
