@@ -18,7 +18,8 @@ int main() {
   uoi::bench::BenchReport telemetry("fig7_var_singlenode");
   telemetry.config("ranks", 8)
       .config("n_nodes", 12)
-      .config("n_samples", 300)
+      .config("order", 3)
+      .config("n_samples", 26)
       .config("b1", 5)
       .config("b2", 5)
       .config("q", 8);
@@ -43,20 +44,23 @@ int main() {
       "distribution; sparsity = 1 - 1/p = %.4f\n",
       w.design_sparsity());
 
-  // At this shape d p = 12 fits a rank's 37 lag rows, so the functional
-  // run takes the Gram path (one [X'X | X'Y] allreduce per bootstrap, no
-  // Kron+vec); the modeled paper scale above is Kron+vec and consensus.
-  uoi::bench::banner("functional (8 sim ranks, p=12 series)");
+  // A short order-3 series keeps the functional run on the paper's
+  // Kron+vec path: d = 3 exceeds a rank's share of the 23 lag rows (2), so
+  // the d p x d p Gram would be larger than a rank's row block of I (x) X. A
+  // long series (300 samples) takes the Gram path instead.
+  uoi::bench::banner("functional (8 sim ranks, p=12, order 3, 26 samples)");
   uoi::data::VarSpec spec;
   spec.n_nodes = 12;
+  spec.order = 3;
   spec.seed = 5;
   const auto truth = uoi::data::make_sparse_var(spec);
   uoi::var::SimulateOptions sim;
-  sim.n_samples = 300;
+  sim.n_samples = 26;
   sim.seed = 6;
   const auto series = uoi::var::simulate(truth, sim);
 
   uoi::var::UoiVarOptions options;
+  options.order = 3;
   options.n_selection_bootstraps = 5;
   options.n_estimation_bootstraps = 5;
   options.n_lambdas = 8;
