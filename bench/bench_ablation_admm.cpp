@@ -62,7 +62,6 @@ int main() {
   for (const bool fused : {false, true}) {
     uoi::solvers::AdmmOptions options;
     options.fused_residual_reduction = fused;
-    options.consensus_interval = 1;
     std::size_t iterations = 0;
     std::uint64_t calls = 0;
     uoi::sim::Cluster::run(8, [&](uoi::sim::Comm& comm) {

@@ -71,7 +71,6 @@ UoiElasticNetDistributedResult fit_elastic_net(
   spec.schedule = options.schedule;
   spec.solver_cache_mb = options.solver_cache_mb;
   spec.layout = layout;
-  spec.consensus_interval = options.admm.consensus_interval;
   spec.screen_mode = uoi::solvers::resolve_screen_mode(options.screen.mode);
 
   // Each ratio walks its own descending lambda1 path from a fresh chain.

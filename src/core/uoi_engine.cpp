@@ -9,7 +9,6 @@
 #include "sched/cost_model.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/task_grid.hpp"
-#include "solvers/admm_lasso.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
 #include "support/stopwatch.hpp"
@@ -39,10 +38,6 @@ void export_metrics(int trace_rank, const UoiEngineSpec& spec,
   add("admm.allreduce_calls", static_cast<double>(fits.allreduce_calls));
   add("admm.allreduce_bytes", static_cast<double>(fits.allreduce_bytes));
   add("admm.consensus_rounds", static_cast<double>(fits.consensus_rounds));
-  add("admm.lazy_iterations", static_cast<double>(fits.lazy_iterations));
-  add("admm.consensus_interval",
-      static_cast<double>(
-          uoi::solvers::resolve_consensus_interval(spec.consensus_interval)));
   if (spec.screen_mode.has_value()) {
     const auto& screen = fits.screen;
     metrics.set(trace_rank, "screen.mode",

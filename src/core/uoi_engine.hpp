@@ -139,7 +139,6 @@ struct UoiFitCounters {
   std::uint64_t allreduce_calls = 0;
   std::uint64_t allreduce_bytes = 0;
   std::uint64_t consensus_rounds = 0;
-  std::uint64_t lazy_iterations = 0;
   std::uint64_t setup_flops_charged = 0;
   std::uint64_t setup_flops_amortized = 0;
   uoi::solvers::ScreenStats screen;
@@ -159,7 +158,6 @@ struct UoiFitCounters {
       allreduce_calls += fit.allreduce_calls;
       allreduce_bytes += fit.allreduce_bytes;
       consensus_rounds += fit.consensus_rounds;
-      lazy_iterations += fit.lazy_iterations;
     }
   }
 };
@@ -252,8 +250,6 @@ struct UoiEngineSpec {
   UoiRecoveryOptions recovery;
   /// Identifies compatible checkpoints; unused without a checkpoint path.
   std::uint64_t fingerprint = 0;
-  /// Exported as admm.consensus_interval (resolved).
-  std::size_t consensus_interval = 0;
   /// Resolved screening mode, exported with the screen.* metrics; families
   /// without screening leave it unset.
   std::optional<uoi::solvers::ScreenMode> screen_mode;

@@ -27,14 +27,7 @@ std::vector<std::size_t> selection_bootstrap_indices(
     const UoiLassoOptions& options, std::size_t n, std::size_t k) {
   auto rng =
       uoi::support::Xoshiro256::for_task(options.seed, kSelectionStream, k);
-  return uoi::support::bootstrap_indices(rng, n,
-                                         selection_bootstrap_size(options, n));
-}
-
-std::size_t selection_bootstrap_size(const UoiLassoOptions& options,
-                                     std::size_t n) {
-  return static_cast<std::size_t>(std::max(
-      1.0, std::floor(options.selection_fraction * static_cast<double>(n))));
+  return uoi::support::bootstrap_indices(rng, n, n);
 }
 
 EstimationSplit estimation_split(const UoiLassoOptions& options,
@@ -114,9 +107,6 @@ UoiLasso::UoiLasso(UoiLassoOptions options) : options_(std::move(options)) {
   UOI_CHECK(options_.estimation_train_fraction > 0.0 &&
                 options_.estimation_train_fraction < 1.0,
             "train fraction must be in (0, 1)");
-  UOI_CHECK(options_.selection_fraction > 0.0 &&
-                options_.selection_fraction <= 1.0,
-            "selection fraction must be in (0, 1]");
   UOI_CHECK(options_.intersection_fraction > 0.0 &&
                 options_.intersection_fraction <= 1.0,
             "intersection fraction must be in (0, 1]");
@@ -137,7 +127,6 @@ std::uint64_t UoiLasso::selection_fingerprint(
       .add(static_cast<std::uint64_t>(options_.n_selection_bootstraps))
       .add(static_cast<std::uint64_t>(n))
       .add(static_cast<std::uint64_t>(p))
-      .add(options_.selection_fraction)
       .add(options_.support_tolerance)
       .add(static_cast<std::uint64_t>(options_.fit_intercept ? 1 : 0))
       .add(options_.admm.rho)

@@ -96,8 +96,6 @@ struct UoiLassoOptions {
   std::size_t n_lambdas = 16;                ///< q (ignored if lambdas set)
   std::vector<double> lambdas;               ///< explicit grid (optional)
   double lambda_min_ratio = 1e-3;            ///< grid spans this * lambda_max
-  /// Fraction of each selection bootstrap drawn (with replacement).
-  double selection_fraction = 1.0;
   /// Fraction of samples used for training in each estimation resample.
   double estimation_train_fraction = 0.75;
   /// Soft intersection: a feature enters S_j when selected in at least
@@ -171,15 +169,9 @@ class UoiLasso {
 
 /// Deterministic per-task bootstrap index sets; shared with the distributed
 /// driver so both produce identical resamples from the same seed.
-/// Selection bootstrap k draws selection_bootstrap_size(options, n)
-/// indices with replacement.
+/// Selection bootstrap k draws n indices with replacement.
 [[nodiscard]] std::vector<std::size_t> selection_bootstrap_indices(
     const UoiLassoOptions& options, std::size_t n, std::size_t k);
-
-/// Rows of every selection bootstrap of an n-row dataset:
-/// max(1, floor(n * options.selection_fraction)).
-[[nodiscard]] std::size_t selection_bootstrap_size(
-    const UoiLassoOptions& options, std::size_t n);
 
 /// Estimation resample k: a disjoint train/evaluation split of [0, n).
 struct EstimationSplit {

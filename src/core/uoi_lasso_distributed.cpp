@@ -161,20 +161,26 @@ LinearFamilyHooks linear_family_hooks(ConstMatrixView x,
           }
           fresh->bytes_estimate = n * (p + 1) * sizeof(double);
           if (local_chain) return fresh;
-          support::TraceScope gram_span(
-              "selection-gram", support::TraceCategory::kGram, trace_rank);
-          fresh->screen_inputs = uoi::solvers::build_screen_inputs(
-              task.task_comm, fresh->x_local, fresh->y_local);
-          if (!screening_on) {
-            // Only off mode pays the full-p Gram/Cholesky up front;
-            // screened chains factorize the survivors per lambda.
-            // Refined options: cached full solvers must match the
-            // chain's internal stopping rules.
-            fresh->solver.emplace(
-                task.task_comm, fresh->x_local, fresh->y_local,
-                uoi::solvers::detail::refined_admm_options(options.admm,
-                                                           screen_opts));
+          Vector sums;
+          {
+            support::TraceScope gram_span(
+                "selection-gram", support::TraceCategory::kGram, trace_rank);
+            sums = uoi::solvers::screen_sums(fresh->x_local, fresh->y_local);
+            if (!screening_on) {
+              // Only off mode pays the full-p Gram/Cholesky up front;
+              // screened chains factorize the survivors per lambda.
+              // Refined options: cached full solvers must match the
+              // chain's internal stopping rules.
+              fresh->solver.emplace(
+                  task.task_comm, fresh->x_local, fresh->y_local,
+                  uoi::solvers::detail::refined_admm_options(options.admm,
+                                                             screen_opts));
+            }
           }
+          // The reduction is communication: outside the Gram span, as in
+          // reduce_gram.
+          task.task_comm.allreduce(std::span<double>(sums), ReduceOp::kSum);
+          fresh->screen_inputs = uoi::solvers::screen_inputs_from_sums(sums);
           fresh->bytes_estimate +=
               ((screening_on ? 0 : p * p) + 2 * p + 1) * sizeof(double);
           return fresh;
@@ -321,10 +327,9 @@ LinearFamilyHooks linear_family_hooks(ConstMatrixView x,
 }
 
 sched::LinearPath linear_family_path(const Comm& comm, ConstMatrixView x,
-                                     const UoiLassoOptions& options,
+                                     const UoiLassoOptions& /*options*/,
                                      const UoiParallelLayout& layout) {
-  return sched::choose_linear_path(selection_bootstrap_size(options, x.rows()),
-                                   x.cols(),
+  return sched::choose_linear_path(x.rows(), x.cols(),
                                    widest_task_group(comm, layout));
 }
 
@@ -382,7 +387,6 @@ UoiLassoDistributedResult fit_lasso(Comm& comm, ConstMatrixView x_view,
   spec.recovery = options.recovery;
   spec.fingerprint =
       UoiLasso(options).selection_fingerprint(n, p, model.lambdas);
-  spec.consensus_interval = options.admm.consensus_interval;
   spec.screen_mode = uoi::solvers::resolve_screen_mode(options.screen.mode);
 
   const sched::LinearPath path =

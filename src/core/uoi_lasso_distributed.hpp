@@ -125,9 +125,9 @@ struct LinearFamilyHooks {
     sched::LinearPath path);
 
 /// The family's path for a fit on `comm` under `layout`: the
-/// sched::choose_linear_path rule at the global shape (selection
-/// bootstrap rows, x.cols(), the widest task group's width). The same on
-/// every rank.
+/// sched::choose_linear_path rule at the global shape (x.rows(), which
+/// every selection bootstrap draws, x.cols(), the widest task group's
+/// width). The same on every rank.
 [[nodiscard]] sched::LinearPath linear_family_path(
     const uoi::sim::Comm& comm, uoi::linalg::ConstMatrixView x,
     const UoiLassoOptions& options, const UoiParallelLayout& layout);

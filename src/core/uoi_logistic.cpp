@@ -180,7 +180,6 @@ UoiLogisticDistributedResult fit_logistic(Comm& comm, ConstMatrixView x,
   admm.eps_abs = 1e-7;
   admm.eps_rel = 1e-5;
   admm.max_iterations = 2000;
-  admm.consensus_interval = options.consensus_interval;
 
   UoiEngineSpec spec;
   spec.name = "UoI_Logistic";
@@ -198,7 +197,6 @@ UoiLogisticDistributedResult fit_logistic(Comm& comm, ConstMatrixView x,
   spec.schedule = options.schedule;
   spec.solver_cache_mb = options.solver_cache_mb;
   spec.layout = layout;
-  spec.consensus_interval = options.consensus_interval;
 
   const auto hooks =
       logistic_hooks(x, y, options, resampling, model.lambdas, admm);

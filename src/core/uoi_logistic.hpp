@@ -26,10 +26,6 @@ struct UoiLogisticOptions {
   /// Per-rank gather cache budget in MB for the distributed driver.
   /// < 0 defers to UOI_SOLVER_CACHE_MB (default 256); 0 disables.
   long solver_cache_mb = -1;
-  /// Consensus interval k for the distributed l1-logistic ADMM fits
-  /// (see AdmmOptions::consensus_interval). 0 defers to
-  /// $UOI_CONSENSUS_INTERVAL (default 1 = consensus every iteration).
-  std::size_t consensus_interval = 0;
 };
 
 struct UoiLogisticResult {

@@ -1,31 +1,13 @@
 #include "solvers/admm_lasso.hpp"
 
-#include <cstdlib>
-
 #include "linalg/blas.hpp"
 #include "solvers/admm_loop.hpp"
 #include "solvers/ridge_system.hpp"
 #include "support/error.hpp"
-#include "support/log.hpp"
 
 namespace uoi::solvers {
 
 using uoi::linalg::ConstMatrixView;
-
-std::size_t resolve_consensus_interval(std::size_t requested) {
-  if (requested != 0) return requested;
-  const char* env = std::getenv("UOI_CONSENSUS_INTERVAL");
-  if (env != nullptr && env[0] != '\0') {
-    char* end = nullptr;
-    const long value = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && value >= 1) {
-      return static_cast<std::size_t>(value);
-    }
-    UOI_LOG_WARN.field("UOI_CONSENSUS_INTERVAL", env)
-        << "unparseable consensus interval; using 1";
-  }
-  return 1;
-}
 
 LassoAdmmSolver::LassoAdmmSolver(ConstMatrixView a, std::span<const double> b,
                                  const AdmmOptions& options)

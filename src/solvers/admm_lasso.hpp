@@ -52,23 +52,7 @@ struct AdmmOptions {
   /// speculative x-update + reduction so the iterate trajectory stays
   /// bitwise identical to the unfused blocking loop.
   bool fused_residual_reduction = true;
-
-  /// Distributed solvers only: k-step lazy consensus (communication
-  /// avoidance). Every k-th iteration runs the global z-update and
-  /// stopping test; the k-1 iterations in between run the local x-update
-  /// and a damped dual-ascent correction u += (x - z)/(2(k-1)) against
-  /// the frozen consensus z, with no communication at all. The damping
-  /// caps the dual progress per window at 1.5x one consensus step —
-  /// inside ADMM's stable dual-step range — and the lazy steps vanish at
-  /// the fixed point (x = z), so every k converges to the k = 1 solution.
-  /// 0 = resolve from $UOI_CONSENSUS_INTERVAL (default 1); 1 matches the
-  /// classic consensus loop bitwise.
-  std::size_t consensus_interval = 0;
 };
-
-/// Resolves AdmmOptions::consensus_interval: an explicit value >= 1 wins;
-/// 0 falls back to $UOI_CONSENSUS_INTERVAL, then to 1.
-[[nodiscard]] std::size_t resolve_consensus_interval(std::size_t requested);
 
 /// Solver output: the estimate plus convergence diagnostics.
 struct AdmmResult {

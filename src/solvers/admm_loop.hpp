@@ -15,35 +15,19 @@
 
 namespace uoi::solvers::detail {
 
-/// Decides the §3.4.1 residual-balancing update when the stopping test runs
-/// every `stride` iterations (k-step lazy consensus evaluates residuals only
-/// on consensus iterations). A rescale is due when a multiple of
-/// rho_update_interval falls inside the `stride` iterations since the
-/// previous test — with stride = 1 this is exactly the serial cadence
-/// (iter + 1) % rho_update_interval == 0, so the classic loops are
-/// unchanged bitwise. Returns the factor to multiply rho by (1.0 =
-/// unchanged).
-inline double rho_rescale_factor_strided(const AdmmOptions& options,
-                                         std::size_t iter, std::size_t stride,
-                                         std::size_t updates_done,
-                                         double r_norm, double s_norm) {
-  if (!options.adaptive_rho || updates_done >= options.max_rho_updates ||
-      options.rho_update_interval == 0 ||
-      (iter + 1) % options.rho_update_interval >= stride) {
-    return 1.0;
-  }
-  if (r_norm > options.rho_mu * s_norm) return options.rho_tau;
-  if (s_norm > options.rho_mu * r_norm) return 1.0 / options.rho_tau;
-  return 1.0;
-}
-
 /// Decides the §3.4.1 residual-balancing update. Returns the factor to
 /// multiply rho by (1.0 = unchanged).
 inline double rho_rescale_factor(const AdmmOptions& options, std::size_t iter,
                                  std::size_t updates_done, double r_norm,
                                  double s_norm) {
-  return rho_rescale_factor_strided(options, iter, /*stride=*/1, updates_done,
-                                    r_norm, s_norm);
+  if (!options.adaptive_rho || updates_done >= options.max_rho_updates ||
+      options.rho_update_interval == 0 ||
+      (iter + 1) % options.rho_update_interval != 0) {
+    return 1.0;
+  }
+  if (r_norm > options.rho_mu * s_norm) return options.rho_tau;
+  if (s_norm > options.rho_mu * r_norm) return 1.0 / options.rho_tau;
+  return 1.0;
 }
 
 /// Runs the ADMM loop. `solve_ls(q, x, rho)` must solve

@@ -4,33 +4,19 @@
 // z-update Allreduce, dual update, global stopping test, and the §3.4.1
 // residual-balancing rho adaptation live here once.
 //
-// Communication avoidance (arXiv:1808.06992's reduced-rounds direction)
-// comes in two stacked layers, both defaulting to behavior bitwise
-// identical to the classic loop:
-//
-//  * Fused reductions (AdmmOptions::fused_residual_reduction, default on):
-//    the 3 residual sums of the previous consensus iteration ride the
-//    p-length consensus Allreduce as one (p+3)-double payload — one
-//    reduction round per iteration instead of two. The staged allreduce
-//    reduces elementwise in rank order, so each scalar slot reduces exactly
-//    as the separate 3-double reduction would. The verdict is evaluated
-//    right after the fused reduction, before the z-update, where z still
-//    equals the z the pending sums were computed against. When the stale
-//    verdict triggers a rho rescale, the speculative x-update already ran
-//    with the pre-rescale (rho, u); one redo of the x-update + reduction
-//    replays it under the rescaled values, keeping the whole trajectory
-//    bitwise identical to the unfused blocking loop.
-//
-//  * k-step lazy consensus (AdmmOptions::consensus_interval): between
-//    consensus iterations, k-1 lazy iterations run the local x-update and
-//    a damped dual-ascent correction u += (x - z)/(2(k-1)) against the
-//    frozen consensus z, with no communication. The damping bounds the
-//    dual progress per consensus window at 1.5x a single step, inside
-//    ADMM's stable dual-step range (Glowinski: gamma < (1+sqrt(5))/2);
-//    undamped lazy ascent effectively doubles the dual step and diverges
-//    whenever local curvature exceeds rho. Every k shares the k = 1 fixed
-//    point (lazy steps vanish at x = z). The stopping test (and rho
-//    adaptation) runs only on consensus iterations.
+// Communication avoidance (arXiv:1808.06992's reduced-rounds direction):
+// fused reductions (AdmmOptions::fused_residual_reduction, default on).
+// The 3 residual sums of the previous iteration ride the p-length
+// consensus Allreduce as one (p+3)-double payload — one reduction round per
+// iteration instead of two. The staged allreduce reduces elementwise in
+// rank order, so each scalar slot reduces exactly as the separate 3-double
+// reduction would. The verdict is evaluated right after the fused
+// reduction, before the z-update, where z still equals the z the pending
+// sums were computed against. When the stale verdict triggers a rho
+// rescale, the speculative x-update already ran with the pre-rescale
+// (rho, u); one redo of the x-update + reduction replays it under the
+// rescaled values, keeping the whole trajectory bitwise identical to the
+// unfused blocking loop.
 //
 // rho updates are driven by globally reduced residuals, so every rank
 // takes the same branch — no extra communication is needed to stay in
@@ -40,7 +26,7 @@
 
 #include "linalg/blas.hpp"
 #include "simcluster/comm.hpp"
-#include "solvers/admm_loop.hpp"  // rho_rescale_factor_strided
+#include "solvers/admm_loop.hpp"  // rho_rescale_factor
 #include "solvers/distributed_admm.hpp"
 #include "solvers/prox.hpp"
 #include "support/error.hpp"
@@ -67,8 +53,6 @@ DistributedAdmmResult run_consensus_admm_loop(
   UOI_CHECK(options.rho > 0.0, "rho must be positive");
   double rho = options.rho;
   const auto n_ranks = static_cast<double>(comm.size());
-  const std::size_t interval =
-      resolve_consensus_interval(options.consensus_interval);
 
   uoi::linalg::Vector x(p, 0.0), z(p, 0.0), u(p, 0.0), z_old(p);
   if (warm_start != nullptr && warm_start->beta.size() == p) {
@@ -77,7 +61,6 @@ DistributedAdmmResult run_consensus_admm_loop(
 
   DistributedAdmmResult result;
   result.local_flops = setup_flops;
-  result.consensus_interval = interval;
   const double sqrt_p = std::sqrt(static_cast<double>(p));
   std::size_t rho_updates = 0;
 
@@ -88,8 +71,7 @@ DistributedAdmmResult run_consensus_admm_loop(
 
   // Stopping test from globally reduced sums; identical on every rank.
   // Must run while z still equals the z the sums were computed against
-  // (guaranteed in every mode: lazy iterations freeze z, and the fused
-  // harvest evaluates before the z-update). `rho_captured` is the rho in
+  // (the fused harvest evaluates before the z-update). `rho_captured` is the rho in
   // effect when the sums were computed — a rescale between capture and a
   // stale evaluation must not move the eps_dual goalposts.
   const auto check_convergence = [&](const double sums[3], double s_norm,
@@ -107,13 +89,11 @@ DistributedAdmmResult run_consensus_admm_loop(
     return r_norm <= eps_pri && s_norm <= eps_dual;
   };
   // §3.4.1 residual balancing on the just-evaluated verdict (loop index
-  // `iter`); with k-step consensus the cadence check covers the whole
-  // stride so an interval that is not a multiple of k still fires.
-  // Returns true when rho changed.
+  // `iter`). Returns true when rho changed.
   const auto maybe_rescale = [&](std::size_t iter) {
-    const double factor = rho_rescale_factor_strided(
-        options, iter, interval, rho_updates, result.primal_residual,
-        result.dual_residual);
+    const double factor =
+        rho_rescale_factor(options, iter, rho_updates,
+                           result.primal_residual, result.dual_residual);
     if (factor == 1.0) return false;
     rho *= factor;
     for (auto& v : u) v /= factor;
@@ -153,27 +133,10 @@ DistributedAdmmResult run_consensus_admm_loop(
     }
     return rho * std::sqrt(n_ranks) * std::sqrt(s_sq);
   };
-  // Lazy iteration: damped dual ascent on x_i = z against the frozen
-  // consensus z. The damping makes the k-1 lazy increments of a window sum
-  // to ~half of one consensus dual step (x barely moves between lazy
-  // solves), so each consensus round advances the dual by an effective
-  // factor <= 1.5 — inside ADMM's stable dual-step range (gamma <
-  // (1+sqrt(5))/2) — where the undamped step (factor ~2) diverges whenever
-  // the local curvature exceeds the penalty rho. The fixed point is
-  // unchanged for any damping: x = z there, so lazy steps vanish.
-  const double lazy_damping =
-      interval > 1 ? 0.5 / static_cast<double>(interval - 1) : 0.0;
-  const auto lazy_dual_step = [&] {
-    for (std::size_t i = 0; i < p; ++i) {
-      u[i] += lazy_damping * (x[i] - z[i]);
-    }
-    ++result.lazy_iterations;
-  };
-
   if (options.fused_residual_reduction) {
-    // ---- Fused path (default): one (p+3)-double reduction per consensus
-    // iteration carrying both the consensus sum and the previous
-    // consensus iteration's residual sums.
+    // ---- Fused path (default): one (p+3)-double reduction per iteration
+    // carrying both the consensus sum and the previous iteration's
+    // residual sums.
     uoi::linalg::Vector payload(p + 3, 0.0);
     double pending_local[3] = {0.0, 0.0, 0.0};
     double pending_s_norm = 0.0;
@@ -193,16 +156,11 @@ DistributedAdmmResult run_consensus_admm_loop(
     for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
       x_update(z, u, x, rho);
       result.local_flops += per_iteration_flops;
-      if ((iter + 1) % interval != 0) {
-        lazy_dual_step();
-        continue;
-      }
 
       fused_allreduce();
       if (have_pending) {
         // Harvest the stale verdict: z is untouched since the sums were
-        // computed (lazy iterations freeze it), so the test is exact for
-        // the iterate it refers to.
+        // computed, so the test is exact for the iterate it refers to.
         have_pending = false;
         const double sums[3] = {payload[p], payload[p + 1], payload[p + 2]};
         result.iterations = pending_iters;
@@ -214,8 +172,8 @@ DistributedAdmmResult run_consensus_admm_loop(
           // The speculative x-update above ran with the pre-rescale
           // (rho, u); the unfused loop applies the rescale *before* this
           // iteration's x-update. Replay it under the rescaled values —
-          // the scalar slots ride along unused — so the k=1 trajectory
-          // stays bitwise identical to the blocking path.
+          // the scalar slots ride along unused — so the trajectory stays
+          // bitwise identical to the blocking path.
           x_update(z, u, x, rho);
           result.local_flops += per_iteration_flops;
           fused_allreduce();
@@ -231,7 +189,7 @@ DistributedAdmmResult run_consensus_admm_loop(
       result.iterations = iter + 1;
     }
     if (!result.converged && have_pending) {
-      // Flush: the final consensus iteration's sums never rode a payload.
+      // Flush: the final iteration's sums never rode a payload.
       double sums[3] = {pending_local[0], pending_local[1], pending_local[2]};
       comm.allreduce(std::span<double>(sums, 3), uoi::sim::ReduceOp::kSum);
       account(3);
@@ -249,10 +207,6 @@ DistributedAdmmResult run_consensus_admm_loop(
     for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
       x_update(z, u, x, rho);
       result.local_flops += per_iteration_flops;
-      if ((iter + 1) % interval != 0) {
-        lazy_dual_step();
-        continue;
-      }
 
       // Consensus z-update: one p-length Allreduce of (x_i + u_i).
       for (std::size_t i = 0; i < p; ++i) xu_sum[i] = x[i] + u[i];

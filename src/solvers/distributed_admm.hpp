@@ -43,8 +43,6 @@ struct DistributedAdmmResult {
   std::uint64_t allreduce_calls = 0;
   std::uint64_t allreduce_bytes = 0;   ///< bytes this rank contributed
   std::uint64_t consensus_rounds = 0;  ///< p(+3)-length consensus reductions
-  std::uint64_t lazy_iterations = 0;   ///< communication-free x/u iterations
-  std::size_t consensus_interval = 1;  ///< resolved k used by this solve
   std::size_t rho_updates = 0;         ///< residual-balancing rescales applied
 };
 

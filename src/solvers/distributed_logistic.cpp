@@ -128,7 +128,6 @@ DistributedLogisticResult distributed_logistic_lasso(
   out.allreduce_calls = consensus.allreduce_calls;
   out.allreduce_bytes = consensus.allreduce_bytes;
   out.consensus_rounds = consensus.consensus_rounds;
-  out.lazy_iterations = consensus.lazy_iterations;
   return out;
 }
 

@@ -28,7 +28,6 @@ struct DistributedLogisticResult {
   std::uint64_t allreduce_calls = 0;
   std::uint64_t allreduce_bytes = 0;
   std::uint64_t consensus_rounds = 0;
-  std::uint64_t lazy_iterations = 0;
 };
 
 /// Collective over `comm`; each rank passes its local row block. `lambda`

@@ -56,9 +56,6 @@ void ScreenStats::operator+=(const ScreenStats& other) {
 
 // ---- Screening inputs ---------------------------------------------------
 
-namespace {
-
-/// The fused local pass [A'b | per-column ||.||^2 | b'b] of a row block.
 Vector screen_sums(ConstMatrixView a, std::span<const double> b) {
   const std::size_t p = a.cols();
   Vector buffer(2 * p + 1, 0.0);
@@ -71,8 +68,6 @@ Vector screen_sums(ConstMatrixView a, std::span<const double> b) {
   buffer[2 * p] = uoi::linalg::nrm2_squared(b);
   return buffer;
 }
-
-}  // namespace
 
 ScreenInputs screen_inputs_from_sums(std::span<const double> buffer) {
   const std::size_t p = (buffer.size() - 1) / 2;

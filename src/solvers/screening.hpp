@@ -127,6 +127,11 @@ struct ScreenInputs {
   double lambda_max = 0.0;           ///< ||A'b||_inf
 };
 
+/// The fused local pass [A'b | col norms^2 | b'b] (2p+1 doubles) of a
+/// row block.
+[[nodiscard]] uoi::linalg::Vector screen_sums(
+    uoi::linalg::ConstMatrixView a, std::span<const double> b);
+
 /// Unpacks the fused sums [A'b | col norms^2 | b'b] (2p+1 doubles).
 [[nodiscard]] ScreenInputs screen_inputs_from_sums(
     std::span<const double> sums);
@@ -235,7 +240,6 @@ void add_fit_counters(Fit& into, const Fit& fit) {
     into.allreduce_calls += fit.allreduce_calls;
     into.allreduce_bytes += fit.allreduce_bytes;
     into.consensus_rounds += fit.consensus_rounds;
-    into.lazy_iterations += fit.lazy_iterations;
   } else {
     into.flops += fit.flops;
   }

@@ -306,11 +306,11 @@ bool owns_equation(std::size_t e, int c_ranks, int c_rank) {
   return static_cast<int>(e % static_cast<std::size_t>(c_ranks)) == c_rank;
 }
 
-/// Replicated screening inputs for the vectorized VAR problem: one fused
-/// (2 dp p + 1)-double allreduce over [A'b | column ||.||^2 | b'b], where
-/// column g = e*dp + c lives only in equation e's rows.
-uoi::solvers::ScreenInputs build_var_screen_inputs(
-    Comm& comm, const VarLocalBlock& block) {
+/// This rank's share of the vectorized VAR problem's screening sums
+/// [A'b | column ||.||^2 | b'b] (2 dp p + 1 doubles), where column
+/// g = e*dp + c lives only in equation e's rows. One fused allreduce of
+/// the shares gives the replicated screening inputs.
+Vector var_screen_sums(const VarLocalBlock& block) {
   const std::size_t nc = block.n_coefficients();
   const std::size_t dp = block.dp;
   Vector buffer(2 * nc + 1, 0.0);
@@ -328,8 +328,7 @@ uoi::solvers::ScreenInputs build_var_screen_inputs(
     }
   });
   buffer[2 * nc] = uoi::linalg::nrm2_squared(block.y);
-  comm.allreduce(std::span<double>(buffer), ReduceOp::kSum);
-  return uoi::solvers::screen_inputs_from_sums(buffer);
+  return buffer;
 }
 
 /// Local contribution to c = A'(b - A beta) for a full-length beta,
@@ -415,7 +414,7 @@ class DistributedVarBackend {
 };
 
 /// Replicable screening quantities of the vectorized VAR problem (the
-/// serial mirror of build_var_screen_inputs): coefficient g = e*dp + c
+/// serial mirror of var_screen_sums): coefficient g = e*dp + c
 /// sees column c of the shared lag matrix in equation e's rows only, so
 /// the per-column norms tile p times.
 uoi::solvers::ScreenInputs var_screen_inputs(
@@ -734,7 +733,6 @@ UoiVarDistributedResult uoi_var_distributed(
   spec.solver_cache_mb = comm.size() == 1 ? 0 : options.solver_cache_mb;
   spec.layout = layout;
   spec.recovery = options.recovery;
-  spec.consensus_interval = options.admm.consensus_interval;
   // Resolved once: the cache entry's shape (full solver or not) must be
   // identical on every rank.
   uoi::solvers::ScreenOptions screen_opts = options.screen;
@@ -822,12 +820,12 @@ UoiVarDistributedResult uoi_var_distributed(
           }
           fresh->block = distributed_kron_vectorize(task.task_comm, lag,
                                                     group_readers, retry);
+          Vector sums;
           {
             support::TraceScope gram_span("var-selection-gram",
                                           support::TraceCategory::kGram,
                                           trace_rank);
-            fresh->screen_inputs =
-                build_var_screen_inputs(task.task_comm, fresh->block);
+            sums = var_screen_sums(fresh->block);
             if (!screening_on) {
               // Off-mode chains reuse this cached full solver; it must
               // run under the chain's refined stopping rules.
@@ -837,6 +835,10 @@ UoiVarDistributedResult uoi_var_distributed(
                                                              screen_opts));
             }
           }
+          // The reduction is communication: outside the Gram span, as in
+          // reduce_gram.
+          task.task_comm.allreduce(std::span<double>(sums), ReduceOp::kSum);
+          fresh->screen_inputs = uoi::solvers::screen_inputs_from_sums(sums);
           fresh->bytes_estimate =
               (lag_rows * p * (dp + 1) + (screening_on ? 0 : dp * dp) +
                2 * n_coeffs + 1) *

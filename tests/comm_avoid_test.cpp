@@ -1,11 +1,9 @@
 // Communication-avoiding consensus ADMM: fused residual reductions,
-// k-step lazy consensus, hierarchical allreduce, and the unified
-// iterations/accounting conventions across the blocking and fused
-// stopping-test paths.
+// hierarchical allreduce, and the unified iterations/accounting
+// conventions across the blocking and fused stopping-test paths.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "core/uoi_lasso_distributed.hpp"
@@ -70,7 +68,6 @@ TEST(FusedReduction, BitwiseIdenticalToBlockingLoop) {
 
   uoi::solvers::AdmmOptions blocking;
   blocking.fused_residual_reduction = false;
-  blocking.consensus_interval = 1;
   auto fused = blocking;
   fused.fused_residual_reduction = true;
 
@@ -97,7 +94,6 @@ TEST(FusedReduction, BitwiseIdenticalUnderHeavyRhoRescaling) {
 
   uoi::solvers::AdmmOptions blocking;
   blocking.fused_residual_reduction = false;
-  blocking.consensus_interval = 1;
   blocking.rho_update_interval = 2;  // rescale as often as possible
   blocking.eps_abs = 1e-9;
   blocking.eps_rel = 1e-7;
@@ -130,7 +126,6 @@ TEST(IterationsConvention, AgreesAcrossBlockingAndFused) {
 
   uoi::solvers::AdmmOptions blocking;
   blocking.fused_residual_reduction = false;
-  blocking.consensus_interval = 1;
   auto fused = blocking;
   fused.fused_residual_reduction = true;
 
@@ -162,7 +157,6 @@ TEST(Accounting, PinsBytesAndCallsPerIteration) {
   base.eps_rel = 0.0;
   base.adaptive_rho = false;
   base.max_iterations = 7;
-  base.consensus_interval = 1;
 
   auto blocking = base;
   blocking.fused_residual_reduction = false;
@@ -179,7 +173,6 @@ TEST(Accounting, PinsBytesAndCallsPerIteration) {
     EXPECT_EQ(a.allreduce_calls, 14u);
     EXPECT_EQ(a.allreduce_bytes, 448u);
     EXPECT_EQ(a.consensus_rounds, 7u);
-    EXPECT_EQ(a.lazy_iterations, 0u);
 
     const auto b = run(fused);
     EXPECT_EQ(b.allreduce_calls, 8u);
@@ -192,62 +185,9 @@ TEST(Accounting, PinsBytesAndCallsPerIteration) {
   });
 }
 
-TEST(Accounting, LazyConsensusSkipsRounds) {
-  const auto data = make_data(7, 48, 6);
-  uoi::solvers::AdmmOptions options;
-  options.eps_abs = 0.0;
-  options.eps_rel = 0.0;
-  options.adaptive_rho = false;
-  options.max_iterations = 8;
-  options.consensus_interval = 4;
-
-  Cluster::run(2, [&](Comm& comm) {
-    const auto block = local_block(data, comm);
-    const auto fit = uoi::solvers::distributed_lasso_admm(comm, block.x,
-                                                          block.y, 0.5,
-                                                          options);
-    // 8 iterations at k = 4: two consensus rounds, six lazy iterations.
-    EXPECT_EQ(fit.consensus_rounds, 2u);
-    EXPECT_EQ(fit.lazy_iterations, 6u);
-    EXPECT_EQ(fit.consensus_interval, 4u);
-  });
-}
-
-class LazyConsensusParam : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(LazyConsensusParam, LassoConvergesToK1Solution) {
-  const std::size_t k = GetParam();
-  const auto data = make_data(23, 128, 16);
-  const double lambda = 0.1 * uoi::solvers::lambda_max(data.x, data.y);
-
-  uoi::solvers::AdmmOptions tight;
-  tight.eps_abs = 1e-9;
-  tight.eps_rel = 1e-7;
-  tight.max_iterations = 50000;
-  tight.consensus_interval = 1;
-  auto lazy = tight;
-  lazy.consensus_interval = k;
-
-  Cluster::run(4, [&](Comm& comm) {
-    const auto block = local_block(data, comm);
-    const auto ref = uoi::solvers::distributed_lasso_admm(comm, block.x,
-                                                          block.y, lambda,
-                                                          tight);
-    const auto fit = uoi::solvers::distributed_lasso_admm(comm, block.x,
-                                                          block.y, lambda,
-                                                          lazy);
-    ASSERT_TRUE(ref.converged);
-    ASSERT_TRUE(fit.converged);
-    EXPECT_GT(fit.lazy_iterations, 0u);
-    EXPECT_LT(fit.consensus_rounds, ref.consensus_rounds);
-    EXPECT_LT(uoi::linalg::max_abs_diff(fit.beta, ref.beta), 1e-6);
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(Intervals, LazyConsensusParam,
-                         ::testing::Values(2, 4));
-
-TEST(LazyConsensus, VarSolverConvergesToK1Solution) {
+TEST(FusedReduction, VarSolverBitwiseIdenticalToBlockingLoop) {
+  // The block-structured VAR solver shares the consensus loop; its fused
+  // path must replay the blocking trajectory bit for bit as well.
   uoi::data::VarSpec spec;
   spec.n_nodes = 5;
   spec.seed = 41;
@@ -258,34 +198,26 @@ TEST(LazyConsensus, VarSolverConvergesToK1Solution) {
   const Matrix series = uoi::var::simulate(truth, sim);
   const auto lag = uoi::var::build_lag_regression(series, 1);
 
-  uoi::solvers::AdmmOptions tight;
-  tight.eps_abs = 1e-9;
-  tight.eps_rel = 1e-7;
-  tight.max_iterations = 50000;
-  tight.consensus_interval = 1;
-  auto lazy = tight;
-  lazy.consensus_interval = 4;
+  uoi::solvers::AdmmOptions blocking;
+  blocking.fused_residual_reduction = false;
+  blocking.eps_abs = 1e-9;
+  blocking.eps_rel = 1e-7;
+  blocking.max_iterations = 50000;
+  auto fused = blocking;
+  fused.fused_residual_reduction = true;
 
   Cluster::run(4, [&](Comm& comm) {
     const auto block = uoi::var::distributed_kron_vectorize(comm, lag, 2);
-    const uoi::var::DistributedVarAdmmSolver ref_solver(comm, block, tight);
-    const uoi::var::DistributedVarAdmmSolver lazy_solver(comm, block, lazy);
-    const auto ref = ref_solver.solve(5.0);
-    const auto fit = lazy_solver.solve(5.0);
-    ASSERT_TRUE(ref.converged);
-    ASSERT_TRUE(fit.converged);
-    EXPECT_GT(fit.lazy_iterations, 0u);
-    EXPECT_LT(uoi::linalg::max_abs_diff(fit.beta, ref.beta), 1e-6);
+    const uoi::var::DistributedVarAdmmSolver blocking_solver(comm, block,
+                                                             blocking);
+    const uoi::var::DistributedVarAdmmSolver fused_solver(comm, block, fused);
+    const auto a = blocking_solver.solve(5.0);
+    const auto b = fused_solver.solve(5.0);
+    ASSERT_TRUE(a.converged);
+    EXPECT_EQ(uoi::linalg::max_abs_diff(a.beta, b.beta), 0.0);
+    EXPECT_EQ(a.iterations, b.iterations);
+    EXPECT_EQ(a.rho_updates, b.rho_updates);
   });
-}
-
-TEST(ResolveConsensusInterval, ExplicitWinsOverEnvironment) {
-  ::setenv("UOI_CONSENSUS_INTERVAL", "4", 1);
-  EXPECT_EQ(uoi::solvers::resolve_consensus_interval(0), 4u);
-  EXPECT_EQ(uoi::solvers::resolve_consensus_interval(1), 1u);
-  EXPECT_EQ(uoi::solvers::resolve_consensus_interval(2), 2u);
-  ::unsetenv("UOI_CONSENSUS_INTERVAL");
-  EXPECT_EQ(uoi::solvers::resolve_consensus_interval(0), 1u);
 }
 
 class SchedPolicyBitIdentity
@@ -294,14 +226,13 @@ class SchedPolicyBitIdentity
 TEST_P(SchedPolicyBitIdentity, DriverFusedMatchesUnfusedBitwise) {
   // End-to-end: the full distributed UoI_LASSO driver must produce a
   // bitwise-identical model with fused reductions on or off, under every
-  // scheduling policy, at the default k = 1.
+  // scheduling policy.
   const auto data = make_data(3, 72, 10);
   uoi::core::UoiLassoOptions options;
   options.n_selection_bootstraps = 3;
   options.n_estimation_bootstraps = 2;
   options.n_lambdas = 3;
   options.schedule = GetParam();
-  options.admm.consensus_interval = 1;
 
   auto fused = options;
   fused.admm.fused_residual_reduction = true;

@@ -299,7 +299,6 @@ TEST_P(DistributedUoiParam, PinnedBetaBytes) {
   options.n_lambdas = 8;
   options.fit_intercept = true;
   options.schedule = uoi::sched::SchedulePolicy::kCostLpt;
-  options.admm.consensus_interval = 1;  // immune to UOI_CONSENSUS_INTERVAL
   const int width = layout_case.ranks / (layout_case.pb * layout_case.pl);
   const std::uint64_t expected =
       width == 1 ? 2688091113442739932ULL : 13148764769372768661ULL;
@@ -350,7 +349,6 @@ TEST(DistributedUoi, ConsensusPathPinnedBetaBytes) {
   options.admm.eps_abs = 1e-8;
   options.admm.eps_rel = 1e-6;
   options.admm.max_iterations = 5000;
-  options.admm.consensus_interval = 1;  // immune to UOI_CONSENSUS_INTERVAL
   const std::pair<uoi::core::UoiParallelLayout, std::uint64_t> cases[] = {
       {{5, 1}, 1988844621794226602ULL}, {{1, 1}, 10864911876871551795ULL}};
   for (const auto& [layout, expected] : cases) {

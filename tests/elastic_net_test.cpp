@@ -366,7 +366,6 @@ TEST_P(UoiEnDistParam, PinnedBetaBytes) {
   options.l1_ratios = {1.0, 0.5};
   options.seed = 92;
   options.schedule = uoi::sched::SchedulePolicy::kCostLpt;
-  options.admm.consensus_interval = 1;  // immune to UOI_CONSENSUS_INTERVAL
   const std::uint64_t expected = ranks / (pb * pl) == 1
                                      ? 8507453976650170746ULL
                                      : 10274560591685466658ULL;

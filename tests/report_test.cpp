@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "core/uoi_lasso.hpp"
 #include "core/uoi_lasso_distributed.hpp"
 #include "data/synthetic_regression.hpp"
+#include "data/synthetic_var.hpp"
 #include "report/run_report.hpp"
 #include "report/trace_reader.hpp"
 #include "simcluster/cluster.hpp"
@@ -26,6 +28,9 @@
 #include "support/log.hpp"
 #include "support/stopwatch.hpp"
 #include "support/trace.hpp"
+#include "var/uoi_var.hpp"
+#include "var/var_distributed.hpp"
+#include "var/var_model.hpp"
 
 namespace {
 
@@ -524,6 +529,92 @@ TEST(RunReport, DistributedRunBucketsSumToWall) {
     EXPECT_LE(l.p50_seconds, l.p95_seconds + 1e-12);
     EXPECT_LE(l.p95_seconds, l.p99_seconds + 1e-12);
   }
+}
+
+// A collective inside a kGram span would count its wait twice: in the
+// Gram bucket and in the communication bucket, under-reporting the
+// computation remainder. Captures one fit's spans and checks, rank by
+// rank, that no communication span starts inside a kGram span (spans on
+// one rank nest or are disjoint). Returns the number of kGram spans.
+std::size_t gram_spans_free_of_collectives(
+    int ranks, const std::function<void(uoi::sim::Comm&)>& fit) {
+  auto& tracer = Tracer::instance();
+  tracer.clear();
+  tracer.set_capture_events(true);
+  uoi::sim::Cluster::run(ranks, fit);
+  const auto events = tracer.events();
+  tracer.set_capture_events(false);
+  tracer.clear();
+  std::size_t grams = 0;
+  for (const auto& gram : events) {
+    if (gram.category != TraceCategory::kGram) continue;
+    ++grams;
+    const double end = gram.start_seconds + gram.duration_seconds;
+    for (const auto& comm : events) {
+      if (comm.rank != gram.rank ||
+          comm.category != TraceCategory::kCommunication) {
+        continue;
+      }
+      EXPECT_FALSE(comm.start_seconds >= gram.start_seconds &&
+                   comm.start_seconds < end)
+          << comm.name << " inside " << gram.name << " on rank "
+          << comm.rank;
+    }
+  }
+  return grams;
+}
+
+TEST(RunReport, ConsensusLassoGramSpansHoldNoCollectives) {
+  // 40 rows over a group of C = 2 ranks is 20 rows per rank, fewer than
+  // the 24 features: the consensus side, whose screen inputs take one
+  // allreduce per selection bootstrap.
+  uoi::data::RegressionSpec spec;
+  spec.n_samples = 40;
+  spec.n_features = 24;
+  spec.support_size = 4;
+  spec.seed = 31;
+  const auto data = uoi::data::make_regression(spec);
+  uoi::core::UoiLassoOptions options;
+  options.n_selection_bootstraps = 3;
+  options.n_estimation_bootstraps = 2;
+  options.n_lambdas = 4;
+  const uoi::core::UoiParallelLayout layout{1, 1};
+  const auto fit = [&](uoi::sim::Comm& comm) {
+    ASSERT_EQ(uoi::core::detail::linear_family_path(comm, data.x, options,
+                                                    layout),
+              uoi::sched::LinearPath::kConsensus);
+    (void)uoi::core::uoi_lasso_distributed(comm, data.x, data.y, options,
+                                           layout);
+  };
+  EXPECT_GT(gram_spans_free_of_collectives(2, fit), 0u);
+}
+
+TEST(RunReport, KronVarGramSpansHoldNoCollectives) {
+  // 7 lag rows of 6 nodes at order 4 over groups of two: the Kron+vec
+  // side, whose screen inputs take one allreduce per selection bootstrap.
+  uoi::data::VarSpec spec;
+  spec.n_nodes = 6;
+  spec.order = 4;
+  spec.seed = 75;
+  uoi::var::SimulateOptions sim;
+  sim.n_samples = 11;
+  sim.seed = 76;
+  const auto series =
+      uoi::var::simulate(uoi::data::make_sparse_var(spec), sim);
+  uoi::var::UoiVarOptions options;
+  options.order = 4;
+  options.n_selection_bootstraps = 3;
+  options.n_estimation_bootstraps = 2;
+  options.n_lambdas = 4;
+  options.lambda_min_ratio = 1e-2;
+  const uoi::core::UoiParallelLayout layout{2, 1};
+  const auto fit = [&](uoi::sim::Comm& comm) {
+    ASSERT_EQ(uoi::var::detail::var_linear_path(comm, series, options,
+                                                layout),
+              uoi::sched::LinearPath::kConsensus);
+    (void)uoi::var::uoi_var_distributed(comm, series, options, layout, 2);
+  };
+  EXPECT_GT(gram_spans_free_of_collectives(4, fit), 0u);
 }
 
 TEST(RunReport, SerialFitComputationBucketWithinWall) {

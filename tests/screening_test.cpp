@@ -668,7 +668,6 @@ void expect_distributed_lasso_pins(int ranks,
   const auto data = pin_problem();
   const auto steps = pin_steps(data);
   AdmmOptions admm;
-  admm.consensus_interval = 1;  // immune to UOI_CONSENSUS_INTERVAL
   for (std::size_t m = 0; m < std::size(kPinModes); ++m) {
     std::vector<std::uint64_t> hashes;
     std::string pin;
@@ -693,7 +692,6 @@ void expect_distributed_lasso_pins(int ranks,
         totals.allreduce_calls += fit.allreduce_calls;
         totals.allreduce_bytes += fit.allreduce_bytes;
         totals.consensus_rounds += fit.consensus_rounds;
-        totals.lazy_iterations += fit.lazy_iterations;
       }
       if (comm.rank() == 0) {
         std::ostringstream out;
@@ -702,8 +700,7 @@ void expect_distributed_lasso_pins(int ranks,
             << " local_flops=" << totals.local_flops
             << " allreduce_calls=" << totals.allreduce_calls
             << " allreduce_bytes=" << totals.allreduce_bytes
-            << " consensus_rounds=" << totals.consensus_rounds
-            << " lazy_iterations=" << totals.lazy_iterations;
+            << " consensus_rounds=" << totals.consensus_rounds;
         pin = out.str();
       }
     });
@@ -724,17 +721,17 @@ TEST(ScreenedChainPins, DistributedLassoChainTwoRanks) {
            "gram_cols_saved=0 canonical_solves=10 total_columns=640 "
            "iterations=15958 rho_updates=68 local_flops=221247183 "
            "allreduce_calls=16045 allreduce_bytes=6929072 "
-           "consensus_rounds=16045 lazy_iterations=0",
+           "consensus_rounds=16045",
            "lambdas=10 survivors=577 kkt_violations=0 kkt_rounds=0 "
            "gram_cols_saved=63 canonical_solves=10 total_columns=640 "
            "iterations=15915 rho_updates=64 local_flops=220296997 "
            "allreduce_calls=16008 allreduce_bytes=6868176 "
-           "consensus_rounds=15998 lazy_iterations=0",
+           "consensus_rounds=15998",
            "lambdas=10 survivors=569 kkt_violations=1 kkt_rounds=1 "
            "gram_cols_saved=71 canonical_solves=10 total_columns=640 "
            "iterations=17390 rho_updates=67 local_flops=244036061 "
            "allreduce_calls=17498 allreduce_bytes=7547752 "
-           "consensus_rounds=17477 lazy_iterations=0"}});
+           "consensus_rounds=17477"}});
 }
 
 TEST(ScreenedChainPins, DistributedLassoChainThreeRanks) {
@@ -748,17 +745,17 @@ TEST(ScreenedChainPins, DistributedLassoChainThreeRanks) {
            "gram_cols_saved=0 canonical_solves=10 total_columns=640 "
            "iterations=16521 rho_updates=62 local_flops=135992481 "
            "allreduce_calls=16602 allreduce_bytes=7156248 "
-           "consensus_rounds=16602 lazy_iterations=0",
+           "consensus_rounds=16602",
            "lambdas=10 survivors=577 kkt_violations=0 kkt_rounds=0 "
            "gram_cols_saved=63 canonical_solves=10 total_columns=640 "
            "iterations=16478 rho_updates=57 local_flops=135321477 "
            "allreduce_calls=16564 allreduce_bytes=7097840 "
-           "consensus_rounds=16554 lazy_iterations=0",
+           "consensus_rounds=16554",
            "lambdas=10 survivors=569 kkt_violations=1 kkt_rounds=1 "
            "gram_cols_saved=71 canonical_solves=10 total_columns=640 "
            "iterations=18505 rho_updates=59 local_flops=154513716 "
            "allreduce_calls=18605 allreduce_bytes=8038408 "
-           "consensus_rounds=18584 lazy_iterations=0"}});
+           "consensus_rounds=18584"}});
 }
 
 // The VAR chains are internal to UoiVar::fit and uoi_var_distributed, so
@@ -784,7 +781,6 @@ uoi::var::UoiVarOptions pin_var_options() {
   options.n_lambdas = 8;
   options.lambda_min_ratio = 1e-2;
   options.seed = 73;
-  options.admm.consensus_interval = 1;  // immune to UOI_CONSENSUS_INTERVAL
   options.schedule = uoi::sched::SchedulePolicy::kStatic;
   options.solver_cache_mb = 256;
   return options;
@@ -821,13 +817,12 @@ void expect_distributed_var_pins(const Matrix& series,
                                  const std::uint64_t (&expected_flops)[3],
                                  const std::string (&expected_metrics)[3]) {
   const char* const metric_names[] = {
-      "admm.iterations",       "admm.rho_updates",
-      "admm.allreduce_calls",  "admm.allreduce_bytes",
-      "admm.consensus_rounds", "admm.lazy_iterations",
-      "screen.lambdas",        "screen.survivors",
-      "screen.kkt_violations", "screen.kkt_rounds",
-      "screen.gram_cols_saved", "screen.canonical_solves",
-      "screen.total_columns"};
+      "admm.iterations",         "admm.rho_updates",
+      "admm.allreduce_calls",    "admm.allreduce_bytes",
+      "admm.consensus_rounds",   "screen.lambdas",
+      "screen.survivors",        "screen.kkt_violations",
+      "screen.kkt_rounds",       "screen.gram_cols_saved",
+      "screen.canonical_solves", "screen.total_columns"};
   constexpr int kRanks = 4;
   constexpr uoi::core::UoiParallelLayout kLayout{2, 1};
   uoi::sim::Cluster::run(kRanks, [&](uoi::sim::Comm& comm) {
@@ -871,18 +866,18 @@ TEST(ScreenedChainPins, DistributedVarFit) {
       1495920722954990147ULL, {5996141, 5247552, 5423729},
       {"admm.iterations=51323 admm.rho_updates=1415 admm.allreduce_calls=6 "
        "admm.allreduce_bytes=6528 admm.consensus_rounds=0 "
-       "admm.lazy_iterations=0 screen.lambdas=192 screen.survivors=1536 "
+       "screen.lambdas=192 screen.survivors=1536 "
        "screen.kkt_violations=0 screen.kkt_rounds=0 screen.gram_cols_saved=0 "
        "screen.canonical_solves=167 screen.total_columns=1536 ",
        "admm.iterations=47311 admm.rho_updates=1084 admm.allreduce_calls=6 "
        "admm.allreduce_bytes=6528 admm.consensus_rounds=0 "
-       "admm.lazy_iterations=0 screen.lambdas=192 screen.survivors=1197 "
+       "screen.lambdas=192 screen.survivors=1197 "
        "screen.kkt_violations=0 screen.kkt_rounds=0 "
        "screen.gram_cols_saved=339 screen.canonical_solves=131 "
        "screen.total_columns=1536 ",
        "admm.iterations=48343 admm.rho_updates=1189 admm.allreduce_calls=6 "
        "admm.allreduce_bytes=6528 admm.consensus_rounds=0 "
-       "admm.lazy_iterations=0 screen.lambdas=192 screen.survivors=1317 "
+       "screen.lambdas=192 screen.survivors=1317 "
        "screen.kkt_violations=2 screen.kkt_rounds=2 "
        "screen.gram_cols_saved=219 screen.canonical_solves=141 "
        "screen.total_columns=1536 "});
@@ -914,7 +909,7 @@ TEST(ScreenedChainPins, DistributedVarKronFit) {
                                "admm.allreduce_calls=38384 "
                                "admm.allreduce_bytes=41449696 "
                                "admm.consensus_rounds=38384 "
-                               "admm.lazy_iterations=0 screen.lambdas=48 "
+                               "screen.lambdas=48 "
                                "screen.survivors=6912 "
                                "screen.kkt_violations=0 screen.kkt_rounds=0 "
                                "screen.gram_cols_saved=0 "
@@ -924,7 +919,7 @@ TEST(ScreenedChainPins, DistributedVarKronFit) {
                                "admm.allreduce_calls=37754 "
                                "admm.allreduce_bytes=40309168 "
                                "admm.consensus_rounds=37706 "
-                               "admm.lazy_iterations=0 screen.lambdas=48 "
+                               "screen.lambdas=48 "
                                "screen.survivors=5938 "
                                "screen.kkt_violations=0 screen.kkt_rounds=0 "
                                "screen.gram_cols_saved=974 "
@@ -934,7 +929,7 @@ TEST(ScreenedChainPins, DistributedVarKronFit) {
                                "admm.allreduce_calls=41412 "
                                "admm.allreduce_bytes=43068928 "
                                "admm.consensus_rounds=41320 "
-                               "admm.lazy_iterations=0 screen.lambdas=48 "
+                               "screen.lambdas=48 "
                                "screen.survivors=5768 "
                                "screen.kkt_violations=0 screen.kkt_rounds=0 "
                                "screen.gram_cols_saved=1144 "

@@ -112,7 +112,6 @@ uoi::core::UoiLassoOptions lasso_options() {
   options.seed = 17;
   options.schedule = uoi::sched::SchedulePolicy::kStatic;
   options.solver_cache_mb = 256;
-  options.admm.consensus_interval = 1;
   return options;
 }
 
@@ -177,7 +176,6 @@ uoi::core::UoiElasticNetOptions elastic_net_options() {
   options.seed = 19;
   options.schedule = uoi::sched::SchedulePolicy::kStatic;
   options.solver_cache_mb = 256;
-  options.admm.consensus_interval = 1;
   return options;
 }
 
@@ -231,7 +229,6 @@ uoi::core::UoiLogisticOptions logistic_options() {
   options.seed = 29;
   options.schedule = uoi::sched::SchedulePolicy::kStatic;
   options.solver_cache_mb = 256;
-  options.consensus_interval = 1;
   return options;
 }
 
@@ -289,7 +286,6 @@ uoi::var::UoiVarOptions var_options() {
   options.n_lambdas = 6;
   options.lambda_min_ratio = 1e-2;
   options.seed = 53;
-  options.admm.consensus_interval = 1;
   options.schedule = uoi::sched::SchedulePolicy::kStatic;
   options.solver_cache_mb = 256;
   return options;

@@ -239,7 +239,6 @@ TEST_P(UoiLogisticDistParam, PinnedBetaBytes) {
   options.n_lambdas = 6;
   options.seed = 31;
   options.schedule = uoi::sched::SchedulePolicy::kCostLpt;
-  options.consensus_interval = 1;  // immune to UOI_CONSENSUS_INTERVAL
   uoi::sim::Cluster::run(ranks, [&](uoi::sim::Comm& comm) {
     const auto fit = uoi::core::uoi_logistic_distributed(comm, data.x, data.y,
                                                          options, {pb, pl});

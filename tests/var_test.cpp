@@ -383,7 +383,6 @@ TEST(UoiVarPins, FitsReproducePerEquationModelBytes) {
   options.n_estimation_bootstraps = 2;
   options.n_lambdas = 5;
   options.seed = 63;
-  options.admm.consensus_interval = 1;  // immune to UOI_CONSENSUS_INTERVAL
   // Estimation refits OLS on the selected supports, so every path that
   // selects the same supports lands on these same bytes.
   const std::uint64_t expected = 5330434975405816351ULL;
@@ -419,7 +418,6 @@ TEST(UoiVarPins, AdmmSolvesReproducePerEquationBytes) {
   const auto lag = uoi::var::build_lag_regression(series, 1);
   const auto problem = uoi::var::vectorize(lag);
   uoi::solvers::AdmmOptions options;
-  options.consensus_interval = 1;  // immune to UOI_CONSENSUS_INTERVAL
   const auto grid = uoi::var::resolve_var_lambda_grid({}, lag.y, lag.x);
   const double lambda = grid[grid.size() / 2];
 

@@ -165,9 +165,6 @@ struct Args {
   uoi::sched::SchedulePolicy sched_policy = uoi::sched::SchedulePolicy::kAuto;
   /// < 0 defers to $UOI_SOLVER_CACHE_MB (default 256); 0 disables.
   long solver_cache_mb = -1;
-  /// ADMM consensus interval k; 0 defers to $UOI_CONSENSUS_INTERVAL
-  /// (default 1 = consensus allreduce every iteration).
-  std::size_t consensus_interval = 0;
   /// kAuto defers to $UOI_SCREEN (default strong); every mode emits
   /// byte-identical models.
   uoi::solvers::ScreenMode screen_mode = uoi::solvers::ScreenMode::kAuto;
@@ -185,7 +182,7 @@ struct Args {
                "[--comm-timeout-ms MS] [--min-bootstrap-quorum F] "
                "[--max-retries N] [--max-recovery-attempts N] "
                "[--sched-policy static|cost_lpt|work_steal] "
-               "[--solver-cache-mb MB] [--consensus-interval K] "
+               "[--solver-cache-mb MB] "
                "[--screen off|safe|strong] "
                "[--transport thread|socket] "
                "[--live-telemetry SINK]\n"
@@ -294,13 +291,6 @@ Args parse_args(int argc, char** argv) {
         std::fprintf(stderr, "--solver-cache-mb must be >= 0\n");
         usage(argv[0]);
       }
-    } else if (flag == "--consensus-interval") {
-      const long k = std::strtol(value(), nullptr, 10);
-      if (k < 1) {
-        std::fprintf(stderr, "--consensus-interval must be >= 1\n");
-        usage(argv[0]);
-      }
-      args.consensus_interval = static_cast<std::size_t>(k);
     } else if (flag == "--screen") {
       const std::string mode = value();
       if (mode == "off") {
@@ -352,7 +342,6 @@ int run_lasso(const Args& args) {
   options.seed = args.seed;
   options.schedule = args.sched_policy;
   options.solver_cache_mb = args.solver_cache_mb;
-  options.admm.consensus_interval = args.consensus_interval;
   options.screen.mode = args.screen_mode;
   options.recovery.checkpoint_path = args.checkpoint_path;
   const auto fit = uoi::core::UoiLasso(options).fit(x, y);
@@ -399,7 +388,6 @@ int run_logistic(const Args& args) {
   options.seed = args.seed;
   options.schedule = args.sched_policy;
   options.solver_cache_mb = args.solver_cache_mb;
-  options.consensus_interval = args.consensus_interval;
   const auto fit = uoi::core::UoiLogistic(options).fit(x, y);
 
   std::printf("UoI_Logistic fit: %zu samples x %zu features\n", x.rows(), p);
@@ -431,7 +419,6 @@ int run_var(const Args& args) {
   options.seed = args.seed;
   options.schedule = args.sched_policy;
   options.solver_cache_mb = args.solver_cache_mb;
-  options.admm.consensus_interval = args.consensus_interval;
   options.screen.mode = args.screen_mode;
   options.recovery.checkpoint_path = args.checkpoint_path;
   const auto fit = uoi::var::UoiVar(options).fit(csv.values);
@@ -526,7 +513,6 @@ int run_demo(const Args& args) {
   options.seed = args.seed;
   options.schedule = args.sched_policy;
   options.solver_cache_mb = args.solver_cache_mb;
-  options.admm.consensus_interval = args.consensus_interval;
   options.screen.mode = args.screen_mode;
   options.recovery.checkpoint_path = args.checkpoint_path;
   const auto fit = uoi::var::UoiVar(options).fit(series);
@@ -571,7 +557,6 @@ int run_faultdemo(const Args& args) {
   options.seed = args.seed;
   options.schedule = args.sched_policy;
   options.solver_cache_mb = args.solver_cache_mb;
-  options.admm.consensus_interval = args.consensus_interval;
   options.screen.mode = args.screen_mode;
   options.recovery.checkpoint_path = args.checkpoint_path;
   options.recovery.checkpoint_interval = 1;
