@@ -106,8 +106,7 @@ int main() {
               comm, data.x, data.y, options);
           if (comm.rank() == 0) {
             breakdown = result.breakdown;
-            path = uoi::core::detail::linear_family_path(comm, data.x,
-                                                         options, {});
+            path = uoi::core::detail::linear_family_path(comm, data.x, {});
           }
         });
     functional_paths += std::string(functional_paths.empty() ? "" : ",") +

@@ -14,10 +14,15 @@
 #include "linalg/kron.hpp"
 #include "linalg/simd.hpp"
 #include "linalg/sparse.hpp"
+#include "data/synthetic_var.hpp"
 #include "solvers/admm_lasso.hpp"
+#include "solvers/screening.hpp"
 #include "support/rng.hpp"
 #include "support/telemetry.hpp"
 #include "support/trace.hpp"
+#include "var/lag_matrix.hpp"
+#include "var/var_model.hpp"
+#include "var/uoi_var.hpp"
 
 namespace {
 
@@ -283,6 +288,83 @@ void BM_CholeskyBatchSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_CholeskyBatchSolve)
     ->Arg(8)->Arg(16)->Arg(32)->Arg(50)->Arg(64)->Arg(128)->Arg(256);
+
+// UoI_VAR selection on the Gram path at var_dist's shape: a rank of a
+// two-rank group walks the strong-rule Gram chains of its 24 equations
+// (48 lag columns, 599 lag rows of a 48-node VAR(1)) over its 4 lambda
+// cells {0, 2, 4, 6} of an 8-point grid. Sequential is one chain after
+// another, each solve with its own Cholesky factor; batched runs every
+// chain's solves in lanes of one CholeskyBatch (walk_gram_chains), bit
+// for bit the same fits. Their time ratio is the same-run gain.
+constexpr std::size_t kGramChainEquations = 24;
+
+struct GramChainWalk {
+  std::vector<uoi::solvers::GramProblem> problems;
+  std::vector<double> lambdas;
+};
+
+const GramChainWalk& gram_chain_walk() {
+  static const GramChainWalk walk = [] {
+    uoi::data::VarSpec spec;
+    spec.n_nodes = 48;
+    spec.seed = 4200;
+    uoi::var::SimulateOptions simulate;
+    simulate.n_samples = 600;
+    simulate.seed = 1;
+    const Matrix series =
+        uoi::var::simulate(uoi::data::make_sparse_var(spec), simulate);
+    const auto lag = uoi::var::build_lag_regression(series, 1);
+    uoi::var::UoiVarOptions options;
+    options.n_lambdas = 8;
+    const auto grid = uoi::var::resolve_var_lambda_grid(options, lag.y, lag.x);
+    GramChainWalk out;
+    out.problems = uoi::solvers::gram_problems_from_sums(
+        uoi::solvers::gram_sums(lag.x, lag.y), lag.x.cols(), lag.y.cols());
+    out.problems.resize(kGramChainEquations);
+    for (std::size_t m = 0; m < grid.size(); m += 2) {
+      out.lambdas.push_back(grid[m]);
+    }
+    return out;
+  }();
+  return walk;
+}
+
+std::vector<uoi::solvers::GramLassoChain> strong_gram_chains(
+    const GramChainWalk& walk) {
+  uoi::solvers::ScreenOptions screen;
+  screen.mode = uoi::solvers::ScreenMode::kStrong;
+  std::vector<uoi::solvers::GramLassoChain> chains;
+  for (const auto& problem : walk.problems) {
+    chains.emplace_back(problem, uoi::solvers::AdmmOptions{}, screen);
+  }
+  return chains;
+}
+
+void BM_GramChainsSequential(benchmark::State& state) {
+  const GramChainWalk& walk = gram_chain_walk();
+  for (auto _ : state) {
+    for (auto& chain : strong_gram_chains(walk)) {
+      for (const double lambda : walk.lambdas) {
+        auto fit = chain.solve(lambda);
+        benchmark::DoNotOptimize(fit.beta.data());
+      }
+    }
+  }
+}
+BENCHMARK(BM_GramChainsSequential)->Unit(benchmark::kMillisecond);
+
+void BM_GramChainsBatched(benchmark::State& state) {
+  const GramChainWalk& walk = gram_chain_walk();
+  for (auto _ : state) {
+    auto chains = strong_gram_chains(walk);
+    uoi::solvers::walk_gram_chains(
+        chains, walk.lambdas,
+        [](std::size_t, std::size_t, uoi::solvers::AdmmResult fit) {
+          benchmark::DoNotOptimize(fit.beta.data());
+        });
+  }
+}
+BENCHMARK(BM_GramChainsBatched)->Unit(benchmark::kMillisecond);
 
 void BM_SparseGemv(benchmark::State& state) {
   // A block-diagonal I (x) X operator at the VAR sparsity 1 - 1/p.

@@ -76,7 +76,7 @@ UoiElasticNetDistributedResult fit_elastic_net(
   // Each ratio walks its own descending lambda1 path from a fresh chain.
   const auto hooks = detail::linear_family_hooks(
       x, y, linear, lambda1, lambda2, q,
-      detail::linear_family_path(comm, x, linear, layout));
+      detail::linear_family_path(comm, x, layout));
   auto run = run_uoi_engine(comm, spec, hooks.select, hooks.estimate);
 
   model.candidate_supports = std::move(run.candidate_supports);

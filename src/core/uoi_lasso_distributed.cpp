@@ -327,7 +327,6 @@ LinearFamilyHooks linear_family_hooks(ConstMatrixView x,
 }
 
 sched::LinearPath linear_family_path(const Comm& comm, ConstMatrixView x,
-                                     const UoiLassoOptions& /*options*/,
                                      const UoiParallelLayout& layout) {
   return sched::choose_linear_path(x.rows(), x.cols(),
                                    widest_task_group(comm, layout));
@@ -390,7 +389,7 @@ UoiLassoDistributedResult fit_lasso(Comm& comm, ConstMatrixView x_view,
   spec.screen_mode = uoi::solvers::resolve_screen_mode(options.screen.mode);
 
   const sched::LinearPath path =
-      linear_family_path(comm, x_owned, options, layout);
+      linear_family_path(comm, x_owned, layout);
   if (comm.size() > std::max(1, layout.bootstrap_groups *
                                       layout.lambda_groups)) {
     // One-rank groups run the serial fit's solvers on either path, so they

@@ -130,7 +130,7 @@ struct LinearFamilyHooks {
 /// width). The same on every rank.
 [[nodiscard]] sched::LinearPath linear_family_path(
     const uoi::sim::Comm& comm, uoi::linalg::ConstMatrixView x,
-    const UoiLassoOptions& options, const UoiParallelLayout& layout);
+    const UoiParallelLayout& layout);
 
 /// The lasso driver body behind UoiLasso::fit (one rank) and
 /// uoi_lasso_distributed: intercept centering, lambda grid, engine run

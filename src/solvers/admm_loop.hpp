@@ -6,6 +6,7 @@
 // adaptation of rho — lives here once.
 
 #include <cmath>
+#include <cstdint>
 #include <span>
 
 #include "linalg/blas.hpp"
@@ -30,11 +31,116 @@ inline double rho_rescale_factor(const AdmmOptions& options, std::size_t iter,
   return 1.0;
 }
 
+/// One system's ADMM iterate, advanced one iteration at a time: the
+/// per-iteration body of run_admm_loop, written once, so the lone loop
+/// below and the lane-batched walk (walk_gram_chains) step systems
+/// through the same arithmetic. The caller owns the x-update: form_rhs()
+/// writes q, the caller solves (A'A + rho() I) x = q, and advance(x) runs
+/// the over-relaxation, the z/u updates, the stopping test and the rho
+/// rule. `l2_penalty` > 0 turns the LASSO z-update into the elastic-net
+/// prox (lambda |z|_1 + l2/2 |z|_2^2).
+class AdmmIterate {
+ public:
+  AdmmIterate(std::size_t p, double lambda, double l2_penalty,
+              const AdmmOptions& options, const AdmmResult* warm_start,
+              std::uint64_t setup_flops)
+      : options_(&options), lambda_(lambda), l2_penalty_(l2_penalty),
+        rho_(options.rho), sqrt_p_(std::sqrt(static_cast<double>(p))),
+        z_(p, 0.0), u_(p, 0.0), z_old_(p), x_hat_(p) {
+    UOI_CHECK(lambda >= 0.0, "lambda must be non-negative");
+    UOI_CHECK(l2_penalty >= 0.0, "l2 penalty must be non-negative");
+    UOI_CHECK(options.rho > 0.0, "rho must be positive");
+    if (warm_start != nullptr && warm_start->beta.size() == p) {
+      z_ = warm_start->beta;
+    }
+    result_.flops = setup_flops;
+  }
+
+  /// Whether another iteration is due: not converged, budget left.
+  [[nodiscard]] bool running() const noexcept {
+    return !result_.converged &&
+           result_.iterations < options_->max_iterations;
+  }
+  /// The rho the next x-update must solve at.
+  [[nodiscard]] double rho() const noexcept { return rho_; }
+
+  /// q = A'b + rho (z - u): the x-update's right-hand side.
+  void form_rhs(std::span<const double> atb, std::span<double> q) const {
+    for (std::size_t i = 0; i < z_.size(); ++i) {
+      q[i] = atb[i] + rho_ * (z_[i] - u_[i]);
+    }
+  }
+
+  /// Everything after the x-update wrote x, charging its FLOPs.
+  void advance(std::span<const double> x, std::uint64_t x_update_flops) {
+    const std::size_t p = z_.size();
+    const double relax = options_->alpha;
+    result_.flops += x_update_flops;
+    z_old_ = z_;
+    for (std::size_t i = 0; i < p; ++i) {
+      x_hat_[i] = relax * x[i] + (1.0 - relax) * z_old_[i];
+      z_[i] = elastic_net_prox(x_hat_[i] + u_[i], lambda_, l2_penalty_, rho_);
+    }
+    for (std::size_t i = 0; i < p; ++i) u_[i] += x_hat_[i] - z_[i];
+
+    double r_norm_sq = 0.0, s_norm_sq = 0.0;
+    for (std::size_t i = 0; i < p; ++i) {
+      const double r = x[i] - z_[i];
+      const double s = rho_ * (z_[i] - z_old_[i]);
+      r_norm_sq += r * r;
+      s_norm_sq += s * s;
+    }
+    const double eps_pri =
+        sqrt_p_ * options_->eps_abs +
+        options_->eps_rel *
+            std::max(uoi::linalg::nrm2(x), uoi::linalg::nrm2(z_));
+    const double eps_dual = sqrt_p_ * options_->eps_abs +
+                            options_->eps_rel * rho_ * uoi::linalg::nrm2(u_);
+    result_.primal_residual = std::sqrt(r_norm_sq);
+    result_.dual_residual = std::sqrt(s_norm_sq);
+    const std::size_t iter = result_.iterations++;
+    if (result_.primal_residual <= eps_pri &&
+        result_.dual_residual <= eps_dual) {
+      result_.converged = true;
+      return;
+    }
+
+    const double factor =
+        rho_rescale_factor(*options_, iter, result_.rho_updates,
+                           result_.primal_residual, result_.dual_residual);
+    if (factor != 1.0) {
+      rho_ *= factor;
+      for (auto& v : u_) v /= factor;  // u is the scaled dual y / rho
+      ++result_.rho_updates;
+    }
+  }
+
+  /// The fit (beta = z) once running() is false; `extra_flops` (x-update
+  /// refactorizations) are added to its count.
+  [[nodiscard]] AdmmResult finish(std::uint64_t extra_flops = 0) {
+    if (!result_.converged && options_->throw_on_nonconvergence) {
+      throw uoi::support::ConvergenceError(
+          "LASSO-ADMM did not converge within the iteration budget");
+    }
+    result_.flops += extra_flops;
+    result_.beta = std::move(z_);
+    return std::move(result_);
+  }
+
+ private:
+  const AdmmOptions* options_;
+  double lambda_;
+  double l2_penalty_;
+  double rho_;
+  double sqrt_p_;
+  uoi::linalg::Vector z_, u_, z_old_, x_hat_;
+  AdmmResult result_;
+};
+
 /// Runs the ADMM loop. `solve_ls(q, x, rho)` must solve
 /// (A'A + rho I) x = q, rebuilding any cached factorization when rho
 /// differs from the previous call. `per_iteration_flops` is added to the
-/// result's FLOP count each iteration. `l2_penalty` > 0 turns the LASSO
-/// z-update into the elastic-net prox (lambda |z|_1 + l2/2 |z|_2^2).
+/// result's FLOP count each iteration.
 template <typename LinearSolve>
 AdmmResult run_admm_loop(std::size_t p, double lambda,
                          const AdmmOptions& options,
@@ -43,74 +149,16 @@ AdmmResult run_admm_loop(std::size_t p, double lambda,
                          std::uint64_t per_iteration_flops,
                          const AdmmResult* warm_start,
                          double l2_penalty = 0.0) {
-  UOI_CHECK(lambda >= 0.0, "lambda must be non-negative");
-  UOI_CHECK(l2_penalty >= 0.0, "l2 penalty must be non-negative");
-  UOI_CHECK(options.rho > 0.0, "rho must be positive");
-  double rho = options.rho;
-  const double relax = options.alpha;
-
-  uoi::linalg::Vector x(p, 0.0), z(p, 0.0), u(p, 0.0), z_old(p), q(p),
-      x_hat(p);
-  if (warm_start != nullptr && warm_start->beta.size() == p) {
-    z = warm_start->beta;
+  AdmmIterate iterate(p, lambda, l2_penalty, options, warm_start,
+                      setup_flops);
+  uoi::linalg::Vector x(p, 0.0), q(p);
+  while (iterate.running()) {
+    iterate.form_rhs(atb, q);
+    solve_ls(std::span<const double>(q), std::span<double>(x),
+             iterate.rho());
+    iterate.advance(x, per_iteration_flops);
   }
-
-  AdmmResult result;
-  result.flops = setup_flops;
-  const double sqrt_p = std::sqrt(static_cast<double>(p));
-  std::size_t rho_updates = 0;
-
-  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-    for (std::size_t i = 0; i < p; ++i) q[i] = atb[i] + rho * (z[i] - u[i]);
-    solve_ls(std::span<const double>(q), std::span<double>(x), rho);
-    result.flops += per_iteration_flops;
-
-    z_old = z;
-    for (std::size_t i = 0; i < p; ++i) {
-      x_hat[i] = relax * x[i] + (1.0 - relax) * z_old[i];
-      z[i] = elastic_net_prox(x_hat[i] + u[i], lambda, l2_penalty, rho);
-    }
-    for (std::size_t i = 0; i < p; ++i) u[i] += x_hat[i] - z[i];
-
-    double r_norm_sq = 0.0, s_norm_sq = 0.0;
-    for (std::size_t i = 0; i < p; ++i) {
-      const double r = x[i] - z[i];
-      const double s = rho * (z[i] - z_old[i]);
-      r_norm_sq += r * r;
-      s_norm_sq += s * s;
-    }
-    const double eps_pri =
-        sqrt_p * options.eps_abs +
-        options.eps_rel *
-            std::max(uoi::linalg::nrm2(x), uoi::linalg::nrm2(z));
-    const double eps_dual = sqrt_p * options.eps_abs +
-                            options.eps_rel * rho * uoi::linalg::nrm2(u);
-    result.primal_residual = std::sqrt(r_norm_sq);
-    result.dual_residual = std::sqrt(s_norm_sq);
-    result.iterations = iter + 1;
-    if (result.primal_residual <= eps_pri &&
-        result.dual_residual <= eps_dual) {
-      result.converged = true;
-      break;
-    }
-
-    const double factor =
-        rho_rescale_factor(options, iter, rho_updates,
-                           result.primal_residual, result.dual_residual);
-    if (factor != 1.0) {
-      rho *= factor;
-      for (auto& v : u) v /= factor;  // u is the scaled dual y / rho
-      ++rho_updates;
-    }
-  }
-  result.rho_updates = rho_updates;
-
-  if (!result.converged && options.throw_on_nonconvergence) {
-    throw uoi::support::ConvergenceError(
-        "LASSO-ADMM did not converge within the iteration budget");
-  }
-  result.beta = std::move(z);
-  return result;
+  return iterate.finish();
 }
 
 }  // namespace uoi::solvers::detail

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "linalg/blas.hpp"
+#include "solvers/admm_loop.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
 
@@ -82,13 +83,6 @@ ScreenInputs screen_inputs_from_sums(std::span<const double> buffer) {
     inputs.lambda_max = std::max(inputs.lambda_max, std::abs(v));
   }
   return inputs;
-}
-
-ScreenInputs build_screen_inputs(uoi::sim::Comm& comm, ConstMatrixView local_a,
-                                 std::span<const double> local_b) {
-  Vector buffer = screen_sums(local_a, local_b);
-  comm.allreduce(std::span<double>(buffer), uoi::sim::ReduceOp::kSum);
-  return screen_inputs_from_sums(buffer);
 }
 
 Vector gram_sums(ConstMatrixView a, ConstMatrixView b) {
@@ -416,6 +410,14 @@ AdmmResult GramLassoBackend::subset_solve(std::span<const std::size_t> cols,
   return sub.solve_elastic_net(lambda1, lambda2, &warm);
 }
 
+std::uint64_t GramLassoBackend::take_setup_flops(bool full,
+                                                std::size_t width) {
+  if (!full) return uoi::linalg::cholesky_flops(width);
+  if (full_setup_taken_) return 0;
+  full_setup_taken_ = true;
+  return uoi::linalg::cholesky_flops(width);
+}
+
 void GramLassoBackend::kkt_correlation(std::span<const double> beta_w,
                                        std::span<const std::size_t> working,
                                        Vector& c, AdmmResult& spent) const {
@@ -445,5 +447,104 @@ template class ScreenedChain<DistributedLassoBackend>;
 template class ScreenedChain<GramLassoBackend>;
 
 }  // namespace detail
+
+namespace {
+
+/// One chain's place in walk_gram_chains: the lambda it is on and the
+/// solve it runs, if any.
+struct WalkLane {
+  std::size_t cell = 0;
+  std::optional<detail::AdmmIterate> iterate;
+  Vector atb;  ///< A'b over the solve's columns
+  std::size_t dim = 0;
+  double factored_rho = 0.0;
+  std::uint64_t refactor_flops = 0;
+};
+
+}  // namespace
+
+void walk_gram_chains(
+    std::span<GramLassoChain> chains, std::span<const double> lambdas,
+    const std::function<void(std::size_t, std::size_t, AdmmResult)>& take) {
+  if (lambdas.empty()) return;
+  std::size_t stride = 0;
+  for (auto& chain : chains) {
+    stride = std::max(stride, chain.backend().inputs().atb.size());
+  }
+  uoi::linalg::CholeskyBatch batch;
+  Vector q(chains.size() * stride);
+  Vector x(chains.size() * stride);
+  std::vector<WalkLane> lanes(chains.size());
+  std::size_t live = 0;
+
+  // Factors lane k's x-update system at rho, as a lone solve over the
+  // same columns does.
+  const auto factor = [&](std::size_t k, double rho) {
+    const auto& pending = chains[k].pending();
+    const Matrix& gram = chains[k].backend().problem().gram->gram();
+    batch.refactor(
+        k, pending.full ? gram : detail::gather_submatrix(gram, pending.cols),
+        rho, k * stride);
+    lanes[k].factored_rho = rho;
+  };
+  // Moves chain k on to its next solve, handing the steps that finish on
+  // the way to `take`.
+  const auto next_solve = [&](std::size_t k, bool pending) {
+    WalkLane& lane = lanes[k];
+    auto& backend = chains[k].backend();
+    for (;;) {
+      while (!pending) {
+        take(k, lane.cell, chains[k].take_result());
+        if (++lane.cell == lambdas.size()) return;
+        pending = chains[k].start(lambdas[lane.cell]);
+      }
+      const auto& solve = chains[k].pending();
+      const Vector& atb = backend.problem().inputs.atb;
+      lane.dim = solve.full ? atb.size() : solve.cols.size();
+      lane.atb = solve.full ? atb : detail::gather_vector(atb, solve.cols);
+      lane.iterate.emplace(lane.dim, solve.lambda1, solve.lambda2,
+                           backend.options(), &solve.warm,
+                           backend.take_setup_flops(solve.full, lane.dim));
+      lane.refactor_flops = 0;
+      if (lane.iterate->running()) break;
+      // No iteration budget: the fit is the warm start, as a lone solve's.
+      AdmmResult fit = lane.iterate->finish();
+      lane.iterate.reset();
+      pending = chains[k].resume(std::move(fit));
+    }
+    factor(k, backend.options().rho);
+    ++live;
+  };
+
+  for (std::size_t k = 0; k < chains.size(); ++k) {
+    next_solve(k, chains[k].start(lambdas[0]));
+  }
+  while (live > 0) {
+    for (std::size_t k = 0; k < lanes.size(); ++k) {
+      WalkLane& lane = lanes[k];
+      if (!lane.iterate) continue;
+      if (lane.iterate->rho() != lane.factored_rho) {
+        factor(k, lane.iterate->rho());
+        lane.refactor_flops += uoi::linalg::cholesky_flops(lane.dim);
+      }
+      lane.iterate->form_rhs(
+          lane.atb, std::span<double>(q).subspan(k * stride, lane.dim));
+    }
+    batch.solve(q, x);
+    for (std::size_t k = 0; k < lanes.size(); ++k) {
+      WalkLane& lane = lanes[k];
+      if (!lane.iterate) continue;
+      lane.iterate->advance(
+          std::span<const double>(x).subspan(k * stride, lane.dim),
+          2 * uoi::linalg::trsv_flops(lane.dim));
+      if (lane.iterate->running()) continue;
+      AdmmResult fit = lane.iterate->finish(lane.refactor_flops);
+      lane.iterate.reset();
+      batch.retire(k);
+      --live;
+      next_solve(k, chains[k].resume(std::move(fit)));
+    }
+  }
+}
 
 }  // namespace uoi::solvers

@@ -45,7 +45,10 @@
 // There are five backends: SerialLassoBackend, DistributedLassoBackend and
 // GramLassoBackend below (ScreenedLassoChain,
 // DistributedScreenedLassoChain, GramLassoChain), and the serial and
-// distributed vectorized-VAR backends in var/.
+// distributed vectorized-VAR backends in var/. The procedure is resumable
+// (start / resume): solve() runs a chain's solves one after another
+// through its backend, and walk_gram_chains runs the solves of many Gram
+// chains side by side as the lanes of one batched ADMM.
 //
 // Distributed determinism: the working set is a pure function of
 // replicated data (the allreduced A'b / residual correlations and the
@@ -54,6 +57,7 @@
 // allreduce per round.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -65,6 +69,7 @@
 #include "solvers/admm_lasso.hpp"
 #include "solvers/distributed_admm.hpp"
 #include "solvers/ridge_system.hpp"
+#include "support/error.hpp"
 
 namespace uoi::solvers {
 
@@ -135,12 +140,6 @@ struct ScreenInputs {
 /// Unpacks the fused sums [A'b | col norms^2 | b'b] (2p+1 doubles).
 [[nodiscard]] ScreenInputs screen_inputs_from_sums(
     std::span<const double> sums);
-
-/// Collective: the serial chain's local pass [A'b | col norms^2 | b'b]
-/// over this rank's row block, summed by one fused allreduce.
-[[nodiscard]] ScreenInputs build_screen_inputs(
-    uoi::sim::Comm& comm, uoi::linalg::ConstMatrixView local_a,
-    std::span<const double> local_b);
 
 /// A least-squares problem compressed to its Gram: the lasso over (A, b)
 /// depends on the data only through G = A'A, A'b and b'b, so a task
@@ -256,10 +255,26 @@ void allreduce_correlation(uoi::sim::Comm& comm, uoi::linalg::Vector& c,
 /// strong-rule baseline). lambda2 is the elastic-net l2 penalty
 /// (KKT/screening thresholds use lambda1 only, which stays valid: at
 /// z_j = 0 the l2 term vanishes); backends without one ignore it.
+///
+/// The procedure is resumable, so a caller can run the solves itself (the
+/// lane-batched walk_gram_chains): start() begins a step and resume()
+/// hands back the fit of the solve pending(); each returns whether a
+/// further solve is pending, and once neither does, take_result() is the
+/// step's fit. solve() is that loop over the backend's own solves.
 template <class Backend>
 class ScreenedChain {
  public:
   using Fit = typename Backend::Fit;
+
+  /// A solve the chain waits for: over every coefficient (off mode) or
+  /// over the sorted `cols`, from the compacted warm start.
+  struct Pending {
+    bool full = false;
+    std::span<const std::size_t> cols;
+    double lambda1 = 0.0;
+    double lambda2 = 0.0;
+    Fit warm;
+  };
 
   /// `backend_args` follow the refined AdmmOptions into the backend.
   template <class... BackendArgs>
@@ -271,107 +286,190 @@ class ScreenedChain {
     state_.reset(backend_.inputs().atb.size());
   }
 
-  [[nodiscard]] Fit solve(double lambda1, double lambda2 = 0.0);
+  [[nodiscard]] Fit solve(double lambda1, double lambda2 = 0.0) {
+    bool more = start(lambda1, lambda2);
+    while (more) {
+      more = resume(pending_.full
+                        ? backend_.full_solve(lambda1, lambda2, pending_.warm)
+                        : backend_.subset_solve(pending_.cols, lambda1,
+                                                lambda2, pending_.warm));
+    }
+    return take_result();
+  }
+
+  /// Begins the step at lambda1; true when a solve is pending.
+  [[nodiscard]] bool start(double lambda1, double lambda2 = 0.0);
+  /// The fit of the pending solve; true when another one is pending.
+  [[nodiscard]] bool resume(Fit fit);
+  [[nodiscard]] const Pending& pending() const noexcept { return pending_; }
+  /// The finished step's fit.
+  [[nodiscard]] Fit take_result() { return std::move(result_); }
 
   [[nodiscard]] ScreenMode mode() const noexcept { return mode_; }
   [[nodiscard]] const ScreenStats& stats() const noexcept { return stats_; }
+  [[nodiscard]] Backend& backend() noexcept { return backend_; }
 
  private:
+  enum class Stage { kIdle, kWorking, kPolish };
+
+  /// 1. The next working solve over W (off mode: over all p).
+  bool working_solve();
+  /// 2. The KKT check of the working fit, re-admitting violators.
+  bool kkt_check();
+  /// 3. The support of the final working fit, then the polish on it.
+  bool polish();
+  /// The step's counters and the chain state for the next lambda.
+  bool finish_step();
+
   Backend backend_;
   ScreenOptions screen_;
   ScreenMode mode_;
   ChainScreenState state_;
   ScreenStats stats_;
+
+  // The step in progress.
+  Stage stage_ = Stage::kIdle;
+  Pending pending_;
+  std::vector<std::size_t> working_;
+  std::vector<char> in_working_;
+  std::vector<std::size_t> support_;
+  std::size_t round_ = 0;
+  /// `spent_` collects the counters of superseded solves and of the KKT
+  /// checks.
+  Fit work_;
+  Fit spent_;
+  Fit result_;
+  uoi::linalg::Vector c_;
+  bool have_c_ = false;
+  bool canonical_ran_ = false;
 };
 
 template <class Backend>
-auto ScreenedChain<Backend>::solve(double lambda1, double lambda2) -> Fit {
+bool ScreenedChain<Backend>::start(double lambda1, double lambda2) {
   const ScreenInputs& in = backend_.inputs();
   const std::size_t p = in.atb.size();
   if (state_.has_prev && lambda1 > state_.lambda_prev) state_.reset(p);
   ++stats_.lambdas;
   stats_.total_columns += p;
 
-  std::vector<std::size_t> working =
-      screen_working_set(mode_, lambda1, in, state_);
-  std::vector<char> in_working(p, 0);
-  for (const std::size_t j : working) in_working[j] = 1;
+  pending_.lambda1 = lambda1;
+  pending_.lambda2 = lambda2;
+  working_ = screen_working_set(mode_, lambda1, in, state_);
+  in_working_.assign(p, 0);
+  for (const std::size_t j : working_) in_working_[j] = 1;
+  work_ = Fit{};
+  spent_ = Fit{};
+  c_.assign(p, 0.0);
+  have_c_ = false;
+  round_ = 0;
+  return working_solve();
+}
 
-  // 1-2. Working solve, then KKT re-admission rounds. `spent` collects the
-  // counters of superseded solves and of the KKT checks.
-  Fit work;
-  Fit spent;
-  uoi::linalg::Vector c(p, 0.0);
-  bool have_c = false;
-  for (std::size_t round = 0;; ++round) {
-    add_fit_counters(spent, work);
-    Fit warm;
-    if (mode_ == ScreenMode::kOff) {
-      warm.beta = state_.beta_prev;
-      work = backend_.full_solve(lambda1, lambda2, warm);
-      break;
-    }
-    if (working.empty()) {
-      work = Fit{};
-      work.converged = true;
-    } else {
-      warm.beta = gather_vector(state_.beta_prev, working);
-      work = backend_.subset_solve(working, lambda1, lambda2, warm);
-    }
-    backend_.kkt_correlation(work.beta, working, c, spent);
-    have_c = true;
-    if (round >= screen_.max_kkt_rounds) break;
-    const auto violators = kkt_violators(c, in_working, lambda1, screen_);
-    if (violators.empty()) break;
-    stats_.kkt_violations += violators.size();
-    ++stats_.kkt_rounds;
-    merge_violators(working, in_working, violators);
+template <class Backend>
+bool ScreenedChain<Backend>::resume(Fit fit) {
+  UOI_CHECK(stage_ != Stage::kIdle, "ScreenedChain: no solve is pending");
+  if (stage_ == Stage::kWorking) {
+    work_ = std::move(fit);
+    return mode_ == ScreenMode::kOff ? polish() : kkt_check();
   }
-  stats_.survivors += working.size();
-  stats_.gram_cols_saved += p - working.size();
+  result_ = std::move(fit);
+  result_.beta =
+      expand_vector(result_.beta, support_, backend_.inputs().atb.size());
+  return finish_step();
+}
+
+template <class Backend>
+bool ScreenedChain<Backend>::working_solve() {
+  add_fit_counters(spent_, work_);
+  pending_.warm = Fit{};
+  if (mode_ == ScreenMode::kOff) {
+    pending_.full = true;
+    pending_.warm.beta = state_.beta_prev;
+    stage_ = Stage::kWorking;
+    return true;
+  }
+  if (working_.empty()) {
+    work_ = Fit{};
+    work_.converged = true;
+    return kkt_check();
+  }
+  pending_.full = false;
+  pending_.cols = working_;
+  pending_.warm.beta = gather_vector(state_.beta_prev, working_);
+  stage_ = Stage::kWorking;
+  return true;
+}
+
+template <class Backend>
+bool ScreenedChain<Backend>::kkt_check() {
+  backend_.kkt_correlation(work_.beta, working_, c_, spent_);
+  have_c_ = true;
+  if (round_ >= screen_.max_kkt_rounds) return polish();
+  const auto violators =
+      kkt_violators(c_, in_working_, pending_.lambda1, screen_);
+  if (violators.empty()) return polish();
+  stats_.kkt_violations += violators.size();
+  ++stats_.kkt_rounds;
+  merge_violators(working_, in_working_, violators);
+  ++round_;
+  return working_solve();
+}
+
+template <class Backend>
+bool ScreenedChain<Backend>::polish() {
+  const std::size_t p = backend_.inputs().atb.size();
+  stats_.survivors += working_.size();
+  stats_.gram_cols_saved += p - working_.size();
 
   // The final support S (in off mode W is all p, so beta is full length).
-  std::vector<std::size_t> support;
-  for (std::size_t i = 0; i < working.size(); ++i) {
-    if (work.beta[i] != 0.0) support.push_back(working[i]);
+  support_.clear();
+  for (std::size_t i = 0; i < working_.size(); ++i) {
+    if (work_.beta[i] != 0.0) support_.push_back(working_[i]);
   }
 
-  // 3. The canonical polish on S. When S == W the working solve already
-  // IS the canonical solve bit-for-bit: same columns, same warm start.
-  Fit result;
-  const bool canonical_ran = support.size() != working.size();
-  if (!canonical_ran) {
-    result = std::move(work);
+  // When S == W the working solve already IS the canonical solve
+  // bit-for-bit: same columns, same warm start.
+  canonical_ran_ = support_.size() != working_.size();
+  if (!canonical_ran_) {
+    result_ = std::move(work_);
     if (mode_ != ScreenMode::kOff) {
-      result.beta = expand_vector(result.beta, working, p);
+      result_.beta = expand_vector(result_.beta, working_, p);
     }
-  } else {
-    ++stats_.canonical_solves;
-    add_fit_counters(spent, work);
-    if (support.empty()) {
-      result.converged = true;
-      result.beta.assign(p, 0.0);
-    } else {
-      Fit warm;
-      warm.beta = gather_vector(state_.beta_prev, support);
-      result = backend_.subset_solve(support, lambda1, lambda2, warm);
-      result.beta = expand_vector(result.beta, support, p);
-    }
+    return finish_step();
   }
-  add_fit_counters(result, spent);
+  ++stats_.canonical_solves;
+  add_fit_counters(spent_, work_);
+  if (support_.empty()) {
+    result_ = Fit{};
+    result_.converged = true;
+    result_.beta.assign(p, 0.0);
+    return finish_step();
+  }
+  pending_.full = false;
+  pending_.cols = support_;
+  pending_.warm = Fit{};
+  pending_.warm.beta = gather_vector(state_.beta_prev, support_);
+  stage_ = Stage::kPolish;
+  return true;
+}
+
+template <class Backend>
+bool ScreenedChain<Backend>::finish_step() {
+  add_fit_counters(result_, spent_);
+  stage_ = Stage::kIdle;
 
   // Chain state for the next (smaller) lambda.
   state_.has_prev = true;
-  state_.lambda_prev = lambda1;
-  state_.beta_prev = result.beta;
-  for (const std::size_t j : support) state_.ever_active[j] = 1;
+  state_.lambda_prev = pending_.lambda1;
+  state_.beta_prev = result_.beta;
+  for (const std::size_t j : support_) state_.ever_active[j] = 1;
   if (mode_ == ScreenMode::kStrong) {
-    if (canonical_ran || !have_c) {
-      backend_.refresh_correlation(result.beta, support, c, result);
+    if (canonical_ran_ || !have_c_) {
+      backend_.refresh_correlation(result_.beta, support_, c_, result_);
     }
-    state_.c_prev = std::move(c);
+    state_.c_prev = std::move(c_);
   }
-  return result;
+  return false;
 }
 
 /// Serial lasso / elastic net over a dense design. The KKT residual reuses
@@ -481,6 +579,18 @@ class GramLassoBackend {
                            std::span<const std::size_t> support,
                            uoi::linalg::Vector& c, Fit& result) const;
 
+  // What walk_gram_chains, which runs the solves itself, needs to run
+  // them as full_solve() and subset_solve() would.
+  [[nodiscard]] const GramProblem& problem() const noexcept {
+    return *problem_;
+  }
+  /// The chain's refined options, every solve's.
+  [[nodiscard]] const AdmmOptions& options() const noexcept { return admm_; }
+  /// The setup FLOPs a solve over `width` columns charges: a subset solve
+  /// factors G_WW + rho I, the off-mode full solver once per chain, on
+  /// its first solve.
+  [[nodiscard]] std::uint64_t take_setup_flops(bool full, std::size_t width);
+
  private:
   /// c = A'b - sum_i coef[i] G.row(cols[i]).
   void correlate(std::span<const double> coef,
@@ -491,6 +601,7 @@ class GramLassoBackend {
   AdmmOptions admm_;
   /// Off-mode working solver: one full-p factorization per chain.
   std::optional<LassoAdmmSolver> full_solver_;
+  bool full_setup_taken_ = false;
 };
 
 extern template class ScreenedChain<SerialLassoBackend>;
@@ -536,5 +647,20 @@ class GramLassoChain : public detail::ScreenedChain<detail::GramLassoBackend> {
                  const ScreenOptions& screen = {})
       : ScreenedChain(admm, screen, problem) {}
 };
+
+/// Walks every chain of `chains` down the same descending `lambdas` at
+/// once. Each pending solve of each chain is one lane of a batched ADMM:
+/// every lane keeps its own iterate, rho schedule and stopping test
+/// (detail::AdmmIterate), and one CholeskyBatch solve per iteration does
+/// every live lane's x-update. A lane whose solve finishes hands the fit
+/// back to its chain (ScreenedChain::resume), whose KKT check or polish
+/// may open the lane's next solve at once; a refactorization (new rho or
+/// new columns) refactors just that lane. `take(i, m, fit)` receives
+/// chain i's fit at lambdas[m], in the order the chains finish. Every
+/// fit, counter and ScreenStats equals what chains[i].solve(lambdas[m])
+/// for m = 0, 1, ... gives, bit for bit. Local: no communication.
+void walk_gram_chains(
+    std::span<GramLassoChain> chains, std::span<const double> lambdas,
+    const std::function<void(std::size_t, std::size_t, AdmmResult)>& take);
 
 }  // namespace uoi::solvers

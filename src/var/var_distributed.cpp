@@ -872,22 +872,31 @@ UoiVarDistributedResult uoi_var_distributed(
            mark);
     } else if (gram_path) {
       // The vectorized lasso separates by equation: each rank walks the
-      // chains of its own equations on the replicated Gram, with no
-      // collective, into its blocks of the cells' betas. One Sum
-      // allreduce then assembles them; each entry has one contributor, so
-      // the sum is exact.
-      Vector betas(task.cells.size() * n_coeffs, 0.0);
+      // chains of its own equations on the replicated Gram, all at once in
+      // lanes of one batched ADMM and with no collective, into its blocks
+      // of the cells' betas. One Sum allreduce then assembles them; each
+      // entry has one contributor, so the sum is exact.
+      std::vector<std::size_t> equations;
+      std::vector<uoi::solvers::GramLassoChain> chains;
       for (std::size_t e = 0; e < p; ++e) {
         if (!owns_equation(e, tl.c_ranks, tl.task_rank)) continue;
-        walk(uoi::solvers::GramLassoChain(entry->grams[e], options.admm,
-                                          screen_opts),
-             [&](std::size_t m, std::span<const double> beta_e) {
-               std::copy(beta_e.begin(), beta_e.end(),
-                         betas.begin() +
-                             static_cast<std::ptrdiff_t>(m * n_coeffs +
-                                                         e * dp));
-             });
+        equations.push_back(e);
+        chains.emplace_back(entry->grams[e], options.admm, screen_opts);
       }
+      Vector cell_lambdas(task.cells.size());
+      for (std::size_t m = 0; m < task.cells.size(); ++m) {
+        cell_lambdas[m] = model.lambdas[task.cells[m]];
+      }
+      Vector betas(task.cells.size() * n_coeffs, 0.0);
+      uoi::solvers::walk_gram_chains(
+          chains, cell_lambdas,
+          [&](std::size_t i, std::size_t m, uoi::solvers::AdmmResult fit) {
+            task.counters.add(fit);
+            std::copy(fit.beta.begin(), fit.beta.end(),
+                      betas.begin() + static_cast<std::ptrdiff_t>(
+                                          m * n_coeffs + equations[i] * dp));
+          });
+      for (const auto& chain : chains) task.counters.screen += chain.stats();
       task.task_comm.allreduce(std::span<double>(betas), ReduceOp::kSum);
       for (std::size_t m = 0; m < task.cells.size(); ++m) {
         mark(m, std::span<const double>(betas).subspan(m * n_coeffs,

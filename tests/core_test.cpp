@@ -357,7 +357,7 @@ TEST(DistributedUoi, ConsensusPathPinnedBetaBytes) {
       options.screen.mode = mode;
       uoi::sim::Cluster::run(5, [&](uoi::sim::Comm& comm) {
         ASSERT_EQ(uoi::core::detail::linear_family_path(comm, data.x,
-                                                        options, layout),
+                                                        layout),
                   uoi::sched::LinearPath::kConsensus);
         const auto fit = uoi::core::uoi_lasso_distributed(
             comm, data.x, data.y, options, layout);

@@ -347,7 +347,7 @@ TEST(Checkpoint, SerialFitWritesTheSelectionFingerprint) {
     options.recovery.checkpoint_path = path;
     uoi::sim::Cluster::run(1, [&](uoi::sim::Comm& comm) {
       EXPECT_EQ(
-          uoi::core::detail::linear_family_path(comm, data.x, options, {}),
+          uoi::core::detail::linear_family_path(comm, data.x, {}),
           paths[s]);
     });
     const uoi::core::UoiLasso lasso(options);

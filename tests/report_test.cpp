@@ -580,8 +580,7 @@ TEST(RunReport, ConsensusLassoGramSpansHoldNoCollectives) {
   options.n_lambdas = 4;
   const uoi::core::UoiParallelLayout layout{1, 1};
   const auto fit = [&](uoi::sim::Comm& comm) {
-    ASSERT_EQ(uoi::core::detail::linear_family_path(comm, data.x, options,
-                                                    layout),
+    ASSERT_EQ(uoi::core::detail::linear_family_path(comm, data.x, layout),
               uoi::sched::LinearPath::kConsensus);
     (void)uoi::core::uoi_lasso_distributed(comm, data.x, data.y, options,
                                            layout);

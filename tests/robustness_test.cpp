@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -606,12 +607,11 @@ std::uint64_t cells_recovered(
 /// The path the distributed lasso driver picks for `data` under `layout`.
 uoi::sched::LinearPath lasso_path(int ranks,
                                   const uoi::data::RegressionDataset& data,
-                                  const uoi::core::UoiLassoOptions& options,
                                   const uoi::core::UoiParallelLayout& layout) {
   uoi::sched::LinearPath path = uoi::sched::LinearPath::kConsensus;
   Cluster::run(ranks, [&](Comm& comm) {
-    const auto mine = uoi::core::detail::linear_family_path(
-        comm, data.x, options, layout);
+    const auto mine =
+        uoi::core::detail::linear_family_path(comm, data.x, layout);
     if (comm.rank() == 0) path = mine;
   });
   return path;
@@ -631,7 +631,7 @@ void expect_lasso_kill_mid_selection_is_bit_identical(
     const uoi::data::RegressionDataset& data, uoi::sched::LinearPath path,
     const uoi::core::UoiParallelLayout& layout, const KillAt& kill_at) {
   const auto options = lasso_options();
-  ASSERT_EQ(lasso_path(5, data, options, layout), path);
+  ASSERT_EQ(lasso_path(5, data, layout), path);
 
   const auto clean = run_lasso(5, data, options, layout, nullptr);
   const auto faulty = run_lasso(
@@ -794,7 +794,7 @@ void expect_screened_replay_is_bit_identical(
     const uoi::data::RegressionDataset& data, uoi::sched::LinearPath path,
     const uoi::core::UoiParallelLayout& layout, const KillAt& kill_at) {
   auto options = lasso_options();
-  ASSERT_EQ(lasso_path(5, data, options, layout), path);
+  ASSERT_EQ(lasso_path(5, data, layout), path);
 
   options.screen.mode = uoi::solvers::ScreenMode::kOff;
   const auto clean_off = run_lasso(5, data, options, layout, nullptr);
@@ -952,9 +952,9 @@ TEST(FaultRecovery, CheckpointFromTheOtherPathRestarts) {
   spec.seed = 46;
   const auto data = uoi::data::make_regression(spec);
   auto options = lasso_options();
-  ASSERT_EQ(lasso_path(2, data, options, {}),
+  ASSERT_EQ(lasso_path(2, data, {}),
             uoi::sched::LinearPath::kConsensus);
-  ASSERT_EQ(lasso_path(1, data, options, {}), uoi::sched::LinearPath::kGram);
+  ASSERT_EQ(lasso_path(1, data, {}), uoi::sched::LinearPath::kGram);
   const auto path =
       (std::filesystem::temp_directory_path() / "uoi_path_ckpt.txt").string();
   std::filesystem::remove(path);
@@ -1050,11 +1050,15 @@ TEST(FaultRecovery, VarCheckpointFromTheOtherSolverRestarts) {
 /// Kills rank 3 of 4 under layout {2, 1} (two groups of C = 2) at
 /// `kill_at`, a position in its clean collective schedule, and checks
 /// that every survivor shrinks, redoes the lost selection cells and lands
-/// on the clean fit's selection counts and supports.
+/// on the clean fit's selection counts and supports. `also_check(got,
+/// want)`, when given, sees each survivor's fit beside the clean one.
 template <class KillAt>
 void expect_var_kill_mid_selection_matches_fault_free(
     const Matrix& series, uoi::var::UoiVarOptions options,
-    uoi::sched::LinearPath path, const KillAt& kill_at) {
+    uoi::sched::LinearPath path, const KillAt& kill_at,
+    const std::function<void(const uoi::var::UoiVarDistributedResult&,
+                             const uoi::var::UoiVarDistributedResult&)>&
+        also_check = {}) {
   constexpr int kRanks = 4;
   constexpr uoi::core::UoiParallelLayout kLayout{2, 1};
   // Deterministic schedule for the same reason as lasso_options(): the
@@ -1106,6 +1110,12 @@ void expect_var_kill_mid_selection_matches_fault_free(
   }
   // The kill fell inside selection: survivors redid the victim's cells.
   EXPECT_GE(cells_recovered(faulty_reports), 1u);
+  if (also_check) {
+    for (const int r : {0, 1, 2}) {
+      also_check(*faulty_results[static_cast<std::size_t>(r)],
+                 *clean_results[0]);
+    }
+  }
 }
 
 uoi::var::UoiVarOptions var_fault_options() {
@@ -1136,6 +1146,40 @@ TEST(FaultRecovery, VarRankKilledMidSelectionMatchesFaultFree) {
   expect_var_kill_mid_selection_matches_fault_free(
       series, var_fault_options(), uoi::sched::LinearPath::kGram,
       [](std::uint64_t) { return kFirstSelectionGramReduction; });
+}
+
+/// The same series with the victim killed one collective later: #2 is its
+/// first beta-assembly allreduce, the collective right after its group's
+/// lane-batched walk of the per-equation Gram chains. The survivors redo
+/// the lost cells and land on the fault-free model, byte for byte.
+TEST(FaultRecovery, VarRankKilledAtBetaAssemblyMatchesFaultFree) {
+  constexpr std::uint64_t kFirstSelectionBetaAssembly = 2;
+  uoi::data::VarSpec spec;
+  spec.n_nodes = 4;
+  spec.edges_per_node = 1.0;
+  spec.seed = 61;
+  uoi::var::SimulateOptions sim;
+  sim.n_samples = 100;
+  sim.seed = 62;
+  const Matrix series =
+      uoi::var::simulate(uoi::data::make_sparse_var(spec), sim);
+  const auto bytes_equal = [](std::span<const double> a,
+                              std::span<const double> b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  expect_var_kill_mid_selection_matches_fault_free(
+      series, var_fault_options(), uoi::sched::LinearPath::kGram,
+      [](std::uint64_t) { return kFirstSelectionBetaAssembly; },
+      [&](const uoi::var::UoiVarDistributedResult& got,
+          const uoi::var::UoiVarDistributedResult& want) {
+        EXPECT_TRUE(bytes_equal(
+            {got.selection_counts.data(), got.selection_counts.size()},
+            {want.selection_counts.data(), want.selection_counts.size()}));
+        EXPECT_TRUE(bytes_equal(got.model.vec_beta, want.model.vec_beta));
+        EXPECT_TRUE(bytes_equal(got.model.model.intercept(),
+                                want.model.model.intercept()));
+      });
 }
 
 /// 6 nodes at order 4, 7 lag rows: d = 4 exceeds a rank's 3 rows, so

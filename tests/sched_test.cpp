@@ -375,7 +375,7 @@ TEST(LinearPath, IdenticalOnEveryRank) {
     std::vector<uoi::sched::LinearPath> paths(4);
     uoi::sim::Cluster::run(4, [&](uoi::sim::Comm& comm) {
       paths[static_cast<std::size_t>(comm.rank())] =
-          uoi::core::detail::linear_family_path(comm, data.x, options, layout);
+          uoi::core::detail::linear_family_path(comm, data.x, layout);
     });
     for (const auto path : paths) {
       EXPECT_EQ(path, expected) << "P_B " << layout.bootstrap_groups;

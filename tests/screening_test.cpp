@@ -263,8 +263,9 @@ TEST(ScreeningDistributed, ModesAreByteIdenticalAndShrinkPayload) {
       const auto local_x = data.x.row_block(begin, end - begin);
       const std::span<const double> local_y =
           std::span<const double>(data.y).subspan(begin, end - begin);
-      const auto shared =
-          uoi::solvers::build_screen_inputs(comm, local_x, local_y);
+      Vector sums = uoi::solvers::screen_sums(local_x, local_y);
+      comm.allreduce(std::span<double>(sums), uoi::sim::ReduceOp::kSum);
+      const auto shared = uoi::solvers::screen_inputs_from_sums(sums);
       uoi::solvers::DistributedScreenedLassoChain chain(
           comm, local_x, local_y, shared, admm, screen_with(mode));
       for (const double lambda : lambdas) {
@@ -299,9 +300,11 @@ TEST(ScreeningDistributed, SharedInputsMatchSerialQuantities) {
     const std::size_t n = data.x.rows();
     const std::size_t begin = n * comm.rank() / comm.size();
     const std::size_t end = n * (comm.rank() + 1) / comm.size();
-    const auto shared = uoi::solvers::build_screen_inputs(
-        comm, data.x.row_block(begin, end - begin),
+    Vector sums = uoi::solvers::screen_sums(
+        data.x.row_block(begin, end - begin),
         std::span<const double>(data.y).subspan(begin, end - begin));
+    comm.allreduce(std::span<double>(sums), uoi::sim::ReduceOp::kSum);
+    const auto shared = uoi::solvers::screen_inputs_from_sums(sums);
     Vector atb(data.x.cols(), 0.0);
     uoi::linalg::gemv_transposed(1.0, data.x, data.y, 0.0, atb);
     for (std::size_t j = 0; j < atb.size(); ++j) {
@@ -499,7 +502,7 @@ TEST(GramEstimation, DistributedFitSplitsADuplicatedSupportColumn) {
   options.n_lambdas = 6;
   options.seed = 8;
   uoi::sim::Cluster::run(2, [&](uoi::sim::Comm& comm) {
-    ASSERT_EQ(uoi::core::detail::linear_family_path(comm, data.x, options, {}),
+    ASSERT_EQ(uoi::core::detail::linear_family_path(comm, data.x, {}),
               uoi::sched::LinearPath::kGram);
     const auto fit =
         uoi::core::uoi_lasso_distributed(comm, data.x, data.y, options);
@@ -656,6 +659,151 @@ TEST(ScreenedChainPins, GramLassoChain) {
   EXPECT_GT(strong.canonical_solves, 0u);
 }
 
+// ---- Lane-batched walk of Gram chains -----------------------------------
+
+/// `count` problems over the pin design's one shared Gram: right-hand
+/// side k is the pin response scaled by 0.2 to 1.4 plus seeded noise, so
+/// the walk's first lambda (the pin response's lambda_max) leaves the
+/// smaller responses an empty working set.
+std::vector<uoi::solvers::GramProblem> walk_problems(std::size_t count) {
+  const auto data = pin_problem();
+  const std::size_t n = data.x.rows();
+  Matrix b(n, count);
+  uoi::support::Xoshiro256 rng(77);
+  for (std::size_t k = 0; k < count; ++k) {
+    const double scale = 0.2 + 0.3 * static_cast<double>(k % 5);
+    for (std::size_t r = 0; r < n; ++r) {
+      b(r, k) = scale * data.y[r] + (k == 0 ? 0.0 : 0.05 * rng.normal());
+    }
+  }
+  return uoi::solvers::gram_problems_from_sums(
+      uoi::solvers::gram_sums(data.x, b), data.x.cols(), count);
+}
+
+/// Chain k's options: the pin's tight tolerances on every fourth chain,
+/// the defaults at initial rho 0.25 to 1.25 elsewhere (so lanes change
+/// rho and converge at different iterations), a budget of 4 iterations
+/// (40 after refinement) on chains 3, 10, 17, ... so their solves stop at
+/// max_iterations, and none at all on chains 5 and 16.
+AdmmOptions walk_admm(std::size_t k) {
+  AdmmOptions admm = k % 4 == 0 ? tight_admm() : AdmmOptions{};
+  admm.rho = 0.25 * static_cast<double>(1 + k % 5);
+  if (k % 7 == 3) admm.max_iterations = 4;
+  if (k % 11 == 5) admm.max_iterations = 0;
+  return admm;
+}
+
+/// The pin grid walked down, then back up (a chain reset) and down again.
+std::vector<double> walk_lambdas() {
+  const auto data = pin_problem();
+  auto lambdas = descending_grid(data.x, data.y, 8, 0.01);
+  const double up = lambdas[2];
+  const double down = lambdas[5];
+  lambdas.push_back(up);
+  lambdas.push_back(down);
+  return lambdas;
+}
+
+bool same_fit_bytes(const uoi::solvers::AdmmResult& a,
+                    const uoi::solvers::AdmmResult& b) {
+  return a.beta.size() == b.beta.size() &&
+         std::memcmp(a.beta.data(), b.beta.data(),
+                     a.beta.size() * sizeof(double)) == 0 &&
+         a.iterations == b.iterations && a.converged == b.converged &&
+         std::memcmp(&a.primal_residual, &b.primal_residual,
+                     sizeof(double)) == 0 &&
+         std::memcmp(&a.dual_residual, &b.dual_residual, sizeof(double)) ==
+             0 &&
+         a.flops == b.flops && a.rho_updates == b.rho_updates;
+}
+
+TEST(GramChainWalk, BatchedLanesMatchLoneChainsBitwise) {
+  constexpr std::size_t kMaxChains = 24;
+  const auto problems = walk_problems(kMaxChains);
+  const auto lambdas = walk_lambdas();
+  for (const ScreenMode mode : kPinModes) {
+    const char* name = uoi::solvers::screen_mode_name(mode);
+    // Every chain on its own, one solve after another.
+    std::vector<std::vector<uoi::solvers::AdmmResult>> lone(kMaxChains);
+    std::vector<uoi::solvers::ScreenStats> lone_stats;
+    for (std::size_t k = 0; k < kMaxChains; ++k) {
+      uoi::solvers::GramLassoChain chain(problems[k], walk_admm(k),
+                                         screen_with(mode));
+      for (const double lambda : lambdas) {
+        lone[k].push_back(chain.solve(lambda));
+      }
+      lone_stats.push_back(chain.stats());
+    }
+    // The walk covers what it must: empty working sets (no iteration at
+    // the first lambda), KKT re-admissions (strong), polishes, solves cut
+    // at max_iterations, and rho changes.
+    uoi::solvers::ScreenStats total;
+    std::size_t unconverged = 0;
+    std::size_t rho_updates = 0;
+    std::size_t empty_first_steps = 0;
+    for (std::size_t k = 0; k < kMaxChains; ++k) {
+      total += lone_stats[k];
+      if (lone[k][0].iterations == 0 && walk_admm(k).max_iterations > 0) {
+        ++empty_first_steps;
+      }
+      for (const auto& fit : lone[k]) {
+        if (!fit.converged) ++unconverged;
+        rho_updates += fit.rho_updates;
+      }
+    }
+    EXPECT_GT(total.canonical_solves, 0u) << name;
+    EXPECT_GT(unconverged, 0u) << name;
+    EXPECT_GT(rho_updates, 0u) << name;
+    if (mode == ScreenMode::kStrong) {
+      EXPECT_GT(total.kkt_rounds, 0u);
+    }
+    if (mode != ScreenMode::kOff) {
+      EXPECT_GT(empty_first_steps, 0u) << name;
+    }
+
+    for (const std::size_t count : {1, 7, 8, 9, 24}) {
+      std::vector<uoi::solvers::GramLassoChain> chains;
+      for (std::size_t k = 0; k < count; ++k) {
+        chains.emplace_back(problems[k], walk_admm(k), screen_with(mode));
+      }
+      std::vector<std::vector<uoi::solvers::AdmmResult>> walked(count);
+      uoi::solvers::walk_gram_chains(
+          chains, lambdas,
+          [&](std::size_t k, std::size_t m, uoi::solvers::AdmmResult fit) {
+            ASSERT_LT(k, count);
+            ASSERT_EQ(m, walked[k].size()) << "chain " << k;
+            walked[k].push_back(std::move(fit));
+          });
+      for (std::size_t k = 0; k < count; ++k) {
+        ASSERT_EQ(walked[k].size(), lambdas.size())
+            << name << " count " << count << " chain " << k;
+        for (std::size_t m = 0; m < lambdas.size(); ++m) {
+          EXPECT_TRUE(same_fit_bytes(walked[k][m], lone[k][m]))
+              << name << " count " << count << " chain " << k << " lambda "
+              << m;
+        }
+        EXPECT_EQ(stats_pin(chains[k].stats()), stats_pin(lone_stats[k]))
+            << name << " count " << count << " chain " << k;
+      }
+    }
+  }
+}
+
+TEST(GramChainWalk, EmptyWalksTakeNothing) {
+  const auto problems = walk_problems(2);
+  std::vector<uoi::solvers::GramLassoChain> chains;
+  for (const auto& problem : problems) {
+    chains.emplace_back(problem, AdmmOptions{}, ScreenOptions{});
+  }
+  std::size_t taken = 0;
+  const auto take = [&](std::size_t, std::size_t, uoi::solvers::AdmmResult) {
+    ++taken;
+  };
+  uoi::solvers::walk_gram_chains(chains, {}, take);
+  uoi::solvers::walk_gram_chains({}, walk_lambdas(), take);
+  EXPECT_EQ(taken, 0u);
+}
+
 struct DistributedLassoPins {
   std::vector<std::uint64_t> beta;
   std::string counters[3];  ///< off, safe, strong
@@ -678,8 +826,9 @@ void expect_distributed_lasso_pins(int ranks,
       const auto local_x = data.x.row_block(begin, end - begin);
       const std::span<const double> local_y =
           std::span<const double>(data.y).subspan(begin, end - begin);
-      const auto shared =
-          uoi::solvers::build_screen_inputs(comm, local_x, local_y);
+      Vector sums = uoi::solvers::screen_sums(local_x, local_y);
+      comm.allreduce(std::span<double>(sums), uoi::sim::ReduceOp::kSum);
+      const auto shared = uoi::solvers::screen_inputs_from_sums(sums);
       uoi::solvers::DistributedScreenedLassoChain chain(
           comm, local_x, local_y, shared, admm, screen_with(kPinModes[m]));
       uoi::solvers::DistributedAdmmResult totals;

@@ -335,8 +335,7 @@ TEST(SerialUoiPins, OneRankGroupsMatchTheSerialFit) {
       std::vector<uoi::sched::LinearPath> paths(kRanks);
       uoi::sim::Cluster::run(kRanks, [&](uoi::sim::Comm& comm) {
         const auto r = static_cast<std::size_t>(comm.rank());
-        paths[r] = uoi::core::detail::linear_family_path(comm, data.x, lasso,
-                                                         layout);
+        paths[r] = uoi::core::detail::linear_family_path(comm, data.x, layout);
         const auto l = uoi::core::uoi_lasso_distributed(comm, data.x, data.y,
                                                         lasso, layout);
         lasso_pins[r] = pin(l.model.beta, l.model.intercept,
