@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "linalg/blas.hpp"
-#include "linalg/simd_scalar_kernels.hpp"
 
 namespace uoi::linalg {
 
@@ -230,6 +229,23 @@ void write_lane(double* dst, std::size_t dim, std::size_t n,
   }
 }
 
+/// Both sweeps of one system in place, over its factor packed by row
+/// (element (i, j <= i) at f[i(i+1)/2 + j]): CholeskyFactor::solve's
+/// arithmetic, so its bytes are those of the lane kernel too.
+void solve_packed(const double* f, std::size_t n, double* x,
+                  const simd::KernelTable& kernels) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* row = f + packed_row(i);
+    x[i] = (x[i] - kernels.dot(row, x, i)) / row[i];
+  }
+  for (std::size_t ii = n; ii > 0; --ii) {
+    const std::size_t i = ii - 1;
+    double sum = x[i];
+    for (std::size_t k = i + 1; k < n; ++k) sum -= f[packed_row(k) + i] * x[k];
+    x[i] = sum / f[packed_row(i) + i];
+  }
+}
+
 }  // namespace
 
 CholeskyBatch::CholeskyBatch(std::span<const System> systems,
@@ -281,7 +297,7 @@ CholeskyBatch::CholeskyBatch(const Matrix& gram, double diagonal_shift,
       group.slots[lane] = lane < lanes ? first + lane : kNone;
       if (lane < lanes) {
         slots_[first + lane] = {(first + lane) * dim, dim, true,
-                                groups_.size(), lane, {}};
+                                groups_.size(), lane, {}, {}};
       }
     }
     groups_.push_back(group);
@@ -331,16 +347,22 @@ double* CholeskyBatch::lane_factor(const Slot& slot) const {
 
 void CholeskyBatch::refactor(std::size_t k, const Matrix& gram,
                              double diagonal_shift, std::size_t offset) {
+  const CholeskyFactor factor(gram, diagonal_shift);
+  factor_flops_ += cholesky_flops(factor.dim());
+  assign(k, factor, offset);
+}
+
+void CholeskyBatch::assign(std::size_t k, const CholeskyFactor& factor,
+                           std::size_t offset) {
   UOI_CHECK(!shared_, "CholeskyBatch: refactor of a shared-factor batch");
   if (k >= slots_.size()) slots_.resize(k + 1);
-  const CholeskyFactor factor(gram, diagonal_shift);
   const Matrix& l = factor.lower();
   Slot& slot = slots_[k];
   slot.offset = offset;
   slot.dim = l.rows();
   slot.live = true;
+  slot.lone.clear();
   extent_ = std::max(extent_, offset + slot.dim);
-  factor_flops_ += cholesky_flops(slot.dim);
   const auto value = [&](std::size_t i, std::size_t j) { return l(i, j); };
   if (slot.group != kNone && slot.dim <= groups_[slot.group].n) {
     write_lane(lane_factor(slot), slot.dim, groups_[slot.group].n, value);
@@ -434,15 +456,21 @@ void CholeskyBatch::solve(std::span<const double> b, std::span<double> x,
     }
     if (live == 0) continue;
     if (live == 1) {
-      // One system: the scalar sweep on its own lane of the packed
-      // factor, in place on its slice (the kernel's arithmetic per lane).
-      const Slot& slot = slots_[lone];
+      // One system: a lone factor's sweeps, in place on its slice, over a
+      // contiguous copy of its lane (the shared factor is one already).
+      Slot& slot = slots_[lone];
+      if (!shared_ && slot.lone.empty()) {
+        const double* lane = lane_factor(slot);
+        slot.lone.resize(packed_row(slot.dim));
+        for (std::size_t i = 0; i < slot.lone.size(); ++i) {
+          slot.lone[i] = lane[kLanes * i];
+        }
+      }
       const auto out = x.subspan(slot.offset, slot.dim);
       std::copy_n(b.begin() + static_cast<std::ptrdiff_t>(slot.offset),
                   slot.dim, out.begin());
-      simd::detail::cholesky_solve_lane_scalar(
-          shared_ ? packed_.data() : lane_factor(slot), shared_ ? 1 : kLanes,
-          slot.dim, out.data(), 1);
+      solve_packed(shared_ ? packed_.data() : slot.lone.data(), slot.dim,
+                   out.data(), kernels);
       continue;
     }
     const std::size_t block = kLanes * packed_row(n);

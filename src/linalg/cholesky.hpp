@@ -31,9 +31,9 @@
 // kernel group's padded dimension and by a regroup of every live lane
 // otherwise, and it is retired while its chain has no solve running.
 // Lane groups of eight with no live lane are skipped, and a kernel group
-// down to one live lane runs the one-lane scalar sweep, which is the
-// kernel's arithmetic for that lane and, at one lane, cheaper than the
-// eight-lane call.
+// down to one live lane solves it as a lone CholeskyFactor would, on a
+// contiguous copy of its factor: the kernel's arithmetic for that lane, at
+// the lone factor's speed.
 
 #include <cstdint>
 #include <span>
@@ -120,6 +120,11 @@ class CholeskyBatch {
   void refactor(std::size_t k, const Matrix& gram, double diagonal_shift,
                 std::size_t offset);
 
+  /// refactor() with a factor the caller already holds: system k gets a
+  /// copy of `factor` (no factorization, none counted in factor_flops).
+  void assign(std::size_t k, const CholeskyFactor& factor,
+              std::size_t offset);
+
   /// Takes system k out of the solves until refactor() gives it a new
   /// factor: solve() leaves its slice untouched.
   void retire(std::size_t k);
@@ -157,6 +162,9 @@ class CholeskyBatch {
     /// A factor too wide for its kernel group, packed by row (i(i+1)/2 + j)
     /// until the next regroup places it.
     std::vector<double> pending;
+    /// Its factor packed by row, copied out of the lanes the first time it
+    /// is the one live system of its kernel group; dropped on a new factor.
+    std::vector<double> lone;
   };
   struct Group {
     std::size_t n = 0;            ///< padded dimension (largest lane)

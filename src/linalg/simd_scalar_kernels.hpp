@@ -6,7 +6,7 @@
 // ((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7)). Header-inline so the AVX
 // translation units can alias these when the toolchain lacks the ISA; the
 // definitions are token-identical in every TU, and all kernel TUs (and
-// cholesky.cpp, which runs the one-lane sweep) build with
+// cholesky.cpp, whose one-system sweeps share this arithmetic) build with
 // -ffp-contract=off, so any linker-chosen copy computes the same IEEE
 // result (no contraction, no reassociation).
 

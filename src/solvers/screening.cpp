@@ -459,6 +459,9 @@ struct WalkLane {
   std::size_t dim = 0;
   double factored_rho = 0.0;
   std::uint64_t refactor_flops = 0;
+  /// Off mode: G + rho I at the options' rho, kept for the chain's full
+  /// solves as the lone chain's cached full solver keeps it.
+  std::optional<uoi::linalg::CholeskyFactor> full_factor;
 };
 
 }  // namespace
@@ -481,11 +484,18 @@ void walk_gram_chains(
   // same columns does.
   const auto factor = [&](std::size_t k, double rho) {
     const auto& pending = chains[k].pending();
-    const Matrix& gram = chains[k].backend().problem().gram->gram();
+    const auto& backend = chains[k].backend();
+    const Matrix& gram = backend.problem().gram->gram();
+    WalkLane& lane = lanes[k];
+    lane.factored_rho = rho;
+    if (pending.full && rho == backend.options().rho) {
+      if (!lane.full_factor) lane.full_factor.emplace(gram, rho);
+      batch.assign(k, *lane.full_factor, k * stride);
+      return;
+    }
     batch.refactor(
         k, pending.full ? gram : detail::gather_submatrix(gram, pending.cols),
         rho, k * stride);
-    lanes[k].factored_rho = rho;
   };
   // Moves chain k on to its next solve, handing the steps that finish on
   // the way to `take`.

@@ -655,7 +655,9 @@ class GramLassoChain : public detail::ScreenedChain<detail::GramLassoBackend> {
 /// every live lane's x-update. A lane whose solve finishes hands the fit
 /// back to its chain (ScreenedChain::resume), whose KKT check or polish
 /// may open the lane's next solve at once; a refactorization (new rho or
-/// new columns) refactors just that lane. `take(i, m, fit)` receives
+/// new columns) refactors just that lane, and in off mode every full
+/// solve of a chain reuses its lane's one factor of G + rho I, as the lone
+/// chain's cached full solver does. `take(i, m, fit)` receives
 /// chain i's fit at lambdas[m], in the order the chains finish. Every
 /// fit, counter and ScreenStats equals what chains[i].solve(lambdas[m])
 /// for m = 0, 1, ... gives, bit for bit. Local: no communication.

@@ -2,14 +2,17 @@
 // Serial UoI_VAR (paper Algorithm 2): UoI model selection + estimation on
 // the vectorized VAR regression vec Y = (I (x) X) vec B + vec E. The fit
 // is the distributed driver (var_distributed.hpp) on a one-rank
-// communicator, whose lone task group walks the serial screened chain.
+// communicator, whose lone task group walks one Gram lasso chain per
+// equation: (I (x) X)'(I (x) X) = I (x) X'X, so the vectorized lasso
+// splits exactly into p lassos that share one d p x d p Gram.
 //
 // Differences from UoI_LASSO, exactly as the paper lists them:
 //   * block bootstrap instead of iid row resampling (temporal dependence);
 //   * the lag-matrix construction (eqs. 7-8) per resample;
 //   * the Kronecker/vectorization rearrangement (eq. 9) before solving.
 //
-// Two interchangeable solver backends:
+// The paper's two solver backends over I (x) X itself remain public
+// solvers (solvers/admm_lasso_sparse.hpp) that the fit no longer calls:
 //   * kSparse      — materializes I (x) X as CSR and runs the sparse
 //                    LASSO-ADMM (the paper's Sparse Eigen C++ path);
 //   * kStructured  — matrix-free I (x) X with a single shared dp x dp
@@ -47,6 +50,9 @@ struct UoiVarOptions {
   /// intersection).
   double intersection_fraction = 1.0;
   double support_tolerance = 1e-7;
+  /// Not read: every fit selects through the per-equation Gram chains
+  /// (see the header comment). Kept because the benchmark harness sets
+  /// it; it goes with the benchmark cleanup of ROADMAP item 3.
   VarSolverBackend backend = VarSolverBackend::kStructured;
   /// How candidate supports are scored on the evaluation resample:
   /// held-out MSE (the paper) or size-penalized AIC/BIC.
@@ -56,8 +62,8 @@ struct UoiVarOptions {
   bool center = true;
   std::uint64_t seed = 20200518;
   uoi::solvers::AdmmOptions admm;
-  /// Screening along each selection lambda chain (both serial backends
-  /// and the distributed driver run the same canonical two-stage chain).
+  /// Screening along each selection lambda chain (every selection solver
+  /// runs the same canonical two-stage chain).
   /// Modes are byte-identical (see core::UoiLassoOptions::screen).
   uoi::solvers::ScreenOptions screen;
   /// Fault tolerance: shrink-and-resume on rank failure, retry budget for

@@ -10,10 +10,7 @@
 #include "core/uoi_engine.hpp"
 #include "io/h5lite.hpp"
 #include "linalg/blas.hpp"
-#include "linalg/sparse.hpp"
 #include "sched/cost_model.hpp"
-#include "solvers/admm_lasso_sparse.hpp"
-#include "solvers/admm_loop.hpp"
 #include "solvers/consensus_loop.hpp"
 #include "solvers/ols.hpp"
 #include "solvers/ridge_system.hpp"
@@ -413,199 +410,13 @@ class DistributedVarBackend {
   const DistributedVarAdmmSolver* full_solver_;
 };
 
-/// Replicable screening quantities of the vectorized VAR problem (the
-/// serial mirror of var_screen_sums): coefficient g = e*dp + c
-/// sees column c of the shared lag matrix in equation e's rows only, so
-/// the per-column norms tile p times.
-uoi::solvers::ScreenInputs var_screen_inputs(
-    const LagRegression& lag, std::span<const double> vec_y) {
-  const std::size_t rows = lag.x.rows();
-  const std::size_t dp = lag.x.cols();
-  const std::size_t p = lag.y.cols();
-  const std::size_t nc = dp * p;
-  Vector sums(2 * nc + 1, 0.0);  // [A'b | column norms^2 | b'b]
-  Vector colsq(dp, 0.0);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const auto row = lag.x.row(r);
-    for (std::size_t c = 0; c < dp; ++c) colsq[c] += row[c] * row[c];
-  }
-  for (std::size_t e = 0; e < p; ++e) {
-    uoi::linalg::gemv_transposed(
-        1.0, lag.x, vec_y.subspan(e * rows, rows), 0.0,
-        std::span<double>(sums).subspan(e * dp, dp));
-    std::copy(colsq.begin(), colsq.end(),
-              sums.begin() + static_cast<std::ptrdiff_t>(nc + e * dp));
-  }
-  sums[2 * nc] = uoi::linalg::nrm2_squared(vec_y);
-  return uoi::solvers::screen_inputs_from_sums(sums);
-}
-
-/// c = A'(b - A beta) of the vectorized problem for a full-length beta.
-Vector var_correlation(const LagRegression& lag, std::span<const double> vec_y,
-                       std::span<const double> beta_full,
-                       std::uint64_t& flops) {
-  const std::size_t rows = lag.x.rows();
-  const std::size_t dp = lag.x.cols();
-  const std::size_t p = lag.y.cols();
-  Vector c(dp * p, 0.0);
-  Vector r(rows);
-  for (std::size_t e = 0; e < p; ++e) {
-    const auto y_e = vec_y.subspan(e * rows, rows);
-    std::copy(y_e.begin(), y_e.end(), r.begin());
-    uoi::linalg::gemv(-1.0, lag.x, beta_full.subspan(e * dp, dp), 1.0, r);
-    uoi::linalg::gemv_transposed(1.0, lag.x, r, 0.0,
-                                 std::span<double>(c).subspan(e * dp, dp));
-    flops += 2 * uoi::linalg::gemv_flops(rows, dp);
-  }
-  return c;
-}
-
-/// Serial active-set solver over a sorted subset of the vectorized VAR
-/// coefficients: the joint ADMM runs in compacted working coordinates and
-/// the x-update solves one system per equation over the surviving columns
-/// (a view of the shared lag matrix when all dp survive, a gathered copy
-/// otherwise), all equations at once through a BlockRidgeSolver — the
-/// serial mirror of the reduced DistributedVarAdmmSolver.
-class VarWorkingSetSolver {
- public:
-  VarWorkingSetSolver(const LagRegression& lag, std::span<const double> vec_y,
-                      std::span<const std::size_t> working,
-                      const uoi::solvers::AdmmOptions& options)
-      : options_(options), nw_(working.size()),
-        system_(blocks(lag, vec_y, working), options.rho),
-        pending_setup_flops_(system_.setup_flops()) {}
-
-  [[nodiscard]] uoi::solvers::AdmmResult solve(
-      double lambda, const uoi::solvers::AdmmResult* warm_start) const {
-    double current_rho = options_.rho;
-    std::optional<uoi::solvers::BlockRidgeSolver> rebuilt;
-    std::uint64_t refactor_flops = 0;
-    const std::uint64_t charged = pending_setup_flops_;
-    pending_setup_flops_ = 0;
-    const auto solve_ls = [&](std::span<const double> q, std::span<double> x,
-                              double rho) {
-      if (rho != current_rho) {
-        rebuilt.emplace(system_, rho);
-        refactor_flops += rebuilt->setup_flops();
-        current_rho = rho;
-      }
-      (rebuilt ? *rebuilt : system_).solve(q, x);
-    };
-    auto result = uoi::solvers::detail::run_admm_loop(
-        nw_, lambda, options_, atb_, solve_ls, charged, system_.solve_flops(),
-        warm_start);
-    result.flops += refactor_flops;
-    return result;
-  }
-
- private:
-  /// Gathers each equation's surviving columns (kept in cols_) and its
-  /// slice of A'b; returns the equations as blocks.
-  std::vector<uoi::solvers::BlockRidgeSolver::Block> blocks(
-      const LagRegression& lag, std::span<const double> vec_y,
-      std::span<const std::size_t> working) {
-    const std::size_t rows = lag.x.rows();
-    const std::size_t p = lag.y.cols();
-    atb_.assign(nw_, 0.0);
-    cols_.reserve(p);
-    std::vector<uoi::solvers::BlockRidgeSolver::Block> out;
-    for (std::size_t e = 0; e < p; ++e) {
-      append_equation_block(lag.x, vec_y.subspan(e * rows, rows), e, working,
-                            cols_, out, atb_);
-    }
-    return out;
-  }
-
-  uoi::solvers::AdmmOptions options_;
-  std::size_t nw_;
-  Vector atb_;
-  /// Gathered column subsets of the equations with width < dp; reserved
-  /// up front so the blocks' views stay valid.
-  std::vector<Matrix> cols_;
-  uoi::solvers::BlockRidgeSolver system_;
-  mutable std::uint64_t pending_setup_flops_ = 0;
-};
-
-/// Serial backend of the screened chain, for a task group of one rank that
-/// holds the whole vectorized problem: reduced solves go to the active-set
-/// VarWorkingSetSolver, correlations to var_correlation, and the off-mode
-/// full solve to the structured or sparse solver, built lazily so
-/// screened runs never pay for it. No collectives.
-class SerialVarBackend {
- public:
-  using Fit = uoi::solvers::AdmmResult;
-
-  SerialVarBackend(const uoi::solvers::AdmmOptions& admm,
-                   const LagRegression& lag, const VectorizedProblem& problem,
-                   VarSolverBackend kind)
-      : admm_(admm), lag_(&lag), problem_(&problem), kind_(kind),
-        inputs_(var_screen_inputs(lag, problem.vec_y)) {}
-
-  [[nodiscard]] const uoi::solvers::ScreenInputs& inputs() const noexcept {
-    return inputs_;
-  }
-
-  [[nodiscard]] Fit full_solve(double lambda, double /*lambda2*/,
-                               const Fit& warm) {
-    if (kind_ == VarSolverBackend::kStructured) {
-      if (!kron_solver_) {
-        kron_solver_.emplace(problem_->design, problem_->vec_y, admm_);
-      }
-      return kron_solver_->solve(lambda, &warm);
-    }
-    if (!sparse_solver_) {
-      // The paper's sparse path: materialize I (x) X as CSR.
-      design_.emplace(uoi::linalg::SparseMatrix::block_diagonal(
-          lag_->x, lag_->y.cols()));
-      sparse_solver_.emplace(*design_, problem_->vec_y, admm_);
-    }
-    return sparse_solver_->solve(lambda, &warm);
-  }
-
-  [[nodiscard]] Fit subset_solve(std::span<const std::size_t> cols,
-                                 double lambda, double /*lambda2*/,
-                                 const Fit& warm) const {
-    const VarWorkingSetSolver sub(*lag_, problem_->vec_y, cols, admm_);
-    return sub.solve(lambda, &warm);
-  }
-
-  void kkt_correlation(std::span<const double> beta_w,
-                       std::span<const std::size_t> working, Vector& c,
-                       Fit& spent) const {
-    const Vector beta_full = uoi::solvers::detail::expand_vector(
-        beta_w, working, inputs_.atb.size());
-    c = var_correlation(*lag_, problem_->vec_y, beta_full, spent.flops);
-  }
-
-  void refresh_correlation(std::span<const double> beta,
-                           std::span<const std::size_t> /*support*/,
-                           Vector& c, Fit& result) const {
-    c = var_correlation(*lag_, problem_->vec_y, beta, result.flops);
-  }
-
- private:
-  uoi::solvers::AdmmOptions admm_;
-  const LagRegression* lag_;
-  const VectorizedProblem* problem_;
-  VarSolverBackend kind_;
-  uoi::solvers::ScreenInputs inputs_;
-  std::optional<uoi::linalg::SparseMatrix> design_;
-  std::optional<uoi::solvers::KronLassoAdmmSolver> kron_solver_;
-  std::optional<uoi::solvers::SparseLassoAdmmSolver> sparse_solver_;
-};
-
 // Per-bootstrap cache entries. bytes() returns an estimate computed from
 // the *global* problem shape, not the local row counts: the selection
 // build is collective over the task group, so every rank must make the
 // identical LRU keep/evict decision or a hit/miss divergence would leave
 // part of the group waiting in a collective forever.
 struct VarSelectionEntry {
-  /// One-rank group: the bootstrap's lag regression and its vectorized
-  /// problem (which borrows lag.x), built locally.
-  LagRegression lag;
-  std::optional<VectorizedProblem> problem;
-  /// Wider group, Gram path: one problem per equation, sharing the
-  /// group's summed X'X.
+  /// Gram walk: one problem per equation, sharing the bootstrap's X'X.
   std::vector<uoi::solvers::GramProblem> grams;
   /// Wider group, Kron+vec path: this rank's assembled row block of the
   /// vectorized problem and the replicated screening inputs shared by
@@ -755,31 +566,34 @@ UoiVarDistributedResult uoi_var_distributed(
   const sched::LinearPath path =
       detail::var_linear_path(comm, series_view, options, layout);
   const bool gram_path = path == sched::LinearPath::kGram;
-  if (comm.size() >
-      std::max(1, layout.bootstrap_groups * layout.lambda_groups)) {
-    // One-rank groups walk the serial fit's chain, so they share its
-    // checkpoints. Groups that split a bootstrap's rows sum a Gram or run
-    // the Kron+vec consensus solver: their checkpoints name the path and
-    // restart instead of mixing solvers.
-    fp.add(static_cast<std::uint64_t>(path));
-  }
+  // Checkpoints name the selection solver, so a file written by another
+  // one restarts instead of mixing solvers. Groups that split a
+  // bootstrap's rows take `path`. A layout of one-rank groups only (a
+  // serial fit too) sums every Gram on one rank, whose rounding differs
+  // from a group's reduced Gram, and takes the tag after the two paths.
+  constexpr std::uint64_t kLocalGramTag = 2;
+  const bool one_rank_groups =
+      comm.size() <= std::max(1, layout.bootstrap_groups * layout.lambda_groups);
+  fp.add(one_rank_groups ? kLocalGramTag : static_cast<std::uint64_t>(path));
   spec.fingerprint = fp.value();
 
-  // Selection: readers construct the bootstrap sample's lag regression. A
-  // one-rank group holds the whole bootstrap and builds its vectorized
-  // problem locally: no window, no collective. On the Gram path the
-  // readers sum the Gram of their share of the lag rows, and one
-  // allreduce replicates it over the group; on the Kron+vec path compute
-  // ranks assemble their vectorized row blocks through the windows. The
-  // entry (and a Kron group's factorizations) is cached per bootstrap, so
-  // any chain of the same k — adjacent, interleaved, or stolen — reuses
-  // it.
+  // Selection: readers construct the bootstrap sample's lag regression.
+  // The vectorized lasso separates by equation ((I (x) X)'(I (x) X) =
+  // I (x) X'X), so a group whose ranks can hold the d p x d p Gram walks
+  // one Gram chain per equation. A one-rank group holds the whole
+  // bootstrap and sums its Gram locally at any shape: no window, no
+  // collective. On the Gram path the readers of a wider group sum the Gram
+  // of their share of the lag rows, and one allreduce replicates it over
+  // the group; on the Kron+vec path compute ranks assemble their
+  // vectorized row blocks through the windows. The entry (and a Kron
+  // group's factorizations) is cached per bootstrap, so any chain of the
+  // same k — adjacent, interleaved, or stolen — reuses it.
   const std::size_t lag_rows = series.rows() - d;
   const auto select = [&](uoi::core::UoiSelectionTask& task) {
     const auto& tl = task.layout;
     const int trace_rank = task.task_comm.global_rank();
     const int group_readers = std::min(n_readers, tl.c_ranks);
-    const bool local_chain = tl.c_ranks == 1;
+    const bool gram_walk = tl.c_ranks == 1 || gram_path;
     const std::size_t k = task.bootstrap;
     const std::uint64_t hits_before = task.cache.stats().hits;
     const auto entry = task.cache.get_or_build<VarSelectionEntry>(
@@ -793,10 +607,16 @@ UoiVarDistributedResult uoi_var_distributed(
                                       k));
             lag = build_lag_regression(sample, d);
           }
-          if (local_chain) {
-            fresh->lag = std::move(lag);
-            fresh->problem.emplace(vectorize(fresh->lag));
-            fresh->bytes_estimate = lag_rows * (dp + 2 * p) * sizeof(double);
+          // X'X, then per equation X'y_e, diag(X'X) and y_e'y_e.
+          fresh->bytes_estimate = (dp * dp + p * (2 * dp + 1)) * sizeof(double);
+          if (tl.c_ranks == 1) {
+            support::TraceScope gram_span("var-selection-gram",
+                                          support::TraceCategory::kGram,
+                                          trace_rank);
+            fresh->grams = uoi::solvers::gram_problems_from_sums(
+                uoi::solvers::gram_sums(lag.x, lag.y), dp, p);
+            task.counters.local_flops +=
+                uoi::solvers::gram_sums_flops(lag_rows, dp, p);
             return fresh;
           }
           if (gram_path) {
@@ -813,9 +633,6 @@ UoiVarDistributedResult uoi_var_distributed(
                 reader ? lag.y.row_block(mine.begin, mine.size())
                        : ConstMatrixView(nullptr, 0, p, p),
                 "var-selection-gram", task.counters);
-            // X'X, then per equation X'y_e, diag(X'X) and y_e'y_e.
-            fresh->bytes_estimate =
-                (dp * dp + p * (2 * dp + 1)) * sizeof(double);
             return fresh;
           }
           fresh->block = distributed_kron_vectorize(task.task_comm, lag,
@@ -845,37 +662,13 @@ UoiVarDistributedResult uoi_var_distributed(
               sizeof(double);
           return fresh;
         });
-    if (entry->solver.has_value()) {
-      if (task.cache.stats().hits != hits_before) {
-        task.counters.setup_flops_amortized += entry->solver->setup_flops();
-      } else {
-        task.counters.setup_flops_charged += entry->solver->setup_flops();
-      }
-    }
-    // The screened chain owns the warm starts and the two-stage solve;
-    // `take(m, beta)` receives the fit at cells[m].
-    const auto walk = [&](auto&& chain, const auto& take) {
-      for (std::size_t m = 0; m < task.cells.size(); ++m) {
-        const auto fit = chain.solve(model.lambdas[task.cells[m]]);
-        task.counters.add(fit);
-        take(m, fit.beta);
-      }
-      task.counters.screen += chain.stats();
-    };
     const auto mark = [&](std::size_t m, std::span<const double> beta) {
       task.mark_selected(m, beta, options.support_tolerance);
     };
-    if (local_chain) {
-      walk(uoi::solvers::detail::ScreenedChain<SerialVarBackend>(
-               options.admm, screen_opts, entry->lag, *entry->problem,
-               options.backend),
-           mark);
-    } else if (gram_path) {
-      // The vectorized lasso separates by equation: each rank walks the
-      // chains of its own equations on the replicated Gram, all at once in
-      // lanes of one batched ADMM and with no collective, into its blocks
-      // of the cells' betas. One Sum allreduce then assembles them; each
-      // entry has one contributor, so the sum is exact.
+    if (gram_walk) {
+      // Each rank walks the chains of its own equations on the replicated
+      // Gram, all at once in lanes of one batched ADMM and with no
+      // collective, into its blocks of the cells' betas.
       std::vector<std::size_t> equations;
       std::vector<uoi::solvers::GramLassoChain> chains;
       for (std::size_t e = 0; e < p; ++e) {
@@ -897,20 +690,37 @@ UoiVarDistributedResult uoi_var_distributed(
                                           m * n_coeffs + equations[i] * dp));
           });
       for (const auto& chain : chains) task.counters.screen += chain.stats();
-      task.task_comm.allreduce(std::span<double>(betas), ReduceOp::kSum);
+      // A wider group assembles the blocks with one Sum allreduce; each
+      // entry has one contributor, so the sum is exact.
+      if (tl.c_ranks > 1) {
+        task.task_comm.allreduce(std::span<double>(betas), ReduceOp::kSum);
+      }
       for (std::size_t m = 0; m < task.cells.size(); ++m) {
         mark(m, std::span<const double>(betas).subspan(m * n_coeffs,
                                                        n_coeffs));
       }
-    } else {
-      // Reduced active-set solves shrink the consensus payload to (|W|+3)
-      // doubles.
-      walk(uoi::solvers::detail::ScreenedChain<DistributedVarBackend>(
-               options.admm, screen_opts, task.task_comm, entry->block,
-               entry->screen_inputs,
-               entry->solver.has_value() ? &*entry->solver : nullptr),
-           mark);
+      return;
     }
+    if (entry->solver.has_value()) {
+      if (task.cache.stats().hits != hits_before) {
+        task.counters.setup_flops_amortized += entry->solver->setup_flops();
+      } else {
+        task.counters.setup_flops_charged += entry->solver->setup_flops();
+      }
+    }
+    // Reduced active-set solves shrink the consensus payload to (|W|+3)
+    // doubles; the screened chain owns the warm starts and the two-stage
+    // solve.
+    uoi::solvers::detail::ScreenedChain<DistributedVarBackend> chain(
+        options.admm, screen_opts, task.task_comm, entry->block,
+        entry->screen_inputs,
+        entry->solver.has_value() ? &*entry->solver : nullptr);
+    for (std::size_t m = 0; m < task.cells.size(); ++m) {
+      const auto fit = chain.solve(model.lambdas[task.cells[m]]);
+      task.counters.add(fit);
+      mark(m, fit.beta);
+    }
+    task.counters.screen += chain.stats();
   };
 
   // Estimation: (bootstrap, chain) cells over the task groups, equations

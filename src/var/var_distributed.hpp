@@ -23,7 +23,9 @@
 // Gram is no larger than a rank's row block of I (x) X (d at most the lag
 // rows per rank), a task group skips the windows and the consensus: one
 // allreduce of [X'X | X'Y | y'y] per bootstrap, then every rank solves
-// its own equations locally (see uoi_var_distributed).
+// its own equations locally. A one-rank group (and so a serial fit) holds
+// the whole bootstrap and takes the Gram at every shape, with no
+// collective (see uoi_var_distributed).
 
 #include "core/uoi_engine.hpp"  // UoiParallelLayout, breakdown
 #include "sched/cost_model.hpp"   // LinearPath
@@ -144,22 +146,22 @@ struct UoiVarDistributedResult {
 /// A family of the shared engine (core/uoi_engine.hpp): layout,
 /// scheduling, checkpointing and shrink-and-resume (options.recovery) work
 /// as in uoi_lasso_distributed, with P = P_B x P_lambda x C. Selection
-/// takes one of three solvers per task group:
-///   C = 1                one rank holds the whole bootstrap and walks the
-///                        serial screened chain (structured or sparse, per
-///                        options.backend) with no window or collective, so
-///                        one-rank groups reproduce UoiVar::fit, which is
-///                        this driver on a one-rank communicator;
-///   C >= 2, kGram        the readers sum [X'X | X'Y | per-column y'y] of
-///                        their lag rows in one allreduce per bootstrap
-///                        ((I (x) X)'(I (x) X) = I (x) X'X), each rank walks
-///                        a solvers::GramLassoChain per equation it owns,
-///                        and one allreduce assembles the cells' betas;
-///   C >= 2, kConsensus   the Kron+vec windows and DistributedVarAdmmSolver,
-///                        one allreduce per ADMM iteration (paper scale,
-///                        short high-order series).
-/// The path is detail::var_linear_path. Every group shares the estimation
-/// hook.
+/// takes one of two solvers per task group:
+///   Gram walk   [X'X | X'Y | per-column y'y] of the bootstrap's lag rows
+///               ((I (x) X)'(I (x) X) = I (x) X'X), then every rank walks a
+///               solvers::GramLassoChain per equation it owns, all in lanes
+///               of one batched ADMM (solvers::walk_gram_chains). A one-rank
+///               group sums the Gram locally at any shape and makes no
+///               collective, so one-rank groups reproduce UoiVar::fit, which
+///               is this driver on a one-rank communicator. A wider group
+///               on the kGram path sums its readers' rows in one allreduce
+///               per bootstrap, and one more allreduce assembles the cells'
+///               betas;
+///   Kron+vec    a wider group on the kConsensus path: the Kron+vec windows
+///               and DistributedVarAdmmSolver, one allreduce per ADMM
+///               iteration (paper scale, short high-order series).
+/// The path is detail::var_linear_path. options.backend is not read. Every
+/// group shares the estimation hook.
 [[nodiscard]] UoiVarDistributedResult uoi_var_distributed(
     uoi::sim::Comm& comm, uoi::linalg::ConstMatrixView series,
     const UoiVarOptions& options = {},
