@@ -939,7 +939,7 @@ TEST(ScreenedChainPins, SerialVarFit) {
   const Matrix series = pin_var_series();
   auto options = pin_var_options();
   const std::uint64_t expected_beta = 1495920722954990147ULL;
-  const std::uint64_t expected_flops[] = {9398272, 10550548, 11159808};
+  const std::uint64_t expected_flops[] = {5996141, 5247552, 5423729};
   for (std::size_t m = 0; m < std::size(kPinModes); ++m) {
     options.screen.mode = kPinModes[m];
     const auto fit = uoi::var::UoiVar(options).fit(series);
@@ -947,12 +947,12 @@ TEST(ScreenedChainPins, SerialVarFit) {
     EXPECT_EQ(beta_bytes_hash(fit.vec_beta), expected_beta) << name;
     EXPECT_EQ(fit.total_flops, expected_flops[m]) << name;
   }
-  // The sparse backend differs only in the off-mode full solve.
+  // Fits no longer read the backend: the sparse one runs the same chains.
   options.backend = uoi::var::VarSolverBackend::kSparse;
   options.screen.mode = ScreenMode::kOff;
   const auto sparse = uoi::var::UoiVar(options).fit(series);
   EXPECT_EQ(beta_bytes_hash(sparse.vec_beta), expected_beta);
-  EXPECT_EQ(sparse.total_flops, 74463959u);
+  EXPECT_EQ(sparse.total_flops, 5996141u);
 }
 
 /// Pins a four-rank distributed VAR fit on layout {2, 1} (two groups of

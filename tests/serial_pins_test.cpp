@@ -406,14 +406,14 @@ TEST(SerialUoiPins, Var) {
       "0,2,3,4,7,8,10,12,13,14,18,19,21,22,23,25,28,29,30,31,32,34,35;"
       "0,2,3,4,5,7,8,9,10,12,13,14,15,16,17,18,19,21,22,23,25,27,28,29"
       ",30,31,32,33,34,35 chosen=3,3,5 loss=16004486360057176807 "
-      "flops=2907910 mu=12537659391468724546",
+      "flops=1810565 mu=12537659391468724546",
       "beta=6447771388323124424 "
       "supports=;2,12,14,20,21;0,2,7,12,14,18,21,23,29,35;"
       "0,2,3,7,10,12,14,18,21,22,23,28,29,31,34,35;"
       "0,2,3,4,7,8,10,12,13,14,18,19,21,22,23,25,28,29,30,31,32,34,35;"
       "0,2,3,4,5,7,8,9,10,12,13,14,15,16,17,18,19,21,22,23,25,27,28,29"
       ",30,31,32,33,34,35 chosen=3,3,5 loss=16004486360057176807 "
-      "flops=3392926 mu=12537659391468724546",
+      "flops=1683333 mu=12537659391468724546",
   };
   const Matrix series = var_series();
   auto options = var_options();
@@ -431,7 +431,7 @@ TEST(SerialUoiPins, Var) {
             "0,2,3,4,7,8,10,12,13,14,18,19,21,22,23,25,28,29,30,31,32,34,35;"
             "0,2,3,4,5,7,8,9,10,12,13,14,15,16,17,18,19,21,22,23,25,27,28,29"
             ",30,31,32,33,34,35 chosen=3,3,5 loss=16004486360057176807 "
-            "flops=16891462 mu=12537659391468724546");
+            "flops=1810565 mu=12537659391468724546");
 }
 
 // Serial fits build their one-rank communicator in the calling thread, so
