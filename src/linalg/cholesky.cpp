@@ -241,7 +241,10 @@ void solve_packed(const double* f, std::size_t n, double* x,
   for (std::size_t ii = n; ii > 0; --ii) {
     const std::size_t i = ii - 1;
     double sum = x[i];
-    for (std::size_t k = i + 1; k < n; ++k) sum -= f[packed_row(k) + i] * x[k];
+    // Down column i: element (k, i) sits k + 1 past element (k - 1, i).
+    for (std::size_t k = i + 1, at = packed_row(k) + i; k < n; at += ++k) {
+      sum -= f[at] * x[k];
+    }
     x[i] = sum / f[packed_row(i) + i];
   }
 }

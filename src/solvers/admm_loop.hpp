@@ -46,7 +46,7 @@ class AdmmIterate {
               std::uint64_t setup_flops)
       : options_(&options), lambda_(lambda), l2_penalty_(l2_penalty),
         rho_(options.rho), sqrt_p_(std::sqrt(static_cast<double>(p))),
-        z_(p, 0.0), u_(p, 0.0), z_old_(p), x_hat_(p) {
+        z_(p, 0.0), u_(p, 0.0) {
     UOI_CHECK(lambda >= 0.0, "lambda must be non-negative");
     UOI_CHECK(l2_penalty >= 0.0, "l2 penalty must be non-negative");
     UOI_CHECK(options.rho > 0.0, "rho must be positive");
@@ -76,17 +76,18 @@ class AdmmIterate {
     const std::size_t p = z_.size();
     const double relax = options_->alpha;
     result_.flops += x_update_flops;
-    z_old_ = z_;
-    for (std::size_t i = 0; i < p; ++i) {
-      x_hat_[i] = relax * x[i] + (1.0 - relax) * z_old_[i];
-      z_[i] = elastic_net_prox(x_hat_[i] + u_[i], lambda_, l2_penalty_, rho_);
-    }
-    for (std::size_t i = 0; i < p; ++i) u_[i] += x_hat_[i] - z_[i];
-
+    // One pass: each coordinate's over-relaxation, z/u update and residual
+    // terms, the residual sums accumulated in coordinate order.
     double r_norm_sq = 0.0, s_norm_sq = 0.0;
     for (std::size_t i = 0; i < p; ++i) {
-      const double r = x[i] - z_[i];
-      const double s = rho_ * (z_[i] - z_old_[i]);
+      const double z_old = z_[i];
+      const double x_hat = relax * x[i] + (1.0 - relax) * z_old;
+      const double z =
+          elastic_net_prox(x_hat + u_[i], lambda_, l2_penalty_, rho_);
+      z_[i] = z;
+      u_[i] += x_hat - z;
+      const double r = x[i] - z;
+      const double s = rho_ * (z - z_old);
       r_norm_sq += r * r;
       s_norm_sq += s * s;
     }
@@ -133,7 +134,7 @@ class AdmmIterate {
   double l2_penalty_;
   double rho_;
   double sqrt_p_;
-  uoi::linalg::Vector z_, u_, z_old_, x_hat_;
+  uoi::linalg::Vector z_, u_;
   AdmmResult result_;
 };
 
