@@ -1047,6 +1047,86 @@ TEST(FaultRecovery, VarCheckpointFromTheOtherSolverRestarts) {
   std::filesystem::remove(path);
 }
 
+TEST(FaultRecovery, SerialVarCheckpointWithoutSolverTagRestarts) {
+  // Serial VAR checkpoints used to carry no solver tag: one-rank groups
+  // walked one joint chain over the vectorized problem. They now walk one
+  // Gram chain per equation, so a file fingerprinted the old way belongs
+  // to another solver and must restart, not resume.
+  uoi::data::VarSpec spec;
+  spec.n_nodes = 4;
+  spec.edges_per_node = 1.0;
+  spec.seed = 64;
+  uoi::var::SimulateOptions sim;
+  sim.n_samples = 80;
+  sim.seed = 65;
+  const Matrix series =
+      uoi::var::simulate(uoi::data::make_sparse_var(spec), sim);
+  uoi::var::UoiVarOptions options;
+  options.n_selection_bootstraps = 4;
+  options.n_estimation_bootstraps = 2;
+  options.n_lambdas = 4;
+  options.seed = 67;
+  options.screen.mode = uoi::solvers::ScreenMode::kStrong;
+  const auto path =
+      (std::filesystem::temp_directory_path() / "uoi_var_untagged_ckpt.txt")
+          .string();
+  std::filesystem::remove(path);
+  struct SerialRun {
+    std::optional<uoi::var::UoiVarResult> model;
+    std::uint64_t resumes = 0;
+  };
+  const auto run_serial = [&](const uoi::var::UoiVarOptions& o) {
+    SerialRun run;
+    const auto reports = Cluster::run_collect_reports(1, [&](Comm& comm) {
+      run.model = uoi::var::uoi_var_distributed(comm, series, o).model;
+    });
+    run.resumes = reports[0].recovery.checkpoint_resumes;
+    return run;
+  };
+
+  const auto fresh = run_serial(options);
+  auto ckpt_options = options;
+  ckpt_options.recovery.checkpoint_path = path;
+  (void)run_serial(ckpt_options);
+  std::string text;
+  {
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good());
+    text.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  auto ckpt = uoi::core::SelectionCheckpoint::from_text(text);
+  // The serial fingerprint as it was before the solver tag.
+  uoi::core::FingerprintBuilder untagged;
+  untagged.add(static_cast<std::uint64_t>(0x766172ULL))
+      .add(options.seed)
+      .add(static_cast<std::uint64_t>(options.order))
+      .add(static_cast<std::uint64_t>(options.n_selection_bootstraps))
+      .add(static_cast<std::uint64_t>(options.block_length))
+      .add(static_cast<std::uint64_t>(series.rows()))
+      .add(static_cast<std::uint64_t>(series.cols()))
+      .add(options.support_tolerance)
+      .add(static_cast<std::uint64_t>(options.screen.mode));
+  for (const double l : fresh.model->lambdas) untagged.add(l);
+  ASSERT_NE(ckpt.fingerprint, untagged.value());
+  // The file resumes under its own fingerprint...
+  EXPECT_GE(run_serial(ckpt_options).resumes, 1u);
+  // ...but stamped the old way, with every count zeroed, it is ignored:
+  // the fit starts over and matches a fresh one.
+  ckpt.fingerprint = untagged.value();
+  ckpt.counts = Matrix(ckpt.counts.rows(), ckpt.counts.cols(), 0.0);
+  uoi::core::save_checkpoint(path, ckpt);
+  const auto restarted = run_serial(ckpt_options);
+  EXPECT_EQ(restarted.resumes, 0u);
+  const auto& got = *restarted.model;
+  const auto& want = *fresh.model;
+  ASSERT_EQ(got.vec_beta.size(), want.vec_beta.size());
+  EXPECT_EQ(std::memcmp(got.vec_beta.data(), want.vec_beta.data(),
+                        want.vec_beta.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(got.candidate_supports, want.candidate_supports);
+  std::filesystem::remove(path);
+}
+
 /// Kills rank 3 of 4 under layout {2, 1} (two groups of C = 2) at
 /// `kill_at`, a position in its clean collective schedule, and checks
 /// that every survivor shrinks, redoes the lost selection cells and lands

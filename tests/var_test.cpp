@@ -14,6 +14,7 @@
 #include "solvers/admm_lasso_sparse.hpp"
 #include "solvers/screening.hpp"
 #include "simcluster/cluster.hpp"
+#include "support/trace.hpp"
 #include "var/block_bootstrap.hpp"
 #include "var/granger.hpp"
 #include "var/lag_matrix.hpp"
@@ -647,6 +648,75 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(DistributedUoiVar, KronPathMatchesSerialDriver) {
   expect_layout_matches_serial_driver({4, 1, 1, 2}, 19,
                                       uoi::sched::LinearPath::kConsensus, 4);
+}
+
+/// Layout {2, 2} on four ranks is four one-rank groups. They walk the
+/// Gram chains on their own rank's Gram with no selection collective, so
+/// each rank's allreduce count is the one recorded from the joint serial
+/// chain the Gram walk replaced, and their model bytes are the serial
+/// fit's.
+TEST(DistributedUoiVar, OneRankGroupsKeepTheirCollectivesAndSerialBytes) {
+  const Matrix series = pinned_var_series();
+  uoi::var::UoiVarOptions options;
+  options.n_selection_bootstraps = 3;
+  options.n_estimation_bootstraps = 2;
+  options.n_lambdas = 5;
+  options.seed = 63;
+  options.schedule = uoi::sched::SchedulePolicy::kStatic;
+  const std::uint64_t serial =
+      beta_bytes_hash(uoi::var::UoiVar(options).fit(series).vec_beta);
+  std::vector<std::uint64_t> hashes(4);
+  const auto stats =
+      uoi::sim::Cluster::run_collect_stats(4, [&](uoi::sim::Comm& comm) {
+        hashes[static_cast<std::size_t>(comm.rank())] = beta_bytes_hash(
+            uoi::var::uoi_var_distributed(comm, series, options, {2, 2})
+                .model.vec_beta);
+      });
+  const std::uint64_t expected_allreduces[] = {7, 6, 7, 6};
+  for (std::size_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(stats[r].of(uoi::sim::CommCategory::kAllreduce).calls,
+              expected_allreduces[r])
+        << "rank " << r;
+    EXPECT_EQ(hashes[r], serial) << "rank " << r;
+  }
+}
+
+/// Order 4 over 7 samples leaves 3 lag rows, fewer than d = 4: a wider
+/// group would take the Kron+vec path, but a serial fit holds the whole
+/// bootstrap and sums its Gram at any shape. Its bytes are the ones the
+/// joint serial chain gave.
+TEST(UoiVar, SerialFitBelowTheGramRuleWalksTheGramChains) {
+  uoi::data::VarSpec spec;
+  spec.n_nodes = 6;
+  spec.edges_per_node = 1.5;
+  spec.seed = 35;
+  uoi::var::SimulateOptions sim;
+  sim.n_samples = 7;
+  sim.seed = 36;
+  const Matrix series =
+      uoi::var::simulate(uoi::data::make_sparse_var(spec), sim);
+  auto options = fast_var_options();
+  options.order = 4;
+  options.n_selection_bootstraps = 4;
+  options.n_estimation_bootstraps = 3;
+  options.n_lambdas = 6;
+  uoi::sim::Cluster::run(1, [&](uoi::sim::Comm& comm) {
+    EXPECT_EQ(uoi::var::detail::var_linear_path(comm, series, options, {}),
+              uoi::sched::LinearPath::kConsensus);
+  });
+  auto& tracer = uoi::support::Tracer::instance();
+  tracer.clear();
+  tracer.set_capture_events(true);
+  const auto fit = uoi::var::UoiVar(options).fit(series);
+  const auto events = tracer.events();
+  tracer.set_capture_events(false);
+  tracer.clear();
+  std::size_t gram_spans = 0;
+  for (const auto& event : events) {
+    if (event.name == "var-selection-gram") ++gram_spans;
+  }
+  EXPECT_EQ(gram_spans, options.n_selection_bootstraps);
+  EXPECT_EQ(beta_bytes_hash(fit.vec_beta), 15219374061044349315ULL);
 }
 
 }  // namespace
