@@ -289,44 +289,51 @@ void BM_CholeskyBatchSolve(benchmark::State& state) {
 BENCHMARK(BM_CholeskyBatchSolve)
     ->Arg(8)->Arg(16)->Arg(32)->Arg(50)->Arg(64)->Arg(128)->Arg(256);
 
-// UoI_VAR selection on the Gram path at var_dist's shape: a rank of a
-// two-rank group walks the strong-rule Gram chains of its 24 equations
-// (48 lag columns, 599 lag rows of a 48-node VAR(1)) over its 4 lambda
-// cells {0, 2, 4, 6} of an 8-point grid. Sequential is one chain after
-// another, each solve with its own Cholesky factor; batched runs every
-// chain's solves in lanes of one CholeskyBatch (walk_gram_chains), bit
-// for bit the same fits. Their time ratio is the same-run gain.
-constexpr std::size_t kGramChainEquations = 24;
-
+// UoI_VAR selection through the Gram walk at two perfbench shapes, both
+// strong-rule chains:
+//   Arg 0, var_dist: a rank of a two-rank group walks the chains of its
+//     24 equations (48 lag columns, 599 lag rows of a 48-node VAR(1)) over
+//     its 4 lambda cells {0, 2, 4, 6} of an 8-point grid;
+//   Arg 1, var_serial: a serial fit walks all 50 equations (199 lag rows
+//     of a 50-node VAR(1)) over a 16-point grid at lambda_min_ratio 3e-2.
+// Sequential is one chain after another, each solve with its own Cholesky
+// factor; batched runs every chain's solves in lanes of one CholeskyBatch
+// (walk_gram_chains), bit for bit the same fits. Their time ratio is the
+// same-run gain.
 struct GramChainWalk {
   std::vector<uoi::solvers::GramProblem> problems;
   std::vector<double> lambdas;
 };
 
-const GramChainWalk& gram_chain_walk() {
-  static const GramChainWalk walk = [] {
+const GramChainWalk& gram_chain_walk(bool serial_shape) {
+  const auto make = [](std::size_t nodes, std::size_t samples,
+                       std::size_t equations, std::size_t n_lambdas,
+                       double min_ratio, std::size_t cell_step) {
     uoi::data::VarSpec spec;
-    spec.n_nodes = 48;
+    spec.n_nodes = nodes;
     spec.seed = 4200;
     uoi::var::SimulateOptions simulate;
-    simulate.n_samples = 600;
+    simulate.n_samples = samples;
     simulate.seed = 1;
     const Matrix series =
         uoi::var::simulate(uoi::data::make_sparse_var(spec), simulate);
     const auto lag = uoi::var::build_lag_regression(series, 1);
     uoi::var::UoiVarOptions options;
-    options.n_lambdas = 8;
+    options.n_lambdas = n_lambdas;
+    options.lambda_min_ratio = min_ratio;
     const auto grid = uoi::var::resolve_var_lambda_grid(options, lag.y, lag.x);
     GramChainWalk out;
     out.problems = uoi::solvers::gram_problems_from_sums(
         uoi::solvers::gram_sums(lag.x, lag.y), lag.x.cols(), lag.y.cols());
-    out.problems.resize(kGramChainEquations);
-    for (std::size_t m = 0; m < grid.size(); m += 2) {
+    out.problems.resize(equations);
+    for (std::size_t m = 0; m < grid.size(); m += cell_step) {
       out.lambdas.push_back(grid[m]);
     }
     return out;
-  }();
-  return walk;
+  };
+  static const GramChainWalk var_dist = make(48, 600, 24, 8, 1e-3, 2);
+  static const GramChainWalk var_serial = make(50, 200, 50, 16, 3e-2, 1);
+  return serial_shape ? var_serial : var_dist;
 }
 
 std::vector<uoi::solvers::GramLassoChain> strong_gram_chains(
@@ -341,7 +348,7 @@ std::vector<uoi::solvers::GramLassoChain> strong_gram_chains(
 }
 
 void BM_GramChainsSequential(benchmark::State& state) {
-  const GramChainWalk& walk = gram_chain_walk();
+  const GramChainWalk& walk = gram_chain_walk(state.range(0) == 1);
   for (auto _ : state) {
     for (auto& chain : strong_gram_chains(walk)) {
       for (const double lambda : walk.lambdas) {
@@ -351,10 +358,11 @@ void BM_GramChainsSequential(benchmark::State& state) {
     }
   }
 }
-BENCHMARK(BM_GramChainsSequential)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GramChainsSequential)
+    ->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_GramChainsBatched(benchmark::State& state) {
-  const GramChainWalk& walk = gram_chain_walk();
+  const GramChainWalk& walk = gram_chain_walk(state.range(0) == 1);
   for (auto _ : state) {
     auto chains = strong_gram_chains(walk);
     uoi::solvers::walk_gram_chains(
@@ -364,7 +372,41 @@ void BM_GramChainsBatched(benchmark::State& state) {
         });
   }
 }
-BENCHMARK(BM_GramChainsBatched)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GramChainsBatched)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// One CholeskyBatch solve at the working-set widths of var_serial's walk,
+// with eight live lanes (a full lane group) and with one (a walk's tail,
+// when one chain's solve outlives its group's others), against a lone
+// CholeskyFactor::solve of the same system. Args: dimension, live lanes.
+void BM_CholeskyBatchLanes(benchmark::State& state) {
+  const auto dim = static_cast<std::size_t>(state.range(0));
+  const auto live = static_cast<std::size_t>(state.range(1));
+  const std::vector<Matrix> grams = equation_grams(dim);
+  uoi::linalg::CholeskyBatch batch;
+  for (std::size_t k = 0; k < 8; ++k) batch.refactor(k, grams[k], 1.0, k * dim);
+  for (std::size_t k = live; k < 8; ++k) batch.retire(k);
+  const Vector b = random_vector(8 * dim, 30);
+  Vector x(b.size());
+  for (auto _ : state) {
+    batch.solve(b, x);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_CholeskyBatchLanes)->ArgsProduct({{8, 25, 50}, {8, 1}});
+
+void BM_CholeskyLoneSolve(benchmark::State& state) {
+  const auto dim = static_cast<std::size_t>(state.range(0));
+  const uoi::linalg::CholeskyFactor factor(equation_grams(dim)[0], 1.0);
+  const Vector b = random_vector(dim, 30);
+  Vector x(dim);
+  for (auto _ : state) {
+    factor.solve(b, x);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_CholeskyLoneSolve)->Arg(8)->Arg(25)->Arg(50);
 
 void BM_SparseGemv(benchmark::State& state) {
   // A block-diagonal I (x) X operator at the VAR sparsity 1 - 1/p.
