@@ -289,8 +289,9 @@ void BM_CholeskyBatchSolve(benchmark::State& state) {
 BENCHMARK(BM_CholeskyBatchSolve)
     ->Arg(8)->Arg(16)->Arg(32)->Arg(50)->Arg(64)->Arg(128)->Arg(256);
 
-// UoI_VAR selection through the Gram walk at two perfbench shapes, both
-// strong-rule chains:
+// UoI_VAR selection through the Gram walk at two perfbench shapes, with
+// strong-rule chains (second Arg 0) or unscreened ones (1, the off mode,
+// whose full solves reuse one factor per chain):
 //   Arg 0, var_dist: a rank of a two-rank group walks the chains of its
 //     24 equations (48 lag columns, 599 lag rows of a 48-node VAR(1)) over
 //     its 4 lambda cells {0, 2, 4, 6} of an 8-point grid;
@@ -336,10 +337,11 @@ const GramChainWalk& gram_chain_walk(bool serial_shape) {
   return serial_shape ? var_serial : var_dist;
 }
 
-std::vector<uoi::solvers::GramLassoChain> strong_gram_chains(
-    const GramChainWalk& walk) {
+std::vector<uoi::solvers::GramLassoChain> gram_chains(
+    const GramChainWalk& walk, bool off) {
   uoi::solvers::ScreenOptions screen;
-  screen.mode = uoi::solvers::ScreenMode::kStrong;
+  screen.mode = off ? uoi::solvers::ScreenMode::kOff
+                    : uoi::solvers::ScreenMode::kStrong;
   std::vector<uoi::solvers::GramLassoChain> chains;
   for (const auto& problem : walk.problems) {
     chains.emplace_back(problem, uoi::solvers::AdmmOptions{}, screen);
@@ -350,7 +352,7 @@ std::vector<uoi::solvers::GramLassoChain> strong_gram_chains(
 void BM_GramChainsSequential(benchmark::State& state) {
   const GramChainWalk& walk = gram_chain_walk(state.range(0) == 1);
   for (auto _ : state) {
-    for (auto& chain : strong_gram_chains(walk)) {
+    for (auto& chain : gram_chains(walk, state.range(1) == 1)) {
       for (const double lambda : walk.lambdas) {
         auto fit = chain.solve(lambda);
         benchmark::DoNotOptimize(fit.beta.data());
@@ -359,12 +361,13 @@ void BM_GramChainsSequential(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GramChainsSequential)
-    ->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_GramChainsBatched(benchmark::State& state) {
   const GramChainWalk& walk = gram_chain_walk(state.range(0) == 1);
   for (auto _ : state) {
-    auto chains = strong_gram_chains(walk);
+    auto chains = gram_chains(walk, state.range(1) == 1);
     uoi::solvers::walk_gram_chains(
         chains, walk.lambdas,
         [](std::size_t, std::size_t, uoi::solvers::AdmmResult fit) {
@@ -372,7 +375,9 @@ void BM_GramChainsBatched(benchmark::State& state) {
         });
   }
 }
-BENCHMARK(BM_GramChainsBatched)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GramChainsBatched)
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 // One CholeskyBatch solve at the working-set widths of var_serial's walk,
 // with eight live lanes (a full lane group) and with one (a walk's tail,

@@ -42,10 +42,10 @@
 //   refresh_correlation(beta, support, c, result)
 //       c = A'(b - A beta) at the step's final beta (strong rule only)
 // The correlations charge their cost (flops, allreduces) to the given fit.
-// There are five backends: SerialLassoBackend, DistributedLassoBackend and
+// There are four backends: SerialLassoBackend, DistributedLassoBackend and
 // GramLassoBackend below (ScreenedLassoChain,
-// DistributedScreenedLassoChain, GramLassoChain), and the serial and
-// distributed vectorized-VAR backends in var/. The procedure is resumable
+// DistributedScreenedLassoChain, GramLassoChain), and the distributed
+// vectorized-VAR backend in var/. The procedure is resumable
 // (start / resume): solve() runs a chain's solves one after another
 // through its backend, and walk_gram_chains runs the solves of many Gram
 // chains side by side as the lanes of one batched ADMM.

@@ -573,7 +573,8 @@ UoiVarDistributedResult uoi_var_distributed(
   // from a group's reduced Gram, and takes the tag after the two paths.
   constexpr std::uint64_t kLocalGramTag = 2;
   const bool one_rank_groups =
-      comm.size() <= std::max(1, layout.bootstrap_groups * layout.lambda_groups);
+      comm.size() <=
+      std::max(1, layout.bootstrap_groups * layout.lambda_groups);
   fp.add(one_rank_groups ? kLocalGramTag : static_cast<std::uint64_t>(path));
   spec.fingerprint = fp.value();
 
@@ -607,32 +608,33 @@ UoiVarDistributedResult uoi_var_distributed(
                                       k));
             lag = build_lag_regression(sample, d);
           }
-          // X'X, then per equation X'y_e, diag(X'X) and y_e'y_e.
-          fresh->bytes_estimate = (dp * dp + p * (2 * dp + 1)) * sizeof(double);
-          if (tl.c_ranks == 1) {
-            support::TraceScope gram_span("var-selection-gram",
-                                          support::TraceCategory::kGram,
-                                          trace_rank);
-            fresh->grams = uoi::solvers::gram_problems_from_sums(
-                uoi::solvers::gram_sums(lag.x, lag.y), dp, p);
-            task.counters.local_flops +=
-                uoi::solvers::gram_sums_flops(lag_rows, dp, p);
-            return fresh;
-          }
-          if (gram_path) {
-            // Readers sum their share of the lag rows; the other ranks
-            // contribute zero-row blocks.
-            const bool reader = tl.task_rank < group_readers;
-            const Range mine =
-                reader ? even_slice(lag_rows, group_readers, tl.task_rank)
-                       : Range{0, 0};
-            fresh->grams = uoi::core::detail::reduce_gram(
-                task.task_comm,
-                reader ? lag.x.row_block(mine.begin, mine.size())
-                       : ConstMatrixView(nullptr, 0, dp, dp),
-                reader ? lag.y.row_block(mine.begin, mine.size())
-                       : ConstMatrixView(nullptr, 0, p, p),
-                "var-selection-gram", task.counters);
+          if (gram_walk) {
+            if (tl.c_ranks == 1) {
+              support::TraceScope gram_span("var-selection-gram",
+                                            support::TraceCategory::kGram,
+                                            trace_rank);
+              fresh->grams = uoi::solvers::gram_problems_from_sums(
+                  uoi::solvers::gram_sums(lag.x, lag.y), dp, p);
+              task.counters.local_flops +=
+                  uoi::solvers::gram_sums_flops(lag_rows, dp, p);
+            } else {
+              // Readers sum their share of the lag rows; the other ranks
+              // contribute zero-row blocks.
+              const bool reader = tl.task_rank < group_readers;
+              const Range mine =
+                  reader ? even_slice(lag_rows, group_readers, tl.task_rank)
+                         : Range{0, 0};
+              fresh->grams = uoi::core::detail::reduce_gram(
+                  task.task_comm,
+                  reader ? lag.x.row_block(mine.begin, mine.size())
+                         : ConstMatrixView(nullptr, 0, dp, dp),
+                  reader ? lag.y.row_block(mine.begin, mine.size())
+                         : ConstMatrixView(nullptr, 0, p, p),
+                  "var-selection-gram", task.counters);
+            }
+            // X'X, then per equation X'y_e, diag(X'X) and y_e'y_e.
+            fresh->bytes_estimate =
+                (dp * dp + p * (2 * dp + 1)) * sizeof(double);
             return fresh;
           }
           fresh->block = distributed_kron_vectorize(task.task_comm, lag,
