@@ -59,6 +59,11 @@ void save_checkpoint(const std::string& path,
 [[nodiscard]] std::optional<SelectionCheckpoint> try_load_checkpoint(
     const std::string& path, std::uint64_t expected_fingerprint);
 
+/// Folded into a selection fingerprint wherever the selection runs
+/// solvers::GramLassoChain, which solves by coordinate descent: a file
+/// written while that chain ran ADMM restarts instead of mixing solvers.
+inline constexpr std::uint64_t kGramCdFingerprintTag = 0x6772616d6364ULL;
+
 /// Order-sensitive FNV-style fingerprint of the run configuration.
 class FingerprintBuilder {
  public:

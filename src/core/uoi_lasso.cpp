@@ -5,6 +5,7 @@
 
 #include "core/checkpoint.hpp"
 #include "core/uoi_lasso_distributed.hpp"
+#include "sched/cost_model.hpp"
 #include "solvers/lambda_grid.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -136,6 +137,9 @@ std::uint64_t UoiLasso::selection_fingerprint(
       .add(static_cast<std::uint64_t>(
           uoi::solvers::resolve_screen_mode(options_.screen.mode)));
   for (const double l : lambdas) fp.add(l);
+  if (sched::choose_linear_path(n, p, 1) == sched::LinearPath::kGram) {
+    fp.add(kGramCdFingerprintTag);
+  }
   return fp.value();
 }
 

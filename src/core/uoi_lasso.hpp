@@ -155,7 +155,9 @@ class UoiLasso {
                                    std::span<const double> y) const;
 
   /// Fingerprint of everything that influences the selection counts for
-  /// this (options, data-shape) pair; exposed for checkpoint tooling.
+  /// this (options, data-shape) pair, including the Gram chain's solver
+  /// when a one-rank fit of this shape takes the Gram path; exposed for
+  /// checkpoint tooling.
   [[nodiscard]] std::uint64_t selection_fingerprint(
       std::size_t n, std::size_t p, std::span<const double> lambdas) const;
 

@@ -393,10 +393,12 @@ UoiLassoDistributedResult fit_lasso(Comm& comm, ConstMatrixView x_view,
   if (comm.size() > std::max(1, layout.bootstrap_groups *
                                       layout.lambda_groups)) {
     // One-rank groups run the serial fit's solvers on either path, so they
-    // share its checkpoints (and UoiLasso::selection_fingerprint). Groups
-    // that split a bootstrap's rows sum a Gram across ranks or run
-    // consensus ADMM: their checkpoints name the path and restart instead
-    // of mixing solvers.
+    // share its checkpoints (and UoiLasso::selection_fingerprint, which
+    // names the Gram chain's solver). Groups that split a bootstrap's rows
+    // sum a Gram across ranks or run consensus ADMM: their checkpoints
+    // name the path and restart instead of mixing solvers. A group wide
+    // enough for the Gram path implies that a one-rank group is too, so
+    // the selection fingerprint already carries kGramCdFingerprintTag.
     spec.fingerprint = FingerprintBuilder()
                            .add(spec.fingerprint)
                            .add(static_cast<std::uint64_t>(path))

@@ -99,7 +99,8 @@ namespace detail {
 /// group's width C pick the solvers:
 ///   kGram               one allreduce of the group's [X'X | X'y | y'y]
 ///                       per selection bootstrap, then a local
-///                       solvers::GramLassoChain on every group rank; one
+///                       solvers::GramLassoChain (coordinate descent, so
+///                       ScreenMode does not apply) on every group rank; one
 ///                       allreduce of the training rows' [X'X | X'y | y'y]
 ///                       per estimation bootstrap, then a local
 ///                       solvers::ols_from_gram per support;

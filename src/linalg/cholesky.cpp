@@ -213,68 +213,60 @@ std::size_t line_start(const std::vector<double>& buffer) {
   return (64 - address % 64) % 64 / sizeof(double);
 }
 
-/// Writes one lane's packed factor at `dst` (element (i, j) at
-/// dst[8 (i(i+1)/2 + j)]): rows below `dim` from value(i, j), identity
-/// rows up to the group's padded `n`. A padded row solves to +0, so the
-/// backward sweep of a shorter lane only ever subtracts +0 * +0 past its
-/// own dimension, which changes no bits.
-template <class Value>
-void write_lane(double* dst, std::size_t dim, std::size_t n,
-                const Value& value) {
-  for (std::size_t i = 0; i < n; ++i) {
-    double* row = dst + 8 * packed_row(i);
-    for (std::size_t j = 0; j <= i; ++j) {
-      row[8 * j] = i < dim ? value(i, j) : (i == j ? 1.0 : 0.0);
-    }
-  }
-}
-
-/// Both sweeps of one system in place, over its factor packed by row
-/// (element (i, j <= i) at f[i(i+1)/2 + j]): CholeskyFactor::solve's
-/// arithmetic, so its bytes are those of the lane kernel too.
-void solve_packed(const double* f, std::size_t n, double* x,
-                  const simd::KernelTable& kernels) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* row = f + packed_row(i);
-    x[i] = (x[i] - kernels.dot(row, x, i)) / row[i];
-  }
-  for (std::size_t ii = n; ii > 0; --ii) {
-    const std::size_t i = ii - 1;
-    double sum = x[i];
-    // Down column i: element (k, i) sits k + 1 past element (k - 1, i).
-    for (std::size_t k = i + 1, at = packed_row(k) + i; k < n; at += ++k) {
-      sum -= f[at] * x[k];
-    }
-    x[i] = sum / f[packed_row(i) + i];
-  }
-}
-
 }  // namespace
 
 CholeskyBatch::CholeskyBatch(std::span<const System> systems,
                              double diagonal_shift) {
-  slots_.resize(systems.size());
-  for (std::size_t k = 0; k < systems.size(); ++k) {
-    slots_[k].offset = systems[k].offset;
-    slots_[k].dim = systems[k].gram->rows();
-    slots_[k].live = true;
-    extent_ = std::max(extent_, slots_[k].offset + slots_[k].dim);
-  }
   // Largest first, so each group of eight pads its lanes as little as
   // possible; ties keep input order.
   std::vector<std::size_t> order(systems.size());
   for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
-                     return slots_[a].dim > slots_[b].dim;
+                     return systems[a].gram->rows() > systems[b].gram->rows();
                    });
-  lay_out(order);
-  for (std::size_t k = 0; k < systems.size(); ++k) {
-    const CholeskyFactor factor(*systems[k].gram, diagonal_shift);
-    const Matrix& l = factor.lower();
-    write_lane(lane_factor(slots_[k]), l.rows(), groups_[slots_[k].group].n,
-               [&](std::size_t i, std::size_t j) { return l(i, j); });
-    factor_flops_ += cholesky_flops(l.rows());
+  // Lay the groups out first, so the packed factors take one allocation.
+  std::size_t total = 0;
+  for (std::size_t first = 0; first < order.size(); first += kGroupLanes) {
+    Group group;
+    group.n = systems[order[first]].gram->rows();
+    const std::size_t lanes = std::min(kGroupLanes, order.size() - first);
+    group.lane_groups = (lanes + kLanes - 1) / kLanes;
+    group.packed = total;
+    total += group.lane_groups * kLanes * packed_row(group.n);
+    groups_.push_back(group);
+  }
+  packed_.assign(total + kLanes - 1, 0.0);
+  const std::size_t start = line_start(packed_);
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    Group& group = groups_[g];
+    group.packed += start;
+    const std::size_t first = g * kGroupLanes;
+    const std::size_t lanes = std::min(kGroupLanes, order.size() - first);
+    const std::size_t block = kLanes * packed_row(group.n);
+    for (std::size_t lane = 0; lane < group.lane_groups * kLanes; ++lane) {
+      double* dst = packed_.data() + group.packed + lane_base(lane, block);
+      std::size_t dim = 0;
+      if (lane < lanes) {
+        const System& sys = systems[order[first + lane]];
+        const CholeskyFactor factor(*sys.gram, diagonal_shift);
+        const Matrix& l = factor.lower();
+        dim = l.rows();
+        for (std::size_t i = 0; i < dim; ++i) {
+          for (std::size_t j = 0; j <= i; ++j) {
+            dst[kLanes * (packed_row(i) + j)] = l(i, j);
+          }
+        }
+        factor_flops_ += cholesky_flops(dim);
+        add_lane_solve(group, lane, sys.offset, dim);
+      }
+      // Identity padding: zero off-diagonals, unit diagonal. A padded row
+      // solves to +0, so the backward sweep of a shorter lane only ever
+      // subtracts +0 * +0 past its own dimension, which changes no bits.
+      for (std::size_t i = dim; i < group.n; ++i) {
+        dst[kLanes * (packed_row(i) + i)] = 1.0;
+      }
+    }
   }
 }
 
@@ -290,146 +282,23 @@ CholeskyBatch::CholeskyBatch(const Matrix& gram, double diagonal_shift,
   }
   factor_flops_ = cholesky_flops(dim);
   // Unused lanes of the last lane group solve a zero right-hand side.
-  slots_.resize(count);
   for (std::size_t first = 0; first < count; first += kGroupLanes) {
     Group group;
     group.n = dim;
     const std::size_t lanes = std::min(kGroupLanes, count - first);
     group.lane_groups = (lanes + kLanes - 1) / kLanes;
-    for (std::size_t lane = 0; lane < kGroupLanes; ++lane) {
-      group.slots[lane] = lane < lanes ? first + lane : kNone;
-      if (lane < lanes) {
-        slots_[first + lane] = {(first + lane) * dim, dim, true,
-                                groups_.size(), lane, {}, {}};
-      }
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      add_lane_solve(group, lane, (first + lane) * dim, dim);
     }
     groups_.push_back(group);
   }
-  extent_ = count * dim;
 }
 
-void CholeskyBatch::lay_out(std::span<const std::size_t> order) const {
-  groups_.clear();
-  std::size_t total = 0;
-  for (std::size_t first = 0; first < order.size(); first += kGroupLanes) {
-    Group group;
-    group.n = slots_[order[first]].dim;
-    const std::size_t lanes = std::min(kGroupLanes, order.size() - first);
-    group.lane_groups = (lanes + kLanes - 1) / kLanes;
-    group.packed = total;
-    for (std::size_t lane = 0; lane < kGroupLanes; ++lane) {
-      group.slots[lane] = lane < lanes ? order[first + lane] : kNone;
-      if (lane < lanes) {
-        slots_[order[first + lane]].group = groups_.size();
-        slots_[order[first + lane]].lane = lane;
-      }
-    }
-    total += group.lane_groups * kLanes * packed_row(group.n);
-    groups_.push_back(group);
-  }
-  packed_.assign(total + kLanes - 1, 0.0);
-  const std::size_t start = line_start(packed_);
-  for (Group& group : groups_) {
-    group.packed += start;
-    // Lanes past the last system solve a zero right-hand side on an
-    // identity factor.
-    for (std::size_t lane = 0; lane < group.lane_groups * kLanes; ++lane) {
-      if (group.slots[lane] != kNone) continue;
-      write_lane(packed_.data() + group.packed +
-                     lane_base(lane, kLanes * packed_row(group.n)),
-                 0, group.n, [](std::size_t, std::size_t) { return 0.0; });
-    }
-  }
-}
-
-double* CholeskyBatch::lane_factor(const Slot& slot) const {
-  const Group& group = groups_[slot.group];
-  return packed_.data() + group.packed +
-         lane_base(slot.lane, kLanes * packed_row(group.n));
-}
-
-void CholeskyBatch::refactor(std::size_t k, const Matrix& gram,
-                             double diagonal_shift, std::size_t offset) {
-  const CholeskyFactor factor(gram, diagonal_shift);
-  factor_flops_ += cholesky_flops(factor.dim());
-  assign(k, factor, offset);
-}
-
-void CholeskyBatch::assign(std::size_t k, const CholeskyFactor& factor,
-                           std::size_t offset) {
-  UOI_CHECK(!shared_, "CholeskyBatch: refactor of a shared-factor batch");
-  if (k >= slots_.size()) slots_.resize(k + 1);
-  const Matrix& l = factor.lower();
-  Slot& slot = slots_[k];
-  slot.offset = offset;
-  slot.dim = l.rows();
-  slot.live = true;
-  slot.lone.clear();
-  extent_ = std::max(extent_, offset + slot.dim);
-  const auto value = [&](std::size_t i, std::size_t j) { return l(i, j); };
-  if (slot.group != kNone && slot.dim <= groups_[slot.group].n) {
-    write_lane(lane_factor(slot), slot.dim, groups_[slot.group].n, value);
-    slot.pending.clear();
-    return;
-  }
-  slot.pending.resize(packed_row(slot.dim));
-  for (std::size_t i = 0; i < slot.dim; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      slot.pending[packed_row(i) + j] = l(i, j);
-    }
-  }
-  dirty_ = true;
-}
-
-void CholeskyBatch::retire(std::size_t k) {
-  UOI_CHECK(k < slots_.size(), "CholeskyBatch: retire of an unknown system");
-  slots_[k].live = false;
-}
-
-void CholeskyBatch::regroup() const {
-  std::vector<std::size_t> order;
-  for (std::size_t k = 0; k < slots_.size(); ++k) {
-    if (slots_[k].live) order.push_back(k);
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return slots_[a].dim > slots_[b].dim;
-                   });
-  // Where each live factor sits now, read before the new layout replaces
-  // the old one.
-  std::vector<const double*> old_factor(slots_.size(), nullptr);
-  for (const std::size_t k : order) {
-    if (slots_[k].pending.empty()) old_factor[k] = lane_factor(slots_[k]);
-  }
-  std::vector<double> old_packed = std::move(packed_);
-  for (Slot& slot : slots_) slot.group = kNone;
-  lay_out(order);
-  for (const std::size_t k : order) {
-    Slot& slot = slots_[k];
-    const std::size_t n = groups_[slot.group].n;
-    if (old_factor[k] != nullptr) {
-      const double* src = old_factor[k];
-      write_lane(lane_factor(slot), slot.dim, n,
-                 [&](std::size_t i, std::size_t j) {
-                   return src[kLanes * (packed_row(i) + j)];
-                 });
-    } else {
-      write_lane(lane_factor(slot), slot.dim, n,
-                 [&](std::size_t i, std::size_t j) {
-                   return slot.pending[packed_row(i) + j];
-                 });
-      std::vector<double>().swap(slot.pending);
-    }
-  }
-  dirty_ = false;
-}
-
-std::uint64_t CholeskyBatch::solve_flops() const noexcept {
-  std::uint64_t flops = 0;
-  for (const Slot& slot : slots_) {
-    if (slot.live) flops += 2 * trsv_flops(slot.dim);
-  }
-  return flops;
+void CholeskyBatch::add_lane_solve(Group& group, std::size_t lane,
+                                   std::size_t offset, std::size_t dim) {
+  group.lanes[lane] = {offset, dim};
+  extent_ = std::max(extent_, offset + dim);
+  solve_flops_ += 2 * trsv_flops(dim);
 }
 
 void CholeskyBatch::solve(std::span<const double> b,
@@ -441,69 +310,26 @@ void CholeskyBatch::solve(std::span<const double> b, std::span<double> x,
                           const simd::KernelTable& kernels) const {
   UOI_CHECK_DIMS(b.size() >= extent_ && x.size() >= extent_,
                  "CholeskyBatch::solve: vector shorter than the systems");
-  if (dirty_) regroup();
   for (const Group& group : groups_) {
     const std::size_t n = group.n;
-    // The live lane groups of eight, and the one live system when alone.
-    std::size_t live = 0;
-    std::size_t lone = kNone;
-    std::size_t first = kGroupLanes;
-    std::size_t last = 0;
-    for (std::size_t lane = 0; lane < group.lane_groups * kLanes; ++lane) {
-      const std::size_t k = group.slots[lane];
-      if (k == kNone || !slots_[k].live) continue;
-      ++live;
-      lone = k;
-      first = std::min(first, lane / kLanes);
-      last = lane / kLanes;
-    }
-    if (live == 0) continue;
-    if (live == 1) {
-      // One system: a lone factor's sweeps, in place on its slice, over a
-      // contiguous copy of its lane (the shared factor is one already).
-      Slot& slot = slots_[lone];
-      if (!shared_ && slot.lone.empty()) {
-        const double* lane = lane_factor(slot);
-        slot.lone.resize(packed_row(slot.dim));
-        for (std::size_t i = 0; i < slot.lone.size(); ++i) {
-          slot.lone[i] = lane[kLanes * i];
-        }
-      }
-      const auto out = x.subspan(slot.offset, slot.dim);
-      std::copy_n(b.begin() + static_cast<std::ptrdiff_t>(slot.offset),
-                  slot.dim, out.begin());
-      solve_packed(shared_ ? packed_.data() : slot.lone.data(), slot.dim,
-                   out.data(), kernels);
-      continue;
-    }
-    const std::size_t block = kLanes * packed_row(n);
-    const std::size_t lane_groups = last - first + 1;
-    scratch_.resize(
-        std::max(scratch_.size(), lane_groups * kLanes * n + kLanes - 1));
+    const std::size_t lanes = group.lane_groups * kLanes;
+    scratch_.resize(std::max(scratch_.size(), lanes * n + kLanes - 1));
     double* v = scratch_.data() + line_start(scratch_);
-    for (std::size_t lane = first * kLanes; lane < (last + 1) * kLanes;
-         ++lane) {
-      const std::size_t k = group.slots[lane];
-      double* vl = v + lane_base(lane - first * kLanes, kLanes * n);
-      std::size_t dim = 0;
-      if (k != kNone && slots_[k].live) {
-        dim = slots_[k].dim;
-        for (std::size_t i = 0; i < dim; ++i) {
-          vl[kLanes * i] = b[slots_[k].offset + i];
-        }
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      const Lane& ln = group.lanes[lane];
+      double* vl = v + lane_base(lane, kLanes * n);
+      for (std::size_t i = 0; i < ln.dim; ++i) {
+        vl[kLanes * i] = b[ln.offset + i];
       }
-      for (std::size_t i = dim; i < n; ++i) vl[kLanes * i] = 0.0;
+      for (std::size_t i = ln.dim; i < n; ++i) vl[kLanes * i] = 0.0;
     }
-    kernels.cholesky_solve8(
-        packed_.data() + group.packed + (shared_ ? 0 : first * block), n,
-        lane_groups, shared_, v);
-    for (std::size_t lane = first * kLanes; lane < (last + 1) * kLanes;
-         ++lane) {
-      const std::size_t k = group.slots[lane];
-      if (k == kNone || !slots_[k].live) continue;
-      const double* vl = v + lane_base(lane - first * kLanes, kLanes * n);
-      for (std::size_t i = 0; i < slots_[k].dim; ++i) {
-        x[slots_[k].offset + i] = vl[kLanes * i];
+    kernels.cholesky_solve8(packed_.data() + group.packed, n,
+                            group.lane_groups, shared_, v);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      const Lane& ln = group.lanes[lane];
+      const double* vl = v + lane_base(lane, kLanes * n);
+      for (std::size_t i = 0; i < ln.dim; ++i) {
+        x[ln.offset + i] = vl[kLanes * i];
       }
     }
   }

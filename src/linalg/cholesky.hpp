@@ -22,18 +22,6 @@
 // kernel can interleave two chains. Per lane the arithmetic is
 // CholeskyFactor::solve's, so a batched solve is bit-identical to solving
 // each system on its own (see simd::KernelTable::cholesky_solve8).
-//
-// The same holds for systems that are not known up front. UoI_VAR's
-// selection on the Gram path runs one lasso chain per equation, and the
-// chains' ADMM solves run side by side as the lanes of one batch
-// (solvers::walk_gram_chains): each lane is refactored on its own when
-// its rho or its working set changes, in place while it fits its
-// kernel group's padded dimension and by a regroup of every live lane
-// otherwise, and it is retired while its chain has no solve running.
-// Lane groups of eight with no live lane are skipped, and a kernel group
-// down to one live lane solves it as a lone CholeskyFactor would, on a
-// contiguous copy of its factor: the kernel's arithmetic for that lane, at
-// the lone factor's speed.
 
 #include <cstdint>
 #include <span>
@@ -86,10 +74,6 @@ class CholeskyFactor {
 /// of one concatenated vector, solved eight at a time across SIMD lanes.
 /// Holds the only copy of each factor (the per-system CholeskyFactor is
 /// packed and dropped), at about half its square storage.
-///
-/// A batch can also change while it is used: refactor() gives one system
-/// a new factor, and possibly a new dimension, and retire() takes it out
-/// of the solves until the next refactor().
 class CholeskyBatch {
  public:
   /// System k of the batch: `gram` is factored with the shift, and its
@@ -98,9 +82,6 @@ class CholeskyBatch {
     const Matrix* gram;
     std::size_t offset;
   };
-
-  /// An empty batch, filled by refactor().
-  CholeskyBatch() = default;
 
   /// Factors every system with CholeskyFactor(*gram, diagonal_shift), so
   /// each lane carries exactly the factor a lone CholeskyFactor would.
@@ -111,36 +92,18 @@ class CholeskyBatch {
   /// is stored once and broadcast to every lane.
   CholeskyBatch(const Matrix& gram, double diagonal_shift, std::size_t count);
 
-  /// Gives system k the factor CholeskyFactor(gram, diagonal_shift) and
-  /// the slice [offset, offset + gram.rows()), and makes it live (a k past
-  /// the last system adds it, and retired systems before it). The factor
-  /// is packed in place when its kernel group is at least as wide;
-  /// otherwise the batch regroups its live systems by dimension before the
-  /// next solve. Not for a shared-factor batch.
-  void refactor(std::size_t k, const Matrix& gram, double diagonal_shift,
-                std::size_t offset);
-
-  /// refactor() with a factor the caller already holds: system k gets a
-  /// copy of `factor` (no factorization, none counted in factor_flops).
-  void assign(std::size_t k, const CholeskyFactor& factor,
-              std::size_t offset);
-
-  /// Takes system k out of the solves until refactor() gives it a new
-  /// factor: solve() leaves its slice untouched.
-  void retire(std::size_t k);
-
   /// FLOPs of the factorizations this batch ran (one per distinct factor).
   [[nodiscard]] std::uint64_t factor_flops() const noexcept {
     return factor_flops_;
   }
-  /// FLOPs of one solve(): both sweeps of every live system.
-  [[nodiscard]] std::uint64_t solve_flops() const noexcept;
+  /// FLOPs of one solve(): both sweeps of every system.
+  [[nodiscard]] std::uint64_t solve_flops() const noexcept {
+    return solve_flops_;
+  }
 
-  /// Solves every live system: x[slice_k] = (gram_k + shift I)^{-1}
-  /// b[slice_k]. Coordinates outside every live slice are left untouched.
-  /// b and x may alias. Uses batch-owned scratch, like
-  /// CholeskyFactor::solve, and regroups first if a refactor() asked for it
-  /// (so concurrent solve() calls on one batch are not safe).
+  /// Solves every system: x[slice_k] = (gram_k + shift I)^{-1} b[slice_k].
+  /// Coordinates outside every slice are left untouched. b and x may
+  /// alias. Uses batch-owned scratch, like CholeskyFactor::solve.
   void solve(std::span<const double> b, std::span<double> x) const;
 
   /// solve() through an explicit kernel table (cross-level bitwise tests).
@@ -152,48 +115,30 @@ class CholeskyBatch {
   /// Systems per kernel call: two lane groups of one padded dimension,
   /// which the kernel may interleave to keep two chains in flight.
   static constexpr std::size_t kGroupLanes = 2 * kLanes;
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  struct Slot {
+  struct Lane {
     std::size_t offset = 0;
-    std::size_t dim = 0;
-    bool live = false;
-    std::size_t group = kNone;  ///< kernel group holding its factor
-    std::size_t lane = 0;
-    /// A factor too wide for its kernel group, packed by row (i(i+1)/2 + j)
-    /// until the next regroup places it.
-    std::vector<double> pending;
-    /// Its factor packed by row, copied out of the lanes the first time it
-    /// is the one live system of its kernel group; dropped on a new factor.
-    std::vector<double> lone;
+    std::size_t dim = 0;  ///< 0 = unused lane
   };
   struct Group {
     std::size_t n = 0;            ///< padded dimension (largest lane)
     std::size_t packed = 0;       ///< first double of its factors
     std::size_t lane_groups = 0;  ///< lane groups of eight in use
-    std::size_t slots[kGroupLanes] = {};  ///< system per lane, kNone if unused
+    Lane lanes[kGroupLanes];
   };
   /// Where lane `lane` of a group starts when each lane group takes
   /// `block` doubles: lanes of one lane group are interleaved.
   static std::size_t lane_base(std::size_t lane, std::size_t block) {
     return lane / kLanes * block + lane % kLanes;
   }
-  /// First double of a placed slot's factor in packed_.
-  [[nodiscard]] double* lane_factor(const Slot& slot) const;
-  /// Groups `order` (slot indices, widest first) in kernel groups of
-  /// kGroupLanes and sizes packed_ for them; the factors are not written.
-  void lay_out(std::span<const std::size_t> order) const;
-  /// Lays the live systems out anew, moving every placed factor and
-  /// placing the pending ones.
-  void regroup() const;
+  void add_lane_solve(Group& group, std::size_t lane, std::size_t offset,
+                      std::size_t dim);
 
   bool shared_ = false;
-  // The layout: solve() regroups lazily after a refactor() asked for it.
-  mutable bool dirty_ = false;
-  mutable std::vector<Slot> slots_;
-  mutable std::vector<Group> groups_;
-  mutable std::vector<double> packed_;
+  std::vector<Group> groups_;
+  std::vector<double> packed_;
   std::size_t extent_ = 0;  ///< solve vectors must be at least this long
   std::uint64_t factor_flops_ = 0;
+  std::uint64_t solve_flops_ = 0;
   mutable std::vector<double> scratch_;  ///< one group's lanes, n each
 };
 

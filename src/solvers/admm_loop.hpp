@@ -32,12 +32,10 @@ inline double rho_rescale_factor(const AdmmOptions& options, std::size_t iter,
 }
 
 /// One system's ADMM iterate, advanced one iteration at a time: the
-/// per-iteration body of run_admm_loop, written once, so the lone loop
-/// below and the lane-batched walk (walk_gram_chains) step systems
-/// through the same arithmetic. The caller owns the x-update: form_rhs()
-/// writes q, the caller solves (A'A + rho() I) x = q, and advance(x) runs
-/// the over-relaxation, the z/u updates, the stopping test and the rho
-/// rule. `l2_penalty` > 0 turns the LASSO z-update into the elastic-net
+/// per-iteration body of run_admm_loop below. The caller owns the
+/// x-update: form_rhs() writes q, the caller solves (A'A + rho() I) x = q,
+/// and advance(x) runs the over-relaxation, the z/u updates, the stopping
+/// test and the rho rule. `l2_penalty` > 0 turns the LASSO z-update into the elastic-net
 /// prox (lambda |z|_1 + l2/2 |z|_2^2).
 class AdmmIterate {
  public:

@@ -45,7 +45,8 @@ double cd_sweep(ConstMatrixView x, std::span<const std::size_t> coords,
 }  // namespace
 
 CdLassoResult cd_lasso(ConstMatrixView x, std::span<const double> y,
-                       double lambda, const CdLassoOptions& options) {
+                       double lambda, const CdLassoOptions& options,
+                       std::span<const double> warm_start) {
   UOI_CHECK_DIMS(x.rows() == y.size(), "cd_lasso: X rows != y size");
   UOI_CHECK(lambda >= 0.0, "lambda must be non-negative");
   const std::size_t p = x.cols();
@@ -62,6 +63,10 @@ CdLassoResult cd_lasso(ConstMatrixView x, std::span<const double> y,
   CdLassoResult result;
   result.beta.assign(p, 0.0);
   Vector residual(y.begin(), y.end());
+  if (warm_start.size() == p) {
+    result.beta.assign(warm_start.begin(), warm_start.end());
+    uoi::linalg::gemv(-1.0, x, result.beta, 1.0, residual);
+  }
 
   // Active-set strategy: full sweeps establish the active set, then inner
   // sweeps iterate only over nonzero coordinates until stable.
@@ -125,7 +130,7 @@ CvLassoResult cv_lasso(ConstMatrixView x, std::span<const double> y,
     Vector warm(x.cols(), 0.0);
     for (std::size_t li = 0; li < result.lambda_path.size(); ++li) {
       CdLassoResult fit =
-          cd_lasso(x_train, y_train, result.lambda_path[li], options);
+          cd_lasso(x_train, y_train, result.lambda_path[li], options, warm);
       warm = fit.beta;
       result.cv_mse[li] +=
           mean_squared_error(x_valid, y_valid, fit.beta) /

@@ -27,10 +27,12 @@ struct CdLassoResult {
 };
 
 /// Minimizes (1/2)||y - X beta||^2 + lambda ||beta||_1 by cyclic coordinate
-/// descent with an active-set strategy.
+/// descent with an active-set strategy, from `warm_start` when it has p
+/// entries and from zero otherwise.
 [[nodiscard]] CdLassoResult cd_lasso(uoi::linalg::ConstMatrixView x,
                                      std::span<const double> y, double lambda,
-                                     const CdLassoOptions& options = {});
+                                     const CdLassoOptions& options = {},
+                                     std::span<const double> warm_start = {});
 
 /// K-fold cross-validated LASSO: fits the full lambda path per fold (warm
 /// starts down the path), picks the lambda with the lowest mean validation

@@ -6,7 +6,7 @@
 #include <cstring>
 
 #include "linalg/blas.hpp"
-#include "solvers/admm_loop.hpp"
+#include "solvers/prox.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
 
@@ -382,179 +382,108 @@ void DistributedLassoBackend::correlate(std::span<const double> r, Vector& c,
   allreduce_correlation(*comm_, c, fit);
 }
 
-// ---- Gram lasso backend -------------------------------------------------
-
-GramLassoBackend::GramLassoBackend(const AdmmOptions& admm,
-                                   const GramProblem& problem)
-    : problem_(&problem), admm_(admm) {
-  UOI_CHECK(problem.gram != nullptr, "Gram problem without a Gram");
-  UOI_CHECK_DIMS(problem.gram->gram().rows() == problem.inputs.atb.size(),
-                 "Gram problem shape mismatch");
-}
-
-AdmmResult GramLassoBackend::full_solve(double lambda1, double lambda2,
-                                        const AdmmResult& warm) {
-  if (!full_solver_) {
-    full_solver_.emplace(problem_->gram, problem_->inputs.atb, admm_);
-  }
-  return full_solver_->solve_elastic_net(lambda1, lambda2, &warm);
-}
-
-AdmmResult GramLassoBackend::subset_solve(std::span<const std::size_t> cols,
-                                          double lambda1, double lambda2,
-                                          const AdmmResult& warm) {
-  const LassoAdmmSolver sub(
-      std::make_shared<const RidgeGram>(
-          gather_submatrix(problem_->gram->gram(), cols)),
-      gather_vector(problem_->inputs.atb, cols), admm_);
-  return sub.solve_elastic_net(lambda1, lambda2, &warm);
-}
-
-std::uint64_t GramLassoBackend::take_setup_flops(bool full,
-                                                std::size_t width) {
-  if (!full) return uoi::linalg::cholesky_flops(width);
-  if (full_setup_taken_) return 0;
-  full_setup_taken_ = true;
-  return uoi::linalg::cholesky_flops(width);
-}
-
-void GramLassoBackend::kkt_correlation(std::span<const double> beta_w,
-                                       std::span<const std::size_t> working,
-                                       Vector& c, AdmmResult& spent) const {
-  correlate(beta_w, working, c, spent);
-}
-
-void GramLassoBackend::refresh_correlation(
-    std::span<const double> beta, std::span<const std::size_t> support,
-    Vector& c, AdmmResult& result) const {
-  correlate(gather_vector(beta, support), support, c, result);
-}
-
-void GramLassoBackend::correlate(std::span<const double> coef,
-                                 std::span<const std::size_t> cols, Vector& c,
-                                 AdmmResult& fit) const {
-  const Matrix& gram = problem_->gram->gram();
-  c = problem_->inputs.atb;
-  // G is symmetric, so column j of G_{:,W} is row W_j: contiguous axpys.
-  for (std::size_t i = 0; i < cols.size(); ++i) {
-    uoi::linalg::axpy(-coef[i], gram.row(cols[i]), c);
-  }
-  fit.flops += 2ULL * gram.rows() * cols.size();
-}
-
 template class ScreenedChain<SerialLassoBackend>;
 template class ScreenedChain<DistributedLassoBackend>;
-template class ScreenedChain<GramLassoBackend>;
 
 }  // namespace detail
 
-namespace {
+// ---- Gram lasso chain ---------------------------------------------------
 
-/// One chain's place in walk_gram_chains: the lambda it is on and the
-/// solve it runs, if any.
-struct WalkLane {
-  std::size_t cell = 0;
-  std::optional<detail::AdmmIterate> iterate;
-  Vector atb;  ///< A'b over the solve's columns
-  std::size_t dim = 0;
-  double factored_rho = 0.0;
-  std::uint64_t refactor_flops = 0;
-  /// Off mode: G + rho I at the options' rho, kept for the chain's full
-  /// solves as the lone chain's cached full solver keeps it.
-  std::optional<uoi::linalg::CholeskyFactor> full_factor;
-};
-
-}  // namespace
-
-void walk_gram_chains(
-    std::span<GramLassoChain> chains, std::span<const double> lambdas,
-    const std::function<void(std::size_t, std::size_t, AdmmResult)>& take) {
-  if (lambdas.empty()) return;
-  std::size_t stride = 0;
-  for (auto& chain : chains) {
-    stride = std::max(stride, chain.backend().inputs().atb.size());
+GramLassoChain::GramLassoChain(const GramProblem& problem,
+                               const AdmmOptions& admm,
+                               const ScreenOptions& screen)
+    : problem_(&problem), admm_(detail::refined_admm_options(admm, screen)) {
+  UOI_CHECK(problem.gram != nullptr, "Gram problem without a Gram");
+  const Matrix& gram = problem.gram->gram();
+  const std::size_t p = problem.inputs.atb.size();
+  UOI_CHECK_DIMS(gram.rows() == p, "Gram problem shape mismatch");
+  all_.resize(p);
+  scale_.resize(p);
+  for (std::size_t j = 0; j < p; ++j) {
+    all_[j] = j;
+    scale_[j] = std::sqrt(gram(j, j));
   }
-  uoi::linalg::CholeskyBatch batch;
-  Vector q(chains.size() * stride);
-  Vector x(chains.size() * stride);
-  std::vector<WalkLane> lanes(chains.size());
-  std::size_t live = 0;
+  reset();
+}
 
-  // Factors lane k's x-update system at rho, as a lone solve over the
-  // same columns does.
-  const auto factor = [&](std::size_t k, double rho) {
-    const auto& pending = chains[k].pending();
-    const auto& backend = chains[k].backend();
-    const Matrix& gram = backend.problem().gram->gram();
-    WalkLane& lane = lanes[k];
-    lane.factored_rho = rho;
-    if (pending.full && rho == backend.options().rho) {
-      if (!lane.full_factor) lane.full_factor.emplace(gram, rho);
-      batch.assign(k, *lane.full_factor, k * stride);
-      return;
-    }
-    batch.refactor(
-        k, pending.full ? gram : detail::gather_submatrix(gram, pending.cols),
-        rho, k * stride);
-  };
-  // Moves chain k on to its next solve, handing the steps that finish on
-  // the way to `take`.
-  const auto next_solve = [&](std::size_t k, bool pending) {
-    WalkLane& lane = lanes[k];
-    auto& backend = chains[k].backend();
-    for (;;) {
-      while (!pending) {
-        take(k, lane.cell, chains[k].take_result());
-        if (++lane.cell == lambdas.size()) return;
-        pending = chains[k].start(lambdas[lane.cell]);
+void GramLassoChain::reset() {
+  const std::size_t p = all_.size();
+  beta_.assign(p, 0.0);
+  grad_.resize(p);
+  for (std::size_t j = 0; j < p; ++j) grad_[j] = -problem_->inputs.atb[j];
+  is_active_.assign(p, 0);
+  active_.clear();
+  has_prev_ = false;
+}
+
+AdmmResult GramLassoChain::solve(double lambda1, double lambda2) {
+  return solve(lambda1, lambda2, uoi::linalg::simd::active_kernels());
+}
+
+AdmmResult GramLassoChain::solve(
+    double lambda1, double lambda2,
+    const uoi::linalg::simd::KernelTable& kernels) {
+  UOI_CHECK(lambda1 >= 0.0, "lambda must be non-negative");
+  UOI_CHECK(lambda2 >= 0.0, "l2 penalty must be non-negative");
+  if (has_prev_ && lambda1 > lambda_prev_) reset();
+  has_prev_ = true;
+  lambda_prev_ = lambda1;
+
+  AdmmResult fit;
+  bool full = true;
+  while (fit.iterations < admm_.max_iterations) {
+    const double step = sweep(full ? std::span<const std::size_t>(all_)
+                                   : std::span<const std::size_t>(active_),
+                              lambda1, lambda2, kernels, fit);
+    ++fit.iterations;
+    fit.primal_residual = step;
+    if (full) {
+      active_.clear();
+      for (std::size_t j = 0; j < all_.size(); ++j) {
+        if (is_active_[j] != 0) active_.push_back(j);
       }
-      const auto& solve = chains[k].pending();
-      const Vector& atb = backend.problem().inputs.atb;
-      lane.dim = solve.full ? atb.size() : solve.cols.size();
-      lane.atb = solve.full ? atb : detail::gather_vector(atb, solve.cols);
-      lane.iterate.emplace(lane.dim, solve.lambda1, solve.lambda2,
-                           backend.options(), &solve.warm,
-                           backend.take_setup_flops(solve.full, lane.dim));
-      lane.refactor_flops = 0;
-      if (lane.iterate->running()) break;
-      // No iteration budget: the fit is the warm start, as a lone solve's.
-      AdmmResult fit = lane.iterate->finish();
-      lane.iterate.reset();
-      pending = chains[k].resume(std::move(fit));
-    }
-    factor(k, backend.options().rho);
-    ++live;
-  };
-
-  for (std::size_t k = 0; k < chains.size(); ++k) {
-    next_solve(k, chains[k].start(lambdas[0]));
-  }
-  while (live > 0) {
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
-      WalkLane& lane = lanes[k];
-      if (!lane.iterate) continue;
-      if (lane.iterate->rho() != lane.factored_rho) {
-        factor(k, lane.iterate->rho());
-        lane.refactor_flops += uoi::linalg::cholesky_flops(lane.dim);
+      if (step <= admm_.eps_abs) {
+        fit.converged = true;
+        break;
       }
-      lane.iterate->form_rhs(
-          lane.atb, std::span<double>(q).subspan(k * stride, lane.dim));
     }
-    batch.solve(q, x);
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
-      WalkLane& lane = lanes[k];
-      if (!lane.iterate) continue;
-      lane.iterate->advance(
-          std::span<const double>(x).subspan(k * stride, lane.dim),
-          2 * uoi::linalg::trsv_flops(lane.dim));
-      if (lane.iterate->running()) continue;
-      AdmmResult fit = lane.iterate->finish(lane.refactor_flops);
-      lane.iterate.reset();
-      batch.retire(k);
-      --live;
-      next_solve(k, chains[k].resume(std::move(fit)));
-    }
+    // Back to a full sweep once the active set settles.
+    full = step <= admm_.eps_abs;
   }
+  if (!fit.converged && admm_.throw_on_nonconvergence) {
+    throw uoi::support::ConvergenceError(
+        "Gram coordinate descent did not converge within the sweep budget");
+  }
+  fit.beta = beta_;
+  ++stats_.lambdas;
+  stats_.total_columns += all_.size();
+  stats_.survivors += active_.size();
+  return fit;
+}
+
+double GramLassoChain::sweep(std::span<const std::size_t> coords,
+                             double lambda1, double lambda2,
+                             const uoi::linalg::simd::KernelTable& kernels,
+                             AdmmResult& fit) {
+  const Matrix& gram = problem_->gram->gram();
+  const std::size_t p = all_.size();
+  double largest = 0.0;
+  for (const std::size_t j : coords) {
+    fit.flops += 4;
+    const double diag = gram(j, j);
+    if (!(diag + lambda2 > 0.0)) continue;
+    const double old = beta_[j];
+    const double next =
+        soft_threshold(diag * old - grad_[j], lambda1) / (diag + lambda2);
+    if (next == old) continue;
+    beta_[j] = next;
+    if (next != 0.0) is_active_[j] = 1;
+    const double delta = next - old;
+    kernels.axpy(delta, gram.row(j).data(), grad_.data(), p);
+    fit.flops += 2 * p;
+    largest = std::max(largest, scale_[j] * std::abs(delta));
+  }
+  return largest;
 }
 
 }  // namespace uoi::solvers

@@ -42,13 +42,15 @@
 //   refresh_correlation(beta, support, c, result)
 //       c = A'(b - A beta) at the step's final beta (strong rule only)
 // The correlations charge their cost (flops, allreduces) to the given fit.
-// There are four backends: SerialLassoBackend, DistributedLassoBackend and
-// GramLassoBackend below (ScreenedLassoChain,
-// DistributedScreenedLassoChain, GramLassoChain), and the distributed
-// vectorized-VAR backend in var/. The procedure is resumable
-// (start / resume): solve() runs a chain's solves one after another
-// through its backend, and walk_gram_chains runs the solves of many Gram
-// chains side by side as the lanes of one batched ADMM.
+// There are three backends: SerialLassoBackend and
+// DistributedLassoBackend below (ScreenedLassoChain,
+// DistributedScreenedLassoChain), and the distributed vectorized-VAR
+// backend in var/.
+//
+// A Gram chain is not screened. GramLassoChain solves the lasso over a
+// replicated Gram by cyclic coordinate descent, whose active-set sweeps do
+// the screening's work at no extra cost, so ScreenMode applies only to the
+// chains above, whose ADMM solves pay for every column they carry.
 //
 // Distributed determinism: the working set is a pure function of
 // replicated data (the allreduced A'b / residual correlations and the
@@ -57,7 +59,6 @@
 // allreduce per round.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -65,6 +66,7 @@
 #include <vector>
 
 #include "linalg/matrix.hpp"
+#include "linalg/simd.hpp"
 #include "simcluster/comm.hpp"
 #include "solvers/admm_lasso.hpp"
 #include "solvers/distributed_admm.hpp"
@@ -255,26 +257,10 @@ void allreduce_correlation(uoi::sim::Comm& comm, uoi::linalg::Vector& c,
 /// strong-rule baseline). lambda2 is the elastic-net l2 penalty
 /// (KKT/screening thresholds use lambda1 only, which stays valid: at
 /// z_j = 0 the l2 term vanishes); backends without one ignore it.
-///
-/// The procedure is resumable, so a caller can run the solves itself (the
-/// lane-batched walk_gram_chains): start() begins a step and resume()
-/// hands back the fit of the solve pending(); each returns whether a
-/// further solve is pending, and once neither does, take_result() is the
-/// step's fit. solve() is that loop over the backend's own solves.
 template <class Backend>
 class ScreenedChain {
  public:
   using Fit = typename Backend::Fit;
-
-  /// A solve the chain waits for: over every coefficient (off mode) or
-  /// over the sorted `cols`, from the compacted warm start.
-  struct Pending {
-    bool full = false;
-    std::span<const std::size_t> cols;
-    double lambda1 = 0.0;
-    double lambda2 = 0.0;
-    Fit warm;
-  };
 
   /// `backend_args` follow the refined AdmmOptions into the backend.
   template <class... BackendArgs>
@@ -286,190 +272,107 @@ class ScreenedChain {
     state_.reset(backend_.inputs().atb.size());
   }
 
-  [[nodiscard]] Fit solve(double lambda1, double lambda2 = 0.0) {
-    bool more = start(lambda1, lambda2);
-    while (more) {
-      more = resume(pending_.full
-                        ? backend_.full_solve(lambda1, lambda2, pending_.warm)
-                        : backend_.subset_solve(pending_.cols, lambda1,
-                                                lambda2, pending_.warm));
-    }
-    return take_result();
-  }
-
-  /// Begins the step at lambda1; true when a solve is pending.
-  [[nodiscard]] bool start(double lambda1, double lambda2 = 0.0);
-  /// The fit of the pending solve; true when another one is pending.
-  [[nodiscard]] bool resume(Fit fit);
-  [[nodiscard]] const Pending& pending() const noexcept { return pending_; }
-  /// The finished step's fit.
-  [[nodiscard]] Fit take_result() { return std::move(result_); }
+  [[nodiscard]] Fit solve(double lambda1, double lambda2 = 0.0);
 
   [[nodiscard]] ScreenMode mode() const noexcept { return mode_; }
   [[nodiscard]] const ScreenStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] Backend& backend() noexcept { return backend_; }
 
  private:
-  enum class Stage { kIdle, kWorking, kPolish };
-
-  /// 1. The next working solve over W (off mode: over all p).
-  bool working_solve();
-  /// 2. The KKT check of the working fit, re-admitting violators.
-  bool kkt_check();
-  /// 3. The support of the final working fit, then the polish on it.
-  bool polish();
-  /// The step's counters and the chain state for the next lambda.
-  bool finish_step();
-
   Backend backend_;
   ScreenOptions screen_;
   ScreenMode mode_;
   ChainScreenState state_;
   ScreenStats stats_;
-
-  // The step in progress.
-  Stage stage_ = Stage::kIdle;
-  Pending pending_;
-  std::vector<std::size_t> working_;
-  std::vector<char> in_working_;
-  std::vector<std::size_t> support_;
-  std::size_t round_ = 0;
-  /// `spent_` collects the counters of superseded solves and of the KKT
-  /// checks.
-  Fit work_;
-  Fit spent_;
-  Fit result_;
-  uoi::linalg::Vector c_;
-  bool have_c_ = false;
-  bool canonical_ran_ = false;
 };
 
 template <class Backend>
-bool ScreenedChain<Backend>::start(double lambda1, double lambda2) {
+auto ScreenedChain<Backend>::solve(double lambda1, double lambda2) -> Fit {
   const ScreenInputs& in = backend_.inputs();
   const std::size_t p = in.atb.size();
   if (state_.has_prev && lambda1 > state_.lambda_prev) state_.reset(p);
   ++stats_.lambdas;
   stats_.total_columns += p;
 
-  pending_.lambda1 = lambda1;
-  pending_.lambda2 = lambda2;
-  working_ = screen_working_set(mode_, lambda1, in, state_);
-  in_working_.assign(p, 0);
-  for (const std::size_t j : working_) in_working_[j] = 1;
-  work_ = Fit{};
-  spent_ = Fit{};
-  c_.assign(p, 0.0);
-  have_c_ = false;
-  round_ = 0;
-  return working_solve();
-}
+  std::vector<std::size_t> working =
+      screen_working_set(mode_, lambda1, in, state_);
+  std::vector<char> in_working(p, 0);
+  for (const std::size_t j : working) in_working[j] = 1;
 
-template <class Backend>
-bool ScreenedChain<Backend>::resume(Fit fit) {
-  UOI_CHECK(stage_ != Stage::kIdle, "ScreenedChain: no solve is pending");
-  if (stage_ == Stage::kWorking) {
-    work_ = std::move(fit);
-    return mode_ == ScreenMode::kOff ? polish() : kkt_check();
+  // 1-2. Working solve, then KKT re-admission rounds. `spent` collects the
+  // counters of superseded solves and of the KKT checks.
+  Fit work;
+  Fit spent;
+  uoi::linalg::Vector c(p, 0.0);
+  bool have_c = false;
+  for (std::size_t round = 0;; ++round) {
+    add_fit_counters(spent, work);
+    Fit warm;
+    if (mode_ == ScreenMode::kOff) {
+      warm.beta = state_.beta_prev;
+      work = backend_.full_solve(lambda1, lambda2, warm);
+      break;
+    }
+    if (working.empty()) {
+      work = Fit{};
+      work.converged = true;
+    } else {
+      warm.beta = gather_vector(state_.beta_prev, working);
+      work = backend_.subset_solve(working, lambda1, lambda2, warm);
+    }
+    backend_.kkt_correlation(work.beta, working, c, spent);
+    have_c = true;
+    if (round >= screen_.max_kkt_rounds) break;
+    const auto violators = kkt_violators(c, in_working, lambda1, screen_);
+    if (violators.empty()) break;
+    stats_.kkt_violations += violators.size();
+    ++stats_.kkt_rounds;
+    merge_violators(working, in_working, violators);
   }
-  result_ = std::move(fit);
-  result_.beta =
-      expand_vector(result_.beta, support_, backend_.inputs().atb.size());
-  return finish_step();
-}
-
-template <class Backend>
-bool ScreenedChain<Backend>::working_solve() {
-  add_fit_counters(spent_, work_);
-  pending_.warm = Fit{};
-  if (mode_ == ScreenMode::kOff) {
-    pending_.full = true;
-    pending_.warm.beta = state_.beta_prev;
-    stage_ = Stage::kWorking;
-    return true;
-  }
-  if (working_.empty()) {
-    work_ = Fit{};
-    work_.converged = true;
-    return kkt_check();
-  }
-  pending_.full = false;
-  pending_.cols = working_;
-  pending_.warm.beta = gather_vector(state_.beta_prev, working_);
-  stage_ = Stage::kWorking;
-  return true;
-}
-
-template <class Backend>
-bool ScreenedChain<Backend>::kkt_check() {
-  backend_.kkt_correlation(work_.beta, working_, c_, spent_);
-  have_c_ = true;
-  if (round_ >= screen_.max_kkt_rounds) return polish();
-  const auto violators =
-      kkt_violators(c_, in_working_, pending_.lambda1, screen_);
-  if (violators.empty()) return polish();
-  stats_.kkt_violations += violators.size();
-  ++stats_.kkt_rounds;
-  merge_violators(working_, in_working_, violators);
-  ++round_;
-  return working_solve();
-}
-
-template <class Backend>
-bool ScreenedChain<Backend>::polish() {
-  const std::size_t p = backend_.inputs().atb.size();
-  stats_.survivors += working_.size();
-  stats_.gram_cols_saved += p - working_.size();
+  stats_.survivors += working.size();
+  stats_.gram_cols_saved += p - working.size();
 
   // The final support S (in off mode W is all p, so beta is full length).
-  support_.clear();
-  for (std::size_t i = 0; i < working_.size(); ++i) {
-    if (work_.beta[i] != 0.0) support_.push_back(working_[i]);
+  std::vector<std::size_t> support;
+  for (std::size_t i = 0; i < working.size(); ++i) {
+    if (work.beta[i] != 0.0) support.push_back(working[i]);
   }
 
-  // When S == W the working solve already IS the canonical solve
-  // bit-for-bit: same columns, same warm start.
-  canonical_ran_ = support_.size() != working_.size();
-  if (!canonical_ran_) {
-    result_ = std::move(work_);
+  // 3. The canonical polish on S. When S == W the working solve already
+  // IS the canonical solve bit-for-bit: same columns, same warm start.
+  Fit result;
+  const bool canonical_ran = support.size() != working.size();
+  if (!canonical_ran) {
+    result = std::move(work);
     if (mode_ != ScreenMode::kOff) {
-      result_.beta = expand_vector(result_.beta, working_, p);
+      result.beta = expand_vector(result.beta, working, p);
     }
-    return finish_step();
+  } else {
+    ++stats_.canonical_solves;
+    add_fit_counters(spent, work);
+    if (support.empty()) {
+      result.converged = true;
+      result.beta.assign(p, 0.0);
+    } else {
+      Fit warm;
+      warm.beta = gather_vector(state_.beta_prev, support);
+      result = backend_.subset_solve(support, lambda1, lambda2, warm);
+      result.beta = expand_vector(result.beta, support, p);
+    }
   }
-  ++stats_.canonical_solves;
-  add_fit_counters(spent_, work_);
-  if (support_.empty()) {
-    result_ = Fit{};
-    result_.converged = true;
-    result_.beta.assign(p, 0.0);
-    return finish_step();
-  }
-  pending_.full = false;
-  pending_.cols = support_;
-  pending_.warm = Fit{};
-  pending_.warm.beta = gather_vector(state_.beta_prev, support_);
-  stage_ = Stage::kPolish;
-  return true;
-}
-
-template <class Backend>
-bool ScreenedChain<Backend>::finish_step() {
-  add_fit_counters(result_, spent_);
-  stage_ = Stage::kIdle;
+  add_fit_counters(result, spent);
 
   // Chain state for the next (smaller) lambda.
   state_.has_prev = true;
-  state_.lambda_prev = pending_.lambda1;
-  state_.beta_prev = result_.beta;
-  for (const std::size_t j : support_) state_.ever_active[j] = 1;
+  state_.lambda_prev = lambda1;
+  state_.beta_prev = result.beta;
+  for (const std::size_t j : support) state_.ever_active[j] = 1;
   if (mode_ == ScreenMode::kStrong) {
-    if (canonical_ran_ || !have_c_) {
-      backend_.refresh_correlation(result_.beta, support_, c_, result_);
+    if (canonical_ran || !have_c) {
+      backend_.refresh_correlation(result.beta, support, c, result);
     }
-    state_.c_prev = std::move(c_);
+    state_.c_prev = std::move(c);
   }
-  return false;
+  return result;
 }
 
 /// Serial lasso / elastic net over a dense design. The KKT residual reuses
@@ -552,61 +455,8 @@ class DistributedLassoBackend {
   uoi::linalg::Matrix gathered_;
 };
 
-/// Lasso / elastic net over a GramProblem, with no data matrix and no
-/// communication: every rank of a task group that holds the same Gram
-/// walks the same chain. A subset solve factors G_WW + rho I; both
-/// correlations are c = A'b - G_{:,W} beta_W. G itself is never factored,
-/// so a singular Gram (duplicated bootstrap rows, fewer rows than
-/// columns) is fine.
-class GramLassoBackend {
- public:
-  using Fit = AdmmResult;
-
-  GramLassoBackend(const AdmmOptions& admm, const GramProblem& problem);
-
-  [[nodiscard]] const ScreenInputs& inputs() const noexcept {
-    return problem_->inputs;
-  }
-  [[nodiscard]] Fit full_solve(double lambda1, double lambda2,
-                               const Fit& warm);
-  [[nodiscard]] Fit subset_solve(std::span<const std::size_t> cols,
-                                 double lambda1, double lambda2,
-                                 const Fit& warm);
-  void kkt_correlation(std::span<const double> beta_w,
-                       std::span<const std::size_t> working,
-                       uoi::linalg::Vector& c, Fit& spent) const;
-  void refresh_correlation(std::span<const double> beta,
-                           std::span<const std::size_t> support,
-                           uoi::linalg::Vector& c, Fit& result) const;
-
-  // What walk_gram_chains, which runs the solves itself, needs to run
-  // them as full_solve() and subset_solve() would.
-  [[nodiscard]] const GramProblem& problem() const noexcept {
-    return *problem_;
-  }
-  /// The chain's refined options, every solve's.
-  [[nodiscard]] const AdmmOptions& options() const noexcept { return admm_; }
-  /// The setup FLOPs a solve over `width` columns charges: a subset solve
-  /// factors G_WW + rho I, the off-mode full solver once per chain, on
-  /// its first solve.
-  [[nodiscard]] std::uint64_t take_setup_flops(bool full, std::size_t width);
-
- private:
-  /// c = A'b - sum_i coef[i] G.row(cols[i]).
-  void correlate(std::span<const double> coef,
-                 std::span<const std::size_t> cols, uoi::linalg::Vector& c,
-                 Fit& fit) const;
-
-  const GramProblem* problem_;
-  AdmmOptions admm_;
-  /// Off-mode working solver: one full-p factorization per chain.
-  std::optional<LassoAdmmSolver> full_solver_;
-  bool full_setup_taken_ = false;
-};
-
 extern template class ScreenedChain<SerialLassoBackend>;
 extern template class ScreenedChain<DistributedLassoBackend>;
-extern template class ScreenedChain<GramLassoBackend>;
 
 }  // namespace detail
 
@@ -638,31 +488,67 @@ class DistributedScreenedLassoChain
                       full_solver) {}
 };
 
-/// Screened lambda chain over a GramProblem (see detail::GramLassoBackend).
-/// Local: a task group's ranks each run it on their replicated Gram and
-/// reach identical bytes. `problem` must outlive the chain.
-class GramLassoChain : public detail::ScreenedChain<detail::GramLassoBackend> {
+/// Lasso / elastic net over a GramProblem by cyclic coordinate descent
+/// with covariance updates (glmnet: Friedman, Hastie and Tibshirani, J.
+/// Stat. Softw. 2010). Local: no data matrix and no communication, so
+/// every rank of a task group that holds the same Gram walks the same
+/// chain to the same bytes. `problem` must outlive the chain.
+///
+/// The chain keeps beta and the gradient g = G beta - A'b. Updating
+/// coordinate j sets
+///   beta_j = S(G_jj beta_j - g_j, lambda1) / (G_jj + lambda2)
+/// (S the soft threshold) and then g += (new - old beta_j) G.row(j)
+/// through the dispatched axpy, so every SIMD level gives the same bytes.
+/// Coordinates run in ascending order in glmnet's active-set sweeps: a
+/// full sweep over all p, then sweeps over the active set (every
+/// coordinate nonzero at some point since the chain last started) until
+/// one settles, then a full sweep again. A step stops after a full sweep
+/// that moves no coordinate by more than the refined eps_abs, measured as
+/// sqrt(G_jj) |delta beta_j|: that sweep is the KKT check. The refined
+/// max_iterations caps a step's sweeps. G is never factored, so a
+/// singular Gram (duplicated bootstrap rows, fewer rows than columns) is
+/// fine, and a coordinate with G_jj + lambda2 = 0 (a zero column) stays 0.
+///
+/// Each step warm-starts from the previous step's beta and g while lambda1
+/// descends; a larger lambda1 starts over from zero, as a fresh chain
+/// does. `screen` only refines the tolerances (refined_admm_options):
+/// ScreenMode does not apply. A fit's AdmmResult counts sweeps as
+/// iterations, has rho_updates = 0, the last sweep's largest scaled step
+/// as primal_residual and dual_residual = 0, and charges 2p FLOPs per
+/// gradient update plus 4 per coordinate visit. stats() counts lambdas,
+/// total_columns and, as survivors, the active set's size after each step.
+class GramLassoChain {
  public:
   GramLassoChain(const GramProblem& problem, const AdmmOptions& admm,
-                 const ScreenOptions& screen = {})
-      : ScreenedChain(admm, screen, problem) {}
-};
+                 const ScreenOptions& screen = {});
 
-/// Walks every chain of `chains` down the same descending `lambdas` at
-/// once. Each pending solve of each chain is one lane of a batched ADMM:
-/// every lane keeps its own iterate, rho schedule and stopping test
-/// (detail::AdmmIterate), and one CholeskyBatch solve per iteration does
-/// every live lane's x-update. A lane whose solve finishes hands the fit
-/// back to its chain (ScreenedChain::resume), whose KKT check or polish
-/// may open the lane's next solve at once; a refactorization (new rho or
-/// new columns) refactors just that lane, and in off mode every full
-/// solve of a chain reuses its lane's one factor of G + rho I, as the lone
-/// chain's cached full solver does. `take(i, m, fit)` receives
-/// chain i's fit at lambdas[m], in the order the chains finish. Every
-/// fit, counter and ScreenStats equals what chains[i].solve(lambdas[m])
-/// for m = 0, 1, ... gives, bit for bit. Local: no communication.
-void walk_gram_chains(
-    std::span<GramLassoChain> chains, std::span<const double> lambdas,
-    const std::function<void(std::size_t, std::size_t, AdmmResult)>& take);
+  [[nodiscard]] AdmmResult solve(double lambda1, double lambda2 = 0.0);
+  /// solve() through an explicit kernel table (cross-level bitwise tests).
+  [[nodiscard]] AdmmResult solve(
+      double lambda1, double lambda2,
+      const uoi::linalg::simd::KernelTable& kernels);
+
+  [[nodiscard]] const ScreenStats& stats() const noexcept { return stats_; }
+
+ private:
+  /// beta = 0, g = -A'b, an empty active set.
+  void reset();
+  /// One sweep over `coords`; returns its largest sqrt(G_jj) |delta beta_j|.
+  double sweep(std::span<const std::size_t> coords, double lambda1,
+               double lambda2, const uoi::linalg::simd::KernelTable& kernels,
+               AdmmResult& fit);
+
+  const GramProblem* problem_;
+  AdmmOptions admm_;  ///< refined
+  std::vector<std::size_t> all_;     ///< 0, 1, ..., p - 1
+  uoi::linalg::Vector scale_;        ///< sqrt(G_jj)
+  uoi::linalg::Vector beta_;
+  uoi::linalg::Vector grad_;         ///< G beta - A'b
+  std::vector<char> is_active_;
+  std::vector<std::size_t> active_;  ///< ascending
+  bool has_prev_ = false;
+  double lambda_prev_ = 0.0;
+  ScreenStats stats_;
+};
 
 }  // namespace uoi::solvers

@@ -571,11 +571,13 @@ UoiVarDistributedResult uoi_var_distributed(
   // bootstrap's rows take `path`. A layout of one-rank groups only (a
   // serial fit too) sums every Gram on one rank, whose rounding differs
   // from a group's reduced Gram, and takes the tag after the two paths.
+  // Both Gram cases then name the Gram chain's solver.
   constexpr std::uint64_t kLocalGramTag = 2;
   const bool one_rank_groups =
       comm.size() <=
       std::max(1, layout.bootstrap_groups * layout.lambda_groups);
   fp.add(one_rank_groups ? kLocalGramTag : static_cast<std::uint64_t>(path));
+  if (one_rank_groups || gram_path) fp.add(uoi::core::kGramCdFingerprintTag);
   spec.fingerprint = fp.value();
 
   // Selection: readers construct the bootstrap sample's lag regression.
@@ -668,30 +670,23 @@ UoiVarDistributedResult uoi_var_distributed(
       task.mark_selected(m, beta, options.support_tolerance);
     };
     if (gram_walk) {
-      // Each rank walks the chains of its own equations on the replicated
-      // Gram, all at once in lanes of one batched ADMM and with no
-      // collective, into its blocks of the cells' betas.
-      std::vector<std::size_t> equations;
-      std::vector<uoi::solvers::GramLassoChain> chains;
+      // Each rank runs the chains of its own equations on the replicated
+      // Gram, one after another and with no collective, into its blocks of
+      // the cells' betas.
+      Vector betas(task.cells.size() * n_coeffs, 0.0);
       for (std::size_t e = 0; e < p; ++e) {
         if (!owns_equation(e, tl.c_ranks, tl.task_rank)) continue;
-        equations.push_back(e);
-        chains.emplace_back(entry->grams[e], options.admm, screen_opts);
+        uoi::solvers::GramLassoChain chain(entry->grams[e], options.admm,
+                                           screen_opts);
+        for (std::size_t m = 0; m < task.cells.size(); ++m) {
+          const auto fit = chain.solve(model.lambdas[task.cells[m]]);
+          task.counters.add(fit);
+          std::copy(fit.beta.begin(), fit.beta.end(),
+                    betas.begin() + static_cast<std::ptrdiff_t>(
+                                        m * n_coeffs + e * dp));
+        }
+        task.counters.screen += chain.stats();
       }
-      Vector cell_lambdas(task.cells.size());
-      for (std::size_t m = 0; m < task.cells.size(); ++m) {
-        cell_lambdas[m] = model.lambdas[task.cells[m]];
-      }
-      Vector betas(task.cells.size() * n_coeffs, 0.0);
-      uoi::solvers::walk_gram_chains(
-          chains, cell_lambdas,
-          [&](std::size_t i, std::size_t m, uoi::solvers::AdmmResult fit) {
-            task.counters.add(fit);
-            std::copy(fit.beta.begin(), fit.beta.end(),
-                      betas.begin() + static_cast<std::ptrdiff_t>(
-                                          m * n_coeffs + equations[i] * dp));
-          });
-      for (const auto& chain : chains) task.counters.screen += chain.stats();
       // A wider group assembles the blocks with one Sum allreduce; each
       // entry has one contributor, so the sum is exact.
       if (tl.c_ranks > 1) {

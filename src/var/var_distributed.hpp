@@ -148,9 +148,9 @@ struct UoiVarDistributedResult {
 /// as in uoi_lasso_distributed, with P = P_B x P_lambda x C. Selection
 /// takes one of two solvers per task group:
 ///   Gram walk   [X'X | X'Y | per-column y'y] of the bootstrap's lag rows
-///               ((I (x) X)'(I (x) X) = I (x) X'X), then every rank walks a
-///               solvers::GramLassoChain per equation it owns, all in lanes
-///               of one batched ADMM (solvers::walk_gram_chains). A one-rank
+///               ((I (x) X)'(I (x) X) = I (x) X'X), then every rank runs a
+///               solvers::GramLassoChain (coordinate descent) per equation
+///               it owns, one after another. A one-rank
 ///               group sums the Gram locally at any shape and makes no
 ///               collective, so one-rank groups reproduce UoiVar::fit, which
 ///               is this driver on a one-rank communicator. A wider group

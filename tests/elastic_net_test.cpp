@@ -137,11 +137,11 @@ TEST(UoiElasticNet, RecoversOnCorrelatedDesign) {
 }
 
 TEST(UoiElasticNet, SerialFitExportsItsSelectionIterations) {
-  // A serial fit publishes the engine's admm.* metrics: the exported ADMM
-  // iterations equal those of one screened chain per (bootstrap, l1
-  // ratio). The grid includes a ratio boundary where lambda1 does not
-  // ascend (0.1 lambda_max with ratio 1.0, then 0.05 lambda_max with ratio
-  // 0.05).
+  // A serial fit publishes the engine's admm.* metrics: the exported
+  // iterations equal the sweeps of one Gram chain (90 rows over 14
+  // columns take the Gram path) per (bootstrap, l1 ratio). The grid
+  // includes a ratio boundary where lambda1 does not ascend (0.1
+  // lambda_max with ratio 1.0, then 0.05 lambda_max with ratio 0.05).
   uoi::data::RegressionSpec spec;
   spec.n_samples = 90;
   spec.n_features = 14;
@@ -176,9 +176,16 @@ TEST(UoiElasticNet, SerialFitExportsItsSelectionIterations) {
     const Matrix x_boot = data.x.gather_rows(idx);
     Vector y_boot(idx.size());
     for (std::size_t i = 0; i < idx.size(); ++i) y_boot[i] = data.y[idx[i]];
+    const auto problem =
+        uoi::solvers::gram_problems_from_sums(
+            uoi::solvers::gram_sums(
+                x_boot, uoi::linalg::ConstMatrixView(y_boot.data(),
+                                                     y_boot.size(), 1, 1)),
+            x_boot.cols())
+            .front();
     for (const double ratio : options.l1_ratios) {
-      uoi::solvers::ScreenedLassoChain chain(x_boot, y_boot, options.admm,
-                                             options.screen);
+      uoi::solvers::GramLassoChain chain(problem, options.admm,
+                                         options.screen);
       for (const double lambda : lambdas) {
         iterations +=
             chain.solve(lambda * ratio, lambda * (1.0 - ratio)).iterations;

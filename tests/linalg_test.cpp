@@ -387,102 +387,6 @@ TEST(CholeskyBatch, EmptyBatchAndShortVectors) {
   EXPECT_THROW(batch.solve(shorter, x), uoi::support::DimensionMismatch);
 }
 
-/// Checks every live system k of `batch` (grams[k] non-null, slice at
-/// k * stride) against a lone CholeskyFactor(*grams[k], shifts[k]) under
-/// every kernel level, and that the slices of retired systems (null) stay
-/// untouched.
-void expect_live_systems_match(const uoi::linalg::CholeskyBatch& batch,
-                               const std::vector<const Matrix*>& grams,
-                               const std::vector<double>& shifts,
-                               std::size_t stride, std::uint64_t seed) {
-  namespace simd = uoi::linalg::simd;
-  const std::size_t length = grams.size() * stride;
-  const Vector b = random_vector(length, seed);
-  const double untouched = -123.25;
-  Vector expected(length, untouched);
-  std::uint64_t solve_flops = 0;
-  for (std::size_t k = 0; k < grams.size(); ++k) {
-    if (grams[k] == nullptr) continue;
-    const std::size_t n = grams[k]->rows();
-    const uoi::linalg::CholeskyFactor factor(*grams[k], shifts[k]);
-    factor.solve(std::span<const double>(b).subspan(k * stride, n),
-                 std::span<double>(expected).subspan(k * stride, n));
-    solve_flops += 2 * uoi::linalg::trsv_flops(n);
-  }
-  EXPECT_EQ(batch.solve_flops(), solve_flops);
-  for (const simd::SimdLevel level : kAllLevels) {
-    Vector x(length, untouched);
-    batch.solve(b, x, simd::kernel_table(level));
-    EXPECT_TRUE(same_bytes(x, expected)) << simd::simd_level_name(level);
-  }
-}
-
-TEST(CholeskyBatch, RefactoredAndRetiredLanesMatchLoneFactorsBitwise) {
-  constexpr std::size_t kDims[] = {1, 7, 8, 9, 37, 48, 64};
-  constexpr std::size_t kStride = 64;
-  for (const std::size_t count : {1, 7, 8, 9, 24}) {
-    SCOPED_TRACE("count=" + std::to_string(count));
-    std::vector<Matrix> grams;  // every factor handed to the batch
-    grams.reserve(4 * count);
-    std::vector<const Matrix*> live(count, nullptr);
-    std::vector<double> shifts(count);
-    uoi::linalg::CholeskyBatch batch;
-    std::uint64_t factor_flops = 0;
-    const auto refactor = [&](std::size_t k, std::size_t dim, double shift) {
-      grams.push_back(random_gram(dim, 31 * grams.size() + count));
-      live[k] = &grams.back();
-      shifts[k] = shift;
-      batch.refactor(k, grams.back(), shift, k * kStride);
-      factor_flops += uoi::linalg::cholesky_flops(dim);
-    };
-    // An empty batch filled with mixed widths: the first solve groups
-    // them by dimension.
-    for (std::size_t k = 0; k < count; ++k) {
-      refactor(k, kDims[k % std::size(kDims)], 0.5 + 0.25 * (k % 3));
-    }
-    expect_live_systems_match(batch, live, shifts, kStride, count);
-    EXPECT_EQ(batch.factor_flops(), factor_flops);
-    // A new shift at the same dimension is packed in place.
-    for (std::size_t k = 0; k < count; k += 2) {
-      shifts[k] *= 2.0;
-      batch.refactor(k, *live[k], shifts[k], k * kStride);
-      factor_flops += uoi::linalg::cholesky_flops(live[k]->rows());
-    }
-    expect_live_systems_match(batch, live, shifts, kStride, count + 1);
-    // New dimensions: a narrower factor fits its kernel group, a wider
-    // one makes the batch regroup.
-    for (std::size_t k = 0; k < count; k += 3) {
-      refactor(k, kDims[(k + 3) % std::size(kDims)], 1.5);
-    }
-    expect_live_systems_match(batch, live, shifts, kStride, count + 2);
-    EXPECT_EQ(batch.factor_flops(), factor_flops);
-    // Retired systems leave their slices alone; a kernel group left with
-    // one live system takes the one-lane scalar sweep.
-    for (std::size_t k = 1; k < count; ++k) {
-      if (k % 5 == 0) continue;
-      batch.retire(k);
-      live[k] = nullptr;
-    }
-    expect_live_systems_match(batch, live, shifts, kStride, count + 3);
-    batch.retire(0);
-    live[0] = nullptr;
-    expect_live_systems_match(batch, live, shifts, kStride, count + 4);
-    // Retired systems come back with new factors.
-    for (std::size_t k = 0; k < count; k += 2) {
-      refactor(k, kDims[(k + 5) % std::size(kDims)], 0.75);
-    }
-    expect_live_systems_match(batch, live, shifts, kStride, count + 5);
-    EXPECT_EQ(batch.factor_flops(), factor_flops);
-  }
-}
-
-TEST(CholeskyBatch, SharedFactorBatchRefusesRefactor) {
-  const Matrix gram = random_gram(4, 3);
-  uoi::linalg::CholeskyBatch batch(gram, 1.0, 2);
-  EXPECT_THROW(batch.refactor(0, gram, 2.0, 0),
-               uoi::support::InvalidArgument);
-}
-
 TEST(Cholesky, SolveMatrixMultipleRhs) {
   Matrix spd{{4.0, 1.0}, {1.0, 3.0}};
   Matrix b{{1.0, 0.0}, {0.0, 1.0}};

@@ -1127,6 +1127,169 @@ TEST(FaultRecovery, SerialVarCheckpointWithoutSolverTagRestarts) {
   std::filesystem::remove(path);
 }
 
+/// Reads a selection checkpoint file.
+uoi::core::SelectionCheckpoint read_checkpoint(const std::string& path) {
+  std::ifstream in(path);
+  std::string text(std::istreambuf_iterator<char>(in), {});
+  return uoi::core::SelectionCheckpoint::from_text(text);
+}
+
+/// Re-stamps the checkpoint at `path` with `fingerprint` and zeroes its
+/// counts, as a file another solver wrote would look.
+void restamp_checkpoint(const std::string& path, std::uint64_t fingerprint) {
+  auto ckpt = read_checkpoint(path);
+  ckpt.fingerprint = fingerprint;
+  ckpt.counts = Matrix(ckpt.counts.rows(), ckpt.counts.cols(), 0.0);
+  uoi::core::save_checkpoint(path, ckpt);
+}
+
+TEST(FaultRecovery, LassoGramCheckpointFromTheAdmmChainRestarts) {
+  // The Gram chain used to run ADMM and now runs coordinate descent, so a
+  // Gram-path checkpoint stamped the old way belongs to another solver:
+  // a serial fit (one-rank group) and a fit whose group splits the rows
+  // must restart from it, not resume.
+  uoi::data::RegressionSpec spec;
+  spec.n_samples = 100;
+  spec.n_features = 12;
+  spec.support_size = 3;
+  spec.noise_stddev = 0.3;
+  spec.seed = 47;
+  const auto data = uoi::data::make_regression(spec);
+  const auto options = lasso_options();
+  const auto path =
+      (std::filesystem::temp_directory_path() / "uoi_lasso_cd_ckpt.txt")
+          .string();
+  for (const int ranks : {1, 2}) {
+    SCOPED_TRACE("ranks=" + std::to_string(ranks));
+    ASSERT_EQ(lasso_path(ranks, data, {}), uoi::sched::LinearPath::kGram);
+    std::filesystem::remove(path);
+    const auto fresh = run_lasso(ranks, data, options, {}, nullptr);
+    auto ckpt_options = options;
+    ckpt_options.recovery.checkpoint_path = path;
+    (void)run_lasso(ranks, data, ckpt_options, {}, nullptr);
+    // The fingerprint the ADMM Gram chain's fits wrote.
+    uoi::core::FingerprintBuilder parent;
+    parent.add(options.seed)
+        .add(static_cast<std::uint64_t>(options.n_selection_bootstraps))
+        .add(static_cast<std::uint64_t>(data.x.rows()))
+        .add(static_cast<std::uint64_t>(data.x.cols()))
+        .add(options.support_tolerance)
+        .add(static_cast<std::uint64_t>(options.fit_intercept ? 1 : 0))
+        .add(options.admm.rho)
+        .add(options.admm.eps_abs)
+        .add(options.admm.eps_rel)
+        .add(static_cast<std::uint64_t>(options.admm.max_iterations))
+        .add(static_cast<std::uint64_t>(
+            uoi::solvers::resolve_screen_mode(options.screen.mode)));
+    for (const double l : fresh.results[0].model.lambdas) parent.add(l);
+    if (ranks > 1) {
+      parent.add(static_cast<std::uint64_t>(uoi::sched::LinearPath::kGram));
+    }
+    ASSERT_NE(read_checkpoint(path).fingerprint, parent.value());
+    // The file resumes under its own fingerprint...
+    const auto resumed = run_lasso(ranks, data, ckpt_options, {}, nullptr);
+    EXPECT_GE(resumed.reports[0].recovery.checkpoint_resumes, 1u);
+    // ...but stamped the old way it is ignored: the fit starts over and
+    // matches a fresh one byte for byte.
+    restamp_checkpoint(path, parent.value());
+    const auto restarted = run_lasso(ranks, data, ckpt_options, {}, nullptr);
+    for (int r = 0; r < ranks; ++r) {
+      const auto rank = static_cast<std::size_t>(r);
+      EXPECT_EQ(restarted.reports[rank].recovery.checkpoint_resumes, 0u);
+      expect_same_model(restarted.results[rank], fresh.results[rank],
+                        /*bit_identical_counts=*/true);
+      const auto& got = restarted.results[rank].model.beta;
+      const auto& want = fresh.results[rank].model.beta;
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            want.size() * sizeof(double)),
+                0);
+    }
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(FaultRecovery, VarGramCheckpointFromTheAdmmChainRestarts) {
+  // As for the lasso: a serial VAR fit (the one-rank kLocalGramTag case)
+  // and a two-rank group on the Gram path restart from a checkpoint
+  // stamped the way the ADMM Gram chain's fits stamped theirs.
+  uoi::data::VarSpec spec;
+  spec.n_nodes = 4;
+  spec.edges_per_node = 1.0;
+  spec.seed = 64;
+  uoi::var::SimulateOptions sim;
+  sim.n_samples = 80;
+  sim.seed = 65;
+  const Matrix series =
+      uoi::var::simulate(uoi::data::make_sparse_var(spec), sim);
+  uoi::var::UoiVarOptions options;
+  options.n_selection_bootstraps = 4;
+  options.n_estimation_bootstraps = 2;
+  options.n_lambdas = 4;
+  options.seed = 68;
+  options.screen.mode = uoi::solvers::ScreenMode::kStrong;
+  struct VarRun {
+    std::optional<uoi::var::UoiVarDistributedResult> result;
+    std::uint64_t resumes = 0;
+  };
+  const auto run_var = [&](int ranks, const uoi::var::UoiVarOptions& o) {
+    VarRun run;
+    const auto reports = Cluster::run_collect_reports(ranks, [&](Comm& comm) {
+      auto fit = uoi::var::uoi_var_distributed(comm, series, o);
+      if (comm.rank() == 0) run.result = std::move(fit);
+    });
+    run.resumes = reports[0].recovery.checkpoint_resumes;
+    return run;
+  };
+  const auto path =
+      (std::filesystem::temp_directory_path() / "uoi_var_cd_ckpt.txt")
+          .string();
+  for (const int ranks : {1, 2}) {
+    SCOPED_TRACE("ranks=" + std::to_string(ranks));
+    Cluster::run(ranks, [&](Comm& comm) {
+      EXPECT_EQ(uoi::var::detail::var_linear_path(comm, series, options, {}),
+                uoi::sched::LinearPath::kGram);
+    });
+    std::filesystem::remove(path);
+    const auto fresh = run_var(ranks, options);
+    auto ckpt_options = options;
+    ckpt_options.recovery.checkpoint_path = path;
+    (void)run_var(ranks, ckpt_options);
+    // The fingerprint the ADMM Gram chain's fits wrote: a one-rank layout
+    // took tag 2, a wider group its path.
+    uoi::core::FingerprintBuilder parent;
+    parent.add(static_cast<std::uint64_t>(0x766172ULL))
+        .add(options.seed)
+        .add(static_cast<std::uint64_t>(options.order))
+        .add(static_cast<std::uint64_t>(options.n_selection_bootstraps))
+        .add(static_cast<std::uint64_t>(options.block_length))
+        .add(static_cast<std::uint64_t>(series.rows()))
+        .add(static_cast<std::uint64_t>(series.cols()))
+        .add(options.support_tolerance)
+        .add(static_cast<std::uint64_t>(options.screen.mode));
+    for (const double l : fresh.result->model.lambdas) parent.add(l);
+    parent.add(ranks == 1 ? std::uint64_t{2}
+                          : static_cast<std::uint64_t>(
+                                uoi::sched::LinearPath::kGram));
+    ASSERT_NE(read_checkpoint(path).fingerprint, parent.value());
+    EXPECT_GE(run_var(ranks, ckpt_options).resumes, 1u);
+    restamp_checkpoint(path, parent.value());
+    const auto restarted = run_var(ranks, ckpt_options);
+    EXPECT_EQ(restarted.resumes, 0u);
+    const auto& got = restarted.result->model;
+    const auto& want = fresh.result->model;
+    ASSERT_EQ(got.vec_beta.size(), want.vec_beta.size());
+    EXPECT_EQ(std::memcmp(got.vec_beta.data(), want.vec_beta.data(),
+                          want.vec_beta.size() * sizeof(double)),
+              0);
+    EXPECT_EQ(got.candidate_supports, want.candidate_supports);
+    EXPECT_EQ(uoi::linalg::max_abs_diff(restarted.result->selection_counts,
+                                        fresh.result->selection_counts),
+              0.0);
+  }
+  std::filesystem::remove(path);
+}
+
 /// Kills rank 3 of 4 under layout {2, 1} (two groups of C = 2) at
 /// `kill_at`, a position in its clean collective schedule, and checks
 /// that every survivor shrinks, redoes the lost selection cells and lands

@@ -15,11 +15,14 @@
 #include <utility>
 #include <vector>
 
+#include "core/uoi_elastic_net_distributed.hpp"
 #include "core/uoi_lasso_distributed.hpp"
 #include "data/synthetic_regression.hpp"
 #include "data/synthetic_var.hpp"
 #include "linalg/blas.hpp"
+#include "linalg/simd.hpp"
 #include "simcluster/cluster.hpp"
+#include "solvers/cd_lasso.hpp"
 #include "solvers/lambda_grid.hpp"
 #include "solvers/ols.hpp"
 #include "solvers/screening.hpp"
@@ -478,6 +481,11 @@ TEST(GramEstimation, DistributedFitSplitsADuplicatedSupportColumn) {
   // The Gram path's estimation solves each candidate support with
   // ols_from_gram. A duplicated true column enters the supports as a
   // pair; the fit must stay finite and split its coefficient evenly.
+  // The lasso's minimizers split a duplicated column's coefficient in any
+  // proportion, and the Gram chain's coordinate descent gives all of it to
+  // the lower index, so the pair enters through the elastic net, whose
+  // strictly convex penalty splits it evenly; the lasso fit must still
+  // recover the pair's sum.
   uoi::data::RegressionSpec spec;
   spec.n_samples = 160;
   spec.n_features = 12;
@@ -501,14 +509,26 @@ TEST(GramEstimation, DistributedFitSplitsADuplicatedSupportColumn) {
   options.n_estimation_bootstraps = 3;
   options.n_lambdas = 6;
   options.seed = 8;
+  uoi::core::UoiElasticNetOptions en_options;
+  en_options.n_selection_bootstraps = 4;
+  en_options.n_estimation_bootstraps = 3;
+  en_options.n_lambdas = 6;
+  en_options.l1_ratios = {0.5};
+  en_options.seed = 8;
   uoi::sim::Cluster::run(2, [&](uoi::sim::Comm& comm) {
     ASSERT_EQ(uoi::core::detail::linear_family_path(comm, data.x, {}),
               uoi::sched::LinearPath::kGram);
+    const auto en =
+        uoi::core::uoi_elastic_net_distributed(comm, data.x, data.y,
+                                               en_options);
+    for (const double v : en.model.beta) ASSERT_TRUE(std::isfinite(v));
+    EXPECT_NE(en.model.beta[active], 0.0);
+    EXPECT_NEAR(en.model.beta[active], en.model.beta[twin], 1e-6);
+    EXPECT_NEAR(en.model.beta[active] + en.model.beta[twin],
+                data.beta_true[active], 0.1);
     const auto fit =
         uoi::core::uoi_lasso_distributed(comm, data.x, data.y, options);
     for (const double v : fit.model.beta) ASSERT_TRUE(std::isfinite(v));
-    EXPECT_NE(fit.model.beta[active], 0.0);
-    EXPECT_NEAR(fit.model.beta[active], fit.model.beta[twin], 1e-6);
     EXPECT_NEAR(fit.model.beta[active] + fit.model.beta[twin],
                 data.beta_true[active], 0.1);
   });
@@ -659,149 +679,193 @@ TEST(ScreenedChainPins, GramLassoChain) {
   EXPECT_GT(strong.canonical_solves, 0u);
 }
 
-// ---- Lane-batched walk of Gram chains -----------------------------------
+// ---- Coordinate-descent Gram chain --------------------------------------
 
-/// `count` problems over the pin design's one shared Gram: right-hand
-/// side k is the pin response scaled by 0.2 to 1.4 plus seeded noise, so
-/// the walk's first lambda (the pin response's lambda_max) leaves the
-/// smaller responses an empty working set.
-std::vector<uoi::solvers::GramProblem> walk_problems(std::size_t count) {
-  const auto data = pin_problem();
-  const std::size_t n = data.x.rows();
-  Matrix b(n, count);
-  uoi::support::Xoshiro256 rng(77);
-  for (std::size_t k = 0; k < count; ++k) {
-    const double scale = 0.2 + 0.3 * static_cast<double>(k % 5);
-    for (std::size_t r = 0; r < n; ++r) {
-      b(r, k) = scale * data.y[r] + (k == 0 ? 0.0 : 0.05 * rng.normal());
-    }
-  }
-  return uoi::solvers::gram_problems_from_sums(
-      uoi::solvers::gram_sums(data.x, b), data.x.cols(), count);
+/// The chain's gradient g = G beta - A'b, recomputed from scratch.
+Vector gram_gradient(const uoi::solvers::GramProblem& problem,
+                     std::span<const double> beta) {
+  const Matrix& gram = problem.gram->gram();
+  Vector g(beta.size(), 0.0);
+  uoi::linalg::gemv(1.0, gram, beta, 0.0, g);
+  for (std::size_t j = 0; j < g.size(); ++j) g[j] -= problem.inputs.atb[j];
+  return g;
 }
 
-/// Chain k's options: the pin's tight tolerances on every fourth chain,
-/// the defaults at initial rho 0.25 to 1.25 elsewhere (so lanes change
-/// rho and converge at different iterations), a budget of 4 iterations
-/// (40 after refinement) on chains 3, 10, 17, ... so their solves stop at
-/// max_iterations, and none at all on chains 5 and 16.
-AdmmOptions walk_admm(std::size_t k) {
-  AdmmOptions admm = k % 4 == 0 ? tight_admm() : AdmmOptions{};
-  admm.rho = 0.25 * static_cast<double>(1 + k % 5);
-  if (k % 7 == 3) admm.max_iterations = 4;
-  if (k % 11 == 5) admm.max_iterations = 0;
-  return admm;
-}
-
-/// The pin grid walked down, then back up (a chain reset) and down again.
-std::vector<double> walk_lambdas() {
-  const auto data = pin_problem();
-  auto lambdas = descending_grid(data.x, data.y, 8, 0.01);
-  const double up = lambdas[2];
-  const double down = lambdas[5];
-  lambdas.push_back(up);
-  lambdas.push_back(down);
-  return lambdas;
-}
-
-bool same_fit_bytes(const uoi::solvers::AdmmResult& a,
-                    const uoi::solvers::AdmmResult& b) {
-  return a.beta.size() == b.beta.size() &&
-         std::memcmp(a.beta.data(), b.beta.data(),
-                     a.beta.size() * sizeof(double)) == 0 &&
-         a.iterations == b.iterations && a.converged == b.converged &&
-         std::memcmp(&a.primal_residual, &b.primal_residual,
-                     sizeof(double)) == 0 &&
-         std::memcmp(&a.dual_residual, &b.dual_residual, sizeof(double)) ==
-             0 &&
-         a.flops == b.flops && a.rho_updates == b.rho_updates;
-}
-
-TEST(GramChainWalk, BatchedLanesMatchLoneChainsBitwise) {
-  constexpr std::size_t kMaxChains = 24;
-  const auto problems = walk_problems(kMaxChains);
-  const auto lambdas = walk_lambdas();
-  for (const ScreenMode mode : kPinModes) {
-    const char* name = uoi::solvers::screen_mode_name(mode);
-    // Every chain on its own, one solve after another.
-    std::vector<std::vector<uoi::solvers::AdmmResult>> lone(kMaxChains);
-    std::vector<uoi::solvers::ScreenStats> lone_stats;
-    for (std::size_t k = 0; k < kMaxChains; ++k) {
-      uoi::solvers::GramLassoChain chain(problems[k], walk_admm(k),
-                                         screen_with(mode));
-      for (const double lambda : lambdas) {
-        lone[k].push_back(chain.solve(lambda));
-      }
-      lone_stats.push_back(chain.stats());
-    }
-    // The walk covers what it must: empty working sets (no iteration at
-    // the first lambda), KKT re-admissions (strong), polishes, solves cut
-    // at max_iterations, and rho changes.
-    uoi::solvers::ScreenStats total;
-    std::size_t unconverged = 0;
-    std::size_t rho_updates = 0;
-    std::size_t empty_first_steps = 0;
-    for (std::size_t k = 0; k < kMaxChains; ++k) {
-      total += lone_stats[k];
-      if (lone[k][0].iterations == 0 && walk_admm(k).max_iterations > 0) {
-        ++empty_first_steps;
-      }
-      for (const auto& fit : lone[k]) {
-        if (!fit.converged) ++unconverged;
-        rho_updates += fit.rho_updates;
-      }
-    }
-    EXPECT_GT(total.canonical_solves, 0u) << name;
-    EXPECT_GT(unconverged, 0u) << name;
-    EXPECT_GT(rho_updates, 0u) << name;
-    if (mode == ScreenMode::kStrong) {
-      EXPECT_GT(total.kkt_rounds, 0u);
-    }
-    if (mode != ScreenMode::kOff) {
-      EXPECT_GT(empty_first_steps, 0u) << name;
-    }
-
-    for (const std::size_t count : {1, 7, 8, 9, 24}) {
-      std::vector<uoi::solvers::GramLassoChain> chains;
-      for (std::size_t k = 0; k < count; ++k) {
-        chains.emplace_back(problems[k], walk_admm(k), screen_with(mode));
-      }
-      std::vector<std::vector<uoi::solvers::AdmmResult>> walked(count);
-      uoi::solvers::walk_gram_chains(
-          chains, lambdas,
-          [&](std::size_t k, std::size_t m, uoi::solvers::AdmmResult fit) {
-            ASSERT_LT(k, count);
-            ASSERT_EQ(m, walked[k].size()) << "chain " << k;
-            walked[k].push_back(std::move(fit));
-          });
-      for (std::size_t k = 0; k < count; ++k) {
-        ASSERT_EQ(walked[k].size(), lambdas.size())
-            << name << " count " << count << " chain " << k;
-        for (std::size_t m = 0; m < lambdas.size(); ++m) {
-          EXPECT_TRUE(same_fit_bytes(walked[k][m], lone[k][m]))
-              << name << " count " << count << " chain " << k << " lambda "
-              << m;
-        }
-        EXPECT_EQ(stats_pin(chains[k].stats()), stats_pin(lone_stats[k]))
-            << name << " count " << count << " chain " << k;
-      }
+/// The lasso / elastic-net KKT conditions at `beta`: |g_j| <= lambda1
+/// (1 + 1e-7) off the support, g_j + lambda2 beta_j + lambda1 sign(beta_j)
+/// within 1e-7 max(1, lambda1) of 0 on it.
+void expect_gram_kkt(const uoi::solvers::GramProblem& problem,
+                     std::span<const double> beta, double lambda1,
+                     double lambda2) {
+  const Vector g = gram_gradient(problem, beta);
+  const double slack = 1e-7 * std::max(1.0, lambda1);
+  for (std::size_t j = 0; j < beta.size(); ++j) {
+    if (beta[j] == 0.0) {
+      EXPECT_LE(std::abs(g[j]), lambda1 * (1.0 + 1e-7))
+          << "coordinate " << j << " lambda " << lambda1;
+    } else {
+      const double sign = beta[j] > 0.0 ? 1.0 : -1.0;
+      EXPECT_NEAR(g[j] + lambda2 * beta[j] + lambda1 * sign, 0.0, slack)
+          << "coordinate " << j << " lambda " << lambda1;
     }
   }
 }
 
-TEST(GramChainWalk, EmptyWalksTakeNothing) {
-  const auto problems = walk_problems(2);
-  std::vector<uoi::solvers::GramLassoChain> chains;
-  for (const auto& problem : problems) {
-    chains.emplace_back(problem, AdmmOptions{}, ScreenOptions{});
+bool same_bytes(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(GramCd, KktHoldsAtEveryFitOfAPath) {
+  const auto data = sparse_problem(23, 120, 40, /*correlation=*/0.5);
+  const auto problem = gram_of(data.x, data.y);
+  const auto lambdas = descending_grid(data.x, data.y, 10, 1e-3);
+  for (const double lambda2 : {0.0, 0.5}) {
+    uoi::solvers::GramLassoChain chain(problem, tight_admm());
+    for (const double lambda : lambdas) {
+      const auto fit = chain.solve(lambda, lambda2 * lambda);
+      EXPECT_TRUE(fit.converged) << "lambda " << lambda;
+      EXPECT_EQ(fit.rho_updates, 0u);
+      EXPECT_EQ(fit.dual_residual, 0.0);
+      EXPECT_GT(fit.flops, 0u);
+      expect_gram_kkt(problem, fit.beta, lambda, lambda2 * lambda);
+    }
+    const auto& stats = chain.stats();
+    EXPECT_EQ(stats.lambdas, lambdas.size());
+    EXPECT_EQ(stats.total_columns, lambdas.size() * data.x.cols());
+    EXPECT_GT(stats.survivors, 0u);
+    EXPECT_LT(stats.survivors, stats.total_columns);
+    EXPECT_EQ(stats.kkt_rounds + stats.canonical_solves +
+                  stats.gram_cols_saved + stats.kkt_violations,
+              0u);
   }
-  std::size_t taken = 0;
-  const auto take = [&](std::size_t, std::size_t, uoi::solvers::AdmmResult) {
-    ++taken;
-  };
-  uoi::solvers::walk_gram_chains(chains, {}, take);
-  uoi::solvers::walk_gram_chains({}, walk_lambdas(), take);
-  EXPECT_EQ(taken, 0u);
+}
+
+TEST(GramCd, AgreesWithDataCoordinateDescentAndTightAdmm) {
+  const auto data = sparse_problem(29, 90, 30);
+  const auto problem = gram_of(data.x, data.y);
+  const auto lambdas = descending_grid(data.x, data.y, 6, 1e-2);
+  uoi::solvers::CdLassoOptions cd_options;
+  cd_options.tolerance = 1e-13;
+  AdmmOptions admm;
+  admm.eps_abs = 1e-12;
+  admm.eps_rel = 1e-10;
+  admm.max_iterations = 200000;
+  const uoi::solvers::LassoAdmmSolver reference(data.x, data.y, admm);
+  for (const double lambda2 : {0.0, 2.0}) {
+    uoi::solvers::GramLassoChain chain(problem, tight_admm());
+    for (const double lambda : lambdas) {
+      const auto fit = chain.solve(lambda, lambda2);
+      if (lambda2 == 0.0) {
+        const auto cd =
+            uoi::solvers::cd_lasso(data.x, data.y, lambda, cd_options);
+        ASSERT_TRUE(cd.converged);
+        EXPECT_LE(uoi::linalg::max_abs_diff(fit.beta, cd.beta), 1e-6)
+            << "lambda " << lambda;
+      }
+      const auto admm_fit = reference.solve_elastic_net(lambda, lambda2);
+      ASSERT_TRUE(admm_fit.converged);
+      EXPECT_LE(uoi::linalg::max_abs_diff(fit.beta, admm_fit.beta), 1e-6)
+          << "lambda " << lambda << " l2 " << lambda2;
+    }
+  }
+}
+
+TEST(GramCd, SingularGramsAndAZeroColumn) {
+  const auto base = sparse_problem(31, 12, 36);
+  // Fewer rows than columns, duplicated rows, and column 5 zeroed.
+  Matrix x(24, 36);
+  Vector y(24);
+  for (std::size_t r = 0; r < 24; ++r) {
+    const auto src = base.x.row(r % 12);
+    std::copy(src.begin(), src.end(), x.row(r).begin());
+    x(r, 5) = 0.0;
+    y[r] = base.y[r % 12];
+  }
+  const auto problem = gram_of(x, y);
+  ASSERT_EQ(problem.gram->gram()(5, 5), 0.0);
+  const auto lambdas = descending_grid(x, y, 8, 1e-3);
+  for (const double lambda2 : {0.0, 0.25}) {
+    uoi::solvers::GramLassoChain chain(problem, tight_admm());
+    for (const double lambda : lambdas) {
+      const auto fit = chain.solve(lambda, lambda2);
+      EXPECT_TRUE(fit.converged) << "lambda " << lambda;
+      for (const double v : fit.beta) ASSERT_TRUE(std::isfinite(v));
+      EXPECT_EQ(fit.beta[5], 0.0);
+      expect_gram_kkt(problem, fit.beta, lambda, lambda2);
+    }
+  }
+}
+
+TEST(GramCd, RisingLambdaStartsOverAsAFreshChain) {
+  const auto data = sparse_problem(37, 80, 32);
+  const auto problem = gram_of(data.x, data.y);
+  const auto lambdas = descending_grid(data.x, data.y, 6, 1e-2);
+  uoi::solvers::GramLassoChain walked(problem, AdmmOptions{});
+  for (const double lambda : lambdas) (void)walked.solve(lambda);
+  // Up to lambdas[1], then down to lambdas[3], with an elastic-net l2.
+  uoi::solvers::GramLassoChain fresh(problem, AdmmOptions{});
+  const auto up = walked.solve(lambdas[1], 0.3);
+  const auto fresh_up = fresh.solve(lambdas[1], 0.3);
+  EXPECT_TRUE(same_bytes(up.beta, fresh_up.beta));
+  EXPECT_EQ(up.iterations, fresh_up.iterations);
+  EXPECT_TRUE(same_bytes(walked.solve(lambdas[3], 0.3).beta,
+                         fresh.solve(lambdas[3], 0.3).beta));
+}
+
+TEST(GramCd, BytesAreIdenticalUnderEveryKernelLevel) {
+  namespace simd = uoi::linalg::simd;
+  const auto data = sparse_problem(41, 100, 64, /*correlation=*/0.7);
+  const auto problem = gram_of(data.x, data.y);
+  const auto lambdas = descending_grid(data.x, data.y, 8, 1e-3);
+  std::vector<Vector> expected;
+  for (const simd::SimdLevel level :
+       {simd::SimdLevel::kScalar, simd::SimdLevel::kAvx2,
+        simd::SimdLevel::kAvx512}) {
+    uoi::solvers::GramLassoChain chain(problem, AdmmOptions{});
+    for (std::size_t m = 0; m < lambdas.size(); ++m) {
+      const auto fit = chain.solve(lambdas[m], 0.1 * static_cast<double>(m),
+                                   simd::kernel_table(level));
+      if (level == simd::SimdLevel::kScalar) {
+        expected.push_back(fit.beta);
+      } else {
+        EXPECT_TRUE(same_bytes(fit.beta, expected[m]))
+            << simd::simd_level_name(level) << " lambda " << m;
+      }
+    }
+  }
+  // The dispatched level too.
+  uoi::solvers::GramLassoChain chain(problem, AdmmOptions{});
+  for (std::size_t m = 0; m < lambdas.size(); ++m) {
+    EXPECT_TRUE(same_bytes(
+        chain.solve(lambdas[m], 0.1 * static_cast<double>(m)).beta,
+        expected[m]));
+  }
+}
+
+TEST(GramCd, SweepBudgetBoundsTheFit) {
+  const auto data = sparse_problem(43, 80, 32, /*correlation=*/0.9);
+  const auto problem = gram_of(data.x, data.y);
+  const double lambda = 0.01 * uoi::solvers::lambda_max(data.x, data.y);
+  // No budget: the warm start (zero) comes back unconverged.
+  AdmmOptions none;
+  none.max_iterations = 0;
+  uoi::solvers::GramLassoChain idle(problem, none);
+  const auto idle_fit = idle.solve(lambda);
+  EXPECT_FALSE(idle_fit.converged);
+  EXPECT_EQ(idle_fit.iterations, 0u);
+  EXPECT_EQ(idle_fit.beta, Vector(data.x.cols(), 0.0));
+  // Two sweeps (refined: 20) on a correlated design stop short, or throw
+  // when asked to.
+  AdmmOptions short_budget;
+  short_budget.max_iterations = 2;
+  uoi::solvers::GramLassoChain cut(problem, short_budget);
+  const auto cut_fit = cut.solve(lambda);
+  EXPECT_FALSE(cut_fit.converged);
+  EXPECT_EQ(cut_fit.iterations, 20u);
+  short_budget.throw_on_nonconvergence = true;
+  uoi::solvers::GramLassoChain strict(problem, short_budget);
+  EXPECT_THROW((void)strict.solve(lambda), uoi::support::ConvergenceError);
 }
 
 struct DistributedLassoPins {
