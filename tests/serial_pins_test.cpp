@@ -128,11 +128,11 @@ TEST(SerialUoiPins, LassoWithIntercept) {
       "beta=13087802966495352614 "
       "supports=;3,4,5,12;3,5,12,13;3,5,12,13;1,2,3,5,8,9,12,13;"
       "0,1,2,3,4,5,6,7,8,9,10,12,13 chosen=2,4,5 "
-      "loss=13849077573193691763 flops=1916960",
+      "loss=13849077573193691763 flops=381769",
       "beta=13087802966495352614 "
       "supports=;3,4,5,12;3,5,12,13;3,5,12,13;1,2,3,5,8,9,12,13;"
       "0,1,2,3,4,5,6,7,8,9,10,12,13 chosen=2,4,5 "
-      "loss=13849077573193691763 flops=1765496",
+      "loss=13849077573193691763 flops=381769",
   };
   auto options = lasso_options();
   options.fit_intercept = true;
@@ -149,12 +149,12 @@ TEST(SerialUoiPins, LassoMedianAggregation) {
       "supports=;3,4,5,12;2,3,5,8,11,12,13;2,3,5,6,7,9,10,11,12,13;"
       "0,1,2,3,4,5,6,7,8,9,10,11,12,13;"
       "0,1,2,3,4,5,6,7,8,9,10,11,12,13 chosen=2,3,2 "
-      "loss=9504051129375383828 flops=1826564",
+      "loss=9504051129375383828 flops=494362",
       "beta=8613621432291012940 "
       "supports=;3,4,5,12;2,3,5,8,11,12,13;2,3,5,6,7,9,10,11,12,13;"
       "0,1,2,3,4,5,6,7,8,9,10,11,12,13;"
       "0,1,2,3,4,5,6,7,8,9,10,11,12,13 chosen=2,3,2 "
-      "loss=9504051129375383828 flops=1675056",
+      "loss=9504051129375383828 flops=494362",
   };
   auto options = lasso_options();
   options.aggregation = uoi::core::EstimationAggregation::kMedian;
@@ -406,14 +406,14 @@ TEST(SerialUoiPins, Var) {
       "0,2,3,4,7,8,10,12,13,14,18,19,21,22,23,25,28,29,30,31,32,34,35;"
       "0,2,3,4,5,7,8,9,10,12,13,14,15,16,17,18,19,21,22,23,25,27,28,29"
       ",30,31,32,33,34,35 chosen=3,3,5 loss=16004486360057176807 "
-      "flops=1810565 mu=12537659391468724546",
+      "flops=267788 mu=12537659391468724546",
       "beta=6447771388323124424 "
       "supports=;2,12,14,20,21;0,2,7,12,14,18,21,23,29,35;"
       "0,2,3,7,10,12,14,18,21,22,23,28,29,31,34,35;"
       "0,2,3,4,7,8,10,12,13,14,18,19,21,22,23,25,28,29,30,31,32,34,35;"
       "0,2,3,4,5,7,8,9,10,12,13,14,15,16,17,18,19,21,22,23,25,27,28,29"
       ",30,31,32,33,34,35 chosen=3,3,5 loss=16004486360057176807 "
-      "flops=1683333 mu=12537659391468724546",
+      "flops=267788 mu=12537659391468724546",
   };
   const Matrix series = var_series();
   auto options = var_options();
@@ -431,7 +431,7 @@ TEST(SerialUoiPins, Var) {
             "0,2,3,4,7,8,10,12,13,14,18,19,21,22,23,25,28,29,30,31,32,34,35;"
             "0,2,3,4,5,7,8,9,10,12,13,14,15,16,17,18,19,21,22,23,25,27,28,29"
             ",30,31,32,33,34,35 chosen=3,3,5 loss=16004486360057176807 "
-            "flops=1810565 mu=12537659391468724546");
+            "flops=267788 mu=12537659391468724546");
 }
 
 // Serial fits build their one-rank communicator in the calling thread, so
