@@ -14,8 +14,10 @@
 #include "linalg/kron.hpp"
 #include "linalg/simd.hpp"
 #include "linalg/sparse.hpp"
+#include "data/synthetic_regression.hpp"
 #include "data/synthetic_var.hpp"
 #include "solvers/admm_lasso.hpp"
+#include "solvers/lambda_grid.hpp"
 #include "solvers/screening.hpp"
 #include "support/rng.hpp"
 #include "support/telemetry.hpp"
@@ -289,129 +291,90 @@ void BM_CholeskyBatchSolve(benchmark::State& state) {
 BENCHMARK(BM_CholeskyBatchSolve)
     ->Arg(8)->Arg(16)->Arg(32)->Arg(50)->Arg(64)->Arg(128)->Arg(256);
 
-// UoI_VAR selection through the Gram walk at two perfbench shapes, with
-// strong-rule chains (second Arg 0) or unscreened ones (1, the off mode,
-// whose full solves reuse one factor per chain):
-//   Arg 0, var_dist: a rank of a two-rank group walks the chains of its
-//     24 equations (48 lag columns, 599 lag rows of a 48-node VAR(1)) over
-//     its 4 lambda cells {0, 2, 4, 6} of an 8-point grid;
-//   Arg 1, var_serial: a serial fit walks all 50 equations (199 lag rows
-//     of a 50-node VAR(1)) over a 16-point grid at lambda_min_ratio 3e-2.
-// Sequential is one chain after another, each solve with its own Cholesky
-// factor; batched runs every chain's solves in lanes of one CholeskyBatch
-// (walk_gram_chains), bit for bit the same fits. Their time ratio is the
-// same-run gain.
-struct GramChainWalk {
+// Gram-path selection chains at two perfbench shapes, solved by the
+// coordinate-descent GramLassoChain (BM_GramChainCd) and, as the
+// reference, by ADMM: a LassoAdmmSolver on the same RidgeGram under the
+// chain's refined options, warm-started down the same lambda path
+// (BM_GramChainAdmm). Their time ratio is the same-run gain.
+//   Arg 0, var_serial: a serial fit's 50 equations (199 lag rows of a
+//     50-node VAR(1)) over a 16-point grid at lambda_min_ratio 3e-2;
+//   Arg 1, lasso_dist: one bootstrap's chain of the fig2 data (1024 x 64,
+//     support 8) over an 8-point grid.
+struct GramChainPath {
   std::vector<uoi::solvers::GramProblem> problems;
   std::vector<double> lambdas;
 };
 
-const GramChainWalk& gram_chain_walk(bool serial_shape) {
-  const auto make = [](std::size_t nodes, std::size_t samples,
-                       std::size_t equations, std::size_t n_lambdas,
-                       double min_ratio, std::size_t cell_step) {
+const GramChainPath& gram_chain_path(bool var_serial_shape) {
+  static const GramChainPath var_serial = [] {
     uoi::data::VarSpec spec;
-    spec.n_nodes = nodes;
+    spec.n_nodes = 50;
     spec.seed = 4200;
     uoi::var::SimulateOptions simulate;
-    simulate.n_samples = samples;
+    simulate.n_samples = 200;
     simulate.seed = 1;
     const Matrix series =
         uoi::var::simulate(uoi::data::make_sparse_var(spec), simulate);
     const auto lag = uoi::var::build_lag_regression(series, 1);
     uoi::var::UoiVarOptions options;
-    options.n_lambdas = n_lambdas;
-    options.lambda_min_ratio = min_ratio;
-    const auto grid = uoi::var::resolve_var_lambda_grid(options, lag.y, lag.x);
-    GramChainWalk out;
+    options.n_lambdas = 16;
+    options.lambda_min_ratio = 3e-2;
+    GramChainPath out;
+    out.lambdas = uoi::var::resolve_var_lambda_grid(options, lag.y, lag.x);
     out.problems = uoi::solvers::gram_problems_from_sums(
         uoi::solvers::gram_sums(lag.x, lag.y), lag.x.cols(), lag.y.cols());
-    out.problems.resize(equations);
-    for (std::size_t m = 0; m < grid.size(); m += cell_step) {
-      out.lambdas.push_back(grid[m]);
-    }
     return out;
-  };
-  static const GramChainWalk var_dist = make(48, 600, 24, 8, 1e-3, 2);
-  static const GramChainWalk var_serial = make(50, 200, 50, 16, 3e-2, 1);
-  return serial_shape ? var_serial : var_dist;
+  }();
+  static const GramChainPath lasso_dist = [] {
+    uoi::data::RegressionSpec spec;
+    spec.n_samples = 1024;
+    spec.n_features = 64;
+    spec.support_size = 8;
+    spec.seed = 4300;
+    const auto data = uoi::data::make_regression(spec);
+    GramChainPath out;
+    out.lambdas = uoi::solvers::lambda_grid_for(data.x, data.y, 8);
+    out.problems = uoi::solvers::gram_problems_from_sums(
+        uoi::solvers::gram_sums(
+            data.x, uoi::linalg::ConstMatrixView(data.y.data(),
+                                                 data.y.size(), 1, 1)),
+        data.x.cols());
+    return out;
+  }();
+  return var_serial_shape ? var_serial : lasso_dist;
 }
 
-std::vector<uoi::solvers::GramLassoChain> gram_chains(
-    const GramChainWalk& walk, bool off) {
-  uoi::solvers::ScreenOptions screen;
-  screen.mode = off ? uoi::solvers::ScreenMode::kOff
-                    : uoi::solvers::ScreenMode::kStrong;
-  std::vector<uoi::solvers::GramLassoChain> chains;
-  for (const auto& problem : walk.problems) {
-    chains.emplace_back(problem, uoi::solvers::AdmmOptions{}, screen);
-  }
-  return chains;
-}
-
-void BM_GramChainsSequential(benchmark::State& state) {
-  const GramChainWalk& walk = gram_chain_walk(state.range(0) == 1);
+void BM_GramChainCd(benchmark::State& state) {
+  const GramChainPath& path = gram_chain_path(state.range(0) == 0);
   for (auto _ : state) {
-    for (auto& chain : gram_chains(walk, state.range(1) == 1)) {
-      for (const double lambda : walk.lambdas) {
+    for (const auto& problem : path.problems) {
+      uoi::solvers::GramLassoChain chain(problem, uoi::solvers::AdmmOptions{});
+      for (const double lambda : path.lambdas) {
         auto fit = chain.solve(lambda);
         benchmark::DoNotOptimize(fit.beta.data());
       }
     }
   }
 }
-BENCHMARK(BM_GramChainsSequential)
-    ->ArgsProduct({{0, 1}, {0, 1}})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GramChainCd)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-void BM_GramChainsBatched(benchmark::State& state) {
-  const GramChainWalk& walk = gram_chain_walk(state.range(0) == 1);
+void BM_GramChainAdmm(benchmark::State& state) {
+  const GramChainPath& path = gram_chain_path(state.range(0) == 0);
+  const auto options = uoi::solvers::detail::refined_admm_options(
+      uoi::solvers::AdmmOptions{}, uoi::solvers::ScreenOptions{});
   for (auto _ : state) {
-    auto chains = gram_chains(walk, state.range(1) == 1);
-    uoi::solvers::walk_gram_chains(
-        chains, walk.lambdas,
-        [](std::size_t, std::size_t, uoi::solvers::AdmmResult fit) {
-          benchmark::DoNotOptimize(fit.beta.data());
-        });
+    for (const auto& problem : path.problems) {
+      const uoi::solvers::LassoAdmmSolver solver(problem.gram,
+                                                 problem.inputs.atb, options);
+      uoi::solvers::AdmmResult fit;
+      for (const double lambda : path.lambdas) {
+        fit = solver.solve(lambda, &fit);
+        benchmark::DoNotOptimize(fit.beta.data());
+      }
+    }
   }
 }
-BENCHMARK(BM_GramChainsBatched)
-    ->ArgsProduct({{0, 1}, {0, 1}})
-    ->Unit(benchmark::kMillisecond);
-
-// One CholeskyBatch solve at the working-set widths of var_serial's walk,
-// with eight live lanes (a full lane group) and with one (a walk's tail,
-// when one chain's solve outlives its group's others), against a lone
-// CholeskyFactor::solve of the same system. Args: dimension, live lanes.
-void BM_CholeskyBatchLanes(benchmark::State& state) {
-  const auto dim = static_cast<std::size_t>(state.range(0));
-  const auto live = static_cast<std::size_t>(state.range(1));
-  const std::vector<Matrix> grams = equation_grams(dim);
-  uoi::linalg::CholeskyBatch batch;
-  for (std::size_t k = 0; k < 8; ++k) batch.refactor(k, grams[k], 1.0, k * dim);
-  for (std::size_t k = live; k < 8; ++k) batch.retire(k);
-  const Vector b = random_vector(8 * dim, 30);
-  Vector x(b.size());
-  for (auto _ : state) {
-    batch.solve(b, x);
-    benchmark::DoNotOptimize(x.data());
-    benchmark::ClobberMemory();
-  }
-}
-BENCHMARK(BM_CholeskyBatchLanes)->ArgsProduct({{8, 25, 50}, {8, 1}});
-
-void BM_CholeskyLoneSolve(benchmark::State& state) {
-  const auto dim = static_cast<std::size_t>(state.range(0));
-  const uoi::linalg::CholeskyFactor factor(equation_grams(dim)[0], 1.0);
-  const Vector b = random_vector(dim, 30);
-  Vector x(dim);
-  for (auto _ : state) {
-    factor.solve(b, x);
-    benchmark::DoNotOptimize(x.data());
-    benchmark::ClobberMemory();
-  }
-}
-BENCHMARK(BM_CholeskyLoneSolve)->Arg(8)->Arg(25)->Arg(50);
+BENCHMARK(BM_GramChainAdmm)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_SparseGemv(benchmark::State& state) {
   // A block-diagonal I (x) X operator at the VAR sparsity 1 - 1/p.
