@@ -35,8 +35,8 @@ inline double rho_rescale_factor(const AdmmOptions& options, std::size_t iter,
 /// per-iteration body of run_admm_loop below. The caller owns the
 /// x-update: form_rhs() writes q, the caller solves (A'A + rho() I) x = q,
 /// and advance(x) runs the over-relaxation, the z/u updates, the stopping
-/// test and the rho rule. `l2_penalty` > 0 turns the LASSO z-update into the elastic-net
-/// prox (lambda |z|_1 + l2/2 |z|_2^2).
+/// test and the rho rule. `l2_penalty` > 0 turns the LASSO z-update into
+/// the elastic-net prox (lambda |z|_1 + l2/2 |z|_2^2).
 class AdmmIterate {
  public:
   AdmmIterate(std::size_t p, double lambda, double l2_penalty,

@@ -150,10 +150,10 @@ struct UoiVarDistributedResult {
 ///   Gram walk   [X'X | X'Y | per-column y'y] of the bootstrap's lag rows
 ///               ((I (x) X)'(I (x) X) = I (x) X'X), then every rank runs a
 ///               solvers::GramLassoChain (coordinate descent) per equation
-///               it owns, one after another. A one-rank
-///               group sums the Gram locally at any shape and makes no
-///               collective, so one-rank groups reproduce UoiVar::fit, which
-///               is this driver on a one-rank communicator. A wider group
+///               it owns, one after another. A one-rank group sums the
+///               Gram locally at any shape and makes no collective, so
+///               one-rank groups reproduce UoiVar::fit, which is this
+///               driver on a one-rank communicator. A wider group
 ///               on the kGram path sums its readers' rows in one allreduce
 ///               per bootstrap, and one more allreduce assembles the cells'
 ///               betas;
