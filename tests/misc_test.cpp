@@ -366,6 +366,45 @@ TEST(Checkpoint, SerialFitWritesTheSelectionFingerprint) {
   }
 }
 
+// Default-option fingerprints are pinned: a change that moves one makes
+// every checkpoint written before it restart instead of resume. The lasso
+// pins cover both sides of the path rule (100 x 12 is Gram, 24 x 32
+// consensus); the VAR pin is the fingerprint a serial fit writes.
+TEST(Checkpoint, DefaultOptionFingerprintsArePinned) {
+  const uoi::core::UoiLasso lasso{uoi::core::UoiLassoOptions{}};
+  const std::vector<double> lambdas = {1.0, 0.1, 0.01};
+  EXPECT_EQ(lasso.selection_fingerprint(100, 12, lambdas),
+            14991446754559684159ULL);
+  EXPECT_EQ(lasso.selection_fingerprint(24, 32, lambdas),
+            4870647660814240907ULL);
+
+  uoi::data::VarSpec spec;
+  spec.n_nodes = 4;
+  spec.seed = 61;
+  uoi::var::SimulateOptions sim;
+  sim.n_samples = 40;
+  sim.seed = 67;
+  const Matrix series =
+      uoi::var::simulate(uoi::data::make_sparse_var(spec), sim);
+  uoi::var::UoiVarOptions options;
+  options.n_selection_bootstraps = 2;
+  options.n_estimation_bootstraps = 2;
+  options.n_lambdas = 3;
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "uoi_var_ckpt_pinned.txt")
+          .string();
+  std::filesystem::remove(path);
+  options.recovery.checkpoint_path = path;
+  (void)uoi::var::UoiVar(options).fit(series);
+  std::ifstream f(path);
+  std::stringstream buffer;
+  buffer << f.rdbuf();
+  EXPECT_EQ(uoi::core::SelectionCheckpoint::from_text(buffer.str())
+                .fingerprint,
+            9933032328774054908ULL);
+  std::filesystem::remove(path);
+}
+
 TEST(Checkpoint, SerialVarResumeMatchesUninterrupted) {
   uoi::data::VarSpec spec;
   spec.n_nodes = 6;
