@@ -1,13 +1,15 @@
-// Fig. 16 — sparsity-exploiting solver fast paths: SAFE / strong-rule
-// screening along the selection lambda chain, active-set ADMM over the
-// surviving columns, and the runtime-dispatched SIMD level-1 kernels.
+// Fig. 16 — sparsity-exploiting solver fast paths: strong-rule screening
+// along the selection lambda chain, active-set ADMM over the surviving
+// columns, and the runtime-dispatched SIMD level-1 kernels.
 //
 // Three gate groups, all hard failures (exit 1):
 //   speedup  : serial chain at p = 2048, >= 90% of columns screened out
-//              and >= 3x less selection compute than the unscreened
-//              two-stage chain — with byte-identical betas per lambda.
-//   bitwise  : the distributed driver across all three scheduling
-//              policies x {off, strong} emits one byte-identical model.
+//              and >= 3x less selection compute than an unscreened
+//              LassoAdmmSolver walking the same lambdas warm-started under
+//              the same refined options, with the same support at every
+//              lambda (max |dbeta| printed).
+//   bitwise  : the distributed driver under all three scheduling
+//              policies emits one byte-identical model.
 //   simd     : every dispatched kernel agrees bit-for-bit with the
 //              scalar reference on long, unaligned-length vectors.
 
@@ -27,6 +29,20 @@
 #include "support/rng.hpp"
 #include "support/stopwatch.hpp"
 
+namespace {
+
+/// Indices of the coefficients above the fits' support tolerance.
+std::vector<std::size_t> support_of(const uoi::linalg::Vector& beta) {
+  const double tolerance = uoi::core::UoiLassoOptions{}.support_tolerance;
+  std::vector<std::size_t> out;
+  for (std::size_t j = 0; j < beta.size(); ++j) {
+    if (std::abs(beta[j]) > tolerance) out.push_back(j);
+  }
+  return out;
+}
+
+}  // namespace
+
 int main() {
   uoi::bench::FigureTrace trace("fig16_screening");
   uoi::bench::BenchReport telemetry("fig16_screening");
@@ -34,10 +50,11 @@ int main() {
 
   // -- selection-compute reduction (serial chain, p = 2048) --
   //
-  // The regime the screening rules target: p >> true support, a
-  // descending lambda chain, and the Gram/Cholesky pair dominating. Off
-  // mode runs the canonical two-stage chain on a cached full-p
-  // factorization; strong mode never touches the full Gram at all.
+  // The regime the strong rule targets: p >> true support, a descending
+  // lambda chain, and the Gram/Cholesky pair dominating. The unscreened
+  // chain factors the full p-column system once and warm-starts each
+  // solve from the previous lambda's beta; the strong chain never touches
+  // the full Gram at all.
   uoi::bench::banner("selection-compute reduction (n=512, p=2048)");
   uoi::data::RegressionSpec spec;
   spec.n_samples = 512;
@@ -55,67 +72,75 @@ int main() {
   admm.eps_abs = 1e-5;
   admm.eps_rel = 1e-3;
 
-  struct ChainPoint {
-    std::vector<uoi::linalg::Vector> betas;
-    uoi::solvers::ScreenStats stats;
-    double seconds = 0.0;
-  };
-  const auto run_chain = [&](uoi::solvers::ScreenMode mode) {
-    uoi::solvers::ScreenOptions screen;
-    screen.mode = mode;
-    ChainPoint point;
+  std::vector<uoi::linalg::Vector> unscreened_betas;
+  double unscreened_seconds = 0.0;
+  {
     uoi::support::Stopwatch watch;
-    uoi::solvers::ScreenedLassoChain chain(data.x, data.y, admm, screen);
+    const uoi::solvers::LassoAdmmSolver solver(
+        data.x, data.y, uoi::solvers::detail::refined_admm_options(admm));
+    uoi::solvers::AdmmResult fit;
     for (const double lambda : lambdas) {
-      point.betas.push_back(chain.solve(lambda).beta);
+      fit = solver.solve(lambda, &fit);
+      unscreened_betas.push_back(fit.beta);
     }
-    point.seconds = watch.seconds();
-    point.stats = chain.stats();
-    return point;
-  };
-  const auto off = run_chain(uoi::solvers::ScreenMode::kOff);
-  const auto strong = run_chain(uoi::solvers::ScreenMode::kStrong);
+    unscreened_seconds = watch.seconds();
+  }
+  std::vector<uoi::linalg::Vector> strong_betas;
+  double strong_seconds = 0.0;
+  uoi::solvers::ScreenStats stats;
+  {
+    uoi::support::Stopwatch watch;
+    uoi::solvers::ScreenedLassoChain chain(data.x, data.y, admm);
+    for (const double lambda : lambdas) {
+      strong_betas.push_back(chain.solve(lambda).beta);
+    }
+    strong_seconds = watch.seconds();
+    stats = chain.stats();
+  }
 
   double chain_dbeta = 0.0;
+  std::size_t support_mismatches = 0;
   for (std::size_t j = 0; j < lambdas.size(); ++j) {
-    chain_dbeta = std::max(
-        chain_dbeta,
-        uoi::linalg::max_abs_diff(off.betas[j], strong.betas[j]));
+    chain_dbeta = std::max(chain_dbeta,
+                           uoi::linalg::max_abs_diff(unscreened_betas[j],
+                                                     strong_betas[j]));
+    if (support_of(unscreened_betas[j]) != support_of(strong_betas[j])) {
+      ++support_mismatches;
+    }
   }
   const double survivor_fraction =
-      strong.stats.total_columns > 0
-          ? static_cast<double>(strong.stats.survivors) /
-                static_cast<double>(strong.stats.total_columns)
+      stats.total_columns > 0
+          ? static_cast<double>(stats.survivors) /
+                static_cast<double>(stats.total_columns)
           : 1.0;
   const double speedup =
-      strong.seconds > 0.0 ? off.seconds / strong.seconds : 0.0;
+      strong_seconds > 0.0 ? unscreened_seconds / strong_seconds : 0.0;
 
-  uoi::support::Table chain_table(
-      {"mode", "chain seconds", "survivors", "gram cols saved",
-       "kkt violations"});
-  const auto add_chain = [&](const char* name, const ChainPoint& pt) {
-    chain_table.add_row(
-        {name, uoi::support::format_seconds(pt.seconds),
-         uoi::support::format_count(pt.stats.survivors),
-         uoi::support::format_count(pt.stats.gram_cols_saved),
-         uoi::support::format_count(pt.stats.kkt_violations)});
-  };
-  add_chain("off", off);
-  add_chain("strong", strong);
+  uoi::support::Table chain_table({"chain", "seconds", "survivors",
+                                   "gram cols saved", "kkt violations"});
+  chain_table.add_row(
+      {"unscreened", uoi::support::format_seconds(unscreened_seconds),
+       uoi::support::format_count(lambdas.size() * spec.n_features), "0",
+       "-"});
+  chain_table.add_row({"strong", uoi::support::format_seconds(strong_seconds),
+                       uoi::support::format_count(stats.survivors),
+                       uoi::support::format_count(stats.gram_cols_saved),
+                       uoi::support::format_count(stats.kkt_violations)});
   std::printf("%s\n", chain_table.to_text().c_str());
   std::printf("screening speedup:        %.2fx (gate: >= 3x)\n", speedup);
   std::printf("survivor fraction:        %.4f (gate: <= 0.10)\n",
               survivor_fraction);
-  std::printf("off vs strong max |dbeta|: %.3g (gate: bitwise 0)\n",
-              chain_dbeta);
+  std::printf("support mismatches:       %zu of %zu lambdas (gate: 0)\n",
+              support_mismatches, lambdas.size());
+  std::printf("unscreened vs strong max |dbeta|: %.3g\n", chain_dbeta);
   telemetry.config("n_samples", spec.n_samples)
       .config("n_features", spec.n_features)
       .config("q", lambdas.size())
       .config("screen_speedup", speedup)
       .config("screen_survivor_fraction", survivor_fraction)
       .config("screen_kkt_violations",
-              static_cast<std::size_t>(strong.stats.kkt_violations));
-  if (speedup < 3.0 || survivor_fraction > 0.10 || chain_dbeta != 0.0) {
+              static_cast<std::size_t>(stats.kkt_violations));
+  if (speedup < 3.0 || survivor_fraction > 0.10 || support_mismatches != 0) {
     std::printf("\nFAIL: screening speedup gates not met\n");
     telemetry.config("screen_bitwise", 0);
     return 1;
@@ -123,11 +148,9 @@ int main() {
 
   // -- distributed byte-identity across scheduling policies (4 ranks) --
   //
-  // One small UoI_LASSO fit, {static, cost_lpt, work_steal} x
-  // {off, strong}: all six runs must land on one byte-identical model.
-  // This is the end-to-end form of screening.hpp's canonical two-stage
-  // contract — screening must never change what the pipeline selects.
-  uoi::bench::banner("distributed byte-identity (4 ranks, 3 policies x 2 modes)");
+  // One small UoI_LASSO fit under {static, cost_lpt, work_steal}: all
+  // three runs must land on one byte-identical model.
+  uoi::bench::banner("distributed byte-identity (4 ranks, 3 policies)");
   uoi::data::RegressionSpec dist_spec;
   dist_spec.n_samples = 200;
   dist_spec.n_features = 64;
@@ -139,11 +162,9 @@ int main() {
   options.n_estimation_bootstraps = 3;
   options.n_lambdas = 5;
 
-  const auto run_distributed = [&](uoi::sched::SchedulePolicy policy,
-                                   uoi::solvers::ScreenMode mode) {
+  const auto run_distributed = [&](uoi::sched::SchedulePolicy policy) {
     auto opts = options;
     opts.schedule = policy;
-    opts.screen.mode = mode;
     uoi::linalg::Vector beta;
     uoi::sim::Cluster::run(4, [&](uoi::sim::Comm& comm) {
       const auto result = uoi::core::uoi_lasso_distributed(
@@ -152,30 +173,19 @@ int main() {
     });
     return beta;
   };
-  const uoi::sched::SchedulePolicy policies[] = {
-      uoi::sched::SchedulePolicy::kStatic,
-      uoi::sched::SchedulePolicy::kCostLpt,
-      uoi::sched::SchedulePolicy::kWorkSteal,
-  };
-  const uoi::solvers::ScreenMode modes[] = {
-      uoi::solvers::ScreenMode::kOff,
-      uoi::solvers::ScreenMode::kStrong,
-  };
-  const auto reference = run_distributed(policies[0], modes[0]);
+  const auto reference = run_distributed(uoi::sched::SchedulePolicy::kStatic);
   double dist_dbeta = 0.0;
-  for (const auto policy : policies) {
-    for (const auto mode : modes) {
-      if (policy == policies[0] && mode == modes[0]) continue;
-      const auto beta = run_distributed(policy, mode);
-      dist_dbeta = std::max(dist_dbeta,
-                            uoi::linalg::max_abs_diff(beta, reference));
-    }
+  for (const auto policy : {uoi::sched::SchedulePolicy::kCostLpt,
+                            uoi::sched::SchedulePolicy::kWorkSteal}) {
+    dist_dbeta = std::max(
+        dist_dbeta, uoi::linalg::max_abs_diff(run_distributed(policy),
+                                              reference));
   }
-  std::printf("cross-policy/mode max |dbeta|: %.3g (gate: bitwise 0)\n",
+  std::printf("cross-policy max |dbeta|: %.3g (gate: bitwise 0)\n",
               dist_dbeta);
   telemetry.config("screen_bitwise", dist_dbeta == 0.0 ? 1 : 0);
   if (dist_dbeta != 0.0) {
-    std::printf("\nFAIL: screening or scheduling changed the model\n");
+    std::printf("\nFAIL: scheduling changed the model\n");
     return 1;
   }
 

@@ -360,8 +360,8 @@ BENCHMARK(BM_GramChainCd)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_GramChainAdmm(benchmark::State& state) {
   const GramChainPath& path = gram_chain_path(state.range(0) == 0);
-  const auto options = uoi::solvers::detail::refined_admm_options(
-      uoi::solvers::AdmmOptions{}, uoi::solvers::ScreenOptions{});
+  const auto options =
+      uoi::solvers::detail::refined_admm_options(uoi::solvers::AdmmOptions{});
   for (auto _ : state) {
     for (const auto& problem : path.problems) {
       const uoi::solvers::LassoAdmmSolver solver(problem.gram,

@@ -64,6 +64,13 @@ void save_checkpoint(const std::string& path,
 /// written while that chain ran ADMM restarts instead of mixing solvers.
 inline constexpr std::uint64_t kGramCdFingerprintTag = 0x6772616d6364ULL;
 
+/// Folded into every lasso and VAR selection fingerprint: the strong
+/// rule's value in the screening-mode enum that selections once chose
+/// from. It is the only rule now; folding its old value keeps
+/// default-option fingerprints, and so the checkpoints written under them,
+/// unchanged.
+inline constexpr std::uint64_t kStrongRuleFingerprintTag = 3;
+
 /// Order-sensitive FNV-style fingerprint of the run configuration.
 class FingerprintBuilder {
  public:

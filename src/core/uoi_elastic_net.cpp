@@ -43,7 +43,6 @@ UoiElasticNetDistributedResult fit_elastic_net(
   linear.support_tolerance = options.support_tolerance;
   linear.criterion = options.criterion;
   linear.admm = options.admm;
-  linear.screen = options.screen;
   std::vector<double> cell_lambdas(n_cells);
   std::vector<double> lambda1(n_cells);
   std::vector<double> lambda2(n_cells);
@@ -71,7 +70,7 @@ UoiElasticNetDistributedResult fit_elastic_net(
   spec.schedule = options.schedule;
   spec.solver_cache_mb = options.solver_cache_mb;
   spec.layout = layout;
-  spec.screen_mode = uoi::solvers::resolve_screen_mode(options.screen.mode);
+  spec.screened = true;
 
   // Each ratio walks its own descending lambda1 path from a fresh chain.
   const auto hooks = detail::linear_family_hooks(

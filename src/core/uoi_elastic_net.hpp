@@ -27,10 +27,9 @@ struct UoiElasticNetOptions {
   EstimationAggregation aggregation = EstimationAggregation::kMean;
   EstimationCriterion criterion = EstimationCriterion::kMse;
   std::uint64_t seed = 20200518;
+  /// Solver options of each (bootstrap, l1_ratio) lambda chain (see
+  /// UoiLassoOptions::admm).
   uoi::solvers::AdmmOptions admm;
-  /// Screening along each (bootstrap, l1_ratio) lambda chain; byte-
-  /// identical across modes (see UoiLassoOptions::screen).
-  uoi::solvers::ScreenOptions screen;
   /// Distributed-driver task placement (see UoiLassoOptions::schedule).
   uoi::sched::SchedulePolicy schedule = uoi::sched::SchedulePolicy::kAuto;
   /// Per-rank solver/gather cache budget in MB for the distributed driver.

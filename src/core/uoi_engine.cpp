@@ -38,10 +38,8 @@ void export_metrics(int trace_rank, const UoiEngineSpec& spec,
   add("admm.allreduce_calls", static_cast<double>(fits.allreduce_calls));
   add("admm.allreduce_bytes", static_cast<double>(fits.allreduce_bytes));
   add("admm.consensus_rounds", static_cast<double>(fits.consensus_rounds));
-  if (spec.screen_mode.has_value()) {
+  if (spec.screened) {
     const auto& screen = fits.screen;
-    metrics.set(trace_rank, "screen.mode",
-                static_cast<double>(static_cast<int>(*spec.screen_mode)));
     add("screen.lambdas", static_cast<double>(screen.lambdas));
     add("screen.survivors", static_cast<double>(screen.survivors));
     add("screen.kkt_violations", static_cast<double>(screen.kkt_violations));
@@ -54,10 +52,6 @@ void export_metrics(int trace_rank, const UoiEngineSpec& spec,
   add("solver_cache.hits", static_cast<double>(cache.hits));
   add("solver_cache.misses", static_cast<double>(cache.misses));
   add("solver_cache.evictions", static_cast<double>(cache.evictions));
-  add("solver.setup_flops_charged",
-      static_cast<double>(fits.setup_flops_charged));
-  add("solver.setup_flops_amortized",
-      static_cast<double>(fits.setup_flops_amortized));
   if (out.degraded) {
     add("recovery.degraded", 1.0);
     add("recovery.achieved_quorum", out.achieved_quorum);

@@ -131,7 +131,7 @@ inline std::size_t widest_task_group(const uoi::sim::Comm& comm,
 }  // namespace detail
 
 /// Additive fit counters a family reports from its hooks; the engine sums
-/// them over the fit and exports them once (admm.*, screen.*, solver.*).
+/// them over the fit and exports them once (admm.* and screen.*).
 struct UoiFitCounters {
   std::uint64_t local_flops = 0;
   std::uint64_t iterations = 0;
@@ -139,8 +139,6 @@ struct UoiFitCounters {
   std::uint64_t allreduce_calls = 0;
   std::uint64_t allreduce_bytes = 0;
   std::uint64_t consensus_rounds = 0;
-  std::uint64_t setup_flops_charged = 0;
-  std::uint64_t setup_flops_amortized = 0;
   uoi::solvers::ScreenStats screen;
 
   /// Adds one fit's counters: a consensus fit (ADMM or l1-logistic) or a
@@ -250,9 +248,9 @@ struct UoiEngineSpec {
   UoiRecoveryOptions recovery;
   /// Identifies compatible checkpoints; unused without a checkpoint path.
   std::uint64_t fingerprint = 0;
-  /// Resolved screening mode, exported with the screen.* metrics; families
-  /// without screening leave it unset.
-  std::optional<uoi::solvers::ScreenMode> screen_mode;
+  /// Exports the screen.* metrics; set by the families whose selection
+  /// walks screened or Gram chains (lasso, elastic net, VAR).
+  bool screened = false;
 };
 
 struct UoiEngineResult {

@@ -134,8 +134,7 @@ std::uint64_t UoiLasso::selection_fingerprint(
       .add(options_.admm.eps_abs)
       .add(options_.admm.eps_rel)
       .add(static_cast<std::uint64_t>(options_.admm.max_iterations))
-      .add(static_cast<std::uint64_t>(
-          uoi::solvers::resolve_screen_mode(options_.screen.mode)));
+      .add(kStrongRuleFingerprintTag);
   for (const double l : lambdas) fp.add(l);
   if (sched::choose_linear_path(n, p, 1) == sched::LinearPath::kGram) {
     fp.add(kGramCdFingerprintTag);

@@ -13,9 +13,9 @@
 // The serial driver is the distributed driver (see
 // uoi_lasso_distributed.hpp) on a one-rank communicator, with its one
 // hook set: while p fits a bootstrap's rows, the Gram path (a local
-// screened Gram chain for selection, OLS from the training Gram for
-// estimation); otherwise the screened serial ADMM chain over the rows and
-// direct OLS on each support.
+// coordinate-descent Gram chain for selection, OLS from the training Gram
+// for estimation); otherwise the strong-rule screened serial ADMM chain
+// over the rows and direct OLS on each support.
 
 #include <cstdint>
 #include <string>
@@ -111,11 +111,11 @@ struct UoiLassoOptions {
   EstimationAggregation aggregation = EstimationAggregation::kMean;
   EstimationCriterion criterion = EstimationCriterion::kMse;
   std::uint64_t seed = 20200518;  ///< master seed for all resampling
+  /// Selection chains refine these tolerances (see
+  /// solvers::detail::refined_admm_options); the consensus-side chains
+  /// screen columns by the KKT-checked strong rule
+  /// (solvers/screening.hpp).
   uoi::solvers::AdmmOptions admm;
-  /// SAFE / strong-rule screening along each selection lambda chain.
-  /// kAuto resolves $UOI_SCREEN (default: strong); every mode produces
-  /// byte-identical models (screening.hpp's canonical two-stage contract).
-  uoi::solvers::ScreenOptions screen;
   /// Fault tolerance: shrink-and-resume on rank failure and selection
   /// checkpointing. Serial fits honor the checkpoint fields as well.
   UoiRecoveryOptions recovery;

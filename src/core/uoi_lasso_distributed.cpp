@@ -1,7 +1,6 @@
 #include "core/uoi_lasso_distributed.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -67,20 +66,17 @@ ConstMatrixView column_view(const Vector& y) {
 
 // Cached per-bootstrap state. `bytes()` must be a deterministic function of
 // the GLOBAL problem shape (never this rank's local row count): cache
-// misses run collective code (the Gram reduction, or the solver
-// constructor's A'b allreduce), so a hit/miss or eviction decision that
+// misses run collective code (the Gram reduction, or the screening
+// inputs' A'b allreduce), so a hit/miss or eviction decision that
 // diverged across a task group's ranks would deadlock the group.
 struct LinearSelectionEntry {
   /// Consensus side: this rank's rows of the bootstrap (all of them in a
   /// one-rank group, which needs nothing else).
   Matrix x_local;
   Vector y_local;
-  /// Replicated screening quantities (A'b, column norms, lambda_max);
-  /// built collectively once per bootstrap, shared by every chain.
+  /// Replicated screening quantities (A'b, lambda_max); built
+  /// collectively once per bootstrap, shared by every chain.
   uoi::solvers::ScreenInputs screen_inputs;
-  /// Full-p factorization; built only in off mode (screened chains build
-  /// reduced factorizations per lambda instead).
-  std::optional<uoi::solvers::DistributedLassoAdmmSolver> solver;
   /// Gram path: the group's summed Gram (and its screening inputs).
   uoi::solvers::GramProblem gram;
   std::size_t bytes_estimate = 0;
@@ -112,17 +108,10 @@ LinearFamilyHooks linear_family_hooks(ConstMatrixView x,
                                       sched::LinearPath path) {
   const std::size_t n = x.rows();
   const std::size_t p = x.cols();
-  // Screening mode is resolved once up front: the cache entry's shape
-  // (full solver or not) and bytes_estimate must be identical on every
-  // rank, and all ranks see the same environment in-process.
-  uoi::solvers::ScreenOptions screen_opts = options.screen;
-  screen_opts.mode = uoi::solvers::resolve_screen_mode(options.screen.mode);
-  const bool screening_on =
-      screen_opts.mode != uoi::solvers::ScreenMode::kOff;
 
   const bool gram_path = path == sched::LinearPath::kGram;
-  // (p*p + p + 1) Gram sums plus the screening inputs' column norms.
-  const std::size_t gram_bytes = (p * p + 2 * p + 1) * sizeof(double);
+  // The (p*p + p) Gram sums.
+  const std::size_t gram_bytes = (p * p + p) * sizeof(double);
 
   LinearFamilyHooks hooks;
   hooks.select = [=, &options](UoiSelectionTask& task) {
@@ -134,9 +123,7 @@ LinearFamilyHooks linear_family_hooks(ConstMatrixView x,
     const bool local_chain = !gram_path && tl.c_ranks == 1;
     // All chains of bootstrap k share one gather and one Gram setup: on
     // the Gram path one reduction of the group's Gram, on the consensus
-    // side of a wider group the screening inputs (and in off mode the full
-    // factorization, which depends on (X_k, rho) only, not lambda).
-    const std::uint64_t hits_before = task.cache.stats().hits;
+    // side of a wider group the screening inputs.
     const auto entry = task.cache.get_or_build<LinearSelectionEntry>(
         uoi::solvers::kSelectionPass, k, [&] {
           auto fresh = std::make_shared<LinearSelectionEntry>();
@@ -166,32 +153,14 @@ LinearFamilyHooks linear_family_hooks(ConstMatrixView x,
             support::TraceScope gram_span(
                 "selection-gram", support::TraceCategory::kGram, trace_rank);
             sums = uoi::solvers::screen_sums(fresh->x_local, fresh->y_local);
-            if (!screening_on) {
-              // Only off mode pays the full-p Gram/Cholesky up front;
-              // screened chains factorize the survivors per lambda.
-              // Refined options: cached full solvers must match the
-              // chain's internal stopping rules.
-              fresh->solver.emplace(
-                  task.task_comm, fresh->x_local, fresh->y_local,
-                  uoi::solvers::detail::refined_admm_options(options.admm,
-                                                             screen_opts));
-            }
           }
           // The reduction is communication: outside the Gram span, as in
           // reduce_gram.
           task.task_comm.allreduce(std::span<double>(sums), ReduceOp::kSum);
           fresh->screen_inputs = uoi::solvers::screen_inputs_from_sums(sums);
-          fresh->bytes_estimate +=
-              ((screening_on ? 0 : p * p) + 2 * p + 1) * sizeof(double);
+          fresh->bytes_estimate += p * sizeof(double);
           return fresh;
         });
-    if (entry->solver.has_value()) {
-      if (task.cache.stats().hits > hits_before) {
-        task.counters.setup_flops_amortized += entry->solver->setup_flops();
-      } else {
-        task.counters.setup_flops_charged += entry->solver->setup_flops();
-      }
-    }
     // A chain warm-starts down a descending lambda1 path; each
     // chain_length-cell segment of the grid (one per elastic-net ratio)
     // starts a fresh chain from `make_chain`.
@@ -212,13 +181,12 @@ LinearFamilyHooks linear_family_hooks(ConstMatrixView x,
       // Every group rank walks the same chain on the same Gram: no
       // collectives until the next bootstrap.
       walk([&] {
-        return uoi::solvers::GramLassoChain(entry->gram, options.admm,
-                                            screen_opts);
+        return uoi::solvers::GramLassoChain(entry->gram, options.admm);
       });
     } else if (local_chain) {
       walk([&] {
-        return uoi::solvers::ScreenedLassoChain(
-            entry->x_local, entry->y_local, options.admm, screen_opts);
+        return uoi::solvers::ScreenedLassoChain(entry->x_local,
+                                                entry->y_local, options.admm);
       });
     } else {
       // Every rank derives the identical working set from the replicated
@@ -227,8 +195,7 @@ LinearFamilyHooks linear_family_hooks(ConstMatrixView x,
       walk([&] {
         return uoi::solvers::DistributedScreenedLassoChain(
             task.task_comm, entry->x_local, entry->y_local,
-            entry->screen_inputs, options.admm, screen_opts,
-            entry->solver.has_value() ? &*entry->solver : nullptr);
+            entry->screen_inputs, options.admm);
       });
     }
   };
@@ -386,7 +353,7 @@ UoiLassoDistributedResult fit_lasso(Comm& comm, ConstMatrixView x_view,
   spec.recovery = options.recovery;
   spec.fingerprint =
       UoiLasso(options).selection_fingerprint(n, p, model.lambdas);
-  spec.screen_mode = uoi::solvers::resolve_screen_mode(options.screen.mode);
+  spec.screened = true;
 
   const sched::LinearPath path =
       linear_family_path(comm, x_owned, layout);

@@ -11,7 +11,7 @@
 //             consensus LASSO-ADMM.
 //
 // For p << n the lasso depends on the data only through X'X and X'y, and
-// one allreduce of the group's [X'X | X'y | y'y] per bootstrap replaces
+// one allreduce of the group's [X'X | X'y] per bootstrap replaces
 // the consensus allreduce per ADMM iteration; every group rank then runs
 // the whole lambda chain (and each estimation OLS) locally. Which path a
 // fit takes is a pure function of its global shape
@@ -97,13 +97,13 @@ namespace detail {
 /// support and scores it with `options.criterion`, summing every cell's
 /// evaluation error in one allreduce per task. `path` and the task
 /// group's width C pick the solvers:
-///   kGram               one allreduce of the group's [X'X | X'y | y'y]
-///                       per selection bootstrap, then a local
-///                       solvers::GramLassoChain (coordinate descent, so
-///                       ScreenMode does not apply) on every group rank; one
-///                       allreduce of the training rows' [X'X | X'y | y'y]
-///                       per estimation bootstrap, then a local
-///                       solvers::ols_from_gram per support;
+///   kGram               one allreduce of the group's [X'X | X'y] per
+///                       selection bootstrap, then a local
+///                       solvers::GramLassoChain (coordinate descent, not
+///                       screened) on every group rank; one allreduce of
+///                       the training rows' [X'X | X'y] per estimation
+///                       bootstrap, then a local solvers::ols_from_gram per
+///                       support;
 ///   kConsensus, C >= 2  a solvers::DistributedScreenedLassoChain, and
 ///                       consensus ADMM at lambda 0 per support (paper
 ///                       §II-C);
@@ -113,7 +113,7 @@ namespace detail {
 /// A serial fit is a one-rank run, so it lands on the Gram path while p
 /// fits its bootstrap rows and on the one-rank consensus case otherwise.
 /// Each Gram reduction is charged to the fit's admm.allreduce_* counters.
-/// Resamples, solver and screening options come from `options`. Every
+/// Resamples and solver options come from `options`. Every
 /// argument must outlive the engine run.
 struct LinearFamilyHooks {
   UoiSelectHook select;

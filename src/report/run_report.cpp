@@ -7,7 +7,6 @@
 #include <string_view>
 
 #include "sched/schedule_policy.hpp"
-#include "solvers/screening.hpp"
 #include "support/error.hpp"
 #include "support/format.hpp"
 #include "support/json.hpp"
@@ -170,18 +169,14 @@ SchedulerSummary summarize_scheduler(
 
 /// Folds the per-rank screen.* counters into one summary. Every counter
 /// is genuinely per-rank work (each rank screens its own lambda chunk),
-/// so they all sum; the mode is a set-per-rank enum value decoded like
-/// sched.policy.
+/// so they all sum.
 ScreeningSummary summarize_screening(
     const std::vector<MetricsRegistry::Entry>& metrics) {
   ScreeningSummary s;
-  double mode_value = -1.0;
   for (const auto& entry : metrics) {
     if (entry.name.rfind("screen.", 0) != 0) continue;
     s.present = true;
-    if (entry.name == "screen.mode") {
-      mode_value = entry.value;
-    } else if (entry.name == "screen.lambdas") {
+    if (entry.name == "screen.lambdas") {
       s.lambdas += entry.value;
     } else if (entry.name == "screen.survivors") {
       s.survivors += entry.value;
@@ -198,20 +193,6 @@ ScreeningSummary summarize_screening(
     }
   }
   if (!s.present) return s;
-  switch (static_cast<int>(mode_value)) {
-    case static_cast<int>(uoi::solvers::ScreenMode::kOff):
-      s.mode = "off";
-      break;
-    case static_cast<int>(uoi::solvers::ScreenMode::kSafe):
-      s.mode = "safe";
-      break;
-    case static_cast<int>(uoi::solvers::ScreenMode::kStrong):
-      s.mode = "strong";
-      break;
-    default:
-      s.mode = "unknown";
-      break;
-  }
   if (s.total_columns > 0.0) {
     s.survivor_fraction = s.survivors / s.total_columns;
   }
@@ -537,7 +518,6 @@ std::string RunReport::to_json() const {
   out += ",\"screening\":{";
   out += std::string("\"present\":") + (screening.present ? "true" : "false");
   if (screening.present) {
-    out += ",\"mode\":" + json_quote(screening.mode);
     out += ",\"lambdas\":" + json_number(screening.lambdas);
     out += ",\"survivors\":" + json_number(screening.survivors);
     out += ",\"kkt_violations\":" + json_number(screening.kkt_violations);
@@ -659,9 +639,9 @@ std::string RunReport::to_text() const {
   }
 
   if (screening.present) {
-    support::Table table({"mode", "lambdas", "survivors", "kkt viol",
-                          "gram saved", "canonical", "survive frac"});
-    table.add_row({screening.mode, format_fixed(screening.lambdas, 0),
+    support::Table table({"lambdas", "survivors", "kkt viol", "gram saved",
+                          "canonical", "survive frac"});
+    table.add_row({format_fixed(screening.lambdas, 0),
                    format_fixed(screening.survivors, 0),
                    format_fixed(screening.kkt_violations, 0),
                    format_fixed(screening.gram_cols_saved, 0),

@@ -92,13 +92,13 @@ struct SchedulerSummary {
 
 /// Screening counters aggregated from the screen.* metrics the lasso /
 /// elastic-net / VAR drivers export per selection pass: how many columns
-/// the SAFE / strong rules admitted to the working sets, how many KKT
-/// violators had to be re-admitted, and how many Gram columns the gather
-/// path avoided. `present` is false (and the JSON section says so) when
-/// the run recorded no screened chain — e.g. a replayed v1-era trace.
+/// the strong rule admitted to the working sets (on Gram chains, the
+/// coordinate-descent active sets), how many KKT violators had to be
+/// re-admitted, and how many Gram columns the gather path avoided.
+/// `present` is false (and the JSON section says so) when the run recorded
+/// no selection chain — e.g. a logistic fit or a replayed v1-era trace.
 struct ScreeningSummary {
   bool present = false;
-  std::string mode;                 ///< "off" / "safe" / "strong"
   double lambdas = 0.0;             ///< sum: chain steps across ranks
   double survivors = 0.0;           ///< sum: working-set columns admitted
   double kkt_violations = 0.0;      ///< sum: violators re-admitted

@@ -21,18 +21,12 @@ DistributedLassoAdmmSolver::DistributedLassoAdmmSolver(
   if (a_.rows() > 0) {
     uoi::linalg::gemv_transposed(1.0, a_, b_, 0.0, atb_);
     system_ = std::make_unique<RidgeSystemSolver>(a_, options_.rho);
-    setup_flops_ = uoi::linalg::gemv_flops(a_.rows(), a_.cols()) +
-                   system_->setup_flops();
+    pending_setup_flops_ = uoi::linalg::gemv_flops(a_.rows(), a_.cols()) +
+                           system_->setup_flops();
   }
-  pending_setup_flops_ = setup_flops_;
 }
 
 DistributedLassoAdmmSolver::~DistributedLassoAdmmSolver() = default;
-
-std::uint64_t DistributedLassoAdmmSolver::amortized_setup_flops()
-    const noexcept {
-  return system_ != nullptr ? system_->amortized_setup_flops() : 0;
-}
 
 DistributedAdmmResult DistributedLassoAdmmSolver::solve(
     double lambda, const DistributedAdmmResult* warm_start) const {

@@ -65,15 +65,6 @@ class DistributedLassoAdmmSolver {
       double lambda1, double lambda2,
       const DistributedAdmmResult* warm_start = nullptr) const;
 
-  /// FLOPs this rank spent on setup (gather-side A'b + Gram + factor).
-  [[nodiscard]] std::uint64_t setup_flops() const noexcept {
-    return setup_flops_;
-  }
-  /// Setup FLOPs a fresh construction would have cost but this one reused
-  /// (always zero today; cached drivers report reuse via their own
-  /// metrics — kept symmetric with RidgeSystemSolver for the perfmodel).
-  [[nodiscard]] std::uint64_t amortized_setup_flops() const noexcept;
-
  private:
   uoi::sim::Comm* comm_;
   uoi::linalg::ConstMatrixView a_;
@@ -81,9 +72,8 @@ class DistributedLassoAdmmSolver {
   AdmmOptions options_;
   uoi::linalg::Vector atb_;
   std::unique_ptr<class RidgeSystemSolver> system_;
-  std::uint64_t setup_flops_ = 0;
-  // Charged to the first solve() only; a driver reusing one cached solver
-  // across several lambda chains pays setup once, not once per chain.
+  // This rank's setup FLOPs (gather-side A'b + Gram + factor), charged to
+  // the first solve() only.
   mutable std::uint64_t pending_setup_flops_ = 0;
 };
 

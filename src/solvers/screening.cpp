@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "linalg/blas.hpp"
 #include "solvers/prox.hpp"
 #include "support/error.hpp"
-#include "support/log.hpp"
 
 namespace uoi::solvers {
 
@@ -16,34 +13,16 @@ using uoi::linalg::ConstMatrixView;
 using uoi::linalg::Matrix;
 using uoi::linalg::Vector;
 
-ScreenMode resolve_screen_mode(ScreenMode requested) {
-  if (requested != ScreenMode::kAuto) return requested;
-  const char* env = std::getenv("UOI_SCREEN");
-  if (env != nullptr && env[0] != '\0') {
-    if (std::strcmp(env, "off") == 0) return ScreenMode::kOff;
-    if (std::strcmp(env, "safe") == 0) return ScreenMode::kSafe;
-    if (std::strcmp(env, "strong") == 0) return ScreenMode::kStrong;
-    if (std::strcmp(env, "auto") != 0) {
-      UOI_LOG_WARN.field("UOI_SCREEN", env)
-          << "unknown screening mode; using strong";
-    }
-  }
-  return ScreenMode::kStrong;
-}
+namespace {
 
-const char* screen_mode_name(ScreenMode mode) {
-  switch (mode) {
-    case ScreenMode::kOff:
-      return "off";
-    case ScreenMode::kSafe:
-      return "safe";
-    case ScreenMode::kStrong:
-      return "strong";
-    case ScreenMode::kAuto:
-      break;
-  }
-  return "auto";
-}
+/// KKT slack: column j outside W violates when
+/// |c_j| > lambda1 + kKktTolerance * max(1, lambda1).
+constexpr double kKktTolerance = 1e-7;
+/// refined_admm_options: eps_abs / eps_rel scale and iteration budget scale.
+constexpr double kRefineToleranceScale = 1e-3;
+constexpr std::size_t kRefineIterationScale = 10;
+
+}  // namespace
 
 void ScreenStats::operator+=(const ScreenStats& other) {
   lambdas += other.lambdas;
@@ -58,27 +37,14 @@ void ScreenStats::operator+=(const ScreenStats& other) {
 // ---- Screening inputs ---------------------------------------------------
 
 Vector screen_sums(ConstMatrixView a, std::span<const double> b) {
-  const std::size_t p = a.cols();
-  Vector buffer(2 * p + 1, 0.0);
-  uoi::linalg::gemv_transposed(1.0, a, b, 0.0,
-                               std::span<double>(buffer.data(), p));
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    const auto row = a.row(r);
-    for (std::size_t j = 0; j < p; ++j) buffer[p + j] += row[j] * row[j];
-  }
-  buffer[2 * p] = uoi::linalg::nrm2_squared(b);
-  return buffer;
+  Vector atb(a.cols(), 0.0);
+  uoi::linalg::gemv_transposed(1.0, a, b, 0.0, atb);
+  return atb;
 }
 
-ScreenInputs screen_inputs_from_sums(std::span<const double> buffer) {
-  const std::size_t p = (buffer.size() - 1) / 2;
+ScreenInputs screen_inputs_from_sums(std::span<const double> sums) {
   ScreenInputs inputs;
-  inputs.atb.assign(buffer.begin(),
-                    buffer.begin() + static_cast<std::ptrdiff_t>(p));
-  inputs.col_sq_norms.assign(
-      buffer.begin() + static_cast<std::ptrdiff_t>(p),
-      buffer.begin() + static_cast<std::ptrdiff_t>(2 * p));
-  inputs.b_norm_sq = buffer[2 * p];
+  inputs.atb.assign(sums.begin(), sums.end());
   for (const double v : inputs.atb) {
     inputs.lambda_max = std::max(inputs.lambda_max, std::abs(v));
   }
@@ -89,7 +55,7 @@ Vector gram_sums(ConstMatrixView a, ConstMatrixView b) {
   UOI_CHECK_DIMS(a.rows() == b.rows(), "Gram sums: A and B rows differ");
   const std::size_t p = a.cols();
   const std::size_t m = b.cols();
-  Vector sums(p * p + m * p + m, 0.0);
+  Vector sums(p * p + m * p, 0.0);
   Matrix gram(p, p);
   uoi::linalg::syrk_at_a(1.0, a, 0.0, gram);
   std::copy(gram.data(), gram.data() + p * p, sums.begin());
@@ -98,38 +64,29 @@ Vector gram_sums(ConstMatrixView a, ConstMatrixView b) {
     for (std::size_t r = 0; r < b.rows(); ++r) column[r] = b(r, j);
     uoi::linalg::gemv_transposed(
         1.0, a, column, 0.0, std::span<double>(sums).subspan(p * p + j * p, p));
-    sums[p * p + m * p + j] = uoi::linalg::nrm2_squared(column);
   }
   return sums;
 }
 
 std::uint64_t gram_sums_flops(std::size_t n, std::size_t p, std::size_t m) {
   return uoi::linalg::gemm_flops(p, n, p) / 2 +
-         m * (uoi::linalg::gemv_flops(n, p) + 2 * n);
+         m * uoi::linalg::gemv_flops(n, p);
 }
 
 std::vector<GramProblem> gram_problems_from_sums(std::span<const double> sums,
                                                  std::size_t p,
                                                  std::size_t m) {
-  UOI_CHECK_DIMS(sums.size() == p * p + m * p + m, "Gram sums shape mismatch");
+  UOI_CHECK_DIMS(sums.size() == p * p + m * p, "Gram sums shape mismatch");
   Matrix gram(p, p);
   std::copy(sums.begin(), sums.begin() + static_cast<std::ptrdiff_t>(p * p),
             gram.data());
-  Vector diag(p);
-  for (std::size_t j = 0; j < p; ++j) diag[j] = gram(j, j);
   const auto shared = std::make_shared<const RidgeGram>(std::move(gram));
   std::vector<GramProblem> problems(m);
   for (std::size_t j = 0; j < m; ++j) {
     GramProblem& problem = problems[j];
     const auto atb = sums.subspan(p * p + j * p, p);
     problem.gram = shared;
-    problem.inputs.atb.assign(atb.begin(), atb.end());
-    problem.inputs.col_sq_norms = diag;
-    problem.inputs.b_norm_sq = sums[p * p + m * p + j];
-    for (const double v : atb) {
-      problem.inputs.lambda_max =
-          std::max(problem.inputs.lambda_max, std::abs(v));
-    }
+    problem.inputs = screen_inputs_from_sums(atb);
   }
   return problems;
 }
@@ -144,35 +101,12 @@ void ChainScreenState::reset(std::size_t p) {
   ever_active.assign(p, 0);
 }
 
-std::vector<std::size_t> screen_working_set(ScreenMode mode, double lambda1,
+std::vector<std::size_t> screen_working_set(double lambda1,
                                             const ScreenInputs& in,
                                             const ChainScreenState& state) {
   const std::size_t p = in.atb.size();
   std::vector<std::size_t> working;
-  if (mode == ScreenMode::kOff) {
-    working.resize(p);
-    for (std::size_t j = 0; j < p; ++j) working[j] = j;
-    return working;
-  }
   working.reserve(p / 4);
-  if (mode == ScreenMode::kSafe) {
-    // El Ghaoui et al. 2010, basic SAFE test: discard j when
-    //   |a_j' b| < lambda - ||a_j|| ||b|| (lambda_max - lambda)/lambda_max.
-    // A certificate, not a heuristic — discarded columns are provably
-    // zero at lambda, so the KKT loop never re-admits them.
-    const double b_norm = std::sqrt(std::max(0.0, in.b_norm_sq));
-    const double shrink =
-        in.lambda_max > 0.0 ? (in.lambda_max - lambda1) / in.lambda_max : 0.0;
-    for (std::size_t j = 0; j < p; ++j) {
-      const double slack =
-          std::sqrt(std::max(0.0, in.col_sq_norms[j])) * b_norm * shrink;
-      if (state.ever_active[j] != 0 ||
-          std::abs(in.atb[j]) >= lambda1 - slack) {
-        working.push_back(j);
-      }
-    }
-    return working;
-  }
   // Sequential strong rule (Tibshirani et al. 2012): keep j when
   // |c_prev_j| >= 2 lambda - lambda_prev, where c_prev is the residual
   // correlation at the previous chain solution; the first step uses
@@ -194,10 +128,8 @@ std::vector<std::size_t> screen_working_set(ScreenMode mode, double lambda1,
 
 std::vector<std::size_t> kkt_violators(std::span<const double> c,
                                        std::span<const char> in_working,
-                                       double lambda1,
-                                       const ScreenOptions& options) {
-  const double slack =
-      options.kkt_tolerance * std::max(1.0, lambda1);
+                                       double lambda1) {
+  const double slack = kKktTolerance * std::max(1.0, lambda1);
   std::vector<std::size_t> violators;
   for (std::size_t j = 0; j < c.size(); ++j) {
     if (in_working[j] == 0 && std::abs(c[j]) > lambda1 + slack) {
@@ -230,11 +162,10 @@ Matrix gather_submatrix(const Matrix& a, std::span<const std::size_t> idx) {
   return out;
 }
 
-AdmmOptions refined_admm_options(AdmmOptions admm,
-                                 const ScreenOptions& screen) {
-  admm.eps_abs *= screen.refine_tolerance_scale;
-  admm.eps_rel *= screen.refine_tolerance_scale;
-  admm.max_iterations *= screen.refine_iteration_scale;
+AdmmOptions refined_admm_options(AdmmOptions admm) {
+  admm.eps_abs *= kRefineToleranceScale;
+  admm.eps_rel *= kRefineToleranceScale;
+  admm.max_iterations *= kRefineIterationScale;
   return admm;
 }
 
@@ -287,12 +218,6 @@ SerialLassoBackend::SerialLassoBackend(const AdmmOptions& admm,
     : a_(a), b_(b), admm_(admm),
       inputs_(screen_inputs_from_sums(screen_sums(a, b))) {}
 
-AdmmResult SerialLassoBackend::full_solve(double lambda1, double lambda2,
-                                          const AdmmResult& warm) {
-  if (!full_solver_) full_solver_.emplace(a_, b_, admm_);
-  return full_solver_->solve_elastic_net(lambda1, lambda2, &warm);
-}
-
 AdmmResult SerialLassoBackend::subset_solve(std::span<const std::size_t> cols,
                                             double lambda1, double lambda2,
                                             const AdmmResult& warm) {
@@ -326,22 +251,10 @@ void SerialLassoBackend::refresh_correlation(
 
 DistributedLassoBackend::DistributedLassoBackend(
     const AdmmOptions& admm, uoi::sim::Comm& comm, ConstMatrixView local_a,
-    std::span<const double> local_b, const ScreenInputs& shared,
-    const DistributedLassoAdmmSolver* full_solver)
-    : comm_(&comm), a_(local_a), b_(local_b), admm_(admm), shared_(&shared),
-      full_solver_(full_solver) {
+    std::span<const double> local_b, const ScreenInputs& shared)
+    : comm_(&comm), a_(local_a), b_(local_b), admm_(admm), shared_(&shared) {
   UOI_CHECK_DIMS(shared.atb.size() == local_a.cols(),
                  "screen inputs shape mismatch");
-}
-
-DistributedAdmmResult DistributedLassoBackend::full_solve(
-    double lambda1, double lambda2, const DistributedAdmmResult& warm) {
-  if (full_solver_ == nullptr && !owned_full_solver_) {
-    owned_full_solver_.emplace(*comm_, a_, b_, admm_);
-  }
-  const DistributedLassoAdmmSolver& solver =
-      full_solver_ != nullptr ? *full_solver_ : *owned_full_solver_;
-  return solver.solve_elastic_net(lambda1, lambda2, &warm);
 }
 
 DistributedAdmmResult DistributedLassoBackend::subset_solve(
@@ -390,9 +303,8 @@ template class ScreenedChain<DistributedLassoBackend>;
 // ---- Gram lasso chain ---------------------------------------------------
 
 GramLassoChain::GramLassoChain(const GramProblem& problem,
-                               const AdmmOptions& admm,
-                               const ScreenOptions& screen)
-    : problem_(&problem), admm_(detail::refined_admm_options(admm, screen)) {
+                               const AdmmOptions& admm)
+    : problem_(&problem), admm_(detail::refined_admm_options(admm)) {
   UOI_CHECK(problem.gram != nullptr, "Gram problem without a Gram");
   const Matrix& gram = problem.gram->gram();
   const std::size_t p = problem.inputs.atb.size();

@@ -1,31 +1,27 @@
 #pragma once
-// SAFE / strong-rule feature screening along a descending lambda chain
-// (El Ghaoui et al. 2010; Tibshirani et al. 2012), plus the active-set
-// chain that exploits it. At high dimension most columns are provably
-// (SAFE) or almost-certainly (strong rule) inactive at most lambda values,
-// so the expensive parts of each solve — the RidgeGram / Cholesky pair and
-// every ADMM iteration, including the distributed (p+3)-double fused
-// consensus allreduce — run over the surviving column subset only.
-// Strong-rule survivors are verified with a KKT post-check that re-admits
-// any violating column and re-solves, so screening is an optimization,
-// never an approximation.
+// Sequential strong-rule feature screening along a descending lambda chain
+// (Tibshirani et al. 2012), plus the active-set chain that exploits it. At
+// high dimension most columns are almost certainly inactive at most lambda
+// values, so the expensive parts of each solve — the RidgeGram / Cholesky
+// pair and every ADMM iteration, including the distributed (p+3)-double
+// fused consensus allreduce — run over the surviving column subset only.
+// Survivors are verified with a KKT post-check that re-admits any
+// violating column and re-solves, so screening is an optimization, never
+// an approximation.
 //
-// Bitwise contract. A naive "solve only over W" is NOT bit-identical to
-// the unscreened solve: the full-p x-update couples every column through
-// (A'A + rho I)^{-1}, so even converged iterates differ in the last ulp.
-// Every chain therefore runs a canonical two-stage procedure in every
-// mode, including off:
-//   1. working solve over W (off: W = all p, reusing the cached full
-//      factorization; safe/strong: gathered columns only),
-//   2. KKT check over all p, re-admitting violators (off mode has none by
-//      construction),
+// Bitwise contract. A naive "solve only over W" is not bit-identical to a
+// solve over a larger column set: the x-update couples every column
+// through (A'A + rho I)^{-1}, so even converged iterates differ in the last
+// ulp. Every chain therefore runs a canonical two-stage procedure:
+//   1. working solve over the gathered columns W,
+//   2. KKT check over all p, re-admitting violators,
 //   3. a canonical re-solve restricted to the final support S with the
 //      identical warm start — skipped when S == W, because then the
 //      working solve *is* the canonical solve bit-for-bit.
-// Whenever the modes agree on S (they do whenever the KKT loop converges,
-// which the post-check enforces), every mode emits byte-identical betas.
-// Off mode keeps the pre-screening cost profile: one cached full-p
-// factorization for the whole chain plus a cheap |S|-column polish.
+// The polish stays because it makes each step's beta a function of its
+// support and warm start only, not of the working set the rule and the
+// KKT rounds happened to reach. That is what keeps every consensus-path
+// pin across schedule policies, lambda-chain chunkings and fault replay.
 //
 // One implementation. detail::ScreenedChain<Backend> is that procedure,
 // written once: the chain-state reset on an ascending lambda, the working
@@ -35,12 +31,11 @@
 //   Fit                      AdmmResult or DistributedAdmmResult
 //   ctor(AdmmOptions, ...)   options already refined for the chain
 //   inputs()                 the problem's ScreenInputs
-//   full_solve(l1, l2, warm)          off mode, over all p coefficients
 //   subset_solve(cols, l1, l2, warm)  over sorted columns, compacted warm
 //   kkt_correlation(beta_w, working, c, spent)
 //       c = A'(b - A_W beta_W) over all p from the working fit
 //   refresh_correlation(beta, support, c, result)
-//       c = A'(b - A beta) at the step's final beta (strong rule only)
+//       c = A'(b - A beta) at the step's final beta
 // The correlations charge their cost (flops, allreduces) to the given fit.
 // There are three backends: SerialLassoBackend and
 // DistributedLassoBackend below (ScreenedLassoChain,
@@ -49,8 +44,8 @@
 //
 // A Gram chain is not screened. GramLassoChain solves the lasso over a
 // replicated Gram by cyclic coordinate descent, whose active-set sweeps do
-// the screening's work at no extra cost, so ScreenMode applies only to the
-// chains above, whose ADMM solves pay for every column they carry.
+// the screening's work at no extra cost, so the strong rule applies only
+// to the chains above, whose ADMM solves pay for every column they carry.
 //
 // Distributed determinism: the working set is a pure function of
 // replicated data (the allreduced A'b / residual correlations and the
@@ -60,7 +55,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -75,41 +69,6 @@
 
 namespace uoi::solvers {
 
-enum class ScreenMode {
-  kAuto,    ///< resolve from $UOI_SCREEN (default: strong)
-  kOff,     ///< canonical two-stage solve over all p columns
-  kSafe,    ///< El Ghaoui SAFE test (certified; conservative)
-  kStrong,  ///< sequential strong rule (aggressive; KKT-checked)
-};
-
-/// Resolves ScreenMode::kAuto: $UOI_SCREEN in {off,safe,strong,auto},
-/// unset/auto/unparseable falls back to strong. Explicit modes win.
-[[nodiscard]] ScreenMode resolve_screen_mode(ScreenMode requested);
-
-/// "off" / "safe" / "strong".
-[[nodiscard]] const char* screen_mode_name(ScreenMode mode);
-
-struct ScreenOptions {
-  ScreenMode mode = ScreenMode::kAuto;
-  /// KKT slack: column j outside W violates when
-  /// |c_j| > lambda1 + kkt_tolerance * max(1, lambda1).
-  double kkt_tolerance = 1e-7;
-  /// Bound on re-admission rounds per lambda (the working set grows
-  /// monotonically, so termination is guaranteed regardless; this caps
-  /// the pathological worst case of one-column-per-round growth).
-  std::size_t max_kkt_rounds = 8;
-  /// Internal refinement of the chain's stopping tolerances: every chain
-  /// solve multiplies eps_abs / eps_rel by this factor (widening the
-  /// iteration budget by refine_iteration_scale to compensate). Support
-  /// identification compares soft-threshold zero patterns across solver
-  /// topologies (serial joint vs distributed consensus ADMM) and across
-  /// lambda-chain chunkings; at prediction-grade tolerances those
-  /// patterns flip for marginal coefficients, which strict-intersection
-  /// selection amplifies into different supports. 1.0 disables.
-  double refine_tolerance_scale = 1e-3;
-  std::size_t refine_iteration_scale = 10;
-};
-
 /// Chain-level screening counters (exported as screen.* metrics).
 struct ScreenStats {
   std::uint64_t lambdas = 0;          ///< chain steps processed
@@ -123,41 +82,36 @@ struct ScreenStats {
   void operator+=(const ScreenStats& other);
 };
 
-/// Screening inputs of one problem: A'b, the squared column norms, b'b
-/// and lambda_max. A distributed chain's are replicated (one fused
-/// allreduce) and cacheable alongside the bootstrap's row block: they
-/// depend only on the data, not on lambda or the chain.
+/// Screening inputs of one problem: A'b and lambda_max. A distributed
+/// chain's are replicated (one allreduce of A'b) and cacheable alongside
+/// the bootstrap's row block: they depend only on the data, not on lambda
+/// or the chain.
 struct ScreenInputs {
-  uoi::linalg::Vector atb;           ///< A'b
-  uoi::linalg::Vector col_sq_norms;  ///< squared column norms
-  double b_norm_sq = 0.0;
-  double lambda_max = 0.0;           ///< ||A'b||_inf
+  uoi::linalg::Vector atb;  ///< A'b
+  double lambda_max = 0.0;  ///< ||A'b||_inf
 };
 
-/// The fused local pass [A'b | col norms^2 | b'b] (2p+1 doubles) of a
-/// row block.
+/// A'b (p doubles) of a row block: its share of the screening inputs.
 [[nodiscard]] uoi::linalg::Vector screen_sums(
     uoi::linalg::ConstMatrixView a, std::span<const double> b);
 
-/// Unpacks the fused sums [A'b | col norms^2 | b'b] (2p+1 doubles).
+/// The screening inputs from summed screen_sums (A'b, p doubles).
 [[nodiscard]] ScreenInputs screen_inputs_from_sums(
     std::span<const double> sums);
 
 /// A least-squares problem compressed to its Gram: the lasso over (A, b)
-/// depends on the data only through G = A'A, A'b and b'b, so a task
-/// group that sums them once can run a whole lambda chain with no further
+/// depends on the data only through G = A'A and A'b, so a task group that
+/// sums them once can run a whole lambda chain with no further
 /// communication.
 struct GramProblem {
   std::shared_ptr<const RidgeGram> gram;  ///< G = A'A (p x p)
-  /// atb = A'b, col_sq_norms = diag(G), b_norm_sq = b'b.
-  ScreenInputs inputs;
+  ScreenInputs inputs;                    ///< A'b and lambda_max
 };
 
-/// This row block's share of [A'A | A'B | per-column B'B] for the m
-/// right-hand sides in B's columns: p*p + m*p + m doubles, column j of
-/// A'B at offset p*p + j*p and ||b_j||^2 at p*p + m*p + j (one column is
-/// [A'A | A'b | b'b]). Summing the shares of a sample's row blocks gives
-/// the sample's.
+/// This row block's share of [A'A | A'B] for the m right-hand sides in
+/// B's columns: p*p + m*p doubles, column j of A'B at offset p*p + j*p
+/// (one column is [A'A | A'b]). Summing the shares of a sample's row
+/// blocks gives the sample's.
 [[nodiscard]] uoi::linalg::Vector gram_sums(uoi::linalg::ConstMatrixView a,
                                             uoi::linalg::ConstMatrixView b);
 
@@ -184,20 +138,24 @@ struct ChainScreenState {
   void reset(std::size_t p);
 };
 
-/// Builds the screened working set for the next chain step. Always
-/// includes ever-active columns and the previous support; kOff returns
-/// all p columns. Inputs must be replicated across ranks in distributed
-/// use (they are: atb / c_prev come from allreduces, beta_prev from the
-/// replicated consensus z).
+/// Bound on KKT re-admission rounds per lambda (the working set grows
+/// monotonically, so termination is guaranteed regardless; this caps the
+/// pathological worst case of one-column-per-round growth).
+inline constexpr std::size_t kMaxKktRounds = 8;
+
+/// Builds the strong-rule working set for the next chain step. Always
+/// includes ever-active columns and the previous support. Inputs must be
+/// replicated across ranks in distributed use (they are: atb / c_prev come
+/// from allreduces, beta_prev from the replicated consensus z).
 [[nodiscard]] std::vector<std::size_t> screen_working_set(
-    ScreenMode mode, double lambda1, const ScreenInputs& in,
-    const ChainScreenState& state);
+    double lambda1, const ScreenInputs& in, const ChainScreenState& state);
 
 /// Columns outside the working set whose residual correlation violates
-/// the KKT condition |c_j| <= lambda1 (within ScreenOptions slack).
+/// the KKT condition |c_j| <= lambda1, within a slack of
+/// 1e-7 max(1, lambda1).
 [[nodiscard]] std::vector<std::size_t> kkt_violators(
     std::span<const double> c, std::span<const char> in_working,
-    double lambda1, const ScreenOptions& options);
+    double lambda1);
 
 /// Sorted-union merge of KKT violators into the working set.
 void merge_violators(std::vector<std::size_t>& working,
@@ -222,13 +180,14 @@ void merge_violators(std::vector<std::size_t>& working,
 [[nodiscard]] uoi::linalg::Matrix gather_submatrix(
     const uoi::linalg::Matrix& a, std::span<const std::size_t> idx);
 
-/// The options every chain solve runs under: ScreenOptions refinement
-/// applied to the caller's AdmmOptions. Drivers that pre-build full-path
-/// solvers for a chain to reuse (cached off-mode solvers) must construct
-/// them with these options so all modes solve under identical stopping
-/// rules.
-[[nodiscard]] AdmmOptions refined_admm_options(AdmmOptions admm,
-                                               const ScreenOptions& screen);
+/// The options every chain solve runs under: the caller's AdmmOptions
+/// with eps_abs / eps_rel scaled by 1e-3 and the iteration budget by 10 to
+/// compensate. Support identification compares soft-threshold zero
+/// patterns across solver topologies (serial joint vs distributed
+/// consensus ADMM) and across lambda-chain chunkings; at prediction-grade
+/// tolerances those patterns flip for marginal coefficients, which
+/// strict-intersection selection amplifies into different supports.
+[[nodiscard]] AdmmOptions refined_admm_options(AdmmOptions admm);
 
 /// Adds the additive counters of one solve, serial or distributed, into
 /// `into`.
@@ -264,23 +223,19 @@ class ScreenedChain {
 
   /// `backend_args` follow the refined AdmmOptions into the backend.
   template <class... BackendArgs>
-  ScreenedChain(const AdmmOptions& admm, const ScreenOptions& screen,
-                BackendArgs&&... backend_args)
-      : backend_(refined_admm_options(admm, screen),
-                 std::forward<BackendArgs>(backend_args)...),
-        screen_(screen), mode_(resolve_screen_mode(screen.mode)) {
+  explicit ScreenedChain(const AdmmOptions& admm,
+                         BackendArgs&&... backend_args)
+      : backend_(refined_admm_options(admm),
+                 std::forward<BackendArgs>(backend_args)...) {
     state_.reset(backend_.inputs().atb.size());
   }
 
   [[nodiscard]] Fit solve(double lambda1, double lambda2 = 0.0);
 
-  [[nodiscard]] ScreenMode mode() const noexcept { return mode_; }
   [[nodiscard]] const ScreenStats& stats() const noexcept { return stats_; }
 
  private:
   Backend backend_;
-  ScreenOptions screen_;
-  ScreenMode mode_;
   ChainScreenState state_;
   ScreenStats stats_;
 };
@@ -293,8 +248,7 @@ auto ScreenedChain<Backend>::solve(double lambda1, double lambda2) -> Fit {
   ++stats_.lambdas;
   stats_.total_columns += p;
 
-  std::vector<std::size_t> working =
-      screen_working_set(mode_, lambda1, in, state_);
+  std::vector<std::size_t> working = screen_working_set(lambda1, in, state_);
   std::vector<char> in_working(p, 0);
   for (const std::size_t j : working) in_working[j] = 1;
 
@@ -303,26 +257,19 @@ auto ScreenedChain<Backend>::solve(double lambda1, double lambda2) -> Fit {
   Fit work;
   Fit spent;
   uoi::linalg::Vector c(p, 0.0);
-  bool have_c = false;
   for (std::size_t round = 0;; ++round) {
     add_fit_counters(spent, work);
-    Fit warm;
-    if (mode_ == ScreenMode::kOff) {
-      warm.beta = state_.beta_prev;
-      work = backend_.full_solve(lambda1, lambda2, warm);
-      break;
-    }
     if (working.empty()) {
       work = Fit{};
       work.converged = true;
     } else {
+      Fit warm;
       warm.beta = gather_vector(state_.beta_prev, working);
       work = backend_.subset_solve(working, lambda1, lambda2, warm);
     }
     backend_.kkt_correlation(work.beta, working, c, spent);
-    have_c = true;
-    if (round >= screen_.max_kkt_rounds) break;
-    const auto violators = kkt_violators(c, in_working, lambda1, screen_);
+    if (round >= kMaxKktRounds) break;
+    const auto violators = kkt_violators(c, in_working, lambda1);
     if (violators.empty()) break;
     stats_.kkt_violations += violators.size();
     ++stats_.kkt_rounds;
@@ -331,7 +278,7 @@ auto ScreenedChain<Backend>::solve(double lambda1, double lambda2) -> Fit {
   stats_.survivors += working.size();
   stats_.gram_cols_saved += p - working.size();
 
-  // The final support S (in off mode W is all p, so beta is full length).
+  // The final support S.
   std::vector<std::size_t> support;
   for (std::size_t i = 0; i < working.size(); ++i) {
     if (work.beta[i] != 0.0) support.push_back(working[i]);
@@ -343,9 +290,7 @@ auto ScreenedChain<Backend>::solve(double lambda1, double lambda2) -> Fit {
   const bool canonical_ran = support.size() != working.size();
   if (!canonical_ran) {
     result = std::move(work);
-    if (mode_ != ScreenMode::kOff) {
-      result.beta = expand_vector(result.beta, working, p);
-    }
+    result.beta = expand_vector(result.beta, working, p);
   } else {
     ++stats_.canonical_solves;
     add_fit_counters(spent, work);
@@ -366,12 +311,10 @@ auto ScreenedChain<Backend>::solve(double lambda1, double lambda2) -> Fit {
   state_.lambda_prev = lambda1;
   state_.beta_prev = result.beta;
   for (const std::size_t j : support) state_.ever_active[j] = 1;
-  if (mode_ == ScreenMode::kStrong) {
-    if (canonical_ran || !have_c) {
-      backend_.refresh_correlation(result.beta, support, c, result);
-    }
-    state_.c_prev = std::move(c);
+  if (canonical_ran) {
+    backend_.refresh_correlation(result.beta, support, c, result);
   }
+  state_.c_prev = std::move(c);
   return result;
 }
 
@@ -388,8 +331,6 @@ class SerialLassoBackend {
   [[nodiscard]] const ScreenInputs& inputs() const noexcept {
     return inputs_;
   }
-  [[nodiscard]] Fit full_solve(double lambda1, double lambda2,
-                               const Fit& warm);
   [[nodiscard]] Fit subset_solve(std::span<const std::size_t> cols,
                                  double lambda1, double lambda2,
                                  const Fit& warm);
@@ -405,16 +346,13 @@ class SerialLassoBackend {
   std::span<const double> b_;
   AdmmOptions admm_;
   ScreenInputs inputs_;
-  /// Off-mode working solver: one full-p factorization per chain.
-  std::optional<LassoAdmmSolver> full_solver_;
   /// Columns of the latest subset solve; the KKT residual reuses them.
   uoi::linalg::Matrix gathered_;
 };
 
 /// Distributed (consensus) lasso / elastic net over this rank's row block.
 /// Reduced solves exchange (|W|+3)-double payloads; each correlation is
-/// one p-length allreduce. `full_solver`, when given, serves off-mode
-/// solves so a cached full factorization is reused across the chain.
+/// one p-length allreduce.
 class DistributedLassoBackend {
  public:
   using Fit = DistributedAdmmResult;
@@ -422,14 +360,11 @@ class DistributedLassoBackend {
   DistributedLassoBackend(const AdmmOptions& admm, uoi::sim::Comm& comm,
                           uoi::linalg::ConstMatrixView local_a,
                           std::span<const double> local_b,
-                          const ScreenInputs& shared,
-                          const DistributedLassoAdmmSolver* full_solver);
+                          const ScreenInputs& shared);
 
   [[nodiscard]] const ScreenInputs& inputs() const noexcept {
     return *shared_;
   }
-  [[nodiscard]] Fit full_solve(double lambda1, double lambda2,
-                               const Fit& warm);
   [[nodiscard]] Fit subset_solve(std::span<const std::size_t> cols,
                                  double lambda1, double lambda2,
                                  const Fit& warm);
@@ -450,8 +385,6 @@ class DistributedLassoBackend {
   std::span<const double> b_;
   AdmmOptions admm_;
   const ScreenInputs* shared_;
-  const DistributedLassoAdmmSolver* full_solver_;
-  std::optional<DistributedLassoAdmmSolver> owned_full_solver_;
   uoi::linalg::Matrix gathered_;
 };
 
@@ -466,26 +399,23 @@ class ScreenedLassoChain
     : public detail::ScreenedChain<detail::SerialLassoBackend> {
  public:
   ScreenedLassoChain(uoi::linalg::ConstMatrixView a,
-                     std::span<const double> b, const AdmmOptions& admm,
-                     const ScreenOptions& screen = {})
-      : ScreenedChain(admm, screen, a, b) {}
+                     std::span<const double> b, const AdmmOptions& admm)
+      : ScreenedChain(admm, a, b) {}
 };
 
 /// Distributed screened lambda chain. Collective over `comm`: every rank
 /// derives the identical working set from the replicated inputs, so the
 /// reduced consensus solves (payload (|W|+3) instead of (p+3)) stay in
-/// lockstep. `full_solver`, when given, serves off-mode working solves so
-/// a cached full factorization is reused across the chain.
+/// lockstep.
 class DistributedScreenedLassoChain
     : public detail::ScreenedChain<detail::DistributedLassoBackend> {
  public:
-  DistributedScreenedLassoChain(
-      uoi::sim::Comm& comm, uoi::linalg::ConstMatrixView local_a,
-      std::span<const double> local_b, const ScreenInputs& shared,
-      const AdmmOptions& admm, const ScreenOptions& screen = {},
-      const DistributedLassoAdmmSolver* full_solver = nullptr)
-      : ScreenedChain(admm, screen, comm, local_a, local_b, shared,
-                      full_solver) {}
+  DistributedScreenedLassoChain(uoi::sim::Comm& comm,
+                                uoi::linalg::ConstMatrixView local_a,
+                                std::span<const double> local_b,
+                                const ScreenInputs& shared,
+                                const AdmmOptions& admm)
+      : ScreenedChain(admm, comm, local_a, local_b, shared) {}
 };
 
 /// Lasso / elastic net over a GramProblem by cyclic coordinate descent
@@ -511,16 +441,14 @@ class DistributedScreenedLassoChain
 ///
 /// Each step warm-starts from the previous step's beta and g while lambda1
 /// descends; a larger lambda1 starts over from zero, as a fresh chain
-/// does. `screen` only refines the tolerances (refined_admm_options):
-/// ScreenMode does not apply. A fit's AdmmResult counts sweeps as
+/// does. The chain runs under refined_admm_options(admm). A fit's AdmmResult counts sweeps as
 /// iterations, has rho_updates = 0, the last sweep's largest scaled step
 /// as primal_residual and dual_residual = 0, and charges 2p FLOPs per
 /// gradient update plus 4 per coordinate visit. stats() counts lambdas,
 /// total_columns and, as survivors, the active set's size after each step.
 class GramLassoChain {
  public:
-  GramLassoChain(const GramProblem& problem, const AdmmOptions& admm,
-                 const ScreenOptions& screen = {});
+  GramLassoChain(const GramProblem& problem, const AdmmOptions& admm);
 
   [[nodiscard]] AdmmResult solve(double lambda1, double lambda2 = 0.0);
   /// solve() through an explicit kernel table (cross-level bitwise tests).

@@ -61,11 +61,9 @@ struct UoiVarOptions {
   /// Center the series (estimate the intercept mu through the sample mean).
   bool center = true;
   std::uint64_t seed = 20200518;
+  /// Solver options of each selection lambda chain (see
+  /// core::UoiLassoOptions::admm).
   uoi::solvers::AdmmOptions admm;
-  /// Screening along each selection lambda chain (every selection solver
-  /// runs the same canonical two-stage chain).
-  /// Modes are byte-identical (see core::UoiLassoOptions::screen).
-  uoi::solvers::ScreenOptions screen;
   /// Fault tolerance: shrink-and-resume on rank failure, retry budget for
   /// transient one-sided faults, and optional selection checkpointing,
   /// which serial fits honor too (see core::UoiRecoveryOptions).

@@ -255,8 +255,7 @@ DistributedVarAdmmSolver::DistributedVarAdmmSolver(
   });
   system_ =
       std::make_unique<uoi::solvers::BlockRidgeSolver>(blocks, options_.rho);
-  setup_flops_ = system_->setup_flops();
-  pending_setup_flops_ = setup_flops_;
+  pending_setup_flops_ = system_->setup_flops();
 }
 
 DistributedVarAdmmSolver::~DistributedVarAdmmSolver() = default;
@@ -303,31 +302,6 @@ bool owns_equation(std::size_t e, int c_ranks, int c_rank) {
   return static_cast<int>(e % static_cast<std::size_t>(c_ranks)) == c_rank;
 }
 
-/// This rank's share of the vectorized VAR problem's screening sums
-/// [A'b | column ||.||^2 | b'b] (2 dp p + 1 doubles), where column
-/// g = e*dp + c lives only in equation e's rows. One fused allreduce of
-/// the shares gives the replicated screening inputs.
-Vector var_screen_sums(const VarLocalBlock& block) {
-  const std::size_t nc = block.n_coefficients();
-  const std::size_t dp = block.dp;
-  Vector buffer(2 * nc + 1, 0.0);
-  for_each_equation(block, [&](std::size_t e, std::size_t begin,
-                               std::size_t end) {
-    const ConstMatrixView rows = block.x_rows.row_block(begin, end - begin);
-    uoi::linalg::gemv_transposed(
-        1.0, rows, std::span<const double>(block.y).subspan(begin, end - begin),
-        0.0, std::span<double>(buffer).subspan(e * dp, dp));
-    for (std::size_t r = 0; r < rows.rows(); ++r) {
-      const auto row = rows.row(r);
-      for (std::size_t c = 0; c < dp; ++c) {
-        buffer[nc + e * dp + c] += row[c] * row[c];
-      }
-    }
-  });
-  buffer[2 * nc] = uoi::linalg::nrm2_squared(block.y);
-  return buffer;
-}
-
 /// Local contribution to c = A'(b - A beta) for a full-length beta,
 /// exploiting the block structure (equation e's rows touch only the
 /// coefficient block [e*dp, (e+1)*dp)).
@@ -349,66 +323,57 @@ Vector var_correlation_local(const VarLocalBlock& block,
   return c;
 }
 
-/// Distributed backend of the screened chain (solvers::detail::
-/// ScreenedChain) over the block-structured VAR solver: reduced solves go
-/// to the active-set DistributedVarAdmmSolver, so the fused consensus
-/// payload shrinks from (dp*p + 3) to (|W| + 3) doubles; each correlation
-/// is var_correlation_local plus one nc-length allreduce. Off-mode full
-/// solves go to the bootstrap's cached full solver, which off-mode cache
-/// entries always hold (screened chains never call full_solve).
-class DistributedVarBackend {
- public:
-  using Fit = uoi::solvers::DistributedAdmmResult;
+}  // namespace
 
-  DistributedVarBackend(const uoi::solvers::AdmmOptions& admm, Comm& comm,
-                        const VarLocalBlock& block,
-                        const uoi::solvers::ScreenInputs& shared,
-                        const DistributedVarAdmmSolver* full_solver)
-      : admm_(admm), comm_(&comm), block_(&block), shared_(&shared),
-        full_solver_(full_solver) {}
+namespace detail {
 
-  [[nodiscard]] const uoi::solvers::ScreenInputs& inputs() const noexcept {
-    return *shared_;
-  }
+Vector var_screen_sums(const VarLocalBlock& block) {
+  const std::size_t dp = block.dp;
+  Vector atb(block.n_coefficients(), 0.0);
+  for_each_equation(block, [&](std::size_t e, std::size_t begin,
+                               std::size_t end) {
+    uoi::linalg::gemv_transposed(
+        1.0, block.x_rows.row_block(begin, end - begin),
+        std::span<const double>(block.y).subspan(begin, end - begin), 0.0,
+        std::span<double>(atb).subspan(e * dp, dp));
+  });
+  return atb;
+}
 
-  [[nodiscard]] Fit full_solve(double lambda, double /*lambda2*/,
-                               const Fit& warm) const {
-    return full_solver_->solve(lambda, &warm);
-  }
+DistributedVarBackend::DistributedVarBackend(
+    const uoi::solvers::AdmmOptions& admm, Comm& comm,
+    const VarLocalBlock& block, const uoi::solvers::ScreenInputs& shared)
+    : admm_(admm), comm_(&comm), block_(&block), shared_(&shared) {}
 
-  [[nodiscard]] Fit subset_solve(std::span<const std::size_t> cols,
-                                 double lambda, double /*lambda2*/,
-                                 const Fit& warm) const {
-    // No collectives in the reduced constructor, so building a fresh
-    // active-set solver per lambda stays collective-safe; its setup FLOPs
-    // are charged to the first solve.
-    const DistributedVarAdmmSolver sub(*comm_, *block_, cols, admm_);
-    return sub.solve(lambda, &warm);
-  }
+uoi::solvers::DistributedAdmmResult DistributedVarBackend::subset_solve(
+    std::span<const std::size_t> cols, double lambda, double /*lambda2*/,
+    const Fit& warm) const {
+  // No collectives in the reduced constructor, so building a fresh
+  // active-set solver per lambda stays collective-safe; its setup FLOPs
+  // are charged to the first solve.
+  const DistributedVarAdmmSolver sub(*comm_, *block_, cols, admm_);
+  return sub.solve(lambda, &warm);
+}
 
-  void kkt_correlation(std::span<const double> beta_w,
-                       std::span<const std::size_t> working, Vector& c,
-                       Fit& spent) const {
-    const Vector beta_full = uoi::solvers::detail::expand_vector(
-        beta_w, working, block_->n_coefficients());
-    c = var_correlation_local(*block_, beta_full, spent.local_flops);
-    uoi::solvers::detail::allreduce_correlation(*comm_, c, spent);
-  }
+void DistributedVarBackend::kkt_correlation(
+    std::span<const double> beta_w, std::span<const std::size_t> working,
+    Vector& c, Fit& spent) const {
+  const Vector beta_full = uoi::solvers::detail::expand_vector(
+      beta_w, working, block_->n_coefficients());
+  c = var_correlation_local(*block_, beta_full, spent.local_flops);
+  uoi::solvers::detail::allreduce_correlation(*comm_, c, spent);
+}
 
-  void refresh_correlation(std::span<const double> beta,
-                           std::span<const std::size_t> /*support*/,
-                           Vector& c, Fit& result) const {
-    c = var_correlation_local(*block_, beta, result.local_flops);
-    uoi::solvers::detail::allreduce_correlation(*comm_, c, result);
-  }
+void DistributedVarBackend::refresh_correlation(
+    std::span<const double> beta, std::span<const std::size_t> /*support*/,
+    Vector& c, Fit& result) const {
+  c = var_correlation_local(*block_, beta, result.local_flops);
+  uoi::solvers::detail::allreduce_correlation(*comm_, c, result);
+}
 
- private:
-  uoi::solvers::AdmmOptions admm_;
-  Comm* comm_;
-  const VarLocalBlock* block_;
-  const uoi::solvers::ScreenInputs* shared_;
-  const DistributedVarAdmmSolver* full_solver_;
-};
+}  // namespace detail
+
+namespace {
 
 // Per-bootstrap cache entries. bytes() returns an estimate computed from
 // the *global* problem shape, not the local row counts: the selection
@@ -423,9 +388,6 @@ struct VarSelectionEntry {
   /// every chain of the bootstrap.
   VarLocalBlock block;
   uoi::solvers::ScreenInputs screen_inputs;
-  /// Full-coefficient solver; built only in off mode (screened chains
-  /// build reduced active-set solvers per lambda instead).
-  std::optional<DistributedVarAdmmSolver> solver;
   std::size_t bytes_estimate = 0;
   [[nodiscard]] std::size_t bytes() const noexcept { return bytes_estimate; }
 };
@@ -544,13 +506,7 @@ UoiVarDistributedResult uoi_var_distributed(
   spec.solver_cache_mb = comm.size() == 1 ? 0 : options.solver_cache_mb;
   spec.layout = layout;
   spec.recovery = options.recovery;
-  // Resolved once: the cache entry's shape (full solver or not) must be
-  // identical on every rank.
-  uoi::solvers::ScreenOptions screen_opts = options.screen;
-  screen_opts.mode = uoi::solvers::resolve_screen_mode(options.screen.mode);
-  const bool screening_on =
-      screen_opts.mode != uoi::solvers::ScreenMode::kOff;
-  spec.screen_mode = screen_opts.mode;
+  spec.screened = true;
   uoi::core::FingerprintBuilder fp;
   // Tag keeps VAR checkpoints apart from LASSO ones.
   fp.add(static_cast<std::uint64_t>(0x766172ULL))
@@ -561,7 +517,7 @@ UoiVarDistributedResult uoi_var_distributed(
       .add(static_cast<std::uint64_t>(series.rows()))
       .add(static_cast<std::uint64_t>(p))
       .add(options.support_tolerance)
-      .add(static_cast<std::uint64_t>(screen_opts.mode));
+      .add(uoi::core::kStrongRuleFingerprintTag);
   for (const double l : model.lambdas) fp.add(l);
   const sched::LinearPath path =
       detail::var_linear_path(comm, series_view, options, layout);
@@ -598,7 +554,6 @@ UoiVarDistributedResult uoi_var_distributed(
     const int group_readers = std::min(n_readers, tl.c_ranks);
     const bool gram_walk = tl.c_ranks == 1 || gram_path;
     const std::size_t k = task.bootstrap;
-    const std::uint64_t hits_before = task.cache.stats().hits;
     const auto entry = task.cache.get_or_build<VarSelectionEntry>(
         uoi::solvers::kSelectionPass, k, [&] {
           auto fresh = std::make_shared<VarSelectionEntry>();
@@ -634,9 +589,8 @@ UoiVarDistributedResult uoi_var_distributed(
                          : ConstMatrixView(nullptr, 0, p, p),
                   "var-selection-gram", task.counters);
             }
-            // X'X, then per equation X'y_e, diag(X'X) and y_e'y_e.
-            fresh->bytes_estimate =
-                (dp * dp + p * (2 * dp + 1)) * sizeof(double);
+            // X'X, then X'y_e per equation.
+            fresh->bytes_estimate = (dp * dp + p * dp) * sizeof(double);
             return fresh;
           }
           fresh->block = distributed_kron_vectorize(task.task_comm, lag,
@@ -646,24 +600,14 @@ UoiVarDistributedResult uoi_var_distributed(
             support::TraceScope gram_span("var-selection-gram",
                                           support::TraceCategory::kGram,
                                           trace_rank);
-            sums = var_screen_sums(fresh->block);
-            if (!screening_on) {
-              // Off-mode chains reuse this cached full solver; it must
-              // run under the chain's refined stopping rules.
-              fresh->solver.emplace(
-                  task.task_comm, fresh->block,
-                  uoi::solvers::detail::refined_admm_options(options.admm,
-                                                             screen_opts));
-            }
+            sums = detail::var_screen_sums(fresh->block);
           }
           // The reduction is communication: outside the Gram span, as in
           // reduce_gram.
           task.task_comm.allreduce(std::span<double>(sums), ReduceOp::kSum);
           fresh->screen_inputs = uoi::solvers::screen_inputs_from_sums(sums);
           fresh->bytes_estimate =
-              (lag_rows * p * (dp + 1) + (screening_on ? 0 : dp * dp) +
-               2 * n_coeffs + 1) *
-              sizeof(double);
+              (lag_rows * p * (dp + 1) + n_coeffs) * sizeof(double);
           return fresh;
         });
     const auto mark = [&](std::size_t m, std::span<const double> beta) {
@@ -676,8 +620,7 @@ UoiVarDistributedResult uoi_var_distributed(
       Vector betas(task.cells.size() * n_coeffs, 0.0);
       for (std::size_t e = 0; e < p; ++e) {
         if (!owns_equation(e, tl.c_ranks, tl.task_rank)) continue;
-        uoi::solvers::GramLassoChain chain(entry->grams[e], options.admm,
-                                           screen_opts);
+        uoi::solvers::GramLassoChain chain(entry->grams[e], options.admm);
         for (std::size_t m = 0; m < task.cells.size(); ++m) {
           const auto fit = chain.solve(model.lambdas[task.cells[m]]);
           task.counters.add(fit);
@@ -698,20 +641,11 @@ UoiVarDistributedResult uoi_var_distributed(
       }
       return;
     }
-    if (entry->solver.has_value()) {
-      if (task.cache.stats().hits != hits_before) {
-        task.counters.setup_flops_amortized += entry->solver->setup_flops();
-      } else {
-        task.counters.setup_flops_charged += entry->solver->setup_flops();
-      }
-    }
     // Reduced active-set solves shrink the consensus payload to (|W|+3)
     // doubles; the screened chain owns the warm starts and the two-stage
     // solve.
-    uoi::solvers::detail::ScreenedChain<DistributedVarBackend> chain(
-        options.admm, screen_opts, task.task_comm, entry->block,
-        entry->screen_inputs,
-        entry->solver.has_value() ? &*entry->solver : nullptr);
+    uoi::solvers::detail::ScreenedChain<detail::DistributedVarBackend> chain(
+        options.admm, task.task_comm, entry->block, entry->screen_inputs);
     for (std::size_t m = 0; m < task.cells.size(); ++m) {
       const auto fit = chain.solve(model.lambdas[task.cells[m]]);
       task.counters.add(fit);
@@ -817,3 +751,6 @@ sched::LinearPath var_linear_path(const Comm& comm, ConstMatrixView series,
 }  // namespace detail
 
 }  // namespace uoi::var
+
+template class uoi::solvers::detail::ScreenedChain<
+    uoi::var::detail::DistributedVarBackend>;

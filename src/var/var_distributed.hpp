@@ -22,7 +22,7 @@
 // equations share one d p x d p Gram and differ only in X'y_e. While that
 // Gram is no larger than a rank's row block of I (x) X (d at most the lag
 // rows per rank), a task group skips the windows and the consensus: one
-// allreduce of [X'X | X'Y | y'y] per bootstrap, then every rank solves
+// allreduce of [X'X | X'Y] per bootstrap, then every rank solves
 // its own equations locally. A one-rank group (and so a serial fit) holds
 // the whole bootstrap and takes the Gram at every shape, with no
 // collective (see uoi_var_distributed).
@@ -32,6 +32,7 @@
 #include "simcluster/comm.hpp"
 #include "simcluster/window.hpp"
 #include "solvers/distributed_admm.hpp"
+#include "solvers/screening.hpp"
 #include "var/lag_matrix.hpp"
 #include "var/uoi_var.hpp"
 
@@ -101,11 +102,6 @@ class DistributedVarAdmmSolver {
       double lambda,
       const uoi::solvers::DistributedAdmmResult* warm_start = nullptr) const;
 
-  /// FLOPs this rank spent building its per-equation Gram factorizations.
-  [[nodiscard]] std::uint64_t setup_flops() const noexcept {
-    return setup_flops_;
-  }
-
  private:
   uoi::sim::Comm* comm_;
   const VarLocalBlock* block_;
@@ -119,9 +115,9 @@ class DistributedVarAdmmSolver {
   std::vector<uoi::linalg::Matrix> cols_;
   /// One block per equation with local rows: the x-update's systems.
   std::unique_ptr<uoi::solvers::BlockRidgeSolver> system_;
-  std::uint64_t setup_flops_ = 0;
-  // Charged to the first solve() only, so a chain of lambdas (or a cached
-  // solver reused across chains) pays setup once.
+  // FLOPs this rank spent building its per-equation Gram factorizations,
+  // charged to the first solve() only, so a chain of lambdas pays setup
+  // once.
   mutable std::uint64_t pending_setup_flops_ = 0;
 };
 
@@ -147,7 +143,7 @@ struct UoiVarDistributedResult {
 /// scheduling, checkpointing and shrink-and-resume (options.recovery) work
 /// as in uoi_lasso_distributed, with P = P_B x P_lambda x C. Selection
 /// takes one of two solvers per task group:
-///   Gram walk   [X'X | X'Y | per-column y'y] of the bootstrap's lag rows
+///   Gram walk   [X'X | X'Y] of the bootstrap's lag rows
 ///               ((I (x) X)'(I (x) X) = I (x) X'X), then every rank runs a
 ///               solvers::GramLassoChain (coordinate descent) per equation
 ///               it owns, one after another. A one-rank group sums the
@@ -179,6 +175,48 @@ namespace detail {
     const uoi::sim::Comm& comm, uoi::linalg::ConstMatrixView series,
     const UoiVarOptions& options, const uoi::core::UoiParallelLayout& layout);
 
+/// This rank's share of the vectorized problem's A'b (d p^2 doubles):
+/// column g = e*dp + c lives only in equation e's rows. One allreduce of
+/// the shares gives the replicated screening inputs of the Kron+vec path.
+[[nodiscard]] uoi::linalg::Vector var_screen_sums(const VarLocalBlock& block);
+
+/// The Kron+vec path's backend of the strong-rule screened chain
+/// (solvers::detail::ScreenedChain) over the block-structured VAR solver:
+/// reduced solves go to the active-set DistributedVarAdmmSolver, so the
+/// fused consensus payload shrinks from (dp*p + 3) to (|W| + 3) doubles;
+/// each correlation is one local pass over the block plus one nc-length
+/// allreduce. The VAR lasso has no l2 penalty, so lambda2 is ignored.
+class DistributedVarBackend {
+ public:
+  using Fit = uoi::solvers::DistributedAdmmResult;
+
+  DistributedVarBackend(const uoi::solvers::AdmmOptions& admm,
+                        uoi::sim::Comm& comm, const VarLocalBlock& block,
+                        const uoi::solvers::ScreenInputs& shared);
+
+  [[nodiscard]] const uoi::solvers::ScreenInputs& inputs() const noexcept {
+    return *shared_;
+  }
+  [[nodiscard]] Fit subset_solve(std::span<const std::size_t> cols,
+                                 double lambda, double lambda2,
+                                 const Fit& warm) const;
+  void kkt_correlation(std::span<const double> beta_w,
+                       std::span<const std::size_t> working,
+                       uoi::linalg::Vector& c, Fit& spent) const;
+  void refresh_correlation(std::span<const double> beta,
+                           std::span<const std::size_t> support,
+                           uoi::linalg::Vector& c, Fit& result) const;
+
+ private:
+  uoi::solvers::AdmmOptions admm_;
+  uoi::sim::Comm* comm_;
+  const VarLocalBlock* block_;
+  const uoi::solvers::ScreenInputs* shared_;
+};
+
 }  // namespace detail
 
 }  // namespace uoi::var
+
+extern template class uoi::solvers::detail::ScreenedChain<
+    uoi::var::detail::DistributedVarBackend>;

@@ -282,7 +282,7 @@ std::uint64_t beta_bytes_hash(std::span<const double> beta) {
 // Byte pins of the distributed fit (intercept appended). Every layout
 // here splits its ranks into groups of equal width C, so a cell computes
 // the same bytes in any group and the bytes depend on C alone: the LPT
-// schedule and the screening mode must not move them.
+// schedule must not move them.
 TEST_P(DistributedUoiParam, PinnedBetaBytes) {
   const auto layout_case = GetParam();
   uoi::data::RegressionSpec spec;
@@ -302,20 +302,15 @@ TEST_P(DistributedUoiParam, PinnedBetaBytes) {
   const int width = layout_case.ranks / (layout_case.pb * layout_case.pl);
   const std::uint64_t expected =
       width == 1 ? 2688091113442739932ULL : 13148764769372768661ULL;
-  for (const auto mode :
-       {uoi::solvers::ScreenMode::kOff, uoi::solvers::ScreenMode::kStrong}) {
-    options.screen.mode = mode;
-    uoi::sim::Cluster::run(layout_case.ranks, [&](uoi::sim::Comm& comm) {
-      const auto fit = uoi::core::uoi_lasso_distributed(
-          comm, data.x, data.y, options, {layout_case.pb, layout_case.pl});
-      if (comm.rank() == 0) {
-        auto bytes = fit.model.beta;
-        bytes.push_back(fit.model.intercept);
-        EXPECT_EQ(beta_bytes_hash(bytes), expected)
-            << "screen " << uoi::solvers::screen_mode_name(mode);
-      }
-    });
-  }
+  uoi::sim::Cluster::run(layout_case.ranks, [&](uoi::sim::Comm& comm) {
+    const auto fit = uoi::core::uoi_lasso_distributed(
+        comm, data.x, data.y, options, {layout_case.pb, layout_case.pl});
+    if (comm.rank() == 0) {
+      auto bytes = fit.model.beta;
+      bytes.push_back(fit.model.intercept);
+      EXPECT_EQ(beta_bytes_hash(bytes), expected);
+    }
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -352,22 +347,16 @@ TEST(DistributedUoi, ConsensusPathPinnedBetaBytes) {
   const std::pair<uoi::core::UoiParallelLayout, std::uint64_t> cases[] = {
       {{5, 1}, 1988844621794226602ULL}, {{1, 1}, 10864911876871551795ULL}};
   for (const auto& [layout, expected] : cases) {
-    for (const auto mode :
-         {uoi::solvers::ScreenMode::kOff, uoi::solvers::ScreenMode::kStrong}) {
-      options.screen.mode = mode;
-      uoi::sim::Cluster::run(5, [&](uoi::sim::Comm& comm) {
-        ASSERT_EQ(uoi::core::detail::linear_family_path(comm, data.x,
-                                                        layout),
-                  uoi::sched::LinearPath::kConsensus);
-        const auto fit = uoi::core::uoi_lasso_distributed(
-            comm, data.x, data.y, options, layout);
-        if (comm.rank() == 0) {
-          EXPECT_EQ(beta_bytes_hash(fit.model.beta), expected)
-              << "P_B " << layout.bootstrap_groups << ", screen "
-              << uoi::solvers::screen_mode_name(mode);
-        }
-      });
-    }
+    uoi::sim::Cluster::run(5, [&](uoi::sim::Comm& comm) {
+      ASSERT_EQ(uoi::core::detail::linear_family_path(comm, data.x, layout),
+                uoi::sched::LinearPath::kConsensus);
+      const auto fit = uoi::core::uoi_lasso_distributed(comm, data.x, data.y,
+                                                        options, layout);
+      if (comm.rank() == 0) {
+        EXPECT_EQ(beta_bytes_hash(fit.model.beta), expected)
+            << "P_B " << layout.bootstrap_groups;
+      }
+    });
   }
 }
 

@@ -156,7 +156,6 @@ TEST(UoiElasticNet, SerialFitExportsItsSelectionIterations) {
   options.lambda_min_ratio = 0.1;
   options.l1_ratios = {1.0, 0.05, 0.5};
   options.seed = 19;
-  options.screen.mode = uoi::solvers::ScreenMode::kStrong;
 
   auto& metrics = uoi::support::MetricsRegistry::instance();
   metrics.clear();
@@ -184,8 +183,7 @@ TEST(UoiElasticNet, SerialFitExportsItsSelectionIterations) {
             x_boot.cols())
             .front();
     for (const double ratio : options.l1_ratios) {
-      uoi::solvers::GramLassoChain chain(problem, options.admm,
-                                         options.screen);
+      uoi::solvers::GramLassoChain chain(problem, options.admm);
       for (const double lambda : lambdas) {
         iterations +=
             chain.solve(lambda * ratio, lambda * (1.0 - ratio)).iterations;
@@ -354,8 +352,7 @@ std::uint64_t beta_bytes_hash(std::span<const double> beta) {
 
 // Byte pins of the distributed fit. Every layout splits its ranks into
 // groups of equal width C, so a cell computes the same bytes in any group
-// and the bytes depend on C alone: the LPT schedule and the screening
-// mode must not move them.
+// and the bytes depend on C alone: the LPT schedule must not move them.
 TEST_P(UoiEnDistParam, PinnedBetaBytes) {
   const auto [ranks, pb, pl] = GetParam();
   uoi::data::RegressionSpec spec;
@@ -376,18 +373,13 @@ TEST_P(UoiEnDistParam, PinnedBetaBytes) {
   const std::uint64_t expected = ranks / (pb * pl) == 1
                                      ? 8507453976650170746ULL
                                      : 10274560591685466658ULL;
-  for (const auto mode :
-       {uoi::solvers::ScreenMode::kOff, uoi::solvers::ScreenMode::kStrong}) {
-    options.screen.mode = mode;
-    uoi::sim::Cluster::run(ranks, [&](uoi::sim::Comm& comm) {
-      const auto fit = uoi::core::uoi_elastic_net_distributed(
-          comm, data.x, data.y, options, {pb, pl});
-      if (comm.rank() == 0) {
-        EXPECT_EQ(beta_bytes_hash(fit.model.beta), expected)
-            << "screen " << uoi::solvers::screen_mode_name(mode);
-      }
-    });
-  }
+  uoi::sim::Cluster::run(ranks, [&](uoi::sim::Comm& comm) {
+    const auto fit = uoi::core::uoi_elastic_net_distributed(
+        comm, data.x, data.y, options, {pb, pl});
+    if (comm.rank() == 0) {
+      EXPECT_EQ(beta_bytes_hash(fit.model.beta), expected);
+    }
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(Layouts, UoiEnDistParam,

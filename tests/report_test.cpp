@@ -21,7 +21,6 @@
 #include "report/run_report.hpp"
 #include "report/trace_reader.hpp"
 #include "simcluster/cluster.hpp"
-#include "solvers/screening.hpp"
 #include "support/error.hpp"
 #include "support/histogram.hpp"
 #include "support/json.hpp"
@@ -336,12 +335,9 @@ TEST(RunReport, ScreeningSectionAggregatesChainCounters) {
   ReportInputs inputs;
   inputs.wall_seconds = 1.0;
   // Two ranks running screened chains over their own lambda chunks; all
-  // counters sum across ranks, the mode is a set-per-rank enum value.
+  // counters sum across ranks.
   using Entry = uoi::support::MetricsRegistry::Entry;
-  const double strong =
-      static_cast<double>(uoi::solvers::ScreenMode::kStrong);
   inputs.metrics = std::vector<Entry>{
-      {0, "screen.mode", strong},
       {0, "screen.lambdas", 3.0},
       {0, "screen.survivors", 40.0},
       {0, "screen.kkt_violations", 2.0},
@@ -349,7 +345,6 @@ TEST(RunReport, ScreeningSectionAggregatesChainCounters) {
       {0, "screen.gram_cols_saved", 260.0},
       {0, "screen.canonical_solves", 1.0},
       {0, "screen.total_columns", 300.0},
-      {1, "screen.mode", strong},
       {1, "screen.lambdas", 2.0},
       {1, "screen.survivors", 10.0},
       {1, "screen.kkt_violations", 0.0},
@@ -360,7 +355,6 @@ TEST(RunReport, ScreeningSectionAggregatesChainCounters) {
   };
   const RunReport report = build_run_report(inputs);
   EXPECT_TRUE(report.screening.present);
-  EXPECT_EQ(report.screening.mode, "strong");
   EXPECT_DOUBLE_EQ(report.screening.lambdas, 5.0);
   EXPECT_DOUBLE_EQ(report.screening.survivors, 50.0);
   EXPECT_DOUBLE_EQ(report.screening.kkt_violations, 2.0);
@@ -372,7 +366,6 @@ TEST(RunReport, ScreeningSectionAggregatesChainCounters) {
 
   const std::string json = report.to_json();
   EXPECT_NE(json.find("\"screening\":{\"present\":true"), std::string::npos);
-  EXPECT_NE(json.find("\"mode\":\"strong\""), std::string::npos);
   EXPECT_NE(json.find("\"survivor_fraction\":"), std::string::npos);
   const std::string text = report.to_text();
   EXPECT_NE(text.find("screening:"), std::string::npos);

@@ -784,34 +784,23 @@ TEST(FaultRecovery, LogisticRankKilledMidSelectionIsBitIdentical) {
 }
 
 /// A rank killed mid-selection forces survivors to replay its screened
-/// chains from a cold ChainScreenState. The replay must land on the same
-/// supports and counts bit-for-bit, and the screened faulty run must also
-/// match the clean unscreened run (the screening byte-identity contract
-/// extends through shrink-and-replay). `kill_at` maps the strong-mode
-/// clean schedule (screening changes collective counts) to the kill.
+/// chains from a cold ChainScreenState. The replay must land on the clean
+/// run's supports and counts bit-for-bit. `kill_at` maps the clean
+/// collective schedule to the kill.
 template <class KillAt>
 void expect_screened_replay_is_bit_identical(
     const uoi::data::RegressionDataset& data, uoi::sched::LinearPath path,
     const uoi::core::UoiParallelLayout& layout, const KillAt& kill_at) {
-  auto options = lasso_options();
+  const auto options = lasso_options();
   ASSERT_EQ(lasso_path(5, data, layout), path);
-
-  options.screen.mode = uoi::solvers::ScreenMode::kOff;
-  const auto clean_off = run_lasso(5, data, options, layout, nullptr);
-
-  options.screen.mode = uoi::solvers::ScreenMode::kStrong;
-  const auto clean_strong = run_lasso(5, data, options, layout, nullptr);
-  expect_same_model(clean_strong.results[0], clean_off.results[0],
-                    /*bit_identical_counts=*/true);
+  const auto clean = run_lasso(5, data, options, layout, nullptr);
 
   const auto faulty = run_lasso(
       5, data, options, layout,
-      kill_plan(2, kill_at(collective_calls(clean_strong.reports[2].comm))));
+      kill_plan(2, kill_at(collective_calls(clean.reports[2].comm))));
   for (const int r : {0, 1, 3, 4}) {
     const auto& result = faulty.results[static_cast<std::size_t>(r)];
-    expect_same_model(result, clean_strong.results[0],
-                      /*bit_identical_counts=*/true);
-    expect_same_model(result, clean_off.results[0],
+    expect_same_model(result, clean.results[0],
                       /*bit_identical_counts=*/true);
     EXPECT_GE(faulty.reports[static_cast<std::size_t>(r)].recovery.shrinks, 1u)
         << "rank " << r;
@@ -1066,7 +1055,6 @@ TEST(FaultRecovery, SerialVarCheckpointWithoutSolverTagRestarts) {
   options.n_estimation_bootstraps = 2;
   options.n_lambdas = 4;
   options.seed = 67;
-  options.screen.mode = uoi::solvers::ScreenMode::kStrong;
   const auto path =
       (std::filesystem::temp_directory_path() / "uoi_var_untagged_ckpt.txt")
           .string();
@@ -1105,7 +1093,7 @@ TEST(FaultRecovery, SerialVarCheckpointWithoutSolverTagRestarts) {
       .add(static_cast<std::uint64_t>(series.rows()))
       .add(static_cast<std::uint64_t>(series.cols()))
       .add(options.support_tolerance)
-      .add(static_cast<std::uint64_t>(options.screen.mode));
+      .add(uoi::core::kStrongRuleFingerprintTag);
   for (const double l : fresh.model->lambdas) untagged.add(l);
   ASSERT_NE(ckpt.fingerprint, untagged.value());
   // The file resumes under its own fingerprint...
@@ -1179,8 +1167,7 @@ TEST(FaultRecovery, LassoGramCheckpointFromTheAdmmChainRestarts) {
         .add(options.admm.eps_abs)
         .add(options.admm.eps_rel)
         .add(static_cast<std::uint64_t>(options.admm.max_iterations))
-        .add(static_cast<std::uint64_t>(
-            uoi::solvers::resolve_screen_mode(options.screen.mode)));
+        .add(uoi::core::kStrongRuleFingerprintTag);
     for (const double l : fresh.results[0].model.lambdas) parent.add(l);
     if (ranks > 1) {
       parent.add(static_cast<std::uint64_t>(uoi::sched::LinearPath::kGram));
@@ -1227,7 +1214,6 @@ TEST(FaultRecovery, VarGramCheckpointFromTheAdmmChainRestarts) {
   options.n_estimation_bootstraps = 2;
   options.n_lambdas = 4;
   options.seed = 68;
-  options.screen.mode = uoi::solvers::ScreenMode::kStrong;
   struct VarRun {
     std::optional<uoi::var::UoiVarDistributedResult> result;
     std::uint64_t resumes = 0;
@@ -1266,7 +1252,7 @@ TEST(FaultRecovery, VarGramCheckpointFromTheAdmmChainRestarts) {
         .add(static_cast<std::uint64_t>(series.rows()))
         .add(static_cast<std::uint64_t>(series.cols()))
         .add(options.support_tolerance)
-        .add(static_cast<std::uint64_t>(options.screen.mode));
+        .add(uoi::core::kStrongRuleFingerprintTag);
     for (const double l : fresh.result->model.lambdas) parent.add(l);
     parent.add(ranks == 1 ? std::uint64_t{2}
                           : static_cast<std::uint64_t>(

@@ -1,14 +1,16 @@
-// Tests for the SAFE / strong-rule screening layer: working-set rules,
-// KKT re-admission on adversarial correlated designs, byte-identity of the
-// canonical chain across screening modes (serial and distributed), and
-// the reduced consensus payload accounting.
+// Tests for the strong-rule screening layer: the working-set rule, KKT
+// re-admission on adversarial correlated designs, each screened chain
+// against an unscreened solver down the same lambda path (serial,
+// distributed and VAR), the reduced consensus payload, the coordinate-
+// descent Gram chain, and byte pins of every chain.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <cstdio>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <string>
@@ -38,8 +40,6 @@ using uoi::linalg::ConstMatrixView;
 using uoi::linalg::Matrix;
 using uoi::linalg::Vector;
 using uoi::solvers::AdmmOptions;
-using uoi::solvers::ScreenMode;
-using uoi::solvers::ScreenOptions;
 using uoi::solvers::ScreenedLassoChain;
 
 uoi::data::RegressionDataset sparse_problem(std::uint64_t seed = 7,
@@ -81,9 +81,6 @@ void expect_kkt(ConstMatrixView x, std::span<const double> y,
   }
 }
 
-constexpr ScreenMode kPinModes[] = {ScreenMode::kOff, ScreenMode::kSafe,
-                                    ScreenMode::kStrong};
-
 AdmmOptions tight_admm() {
   AdmmOptions options;
   options.eps_abs = 1e-9;
@@ -92,98 +89,17 @@ AdmmOptions tight_admm() {
   return options;
 }
 
-ScreenOptions screen_with(ScreenMode mode) {
-  ScreenOptions screen;
-  screen.mode = mode;
-  return screen;
-}
-
-TEST(ScreenMode, EnvResolution) {
-  // Explicit modes win over the environment.
-  setenv("UOI_SCREEN", "off", 1);
-  EXPECT_EQ(uoi::solvers::resolve_screen_mode(ScreenMode::kSafe),
-            ScreenMode::kSafe);
-  EXPECT_EQ(uoi::solvers::resolve_screen_mode(ScreenMode::kAuto),
-            ScreenMode::kOff);
-  setenv("UOI_SCREEN", "safe", 1);
-  EXPECT_EQ(uoi::solvers::resolve_screen_mode(ScreenMode::kAuto),
-            ScreenMode::kSafe);
-  setenv("UOI_SCREEN", "bogus", 1);
-  EXPECT_EQ(uoi::solvers::resolve_screen_mode(ScreenMode::kAuto),
-            ScreenMode::kStrong);
-  unsetenv("UOI_SCREEN");
-  EXPECT_EQ(uoi::solvers::resolve_screen_mode(ScreenMode::kAuto),
-            ScreenMode::kStrong);
-  EXPECT_STREQ(uoi::solvers::screen_mode_name(ScreenMode::kStrong), "strong");
-}
-
 TEST(Screening, WorkingSetRulesScreenInactiveColumns) {
   const auto data = sparse_problem();
   const auto lambdas = descending_grid(data.x, data.y, 8, 0.05);
-  for (const ScreenMode mode : {ScreenMode::kSafe, ScreenMode::kStrong}) {
-    ScreenedLassoChain chain(data.x, data.y, tight_admm(), screen_with(mode));
-    for (const double lambda : lambdas) (void)chain.solve(lambda);
-    const auto& stats = chain.stats();
-    EXPECT_EQ(stats.lambdas, lambdas.size());
-    EXPECT_EQ(stats.survivors + stats.gram_cols_saved, stats.total_columns);
-    // On a clean sparse problem the strong rule must discard a large
-    // fraction of the Gram columns (this is the entire point of the
-    // layer); basic SAFE is certified but weak once lambda drops well
-    // below lambda_max, so it only has to save something.
-    if (mode == ScreenMode::kStrong) {
-      EXPECT_GT(stats.gram_cols_saved, stats.total_columns / 4);
-    } else {
-      EXPECT_GT(stats.gram_cols_saved, 0u);
-    }
-  }
-}
-
-TEST(Screening, ModesAreByteIdenticalOnChain) {
-  const auto data = sparse_problem();
-  const auto lambdas = descending_grid(data.x, data.y, 6, 0.05);
-  std::vector<std::vector<Vector>> betas;
-  for (const ScreenMode mode :
-       {ScreenMode::kOff, ScreenMode::kSafe, ScreenMode::kStrong}) {
-    ScreenedLassoChain chain(data.x, data.y, tight_admm(), screen_with(mode));
-    std::vector<Vector> path;
-    for (const double lambda : lambdas) {
-      auto fit = chain.solve(lambda);
-      expect_kkt(data.x, data.y, fit.beta, lambda, 1e-5);
-      path.push_back(std::move(fit.beta));
-    }
-    betas.push_back(std::move(path));
-  }
-  for (std::size_t m = 1; m < betas.size(); ++m) {
-    for (std::size_t i = 0; i < lambdas.size(); ++i) {
-      ASSERT_EQ(betas[0][i].size(), betas[m][i].size());
-      for (std::size_t j = 0; j < betas[0][i].size(); ++j) {
-        EXPECT_EQ(betas[0][i][j], betas[m][i][j])
-            << "mode " << m << " lambda " << i << " coord " << j;
-      }
-    }
-  }
-}
-
-TEST(Screening, ElasticNetByteIdenticalAcrossModes) {
-  const auto data = sparse_problem(11);
-  const auto lambdas = descending_grid(data.x, data.y, 5, 0.1);
-  const double l1_ratio = 0.7;
-  std::vector<std::vector<Vector>> betas;
-  for (const ScreenMode mode : {ScreenMode::kOff, ScreenMode::kStrong}) {
-    ScreenedLassoChain chain(data.x, data.y, tight_admm(), screen_with(mode));
-    std::vector<Vector> path;
-    for (const double lambda : lambdas) {
-      auto fit = chain.solve(lambda * l1_ratio, lambda * (1.0 - l1_ratio));
-      path.push_back(std::move(fit.beta));
-    }
-    betas.push_back(std::move(path));
-  }
-  for (std::size_t i = 0; i < lambdas.size(); ++i) {
-    for (std::size_t j = 0; j < betas[0][i].size(); ++j) {
-      EXPECT_EQ(betas[0][i][j], betas[1][i][j])
-          << "lambda " << i << " coord " << j;
-    }
-  }
+  ScreenedLassoChain chain(data.x, data.y, tight_admm());
+  for (const double lambda : lambdas) (void)chain.solve(lambda);
+  const auto& stats = chain.stats();
+  EXPECT_EQ(stats.lambdas, lambdas.size());
+  EXPECT_EQ(stats.survivors + stats.gram_cols_saved, stats.total_columns);
+  // On a clean sparse problem the strong rule must discard a large
+  // fraction of the Gram columns (this is the entire point of the layer).
+  EXPECT_GT(stats.gram_cols_saved, stats.total_columns / 4);
 }
 
 TEST(Screening, ChainResetsWhenLambdaJumpsUp) {
@@ -192,12 +108,10 @@ TEST(Screening, ChainResetsWhenLambdaJumpsUp) {
   // its sequential state instead of applying a bogus strong rule.
   const auto data = sparse_problem(13);
   const auto lambdas = descending_grid(data.x, data.y, 4, 0.1);
-  ScreenedLassoChain chain(data.x, data.y, tight_admm(),
-                           screen_with(ScreenMode::kStrong));
+  ScreenedLassoChain chain(data.x, data.y, tight_admm());
   for (const double lambda : lambdas) (void)chain.solve(lambda);
   // Jump back to the top of the grid: results must match a fresh chain.
-  ScreenedLassoChain fresh(data.x, data.y, tight_admm(),
-                           screen_with(ScreenMode::kStrong));
+  ScreenedLassoChain fresh(data.x, data.y, tight_admm());
   for (const double lambda : lambdas) {
     const auto restarted = chain.solve(lambda);
     const auto cold = fresh.solve(lambda);
@@ -213,8 +127,7 @@ TEST(Screening, KktReAdmissionOnAdversarialCorrelatedDesign) {
   // final beta must still satisfy optimality everywhere.
   const auto data = sparse_problem(17, 100, 64, /*correlation=*/0.95);
   const auto lambdas = descending_grid(data.x, data.y, 4, 0.01);
-  ScreenedLassoChain chain(data.x, data.y, tight_admm(),
-                           screen_with(ScreenMode::kStrong));
+  ScreenedLassoChain chain(data.x, data.y, tight_admm());
   for (const double lambda : lambdas) {
     const auto fit = chain.solve(lambda);
     expect_kkt(data.x, data.y, fit.beta, lambda, 1e-5);
@@ -223,78 +136,36 @@ TEST(Screening, KktReAdmissionOnAdversarialCorrelatedDesign) {
   // Violations imply rounds, and both are bounded by the round cap.
   EXPECT_EQ(stats.kkt_violations == 0, stats.kkt_rounds == 0);
   EXPECT_LE(stats.kkt_rounds,
-            stats.lambdas * ScreenOptions{}.max_kkt_rounds);
-}
-
-TEST(Screening, SafeRuleNeverViolatesKkt) {
-  // SAFE is a certificate: discarded columns are provably inactive, so
-  // the post-check must never find a violator.
-  const auto data = sparse_problem(19, 100, 64, /*correlation=*/0.9);
-  const auto lambdas = descending_grid(data.x, data.y, 6, 0.02);
-  ScreenedLassoChain chain(data.x, data.y, tight_admm(),
-                           screen_with(ScreenMode::kSafe));
-  for (const double lambda : lambdas) (void)chain.solve(lambda);
-  EXPECT_EQ(chain.stats().kkt_violations, 0u);
+            stats.lambdas * uoi::solvers::detail::kMaxKktRounds);
 }
 
 TEST(Screening, LambdaMaxGivesEmptySolution) {
   const auto data = sparse_problem(23);
   const double lambda = uoi::solvers::lambda_max(data.x, data.y);
-  for (const ScreenMode mode :
-       {ScreenMode::kOff, ScreenMode::kSafe, ScreenMode::kStrong}) {
-    ScreenedLassoChain chain(data.x, data.y, tight_admm(), screen_with(mode));
-    const auto fit = chain.solve(lambda * 1.0000001);
-    for (const double v : fit.beta) EXPECT_EQ(v, 0.0);
-  }
+  ScreenedLassoChain chain(data.x, data.y, tight_admm());
+  const auto fit = chain.solve(lambda * 1.0000001);
+  for (const double v : fit.beta) EXPECT_EQ(v, 0.0);
 }
 
-TEST(ScreeningDistributed, ModesAreByteIdenticalAndShrinkPayload) {
-  const auto data = sparse_problem(29, 96, 64);
-  const auto lambdas = descending_grid(data.x, data.y, 6, 0.05);
-  const AdmmOptions admm = tight_admm();
-
-  std::vector<std::vector<Vector>> betas;
-  std::vector<std::uint64_t> bytes;
-  for (const ScreenMode mode :
-       {ScreenMode::kOff, ScreenMode::kStrong, ScreenMode::kSafe}) {
-    std::vector<Vector> path;
-    std::uint64_t mode_bytes = 0;
-    uoi::sim::Cluster::run(4, [&](uoi::sim::Comm& comm) {
-      const std::size_t n = data.x.rows();
-      const std::size_t begin = n * comm.rank() / comm.size();
-      const std::size_t end = n * (comm.rank() + 1) / comm.size();
-      const auto local_x = data.x.row_block(begin, end - begin);
-      const std::span<const double> local_y =
-          std::span<const double>(data.y).subspan(begin, end - begin);
-      Vector sums = uoi::solvers::screen_sums(local_x, local_y);
-      comm.allreduce(std::span<double>(sums), uoi::sim::ReduceOp::kSum);
-      const auto shared = uoi::solvers::screen_inputs_from_sums(sums);
-      uoi::solvers::DistributedScreenedLassoChain chain(
-          comm, local_x, local_y, shared, admm, screen_with(mode));
-      for (const double lambda : lambdas) {
-        auto fit = chain.solve(lambda);
-        EXPECT_TRUE(fit.converged);
-        if (comm.rank() == 0) {
-          mode_bytes += fit.allreduce_bytes;
-          path.push_back(std::move(fit.beta));
-        }
-      }
-    });
-    betas.push_back(std::move(path));
-    bytes.push_back(mode_bytes);
-  }
-  for (std::size_t m = 1; m < betas.size(); ++m) {
-    ASSERT_EQ(betas[0].size(), betas[m].size());
-    for (std::size_t i = 0; i < betas[0].size(); ++i) {
-      for (std::size_t j = 0; j < betas[0][i].size(); ++j) {
-        EXPECT_EQ(betas[0][i][j], betas[m][i][j])
-            << "mode " << m << " lambda " << i << " coord " << j;
-      }
-    }
-  }
-  // Active-set consensus: screened payloads ((|W|+3) doubles per round,
-  // plus the KKT checks) must move fewer bytes than the full-p chain.
-  EXPECT_LT(bytes[1], bytes[0]);
+/// This rank's even share of the rows of (x, y) and the replicated
+/// screening inputs they sum to. Collective over `comm`.
+struct RowBlock {
+  ConstMatrixView x;
+  std::span<const double> y;
+  uoi::solvers::ScreenInputs shared;
+};
+RowBlock row_block(uoi::sim::Comm& comm, const Matrix& x,
+                   std::span<const double> y) {
+  const std::size_t n = x.rows();
+  const std::size_t begin = n * comm.rank() / comm.size();
+  const std::size_t end = n * (comm.rank() + 1) / comm.size();
+  RowBlock block{x.row_block(begin, end - begin),
+                 y.subspan(begin, end - begin),
+                 {}};
+  Vector sums = uoi::solvers::screen_sums(block.x, block.y);
+  comm.allreduce(std::span<double>(sums), uoi::sim::ReduceOp::kSum);
+  block.shared = uoi::solvers::screen_inputs_from_sums(sums);
+  return block;
 }
 
 TEST(ScreeningDistributed, SharedInputsMatchSerialQuantities) {
@@ -310,10 +181,10 @@ TEST(ScreeningDistributed, SharedInputsMatchSerialQuantities) {
     const auto shared = uoi::solvers::screen_inputs_from_sums(sums);
     Vector atb(data.x.cols(), 0.0);
     uoi::linalg::gemv_transposed(1.0, data.x, data.y, 0.0, atb);
+    ASSERT_EQ(shared.atb.size(), atb.size());
     for (std::size_t j = 0; j < atb.size(); ++j) {
       EXPECT_NEAR(shared.atb[j], atb[j], 1e-9);
     }
-    EXPECT_NEAR(shared.b_norm_sq, uoi::linalg::nrm2_squared(data.y), 1e-9);
     EXPECT_NEAR(shared.lambda_max,
                 uoi::solvers::lambda_max(data.x, data.y), 1e-9);
   });
@@ -340,14 +211,12 @@ std::vector<std::size_t> nonzeros(std::span<const double> beta) {
 
 TEST(ScreeningGram, SelectsTheSerialChainSupportsOnAdversarialDesign) {
   // The KktReAdmissionOnAdversarialCorrelatedDesign data: the Gram chain
-  // solves the same problems from (X'X, X'y, y'y) alone.
+  // solves the same problems from (X'X, X'y) alone.
   const auto data = sparse_problem(17, 100, 64, /*correlation=*/0.95);
   const auto lambdas = descending_grid(data.x, data.y, 4, 0.01);
   const auto problem = gram_of(data.x, data.y);
-  ScreenedLassoChain serial(data.x, data.y, tight_admm(),
-                            screen_with(ScreenMode::kStrong));
-  uoi::solvers::GramLassoChain gram(problem, tight_admm(),
-                                    screen_with(ScreenMode::kStrong));
+  ScreenedLassoChain serial(data.x, data.y, tight_admm());
+  uoi::solvers::GramLassoChain gram(problem, tight_admm());
   for (const double lambda : lambdas) {
     const auto expected = serial.solve(lambda);
     const auto fit = gram.solve(lambda);
@@ -359,7 +228,7 @@ TEST(ScreeningGram, SelectsTheSerialChainSupportsOnAdversarialDesign) {
 
 TEST(ScreeningGram, SingularGramSolvesInEveryModeWithIdenticalBytes) {
   // 20 rows, half of them duplicates, against 48 columns: X'X has rank
-  // 10. The chain never factors G itself, only G_WW + rho I.
+  // 10. Coordinate descent never factors G.
   const auto base = sparse_problem(37, 10, 48);
   Matrix x(20, 48);
   Vector y(20);
@@ -370,30 +239,18 @@ TEST(ScreeningGram, SingularGramSolvesInEveryModeWithIdenticalBytes) {
   }
   const auto problem = gram_of(x, y);
   const auto lambdas = descending_grid(x, y, 5, 0.05);
-  std::vector<std::vector<Vector>> paths;
-  for (const ScreenMode mode : kPinModes) {
-    uoi::solvers::GramLassoChain chain(problem, tight_admm(),
-                                      screen_with(mode));
-    std::vector<Vector> path;
-    for (const double lambda : lambdas) {
-      auto fit = chain.solve(lambda);
-      for (const double v : fit.beta) ASSERT_TRUE(std::isfinite(v));
-      expect_kkt(x, y, fit.beta, lambda, 1e-5);
-      path.push_back(std::move(fit.beta));
-    }
-    paths.push_back(std::move(path));
-  }
-  for (std::size_t m = 1; m < paths.size(); ++m) {
-    for (std::size_t i = 0; i < lambdas.size(); ++i) {
-      EXPECT_EQ(paths[m][i], paths[0][i]) << "mode " << m << " lambda " << i;
-    }
+  uoi::solvers::GramLassoChain chain(problem, tight_admm());
+  for (const double lambda : lambdas) {
+    const auto fit = chain.solve(lambda);
+    for (const double v : fit.beta) ASSERT_TRUE(std::isfinite(v));
+    expect_kkt(x, y, fit.beta, lambda, 1e-5);
   }
 }
 
 TEST(ScreeningGram, ManyRightHandSidesStackTheOneColumnSums) {
-  // [A'A | A'B | per-column B'B] for m columns holds, byte for byte, the
-  // one-column sums of each column of B (here strided views), and unpacks
-  // into m problems over one shared Gram.
+  // [A'A | A'B] for m columns holds, byte for byte, the one-column sums of
+  // each column of B (here strided views), and unpacks into m problems
+  // over one shared Gram.
   uoi::support::Xoshiro256 rng(12);
   constexpr std::size_t n = 37, p = 5, m = 3;
   Matrix a(n, p);
@@ -403,7 +260,7 @@ TEST(ScreeningGram, ManyRightHandSidesStackTheOneColumnSums) {
     for (std::size_t j = 0; j < m; ++j) b(r, j) = rng.normal();
   }
   const Vector sums = uoi::solvers::gram_sums(a, b);
-  ASSERT_EQ(sums.size(), p * p + m * p + m);
+  ASSERT_EQ(sums.size(), p * p + m * p);
   const auto problems = uoi::solvers::gram_problems_from_sums(sums, p, m);
   ASSERT_EQ(problems.size(), m);
   const auto same_bytes = [](std::span<const double> x,
@@ -419,15 +276,9 @@ TEST(ScreeningGram, ManyRightHandSidesStackTheOneColumnSums) {
     EXPECT_TRUE(same_bytes(all.first(p * p), single.first(p * p)));
     EXPECT_TRUE(same_bytes(all.subspan(p * p + j * p, p),
                            single.subspan(p * p, p)));
-    EXPECT_TRUE(same_bytes(all.subspan(p * p + m * p + j, 1),
-                           single.subspan(p * p + p, 1)));
     const auto& in = problems[j].inputs;
     EXPECT_EQ(problems[j].gram, problems[0].gram);
     EXPECT_TRUE(same_bytes(in.atb, single.subspan(p * p, p)));
-    EXPECT_EQ(in.b_norm_sq, one[p * p + p]);
-    for (std::size_t c = 0; c < p; ++c) {
-      EXPECT_EQ(in.col_sq_norms[c], problems[j].gram->gram()(c, c));
-    }
   }
 }
 
@@ -535,9 +386,9 @@ TEST(GramEstimation, DistributedFitSplitsADuplicatedSupportColumn) {
 }
 
 // ---- Chain pins ---------------------------------------------------------
-// Each lambda's beta bytes and every counter of the four screened chains
-// (serial and distributed lasso, serial and distributed VAR) in off, safe
-// and strong mode. They pin each chain's arithmetic and its collective
+// Each lambda's beta bytes and every counter of the screened and Gram
+// chains (serial and distributed lasso, serial and distributed VAR). They
+// pin each chain's arithmetic and its collective
 // schedule: reordering a solve, a KKT residual or the strong-rule refresh
 // moves a hash, and an extra or missing allreduce moves a count.
 
@@ -581,7 +432,7 @@ std::vector<std::pair<double, double>> pin_steps(
   return steps;
 }
 
-/// The serial lasso chain's bytes on the pinned steps, in every mode.
+/// The serial lasso chain's bytes on the pinned steps.
 const std::vector<std::uint64_t> kSerialChainBeta = {
     2413988172825303939ULL,  1013529790676325950ULL,
     2041249195639602175ULL,  15500714731462642449ULL,
@@ -592,51 +443,33 @@ const std::vector<std::uint64_t> kSerialChainBeta = {
 TEST(ScreenedChainPins, SerialLassoChain) {
   const auto data = pin_problem();
   const auto steps = pin_steps(data);
-  // Every mode lands on the same bytes.
-  const std::vector<std::uint64_t>& expected_beta = kSerialChainBeta;
-  const std::string expected[] = {
-      "lambdas=10 survivors=640 kkt_violations=0 kkt_rounds=0 "
-      "gram_cols_saved=0 canonical_solves=10 total_columns=640 "
-      "iterations=11024 rho_updates=59 flops=89748724",
-      "lambdas=10 survivors=577 kkt_violations=0 kkt_rounds=0 "
-      "gram_cols_saved=63 canonical_solves=10 total_columns=640 "
-      "iterations=10979 rho_updates=54 flops=92031020",
-      "lambdas=10 survivors=569 kkt_violations=1 kkt_rounds=1 "
-      "gram_cols_saved=71 canonical_solves=10 total_columns=640 "
-      "iterations=11895 rho_updates=56 flops=96919284",
-  };
-  uoi::solvers::ScreenStats strong;
-  for (std::size_t m = 0; m < std::size(kPinModes); ++m) {
-    ScreenedLassoChain chain(data.x, data.y, tight_admm(),
-                             screen_with(kPinModes[m]));
-    std::vector<std::uint64_t> hashes;
-    uoi::solvers::AdmmResult totals;
-    for (const auto& [l1, l2] : steps) {
-      const auto fit = chain.solve(l1, l2);
-      hashes.push_back(beta_bytes_hash(fit.beta));
-      totals.iterations += fit.iterations;
-      totals.rho_updates += fit.rho_updates;
-      totals.flops += fit.flops;
-    }
-    const char* name = uoi::solvers::screen_mode_name(kPinModes[m]);
-    EXPECT_EQ(hashes, expected_beta) << name;
-    std::ostringstream pin;
-    pin << stats_pin(chain.stats()) << " iterations=" << totals.iterations
-        << " rho_updates=" << totals.rho_updates
-        << " flops=" << totals.flops;
-    EXPECT_EQ(pin.str(), expected[m]) << name;
-    if (kPinModes[m] == ScreenMode::kStrong) strong = chain.stats();
+  ScreenedLassoChain chain(data.x, data.y, tight_admm());
+  std::vector<std::uint64_t> hashes;
+  uoi::solvers::AdmmResult totals;
+  for (const auto& [l1, l2] : steps) {
+    const auto fit = chain.solve(l1, l2);
+    hashes.push_back(beta_bytes_hash(fit.beta));
+    totals.iterations += fit.iterations;
+    totals.rho_updates += fit.rho_updates;
+    totals.flops += fit.flops;
   }
+  EXPECT_EQ(hashes, kSerialChainBeta);
+  std::ostringstream pin;
+  pin << stats_pin(chain.stats()) << " iterations=" << totals.iterations
+      << " rho_updates=" << totals.rho_updates << " flops=" << totals.flops;
+  EXPECT_EQ(pin.str(),
+            "lambdas=10 survivors=569 kkt_violations=1 kkt_rounds=1 "
+            "gram_cols_saved=71 canonical_solves=10 total_columns=640 "
+            "iterations=11895 rho_updates=56 flops=96919284");
   // The design exercises both the KKT re-admission loop and the polish.
-  EXPECT_GT(strong.kkt_rounds, 0u);
-  EXPECT_GT(strong.canonical_solves, 0u);
+  EXPECT_GT(chain.stats().kkt_rounds, 0u);
+  EXPECT_GT(chain.stats().canonical_solves, 0u);
 }
 
 TEST(ScreenedChainPins, GramLassoChain) {
   // The pin problem compressed to its Gram in one pass and solved by
-  // coordinate descent. ScreenMode does not apply to a Gram chain, so
-  // every mode runs the same sweeps to the same bytes. Each step selects
-  // the serial chain's support, with betas within 1.3e-10 of its own.
+  // coordinate descent. Each step selects the serial chain's support,
+  // with betas within 1.3e-10 of its own.
   const auto data = pin_problem();
   const auto steps = pin_steps(data);
   const auto problem = gram_of(data.x, data.y);
@@ -650,32 +483,26 @@ TEST(ScreenedChainPins, GramLassoChain) {
       "lambdas=10 survivors=273 kkt_violations=0 kkt_rounds=0 "
       "gram_cols_saved=0 canonical_solves=0 total_columns=640 "
       "iterations=2828 rho_updates=0 flops=3393240";
-  for (const ScreenMode mode : kPinModes) {
-    ScreenedLassoChain serial(data.x, data.y, tight_admm(),
-                              screen_with(mode));
-    uoi::solvers::GramLassoChain chain(problem, tight_admm(),
-                                       screen_with(mode));
-    std::vector<std::uint64_t> hashes;
-    uoi::solvers::AdmmResult totals;
-    for (const auto& [l1, l2] : steps) {
-      const auto fit = chain.solve(l1, l2);
-      const auto reference = serial.solve(l1, l2);
-      EXPECT_EQ(nonzeros(fit.beta), nonzeros(reference.beta)) << l1;
-      EXPECT_LE(uoi::linalg::max_abs_diff(fit.beta, reference.beta), 1.3e-10)
-          << l1;
-      hashes.push_back(beta_bytes_hash(fit.beta));
-      totals.iterations += fit.iterations;
-      totals.rho_updates += fit.rho_updates;
-      totals.flops += fit.flops;
-    }
-    const char* name = uoi::solvers::screen_mode_name(mode);
-    EXPECT_EQ(hashes, expected_beta) << name;
-    std::ostringstream pin;
-    pin << stats_pin(chain.stats()) << " iterations=" << totals.iterations
-        << " rho_updates=" << totals.rho_updates
-        << " flops=" << totals.flops;
-    EXPECT_EQ(pin.str(), expected) << name;
+  ScreenedLassoChain serial(data.x, data.y, tight_admm());
+  uoi::solvers::GramLassoChain chain(problem, tight_admm());
+  std::vector<std::uint64_t> hashes;
+  uoi::solvers::AdmmResult totals;
+  for (const auto& [l1, l2] : steps) {
+    const auto fit = chain.solve(l1, l2);
+    const auto reference = serial.solve(l1, l2);
+    EXPECT_EQ(nonzeros(fit.beta), nonzeros(reference.beta)) << l1;
+    EXPECT_LE(uoi::linalg::max_abs_diff(fit.beta, reference.beta), 1.3e-10)
+        << l1;
+    hashes.push_back(beta_bytes_hash(fit.beta));
+    totals.iterations += fit.iterations;
+    totals.rho_updates += fit.rho_updates;
+    totals.flops += fit.flops;
   }
+  EXPECT_EQ(hashes, expected_beta);
+  std::ostringstream pin;
+  pin << stats_pin(chain.stats()) << " iterations=" << totals.iterations
+      << " rho_updates=" << totals.rho_updates << " flops=" << totals.flops;
+  EXPECT_EQ(pin.str(), expected);
 }
 
 // ---- Coordinate-descent Gram chain --------------------------------------
@@ -867,107 +694,68 @@ TEST(GramCd, SweepBudgetBoundsTheFit) {
   EXPECT_THROW((void)strict.solve(lambda), uoi::support::ConvergenceError);
 }
 
-struct DistributedLassoPins {
-  std::vector<std::uint64_t> beta;
-  std::string counters[3];  ///< off, safe, strong
-};
-
 /// Runs the pinned steps through the distributed chain on `ranks` even
 /// row blocks and checks rank 0's betas and the chain's summed counters.
-void expect_distributed_lasso_pins(int ranks,
-                                   const DistributedLassoPins& want) {
+void expect_distributed_lasso_pins(
+    int ranks, const std::vector<std::uint64_t>& expected_beta,
+    const std::string& expected_counters) {
   const auto data = pin_problem();
   const auto steps = pin_steps(data);
-  AdmmOptions admm;
-  for (std::size_t m = 0; m < std::size(kPinModes); ++m) {
-    std::vector<std::uint64_t> hashes;
-    std::string pin;
-    uoi::sim::Cluster::run(ranks, [&](uoi::sim::Comm& comm) {
-      const std::size_t n = data.x.rows();
-      const std::size_t begin = n * comm.rank() / comm.size();
-      const std::size_t end = n * (comm.rank() + 1) / comm.size();
-      const auto local_x = data.x.row_block(begin, end - begin);
-      const std::span<const double> local_y =
-          std::span<const double>(data.y).subspan(begin, end - begin);
-      Vector sums = uoi::solvers::screen_sums(local_x, local_y);
-      comm.allreduce(std::span<double>(sums), uoi::sim::ReduceOp::kSum);
-      const auto shared = uoi::solvers::screen_inputs_from_sums(sums);
-      uoi::solvers::DistributedScreenedLassoChain chain(
-          comm, local_x, local_y, shared, admm, screen_with(kPinModes[m]));
-      uoi::solvers::DistributedAdmmResult totals;
-      for (const auto& [l1, l2] : steps) {
-        const auto fit = chain.solve(l1, l2);
-        if (comm.rank() == 0) hashes.push_back(beta_bytes_hash(fit.beta));
-        totals.iterations += fit.iterations;
-        totals.rho_updates += fit.rho_updates;
-        totals.local_flops += fit.local_flops;
-        totals.allreduce_calls += fit.allreduce_calls;
-        totals.allreduce_bytes += fit.allreduce_bytes;
-        totals.consensus_rounds += fit.consensus_rounds;
-      }
-      if (comm.rank() == 0) {
-        std::ostringstream out;
-        out << stats_pin(chain.stats()) << " iterations=" << totals.iterations
-            << " rho_updates=" << totals.rho_updates
-            << " local_flops=" << totals.local_flops
-            << " allreduce_calls=" << totals.allreduce_calls
-            << " allreduce_bytes=" << totals.allreduce_bytes
-            << " consensus_rounds=" << totals.consensus_rounds;
-        pin = out.str();
-      }
-    });
-    const char* name = uoi::solvers::screen_mode_name(kPinModes[m]);
-    EXPECT_EQ(hashes, want.beta) << ranks << " ranks, " << name;
-    EXPECT_EQ(pin, want.counters[m]) << ranks << " ranks, " << name;
-  }
+  std::vector<std::uint64_t> hashes;
+  std::string pin;
+  uoi::sim::Cluster::run(ranks, [&](uoi::sim::Comm& comm) {
+    const auto block = row_block(comm, data.x, data.y);
+    uoi::solvers::DistributedScreenedLassoChain chain(
+        comm, block.x, block.y, block.shared, AdmmOptions{});
+    uoi::solvers::DistributedAdmmResult totals;
+    for (const auto& [l1, l2] : steps) {
+      const auto fit = chain.solve(l1, l2);
+      if (comm.rank() == 0) hashes.push_back(beta_bytes_hash(fit.beta));
+      uoi::solvers::detail::add_fit_counters(totals, fit);
+    }
+    if (comm.rank() == 0) {
+      std::ostringstream out;
+      out << stats_pin(chain.stats()) << " iterations=" << totals.iterations
+          << " rho_updates=" << totals.rho_updates
+          << " local_flops=" << totals.local_flops
+          << " allreduce_calls=" << totals.allreduce_calls
+          << " allreduce_bytes=" << totals.allreduce_bytes
+          << " consensus_rounds=" << totals.consensus_rounds;
+      pin = out.str();
+    }
+  });
+  EXPECT_EQ(hashes, expected_beta) << ranks << " ranks";
+  EXPECT_EQ(pin, expected_counters) << ranks << " ranks";
 }
 
 TEST(ScreenedChainPins, DistributedLassoChainTwoRanks) {
   expect_distributed_lasso_pins(
-      2, {{2413988172825303939ULL, 15665684790226294474ULL,
-           12592686836362733912ULL, 8391169383722848999ULL,
-           15644726100966555283ULL, 6026269011408710835ULL,
-           14226100290348438682ULL, 10264835365086109086ULL,
-           12107253054395840681ULL, 1045459674426302577ULL},
-          {"lambdas=10 survivors=640 kkt_violations=0 kkt_rounds=0 "
-           "gram_cols_saved=0 canonical_solves=10 total_columns=640 "
-           "iterations=15958 rho_updates=68 local_flops=221247183 "
-           "allreduce_calls=16045 allreduce_bytes=6929072 "
-           "consensus_rounds=16045",
-           "lambdas=10 survivors=577 kkt_violations=0 kkt_rounds=0 "
-           "gram_cols_saved=63 canonical_solves=10 total_columns=640 "
-           "iterations=15915 rho_updates=64 local_flops=220296997 "
-           "allreduce_calls=16008 allreduce_bytes=6868176 "
-           "consensus_rounds=15998",
-           "lambdas=10 survivors=569 kkt_violations=1 kkt_rounds=1 "
-           "gram_cols_saved=71 canonical_solves=10 total_columns=640 "
-           "iterations=17390 rho_updates=67 local_flops=244036061 "
-           "allreduce_calls=17498 allreduce_bytes=7547752 "
-           "consensus_rounds=17477"}});
+      2,
+      {2413988172825303939ULL, 15665684790226294474ULL,
+       12592686836362733912ULL, 8391169383722848999ULL,
+       15644726100966555283ULL, 6026269011408710835ULL,
+       14226100290348438682ULL, 10264835365086109086ULL,
+       12107253054395840681ULL, 1045459674426302577ULL},
+      "lambdas=10 survivors=569 kkt_violations=1 kkt_rounds=1 "
+      "gram_cols_saved=71 canonical_solves=10 total_columns=640 "
+      "iterations=17390 rho_updates=67 local_flops=244036061 "
+      "allreduce_calls=17498 allreduce_bytes=7547752 "
+      "consensus_rounds=17477");
 }
 
 TEST(ScreenedChainPins, DistributedLassoChainThreeRanks) {
   expect_distributed_lasso_pins(
-      3, {{2413988172825303939ULL, 5698284983849093098ULL,
-           602507250586822448ULL, 13448333826630387709ULL,
-           13631308643731438086ULL, 12587858286031141260ULL,
-           8824756081617224600ULL, 12023614746826424718ULL,
-           14155601138926180706ULL, 4816780512953932062ULL},
-          {"lambdas=10 survivors=640 kkt_violations=0 kkt_rounds=0 "
-           "gram_cols_saved=0 canonical_solves=10 total_columns=640 "
-           "iterations=16521 rho_updates=62 local_flops=135992481 "
-           "allreduce_calls=16602 allreduce_bytes=7156248 "
-           "consensus_rounds=16602",
-           "lambdas=10 survivors=577 kkt_violations=0 kkt_rounds=0 "
-           "gram_cols_saved=63 canonical_solves=10 total_columns=640 "
-           "iterations=16478 rho_updates=57 local_flops=135321477 "
-           "allreduce_calls=16564 allreduce_bytes=7097840 "
-           "consensus_rounds=16554",
-           "lambdas=10 survivors=569 kkt_violations=1 kkt_rounds=1 "
-           "gram_cols_saved=71 canonical_solves=10 total_columns=640 "
-           "iterations=18505 rho_updates=59 local_flops=154513716 "
-           "allreduce_calls=18605 allreduce_bytes=8038408 "
-           "consensus_rounds=18584"}});
+      3,
+      {2413988172825303939ULL, 5698284983849093098ULL,
+       602507250586822448ULL, 13448333826630387709ULL,
+       13631308643731438086ULL, 12587858286031141260ULL,
+       8824756081617224600ULL, 12023614746826424718ULL,
+       14155601138926180706ULL, 4816780512953932062ULL},
+      "lambdas=10 survivors=569 kkt_violations=1 kkt_rounds=1 "
+      "gram_cols_saved=71 canonical_solves=10 total_columns=640 "
+      "iterations=18505 rho_updates=59 local_flops=154513716 "
+      "allreduce_calls=18605 allreduce_bytes=8038408 "
+      "consensus_rounds=18584");
 }
 
 // The VAR chains are internal to UoiVar::fit and uoi_var_distributed, so
@@ -1002,33 +790,26 @@ TEST(ScreenedChainPins, SerialVarFit) {
   const Matrix series = pin_var_series();
   auto options = pin_var_options();
   const std::uint64_t expected_beta = 1495920722954990147ULL;
-  // Gram chains run the same sweeps in every mode.
-  const std::uint64_t expected_flops[] = {580316, 580316, 580316};
-  for (std::size_t m = 0; m < std::size(kPinModes); ++m) {
-    options.screen.mode = kPinModes[m];
-    const auto fit = uoi::var::UoiVar(options).fit(series);
-    const char* name = uoi::solvers::screen_mode_name(kPinModes[m]);
-    EXPECT_EQ(beta_bytes_hash(fit.vec_beta), expected_beta) << name;
-    EXPECT_EQ(fit.total_flops, expected_flops[m]) << name;
-  }
+  const auto fit = uoi::var::UoiVar(options).fit(series);
+  EXPECT_EQ(beta_bytes_hash(fit.vec_beta), expected_beta);
+  EXPECT_EQ(fit.total_flops, 580316u);
   // Fits no longer read the backend: the sparse one runs the same chains.
   options.backend = uoi::var::VarSolverBackend::kSparse;
-  options.screen.mode = ScreenMode::kOff;
   const auto sparse = uoi::var::UoiVar(options).fit(series);
   EXPECT_EQ(beta_bytes_hash(sparse.vec_beta), expected_beta);
   EXPECT_EQ(sparse.total_flops, 580316u);
 }
 
 /// Pins a four-rank distributed VAR fit on layout {2, 1} (two groups of
-/// C = 2) in every screening mode: the beta bytes, the FLOPs and the sums
-/// over the ranks of the exported screen.* and admm.* metrics. Asserts
-/// the path first, so a pin can never silently move to the other path.
+/// C = 2): the beta bytes, the FLOPs and the sums over the ranks of the
+/// exported screen.* and admm.* metrics. Asserts the path first, so a pin
+/// can never silently move to the other path.
 void expect_distributed_var_pins(const Matrix& series,
-                                 uoi::var::UoiVarOptions options,
+                                 const uoi::var::UoiVarOptions& options,
                                  uoi::sched::LinearPath path,
                                  std::uint64_t expected_beta,
-                                 const std::uint64_t (&expected_flops)[3],
-                                 const std::string (&expected_metrics)[3]) {
+                                 std::uint64_t expected_flops,
+                                 const std::string& expected_metrics) {
   const char* const metric_names[] = {
       "admm.iterations",         "admm.rho_updates",
       "admm.allreduce_calls",    "admm.allreduce_bytes",
@@ -1044,30 +825,26 @@ void expect_distributed_var_pins(const Matrix& series,
               path);
   });
   auto& metrics = uoi::support::MetricsRegistry::instance();
-  for (std::size_t m = 0; m < std::size(kPinModes); ++m) {
-    options.screen.mode = kPinModes[m];
-    metrics.clear();
-    std::uint64_t hash = 0;
-    std::uint64_t flops = 0;
-    uoi::sim::Cluster::run(kRanks, [&](uoi::sim::Comm& comm) {
-      const auto fit =
-          uoi::var::uoi_var_distributed(comm, series, options, kLayout, 2);
-      if (comm.rank() == 0) {
-        hash = beta_bytes_hash(fit.model.vec_beta);
-        flops = fit.model.total_flops;
-      }
-    });
-    std::ostringstream pin;
-    for (const char* metric : metric_names) {
-      double sum = 0.0;
-      for (int r = 0; r < kRanks; ++r) sum += metrics.value(r, metric);
-      pin << metric << "=" << static_cast<std::uint64_t>(sum) << " ";
+  metrics.clear();
+  std::uint64_t hash = 0;
+  std::uint64_t flops = 0;
+  uoi::sim::Cluster::run(kRanks, [&](uoi::sim::Comm& comm) {
+    const auto fit =
+        uoi::var::uoi_var_distributed(comm, series, options, kLayout, 2);
+    if (comm.rank() == 0) {
+      hash = beta_bytes_hash(fit.model.vec_beta);
+      flops = fit.model.total_flops;
     }
-    const char* name = uoi::solvers::screen_mode_name(kPinModes[m]);
-    EXPECT_EQ(hash, expected_beta) << name;
-    EXPECT_EQ(flops, expected_flops[m]) << name;
-    EXPECT_EQ(pin.str(), expected_metrics[m]) << name;
+  });
+  std::ostringstream pin;
+  for (const char* metric : metric_names) {
+    double sum = 0.0;
+    for (int r = 0; r < kRanks; ++r) sum += metrics.value(r, metric);
+    pin << metric << "=" << static_cast<std::uint64_t>(sum) << " ";
   }
+  EXPECT_EQ(hash, expected_beta);
+  EXPECT_EQ(flops, expected_flops);
+  EXPECT_EQ(pin.str(), expected_metrics);
 }
 
 /// pin_var_series() has 89 lag rows of 8 nodes: groups of two sum a Gram
@@ -1076,22 +853,12 @@ void expect_distributed_var_pins(const Matrix& series,
 TEST(ScreenedChainPins, DistributedVarFit) {
   expect_distributed_var_pins(
       pin_var_series(), pin_var_options(), uoi::sched::LinearPath::kGram,
-      1495920722954990147ULL, {580316, 580316, 580316},
-      {"admm.iterations=4588 admm.rho_updates=0 admm.allreduce_calls=6 "
-       "admm.allreduce_bytes=6528 admm.consensus_rounds=0 "
-       "screen.lambdas=192 screen.survivors=822 "
-       "screen.kkt_violations=0 screen.kkt_rounds=0 screen.gram_cols_saved=0 "
-       "screen.canonical_solves=0 screen.total_columns=1536 ",
-       "admm.iterations=4588 admm.rho_updates=0 admm.allreduce_calls=6 "
-       "admm.allreduce_bytes=6528 admm.consensus_rounds=0 "
-       "screen.lambdas=192 screen.survivors=822 "
-       "screen.kkt_violations=0 screen.kkt_rounds=0 screen.gram_cols_saved=0 "
-       "screen.canonical_solves=0 screen.total_columns=1536 ",
-       "admm.iterations=4588 admm.rho_updates=0 admm.allreduce_calls=6 "
-       "admm.allreduce_bytes=6528 admm.consensus_rounds=0 "
-       "screen.lambdas=192 screen.survivors=822 "
-       "screen.kkt_violations=0 screen.kkt_rounds=0 screen.gram_cols_saved=0 "
-       "screen.canonical_solves=0 screen.total_columns=1536 "});
+      1495920722954990147ULL, 580316,
+      "admm.iterations=4588 admm.rho_updates=0 admm.allreduce_calls=6 "
+      "admm.allreduce_bytes=6528 admm.consensus_rounds=0 "
+      "screen.lambdas=192 screen.survivors=822 "
+      "screen.kkt_violations=0 screen.kkt_rounds=0 screen.gram_cols_saved=0 "
+      "screen.canonical_solves=0 screen.total_columns=1536 ");
 }
 
 /// 7 lag rows of 6 nodes at order 4: d = 4 exceeds a rank's 3 rows, so
@@ -1100,7 +867,7 @@ TEST(ScreenedChainPins, DistributedVarFit) {
 /// change that added the Gram path, where every group wider than one rank
 /// ran Kron+vec, so any later move of the Kron+vec path's arithmetic or
 /// collectives shows here.
-TEST(ScreenedChainPins, DistributedVarKronFit) {
+Matrix pin_var_kron_series() {
   uoi::data::VarSpec spec;
   spec.n_nodes = 6;
   spec.order = 4;
@@ -1108,44 +875,172 @@ TEST(ScreenedChainPins, DistributedVarKronFit) {
   uoi::var::SimulateOptions sim;
   sim.n_samples = 11;
   sim.seed = 76;
-  const Matrix series =
-      uoi::var::simulate(uoi::data::make_sparse_var(spec), sim);
+  return uoi::var::simulate(uoi::data::make_sparse_var(spec), sim);
+}
+
+TEST(ScreenedChainPins, DistributedVarKronFit) {
+  const Matrix series = pin_var_kron_series();
   auto options = pin_var_options();
   options.order = 4;
   expect_distributed_var_pins(series, options,
                               uoi::sched::LinearPath::kConsensus,
-                              15939194839043441018ULL,
-                              {80178431, 78070354, 83804445},
-                              {"admm.iterations=38062 admm.rho_updates=230 "
-                               "admm.allreduce_calls=38384 "
-                               "admm.allreduce_bytes=41449696 "
-                               "admm.consensus_rounds=38384 "
-                               "screen.lambdas=48 "
-                               "screen.survivors=6912 "
-                               "screen.kkt_violations=0 screen.kkt_rounds=0 "
-                               "screen.gram_cols_saved=0 "
-                               "screen.canonical_solves=48 "
-                               "screen.total_columns=6912 ",
-                               "admm.iterations=37412 admm.rho_updates=206 "
-                               "admm.allreduce_calls=37754 "
-                               "admm.allreduce_bytes=40309168 "
-                               "admm.consensus_rounds=37706 "
-                               "screen.lambdas=48 "
-                               "screen.survivors=5938 "
-                               "screen.kkt_violations=0 screen.kkt_rounds=0 "
-                               "screen.gram_cols_saved=974 "
-                               "screen.canonical_solves=44 "
-                               "screen.total_columns=6912 ",
-                               "admm.iterations=41032 admm.rho_updates=200 "
-                               "admm.allreduce_calls=41412 "
-                               "admm.allreduce_bytes=43068928 "
-                               "admm.consensus_rounds=41320 "
-                               "screen.lambdas=48 "
-                               "screen.survivors=5768 "
-                               "screen.kkt_violations=0 screen.kkt_rounds=0 "
-                               "screen.gram_cols_saved=1144 "
-                               "screen.canonical_solves=44 "
-                               "screen.total_columns=6912 "});
+                              15939194839043441018ULL, 83804445,
+                              "admm.iterations=41032 admm.rho_updates=200 "
+                              "admm.allreduce_calls=41412 "
+                              "admm.allreduce_bytes=43068928 "
+                              "admm.consensus_rounds=41320 "
+                              "screen.lambdas=48 "
+                              "screen.survivors=5768 "
+                              "screen.kkt_violations=0 screen.kkt_rounds=0 "
+                              "screen.gram_cols_saved=1144 "
+                              "screen.canonical_solves=44 "
+                              "screen.total_columns=6912 ");
+}
+
+// ---- Unscreened references ----------------------------------------------
+// Each screened chain walks the pinned steps beside an unscreened solver
+// over every column, warm-started from the solver's own previous step
+// (from zero where lambda1 rises, as the chain restarts) under the chain's
+// refined options. The two reach the same minimizers by different
+// iterations, so every step must select the same support at the fits'
+// support tolerance, with betas within kReferenceBound of each other. Each
+// test prints the largest gap it measured.
+
+constexpr double kReferenceBound = 1e-6;
+
+/// Checks one step of a chain against its reference; returns max |dbeta|.
+double expect_matches_reference(std::span<const double> chain,
+                                std::span<const double> reference,
+                                double lambda1) {
+  const double tolerance = uoi::core::UoiLassoOptions{}.support_tolerance;
+  const auto support = [&](std::span<const double> beta) {
+    std::vector<std::size_t> out;
+    for (std::size_t j = 0; j < beta.size(); ++j) {
+      if (std::abs(beta[j]) > tolerance) out.push_back(j);
+    }
+    return out;
+  };
+  EXPECT_EQ(support(chain), support(reference)) << "lambda1 " << lambda1;
+  const double gap = uoi::linalg::max_abs_diff(chain, reference);
+  EXPECT_LE(gap, kReferenceBound) << "lambda1 " << lambda1;
+  return gap;
+}
+
+/// The reference's warm start for the next step: its previous beta while
+/// lambda1 descends, zero where lambda1 rises.
+struct ReferenceWarmStart {
+  explicit ReferenceWarmStart(std::size_t p) : beta(p, 0.0) {}
+  template <class Fit>
+  Fit at(double lambda1) {
+    if (lambda1 > lambda_prev) std::fill(beta.begin(), beta.end(), 0.0);
+    lambda_prev = lambda1;
+    Fit warm;
+    warm.beta = beta;
+    return warm;
+  }
+  Vector beta;
+  double lambda_prev = std::numeric_limits<double>::infinity();
+};
+
+void report_gap(const char* backend, double gap) {
+  std::printf("[ reference ] %s: max |dbeta| = %.3g\n", backend, gap);
+  testing::Test::RecordProperty("max_abs_dbeta", std::to_string(gap));
+}
+
+TEST(ScreenedChainReference, SerialLassoBackend) {
+  // The pinned steps include two elastic-net steps (lambda2 > 0).
+  const auto data = pin_problem();
+  const AdmmOptions admm = tight_admm();
+  ScreenedLassoChain chain(data.x, data.y, admm);
+  const uoi::solvers::LassoAdmmSolver reference(
+      data.x, data.y, uoi::solvers::detail::refined_admm_options(admm));
+  ReferenceWarmStart warm(data.x.cols());
+  double worst = 0.0;
+  for (const auto& [l1, l2] : pin_steps(data)) {
+    const auto fit = chain.solve(l1, l2);
+    const auto start = warm.at<uoi::solvers::AdmmResult>(l1);
+    const auto want = reference.solve_elastic_net(l1, l2, &start);
+    ASSERT_TRUE(want.converged) << l1;
+    worst = std::max(worst, expect_matches_reference(fit.beta, want.beta, l1));
+    warm.beta = want.beta;
+  }
+  report_gap("serial lasso", worst);
+}
+
+TEST(ScreenedChainReference, DistributedLassoBackend) {
+  // Four thread ranks. The strong chain's reduced consensus payloads
+  // ((|W|+3) doubles per round, plus the p-length KKT checks) are also
+  // smaller on average than the full-p solver's (p+3).
+  const auto data = pin_problem();
+  const AdmmOptions admm = tight_admm();
+  double worst = 0.0;
+  uoi::solvers::DistributedAdmmResult chain_total;
+  uoi::solvers::DistributedAdmmResult reference_total;
+  uoi::sim::Cluster::run(4, [&](uoi::sim::Comm& comm) {
+    const auto block = row_block(comm, data.x, data.y);
+    uoi::solvers::DistributedScreenedLassoChain chain(
+        comm, block.x, block.y, block.shared, admm);
+    const uoi::solvers::DistributedLassoAdmmSolver reference(
+        comm, block.x, block.y,
+        uoi::solvers::detail::refined_admm_options(admm));
+    ReferenceWarmStart warm(data.x.cols());
+    for (const auto& [l1, l2] : pin_steps(data)) {
+      const auto fit = chain.solve(l1, l2);
+      const auto start = warm.at<uoi::solvers::DistributedAdmmResult>(l1);
+      const auto want = reference.solve_elastic_net(l1, l2, &start);
+      warm.beta = want.beta;
+      if (comm.rank() != 0) continue;
+      EXPECT_TRUE(want.converged) << l1;
+      worst =
+          std::max(worst, expect_matches_reference(fit.beta, want.beta, l1));
+      uoi::solvers::detail::add_fit_counters(chain_total, fit);
+      uoi::solvers::detail::add_fit_counters(reference_total, want);
+    }
+  });
+  const auto mean_payload = [](const auto& fit) {
+    return static_cast<double>(fit.allreduce_bytes) /
+           static_cast<double>(fit.allreduce_calls);
+  };
+  EXPECT_LT(mean_payload(chain_total), mean_payload(reference_total));
+  std::printf("[ reference ] allreduce bytes: chain %llu in %llu calls, "
+              "reference %llu in %llu calls\n",
+              static_cast<unsigned long long>(chain_total.allreduce_bytes),
+              static_cast<unsigned long long>(chain_total.allreduce_calls),
+              static_cast<unsigned long long>(reference_total.allreduce_bytes),
+              static_cast<unsigned long long>(reference_total.allreduce_calls));
+  report_gap("distributed lasso, 4 ranks", worst);
+}
+
+TEST(ScreenedChainReference, DistributedVarBackend) {
+  // The DistributedVarKronFit series (6 nodes, order 4, 7 lag rows) on
+  // one group of two ranks, both readers, down an 8-point grid.
+  const Matrix series = pin_var_kron_series();
+  const auto lag = uoi::var::build_lag_regression(series, 4);
+  const AdmmOptions admm = tight_admm();
+  double worst = 0.0;
+  uoi::sim::Cluster::run(2, [&](uoi::sim::Comm& comm) {
+    const auto block = uoi::var::distributed_kron_vectorize(comm, lag, 2);
+    Vector sums = uoi::var::detail::var_screen_sums(block);
+    comm.allreduce(std::span<double>(sums), uoi::sim::ReduceOp::kSum);
+    const auto shared = uoi::solvers::screen_inputs_from_sums(sums);
+    uoi::solvers::detail::ScreenedChain<uoi::var::detail::DistributedVarBackend>
+        chain(admm, comm, block, shared);
+    const uoi::var::DistributedVarAdmmSolver reference(
+        comm, block, uoi::solvers::detail::refined_admm_options(admm));
+    ReferenceWarmStart warm(block.n_coefficients());
+    for (const double lambda :
+         uoi::solvers::log_spaced_lambdas(shared.lambda_max, 1e-2, 8)) {
+      const auto fit = chain.solve(lambda);
+      const auto start = warm.at<uoi::solvers::DistributedAdmmResult>(lambda);
+      const auto want = reference.solve(lambda, &start);
+      warm.beta = want.beta;
+      if (comm.rank() != 0) continue;
+      EXPECT_TRUE(want.converged) << lambda;
+      worst =
+          std::max(worst, expect_matches_reference(fit.beta, want.beta, lambda));
+    }
+  });
+  report_gap("distributed VAR, 2 ranks", worst);
 }
 
 }  // namespace

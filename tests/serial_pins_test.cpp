@@ -36,7 +36,6 @@ namespace {
 
 using uoi::core::SupportSet;
 using uoi::linalg::Matrix;
-using uoi::solvers::ScreenMode;
 
 /// FNV-1a over raw bytes, continuing from `h`.
 std::uint64_t fnv(const void* data, std::size_t bytes,
@@ -76,8 +75,6 @@ std::string pin(std::span<const double> beta, double intercept,
   out << " loss=" << hash_doubles(best_loss) << " flops=" << flops;
   return out.str();
 }
-
-constexpr ScreenMode kModes[] = {ScreenMode::kOff, ScreenMode::kStrong};
 
 /// Fewer rows than features: the path rule keeps every fit of it, serial
 /// or distributed, on the consensus side.
@@ -124,46 +121,25 @@ std::string lasso_pin(const uoi::core::UoiLassoOptions& options) {
 }
 
 TEST(SerialUoiPins, LassoWithIntercept) {
-  const std::string expected[] = {
-      "beta=13087802966495352614 "
-      "supports=;3,4,5,12;3,5,12,13;3,5,12,13;1,2,3,5,8,9,12,13;"
-      "0,1,2,3,4,5,6,7,8,9,10,12,13 chosen=2,4,5 "
-      "loss=13849077573193691763 flops=381769",
-      "beta=13087802966495352614 "
-      "supports=;3,4,5,12;3,5,12,13;3,5,12,13;1,2,3,5,8,9,12,13;"
-      "0,1,2,3,4,5,6,7,8,9,10,12,13 chosen=2,4,5 "
-      "loss=13849077573193691763 flops=381769",
-  };
   auto options = lasso_options();
   options.fit_intercept = true;
-  for (std::size_t m = 0; m < std::size(kModes); ++m) {
-    options.screen.mode = kModes[m];
-    EXPECT_EQ(lasso_pin(options), expected[m])
-        << uoi::solvers::screen_mode_name(kModes[m]);
-  }
+  EXPECT_EQ(lasso_pin(options),
+            "beta=13087802966495352614 "
+            "supports=;3,4,5,12;3,5,12,13;3,5,12,13;1,2,3,5,8,9,12,13;"
+            "0,1,2,3,4,5,6,7,8,9,10,12,13 chosen=2,4,5 "
+            "loss=13849077573193691763 flops=381769");
 }
 
 TEST(SerialUoiPins, LassoMedianAggregation) {
-  const std::string expected[] = {
-      "beta=8613621432291012940 "
-      "supports=;3,4,5,12;2,3,5,8,11,12,13;2,3,5,6,7,9,10,11,12,13;"
-      "0,1,2,3,4,5,6,7,8,9,10,11,12,13;"
-      "0,1,2,3,4,5,6,7,8,9,10,11,12,13 chosen=2,3,2 "
-      "loss=9504051129375383828 flops=494362",
-      "beta=8613621432291012940 "
-      "supports=;3,4,5,12;2,3,5,8,11,12,13;2,3,5,6,7,9,10,11,12,13;"
-      "0,1,2,3,4,5,6,7,8,9,10,11,12,13;"
-      "0,1,2,3,4,5,6,7,8,9,10,11,12,13 chosen=2,3,2 "
-      "loss=9504051129375383828 flops=494362",
-  };
   auto options = lasso_options();
   options.aggregation = uoi::core::EstimationAggregation::kMedian;
   options.intersection_fraction = 0.75;
-  for (std::size_t m = 0; m < std::size(kModes); ++m) {
-    options.screen.mode = kModes[m];
-    EXPECT_EQ(lasso_pin(options), expected[m])
-        << uoi::solvers::screen_mode_name(kModes[m]);
-  }
+  EXPECT_EQ(lasso_pin(options),
+            "beta=8613621432291012940 "
+            "supports=;3,4,5,12;2,3,5,8,11,12,13;2,3,5,6,7,9,10,11,12,13;"
+            "0,1,2,3,4,5,6,7,8,9,10,11,12,13;"
+            "0,1,2,3,4,5,6,7,8,9,10,11,12,13 chosen=2,3,2 "
+            "loss=9504051129375383828 flops=494362");
 }
 
 uoi::core::UoiElasticNetOptions elastic_net_options() {
@@ -184,31 +160,18 @@ TEST(SerialUoiPins, ElasticNet) {
   // first lambda1 (0.05 lambda_max) lies below the first ratio's last
   // (0.1 lambda_max), so lambda1 does not ascend at that boundary. The
   // 0.05 -> 0.5 boundary ascends.
-  const std::string expected[] = {
-      "beta=3367912078929230232 "
-      "supports=;5;5;3,5,12,13;3,5,12,13;3,4,5,6,7,8,9,10,12,13;"
-      "3,4,5,6,7,8,10,12,13;1,2,3,4,5,6,7,8,9,10,11,12,13;"
-      "2,3,4,5,6,7,8,9,10,11,12,13;0,2,3,4,5,6,7,8,9,10,11,12,13;4,5;"
-      "3,4,5,8;3,4,5,8,12,13;3,4,5,7,8,12,13;2,3,4,5,7,9,12,13 "
-      "chosen=3,3,3 loss=8407931445265741531 flops=0",
-      "beta=3367912078929230232 "
-      "supports=;5;5;3,5,12,13;3,5,12,13;3,4,5,6,7,8,9,10,12,13;"
-      "3,4,5,6,7,8,10,12,13;1,2,3,4,5,6,7,8,9,10,11,12,13;"
-      "2,3,4,5,6,7,8,9,10,11,12,13;0,2,3,4,5,6,7,8,9,10,11,12,13;4,5;"
-      "3,4,5,8;3,4,5,8,12,13;3,4,5,7,8,12,13;2,3,4,5,7,9,12,13 "
-      "chosen=3,3,3 loss=8407931445265741531 flops=0",
-  };
   const auto data = regression_data();
-  auto options = elastic_net_options();
-  for (std::size_t m = 0; m < std::size(kModes); ++m) {
-    options.screen.mode = kModes[m];
-    const auto fit = uoi::core::UoiElasticNet(options).fit(data.x, data.y);
-    EXPECT_EQ(pin(fit.beta, 0.0, fit.candidate_supports,
-                  fit.chosen_support_per_bootstrap,
-                  fit.best_loss_per_bootstrap, 0),
-              expected[m])
-        << uoi::solvers::screen_mode_name(kModes[m]);
-  }
+  const auto fit =
+      uoi::core::UoiElasticNet(elastic_net_options()).fit(data.x, data.y);
+  EXPECT_EQ(pin(fit.beta, 0.0, fit.candidate_supports,
+                fit.chosen_support_per_bootstrap,
+                fit.best_loss_per_bootstrap, 0),
+            "beta=3367912078929230232 "
+            "supports=;5;5;3,5,12,13;3,5,12,13;3,4,5,6,7,8,9,10,12,13;"
+            "3,4,5,6,7,8,10,12,13;1,2,3,4,5,6,7,8,9,10,11,12,13;"
+            "2,3,4,5,6,7,8,9,10,11,12,13;0,2,3,4,5,6,7,8,9,10,11,12,13;4,5;"
+            "3,4,5,8;3,4,5,8,12,13;3,4,5,7,8,12,13;2,3,4,5,7,9,12,13 "
+            "chosen=3,3,3 loss=8407931445265741531 flops=0");
 }
 
 uoi::data::ClassificationDataset classification_data() {
@@ -234,7 +197,7 @@ uoi::core::UoiLogisticOptions logistic_options() {
 
 TEST(SerialUoiPins, Logistic) {
   const auto data = classification_data();
-  // The logistic family has no screening; one pin covers every mode.
+  // The logistic family has no screening.
   const auto fit =
       uoi::core::UoiLogistic(logistic_options()).fit(data.x, data.y);
   EXPECT_EQ(pin(fit.beta, fit.intercept, fit.candidate_supports,
@@ -313,50 +276,45 @@ TEST(SerialUoiPins, OneRankGroupsMatchTheSerialFit) {
                   uoi::sched::LinearPath::kConsensus}};
   auto lasso = lasso_options();
   lasso.fit_intercept = true;
-  auto elastic_net = elastic_net_options();
+  const auto elastic_net = elastic_net_options();
   for (const auto& [data, path] : cases) {
-    for (const ScreenMode mode : kModes) {
-      lasso.screen.mode = mode;
-      elastic_net.screen.mode = mode;
-      const auto lasso_fit = uoi::core::UoiLasso(lasso).fit(data.x, data.y);
-      const auto en_fit =
-          uoi::core::UoiElasticNet(elastic_net).fit(data.x, data.y);
-      const std::string lasso_ref =
-          pin(lasso_fit.beta, lasso_fit.intercept,
-              lasso_fit.candidate_supports,
-              lasso_fit.chosen_support_per_bootstrap,
-              lasso_fit.best_loss_per_bootstrap, 0);
-      const std::string en_ref =
-          pin(en_fit.beta, 0.0, en_fit.candidate_supports,
-              en_fit.chosen_support_per_bootstrap,
-              en_fit.best_loss_per_bootstrap, 0);
-      std::vector<std::string> lasso_pins(kRanks);
-      std::vector<std::string> en_pins(kRanks);
-      std::vector<uoi::sched::LinearPath> paths(kRanks);
-      uoi::sim::Cluster::run(kRanks, [&](uoi::sim::Comm& comm) {
-        const auto r = static_cast<std::size_t>(comm.rank());
-        paths[r] = uoi::core::detail::linear_family_path(comm, data.x, layout);
-        const auto l = uoi::core::uoi_lasso_distributed(comm, data.x, data.y,
-                                                        lasso, layout);
-        lasso_pins[r] = pin(l.model.beta, l.model.intercept,
-                            l.model.candidate_supports,
-                            l.model.chosen_support_per_bootstrap,
-                            l.model.best_loss_per_bootstrap, 0);
-        const auto e = uoi::core::uoi_elastic_net_distributed(
-            comm, data.x, data.y, elastic_net, layout);
-        en_pins[r] = pin(e.model.beta, 0.0, e.model.candidate_supports,
-                         e.model.chosen_support_per_bootstrap,
-                         e.model.best_loss_per_bootstrap, 0);
-      });
-      for (std::size_t r = 0; r < kRanks; ++r) {
-        const auto label = std::string(uoi::solvers::screen_mode_name(mode)) +
-                           ", " + std::to_string(data.x.rows()) + " x " +
-                           std::to_string(data.x.cols()) + ", rank " +
-                           std::to_string(r);
-        EXPECT_EQ(paths[r], path) << label;
-        EXPECT_EQ(lasso_pins[r], lasso_ref) << label;
-        EXPECT_EQ(en_pins[r], en_ref) << label;
-      }
+    const auto lasso_fit = uoi::core::UoiLasso(lasso).fit(data.x, data.y);
+    const auto en_fit =
+        uoi::core::UoiElasticNet(elastic_net).fit(data.x, data.y);
+    const std::string lasso_ref =
+        pin(lasso_fit.beta, lasso_fit.intercept,
+            lasso_fit.candidate_supports,
+            lasso_fit.chosen_support_per_bootstrap,
+            lasso_fit.best_loss_per_bootstrap, 0);
+    const std::string en_ref =
+        pin(en_fit.beta, 0.0, en_fit.candidate_supports,
+            en_fit.chosen_support_per_bootstrap,
+            en_fit.best_loss_per_bootstrap, 0);
+    std::vector<std::string> lasso_pins(kRanks);
+    std::vector<std::string> en_pins(kRanks);
+    std::vector<uoi::sched::LinearPath> paths(kRanks);
+    uoi::sim::Cluster::run(kRanks, [&](uoi::sim::Comm& comm) {
+      const auto r = static_cast<std::size_t>(comm.rank());
+      paths[r] = uoi::core::detail::linear_family_path(comm, data.x, layout);
+      const auto l = uoi::core::uoi_lasso_distributed(comm, data.x, data.y,
+                                                      lasso, layout);
+      lasso_pins[r] = pin(l.model.beta, l.model.intercept,
+                          l.model.candidate_supports,
+                          l.model.chosen_support_per_bootstrap,
+                          l.model.best_loss_per_bootstrap, 0);
+      const auto e = uoi::core::uoi_elastic_net_distributed(
+          comm, data.x, data.y, elastic_net, layout);
+      en_pins[r] = pin(e.model.beta, 0.0, e.model.candidate_supports,
+                       e.model.chosen_support_per_bootstrap,
+                       e.model.best_loss_per_bootstrap, 0);
+    });
+    for (std::size_t r = 0; r < kRanks; ++r) {
+      const auto label = std::to_string(data.x.rows()) + " x " +
+                         std::to_string(data.x.cols()) + ", rank " +
+                         std::to_string(r);
+      EXPECT_EQ(paths[r], path) << label;
+      EXPECT_EQ(lasso_pins[r], lasso_ref) << label;
+      EXPECT_EQ(en_pins[r], en_ref) << label;
     }
   }
 
@@ -380,58 +338,33 @@ TEST(SerialUoiPins, OneRankGroupsMatchTheSerialFit) {
   }
 
   const Matrix series = var_series();
-  auto var = var_options();
-  for (const ScreenMode mode :
-       {ScreenMode::kOff, ScreenMode::kSafe, ScreenMode::kStrong}) {
-    var.screen.mode = mode;
-    const std::string var_ref = var_pin(uoi::var::UoiVar(var).fit(series));
-    std::vector<std::string> var_pins(kRanks);
-    uoi::sim::Cluster::run(kRanks, [&](uoi::sim::Comm& comm) {
-      var_pins[static_cast<std::size_t>(comm.rank())] = var_pin(
-          uoi::var::uoi_var_distributed(comm, series, var, layout).model);
-    });
-    for (std::size_t r = 0; r < kRanks; ++r) {
-      EXPECT_EQ(var_pins[r], var_ref)
-          << "VAR, " << uoi::solvers::screen_mode_name(mode) << ", rank "
-          << r;
-    }
+  const auto var = var_options();
+  const std::string var_ref = var_pin(uoi::var::UoiVar(var).fit(series));
+  std::vector<std::string> var_pins(kRanks);
+  uoi::sim::Cluster::run(kRanks, [&](uoi::sim::Comm& comm) {
+    var_pins[static_cast<std::size_t>(comm.rank())] = var_pin(
+        uoi::var::uoi_var_distributed(comm, series, var, layout).model);
+  });
+  for (std::size_t r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(var_pins[r], var_ref) << "VAR, rank " << r;
   }
 }
 
 TEST(SerialUoiPins, Var) {
-  const std::string expected[] = {
+  const std::string expected =
       "beta=6447771388323124424 "
       "supports=;2,12,14,20,21;0,2,7,12,14,18,21,23,29,35;"
       "0,2,3,7,10,12,14,18,21,22,23,28,29,31,34,35;"
       "0,2,3,4,7,8,10,12,13,14,18,19,21,22,23,25,28,29,30,31,32,34,35;"
       "0,2,3,4,5,7,8,9,10,12,13,14,15,16,17,18,19,21,22,23,25,27,28,29"
       ",30,31,32,33,34,35 chosen=3,3,5 loss=16004486360057176807 "
-      "flops=267788 mu=12537659391468724546",
-      "beta=6447771388323124424 "
-      "supports=;2,12,14,20,21;0,2,7,12,14,18,21,23,29,35;"
-      "0,2,3,7,10,12,14,18,21,22,23,28,29,31,34,35;"
-      "0,2,3,4,7,8,10,12,13,14,18,19,21,22,23,25,28,29,30,31,32,34,35;"
-      "0,2,3,4,5,7,8,9,10,12,13,14,15,16,17,18,19,21,22,23,25,27,28,29"
-      ",30,31,32,33,34,35 chosen=3,3,5 loss=16004486360057176807 "
-      "flops=267788 mu=12537659391468724546",
-  };
+      "flops=267788 mu=12537659391468724546";
   const Matrix series = var_series();
   auto options = var_options();
-  for (std::size_t m = 0; m < std::size(kModes); ++m) {
-    options.screen.mode = kModes[m];
-    EXPECT_EQ(var_pin(uoi::var::UoiVar(options).fit(series)), expected[m])
-        << uoi::solvers::screen_mode_name(kModes[m]);
-  }
+  EXPECT_EQ(var_pin(uoi::var::UoiVar(options).fit(series)), expected);
+  // Fits no longer read the backend: the sparse one runs the same chains.
   options.backend = uoi::var::VarSolverBackend::kSparse;
-  options.screen.mode = ScreenMode::kOff;
-  EXPECT_EQ(var_pin(uoi::var::UoiVar(options).fit(series)),
-            "beta=6447771388323124424 "
-            "supports=;2,12,14,20,21;0,2,7,12,14,18,21,23,29,35;"
-            "0,2,3,7,10,12,14,18,21,22,23,28,29,31,34,35;"
-            "0,2,3,4,7,8,10,12,13,14,18,19,21,22,23,25,28,29,30,31,32,34,35;"
-            "0,2,3,4,5,7,8,9,10,12,13,14,15,16,17,18,19,21,22,23,25,27,28,29"
-            ",30,31,32,33,34,35 chosen=3,3,5 loss=16004486360057176807 "
-            "flops=267788 mu=12537659391468724546");
+  EXPECT_EQ(var_pin(uoi::var::UoiVar(options).fit(series)), expected);
 }
 
 // Serial fits build their one-rank communicator in the calling thread, so
@@ -440,9 +373,7 @@ TEST(SerialUoiPins, Var) {
 TEST(LocalRank, SerialFitsInsideClusterRanksAndThreads) {
   auto lasso = lasso_options();
   lasso.fit_intercept = true;
-  lasso.screen.mode = ScreenMode::kStrong;
-  auto var = var_options();
-  var.screen.mode = ScreenMode::kStrong;
+  const auto var = var_options();
   const Matrix series = var_series();
   const std::string lasso_reference = lasso_pin(lasso);
   const std::string var_reference =

@@ -313,42 +313,6 @@ TEST(UoiVar, StructuredAndSparseBackendsAgree) {
   EXPECT_EQ(structured.support, sparse.support);
 }
 
-TEST(UoiVar, ScreeningModesAreByteIdenticalEndToEnd) {
-  // The canonical two-stage chain contract: off / safe / strong must give
-  // bit-for-bit the same VAR fit on both serial backends. Screening only
-  // changes which columns get gathered, never the trajectory.
-  uoi::data::VarSpec spec;
-  spec.n_nodes = 6;
-  spec.seed = 31;
-  const auto truth = uoi::data::make_sparse_var(spec);
-  uoi::var::SimulateOptions sim;
-  sim.n_samples = 200;
-  sim.seed = 32;
-  const Matrix series = uoi::var::simulate(truth, sim);
-
-  auto options = fast_var_options();
-  options.n_selection_bootstraps = 4;
-  options.n_estimation_bootstraps = 3;
-  options.n_lambdas = 6;
-  for (const auto backend : {uoi::var::VarSolverBackend::kStructured,
-                             uoi::var::VarSolverBackend::kSparse}) {
-    options.backend = backend;
-    options.screen.mode = uoi::solvers::ScreenMode::kOff;
-    const auto off = uoi::var::UoiVar(options).fit(series);
-    for (const auto mode :
-         {uoi::solvers::ScreenMode::kSafe, uoi::solvers::ScreenMode::kStrong}) {
-      options.screen.mode = mode;
-      const auto screened = uoi::var::UoiVar(options).fit(series);
-      EXPECT_EQ(
-          uoi::linalg::max_abs_diff(screened.vec_beta, off.vec_beta), 0.0)
-          << "backend " << static_cast<int>(backend) << " mode "
-          << uoi::solvers::screen_mode_name(mode);
-      EXPECT_EQ(screened.support, off.support);
-      EXPECT_EQ(screened.lambdas, off.lambdas);
-    }
-  }
-}
-
 /// FNV-1a over the bytes of a coefficient vector.
 std::uint64_t beta_bytes_hash(std::span<const double> beta) {
   std::uint64_t h = 1469598103934665603ULL;
@@ -387,27 +351,22 @@ TEST(UoiVarPins, FitsReproducePerEquationModelBytes) {
   // Estimation refits OLS on the selected supports, so every path that
   // selects the same supports lands on these same bytes.
   const std::uint64_t expected = 5330434975405816351ULL;
-  for (const auto mode :
-       {uoi::solvers::ScreenMode::kOff, uoi::solvers::ScreenMode::kStrong}) {
-    options.screen.mode = mode;
-    const char* name = uoi::solvers::screen_mode_name(mode);
-    options.backend = uoi::var::VarSolverBackend::kStructured;
-    EXPECT_EQ(beta_bytes_hash(uoi::var::UoiVar(options).fit(series).vec_beta),
-              expected)
-        << "serial structured, screen " << name;
-    options.backend = uoi::var::VarSolverBackend::kSparse;
-    EXPECT_EQ(beta_bytes_hash(uoi::var::UoiVar(options).fit(series).vec_beta),
-              expected)
-        << "serial sparse, screen " << name;
-    uoi::sim::Cluster::run(kPinnedRanks, [&](uoi::sim::Comm& comm) {
-      const auto fit =
-          uoi::var::uoi_var_distributed(comm, series, options, {1, 1}, 2);
-      if (comm.rank() == 0) {
-        EXPECT_EQ(beta_bytes_hash(fit.model.vec_beta), expected)
-            << "distributed, screen " << name;
-      }
-    });
-  }
+  options.backend = uoi::var::VarSolverBackend::kStructured;
+  EXPECT_EQ(beta_bytes_hash(uoi::var::UoiVar(options).fit(series).vec_beta),
+            expected)
+      << "serial structured";
+  options.backend = uoi::var::VarSolverBackend::kSparse;
+  EXPECT_EQ(beta_bytes_hash(uoi::var::UoiVar(options).fit(series).vec_beta),
+            expected)
+      << "serial sparse";
+  uoi::sim::Cluster::run(kPinnedRanks, [&](uoi::sim::Comm& comm) {
+    const auto fit =
+        uoi::var::uoi_var_distributed(comm, series, options, {1, 1}, 2);
+    if (comm.rank() == 0) {
+      EXPECT_EQ(beta_bytes_hash(fit.model.vec_beta), expected)
+          << "distributed";
+    }
+  });
 }
 
 // The ADMM solves under those fits, whose bytes every x-update bit

@@ -178,10 +178,13 @@ def main():
                 f"{figure}: telemetry emitter overhead {overhead:.2f}% "
                 f"exceeds the 2% gate (off-run wall {wall_off:.3f}s)")
 
-    # Screening / SIMD fast-path gates (fig16). The bitwise flags are
-    # structural: a screened or vectorized solve that changes the model
-    # violates the canonical two-stage / fixed-reduction-tree contracts
-    # regardless of machine speed. The speedup gate is a perf regression
+    # Screening / SIMD fast-path gates (fig16). The flags are structural,
+    # whatever the machine speed: screen_bitwise is 0 when fig16's chain
+    # gates fail (among them the screened chain selecting another support
+    # than the unscreened solver's chain at some lambda) or when the
+    # schedule policies select different models; simd_bitwise is 0 when a
+    # dispatched kernel leaves the fixed reduction tree. The speedup gate
+    # (strong chain against the unscreened chain) is a perf regression
     # (machine-dependent, so it respects --informational).
     for figure, cur in sorted(current.items()):
         config = cur.get("config", {})

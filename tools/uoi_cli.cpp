@@ -87,7 +87,9 @@
 //                         quorum-degraded completion
 
 #include <cerrno>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -96,7 +98,9 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <unistd.h>
 #include <vector>
 
@@ -110,7 +114,6 @@
 #include "io/csv.hpp"
 #include "linalg/simd.hpp"
 #include "report/run_report.hpp"
-#include "solvers/screening.hpp"
 #include "report/trace_reader.hpp"
 #include "sched/schedule_policy.hpp"
 #include "simcluster/cluster.hpp"
@@ -165,9 +168,6 @@ struct Args {
   uoi::sched::SchedulePolicy sched_policy = uoi::sched::SchedulePolicy::kAuto;
   /// < 0 defers to $UOI_SOLVER_CACHE_MB (default 256); 0 disables.
   long solver_cache_mb = -1;
-  /// kAuto defers to $UOI_SCREEN (default strong); every mode emits
-  /// byte-identical models.
-  uoi::solvers::ScreenMode screen_mode = uoi::solvers::ScreenMode::kAuto;
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -183,7 +183,6 @@ struct Args {
                "[--max-retries N] [--max-recovery-attempts N] "
                "[--sched-policy static|cost_lpt|work_steal] "
                "[--solver-cache-mb MB] "
-               "[--screen off|safe|strong] "
                "[--transport thread|socket] "
                "[--live-telemetry SINK]\n"
                "       %s info\n"
@@ -196,6 +195,35 @@ struct Args {
   std::exit(2);
 }
 
+/// Parses all of `text` as a T: a decimal integer in T's range (with no
+/// sign when T is unsigned) or a finite double. False on anything else,
+/// such as "3x", "abc", "" or "-5" for an unsigned T.
+template <class T>
+bool parse_number(std::string_view text, T& out) {
+  const char* const first = text.data();
+  const char* const last = first + text.size();
+  const auto [end, error] = std::from_chars(first, last, out);
+  if (error != std::errc{} || end != last) return false;
+  if constexpr (std::is_floating_point_v<T>) return std::isfinite(out);
+  return true;
+}
+
+/// The value `text` of the numeric flag `flag`; names the flag and exits
+/// with status 2 unless the whole token parses (see parse_number).
+template <class T>
+T flag_number(const std::string& flag, const char* text) {
+  T out{};
+  if (!parse_number(text, out)) {
+    std::fprintf(stderr, "%s: invalid %s value '%s'\n", flag.c_str(),
+                 std::is_floating_point_v<T> ? "numeric"
+                 : std::is_unsigned_v<T>     ? "non-negative integer"
+                                             : "integer",
+                 text);
+    std::exit(2);
+  }
+  return out;
+}
+
 Args parse_args(int argc, char** argv) {
   if (argc < 2) usage(argv[0]);
   Args args;
@@ -206,22 +234,26 @@ Args parse_args(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    // Reads the flag's value into `out` through flag_number.
+    auto number = [&]<class T>(T& out) {
+      out = flag_number<T>(flag, value());
+    };
     if (flag == "--csv") {
       args.csv_path = value();
     } else if (flag == "--b1") {
-      args.b1 = std::strtoul(value(), nullptr, 10);
+      number(args.b1);
     } else if (flag == "--b2") {
-      args.b2 = std::strtoul(value(), nullptr, 10);
+      number(args.b2);
     } else if (flag == "--lambdas") {
-      args.n_lambdas = std::strtoul(value(), nullptr, 10);
+      number(args.n_lambdas);
     } else if (flag == "--order") {
-      args.order = std::strtoul(value(), nullptr, 10);
+      number(args.order);
     } else if (flag == "--max-order") {
-      args.max_order = std::strtoul(value(), nullptr, 10);
+      number(args.max_order);
     } else if (flag == "--forecast") {
-      args.forecast_horizon = std::strtoul(value(), nullptr, 10);
+      number(args.forecast_horizon);
     } else if (flag == "--tolerance") {
-      args.tolerance = std::strtod(value(), nullptr);
+      number(args.tolerance);
     } else if (flag == "--dot") {
       args.dot_path = value();
     } else if (flag == "--json") {
@@ -229,7 +261,7 @@ Args parse_args(int argc, char** argv) {
     } else if (flag == "--save-model") {
       args.model_path = value();
     } else if (flag == "--seed") {
-      args.seed = std::strtoull(value(), nullptr, 10);
+      number(args.seed);
     } else if (flag == "--checkpoint-path") {
       args.checkpoint_path = value();
     } else if (flag == "--trace-json") {
@@ -250,29 +282,28 @@ Args parse_args(int argc, char** argv) {
     } else if (flag == "--hang") {
       args.hang_fault = value();
     } else if (flag == "--comm-timeout-ms") {
-      args.comm_timeout_ms = std::strtol(value(), nullptr, 10);
+      number(args.comm_timeout_ms);
       if (args.comm_timeout_ms <= 0) {
         std::fprintf(stderr, "--comm-timeout-ms must be > 0\n");
         usage(argv[0]);
       }
     } else if (flag == "--min-bootstrap-quorum") {
-      args.min_bootstrap_quorum = std::strtod(value(), nullptr);
+      number(args.min_bootstrap_quorum);
       if (args.min_bootstrap_quorum <= 0.0 ||
           args.min_bootstrap_quorum > 1.0) {
         std::fprintf(stderr, "--min-bootstrap-quorum must be in (0, 1]\n");
         usage(argv[0]);
       }
     } else if (flag == "--max-retries") {
-      args.max_retries = static_cast<int>(std::strtol(value(), nullptr, 10));
+      number(args.max_retries);
     } else if (flag == "--max-recovery-attempts") {
-      args.max_recovery_attempts =
-          static_cast<int>(std::strtol(value(), nullptr, 10));
+      number(args.max_recovery_attempts);
       if (args.max_recovery_attempts < 0) {
         std::fprintf(stderr, "--max-recovery-attempts must be >= 0\n");
         usage(argv[0]);
       }
     } else if (flag == "--ranks") {
-      args.ranks = static_cast<int>(std::strtol(value(), nullptr, 10));
+      number(args.ranks);
     } else if (flag == "--transport") {
       args.transport = value();
       if (args.transport != "thread" && args.transport != "socket") {
@@ -286,21 +317,9 @@ Args parse_args(int argc, char** argv) {
         usage(argv[0]);
       }
     } else if (flag == "--solver-cache-mb") {
-      args.solver_cache_mb = std::strtol(value(), nullptr, 10);
+      number(args.solver_cache_mb);
       if (args.solver_cache_mb < 0) {
         std::fprintf(stderr, "--solver-cache-mb must be >= 0\n");
-        usage(argv[0]);
-      }
-    } else if (flag == "--screen") {
-      const std::string mode = value();
-      if (mode == "off") {
-        args.screen_mode = uoi::solvers::ScreenMode::kOff;
-      } else if (mode == "safe") {
-        args.screen_mode = uoi::solvers::ScreenMode::kSafe;
-      } else if (mode == "strong") {
-        args.screen_mode = uoi::solvers::ScreenMode::kStrong;
-      } else {
-        std::fprintf(stderr, "--screen must be off, safe, or strong\n");
         usage(argv[0]);
       }
     } else {
@@ -342,7 +361,6 @@ int run_lasso(const Args& args) {
   options.seed = args.seed;
   options.schedule = args.sched_policy;
   options.solver_cache_mb = args.solver_cache_mb;
-  options.screen.mode = args.screen_mode;
   options.recovery.checkpoint_path = args.checkpoint_path;
   const auto fit = uoi::core::UoiLasso(options).fit(x, y);
 
@@ -419,7 +437,6 @@ int run_var(const Args& args) {
   options.seed = args.seed;
   options.schedule = args.sched_policy;
   options.solver_cache_mb = args.solver_cache_mb;
-  options.screen.mode = args.screen_mode;
   options.recovery.checkpoint_path = args.checkpoint_path;
   const auto fit = uoi::var::UoiVar(options).fit(csv.values);
 
@@ -513,7 +530,6 @@ int run_demo(const Args& args) {
   options.seed = args.seed;
   options.schedule = args.sched_policy;
   options.solver_cache_mb = args.solver_cache_mb;
-  options.screen.mode = args.screen_mode;
   options.recovery.checkpoint_path = args.checkpoint_path;
   const auto fit = uoi::var::UoiVar(options).fit(series);
 
@@ -557,7 +573,6 @@ int run_faultdemo(const Args& args) {
   options.seed = args.seed;
   options.schedule = args.sched_policy;
   options.solver_cache_mb = args.solver_cache_mb;
-  options.screen.mode = args.screen_mode;
   options.recovery.checkpoint_path = args.checkpoint_path;
   options.recovery.checkpoint_interval = 1;
   options.recovery.onesided_max_attempts = args.max_retries;
@@ -574,9 +589,13 @@ int run_faultdemo(const Args& args) {
                    spec.c_str());
       return false;
     }
-    rank = static_cast<int>(
-        std::strtol(spec.substr(0, at).c_str(), nullptr, 10));
-    step = std::strtoull(spec.substr(at + 1).c_str(), nullptr, 10);
+    const std::string_view text(spec);
+    if (!parse_number(text.substr(0, at), rank) ||
+        !parse_number(text.substr(at + 1), step)) {
+      std::fprintf(stderr, "%s expects RANK@STEP, got %s\n", flag,
+                   spec.c_str());
+      return false;
+    }
     if (rank < 0 || rank >= args.ranks) {
       std::fprintf(stderr, "%s rank %d outside [0, %d)\n", flag, rank,
                    args.ranks);
@@ -727,14 +746,15 @@ int run_analyze(const Args& args) {
       uoi::report::WhatIfScale scale;
       if (eq == std::string::npos ||
           !uoi::support::trace_category_from_string(spec.substr(0, eq),
-                                                    scale.category)) {
+                                                    scale.category) ||
+          !parse_number(std::string_view(spec).substr(eq + 1),
+                        scale.factor)) {
         std::fprintf(stderr,
                      "--what-if expects CATEGORY=FACTOR (e.g. "
                      "communication=0), got %s\n",
                      spec.c_str());
         return 2;
       }
-      scale.factor = std::strtod(spec.substr(eq + 1).c_str(), nullptr);
       if (scale.factor < 0.0) {
         std::fprintf(stderr, "--what-if factor must be >= 0\n");
         return 2;
@@ -854,13 +874,13 @@ int run_launch(int argc, char** argv) {
       return argv[++i];
     };
     if (flag == "--ranks") {
-      options.ranks = static_cast<int>(std::strtol(value(), nullptr, 10));
+      options.ranks = flag_number<int>(flag, value());
     } else if (flag == "--backend") {
       backend = value();
     } else if (flag == "--dir") {
       options.job_dir = value();
     } else if (flag == "--grace-ms") {
-      options.grace_ms = std::strtol(value(), nullptr, 10);
+      options.grace_ms = flag_number<long>(flag, value());
     } else {
       std::fprintf(stderr, "unknown launch flag: %s\n", flag.c_str());
       usage(argv[0]);
@@ -900,7 +920,6 @@ int run_info(const Args&) {
   const auto detected = simd::detect_simd_level();
   const auto active = simd::resolve_simd_level();
   const char* simd_env = std::getenv("UOI_SIMD");
-  const char* screen_env = std::getenv("UOI_SCREEN");
   std::printf("uoi build/runtime info\n");
   std::printf("  simd detected:   %s\n", simd::simd_level_name(detected));
   std::printf("  simd active:     %s  (UOI_SIMD=%s)\n",
@@ -915,11 +934,6 @@ int run_info(const Args&) {
   std::printf("  data caches:     L1d %ld KiB, L2 %ld KiB, L3 %ld KiB "
               "(-1 = unknown)\n",
               kib(caches.l1d), kib(caches.l2), kib(caches.l3));
-  std::printf("  screen default:  %s  (UOI_SCREEN=%s)\n",
-              uoi::solvers::screen_mode_name(uoi::solvers::resolve_screen_mode(
-                  uoi::solvers::ScreenMode::kAuto)),
-              screen_env != nullptr && screen_env[0] != '\0' ? screen_env
-                                                            : "unset");
   std::printf("  compiler:        %s\n", __VERSION__);
 #ifdef NDEBUG
   const char* build_kind = "release (NDEBUG)";
