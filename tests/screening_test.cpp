@@ -792,12 +792,12 @@ TEST(ScreenedChainPins, SerialVarFit) {
   const std::uint64_t expected_beta = 1495920722954990147ULL;
   const auto fit = uoi::var::UoiVar(options).fit(series);
   EXPECT_EQ(beta_bytes_hash(fit.vec_beta), expected_beta);
-  EXPECT_EQ(fit.total_flops, 580316u);
+  EXPECT_EQ(fit.total_flops, 576044u);
   // Fits no longer read the backend: the sparse one runs the same chains.
   options.backend = uoi::var::VarSolverBackend::kSparse;
   const auto sparse = uoi::var::UoiVar(options).fit(series);
   EXPECT_EQ(beta_bytes_hash(sparse.vec_beta), expected_beta);
-  EXPECT_EQ(sparse.total_flops, 580316u);
+  EXPECT_EQ(sparse.total_flops, 576044u);
 }
 
 /// Pins a four-rank distributed VAR fit on layout {2, 1} (two groups of
@@ -853,9 +853,9 @@ void expect_distributed_var_pins(const Matrix& series,
 TEST(ScreenedChainPins, DistributedVarFit) {
   expect_distributed_var_pins(
       pin_var_series(), pin_var_options(), uoi::sched::LinearPath::kGram,
-      1495920722954990147ULL, 580316,
+      1495920722954990147ULL, 576044,
       "admm.iterations=4588 admm.rho_updates=0 admm.allreduce_calls=6 "
-      "admm.allreduce_bytes=6528 admm.consensus_rounds=0 "
+      "admm.allreduce_bytes=6144 admm.consensus_rounds=0 "
       "screen.lambdas=192 screen.survivors=822 "
       "screen.kkt_violations=0 screen.kkt_rounds=0 screen.gram_cols_saved=0 "
       "screen.canonical_solves=0 screen.total_columns=1536 ");

@@ -127,7 +127,7 @@ TEST(SerialUoiPins, LassoWithIntercept) {
             "beta=13087802966495352614 "
             "supports=;3,4,5,12;3,5,12,13;3,5,12,13;1,2,3,5,8,9,12,13;"
             "0,1,2,3,4,5,6,7,8,9,10,12,13 chosen=2,4,5 "
-            "loss=13849077573193691763 flops=381769");
+            "loss=13849077573193691763 flops=380641");
 }
 
 TEST(SerialUoiPins, LassoMedianAggregation) {
@@ -139,7 +139,7 @@ TEST(SerialUoiPins, LassoMedianAggregation) {
             "supports=;3,4,5,12;2,3,5,8,11,12,13;2,3,5,6,7,9,10,11,12,13;"
             "0,1,2,3,4,5,6,7,8,9,10,11,12,13;"
             "0,1,2,3,4,5,6,7,8,9,10,11,12,13 chosen=2,3,2 "
-            "loss=9504051129375383828 flops=494362");
+            "loss=9504051129375383828 flops=493234");
 }
 
 uoi::core::UoiElasticNetOptions elastic_net_options() {
@@ -358,7 +358,7 @@ TEST(SerialUoiPins, Var) {
       "0,2,3,4,7,8,10,12,13,14,18,19,21,22,23,25,28,29,30,31,32,34,35;"
       "0,2,3,4,5,7,8,9,10,12,13,14,15,16,17,18,19,21,22,23,25,27,28,29"
       ",30,31,32,33,34,35 chosen=3,3,5 loss=16004486360057176807 "
-      "flops=267788 mu=12537659391468724546";
+      "flops=264944 mu=12537659391468724546";
   const Matrix series = var_series();
   auto options = var_options();
   EXPECT_EQ(var_pin(uoi::var::UoiVar(options).fit(series)), expected);
