@@ -70,7 +70,6 @@ UoiElasticNetDistributedResult fit_elastic_net(
   spec.schedule = options.schedule;
   spec.solver_cache_mb = options.solver_cache_mb;
   spec.layout = layout;
-  spec.screened = true;
 
   // Each ratio walks its own descending lambda1 path from a fresh chain.
   const auto hooks = detail::linear_family_hooks(

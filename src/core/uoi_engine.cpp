@@ -25,8 +25,7 @@ using uoi::sim::ReduceOp;
 
 namespace {
 
-void export_metrics(int trace_rank, const UoiEngineSpec& spec,
-                    const UoiFitCounters& fits,
+void export_metrics(int trace_rank, const UoiFitCounters& fits,
                     const uoi::solvers::BootstrapCache::Stats& cache,
                     const UoiEngineResult& out) {
   auto& metrics = support::MetricsRegistry::instance();
@@ -38,7 +37,9 @@ void export_metrics(int trace_rank, const UoiEngineSpec& spec,
   add("admm.allreduce_calls", static_cast<double>(fits.allreduce_calls));
   add("admm.allreduce_bytes", static_cast<double>(fits.allreduce_bytes));
   add("admm.consensus_rounds", static_cast<double>(fits.consensus_rounds));
-  if (spec.screened) {
+  // Only the families that walk screened or Gram chains (lasso, elastic
+  // net, VAR) count chain steps; a rank that ran none exports no screen.*.
+  if (fits.screen.lambdas > 0) {
     const auto& screen = fits.screen;
     add("screen.lambdas", static_cast<double>(screen.lambdas));
     add("screen.survivors", static_cast<double>(screen.survivors));
@@ -610,7 +611,7 @@ UoiEngineResult run_uoi_engine(Comm& comm, const UoiEngineSpec& spec,
                 trace_rank, phase_start_seconds,
                 breakdown.computation_seconds);
 
-  export_metrics(trace_rank, spec, fits, cache_stats, out);
+  export_metrics(trace_rank, fits, cache_stats, out);
   return out;
 }
 

@@ -248,9 +248,6 @@ struct UoiEngineSpec {
   UoiRecoveryOptions recovery;
   /// Identifies compatible checkpoints; unused without a checkpoint path.
   std::uint64_t fingerprint = 0;
-  /// Exports the screen.* metrics; set by the families whose selection
-  /// walks screened or Gram chains (lasso, elastic net, VAR).
-  bool screened = false;
 };
 
 struct UoiEngineResult {

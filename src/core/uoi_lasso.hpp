@@ -26,7 +26,6 @@
 #include "sched/schedule_policy.hpp"
 #include "simcluster/fault.hpp"
 #include "solvers/admm_lasso.hpp"
-#include "solvers/screening.hpp"
 
 namespace uoi::core {
 

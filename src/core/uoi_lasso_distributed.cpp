@@ -353,7 +353,6 @@ UoiLassoDistributedResult fit_lasso(Comm& comm, ConstMatrixView x_view,
   spec.recovery = options.recovery;
   spec.fingerprint =
       UoiLasso(options).selection_fingerprint(n, p, model.lambdas);
-  spec.screened = true;
 
   const sched::LinearPath path =
       linear_family_path(comm, x_owned, layout);

@@ -506,7 +506,6 @@ UoiVarDistributedResult uoi_var_distributed(
   spec.solver_cache_mb = comm.size() == 1 ? 0 : options.solver_cache_mb;
   spec.layout = layout;
   spec.recovery = options.recovery;
-  spec.screened = true;
   uoi::core::FingerprintBuilder fp;
   // Tag keeps VAR checkpoints apart from LASSO ones.
   fp.add(static_cast<std::uint64_t>(0x766172ULL))

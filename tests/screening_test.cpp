@@ -169,10 +169,9 @@ RowBlock row_block(uoi::sim::Comm& comm, const Matrix& x,
 }
 
 TEST(ScreeningDistributed, ModesAreByteIdenticalAndShrinkPayload) {
-  // The strong leg of a test that once compared screening modes: the
-  // chain converges at every lambda, and its reduced consensus payloads
-  // ((|W|+3) doubles per round, plus the p-length KKT checks) are smaller
-  // on average than the full-p solver's (p+3).
+  // The chain converges at every lambda, and its reduced consensus
+  // payloads ((|W|+3) doubles per round, plus the p-length KKT checks) are
+  // smaller on average than the full-p solver's (p+3).
   const auto data = sparse_problem(29, 96, 64);
   const auto lambdas = descending_grid(data.x, data.y, 6, 0.05);
   const AdmmOptions admm = tight_admm();
