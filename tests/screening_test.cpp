@@ -169,26 +169,47 @@ RowBlock row_block(uoi::sim::Comm& comm, const Matrix& x,
 }
 
 TEST(ScreeningDistributed, ModesAreByteIdenticalAndShrinkPayload) {
-  // The chain converges at every lambda, and its reduced consensus
-  // payloads ((|W|+3) doubles per round, plus the p-length KKT checks) are
-  // smaller on average than the full-p solver's (p+3).
+  // The name predates the single screening rule; the test now checks the
+  // chain alone. It converges at every lambda, screens columns out, and
+  // moves fewer allreduce bytes than an unscreened solver walking the same
+  // lambdas warm-started under the same refined options: its consensus
+  // rounds carry (|W|+3) doubles against the solver's (p+3).
   const auto data = sparse_problem(29, 96, 64);
   const auto lambdas = descending_grid(data.x, data.y, 6, 0.05);
   const AdmmOptions admm = tight_admm();
-  uoi::solvers::DistributedAdmmResult total;
+  uoi::solvers::DistributedAdmmResult chain_total;
+  uoi::solvers::DistributedAdmmResult full_total;
+  std::size_t cols_saved = 0;
   uoi::sim::Cluster::run(4, [&](uoi::sim::Comm& comm) {
     const auto block = row_block(comm, data.x, data.y);
     uoi::solvers::DistributedScreenedLassoChain chain(
         comm, block.x, block.y, block.shared, admm);
+    const uoi::solvers::DistributedLassoAdmmSolver full(
+        comm, block.x, block.y,
+        uoi::solvers::detail::refined_admm_options(admm));
+    uoi::solvers::DistributedAdmmResult warm;
+    warm.beta.assign(data.x.cols(), 0.0);
     for (const double lambda : lambdas) {
       const auto fit = chain.solve(lambda);
       EXPECT_TRUE(fit.converged);
-      if (comm.rank() == 0) uoi::solvers::detail::add_fit_counters(total, fit);
+      auto unscreened = full.solve(lambda, &warm);
+      EXPECT_TRUE(unscreened.converged);
+      if (comm.rank() == 0) {
+        uoi::solvers::detail::add_fit_counters(chain_total, fit);
+        uoi::solvers::detail::add_fit_counters(full_total, unscreened);
+      }
+      warm.beta = std::move(unscreened.beta);
     }
+    if (comm.rank() == 0) cols_saved = chain.stats().gram_cols_saved;
   });
-  ASSERT_GT(total.allreduce_calls, 0u);
-  EXPECT_LT(total.allreduce_bytes,
-            total.allreduce_calls * (data.x.cols() + 3) * sizeof(double));
+  EXPECT_GT(cols_saved, 0u);
+  EXPECT_LT(chain_total.allreduce_bytes, full_total.allreduce_bytes);
+  std::printf("[ payload ] allreduce bytes: chain %llu in %llu calls, "
+              "unscreened %llu in %llu calls\n",
+              static_cast<unsigned long long>(chain_total.allreduce_bytes),
+              static_cast<unsigned long long>(chain_total.allreduce_calls),
+              static_cast<unsigned long long>(full_total.allreduce_bytes),
+              static_cast<unsigned long long>(full_total.allreduce_calls));
 }
 
 TEST(ScreeningDistributed, SharedInputsMatchSerialQuantities) {
@@ -250,7 +271,8 @@ TEST(ScreeningGram, SelectsTheSerialChainSupportsOnAdversarialDesign) {
 }
 
 TEST(ScreeningGram, SingularGramSolvesInEveryModeWithIdenticalBytes) {
-  // 20 rows, half of them duplicates, against 48 columns: X'X has rank
+  // The name predates the single screening rule: the one chain must stay
+  // finite and satisfy KKT at every lambda. 20 rows, half of them duplicates, against 48 columns: X'X has rank
   // 10. Coordinate descent never factors G.
   const auto base = sparse_problem(37, 10, 48);
   Matrix x(20, 48);
